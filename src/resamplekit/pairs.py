@@ -35,10 +35,11 @@ from fractions import Fraction
 import numpy as np
 
 from ._streams import BLOCK, Lane, block_ranges, substream
-from .budget import check_budget
+from .budget import BudgetExceededError, check_budget
 from .distributions import KnownDistribution
-from .resampling import exhaustive_moments
-from .samples import BlockLayout, SampleSet
+from .resampling import exhaustive_moments, grid_values
+from .samples import (GRID_CHUNK, BlockLayout, SampleSet, ordered_draws,
+                      product_grid)
 from .systems import SystemSpec, evaluate_batch
 
 __all__ = [
@@ -46,10 +47,8 @@ __all__ = [
     "VarianceReport", "as_layout", "omega_probability", "alpha_probability",
     "beta_probability", "pair_probability", "enumerate_pairs",
     "omega_from_indices", "beta_from_indices", "alpha_from_indices",
-    "conditional_mixed_moment", "resampling_variance",
+    "conditional_mixed_moment", "resampling_variance", "assemble_variance",
 ]
-
-_EVAL_CHUNK = 100_000
 
 
 # -- pattern types --------------------------------------------------------
@@ -237,7 +236,9 @@ def enumerate_pairs(layout, family: str = "auto", budget: int | None = None):
         out = []
         for mask in range(2 ** m):
             omega = OmegaPair(i + 1 for i in range(m) if mask >> i & 1)
-            out.append((omega, omega_probability(omega, sizes)))
+            p = omega_probability(omega, sizes)
+            if p > 0.0:  # a sample of size 1 is always shared
+                out.append((omega, p))
         return out
     if family == "alpha":
         ranges = []
@@ -420,58 +421,121 @@ def conditional_mixed_moment(spec: SystemSpec, source, pair, *,
 def _empirical_mixed_moment(spec, samples: SampleSet, pair,
                             budget) -> MixedMoment:
     layout = samples.layout
-    targets = _block_targets(pair, layout)
-    block_pairs = []
+    if layout.singleton_blocks:
+        mask = _omega_mask(pair, layout)
+        sums, counts = _omega_pair_sums(spec, samples, budget)
+        return MixedMoment(value=_omega_moment(sums, counts, mask, pair),
+                           se=0.0, method="empirical-exact")
+    m = layout.m
+    tables = []
     probe = 0
-    for (kind, tgt), args, n in zip(targets, layout.block_args,
-                                    layout.block_sizes):
-        m_i = len(args)
-        probe += math.perm(n, m_i) ** 2
+    for (kind, tgt), args, n in zip(_block_targets(pair, layout),
+                                    layout.block_args, layout.block_sizes):
+        probe += math.perm(n, len(args)) ** 2
         check_budget(probe, "pattern-constrained pair enumeration", budget)
-        perms = list(itertools.permutations(range(n), m_i))
-        matches = []
-        for p in perms:
-            for p2 in perms:
-                where = {j: args[s] for s, j in enumerate(p2)}
-                frag = {a: where[j] for a, j in zip(args, p) if j in where}
-                ok = (frag == tgt) if kind == "frag" else (len(frag) == tgt)
-                if ok:
-                    matches.append((p, p2))
-        if not matches:
+        matches = _matched_draw_pairs(n, args, kind, tgt)
+        if len(matches) == 0:
             raise ValueError(f"pattern {pair!r} has probability 0 on this layout")
-        block_pairs.append(matches)
-    total = math.prod(len(mp) for mp in block_pairs)
+        tables.append(matches)
+    total = math.prod(len(t) for t in tables)
     check_budget(total, "pattern-constrained pair enumeration", budget)
-    arg_slots = layout.block_args
+    # columns 0..m-1 index the first realization, m..2m-1 the second
+    slots = [[a - 1 for a in args] + [m + a - 1 for a in args]
+             for args in layout.block_args]
     s = 0.0
-    count = 0
-    rows_a: list[tuple[int, ...]] = []
-    rows_b: list[tuple[int, ...]] = []
-
-    def flush():
-        nonlocal s, count
-        if not rows_a:
-            return
-        va = evaluate_batch(spec, samples.values_matrix(np.array(rows_a)))
-        vb = evaluate_batch(spec, samples.values_matrix(np.array(rows_b)))
+    for rows in product_grid(tables, slots, 2 * m):
+        va = evaluate_batch(spec, samples.values_matrix(rows[:, :m]))
+        vb = evaluate_batch(spec, samples.values_matrix(rows[:, m:]))
         s += float(np.dot(va, vb))
-        count += len(rows_a)
-        rows_a.clear()
-        rows_b.clear()
-
-    for combo in itertools.product(*block_pairs):
-        ja = [0] * layout.m
-        jb = [0] * layout.m
-        for args, (p, p2) in zip(arg_slots, combo):
-            for a, j, j2 in zip(args, p, p2):
-                ja[a - 1] = j
-                jb[a - 1] = j2
-        rows_a.append(tuple(ja))
-        rows_b.append(tuple(jb))
-        if len(rows_a) >= _EVAL_CHUNK:
-            flush()
-    flush()
     return MixedMoment(value=s / total, se=0.0, method="empirical-exact")
+
+
+def _matched_draw_pairs(n: int, args, kind: str, tgt) -> np.ndarray:
+    """Pairs of ordered draws from one block that show the block's match
+    condition, as rows [p, p2] in (p, p2) lexicographic order."""
+    k = len(args)
+    draws = ordered_draws(n, k)
+    # want[s, t]: position s of the first draw reappears at position t
+    want = np.zeros((k, k), dtype=bool)
+    if kind == "frag":
+        pos = {a: s for s, a in enumerate(args)}
+        for a, v in tgt.items():
+            want[pos[a], pos[v]] = True
+    out = []
+    step = max(1, GRID_CHUNK // len(draws))
+    for lo in range(0, len(draws), step):
+        first = draws[lo:lo + step]
+        eq = first[:, None, :, None] == draws[None, :, None, :]
+        if kind == "frag":
+            ok = (eq == want).all(axis=(2, 3))
+        else:
+            ok = eq.sum(axis=(2, 3)) == tgt
+        a, b = np.nonzero(ok)
+        out.append(np.hstack([first[a], draws[b]]))
+    return np.concatenate(out)
+
+
+def _omega_mask(pair, layout: BlockLayout) -> int:
+    """The omega bitmask (bit a-1 for argument a) a pattern fixes on a
+    singleton layout."""
+    mask = 0
+    for (kind, tgt), args in zip(_block_targets(pair, layout),
+                                 layout.block_args):
+        shared = len(tgt) if kind == "frag" else tgt
+        if shared not in (0, 1):
+            raise ValueError(f"pattern {pair!r} has probability 0 on this layout")
+        mask |= shared << (args[0] - 1)
+    return mask
+
+
+def _omega_pair_sums(spec, samples: SampleSet, budget):
+    """Sums of phi(v) phi(v') and pair counts for every omega pattern.
+
+    Singleton layouts only.  With T = phi on the value grid,
+    S(A) = sum_{x_A} (sum_{x_rest} T)^2 sums over the pairs that agree at
+    least on A; the superset Moebius transform leaves the pairs that agree
+    exactly on omega.  Entry ``mask`` (bit a-1 for argument a) of each
+    array belongs to that omega; the pair count is
+    prod_{i in omega} n_i prod_{i not in omega} n_i (n_i - 1).
+    """
+    sizes = samples.sizes
+    m = len(sizes)
+    check_budget(math.prod(sizes) + 2 ** m, "omega pair-moment value grid",
+                 budget)
+    grid = np.concatenate(list(grid_values(spec, samples, budget)))
+    sums = np.empty(2 ** m)
+
+    def walk(marginal, mask, first):
+        # each subset once: drop arguments in increasing order
+        sums[mask] = float(np.square(marginal).sum())
+        for i in range(first, m):
+            walk(marginal.sum(axis=i, keepdims=True), mask & ~(1 << i), i + 1)
+
+    walk(grid.reshape(sizes), 2 ** m - 1, 0)
+    counts = np.ones(1)
+    for i, n in enumerate(sizes):
+        sub = sums.reshape(-1, 2, 2 ** i)
+        sub[:, 0, :] -= sub[:, 1, :]
+        counts = np.concatenate([counts * (n * (n - 1)), counts * n])
+    return sums, counts
+
+
+def _omega_moment(sums, counts, mask: int, pair) -> float:
+    if counts[mask] == 0:
+        raise ValueError(f"pattern {pair!r} has probability 0 on this layout")
+    return float(sums[mask] / counts[mask])
+
+
+def _empirical_moments(spec, samples: SampleSet, patterns,
+                       budget) -> list[float]:
+    """Data-conditional mixed moments of several patterns; singleton
+    layouts read them all from one value grid."""
+    if not samples.singleton_blocks:
+        return [_empirical_mixed_moment(spec, samples, pat, budget).value
+                for pat in patterns]
+    sums, counts = _omega_pair_sums(spec, samples, budget)
+    return [_omega_moment(sums, counts, _omega_mask(pat, samples.layout), pat)
+            for pat in patterns]
 
 
 def _generator_mixed_moment(spec, dists, matchings, seed, mc_draws,
@@ -493,39 +557,26 @@ def _generator_mixed_moment(spec, dists, matchings, seed, mc_draws,
 def _one_matching_moment(spec, dists, matching, seed, matching_index,
                          mc_draws, budget):
     m = spec.m
-    fresh = [v for v in range(1, m + 1) if v not in set(matching.values())]
-    finite = all(d.family == "empirical" for d in dists)
-    if finite:
-        dims = [len(dists[a - 1].params) for a in range(1, m + 1)]
-        dims += [len(dists[v - 1].params) for v in fresh]
-        total = math.prod(dims)
-        try:
-            check_budget(total, "finite-support moment grid", budget)
-        except Exception:
-            finite = False
-        else:
-            supports = [np.asarray(dists[a - 1].params) for a in range(1, m + 1)]
-            supports += [np.asarray(dists[v - 1].params) for v in fresh]
-            s = 0.0
-            for start in range(0, total, _EVAL_CHUNK):
-                flat = np.arange(start, min(start + _EVAL_CHUNK, total))
-                grid = np.unravel_index(flat, dims)
-                V = np.empty((len(flat), m))
-                for a in range(m):
-                    V[:, a] = supports[a][grid[a]]
-                V2 = np.empty_like(V)
-                inverse = {v: i for i, v in matching.items()}
-                for v in range(1, m + 1):
-                    if v in inverse:
-                        V2[:, v - 1] = V[:, inverse[v] - 1]
-                    else:
-                        slot = m + fresh.index(v)
-                        V2[:, v - 1] = supports[slot][grid[slot]]
-                s += float(np.dot(evaluate_batch(spec, V),
-                                  evaluate_batch(spec, V2)))
-            return s / total, 0.0
-    # Monte Carlo
     inverse = {v: i for i, v in matching.items()}
+    fresh = [v for v in range(1, m + 1) if v not in inverse]
+    if all(d.family == "empirical" for d in dists):
+        # grid columns: the m first-realization arguments, then one per
+        # fresh argument of the second realization
+        supports = [dists[a - 1].params for a in range(1, m + 1)]
+        supports += [dists[v - 1].params for v in fresh]
+        second = [inverse[v] - 1 if v in inverse else m + fresh.index(v)
+                  for v in range(1, m + 1)]
+        try:
+            grid = _support_grid(supports, budget)
+        except BudgetExceededError:
+            pass
+        else:
+            s = 0.0
+            for V in grid:
+                s += float(np.dot(evaluate_batch(spec, V[:, :m]),
+                                  evaluate_batch(spec, V[:, second])))
+            return s / math.prod(len(x) for x in supports), 0.0
+    # Monte Carlo
     s = 0.0
     s2 = 0.0
     for b, start, stop in block_ranges(mc_draws, BLOCK):
@@ -546,27 +597,35 @@ def _one_matching_moment(spec, dists, matching, seed, matching_index,
     return mean, math.sqrt(var / mc_draws)
 
 
+def _support_grid(supports, budget):
+    """Every combination of finite-support values, as (N, k) value arrays.
+
+    Checks the budget before the first array is built.
+    """
+    check_budget(math.prod(len(x) for x in supports),
+                 "finite-support moment grid", budget)
+    values = [np.asarray(x, dtype=float) for x in supports]
+    tables = [np.arange(len(x))[:, None] for x in values]
+    slots = [[k] for k in range(len(values))]
+    return (np.column_stack([x[idx[:, k]] for k, x in enumerate(values)])
+            for idx in product_grid(tables, slots, len(values)))
+
+
 def _generator_moments(spec, dists, seed, mc_draws, budget):
     """(mu, mu2, se_mu) for a single realization under the generators."""
-    m = spec.m
-    finite = all(d.family == "empirical" for d in dists)
-    if finite:
-        dims = [len(d.params) for d in dists]
-        total = math.prod(dims)
+    if all(d.family == "empirical" for d in dists):
+        supports = [d.params for d in dists]
         try:
-            check_budget(total, "finite-support moment grid", budget)
-        except Exception:
-            finite = False
+            grid = _support_grid(supports, budget)
+        except BudgetExceededError:
+            pass
         else:
             s1 = s2 = 0.0
-            supports = [np.asarray(d.params) for d in dists]
-            for start in range(0, total, _EVAL_CHUNK):
-                flat = np.arange(start, min(start + _EVAL_CHUNK, total))
-                grid = np.unravel_index(flat, dims)
-                V = np.column_stack([supports[a][grid[a]] for a in range(m)])
+            for V in grid:
                 vals = evaluate_batch(spec, V)
                 s1 += float(vals.sum())
                 s2 += float(np.square(vals).sum())
+            total = math.prod(len(x) for x in supports)
             return s1 / total, s2 / total, 0.0
     s1 = s2 = 0.0
     for b, start, stop in block_ranges(mc_draws, BLOCK):
@@ -645,10 +704,10 @@ def resampling_variance(spec: SystemSpec, source, r: int, *, layout=None,
         ex = exhaustive_moments(spec, source, budget)
         mu, mu2, mu_se = ex.mu, ex.mu2, 0.0
         table = enumerate_pairs(lay, family, budget)
-        rows = []
-        for pat, p in table:
-            mm = _empirical_mixed_moment(spec, source, pat, budget)
-            rows.append(PairRow(pat, p, mm.value, mm.se))
+        moments = _empirical_moments(spec, source, [pat for pat, _ in table],
+                                     budget)
+        rows = [PairRow(pat, p, moment, 0.0)
+                for (pat, p), moment in zip(table, moments)]
         mode = "empirical"
     else:
         dists = list(source)
@@ -676,6 +735,16 @@ def resampling_variance(spec: SystemSpec, source, r: int, *, layout=None,
                                          seed + 1 + pi, mc_draws, budget)
             rows.append(PairRow(pat, p, mm.value, mm.se))
         mode = "generator"
+    return assemble_variance(rows, r, mu, mu2, mu_se, mode)
+
+
+def assemble_variance(rows, r: int, mu: float, mu2: float, mu_se: float,
+                      mode: str) -> VarianceReport:
+    """Var = mu2/r + (r-1)/r mu11 - mu^2 with mu11 = sum_pattern p mu11(p).
+
+    The standard error propagates the Monte Carlo errors of the pattern
+    moments and of mu; it is 0 when every input is exact.
+    """
     mu11 = sum(row.probability * row.moment for row in rows)
     variance = mu2 / r + (r - 1) / r * mu11 - mu * mu
     w = (r - 1) / r

@@ -30,7 +30,8 @@ from scipy import integrate, stats
 
 from ._streams import BLOCK, Lane, block_ranges, substream
 from .distributions import KnownDistribution
-from .pairs import AlphaPair, PairRow, VarianceReport, alpha_probability
+from .pairs import (AlphaPair, PairRow, VarianceReport, alpha_probability,
+                    assemble_variance)
 from .resampling import EstimateResult
 from .samples import BlockLayout, InfeasibleLayoutError
 
@@ -324,11 +325,7 @@ def exceedance_variance(pair, kit, r: int) -> VarianceReport:
             if p == 0.0:
                 continue
             rows.append(PairRow(pat, p, kit.mu11(a_x, a_y), 0.0))
-    mu11 = sum(row.probability * row.moment for row in rows)
-    variance = theta / r + (r - 1) / r * mu11 - theta * theta
-    return VarianceReport(variance=variance, variance_se=0.0, r=r, mu=theta,
-                          mu2=theta, mu11=mu11, mode="generator",
-                          rows=tuple(rows))
+    return assemble_variance(rows, r, theta, theta, 0.0, "generator")
 
 
 @dataclass(frozen=True)

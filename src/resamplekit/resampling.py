@@ -17,12 +17,12 @@ import numpy as np
 
 from ._streams import BLOCK, Lane, block_ranges, substream
 from .samples import SampleSet
-from .systems import SystemSpec, evaluate, evaluate_batch
+from .systems import SystemSpec, evaluate_batch
 
 __all__ = [
     "ResampleIndexVector", "EstimateResult", "draw_resample",
     "draw_index_batch", "estimate_theta", "exhaustive_moments",
-    "exhaustive_theta",
+    "exhaustive_theta", "grid_values",
 ]
 
 # above this many cells, per-row choice beats the argsort trick on memory
@@ -116,6 +116,14 @@ def realization_values(spec: SystemSpec, samples: SampleSet, r: int, seed: int,
     return values
 
 
+def grid_values(spec: SystemSpec, samples: SampleSet,
+                budget: int | None = None):
+    """Yield the realization values of every admissible index vector, one
+    array per chunk of :meth:`SampleSet.index_vector_chunks`."""
+    for idx in samples.index_vector_chunks(budget):
+        yield evaluate_batch(spec, samples.values_matrix(idx))
+
+
 def estimate_theta(spec: SystemSpec, samples: SampleSet, r: int | None,
                    seed: int | None = None,
                    keep_values: bool = False) -> EstimateResult:
@@ -126,9 +134,7 @@ def estimate_theta(spec: SystemSpec, samples: SampleSet, r: int | None,
     sampling (no seed needed); the result then equals the exhaustive mean.
     """
     if r is None:
-        vals = [float(evaluate(spec, samples.values_matrix(vec)[0]))
-                for vec in samples.enumerate_index_vectors()]
-        values = np.array(vals)
+        values = np.concatenate(list(grid_values(spec, samples)))
     else:
         if seed is None:
             raise ValueError("a seed is required when sampling (r is not None)")
@@ -162,22 +168,9 @@ def exhaustive_moments(spec: SystemSpec, samples: SampleSet,
     total = samples.admissible_count()
     s1 = 0.0
     s2 = 0.0
-    chunk: list[tuple[int, ...]] = []
-
-    def flush():
-        nonlocal s1, s2
-        if not chunk:
-            return
-        vals = evaluate_batch(spec, samples.values_matrix(np.array(chunk)))
+    for vals in grid_values(spec, samples, budget):
         s1 += float(vals.sum())
         s2 += float(np.square(vals).sum())
-        chunk.clear()
-
-    for vec in samples.enumerate_index_vectors(budget):
-        chunk.append(vec)
-        if len(chunk) >= 100_000:
-            flush()
-    flush()
     return ExhaustiveMoments(mu=s1 / total, mu2=s2 / total, count=total)
 
 

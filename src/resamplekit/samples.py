@@ -22,7 +22,10 @@ import numpy as np
 from .budget import check_budget
 
 __all__ = ["LayoutError", "InfeasibleLayoutError", "Block", "BlockLayout",
-           "SampleSet"]
+           "SampleSet", "ordered_draws", "product_grid"]
+
+# rows per array handed out by product_grid
+GRID_CHUNK = 100_000
 
 
 class LayoutError(ValueError):
@@ -292,6 +295,15 @@ class SampleSet:
                     vec[a - 1] = j
             yield tuple(vec)
 
+    def index_vector_chunks(self, budget: int | None = None):
+        """Every admissible index vector as (N, m) int arrays of at most
+        ``GRID_CHUNK`` rows, in the order of :meth:`enumerate_index_vectors`.
+        """
+        check_budget(self.admissible_count(), "index-vector enumeration", budget)
+        return product_grid(
+            [ordered_draws(b.size, b.draw_count) for b in self.blocks],
+            [[a - 1 for a in b.args] for b in self.blocks], self.m)
+
     def values_matrix(self, indices) -> np.ndarray:
         """Map index vectors (N, m) to argument values (N, m)."""
         idx = np.asarray(indices, dtype=np.intp)
@@ -301,6 +313,39 @@ class SampleSet:
         for a in range(self.m):
             out[:, a] = self.columns[self.arg_to_sample[a]][idx[:, a]]
         return out
+
+
+def ordered_draws(n: int, k: int) -> np.ndarray:
+    """Every ordered draw of ``k`` distinct positions from ``range(n)``.
+
+    Returns a (n!/(n-k)!, k) int array whose rows come in the order of
+    ``itertools.permutations(range(n), k)``.
+    """
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for _ in range(k):
+        free = (rows[:, :, None] != np.arange(n)).all(axis=1)
+        parent, value = np.nonzero(free)
+        rows = np.column_stack([rows[parent], value])
+    return rows
+
+
+def product_grid(tables, slots, width: int, chunk: int = GRID_CHUNK):
+    """Yield the Cartesian product of row tables as (N, width) int arrays.
+
+    ``tables[k]`` is an (L_k, w_k) int array and ``slots[k]`` the ``w_k``
+    output columns its rows fill.  Rows come in lexicographic order of the
+    table positions, the last table varying fastest as in
+    ``itertools.product``, at most ``chunk`` rows to an array.
+    """
+    dims = [len(t) for t in tables]
+    total = math.prod(dims)
+    for start in range(0, total, chunk):
+        pos = np.unravel_index(np.arange(start, min(start + chunk, total)),
+                               dims)
+        out = np.empty((len(pos[0]), width), dtype=np.intp)
+        for table, cols, p in zip(tables, slots, pos):
+            out[:, list(cols)] = table[p]
+        yield out
 
 
 def _binding_from_map(blocks, names) -> tuple[int, ...]:

@@ -33,9 +33,9 @@ import numpy as np
 
 from ._streams import BLOCK, Lane, block_ranges, substream
 from .budget import check_budget
-from .pairs import (MixedMoment, OmegaPair, PairRow, VarianceReport,
+from .pairs import (OmegaPair, PairRow, VarianceReport, _empirical_moments,
                     _generator_mixed_moment, _generator_moments,
-                    conditional_mixed_moment)
+                    assemble_variance)
 from .resampling import EstimateResult, exhaustive_moments
 from .samples import SampleSet
 from .systems import SystemSpec, children_of, elementary_apply
@@ -231,11 +231,10 @@ def hierarchical_variance(spec: SystemSpec, source, sizes: dict, *,
         _require_singleton(source)
         ex = exhaustive_moments(spec, source, budget)
         mu, mu2, mu_se = ex.mu, ex.mu2, 0.0
-        rows = []
-        for s, p in table:
-            mm = conditional_mixed_moment(spec, source, OmegaPair(s),
-                                          budget=budget)
-            rows.append(PairRow(OmegaPair(s), p, mm.value, mm.se))
+        patterns = [OmegaPair(s) for s, _ in table]
+        moments = _empirical_moments(spec, source, patterns, budget)
+        rows = [PairRow(pat, p, moment, 0.0)
+                for pat, (_, p), moment in zip(patterns, table, moments)]
         mode = "empirical"
     else:
         dists = list(source)
@@ -249,11 +248,4 @@ def hierarchical_variance(spec: SystemSpec, source, sizes: dict, *,
                 budget)
             rows.append(PairRow(OmegaPair(s), p, mm.value, mm.se))
         mode = "generator"
-    mu11 = sum(row.probability * row.moment for row in rows)
-    variance = mu2 / r + (r - 1) / r * mu11 - mu * mu
-    w = (r - 1) / r
-    se = math.sqrt(
-        sum((w * row.probability * row.moment_se) ** 2 for row in rows)
-        + (2 * mu * mu_se) ** 2)
-    return VarianceReport(variance=variance, variance_se=se, r=r, mu=mu,
-                          mu2=mu2, mu11=mu11, mode=mode, rows=tuple(rows))
+    return assemble_variance(rows, r, mu, mu2, mu_se, mode)

@@ -1,15 +1,22 @@
-"""Shared helpers for statistical assertions.
+"""Shared helpers for statistical assertions and enumeration oracles.
 
 Monte Carlo comparisons in this suite state their tolerance as a multiple
 of the standard error of the quantity being checked; these helpers supply
-the standard errors that are not one-liners.
+the standard errors that are not one-liners.  The oracles recompute exact
+quantities the slow way, from the process definition, for comparison with
+the library's array routes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
+
+from resamplekit.pairs import (alpha_from_indices, beta_from_indices,
+                               omega_from_indices)
+from resamplekit.systems import evaluate
 
 
 def mean_se(values) -> float:
@@ -85,3 +92,29 @@ def pattern_probabilities(table, m):
     for pattern, p in table.items():
         probs[sum(1 << (i - 1) for i in pattern)] = p
     return probs
+
+
+def pair_moment_oracle(spec, samples, family):
+    """Data-conditional mixed moments by enumerating index-vector pairs.
+
+    Every ordered pair of admissible index vectors (the tuple generator
+    ``enumerate_index_vectors``) is classified into its pattern of the
+    given family (``"omega"``, ``"beta"`` or ``"alpha"``) and phi(v) phi(v')
+    is averaged per pattern with the scalar ``evaluate``.  Returns
+    ``{pattern: (moment, pair count)}`` for the patterns that occur.
+    """
+    layout = samples.layout
+    classify = {
+        "omega": lambda a, b: omega_from_indices(a, b),
+        "beta": lambda a, b: beta_from_indices(a, b, layout),
+        "alpha": lambda a, b: alpha_from_indices(a, b, layout),
+    }[family]
+    vectors = list(samples.enumerate_index_vectors())
+    phi = [evaluate(spec, samples.values_matrix(np.array(v))[0])
+           for v in vectors]
+    acc: dict = {}
+    for (v, fv), (w, fw) in itertools.product(zip(vectors, phi), repeat=2):
+        pattern = classify(v, w)
+        s, n = acc.get(pattern, (0.0, 0))
+        acc[pattern] = (s + fv * fw, n + 1)
+    return {pattern: (s / n, n) for pattern, (s, n) in acc.items()}

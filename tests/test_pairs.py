@@ -7,9 +7,9 @@ from scipy import stats
 
 from resamplekit import (AlphaPair, BetaPair, BlockLayout, BudgetExceededError,
                          OmegaPair, SampleSet, alpha_probability, beta_probability,
-                         conditional_mixed_moment, enumerate_pairs,
+                         conditional_mixed_moment, empirical, enumerate_pairs,
                          estimate_theta, exhaustive_moments, omega_probability,
-                         pair_probability, resampling_variance)
+                         pair_probability, parse_system, resampling_variance)
 from resamplekit.pairs import alpha_from_indices, beta_from_indices, omega_from_indices
 from resamplekit.systems import evaluate
 
@@ -220,6 +220,47 @@ def test_mixed_moment_generator_empty_pair_is_mu_squared(two_of_three):
                                   layout=layout, seed=5, mc_draws=100_000)
     assert mm.se > 0
     assert abs(mm.value - theta**2) < 5 * mm.se
+
+
+def test_generator_grid_is_exact_on_finite_supports(two_of_three):
+    dists = [empirical([0.5, 1.5, 2.0])] * 3
+    mu = 20 / 27  # at least two of three values above 1, each w.p. 2/3
+    fresh = conditional_mixed_moment(two_of_three, dists, OmegaPair(frozenset()))
+    assert fresh.method == "generator-exact" and fresh.se == 0.0
+    assert fresh.value == pytest.approx(mu * mu, abs=1e-15)
+    shared = conditional_mixed_moment(two_of_three, dists,
+                                      OmegaPair(frozenset({1, 2, 3})))
+    assert shared.value == pytest.approx(mu, abs=1e-15)
+
+
+def test_generator_grid_over_budget_falls_back_to_reported_mc(two_of_three):
+    dists = [empirical([0.5, 1.5, 2.0])] * 3
+    mc = conditional_mixed_moment(two_of_three, dists, OmegaPair(frozenset()),
+                                  seed=3, mc_draws=20_000, budget=10)
+    assert mc.method == "generator-mc" and mc.se > 0
+    assert abs(mc.value - (20 / 27) ** 2) < 5 * mc.se
+
+
+def test_generator_grid_rejects_a_malformed_budget_setting(two_of_three,
+                                                           monkeypatch):
+    """A bad RESAMPLEKIT_BUDGET is an error, as on the empirical route,
+    not a reason to switch to Monte Carlo."""
+    dists = [empirical([0.5, 1.5, 2.0])] * 3
+    layout = BlockLayout.singleton((3, 3, 3))
+    monkeypatch.setenv("RESAMPLEKIT_BUDGET", "abc")
+    with pytest.raises(ValueError, match="RESAMPLEKIT_BUDGET"):
+        conditional_mixed_moment(two_of_three, dists, OmegaPair({1}))
+    with pytest.raises(ValueError, match="RESAMPLEKIT_BUDGET"):
+        resampling_variance(two_of_three, dists, 4, layout=layout)
+
+
+def test_size_one_sample_drops_impossible_omega_patterns():
+    """A sample of size 1 is shared by every pair of realizations."""
+    s = SampleSet.from_samples([("a", [1.0]), ("b", [0.5, 2.0])])
+    table = enumerate_pairs(s.layout)
+    assert [p for p, _ in table] == [OmegaPair({1}), OmegaPair({1, 2})]
+    rep = resampling_variance(parse_system("sum(x1, x2)"), s, 3)
+    assert rep.variance == pytest.approx(0.5625 / 3, abs=1e-15)
 
 
 def test_mixed_moment_double_enumeration_oracle(two_of_three, small_samples):

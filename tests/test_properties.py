@@ -1,0 +1,177 @@
+"""Properties of the exact routes on generated layouts and systems.
+
+Each property is checked on inputs that Hypothesis generates from a fixed
+derandomized seed, so the suite stays deterministic; the oracles live in
+``helpers.py``.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from resamplekit import (AlphaPair, OmegaPair, SampleSet,
+                         conditional_mixed_moment, enumerate_pairs,
+                         parse_system, resampling_variance)
+from resamplekit.samples import product_grid
+
+from helpers import pair_moment_oracle
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=30,
+                    database=None)
+
+
+@st.composite
+def layouts(draw, max_m=4, max_size=4, max_vectors=300):
+    """Argument -> sample bindings with shared blocks, as SampleSets."""
+    m = draw(st.integers(1, max_m))
+    binding = draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))
+    used = sorted(set(binding))
+    names = {s: f"s{k}" for k, s in enumerate(used)}
+    samples = []
+    for s in used:
+        need = binding.count(s)
+        size = draw(st.integers(need, max(need, max_size)))
+        samples.append((names[s], np.arange(size, dtype=float)))
+    blocks = {arg: names[s] for arg, s in enumerate(binding, start=1)}
+    out = SampleSet.from_samples(samples, blocks=blocks)
+    if out.admissible_count() > max_vectors:
+        # keep the oracle small: shrink every sample to its draw count
+        samples = [(n, v[:binding.count(s)]) for (n, v), s in zip(samples, used)]
+        out = SampleSet.from_samples(samples, blocks=blocks)
+    return out
+
+
+@st.composite
+def subtree(draw, leaves):
+    """Real-valued expression over the given leaves (min/max/sum/kofn)."""
+    if len(leaves) == 1:
+        return f"x{leaves[0]}"
+    cut = draw(st.integers(1, len(leaves) - 1))
+    left = draw(subtree(leaves[:cut]))
+    right = draw(subtree(leaves[cut:]))
+    op = draw(st.sampled_from(["min", "max", "sum", "kofn"]))
+    if op == "kofn":
+        return f"kofn({draw(st.integers(1, 2))}; {left}, {right})"
+    return f"{op}({left}, {right})"
+
+
+@st.composite
+def systems(draw, m):
+    """System text over x1..xm and whether its root is an indicator."""
+    leaves = draw(st.permutations(range(1, m + 1)))
+    root = draw(st.sampled_from(["real", "ind", "cmp"] if m > 1
+                                else ["real", "ind"]))
+    if root == "cmp":
+        cut = draw(st.integers(1, m - 1))
+        op = draw(st.sampled_from("<>"))
+        return (f"cmp({draw(subtree(leaves[:cut]))} {op} "
+                f"{draw(subtree(leaves[cut:]))})", True)
+    body = draw(subtree(leaves))
+    if root == "ind":
+        level = draw(st.sampled_from([0.75, 1.0, 1.5, 2.5]))
+        return f"ind({body} > {level})", True
+    return body, False
+
+
+@st.composite
+def singleton_problems(draw, max_m=3, max_size=4):
+    """Small singleton SampleSets with positive data in [0.5, 2] plus a
+    system over them.  The bounded positive range keeps every pair sum
+    positive and the Moebius differences well conditioned."""
+    m = draw(st.integers(1, max_m))
+    sizes = draw(st.lists(st.integers(1, max_size), min_size=m, max_size=m))
+    value = st.floats(0.5, 2.0, allow_nan=False).map(lambda x: round(x, 2))
+    cols = [draw(st.lists(value, min_size=n, max_size=n)) for n in sizes]
+    samples = SampleSet.from_samples(
+        [(f"x{i + 1}", c) for i, c in enumerate(cols)])
+    text, indicator = draw(systems(m))
+    return parse_system(text), samples, indicator
+
+
+@PROPERTY
+@given(samples=layouts(), chunk=st.integers(1, 40))
+def test_grid_rows_match_tuple_enumeration(samples, chunk):
+    want = [tuple(v) for v in samples.enumerate_index_vectors()]
+    got = np.concatenate(list(samples.index_vector_chunks()))
+    assert [tuple(int(x) for x in row) for row in got] == want
+    # permutation tables joined in small chunks give the same rows
+    tables = [np.array(list(itertools.permutations(range(b.size),
+                                                   b.draw_count)))
+              for b in samples.blocks]
+    slots = [[a - 1 for a in b.args] for b in samples.blocks]
+    parts = list(product_grid(tables, slots, samples.m, chunk))
+    assert all(len(p) <= chunk for p in parts)
+    assert [tuple(int(x) for x in row)
+            for row in np.concatenate(parts)] == want
+
+
+@PROPERTY
+@given(problem=singleton_problems())
+def test_moebius_moments_match_pair_enumeration(problem):
+    spec, samples, indicator = problem
+    oracle = pair_moment_oracle(spec, samples, "omega")
+    for pattern, _ in enumerate_pairs(samples.layout):
+        if pattern not in oracle:
+            with pytest.raises(ValueError, match="probability 0"):
+                conditional_mixed_moment(spec, samples, pattern)
+            continue
+        want = oracle[pattern][0]
+        got = conditional_mixed_moment(spec, samples, pattern).value
+        if indicator:
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@PROPERTY
+@given(samples=layouts(max_vectors=60), data=st.data())
+def test_shared_block_moments_match_pair_enumeration(samples, data):
+    text, _ = data.draw(systems(samples.m))
+    spec = parse_system(text)
+    oracle = pair_moment_oracle(spec, samples, "alpha")
+    for pattern, p in enumerate_pairs(samples.layout, family="alpha"):
+        if p == 0.0:
+            continue
+        got = conditional_mixed_moment(spec, samples, pattern).value
+        assert got == pytest.approx(oracle[pattern][0], rel=1e-12, abs=1e-12)
+
+
+@PROPERTY
+@given(samples=layouts(max_m=5, max_size=6, max_vectors=10**6),
+       family=st.sampled_from(["auto", "alpha", "beta"]))
+def test_pattern_probabilities_sum_to_one(samples, family):
+    if family == "beta" and samples.m > 4:
+        family = "alpha"
+    table = enumerate_pairs(samples.layout, family=family)
+    assert all(p >= 0.0 for _, p in table)
+    assert math.fsum(p for _, p in table) == pytest.approx(1.0, abs=1e-12)
+
+
+@PROPERTY
+@given(samples=layouts(max_vectors=100), r=st.integers(1, 50),
+       data=st.data())
+def test_exact_variance_is_not_negative(samples, r, data):
+    values = data.draw(st.lists(st.floats(0.5, 2.0), min_size=6, max_size=6))
+    samples = SampleSet.from_samples(
+        [(name, np.resize(values, len(col)))
+         for name, col in zip(samples.names, samples.columns)],
+        blocks={a: samples.names[s]
+                for a, s in enumerate(samples.arg_to_sample, start=1)})
+    text, _ = data.draw(systems(samples.m))
+    rep = resampling_variance(parse_system(text), samples, r)
+    assert rep.variance >= -1e-12
+
+
+def test_alpha_pattern_on_singleton_layout_reads_the_omega_table():
+    samples = SampleSet.from_samples([("a", [0.5, 1.5]), ("b", [2.0, 0.1])])
+    spec = parse_system("sum(x1, x2)")
+    for counts in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        omega = OmegaPair(i + 1 for i, c in enumerate(counts) if c)
+        assert conditional_mixed_moment(spec, samples, AlphaPair(counts)) \
+            == conditional_mixed_moment(spec, samples, omega)
+    with pytest.raises(ValueError, match="probability 0"):
+        conditional_mixed_moment(spec, samples, AlphaPair((2, 0)))
