@@ -8,11 +8,12 @@ damage-accumulation model from data / closed form), ``renewal``/
 reproductions).  Reports go to stdout as JSON (default, full precision) or
 as csv/plain tables (6 significant digits); every Monte-Carlo figure
 carries its standard error.  Errors are machine-readable JSON on stderr
-with distinct exit codes: 2 schema violation, 3 file not found, 4
-enumeration budget exceeded, 5 infeasible layout.
+with distinct exit codes: 2 schema violation (a spec nested too deeply
+to walk included), 3 file not found, 4 enumeration budget exceeded, 5
+infeasible layout.
 
 Seeds are mandatory for stochastic subcommands; ``repro`` pins its own.
-``--threads`` caps the worker pool without changing any output byte.
+``--threads`` is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -477,7 +478,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--budget", type=int, default=None,
                        help="enumeration budget override "
                             "(else RESAMPLEKIT_BUDGET)")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; has no effect")
         if seed_required is not None:
             p.add_argument("--seed", type=int, required=seed_required)
 
@@ -581,6 +583,11 @@ def run(config: RunConfig, out=None) -> int:
         return EXIT_INFEASIBLE
     except (LayoutError, ValueError) as exc:
         _write_error("schema-violation", EXIT_SCHEMA, str(exc))
+        return EXIT_SCHEMA
+    except RecursionError:
+        _write_error("schema-violation", EXIT_SCHEMA,
+                     "input is nested too deeply to process "
+                     f"(Python recursion limit {sys.getrecursionlimit()})")
         return EXIT_SCHEMA
 
 

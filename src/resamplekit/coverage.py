@@ -16,10 +16,11 @@ other continuous generators, or by Monte Carlo over simulated datasets.
 
 from __future__ import annotations
 
+import gc
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy import stats
@@ -27,7 +28,7 @@ from scipy import stats
 from ._streams import BLOCK, Lane, block_ranges, substream
 from .budget import check_budget, enumeration_budget
 from .distributions import KnownDistribution
-from .samples import SampleSet
+from .samples import GRID_CHUNK, SampleSet
 from .systems import Compare, Input, KOfN, Max, Min, SystemSpec, evaluate_batch
 
 __all__ = [
@@ -190,44 +191,88 @@ def w_from_protocol(protocol: Protocol) -> WVector:
     return WVector(tuple(merged))
 
 
-def q_given_ordering(func: OrderFunctional, w: WVector,
-                     budget: int | None = None) -> float:
+def _as_w_rows(w) -> tuple[np.ndarray, bool]:
+    """W rows as a (rows, n) int array, and whether one WVector came in."""
+    if isinstance(w, WVector):
+        return np.asarray([w.w]), True
+    rows = np.asarray(w)
+    if rows.ndim != 2 or rows.shape[0] == 0 or \
+            not np.issubdtype(rows.dtype, np.integer):
+        raise ValueError("W rows must be a WVector or a non-empty 2-d int "
+                         f"array, got shape {rows.shape} ({rows.dtype})")
+    return rows, False
+
+
+def q_given_ordering(func: OrderFunctional, w, budget: int | None = None):
     """Conditional success probability of one realization given the ordering.
 
     Every argument draws uniformly from its own sample; only ranks matter,
     so the pooled positions serve as values and q is an exact ratio
     (count of succeeding index combinations over the product of sizes).
+
+    ``w`` is a WVector (returns a float) or a (rows, n) int array of W
+    rows with the same label counts (returns one q per row).  At most
+    ``GRID_CHUNK`` combinations go to one ``evaluate_batch`` call.
     """
-    if func.m != w.m:
+    rows, scalar = _as_w_rows(w)
+    m = int(rows.max())
+    if func.m != m:
         raise ValueError(f"functional has {func.m} arguments, W vector has "
-                         f"{w.m} samples")
-    positions = [[] for _ in range(w.m)]
-    for rank, label in enumerate(w.w):
-        positions[label - 1].append(float(rank + 1))
-    total = math.prod(len(p) for p in positions)
+                         f"{m} samples")
+    sizes = tuple(int(np.count_nonzero(rows[0] == i)) for i in range(1, m + 1))
+    if min(sizes) < 1 or sum(sizes) != rows.shape[1]:
+        raise ValueError("W rows need labels 1..m without gaps")
+    total = math.prod(sizes)
     check_budget(total, "q_given_ordering enumeration", budget)
-    grids = np.meshgrid(*[np.asarray(p) for p in positions], indexing="ij")
-    values = np.stack([g.ravel() for g in grids], axis=1)
-    phi = evaluate_batch(func.spec, values)
-    return float(np.count_nonzero(phi)) / total
+    # positions[i][row, j]: pooled rank of the j-th value of sample i+1
+    positions = []
+    for label, n in enumerate(sizes, start=1):
+        at, col = np.nonzero(rows == label)
+        if len(at) != n * len(rows) or \
+                (at.reshape(-1, n) != np.arange(len(rows))[:, None]).any():
+            raise ValueError("every W row needs the label counts of the first")
+        positions.append(col.reshape(-1, n) + 1.0)
+    hits = np.zeros(len(rows), dtype=np.int64)
+    per = max(1, GRID_CHUNK // total)
+    # one argument-major buffer reused by every evaluate_batch call: each
+    # column of the values is contiguous and its pages are touched once
+    buf = np.empty(m * min(per, len(rows)) * min(total, GRID_CHUNK))
+    for c0 in range(0, total, GRID_CHUNK):
+        picks = np.unravel_index(np.arange(c0, min(c0 + GRID_CHUNK, total)),
+                                 sizes)
+        for r0 in range(0, len(rows), per):
+            shape = (min(per, len(rows) - r0), len(picks[0]))
+            values = buf[:m * shape[0] * shape[1]].reshape((m,) + shape)
+            for i, (pos, j) in enumerate(zip(positions, picks)):
+                values[i] = pos[r0:r0 + shape[0]][:, j]
+            phi = evaluate_batch(func.spec, values.reshape(m, -1).T)
+            hits[r0:r0 + shape[0]] += np.count_nonzero(phi.reshape(shape),
+                                                       axis=1)
+    q = hits / total
+    return float(q[0]) if scalar else q
 
 
-def rho(q: float, theta: float, r: int) -> float:
+def rho(q, theta: float, r: int):
     """P{one experiment's estimate falls below theta}: P{Bin(r,q) < theta r}.
 
     The upper summation limit is read strictly: successes up to
-    ceil(theta r) - 1 (an epsilon guards float ceilings).
+    ceil(theta r) - 1 (an epsilon guards float ceilings).  ``q`` may be an
+    array; a scalar gives a float.
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0,1], got {q}")
+    qs = np.asarray(q, dtype=float)
+    bad = qs[~((qs >= 0.0) & (qs <= 1.0))]
+    if bad.size:
+        raise ValueError(f"q must be in [0,1], got {bad[0]}")
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     kmax = math.ceil(theta * r - _EPS) - 1
     if kmax < 0:
-        return 0.0
-    if kmax >= r:
-        return 1.0
-    return float(stats.binom.cdf(kmax, r, q))
+        out = np.zeros_like(qs)
+    elif kmax >= r:
+        out = np.ones_like(qs)
+    else:
+        out = stats.binom.cdf(kmax, r, qs)
+    return float(out) if out.ndim == 0 else out
 
 
 def alpha_floor(alpha: float, k: int) -> int:
@@ -247,12 +292,21 @@ def alpha_floor(alpha: float, k: int) -> int:
     return min(j, k)
 
 
-def coverage_conditional(rho_: float, k: int, alpha: float) -> float:
-    """P{Bin(k, rho) >= floor(alpha k)}: conditional interval coverage."""
-    if not 0.0 <= rho_ <= 1.0:
-        raise ValueError(f"rho must be in [0,1], got {rho_}")
-    j0 = alpha_floor(alpha, k)
-    return float(stats.binom.sf(j0 - 1, k, rho_))
+def coverage_conditional(rho_, k: int, alpha):
+    """P{Bin(k, rho) >= floor(alpha k)}: conditional interval coverage.
+
+    ``rho_`` and ``alpha`` may be arrays and broadcast against each other
+    (rho per row in a column, one alpha per column); scalars give a float.
+    """
+    rhos = np.asarray(rho_, dtype=float)
+    bad = rhos[~((rhos >= 0.0) & (rhos <= 1.0))]
+    if bad.size:
+        raise ValueError(f"rho must be in [0,1], got {bad[0]}")
+    alphas = np.asarray(alpha, dtype=float)
+    j0 = np.array([alpha_floor(float(a), k) for a in alphas.ravel()],
+                  dtype=np.int64).reshape(alphas.shape)
+    out = stats.binom.sf(j0 - 1, k, rhos)
+    return float(out) if out.ndim == 0 else out
 
 
 # -- the ordering law -----------------------------------------------------
@@ -266,21 +320,36 @@ def _exponential_rates(generators) -> list[float] | None:
     return rates
 
 
-def _pw_exponential(w: tuple[int, ...], rates, sizes) -> float:
+def _count_strides(shape) -> np.ndarray:
+    """Strides of the C-order flat index into an array of this shape."""
+    return np.array([math.prod(shape[i + 1:]) for i in range(len(shape))])
+
+
+def _pw_exponential(w, rates, sizes):
     """Exact ordering probability for exponential generators.
 
     Memorylessness reduces the pooled ordering to a race: the next order
     statistic carries label i with probability c_i l_i / sum c_j l_j,
-    c = remaining counts.
+    c = remaining counts.  ``w`` is one label tuple (returns a float) or a
+    (rows, n) int array (one probability per row, a running product over
+    the columns of the race step looked up per remaining-count vector).
     """
-    remaining = list(sizes)
-    p = 1.0
-    for label in w:
-        num = remaining[label - 1] * rates[label - 1]
-        den = sum(c * r for c, r in zip(remaining, rates))
-        p *= num / den
-        remaining[label - 1] -= 1
-    return p
+    rows = np.atleast_2d(np.asarray(w))
+    shape = [n + 1 for n in sizes]
+    counts = np.indices(shape).reshape(len(shape), -1).astype(float)
+    rates = np.asarray(rates, dtype=float)
+    den = counts[0] * rates[0]
+    for c, rate in zip(counts[1:], rates[1:]):
+        den = den + c * rate
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = counts * rates[:, None] / den  # step[i, c]: label i next
+    strides = _count_strides(shape)
+    here = np.full(len(rows), int(np.dot(sizes, strides)))
+    p = np.ones(len(rows))
+    for labels in (rows - 1).T:
+        p *= step[labels, here]
+        here -= strides[labels]
+    return float(p[0]) if np.ndim(w) == 1 else p
 
 
 class _NumericOrderingLaw:
@@ -296,43 +365,71 @@ class _NumericOrderingLaw:
         lo = min(float(g.ppf(qs[0])) for g in generators)
         hi = max(float(g.ppf(qs[1])) for g in generators)
         self.grid = np.linspace(lo, hi, points)
-        self.dens = [np.asarray(g.pdf(self.grid), dtype=float)
-                     for g in generators]
+        self.dens = np.stack([np.asarray(g.pdf(self.grid), dtype=float)
+                              for g in generators])
         self.scale = float(math.prod(math.factorial(n) for n in sizes))
 
-    def pw(self, w: tuple[int, ...]) -> float:
-        cur = np.ones_like(self.grid)
+    def pw(self, w):
+        """P_W of one label tuple (a float) or of each row of a (rows, n)
+        int array, integrating ``GRID_CHUNK`` grid cells at a time."""
+        rows = np.atleast_2d(np.asarray(w))
         h = self.grid[1] - self.grid[0]
-        for label in w:
-            f = self.dens[label - 1] * cur
-            # running trapezoid: I(x_k) = sum of trapezoids up to k
-            inc = np.empty_like(f)
-            inc[0] = 0.0
-            inc[1:] = (f[1:] + f[:-1]) * (h / 2.0)
-            cur = np.cumsum(inc)
-        return self.scale * float(cur[-1])
+        out = np.empty(len(rows))
+        per = max(1, GRID_CHUNK // len(self.grid))
+        for lo in range(0, len(rows), per):
+            block = rows[lo:lo + per]
+            cur = np.ones((len(block), len(self.grid)))
+            for labels in block.T:
+                f = self.dens[labels - 1] * cur
+                # running trapezoid: I(x_k) = sum of trapezoids up to k
+                inc = np.empty_like(f)
+                inc[:, 0] = 0.0
+                inc[:, 1:] = (f[:, 1:] + f[:, :-1]) * (h / 2.0)
+                cur = np.cumsum(inc, axis=1)
+            out[lo:lo + per] = self.scale * cur[:, -1]
+        return float(out[0]) if np.ndim(w) == 1 else out
 
 
-def _enumerate_w(sizes):
-    """All distinct label interleavings, lexicographic."""
-    m = len(sizes)
-    w = []
-    remaining = list(sizes)
-    total = sum(sizes)
+def _enumerate_w(sizes, chunk: int | None = None):
+    """All distinct label interleavings, lexicographic.
 
-    def rec():
-        if len(w) == total:
-            yield tuple(w)
-            return
-        for i in range(m):
-            if remaining[i]:
-                remaining[i] -= 1
-                w.append(i + 1)
-                yield from rec()
-                w.pop()
-                remaining[i] += 1
-
-    yield from rec()
+    Yields one tuple per interleaving or, given ``chunk``, (rows, n) int
+    arrays of at most ``chunk`` rows.  Rows are unranked: at each position
+    the label is the first whose completions, added up over it and the
+    smaller labels, exceed the rank left over.
+    """
+    sizes = tuple(int(n) for n in sizes)
+    # completions[c + 1]: interleavings of the remaining counts c; the
+    # slots at index 0 (a count of -1) hold 0
+    completions = np.zeros([n + 2 for n in sizes], dtype=np.int64)
+    for c in np.ndindex(*[n + 1 for n in sizes]):
+        completions[tuple(x + 1 for x in c)] = math.factorial(sum(c)) // \
+            math.prod(math.factorial(x) for x in c)
+    flat = completions.ravel()
+    strides = _count_strides(completions.shape)
+    start_at = int(np.dot(np.add(sizes, 1), strides))
+    total = int(flat[start_at])
+    step = GRID_CHUNK if chunk is None else chunk
+    for start in range(0, total, step):
+        rank = np.arange(start, min(start + step, total), dtype=np.int64)
+        here = np.full(len(rank), start_at)
+        out = np.empty((len(rank), sum(sizes)), dtype=np.int64)
+        for j in range(out.shape[1]):
+            label = np.zeros(len(rank), dtype=np.int64)
+            below = np.zeros(len(rank), dtype=np.int64)
+            upto = below
+            for stride in strides[:-1]:
+                upto = upto + flat[here - stride]
+                past = rank >= upto
+                label += past
+                below = np.where(past, upto, below)
+            rank -= below
+            here -= strides[label]
+            out[:, j] = label + 1
+        if chunk is None:
+            yield from map(tuple, out.tolist())
+        else:
+            yield out
 
 
 @dataclass(frozen=True)
@@ -390,6 +487,30 @@ def _as_gammas(gamma) -> tuple[float, ...]:
     return gammas
 
 
+@contextmanager
+def _gc_paused():
+    """Hold off the cycle collector while the exact table is built.
+
+    The table gets several small objects per W row and none of them can
+    form a cycle, but every full collection rescans the whole growing
+    table (about a third of the time on 756,756 rows).
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _conditional_coverages(func, w_rows, theta, r, k, alphas, budget):
+    """q, rho and R_C (one column per alpha) for a (rows, n) W array."""
+    q = q_given_ordering(func, w_rows, budget=budget)
+    rho_w = rho(q, theta, r)
+    return q, rho_w, coverage_conditional(rho_w[:, None], k, alphas)
+
+
 def coverage_R(func: OrderFunctional, generators, sizes, theta: float,
                gamma, k: int, r: int, mode: str = "exact",
                seed: int | None = None, replications: int = 10_000,
@@ -399,7 +520,10 @@ def coverage_R(func: OrderFunctional, generators, sizes, theta: float,
     exact mode enumerates interleavings and averages R_C under the
     ordering law of the generators (closed-form race for exponentials,
     numeric integration otherwise).  mc mode simulates datasets with
-    keyed substreams and reports mean and SE per gamma.
+    keyed substreams and reports mean and SE per gamma.  Both work on
+    arrays of W rows: exact mode on chunks of the enumeration, mc mode on
+    the distinct rows of each block.  ``threads`` is accepted for
+    compatibility and has no effect.
     """
     sizes = tuple(int(n) for n in sizes)
     generators = tuple(generators)
@@ -413,16 +537,9 @@ def coverage_R(func: OrderFunctional, generators, sizes, theta: float,
         if not g.is_continuous:
             raise ValueError(f"generators must be continuous, got {g}")
     gammas = _as_gammas(gamma)
-    for g in gammas:
-        alpha_floor(1.0 - g, k)  # fail fast on undefined intervals
-    q_cache: dict[tuple[int, ...], float] = {}
-
-    def q_of(w_tuple):
-        q = q_cache.get(w_tuple)
-        if q is None:
-            q = q_given_ordering(func, WVector(w_tuple), budget=budget)
-            q_cache[w_tuple] = q
-        return q
+    alphas = np.array([1.0 - g for g in gammas])
+    for a in alphas:
+        alpha_floor(a, k)  # fail fast on undefined intervals
 
     if mode == "exact":
         total_w = math.factorial(sum(sizes))
@@ -432,24 +549,25 @@ def coverage_R(func: OrderFunctional, generators, sizes, theta: float,
         rates = _exponential_rates(generators)
         law = None if rates is not None else \
             _NumericOrderingLaw(generators, sizes)
-        cov = np.zeros(len(gammas))
-        total_p = 0.0
+        # running sums of p R_C per gamma and of p, added in W order
+        acc = np.zeros(len(gammas) + 1)
         rows = []
-        for w_tuple in _enumerate_w(sizes):
-            p = _pw_exponential(w_tuple, rates, sizes) if rates is not None \
-                else law.pw(w_tuple)
-            q = q_of(w_tuple)
-            rho_w = rho(q, theta, r)
-            rc = tuple(coverage_conditional(rho_w, k, 1.0 - g)
-                       for g in gammas)
-            cov += p * np.asarray(rc)
-            total_p += p
-            rows.append(ProtocolRow(w_tuple, p, q, rho_w, rc))
+        with _gc_paused():
+            for w in _enumerate_w(sizes, GRID_CHUNK):
+                p = _pw_exponential(w, rates, sizes) if rates is not None \
+                    else law.pw(w)
+                q, rho_w, rc = _conditional_coverages(func, w, theta, r, k,
+                                                      alphas, budget)
+                terms = np.column_stack([p[:, None] * rc, p])
+                acc = np.cumsum(np.vstack([acc, terms]), axis=0)[-1]
+                rows.extend(map(ProtocolRow, map(tuple, w.tolist()),
+                                p.tolist(), q.tolist(), rho_w.tolist(),
+                                map(tuple, rc.tolist())))
         return CoverageReport(
             mode="exact", sizes=sizes, theta=float(theta), k=k, r=r,
-            gammas=gammas, coverage=tuple(float(c) for c in cov), se=None,
-            replications=None, seed=None, total_probability=float(total_p),
-            table=tuple(rows))
+            gammas=gammas, coverage=tuple(float(c) for c in acc[:-1]),
+            se=None, replications=None, seed=None,
+            total_probability=float(acc[-1]), table=tuple(rows))
 
     if mode != "mc":
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
@@ -460,36 +578,17 @@ def coverage_R(func: OrderFunctional, generators, sizes, theta: float,
     rc_all = np.empty((replications, len(gammas)))
     labels = np.concatenate(
         [np.full(n, i + 1, dtype=int) for i, n in enumerate(sizes)])
-    rc_cache: dict[tuple[int, ...], list[float]] = {}
-
-    def run_block(args):
-        b, start, stop = args
+    for b, start, stop in block_ranges(replications, BLOCK):
         rng = substream(seed, Lane.COVERAGE_MC, b)
-        rows = stop - start
         draws = np.concatenate(
-            [g.sample(rng, (rows, n)) for g, n in zip(generators, sizes)],
-            axis=1)
+            [g.sample(rng, (stop - start, n))
+             for g, n in zip(generators, sizes)], axis=1)
         # stable argsort breaks (measure-zero) ties by sample index
         w_rows = labels[np.argsort(draws, axis=1, kind="stable")]
-        for i in range(rows):
-            w_t = tuple(w_rows[i].tolist())
-            rc = rc_cache.get(w_t)
-            if rc is None:
-                rho_w = rho(q_of(w_t), theta, r)
-                rc = [coverage_conditional(rho_w, k, 1.0 - g)
-                      for g in gammas]
-                rc_cache[w_t] = rc
-            rc_all[start + i] = rc
-
-    blocks = list(block_ranges(replications, BLOCK))
-    if threads > 1:
-        # q_cache is shared; dict get/set are atomic and recomputation is
-        # idempotent, so worst case is duplicated work, never a wrong value
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_block, blocks))
-    else:
-        for blk in blocks:
-            run_block(blk)
+        distinct, inverse = np.unique(w_rows, axis=0, return_inverse=True)
+        rc = _conditional_coverages(func, distinct, theta, r, k, alphas,
+                                    budget)[2]
+        rc_all[start:stop] = rc[inverse.reshape(-1)]
     mean = rc_all.mean(axis=0)
     se = rc_all.std(axis=0, ddof=1) / math.sqrt(replications)
     return CoverageReport(

@@ -35,7 +35,6 @@ resampling up to i = n_A and the plug-in tail beyond.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -274,8 +273,9 @@ def damage_variance_mc(truth: DamageTruth, n_a: int, n_b: int, t: float,
     """Draw fresh (H_A, H_B) data repeatedly; study the active-mean estimate.
 
     Variance is taken around the replication mean, MSE around the exact
-    E X_t of the generating model.  Replications are keyed by index, so
-    the result does not depend on ``threads``.
+    E X_t of the generating model.  Replications are keyed by index and
+    run in order; ``threads`` is accepted for compatibility and has no
+    effect.
     """
     if n_a > n_b:
         raise ValueError(f"need n_A <= n_B, got {n_a} > {n_b}")
@@ -286,7 +286,7 @@ def damage_variance_mc(truth: DamageTruth, n_a: int, n_b: int, t: float,
     overlap = np.empty(replications, dtype=float)
     fixed = np.empty(replications, dtype=float)
 
-    def run_rep(rep):
+    for rep in range(replications):
         rng = substream(seed, Lane.DAMAGE_OUTER, rep)
         h_a = rng.exponential(1.0 / truth.rate, n_a)
         h_b = truth.degradation.sample(rng, n_b)
@@ -295,13 +295,6 @@ def damage_variance_mc(truth: DamageTruth, n_a: int, n_b: int, t: float,
         estimates[rep] = est.active_mean
         overlap[rep] = est.diagnostics["duration_overlap_mean"]
         fixed[rep] = est.diagnostics["arrival_fixed_points_mean"]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_rep, range(replications)))
-    else:
-        for rep in range(replications):
-            run_rep(rep)
     mean = float(estimates.mean())
     var = float(estimates.var(ddof=1))
     mse = float(np.mean((estimates - summ.active_mean) ** 2))

@@ -37,7 +37,7 @@ import numpy as np
 from ._streams import BLOCK, Lane, block_ranges, substream
 from .budget import BudgetExceededError, check_budget
 from .distributions import KnownDistribution
-from .resampling import exhaustive_moments, grid_values
+from .resampling import chunk_moments, exhaustive_moments, grid_values
 from .samples import (GRID_CHUNK, BlockLayout, SampleSet, ordered_draws,
                       product_grid)
 from .systems import SystemSpec, evaluate_batch
@@ -423,7 +423,7 @@ def _empirical_mixed_moment(spec, samples: SampleSet, pair,
     layout = samples.layout
     if layout.singleton_blocks:
         mask = _omega_mask(pair, layout)
-        sums, counts = _omega_pair_sums(spec, samples, budget)
+        _, sums, counts = _omega_pair_sums(spec, samples, budget)
         return MixedMoment(value=_omega_moment(sums, counts, mask, pair),
                            se=0.0, method="empirical-exact")
     m = layout.m
@@ -489,20 +489,24 @@ def _omega_mask(pair, layout: BlockLayout) -> int:
 
 
 def _omega_pair_sums(spec, samples: SampleSet, budget):
-    """Sums of phi(v) phi(v') and pair counts for every omega pattern.
+    """Exhaustive moments, and sums of phi(v) phi(v') and pair counts for
+    every omega pattern, all from one value grid.
 
     Singleton layouts only.  With T = phi on the value grid,
     S(A) = sum_{x_A} (sum_{x_rest} T)^2 sums over the pairs that agree at
     least on A; the superset Moebius transform leaves the pairs that agree
     exactly on omega.  Entry ``mask`` (bit a-1 for argument a) of each
     array belongs to that omega; the pair count is
-    prod_{i in omega} n_i prod_{i not in omega} n_i (n_i - 1).
+    prod_{i in omega} n_i prod_{i not in omega} n_i (n_i - 1).  mu and mu2
+    are summed chunk by chunk as in ``exhaustive_moments``.
     """
     sizes = samples.sizes
     m = len(sizes)
     check_budget(math.prod(sizes) + 2 ** m, "omega pair-moment value grid",
                  budget)
-    grid = np.concatenate(list(grid_values(spec, samples, budget)))
+    chunks = list(grid_values(spec, samples, budget))
+    moments = chunk_moments(chunks)
+    grid = np.concatenate(chunks)
     sums = np.empty(2 ** m)
 
     def walk(marginal, mask, first):
@@ -517,7 +521,7 @@ def _omega_pair_sums(spec, samples: SampleSet, budget):
         sub = sums.reshape(-1, 2, 2 ** i)
         sub[:, 0, :] -= sub[:, 1, :]
         counts = np.concatenate([counts * (n * (n - 1)), counts * n])
-    return sums, counts
+    return moments, sums, counts
 
 
 def _omega_moment(sums, counts, mask: int, pair) -> float:
@@ -526,16 +530,20 @@ def _omega_moment(sums, counts, mask: int, pair) -> float:
     return float(sums[mask] / counts[mask])
 
 
-def _empirical_moments(spec, samples: SampleSet, patterns,
-                       budget) -> list[float]:
-    """Data-conditional mixed moments of several patterns; singleton
-    layouts read them all from one value grid."""
+def _empirical_moments(spec, samples: SampleSet, patterns, budget):
+    """Exhaustive moments and the data-conditional mixed moments of several
+    patterns; singleton layouts read them all from one value grid."""
+    if samples.m != spec.m:
+        raise ValueError(
+            f"system takes {spec.m} arguments but samples bind {samples.m}")
     if not samples.singleton_blocks:
-        return [_empirical_mixed_moment(spec, samples, pat, budget).value
-                for pat in patterns]
-    sums, counts = _omega_pair_sums(spec, samples, budget)
-    return [_omega_moment(sums, counts, _omega_mask(pat, samples.layout), pat)
+        return exhaustive_moments(spec, samples, budget), [
+            _empirical_mixed_moment(spec, samples, pat, budget).value
             for pat in patterns]
+    moments, sums, counts = _omega_pair_sums(spec, samples, budget)
+    return moments, [
+        _omega_moment(sums, counts, _omega_mask(pat, samples.layout), pat)
+        for pat in patterns]
 
 
 def _generator_mixed_moment(spec, dists, matchings, seed, mc_draws,
@@ -701,11 +709,10 @@ def resampling_variance(spec: SystemSpec, source, r: int, *, layout=None,
         raise ValueError(f"need r >= 1, got {r}")
     if isinstance(source, SampleSet):
         lay = source.layout
-        ex = exhaustive_moments(spec, source, budget)
-        mu, mu2, mu_se = ex.mu, ex.mu2, 0.0
         table = enumerate_pairs(lay, family, budget)
-        moments = _empirical_moments(spec, source, [pat for pat, _ in table],
-                                     budget)
+        ex, moments = _empirical_moments(
+            spec, source, [pat for pat, _ in table], budget)
+        mu, mu2, mu_se = ex.mu, ex.mu2, 0.0
         rows = [PairRow(pat, p, moment, 0.0)
                 for (pat, p), moment in zip(table, moments)]
         mode = "empirical"

@@ -165,12 +165,18 @@ def exhaustive_moments(spec: SystemSpec, samples: SampleSet,
     if samples.m != spec.m:
         raise ValueError(
             f"system takes {spec.m} arguments but samples bind {samples.m}")
-    total = samples.admissible_count()
+    return chunk_moments(grid_values(spec, samples, budget))
+
+
+def chunk_moments(chunks) -> ExhaustiveMoments:
+    """Mean and second moment of value chunks, summed chunk by chunk."""
     s1 = 0.0
     s2 = 0.0
-    for vals in grid_values(spec, samples, budget):
+    total = 0
+    for vals in chunks:
         s1 += float(vals.sum())
         s2 += float(np.square(vals).sum())
+        total += len(vals)
     return ExhaustiveMoments(mu=s1 / total, mu2=s2 / total, count=total)
 
 

@@ -36,7 +36,7 @@ from .budget import check_budget
 from .pairs import (OmegaPair, PairRow, VarianceReport, _empirical_moments,
                     _generator_mixed_moment, _generator_moments,
                     assemble_variance)
-from .resampling import EstimateResult, exhaustive_moments
+from .resampling import EstimateResult
 from .samples import SampleSet
 from .systems import SystemSpec, children_of, elementary_apply
 
@@ -229,10 +229,9 @@ def hierarchical_variance(spec: SystemSpec, source, sizes: dict, *,
                    key=lambda kv: (len(kv[0]), sorted(kv[0])))
     if isinstance(source, SampleSet):
         _require_singleton(source)
-        ex = exhaustive_moments(spec, source, budget)
-        mu, mu2, mu_se = ex.mu, ex.mu2, 0.0
         patterns = [OmegaPair(s) for s, _ in table]
-        moments = _empirical_moments(spec, source, patterns, budget)
+        ex, moments = _empirical_moments(spec, source, patterns, budget)
+        mu, mu2, mu_se = ex.mu, ex.mu2, 0.0
         rows = [PairRow(pat, p, moment, 0.0)
                 for pat, (_, p), moment in zip(patterns, table, moments)]
         mode = "empirical"

@@ -14,6 +14,10 @@ import math
 
 import numpy as np
 
+from resamplekit._streams import BLOCK, Lane, block_ranges, substream
+from resamplekit.coverage import (ProtocolRow, WVector, _exponential_rates,
+                                  _NumericOrderingLaw, _pw_exponential,
+                                  coverage_conditional, q_given_ordering, rho)
 from resamplekit.pairs import (alpha_from_indices, beta_from_indices,
                                omega_from_indices)
 from resamplekit.systems import evaluate
@@ -118,3 +122,100 @@ def pair_moment_oracle(spec, samples, family):
         s, n = acc.get(pattern, (0.0, 0))
         acc[pattern] = (s + fv * fw, n + 1)
     return {pattern: (s / n, n) for pattern, (s, n) in acc.items()}
+
+
+def enumerate_w_oracle(sizes):
+    """All label interleavings of the given sample sizes, lexicographic,
+    by depth-first recursion over the next label."""
+    w = []
+    remaining = list(sizes)
+    total = sum(sizes)
+
+    def rec():
+        if len(w) == total:
+            yield tuple(w)
+            return
+        for i, left in enumerate(remaining):
+            if left:
+                remaining[i] -= 1
+                w.append(i + 1)
+                yield from rec()
+                w.pop()
+                remaining[i] += 1
+
+    yield from rec()
+
+
+def race_probability_oracle(w, rates, sizes) -> float:
+    """P_W for exponential generators as a product of race steps, with
+    Python floats in the library's operation order."""
+    remaining = list(sizes)
+    p = 1.0
+    for label in w:
+        num = remaining[label - 1] * rates[label - 1]
+        den = sum(c * rate for c, rate in zip(remaining, rates))
+        p *= num / den
+        remaining[label - 1] -= 1
+    return p
+
+
+def q_oracle(spec, w) -> float:
+    """q given the ordering by evaluating phi with the scalar ``evaluate``
+    on every combination of pooled ranks, one per argument."""
+    positions = [[rank + 1.0 for rank, label in enumerate(w) if label == i]
+                 for i in range(1, max(w) + 1)]
+    combos = list(itertools.product(*positions))
+    return sum(evaluate(spec, c) != 0.0 for c in combos) / len(combos)
+
+
+def coverage_oracle(func, generators, sizes, theta, gammas, k, r,
+                    mode="exact", seed=None, replications=10_000):
+    """``coverage_R`` one W vector at a time, with the scalar layers.
+
+    Exact mode walks ``enumerate_w_oracle`` and calls ``_pw_exponential``
+    or ``law.pw``, ``q_given_ordering``, ``rho`` and
+    ``coverage_conditional`` once per tuple, adding up in W order; it
+    returns ``(coverage, total_probability, table)``.  mc mode draws each
+    block from its keyed substream and fills the replications row by row
+    through a dict cache; it returns ``(coverage, se)``.
+    """
+    def r_c(w):
+        q = q_given_ordering(func, WVector(w))
+        rho_w = rho(q, theta, r)
+        return q, rho_w, tuple(coverage_conditional(rho_w, k, 1.0 - g)
+                               for g in gammas)
+
+    if mode == "exact":
+        rates = _exponential_rates(generators)
+        law = None if rates is not None else \
+            _NumericOrderingLaw(generators, sizes)
+        cov = np.zeros(len(gammas))
+        total = 0.0
+        table = []
+        for w in enumerate_w_oracle(sizes):
+            p = _pw_exponential(w, rates, sizes) if rates is not None \
+                else law.pw(w)
+            q, rho_w, rc = r_c(w)
+            cov += p * np.asarray(rc)
+            total += p
+            table.append(ProtocolRow(w, p, q, rho_w, rc))
+        return tuple(float(c) for c in cov), total, tuple(table)
+
+    rc_all = np.empty((replications, len(gammas)))
+    labels = np.concatenate(
+        [np.full(n, i + 1, dtype=int) for i, n in enumerate(sizes)])
+    cache = {}
+    for b, start, stop in block_ranges(replications, BLOCK):
+        rng = substream(seed, Lane.COVERAGE_MC, b)
+        draws = np.concatenate(
+            [g.sample(rng, (stop - start, n))
+             for g, n in zip(generators, sizes)], axis=1)
+        w_rows = labels[np.argsort(draws, axis=1, kind="stable")]
+        for i, row in enumerate(w_rows.tolist()):
+            w = tuple(row)
+            if w not in cache:
+                cache[w] = r_c(w)[2]
+            rc_all[start + i] = cache[w]
+    mean = rc_all.mean(axis=0)
+    se = rc_all.std(axis=0, ddof=1) / math.sqrt(replications)
+    return tuple(float(x) for x in mean), tuple(float(x) for x in se)

@@ -130,6 +130,20 @@ def test_estimate_bad_spec_text(files, capsys):
     assert code == 2
 
 
+def test_estimate_deep_spec(files, capsys):
+    deep = "x1"
+    for _ in range(1200):
+        deep = f"min({deep}, x1)"
+    spec = files["dir"] / "deep.txt"
+    spec.write_text(f"ind({deep} > t)\n")
+    code, env = error_of(capsys, [
+        "estimate", "--spec", str(spec), "--samples", str(files["samples"]),
+        "--t", "1.0", "--r", "10", "--seed", "1"])
+    assert code == 2
+    assert env["code"] == "schema-violation"
+    assert "nested too deeply" in env["message"]
+
+
 def test_estimate_budget_exceeded(files, capsys):
     code, env = error_of(capsys, [
         "estimate", "--spec", str(files["spec"]), "--samples",
@@ -351,8 +365,9 @@ def test_console_script_subprocess(files, console_script):
     assert res.returncode == 0, res.stderr
     report = json.loads(res.stdout)
     assert report["subcommand"] == "estimate"
-    module = subprocess.run(
-        [sys.executable, "-m", "resamplekit.cli"] + argv[1:],
-        capture_output=True, text=True)
-    assert module.returncode == 0, module.stderr
-    assert module.stdout == res.stdout
+    for entry in ("resamplekit.cli", "resamplekit"):
+        module = subprocess.run(
+            [sys.executable, "-m", entry] + argv[1:],
+            capture_output=True, text=True)
+        assert module.returncode == 0, module.stderr
+        assert module.stdout == res.stdout

@@ -321,3 +321,34 @@ def test_block_variance_vs_seeded_runs(two_of_three):
         for s_ in range(8000)])
     emp = float(np.var(estimates, ddof=1))
     assert abs(emp - rep.variance) < 4 * var_se(estimates)
+
+
+def test_singleton_variance_evaluates_the_value_grid_once(monkeypatch):
+    """mu, mu2 and every omega pair sum come from one 5x5x5 value grid."""
+    import resamplekit.resampling as resampling_module
+    from resamplekit import hierarchical_variance
+
+    spec = parse_system("min(x1, max(x2, x3))")
+    rng = np.random.default_rng(12)
+    s = SampleSet.from_samples(
+        [(f"x{i}", rng.exponential(1.0, 5)) for i in (1, 2, 3)])
+    sizes = {i: 5 for i in spec.node_ids}
+    sizes[spec.root_id] = 4
+    ex = exhaustive_moments(spec, s)
+    want = (resampling_variance(spec, s, r=10).to_dict(),
+            hierarchical_variance(spec, s, sizes).to_dict())
+    original = resampling_module.evaluate_batch
+    calls = []
+
+    def counted(spec_, X):
+        calls.append(len(X))
+        return original(spec_, X)
+
+    monkeypatch.setattr(resampling_module, "evaluate_batch", counted)
+    rep = resampling_variance(spec, s, r=10)
+    assert calls == [125]
+    calls.clear()
+    hier = hierarchical_variance(spec, s, sizes)
+    assert calls == [125]
+    assert (rep.mu, rep.mu2) == (hier.mu, hier.mu2) == (ex.mu, ex.mu2)
+    assert (rep.to_dict(), hier.to_dict()) == want

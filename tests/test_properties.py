@@ -15,10 +15,15 @@ from hypothesis import strategies as st
 
 from resamplekit import (AlphaPair, OmegaPair, SampleSet,
                          conditional_mixed_moment, enumerate_pairs,
-                         parse_system, resampling_variance)
+                         exponential, normal, parse_system,
+                         resampling_variance)
+from resamplekit.coverage import (OrderFunctional, WVector, _enumerate_w,
+                                  _pw_exponential, coverage_conditional,
+                                  coverage_R, q_given_ordering, rho)
 from resamplekit.samples import product_grid
 
-from helpers import pair_moment_oracle
+from helpers import (coverage_oracle, enumerate_w_oracle, pair_moment_oracle,
+                     q_oracle, race_probability_oracle)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30,
                     database=None)
@@ -46,14 +51,15 @@ def layouts(draw, max_m=4, max_size=4, max_vectors=300):
 
 
 @st.composite
-def subtree(draw, leaves):
-    """Real-valued expression over the given leaves (min/max/sum/kofn)."""
+def subtree(draw, leaves, ops=("min", "max", "sum", "kofn")):
+    """Real-valued expression over the given leaves (one of ``ops`` per
+    inner node)."""
     if len(leaves) == 1:
         return f"x{leaves[0]}"
     cut = draw(st.integers(1, len(leaves) - 1))
-    left = draw(subtree(leaves[:cut]))
-    right = draw(subtree(leaves[cut:]))
-    op = draw(st.sampled_from(["min", "max", "sum", "kofn"]))
+    left = draw(subtree(leaves[:cut], ops))
+    right = draw(subtree(leaves[cut:], ops))
+    op = draw(st.sampled_from(list(ops)))
     if op == "kofn":
         return f"kofn({draw(st.integers(1, 2))}; {left}, {right})"
     return f"{op}({left}, {right})"
@@ -175,3 +181,136 @@ def test_alpha_pattern_on_singleton_layout_reads_the_omega_table():
             == conditional_mixed_moment(spec, samples, omega)
     with pytest.raises(ValueError, match="probability 0"):
         conditional_mixed_moment(spec, samples, AlphaPair((2, 0)))
+
+
+# -- coverage: array route against the per-W oracle -----------------------
+
+ORDER_OPS = ("min", "max", "kofn")
+
+
+def interleavings(sizes) -> int:
+    return math.factorial(sum(sizes)) // math.prod(
+        math.factorial(n) for n in sizes)
+
+
+@st.composite
+def order_functionals(draw, m):
+    """A comparison of two min/max/kofn subtrees over x1..xm."""
+    leaves = draw(st.permutations(range(1, m + 1)))
+    cut = draw(st.integers(1, m - 1))
+    op = draw(st.sampled_from("<>"))
+    text = (f"cmp({draw(subtree(leaves[:cut], ORDER_OPS))} {op} "
+            f"{draw(subtree(leaves[cut:], ORDER_OPS))})")
+    return OrderFunctional(parse_system(text))
+
+
+@st.composite
+def coverage_problems(draw, max_w=200):
+    """Sizes with at most ``max_w`` interleavings, an order functional and
+    exponential or normal generators, plus the interval settings."""
+    m = draw(st.integers(2, 3))
+    sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)))
+    while interleavings(sizes) > max_w:
+        sizes = tuple(n - 1 if n == max(sizes) else n for n in sizes)
+    if draw(st.booleans()):
+        rate = st.sampled_from([0.5, 1.0, 2.0, 3.0])
+        gens = tuple(exponential(draw(rate)) for _ in range(m))
+    else:
+        gens = tuple(normal(draw(st.sampled_from([-1.0, 0.0, 0.5])),
+                            draw(st.sampled_from([0.5, 1.0, 2.0])))
+                     for _ in range(m))
+    return {"func": draw(order_functionals(m)), "generators": gens,
+            "sizes": sizes,
+            "theta": draw(st.sampled_from([0.1, 0.25, 0.5, 0.8])),
+            "gammas": (0.5, 0.8), "k": draw(st.sampled_from([5, 10])),
+            "r": draw(st.sampled_from([4, 16]))}
+
+
+@st.composite
+def w_vectors(draw, sizes):
+    labels = [i + 1 for i, n in enumerate(sizes) for _ in range(n)]
+    return tuple(draw(st.permutations(labels)))
+
+
+@PROPERTY
+@given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4),
+       chunk=st.integers(1, 50))
+def test_w_enumeration_matches_recursion(sizes, chunk):
+    while interleavings(sizes) > 2000:
+        sizes[sizes.index(max(sizes))] -= 1
+    want = list(enumerate_w_oracle(sizes))
+    assert list(_enumerate_w(sizes)) == want
+    parts = list(_enumerate_w(sizes, chunk))
+    assert all(len(part) <= chunk for part in parts)
+    assert [tuple(row) for part in parts for row in part.tolist()] == want
+
+
+@PROPERTY
+@given(problem=coverage_problems(max_w=60), data=st.data())
+def test_q_and_race_law_match_scalar_oracles(problem, data):
+    func, sizes = problem["func"], problem["sizes"]
+    ws = [data.draw(w_vectors(sizes)) for _ in range(4)]
+    qs = q_given_ordering(func, np.array(ws))
+    rates = [1.0, 2.0, 3.0][:len(sizes)]
+    ps = _pw_exponential(np.array(ws), rates, sizes)
+    for w, q, p in zip(ws, qs, ps):
+        assert q == q_given_ordering(func, WVector(w)) == q_oracle(
+            func.spec, w)
+        assert p == _pw_exponential(w, rates, sizes) == \
+            race_probability_oracle(w, rates, sizes)
+
+
+@PROPERTY
+@given(problem=coverage_problems())
+def test_exact_coverage_matches_per_w_oracle(problem):
+    rep = coverage_R(problem["func"], problem["generators"], problem["sizes"],
+                     problem["theta"], problem["gammas"], problem["k"],
+                     problem["r"], mode="exact")
+    coverage, total, table = coverage_oracle(
+        problem["func"], problem["generators"], problem["sizes"],
+        problem["theta"], problem["gammas"], problem["k"], problem["r"])
+    assert len(rep.table) == len(table)
+    for got, want in zip(rep.table, table):
+        assert got == want
+    assert rep.coverage == coverage
+    assert rep.total_probability == total
+
+
+@PROPERTY
+@given(problem=coverage_problems(), seed=st.integers(0, 2**32),
+       replications=st.integers(2, 5000))
+def test_mc_coverage_matches_per_row_oracle(problem, seed, replications):
+    rep = coverage_R(problem["func"], problem["generators"], problem["sizes"],
+                     problem["theta"], problem["gammas"], problem["k"],
+                     problem["r"], mode="mc", seed=seed,
+                     replications=replications)
+    coverage, se = coverage_oracle(
+        problem["func"], problem["generators"], problem["sizes"],
+        problem["theta"], problem["gammas"], problem["k"], problem["r"],
+        mode="mc", seed=seed, replications=replications)
+    assert rep.coverage == coverage
+    assert rep.se == se
+
+
+BAD_PROBABILITIES = st.sampled_from(
+    [-1e-12, -0.5, 1.0 + 1e-12, 2.0, math.nan, math.inf, -math.inf])
+
+
+@PROPERTY
+@given(values=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+       data=st.data())
+def test_array_binomial_layers_match_scalars_and_reject_bad_entries(
+        values, data):
+    arr = np.array(values)
+    rhos = rho(arr, 0.25, 16)
+    cover = coverage_conditional(rhos[:, None], 10, np.array([0.5, 0.2]))
+    for i, q in enumerate(values):
+        assert rhos[i] == rho(q, 0.25, 16)
+        assert tuple(cover[i]) == (coverage_conditional(rhos[i], 10, 0.5),
+                                   coverage_conditional(rhos[i], 10, 0.2))
+    bad = arr.copy()
+    bad[data.draw(st.integers(0, len(arr) - 1))] = data.draw(BAD_PROBABILITIES)
+    with pytest.raises(ValueError, match="q must be in"):
+        rho(bad, 0.25, 16)
+    with pytest.raises(ValueError, match="rho must be in"):
+        coverage_conditional(bad, 10, 0.5)
