@@ -47,11 +47,12 @@ _ORDER_NODES = (Input, Min, Max, KOfN, Compare)
 class OrderFunctional:
     """An indicator system whose value depends only on the pooled ordering.
 
-    Allowed nodes: inputs, min, max, k-of-n selection and comparisons
-    between subexpressions.  Sums and comparisons against constants are
-    rejected: their outcome changes under monotone transforms of the
-    values, so no conditional success probability given the ordering
-    exists.
+    Allowed nodes: inputs, min, max, k-of-n selection, and one comparison
+    between subexpressions at the root.  Sums and comparisons against
+    constants are rejected: their outcome changes under monotone transforms
+    of the values, so no conditional success probability given the
+    ordering exists.  So is a comparison below the root, whose 0/1 value
+    would be ranked against data values.
     """
 
     spec: SystemSpec
@@ -63,6 +64,10 @@ class OrderFunctional:
                 raise ValueError(
                     f"node {type(node).__name__} is not order-invariant; "
                     "order functionals allow min/max/kofn/cmp only")
+            if isinstance(node, Compare) and nid != self.spec.root_id:
+                raise ValueError("order functionals allow cmp only at the "
+                                 "root; a nested comparison is not "
+                                 "order-invariant")
         if not isinstance(self.spec.root, Compare):
             raise ValueError("order functional root must be a comparison "
                              "(an indicator)")

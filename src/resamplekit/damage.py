@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate, stats
 
-from ._streams import BLOCK, Lane, block_ranges, substream
+from ._streams import BLOCK, Lane, block_ranges, draw_distinct, substream
 from .distributions import KnownDistribution
 
 __all__ = [
@@ -153,9 +153,9 @@ def resample_damage_counts(data: DamageData, t: float, r: int,
     for b, start, stop in block_ranges(r, BLOCK):
         rng = substream(seed, Lane.DAMAGE_RESAMPLE, b)
         rows = stop - start
-        perm = np.argsort(rng.random((rows, n_a)), axis=1)
+        perm = draw_distinct(rng, n_a, n_a, rows)
         tau = np.cumsum(data.h_a[perm], axis=1)
-        which = np.argsort(rng.random((rows, n_b)), axis=1)[:, :n_a]
+        which = draw_distinct(rng, n_b, n_a, rows)
         dur = data.h_b[which]
         end = tau + dur
         active[start:stop] = np.sum((tau <= t) & (t < end), axis=1)

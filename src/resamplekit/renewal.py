@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, stats
 
-from ._streams import BLOCK, Lane, block_ranges, substream
+from ._streams import BLOCK, Lane, block_ranges, draw_distinct, substream
 from .distributions import KnownDistribution
 from .pairs import (AlphaPair, PairRow, VarianceReport, alpha_probability,
                     assemble_variance)
@@ -122,13 +122,9 @@ def estimate_exceedance(pair: RenewalPair, r: int, seed: int,
     for b, start, stop in block_ranges(r, BLOCK):
         rng = substream(seed, Lane.RENEWAL_ESTIMATE, b)
         rows = stop - start
-        ix = np.argsort(rng.random((rows, n_x)), axis=1)[:, :pair.m_x]
-        dx = pair.h_x[ix].sum(axis=1)
-        if pair.m_y > 0:
-            iy = np.argsort(rng.random((rows, n_y)), axis=1)[:, :pair.m_y]
-            sy = pair.h_y[iy].sum(axis=1)
-        else:
-            sy = np.zeros(rows)
+        dx = pair.h_x[draw_distinct(rng, n_x, pair.m_x, rows)].sum(axis=1)
+        # m_Y = 0 draws nothing and sums to 0
+        sy = pair.h_y[draw_distinct(rng, n_y, pair.m_y, rows)].sum(axis=1)
         values[start:stop] = (dx > sy).astype(float)
     var = float(np.var(values, ddof=1)) if r > 1 else 0.0
     return EstimateResult(estimate=float(values.mean()), realizations=r,

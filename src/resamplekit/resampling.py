@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._streams import BLOCK, Lane, block_ranges, substream
+from ._streams import BLOCK, Lane, block_ranges, draw_distinct, substream
 from .samples import SampleSet
 from .systems import SystemSpec, evaluate_batch
 
@@ -24,10 +24,6 @@ __all__ = [
     "draw_index_batch", "estimate_theta", "exhaustive_moments",
     "exhaustive_theta", "grid_values",
 ]
-
-# above this many cells, per-row choice beats the argsort trick on memory
-_ARGSORT_CELL_LIMIT = 1 << 22
-
 
 @dataclass(frozen=True)
 class ResampleIndexVector:
@@ -71,30 +67,19 @@ class EstimateResult:
 
 def draw_resample(samples: SampleSet, rng: np.random.Generator) -> ResampleIndexVector:
     """Draw one admissible index vector with the caller's generator."""
-    vec = [0] * samples.m
-    for b in samples.blocks:
-        picked = rng.choice(b.size, size=b.draw_count, replace=False)
-        for a, j in zip(b.args, picked):
-            vec[a - 1] = int(j)
-    return ResampleIndexVector(tuple(vec))
+    return ResampleIndexVector(
+        tuple(int(j) for j in draw_index_batch(samples, 1, rng)[0]))
 
 
 def draw_index_batch(samples: SampleSet, count: int,
                      rng: np.random.Generator) -> np.ndarray:
-    """Draw ``count`` admissible index vectors; returns (count, m) ints."""
+    """Draw ``count`` admissible index vectors; returns (count, m) ints.
+
+    Each block takes its draws from :func:`draw_distinct`, in block order.
+    """
     out = np.empty((count, samples.m), dtype=np.intp)
     for b in samples.blocks:
-        if b.draw_count == 1:
-            out[:, b.args[0] - 1] = rng.integers(0, b.size, size=count)
-            continue
-        if count * b.size <= _ARGSORT_CELL_LIMIT:
-            # rank the first draw_count of a random permutation per row
-            order = np.argsort(rng.random((count, b.size)), axis=1)
-            picked = order[:, :b.draw_count]
-        else:
-            picked = np.empty((count, b.draw_count), dtype=np.intp)
-            for i in range(count):
-                picked[i] = rng.choice(b.size, size=b.draw_count, replace=False)
+        picked = draw_distinct(rng, b.size, b.draw_count, count)
         for pos, a in enumerate(b.args):
             out[:, a - 1] = picked[:, pos]
     return out

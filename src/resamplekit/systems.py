@@ -112,9 +112,7 @@ def elementary_apply(node, child_values: list[np.ndarray]) -> np.ndarray:
     if isinstance(node, Sum):
         return reduce(np.add, child_values)
     if isinstance(node, KOfN):
-        stacked = np.stack(child_values, axis=0)
-        stacked = np.sort(stacked, axis=0)
-        return stacked[len(child_values) - node.k]
+        return _kth_largest(child_values, node.k)
     if isinstance(node, Threshold):
         v = child_values[0]
         out = (v > node.level) if node.op == ">" else (v <= node.level)
@@ -124,6 +122,26 @@ def elementary_apply(node, child_values: list[np.ndarray]) -> np.ndarray:
         out = (a > b) if node.op == ">" else (a <= b)
         return out.astype(float)
     raise TypeError(f"node {node!r} has no elementary operator")
+
+
+def _kth_largest(values: list[np.ndarray], k: int) -> np.ndarray:
+    """Elementwise k-th largest of the arrays by compare-exchange passes.
+
+    Each pass carries the running extreme down the list and drops it, so
+    min(k, c - k + 1) passes suffice for c arrays: the k-th largest is the
+    largest left after k - 1 maxima are dropped, or the smallest left after
+    c - k minima are dropped.
+    """
+    passes = min(k, len(values) - k + 1)
+    keep, carry = (np.minimum, np.maximum) if passes == k \
+        else (np.maximum, np.minimum)
+    for _ in range(passes - 1):
+        rest, extreme = [], values[0]
+        for v in values[1:-1]:
+            rest.append(keep(extreme, v))
+            extreme = carry(extreme, v)
+        values = rest + [keep(extreme, values[-1])]
+    return reduce(carry, values)
 
 
 # -- spec object ----------------------------------------------------------

@@ -219,3 +219,13 @@ def coverage_oracle(func, generators, sizes, theta, gammas, k, r,
     mean = rc_all.mean(axis=0)
     se = rc_all.std(axis=0, ddof=1) / math.sqrt(replications)
     return tuple(float(x) for x in mean), tuple(float(x) for x in se)
+
+
+def fisher_yates_oracle(n, k, digits):
+    """Partial Fisher-Yates on a Python list: swap i <-> i + digits[i] for
+    each position i < k, keep the first k positions."""
+    perm = list(range(n))
+    for i in range(k):
+        j = i + int(digits[i])
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm[:k]

@@ -45,6 +45,7 @@ def test_order_functional_accepts_min_race(min_race):
     "cmp(sum(x1, x2) < x3)",     # sums change under monotone maps
     "ind(x1 > t)",               # thresholds against constants too
     "min(x1, x2)",               # root must be an indicator comparison
+    "cmp(min(cmp(x1 < x2), x3) < x4)",   # a 0/1 value ranked against data
 ])
 def test_order_functional_rejects(text):
     spec = parse_system(text, params={"t": 1.0}) if "t" in text \

@@ -7,23 +7,25 @@ derandomized seed, so the suite stays deterministic; the oracles live in
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resamplekit import (AlphaPair, OmegaPair, SampleSet,
+from resamplekit import (AlphaPair, OmegaPair, SampleSet, _streams,
                          conditional_mixed_moment, enumerate_pairs,
                          exponential, normal, parse_system,
                          resampling_variance)
 from resamplekit.coverage import (OrderFunctional, WVector, _enumerate_w,
                                   _pw_exponential, coverage_conditional,
                                   coverage_R, q_given_ordering, rho)
+from resamplekit.resampling import draw_index_batch
 from resamplekit.samples import product_grid
 
-from helpers import (coverage_oracle, enumerate_w_oracle, pair_moment_oracle,
-                     q_oracle, race_probability_oracle)
+from helpers import (coverage_oracle, enumerate_w_oracle, fisher_yates_oracle,
+                     pair_moment_oracle, q_oracle, race_probability_oracle)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30,
                     database=None)
@@ -314,3 +316,103 @@ def test_array_binomial_layers_match_scalars_and_reject_bad_entries(
         rho(bad, 0.25, 16)
     with pytest.raises(ValueError, match="rho must be in"):
         coverage_conditional(bad, 10, 0.5)
+
+
+# -- draws without replacement: one stream, three routes -------------------
+
+@st.composite
+def draw_shapes(draw, max_n=12):
+    """(n, k) with k = 1, k = n and n = 1 drawn often."""
+    n = draw(st.one_of(st.just(1), st.integers(1, max_n)))
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(0, n)))
+    return n, k
+
+
+@PROPERTY
+@given(shape=draw_shapes(), rows=st.integers(1, 40),
+       cells=st.integers(1, 64), seed=st.integers(0, 2**32))
+def test_draw_routes_agree_on_equal_digits(shape, rows, cells, seed):
+    n, k = shape
+    radices = _streams._radices(n, k)
+    rng = np.random.default_rng(seed)
+    digits = np.zeros((k, rows), dtype=np.intp)
+    for i, radix in enumerate(radices):
+        digits[i] = rng.integers(0, radix, size=rows)
+    want = [fisher_yates_oracle(n, k, digits[:, j]) for j in range(rows)]
+    sparse = _streams._fy_sparse(n, digits)
+    # small row chunks in the dense route
+    with mock.patch.object(_streams, "_DENSE_CELLS", cells):
+        dense = _streams._fy_dense(n, digits)
+    assert sparse.tolist() == want
+    assert dense.tolist() == want
+    if math.perm(n, k) <= _streams._TABLE_LIMIT:
+        rank = np.zeros(rows, dtype=np.int64)
+        for i, radix in enumerate(radices):
+            rank = rank * radix + digits[i]
+        assert _streams._outcome_table(n, k)[rank].tolist() == want
+        decoded = np.empty((len(radices), rows), dtype=np.intp)
+        _streams._decode_digits(rank, radices, decoded)
+        assert decoded.tolist() == digits[:len(radices)].tolist()
+
+
+@PROPERTY
+@given(n=st.one_of(st.integers(1, 60), st.integers(60, 5000)),
+       data=st.data(), rows=st.integers(0, 300), seed=st.integers(0, 2**32))
+def test_draws_are_distinct_positions(n, data, rows, seed):
+    k = data.draw(st.integers(0, min(n, 40)))
+    out = _streams.draw_distinct(np.random.default_rng(seed), n, k, rows)
+    assert out.shape == (rows, k)
+    assert out.dtype == np.intp
+    assert ((out >= 0) & (out < n)).all()
+    assert all(len(set(row)) == k for row in out.tolist())
+
+
+@pytest.mark.parametrize("table_limit", [_streams._TABLE_LIMIT, 0],
+                         ids=["table", "swap-routes"])
+def test_every_outcome_is_equally_likely(table_limit):
+    rng = np.random.default_rng(31)
+    with mock.patch.object(_streams, "_TABLE_LIMIT", table_limit):
+        for n in range(1, 6):
+            for k in range(n + 1):
+                outcomes = list(itertools.permutations(range(n), k))
+                rows = 300 * len(outcomes)
+                draws = _streams.draw_distinct(rng, n, k, rows)
+                counts = {o: 0 for o in outcomes}
+                for row in map(tuple, draws.tolist()):
+                    counts[row] += 1
+                p = 1.0 / len(outcomes)
+                se = math.sqrt(rows * p * (1.0 - p))
+                for outcome, c in counts.items():
+                    assert abs(c - rows * p) <= 5.0 * se + 1e-9, \
+                        (n, k, outcome, c)
+
+
+@PROPERTY
+@given(n=st.one_of(st.just(1), st.integers(1, 100),
+                   st.integers(_streams._TABLE_LIMIT, 10**9)),
+       rows=st.integers(0, 200), seed=st.integers(0, 2**32))
+def test_single_draw_is_one_bounded_integer_call(n, rows, seed):
+    ours, plain = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _streams.draw_distinct(ours, n, 1, rows)
+    assert got[:, 0].tolist() == plain.integers(0, n, size=rows).tolist()
+    assert ours.bit_generator.state == plain.bit_generator.state
+
+
+def test_two_of_a_large_shared_block_run_on_the_sparse_route():
+    samples = SampleSet.from_samples([("s", np.arange(3000.0))],
+                                     blocks={1: "s", 2: "s"})
+    routes = []
+
+    def spy(route):
+        def call(n, digits):
+            routes.append((route.__name__, n, digits.shape))
+            return route(n, digits)
+        return call
+
+    with mock.patch.object(_streams, "_fy_sparse", spy(_streams._fy_sparse)), \
+            mock.patch.object(_streams, "_fy_dense", spy(_streams._fy_dense)):
+        idx = draw_index_batch(samples, 4096, np.random.default_rng(5))
+    assert routes == [("_fy_sparse", 3000, (2, 4096))]
+    assert idx.shape == (4096, 2)
+    assert (idx[:, 0] != idx[:, 1]).all()
+    assert ((idx >= 0) & (idx < 3000)).all()

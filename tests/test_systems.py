@@ -117,3 +117,16 @@ def test_parent_child_tables_consistent(six_tree):
 def test_evaluate_pure(two_of_three):
     x = [1.5, 0.5, 1.5]
     assert evaluate(two_of_three, x) == evaluate(two_of_three, x) == 1.0
+
+
+@pytest.mark.parametrize("c", range(1, 7))
+def test_kofn_batch_equals_column_sort(c):
+    """The compare-exchange passes pick the same element as a sort, for
+    every k, with ties among the children."""
+    rng = np.random.default_rng(c)
+    X = rng.integers(0, 4, size=(500, c)).astype(float)
+    for k in range(1, c + 1):
+        spec = parse_system(
+            f"kofn({k}; {', '.join(f'x{i + 1}' for i in range(c))})")
+        assert np.array_equal(evaluate_batch(spec, X),
+                              np.sort(X, axis=1)[:, c - k])
