@@ -10,6 +10,12 @@ Long runs are split into fixed blocks of :data:`BLOCK` units; block ``b`` of a
 computation uses the substream keyed ``(*key, b)``.  Assembling results in
 block order makes output independent of how blocks were scheduled.
 
+Loops whose keys are known before they start (blocks, replications)
+derive them in one batch with :func:`substream_keys` and set each into one
+reused Philox (:class:`KeyedGenerator`, through :func:`substreams` and
+:func:`block_streams`).  Those are the SeedSequence keys themselves, so the
+draws equal :func:`substream`'s; only the per-stream set-up cost goes.
+
 Every draw without replacement goes through :func:`draw_distinct`, a partial
 Fisher-Yates shuffle (Durstenfeld 1964) driven by bounded integers, so its
 stream is defined once for the whole package.
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -69,6 +76,228 @@ def block_ranges(total: int, block: int = BLOCK):
         yield b, start, stop
         b += 1
         start = stop
+
+
+def block_count(total: int) -> int:
+    """Number of :data:`BLOCK`-unit blocks that cover ``range(total)``."""
+    return -(-total // BLOCK)
+
+
+def block_streams(total: int, seed: int, *key: int):
+    """Yield ``(start, stop, rng)`` over the blocks of ``block_ranges(total)``;
+    block b draws from the substream keyed ``(seed, *key, b)``."""
+    if total <= BLOCK:
+        # the common single block, without the batch machinery
+        if total > 0:
+            yield 0, total, substream(seed, *key, 0)
+        return
+    streams = substreams(seed, *key, np.arange(block_count(total)))
+    for (_, start, stop), rng in zip(block_ranges(total), streams):
+        yield start, stop, rng
+
+
+def substreams(seeds, *key_columns):
+    """Yield the generator of ``substream(seed_i, *key_i)`` for each row i.
+
+    Arguments are broadcast as in :func:`substream_keys`.  A single row is
+    plain :func:`substream`; more rows share one :class:`KeyedGenerator`,
+    whose one ``Generator`` is yielded for every row, so a row's draws must
+    be taken before the next row is requested.  Keys are derived
+    :data:`BLOCK` rows at a time.
+    """
+    cols = np.broadcast_arrays(*map(np.atleast_1d, (seeds, *key_columns)))
+    rows = len(cols[0])
+    if rows == 1:
+        yield substream(*(int(c[0]) for c in cols))
+        return
+    stream = KeyedGenerator()
+    for lo in range(0, rows, BLOCK):
+        for key in substream_keys(*(c[lo:lo + BLOCK] for c in cols)).tolist():
+            yield stream(key)
+
+
+class KeyedGenerator:
+    """One Philox generator, re-keyed at the start of each substream.
+
+    ``stream(key)`` sets the Philox key ``key`` (a row of
+    :func:`substream_keys`) with a zero counter and an empty buffer, which is
+    the state a fresh ``Philox(SeedSequence)`` starts in, and returns the
+    same ``Generator`` every time.  Its draws then equal those of the
+    corresponding :func:`substream`, without building a SeedSequence and a
+    Philox per substream.  Make one per call; it is not shared state.
+    """
+
+    _ZERO = (0, 0, 0, 0)
+
+    def __init__(self):
+        self._bits = np.random.Philox(0)
+        self._generator = np.random.Generator(self._bits)
+
+    def __call__(self, key) -> np.random.Generator:
+        self._bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": self._ZERO, "key": key},
+            "buffer": self._ZERO, "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+        return self._generator
+
+
+# Keys of fewer rows than this are derived one row at a time by numpy's
+# SeedSequence (about 24 us a row); from this many rows on, one array hash
+# over the batch is cheaper (about 230 us a batch plus 0.1 us a row; both
+# best of 7 on a 2-core x86-64 VM, crossing at 10 rows).
+_HASH_MIN_ROWS = 10
+
+# SeedSequence constants (numpy.random.bit_generator, NEP 19)
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_L, _MIX_R = 0xca01f9dd, 0x4973f715
+
+
+def substream_keys(seeds, *key_columns) -> np.ndarray:
+    """Philox keys of the substreams ``(seed_i, *key_i)``, as (K, 2) uint64.
+
+    ``seeds`` and each key column are a non-negative integer or a 1-d array
+    of them; they are broadcast to one length K, and row i of the key is
+    ``(key_columns[0][i], key_columns[1][i], ...)``.  Row i of the result
+    equals ``SeedSequence(seeds[i], spawn_key=key_i).generate_state(2,
+    np.uint64)``, the key that ``Philox(SeedSequence)`` and so
+    :func:`substream` use.  Below ``_HASH_MIN_ROWS`` rows numpy computes
+    each key; otherwise one array pass runs SeedSequence's hash, which NEP 19
+    fixes across numpy releases, over every row at once.
+    """
+    cols = np.broadcast_arrays(*map(np.atleast_1d, (seeds, *key_columns)))
+    if cols[0].ndim != 1:
+        raise ValueError("seeds and key columns must be integers or 1-d")
+    if len(cols[0]) < _HASH_MIN_ROWS:
+        return _seedsequence_keys(cols)
+    return _hashed_keys(cols)
+
+
+def _seedsequence_keys(cols) -> np.ndarray:
+    """substream_keys, one ``numpy.random.SeedSequence`` per row."""
+    out = np.empty((len(cols[0]), 2), dtype=np.uint64)
+    for i, (seed, *key) in enumerate(zip(*(c.tolist() for c in cols))):
+        out[i] = np.random.SeedSequence(seed, spawn_key=key).generate_state(
+            2, np.uint64)
+    return out
+
+
+def _hashed_keys(cols) -> np.ndarray:
+    """substream_keys by SeedSequence's hash run on uint32 arrays.
+
+    SeedSequence splits every integer into little-endian 32-bit words (at
+    least one) and, when there is a spawn key, pads the seed's words with
+    zeros to the pool size of four before the key's words follow.  Rows
+    whose entries take the same numbers of words share one hash pass.
+    """
+    words, counts = zip(*map(_int_words, cols))
+    counts = np.array(counts)
+    out = np.empty((len(cols[0]), 2), dtype=np.uint64)
+    if (counts == counts[:, :1]).all():
+        groups = [(counts[:, 0], slice(None))]
+    else:
+        shapes, inverse = np.unique(counts, axis=1, return_inverse=True)
+        groups = [(shape, np.flatnonzero(inverse.reshape(-1) == g))
+                  for g, shape in enumerate(shapes.T)]
+    for shape, rows in groups:
+        parts = [w[:n, rows] for w, n in zip(words, shape)]
+        pad = _POOL - shape[0]
+        if pad > 0:
+            parts.insert(1, np.zeros((pad, parts[0].shape[1]), np.uint32))
+        out[rows] = _hash_entropy(np.concatenate(parts))
+    return out
+
+
+def _int_words(col: np.ndarray):
+    """(words, counts) of a column of non-negative integers: its 32-bit
+    words, least significant first, as a (words, K) uint32 array, and the
+    number of words SeedSequence takes for each entry."""
+    if col.dtype.kind not in "iuO":
+        raise TypeError(f"seeds and keys must be integers, got {col.dtype}")
+    if col.dtype.kind == "O":
+        col = np.array([operator.index(x) for x in col], dtype=object)
+    if len(col) and col.min() < 0:
+        raise ValueError("seeds and keys must be non-negative")
+    if col.dtype.kind == "i":
+        col = col.astype(np.uint64)
+    words = [col & _MASK32]
+    counts = np.ones(len(col), dtype=np.intp)
+    rest = col >> 32
+    while rest.any():
+        counts += rest != 0
+        words.append(rest & _MASK32)
+        rest = rest >> 32
+    return np.array(words, dtype=np.uint32), counts
+
+
+def _constants(const: int, factor: int, calls: int):
+    """(xor, multiplier) pairs of ``calls`` successive hashmix steps whose
+    constant starts at ``const`` and is multiplied by ``factor`` each step;
+    (calls, 1) uint32 each."""
+    pairs = []
+    for _ in range(calls):
+        nxt = const * factor & _MASK32
+        pairs.append((const, nxt))
+        const = nxt
+    table = np.array(pairs, dtype=np.uint32)
+    return table[:, :1], table[:, 1:]
+
+
+@functools.lru_cache(maxsize=8)
+def _mix_constants(length: int):
+    """Constants of mix_entropy's hashmix steps over ``length`` words."""
+    return _constants(_INIT_A, _MULT_A,
+                      _POOL * _POOL + (length - _POOL) * _POOL)
+
+
+# the four output words of generate_state
+_STATE_XOR, _STATE_MULT = _constants(_INIT_B, _MULT_B, _POOL)
+
+
+def _hashmix(value, xor, mult):
+    value = value ^ xor
+    value *= mult
+    value ^= value >> 16
+    return value
+
+
+def _mix(x, y):
+    out = x * np.uint32(_MIX_L)
+    out -= y * np.uint32(_MIX_R)
+    out ^= out >> 16
+    return out
+
+
+def _hash_entropy(entropy: np.ndarray) -> np.ndarray:
+    """Philox keys, (K, 2) uint64, of the (L >= 4, K) uint32 entropy words.
+
+    The steps of SeedSequence.mix_entropy and generate_state(2, uint64):
+    the pool's four words are hashed from the first four entropy words;
+    each pool word is mixed into the other three; each further entropy word
+    is mixed into all four; four output words are hashed from the pool.
+    Every hashmix takes the next constant of one fixed sequence, so the
+    calls that do not depend on each other run as one array operation.
+    """
+    xor, mult = _mix_constants(len(entropy))
+    pool = _hashmix(entropy[:_POOL], xor[:_POOL], mult[:_POOL])
+    at = _POOL
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], xor[at:at + 3],
+                                             mult[at:at + 3]))
+        at += 3
+    for word in entropy[_POOL:]:
+        pool = _mix(pool, _hashmix(word, xor[at:at + _POOL],
+                                   mult[at:at + _POOL]))
+        at += _POOL
+    state = _hashmix(pool, _STATE_XOR, _STATE_MULT).astype(np.uint64)
+    out = np.empty((entropy.shape[1], 2), dtype=np.uint64)
+    out[:, 0] = state[0] | state[1] << 32
+    out[:, 1] = state[2] | state[3] << 32
+    return out
 
 
 # Fisher-Yates outcomes are tabulated when a draw has at most this many

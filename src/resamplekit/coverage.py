@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from ._streams import BLOCK, Lane, block_ranges, substream
+from ._streams import (Lane, block_count, block_ranges, block_streams,
+                       substreams)
 from .budget import check_budget, enumeration_budget
 from .distributions import KnownDistribution
 from .samples import GRID_CHUNK, SampleSet
@@ -583,8 +584,8 @@ def coverage_R(func: OrderFunctional, generators, sizes, theta: float,
     rc_all = np.empty((replications, len(gammas)))
     labels = np.concatenate(
         [np.full(n, i + 1, dtype=int) for i, n in enumerate(sizes)])
-    for b, start, stop in block_ranges(replications, BLOCK):
-        rng = substream(seed, Lane.COVERAGE_MC, b)
+    for start, stop, rng in block_streams(replications, seed,
+                                          Lane.COVERAGE_MC):
         draws = np.concatenate(
             [g.sample(rng, (stop - start, n))
              for g, n in zip(generators, sizes)], axis=1)
@@ -632,10 +633,14 @@ def resampling_interval(func: OrderFunctional, samples: SampleSet,
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
     estimates = np.empty(k)
+    blocks = block_count(r)
+    # experiment e, block b draws from the substream (seed, lane, e, b)
+    streams = substreams(seed, Lane.COVERAGE_INTERVAL,
+                         np.repeat(np.arange(k), blocks),
+                         np.tile(np.arange(blocks), k))
     for e in range(k):
         values = np.empty(r)
-        for b, start, stop in block_ranges(r, BLOCK):
-            rng = substream(seed, Lane.COVERAGE_INTERVAL, e, b)
+        for (_, start, stop), rng in zip(block_ranges(r), streams):
             idx = draw_index_batch(samples, stop - start, rng)
             values[start:stop] = evaluate_batch(
                 func.spec, samples.values_matrix(idx))

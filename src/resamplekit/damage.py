@@ -23,8 +23,10 @@ evaluates the capped formulas
 with J ~ Poisson(lambda t), d its pmf and p1 = E X_t / (lambda t) the
 chance that an arrival uniform on (0, t) is still active at t.  These treat
 the first n_A epochs as exchangeable uniforms even when more than n_A
-arrivals fit before t, so they are close but not exact for small n_A; see
-the tests for the exact order-statistics integral they are compared with.
+arrivals fit before t, so they are close but not exact for small n_A (0.835
+against a simulated 0.69-0.70 at n_A = 3 in the README's setting).  No exact
+small-n_A expectation is computed or tested yet; ROADMAP item 5 describes
+one (arrival j of the resampled process is Gamma(j, lambda)).
 
 :func:`damage_variance_mc` measures the estimator's variance/bias/MSE over
 fresh data replications, and :func:`plugin_estimate` / :func:`hybrid_pmf`
@@ -34,13 +36,15 @@ resampling up to i = n_A and the plug-in tail beyond.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate, stats
 
-from ._streams import BLOCK, Lane, block_ranges, draw_distinct, substream
+from ._streams import (BLOCK, Lane, block_count, block_ranges, draw_distinct,
+                       substreams)
 from .distributions import KnownDistribution
 
 __all__ = [
@@ -60,18 +64,20 @@ class DamageData:
     h_b: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.h_a, dtype=float)
-        b = np.asarray(self.h_b, dtype=float)
+        # own read-only copies (the replication studies build one per
+        # replication, so this runs on ndarray methods, not np.* wrappers)
+        a = np.array(self.h_a, dtype=float)
+        b = np.array(self.h_b, dtype=float)
         if a.ndim != 1 or a.size == 0 or b.ndim != 1 or b.size == 0:
             raise ValueError("h_a and h_b must be non-empty 1-d arrays")
-        if np.any(a < 0) or np.any(b < 0):
+        if (a < 0).any() or (b < 0).any():
             raise ValueError("times and durations must be non-negative")
         if a.size > b.size:
             raise ValueError(
                 f"need n_A <= n_B to draw {a.size} durations without "
                 f"replacement from {b.size}")
-        a = a.copy(); a.flags.writeable = False
-        b = b.copy(); b.flags.writeable = False
+        a.flags.writeable = False
+        b.flags.writeable = False
         object.__setattr__(self, "h_a", a)
         object.__setattr__(self, "h_b", b)
 
@@ -140,6 +146,14 @@ def resample_damage_counts(data: DamageData, t: float, r: int,
     count is the number of epochs tau <= t < tau + duration, the terminal
     count the number with tau + duration <= t.
     """
+    return _damage_counts(data, t, r, seed, substreams(
+        seed, Lane.DAMAGE_RESAMPLE, np.arange(block_count(r))))
+
+
+def _damage_counts(data: DamageData, t: float, r: int, seed: int,
+                   streams) -> CountEstimates:
+    """:func:`resample_damage_counts`, drawing block b of the r realizations
+    from the b-th generator of ``streams``."""
     if t < 0:
         raise ValueError(f"time t must be non-negative, got {t}")
     if r < 1:
@@ -150,24 +164,23 @@ def resample_damage_counts(data: DamageData, t: float, r: int,
     dur_overlap = 0.0
     perm_fixed = 0.0
     pairs = 0
-    for b, start, stop in block_ranges(r, BLOCK):
-        rng = substream(seed, Lane.DAMAGE_RESAMPLE, b)
+    for (_, start, stop), rng in zip(block_ranges(r), streams):
         rows = stop - start
         perm = draw_distinct(rng, n_a, n_a, rows)
         tau = np.cumsum(data.h_a[perm], axis=1)
         which = draw_distinct(rng, n_b, n_a, rows)
         dur = data.h_b[which]
         end = tau + dur
-        active[start:stop] = np.sum((tau <= t) & (t < end), axis=1)
-        terminal[start:stop] = np.sum(end <= t, axis=1)
+        active[start:stop] = ((tau <= t) & (t < end)).sum(axis=1)
+        terminal[start:stop] = (end <= t).sum(axis=1)
         if rows >= 2:
             # reuse bookkeeping for the block's first realization pair
-            dur_overlap += len(set(which[0]) & set(which[1]))
-            perm_fixed += int(np.sum(perm[0] == perm[1]))
+            first, second = which[:2].tolist()
+            dur_overlap += len(set(first) & set(second))
+            perm_fixed += int((perm[0] == perm[1]).sum())
             pairs += 1
-    edges = np.arange(n_a + 2)
-    active_pmf = np.histogram(active, bins=edges)[0] / r
-    terminal_pmf = np.histogram(terminal, bins=edges)[0] / r
+    active_pmf = np.bincount(active, minlength=n_a + 1) / r
+    terminal_pmf = np.bincount(terminal, minlength=n_a + 1) / r
     diagnostics = {
         "duration_overlap_mean": dur_overlap / pairs if pairs else float("nan"),
         "arrival_fixed_points_mean": perm_fixed / pairs if pairs else float("nan"),
@@ -273,28 +286,43 @@ def damage_variance_mc(truth: DamageTruth, n_a: int, n_b: int, t: float,
     """Draw fresh (H_A, H_B) data repeatedly; study the active-mean estimate.
 
     Variance is taken around the replication mean, MSE around the exact
-    E X_t of the generating model.  Replications are keyed by index and
-    run in order; ``threads`` is accepted for compatibility and has no
-    effect.
+    E X_t of the generating model.  Replication ``rep`` draws its data from
+    the substream ``(seed, DAMAGE_OUTER, rep)`` and then an inner seed, which
+    keys its :func:`resample_damage_counts` blocks.  Replications run in
+    batches that derive at most :data:`BLOCK` inner keys at once;
+    ``threads`` is accepted for compatibility and has no effect.
     """
     if n_a > n_b:
         raise ValueError(f"need n_A <= n_B, got {n_a} > {n_b}")
     if replications < 2:
         raise ValueError("need at least 2 replications")
+    if r < 1:
+        raise ValueError(f"need r >= 1 realizations, got {r}")
     summ = poisson_truth(truth, t)
     estimates = np.empty(replications, dtype=float)
     overlap = np.empty(replications, dtype=float)
     fixed = np.empty(replications, dtype=float)
 
-    for rep in range(replications):
-        rng = substream(seed, Lane.DAMAGE_OUTER, rep)
-        h_a = rng.exponential(1.0 / truth.rate, n_a)
-        h_b = truth.degradation.sample(rng, n_b)
-        inner_seed = int(rng.integers(0, 2 ** 62))
-        est = resample_damage_counts(DamageData(h_a, h_b), t, r, inner_seed)
-        estimates[rep] = est.active_mean
-        overlap[rep] = est.diagnostics["duration_overlap_mean"]
-        fixed[rep] = est.diagnostics["arrival_fixed_points_mean"]
+    blocks = block_count(r)
+    batch = max(1, BLOCK // blocks)
+    for lo in range(0, replications, batch):
+        reps = range(lo, min(lo + batch, replications))
+        datasets, inner_seeds = [], []
+        for rng in substreams(seed, Lane.DAMAGE_OUTER, np.array(reps)):
+            h_a = rng.exponential(1.0 / truth.rate, n_a)
+            h_b = truth.degradation.sample(rng, n_b)
+            inner_seeds.append(int(rng.integers(0, 2 ** 62)))
+            datasets.append(DamageData(h_a, h_b))
+        # block b of replication rep's counts: (inner_seed, lane, b)
+        inner = substreams(np.repeat(inner_seeds, blocks),
+                           Lane.DAMAGE_RESAMPLE,
+                           np.tile(np.arange(blocks), len(reps)))
+        for rep, data, inner_seed in zip(reps, datasets, inner_seeds):
+            est = _damage_counts(data, t, r, inner_seed,
+                                 itertools.islice(inner, blocks))
+            estimates[rep] = est.active_mean
+            overlap[rep] = est.diagnostics["duration_overlap_mean"]
+            fixed[rep] = est.diagnostics["arrival_fixed_points_mean"]
     mean = float(estimates.mean())
     var = float(estimates.var(ddof=1))
     mse = float(np.mean((estimates - summ.active_mean) ** 2))
@@ -373,8 +401,8 @@ def plugin_variance_mc(truth: DamageTruth, n_a: int, n_b: int, t: float,
         raise ValueError("need at least 2 replications")
     summ = poisson_truth(truth, t)
     estimates = np.empty(replications, dtype=float)
-    for rep in range(replications):
-        rng = substream(seed, Lane.DAMAGE_OUTER, rep)
+    streams = substreams(seed, Lane.DAMAGE_OUTER, np.arange(replications))
+    for rep, rng in enumerate(streams):
         h_a = rng.exponential(1.0 / truth.rate, n_a)
         h_b = truth.degradation.sample(rng, n_b)
         estimates[rep] = plugin_estimate(DamageData(h_a, h_b), t).active_mean

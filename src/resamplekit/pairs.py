@@ -34,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._streams import BLOCK, Lane, block_ranges, substream
+from ._streams import Lane, block_streams
 from .budget import BudgetExceededError, check_budget
 from .distributions import KnownDistribution
 from .resampling import chunk_moments, exhaustive_moments, grid_values
@@ -587,8 +587,8 @@ def _one_matching_moment(spec, dists, matching, seed, matching_index,
     # Monte Carlo
     s = 0.0
     s2 = 0.0
-    for b, start, stop in block_ranges(mc_draws, BLOCK):
-        rng = substream(seed, Lane.MIXED_MOMENT, matching_index, b)
+    for start, stop, rng in block_streams(mc_draws, seed, Lane.MIXED_MOMENT,
+                                          matching_index):
         n = stop - start
         V = np.column_stack([dists[a].sample(rng, n) for a in range(m)])
         V2 = np.empty_like(V)
@@ -636,8 +636,8 @@ def _generator_moments(spec, dists, seed, mc_draws, budget):
             total = math.prod(len(x) for x in supports)
             return s1 / total, s2 / total, 0.0
     s1 = s2 = 0.0
-    for b, start, stop in block_ranges(mc_draws, BLOCK):
-        rng = substream(seed, Lane.MIXED_MOMENT, 0, b)
+    for start, stop, rng in block_streams(mc_draws, seed, Lane.MIXED_MOMENT,
+                                          0):
         V = np.column_stack([d.sample(rng, stop - start) for d in dists])
         vals = evaluate_batch(spec, V)
         s1 += float(vals.sum())
@@ -651,12 +651,14 @@ def _generator_moments(spec, dists, seed, mc_draws, budget):
 
 @dataclass(frozen=True)
 class PairRow:
-    """One pattern's contribution to the mixed moment."""
+    """One pattern's contribution to the mixed moment; ``method`` is the
+    route that computed the moment (as in :class:`MixedMoment`)."""
 
     pair: object
     probability: float
     moment: float
     moment_se: float
+    method: str
 
 
 @dataclass(frozen=True)
@@ -687,6 +689,7 @@ class VarianceReport:
                     "probability": row.probability,
                     "moment": row.moment,
                     "moment_se": row.moment_se,
+                    "method": row.method,
                 }
                 for row in self.rows
             ],
@@ -713,7 +716,7 @@ def resampling_variance(spec: SystemSpec, source, r: int, *, layout=None,
         ex, moments = _empirical_moments(
             spec, source, [pat for pat, _ in table], budget)
         mu, mu2, mu_se = ex.mu, ex.mu2, 0.0
-        rows = [PairRow(pat, p, moment, 0.0)
+        rows = [PairRow(pat, p, moment, 0.0, "empirical-exact")
                 for (pat, p), moment in zip(table, moments)]
         mode = "empirical"
     else:
@@ -740,7 +743,7 @@ def resampling_variance(spec: SystemSpec, source, r: int, *, layout=None,
             matchings = _matching_of(pat, lay)
             mm = _generator_mixed_moment(spec, dists, matchings,
                                          seed + 1 + pi, mc_draws, budget)
-            rows.append(PairRow(pat, p, mm.value, mm.se))
+            rows.append(PairRow(pat, p, mm.value, mm.se, mm.method))
         mode = "generator"
     return assemble_variance(rows, r, mu, mu2, mu_se, mode)
 

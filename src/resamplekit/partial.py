@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._streams import BLOCK, Lane, block_ranges, substream
+from ._streams import Lane, block_streams
 from .distributions import KnownDistribution
 from .resampling import EstimateResult, draw_index_batch
 from .samples import SampleSet
@@ -61,8 +61,7 @@ def estimate_known_g(g, samples: SampleSet, r: int, seed: int,
     if r < 1:
         raise ValueError(f"need r >= 1 realizations, got {r}")
     values = np.empty(r, dtype=float)
-    for b, start, stop in block_ranges(r, BLOCK):
-        rng = substream(seed, Lane.KNOWN_G, b)
+    for start, stop, rng in block_streams(r, seed, Lane.KNOWN_G):
         idx = draw_index_batch(samples, stop - start, rng)
         X = samples.values_matrix(idx)
         if vectorized:
@@ -99,8 +98,7 @@ def estimate_inner_mc(spec: SystemSpec, samples: SampleSet, z_dists,
         raise ValueError(f"need N >= 1 and r >= 1, got N={N}, r={r}")
     values = np.empty(r, dtype=float)
     rows_per = max(1, _ROWS_CHUNK // max(N, 1))
-    for b, start, stop in block_ranges(r, BLOCK):
-        rng = substream(seed, Lane.INNER_MC, b)
+    for start, stop, rng in block_streams(r, seed, Lane.INNER_MC):
         idx = draw_index_batch(samples, stop - start, rng)
         X = samples.values_matrix(idx)
         for lo in range(0, stop - start, rows_per):
@@ -156,8 +154,8 @@ def wave_estimate_vector_samples(spec: SystemSpec, samples: SampleSet, z_dists,
         if n_v < 1:
             raise ValueError(f"node {nid} size must be >= 1, got {n_v}")
         out = np.empty((n_v, N), dtype=float)
-        for b, start, stop in block_ranges(n_v, BLOCK):
-            rng = substream(seed, Lane.VECTOR_WAVE, nid, b)
+        for start, stop, rng in block_streams(n_v, seed, Lane.VECTOR_WAVE,
+                                              nid):
             rows = stop - start
             cols = []
             for c in kids:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, stats
 
-from ._streams import BLOCK, Lane, block_ranges, draw_distinct, substream
+from ._streams import Lane, block_streams, draw_distinct, substreams
 from .distributions import KnownDistribution
 from .pairs import (AlphaPair, PairRow, VarianceReport, alpha_probability,
                     assemble_variance)
@@ -119,8 +119,7 @@ def estimate_exceedance(pair: RenewalPair, r: int, seed: int,
         raise ValueError(f"need r >= 1 realizations, got {r}")
     values = np.empty(r, dtype=float)
     n_x, n_y = len(pair.h_x), len(pair.h_y)
-    for b, start, stop in block_ranges(r, BLOCK):
-        rng = substream(seed, Lane.RENEWAL_ESTIMATE, b)
+    for start, stop, rng in block_streams(r, seed, Lane.RENEWAL_ESTIMATE):
         rows = stop - start
         dx = pair.h_x[draw_distinct(rng, n_x, pair.m_x, rows)].sum(axis=1)
         # m_Y = 0 draws nothing and sums to 0
@@ -305,7 +304,8 @@ def exceedance_variance(pair, kit, r: int) -> VarianceReport:
     theta = kit.theta()
     if lay.m_y == 0:
         # empty maintenance sum: the indicator is constant 1
-        row = PairRow(AlphaPair((lay.m_x,)), 1.0, 1.0, 0.0)
+        row = PairRow(AlphaPair((lay.m_x,)), 1.0, 1.0, 0.0,
+                      "convolution-kit")
         return VarianceReport(variance=0.0, variance_se=0.0, r=r, mu=1.0,
                               mu2=1.0, mu11=1.0, mode="generator",
                               rows=(row,))
@@ -320,7 +320,8 @@ def exceedance_variance(pair, kit, r: int) -> VarianceReport:
             p = alpha_probability(pat, block_layout)
             if p == 0.0:
                 continue
-            rows.append(PairRow(pat, p, kit.mu11(a_x, a_y), 0.0))
+            rows.append(PairRow(pat, p, kit.mu11(a_x, a_y), 0.0,
+                                "convolution-kit"))
     return assemble_variance(rows, r, theta, theta, 0.0, "generator")
 
 
@@ -359,8 +360,8 @@ def plugin_baseline(layout, x_dist: KnownDistribution,
         else:
             raise ValueError("pass theta= for non-normal generators")
     estimates = np.empty(replications)
-    for rep in range(replications):
-        rng = substream(seed, Lane.RENEWAL_PLUGIN, rep)
+    streams = substreams(seed, Lane.RENEWAL_PLUGIN, np.arange(replications))
+    for rep, rng in enumerate(streams):
         h_x = x_dist.sample(rng, lay.n_x)
         h_y = y_dist.sample(rng, lay.n_y)
         ix = rng.integers(0, lay.n_x, size=(r, lay.m_x))

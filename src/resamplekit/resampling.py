@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._streams import BLOCK, Lane, block_ranges, draw_distinct, substream
+from ._streams import Lane, block_streams, draw_distinct
 from .samples import SampleSet
 from .systems import SystemSpec, evaluate_batch
 
@@ -94,8 +94,7 @@ def realization_values(spec: SystemSpec, samples: SampleSet, r: int, seed: int,
     if r < 1:
         raise ValueError(f"need r >= 1 realizations, got {r}")
     values = np.empty(r, dtype=float)
-    for b, start, stop in block_ranges(r, BLOCK):
-        rng = substream(seed, lane, b)
+    for start, stop, rng in block_streams(r, seed, lane):
         idx = draw_index_batch(samples, stop - start, rng)
         values[start:stop] = evaluate_batch(spec, samples.values_matrix(idx))
     return values

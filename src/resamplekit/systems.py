@@ -249,7 +249,12 @@ def evaluate_batch(spec: SystemSpec, X) -> np.ndarray:
             return X[:, node.index - 1]
         return elementary_apply(node, [rec(c) for c in children_of(node)])
 
-    return rec(spec.root)
+    try:
+        return rec(spec.root)
+    finally:
+        # rec holds itself and X through its closure; without this the
+        # cycle keeps X alive until the next cyclic garbage collection
+        del rec
 
 
 def evaluate(spec: SystemSpec, x) -> float:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._streams import BLOCK, Lane, block_ranges, substream
+from ._streams import Lane, block_streams
 from .budget import check_budget
 from .pairs import (OmegaPair, PairRow, VarianceReport, _empirical_moments,
                     _generator_mixed_moment, _generator_moments,
@@ -132,8 +132,7 @@ def wave_estimate(spec: SystemSpec, samples: SampleSet, sizes: dict,
             continue
         exhaustive[nid] = False
         out = np.empty(n_v, dtype=float)
-        for b, start, stop in block_ranges(n_v, BLOCK):
-            rng = substream(seed, Lane.WAVE, nid, b)
+        for start, stop, rng in block_streams(n_v, seed, Lane.WAVE, nid):
             cols = []
             for c in kids:
                 src = store[c]
@@ -232,7 +231,7 @@ def hierarchical_variance(spec: SystemSpec, source, sizes: dict, *,
         patterns = [OmegaPair(s) for s, _ in table]
         ex, moments = _empirical_moments(spec, source, patterns, budget)
         mu, mu2, mu_se = ex.mu, ex.mu2, 0.0
-        rows = [PairRow(pat, p, moment, 0.0)
+        rows = [PairRow(pat, p, moment, 0.0, "empirical-exact")
                 for pat, (_, p), moment in zip(patterns, table, moments)]
         mode = "empirical"
     else:
@@ -245,6 +244,7 @@ def hierarchical_variance(spec: SystemSpec, source, sizes: dict, *,
             mm = _generator_mixed_moment(
                 spec, dists, [{i: i for i in s}], seed + 1 + pi, mc_draws,
                 budget)
-            rows.append(PairRow(OmegaPair(s), p, mm.value, mm.se))
+            rows.append(PairRow(OmegaPair(s), p, mm.value, mm.se,
+                                mm.method))
         mode = "generator"
     return assemble_variance(rows, r, mu, mu2, mu_se, mode)

@@ -18,8 +18,11 @@ from resamplekit._streams import BLOCK, Lane, block_ranges, substream
 from resamplekit.coverage import (ProtocolRow, WVector, _exponential_rates,
                                   _NumericOrderingLaw, _pw_exponential,
                                   coverage_conditional, q_given_ordering, rho)
+from resamplekit.damage import (DamageData, DamageMCReport, PluginMCReport,
+                                _damage_counts, plugin_estimate, poisson_truth)
 from resamplekit.pairs import (alpha_from_indices, beta_from_indices,
                                omega_from_indices)
+from resamplekit.renewal import PluginReport
 from resamplekit.systems import evaluate
 
 
@@ -229,3 +232,87 @@ def fisher_yates_oracle(n, k, digits):
         j = i + int(digits[i])
         perm[i], perm[j] = perm[j], perm[i]
     return perm[:k]
+
+
+# -- per-replication loops with one fresh substream each ------------------
+
+def fresh_blocks(seed, lane, total):
+    """A freshly built substream ``(seed, lane, b)`` for each block b of
+    ``total`` units."""
+    return (substream(seed, lane, b) for b, _, _ in block_ranges(total, BLOCK))
+
+
+def damage_variance_oracle(truth, n_a, n_b, t, r, replications, seed):
+    """damage_variance_mc as one loop over replications that builds a new
+    substream for every replication's data and every block of its counts."""
+    summ = poisson_truth(truth, t)
+    estimates = np.empty(replications, dtype=float)
+    overlap = np.empty(replications, dtype=float)
+    fixed = np.empty(replications, dtype=float)
+    for rep in range(replications):
+        rng = substream(seed, Lane.DAMAGE_OUTER, rep)
+        h_a = rng.exponential(1.0 / truth.rate, n_a)
+        h_b = truth.degradation.sample(rng, n_b)
+        inner_seed = int(rng.integers(0, 2 ** 62))
+        est = _damage_counts(DamageData(h_a, h_b), t, r, inner_seed,
+                             fresh_blocks(inner_seed, Lane.DAMAGE_RESAMPLE, r))
+        estimates[rep] = est.active_mean
+        overlap[rep] = est.diagnostics["duration_overlap_mean"]
+        fixed[rep] = est.diagnostics["arrival_fixed_points_mean"]
+    mean = float(estimates.mean())
+    var = float(estimates.var(ddof=1))
+    mse = float(np.mean((estimates - summ.active_mean) ** 2))
+    return DamageMCReport(
+        t=float(t), n_a=n_a, n_b=n_b, r=r, replications=replications,
+        truth_active_mean=summ.active_mean,
+        estimate_mean=mean, estimate_var=var, estimate_mse=mse,
+        mean_se=float(math.sqrt(var / replications)),
+        diagnostics={
+            "duration_overlap_mean": float(overlap.mean()),
+            "arrival_fixed_points_mean": float(fixed.mean()),
+        })
+
+
+def plugin_variance_oracle(truth, n_a, n_b, t, replications, seed):
+    """plugin_variance_mc with a new substream per replication."""
+    summ = poisson_truth(truth, t)
+    estimates = np.empty(replications, dtype=float)
+    for rep in range(replications):
+        rng = substream(seed, Lane.DAMAGE_OUTER, rep)
+        h_a = rng.exponential(1.0 / truth.rate, n_a)
+        h_b = truth.degradation.sample(rng, n_b)
+        estimates[rep] = plugin_estimate(DamageData(h_a, h_b), t).active_mean
+    mean = float(estimates.mean())
+    var = float(estimates.var(ddof=1))
+    mse = float(np.mean((estimates - summ.active_mean) ** 2))
+    return PluginMCReport(
+        t=float(t), n_a=n_a, n_b=n_b, replications=replications,
+        truth_active_mean=summ.active_mean, estimate_mean=mean,
+        estimate_var=var, estimate_mse=mse,
+        mean_se=float(math.sqrt(var / replications)))
+
+
+def plugin_baseline_oracle(lay, x_dist, y_dist, r, replications, seed,
+                           theta):
+    """renewal.plugin_baseline on a RenewalLayout with a given theta, with a
+    new substream per replication."""
+    estimates = np.empty(replications)
+    for rep in range(replications):
+        rng = substream(seed, Lane.RENEWAL_PLUGIN, rep)
+        h_x = x_dist.sample(rng, lay.n_x)
+        h_y = y_dist.sample(rng, lay.n_y)
+        ix = rng.integers(0, lay.n_x, size=(r, lay.m_x))
+        dx = h_x[ix].sum(axis=1)
+        if lay.m_y > 0:
+            iy = rng.integers(0, lay.n_y, size=(r, lay.m_y))
+            sy = h_y[iy].sum(axis=1)
+        else:
+            sy = np.zeros(r)
+        estimates[rep] = float((dx > sy).mean())
+    mean = float(estimates.mean())
+    var = float(estimates.var(ddof=1))
+    return PluginReport(theta=float(theta), estimate_mean=mean, variance=var,
+                        bias=mean - theta,
+                        mse=float(np.mean((estimates - theta) ** 2)),
+                        mean_se=float(math.sqrt(var / replications)),
+                        replications=replications, r=r)

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from resamplekit._streams import BLOCK, Lane
 from resamplekit.damage import (
     CountEstimates,
     DamageData,
     DamageTruth,
+    _damage_counts,
     damage_variance_mc,
     estimator_expectation,
     hybrid_pmf,
@@ -22,7 +24,8 @@ from resamplekit.damage import (
 )
 from resamplekit.distributions import exponential, triangular, uniform
 
-from helpers import combined_se
+from helpers import (combined_se, damage_variance_oracle, fresh_blocks,
+                     plugin_variance_oracle)
 
 TRI_TRUTH = DamageTruth(rate=0.5, degradation=triangular(0.0, 2.0, 4.0))
 
@@ -255,6 +258,46 @@ def test_damage_variance_mc_matches_naive_oracle():
     oracle_se = oracle.std(ddof=1) / math.sqrt(len(oracle))
     tol = 4.0 * combined_se(report.mean_se, oracle_se)
     assert abs(report.estimate_mean - oracle.mean()) <= tol
+
+
+@pytest.mark.parametrize("n_a, n_b, r, replications, seed", [
+    (3, 4, 10, 50, 0),
+    (5, 5, 100, 30, 2**40 + 1),
+    # r = 1 leaves the diagnostics NaN
+    (2, 2, 1, 12, 4),
+    # more replications than one batch of keys
+    (2, 3, 2, BLOCK + 4, 7),
+    # several count blocks per replication, on both key routes
+    (3, 3, 2 * BLOCK + 1, 6, 11),
+    (2, 2, BLOCK + 1, 3, 2**64 + 5)])
+def test_damage_variance_mc_equals_per_replication_oracle(n_a, n_b, r,
+                                                          replications, seed):
+    got = damage_variance_mc(TRI_TRUTH, n_a, n_b, 5.0, r=r,
+                             replications=replications, seed=seed)
+    want = damage_variance_oracle(TRI_TRUTH, n_a, n_b, 5.0, r, replications,
+                                  seed)
+    # repr, so that NaN diagnostics compare equal
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("replications, seed", [(500, 3), (BLOCK + 2, 2**33)])
+def test_plugin_variance_mc_equals_per_replication_oracle(replications, seed):
+    got = plugin_variance_mc(TRI_TRUTH, 3, 4, 5.0, replications=replications,
+                             seed=seed)
+    assert got == plugin_variance_oracle(TRI_TRUTH, 3, 4, 5.0, replications,
+                                         seed)
+
+
+@pytest.mark.parametrize("r", [5, BLOCK + 1, 11 * BLOCK + 5])
+def test_resample_blocks_equal_fresh_substreams(r):
+    data = DamageData([0.5, 1.0, 2.5], [1.0, 3.0, 0.2, 4.0])
+    got = resample_damage_counts(data, 2.0, r, 99)
+    want = _damage_counts(data, 2.0, r, 99,
+                          fresh_blocks(99, Lane.DAMAGE_RESAMPLE, r))
+    for name in ("active_mean", "terminal_mean", "diagnostics"):
+        assert getattr(got, name) == getattr(want, name)
+    assert got.active_pmf.tobytes() == want.active_pmf.tobytes()
+    assert got.terminal_pmf.tobytes() == want.terminal_pmf.tobytes()
 
 
 def test_damage_variance_mc_mse_identity():

@@ -8,7 +8,8 @@ from scipy import stats
 from resamplekit import (AlphaPair, BetaPair, BlockLayout, BudgetExceededError,
                          OmegaPair, SampleSet, alpha_probability, beta_probability,
                          conditional_mixed_moment, empirical, enumerate_pairs,
-                         estimate_theta, exhaustive_moments, omega_probability,
+                         estimate_theta, exhaustive_moments,
+                         hierarchical_variance, omega_probability,
                          pair_probability, parse_system, resampling_variance)
 from resamplekit.pairs import alpha_from_indices, beta_from_indices, omega_from_indices
 from resamplekit.systems import evaluate
@@ -239,6 +240,31 @@ def test_generator_grid_over_budget_falls_back_to_reported_mc(two_of_three):
                                   seed=3, mc_draws=20_000, budget=10)
     assert mc.method == "generator-mc" and mc.se > 0
     assert abs(mc.value - (20 / 27) ** 2) < 5 * mc.se
+
+
+def test_variance_rows_report_the_moment_route(two_of_three, small_samples):
+    """The Monte Carlo fallback of an over-budget grid shows in every row of
+    resampling_variance and hierarchical_variance and in to_dict()."""
+    dists = [empirical([0.5, 1.5, 2.0])] * 3
+    layout = BlockLayout.singleton((3, 3, 3))
+    sizes = {1: 3, 2: 3, 3: 3, 4: 3, 5: 4}
+
+    def methods(rep):
+        assert [p["method"] for p in rep.to_dict()["pairs"]] == \
+            [row.method for row in rep.rows]
+        return {row.method for row in rep.rows}
+
+    over = dict(seed=3, mc_draws=20_000, budget=10)
+    assert methods(resampling_variance(two_of_three, dists, 4, layout=layout,
+                                       **over)) == {"generator-mc"}
+    assert methods(hierarchical_variance(two_of_three, dists, sizes,
+                                         **over)) == {"generator-mc"}
+    assert methods(resampling_variance(two_of_three, dists, 4,
+                                       layout=layout)) == {"generator-exact"}
+    assert methods(hierarchical_variance(two_of_three, dists,
+                                         sizes)) == {"generator-exact"}
+    assert methods(resampling_variance(two_of_three, small_samples,
+                                       4)) == {"empirical-exact"}
 
 
 def test_generator_grid_rejects_a_malformed_budget_setting(two_of_three,

@@ -416,3 +416,82 @@ def test_two_of_a_large_shared_block_run_on_the_sparse_route():
     assert idx.shape == (4096, 2)
     assert (idx[:, 0] != idx[:, 1]).all()
     assert ((idx >= 0) & (idx < 3000)).all()
+
+
+# -- batched substream keys ----------------------------------------------
+
+# integers that SeedSequence splits into 1, 2, 3, 4 and 5 words
+SEEDS = st.one_of(
+    st.sampled_from([0, 2**32 - 1, 2**32, 2**62, 2**64, 2**64 + 1, 2**96,
+                     2**128 + 3]),
+    st.integers(0, 2**32 - 1), st.integers(0, 2**70))
+KEY_ENTRIES = st.one_of(st.integers(0, 40), st.integers(0, 2**32 - 1),
+                        st.integers(2**32, 2**70))
+
+
+def integer_column(values) -> np.ndarray:
+    """int64, uint64 or object array, whichever holds every value."""
+    top = max(values)
+    dtype = np.int64 if top < 2**63 else np.uint64 if top < 2**64 else object
+    return np.array(values, dtype=dtype)
+
+
+def seedsequence_key(seed, key):
+    return np.random.SeedSequence(seed, spawn_key=key).generate_state(
+        2, np.uint64)
+
+
+@PROPERTY
+@given(seeds=st.lists(SEEDS, min_size=1, max_size=3 * _streams._HASH_MIN_ROWS),
+       width=st.integers(0, 3), scalar_seed=st.booleans(), data=st.data())
+def test_substream_keys_equal_numpy_seedsequence(seeds, width, scalar_seed,
+                                                 data):
+    scalar_seed &= width > 0
+    if scalar_seed:
+        seeds = [seeds[0]] * len(seeds)
+    keys = [tuple(data.draw(st.lists(KEY_ENTRIES, min_size=width,
+                                     max_size=width)))
+            for _ in seeds]
+    want = np.array([seedsequence_key(s, k) for s, k in zip(seeds, keys)])
+    cols = [seeds[0] if scalar_seed else integer_column(seeds)]
+    cols += [integer_column(col) for col in zip(*keys)]
+    got = _streams.substream_keys(*cols)
+    assert got.dtype == np.uint64 and got.tolist() == want.tolist()
+    rows = np.broadcast_arrays(*map(np.atleast_1d, cols))
+    for route in (_streams._seedsequence_keys, _streams._hashed_keys):
+        assert route(rows).tolist() == want.tolist()
+
+
+def draws(g, n):
+    """A few of every kind of draw the library takes, uint32 ones first so
+    that a buffered half word is in play."""
+    return [g.integers(0, 2**31, n, dtype=np.uint32).tolist(),
+            g.random(n).tolist(), g.integers(0, 7, n).tolist(),
+            g.integers(0, 2**40).item(), g.exponential(2.0, n).tolist(),
+            g.normal(size=n).tolist(), g.triangular(0.0, 1.0, 3.0, n).tolist()]
+
+
+@PROPERTY
+@given(seed=SEEDS, key=st.lists(KEY_ENTRIES, min_size=1, max_size=3),
+       n=st.integers(1, 9), used=st.integers(0, 5))
+def test_keyed_generator_draws_equal_substream(seed, key, n, used):
+    stream = _streams.KeyedGenerator()
+    # a generator left mid-stream, with a buffered uint32 half word when
+    # ``used`` is odd, must not leak into the next key
+    stream(seedsequence_key(seed + 1, [3]).tolist()).integers(
+        0, 9, used, dtype=np.uint32)
+    got = draws(stream(_streams.substream_keys(seed, *key)[0].tolist()), n)
+    assert got == draws(_streams.substream(seed, *key), n)
+
+
+@pytest.mark.parametrize("seeds, key", [
+    (np.array([3, -1]), np.array([1, 2])),
+    (np.arange(-1, 2 * _streams._HASH_MIN_ROWS), 1),
+    (5, np.array([0, -4])),
+    (np.array([2**70, -1], dtype=object), 1)])
+def test_negative_seeds_and_keys_raise_on_both_routes(seeds, key):
+    rows = np.broadcast_arrays(*map(np.atleast_1d, (seeds, key)))
+    for route in (_streams._seedsequence_keys, _streams._hashed_keys,
+                  lambda rows: _streams.substream_keys(*rows)):
+        with pytest.raises(ValueError):
+            route(rows)

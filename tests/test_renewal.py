@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from resamplekit._streams import BLOCK
 from resamplekit.distributions import exponential, normal, uniform
 from resamplekit.renewal import (
     GridConvolutionKit,
@@ -22,7 +23,7 @@ from resamplekit.renewal import (
 from resamplekit.pairs import AlphaPair
 from resamplekit.samples import InfeasibleLayoutError
 
-from helpers import var_se
+from helpers import plugin_baseline_oracle, var_se
 
 
 # -- layout and pair containers -------------------------------------------
@@ -253,6 +254,7 @@ def test_variance_assembly_identity():
     assert total_p == pytest.approx(1.0, abs=1e-12)
     mu11 = sum(row.probability * row.moment for row in rep.rows)
     assert rep.mu11 == pytest.approx(mu11, abs=1e-15)
+    assert {p["method"] for p in rep.to_dict()["pairs"]} == {"convolution-kit"}
     recon = rep.mu / rep.r + (rep.r - 1) / rep.r * mu11 - rep.mu ** 2
     assert rep.variance == pytest.approx(recon, abs=1e-15)
 
@@ -326,6 +328,20 @@ def test_plugin_baseline_symmetric_bias_zero():
     recon = report.variance * (report.replications - 1) / report.replications \
         + report.bias ** 2
     assert report.mse == pytest.approx(recon, abs=1e-12)
+
+
+@pytest.mark.parametrize("lay, r, replications, seed", [
+    (RenewalLayout(8, 4, 8, 3), 50, 40, 5),
+    (RenewalLayout(6, 2, 4, 0), 7, 25, 2**40 + 3),
+    # more replications than one batch of keys
+    (RenewalLayout(4, 2, 4, 1), 3, BLOCK + 3, 12)])
+def test_plugin_baseline_equals_per_replication_oracle(lay, r, replications,
+                                                       seed):
+    x, y = normal(2.0, 1.0), normal(1.5, 0.5)
+    got = plugin_baseline(lay, x, y, r=r, replications=replications,
+                          seed=seed, theta=0.6)
+    assert got == plugin_baseline_oracle(lay, x, y, r, replications, seed,
+                                         0.6)
 
 
 def test_plugin_baseline_deterministic_and_theta_handling():

@@ -1,7 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from resamplekit._streams import BLOCK, Lane, block_ranges, substream
+from resamplekit import _streams
+from resamplekit._streams import (BLOCK, KeyedGenerator, Lane, block_ranges,
+                                  block_streams, substream, substream_keys,
+                                  substreams)
 
 
 def test_substream_reproducible():
@@ -54,3 +59,95 @@ def test_block_ranges_partition(n):
 def test_lane_constants_distinct():
     values = [v for k, v in vars(Lane).items() if not k.startswith("_")]
     assert len(values) == len(set(values))
+
+
+# sha256 (first 16 hex digits) of the first four raw 64-bit Philox outputs
+# of substream(7, lane, 0) followed by those of substream(7, lane, 1).  Every
+# seeded result is built on these streams, so a change to how they are
+# derived must show here first.
+GOLDEN_STREAMS = {
+    Lane.SIMPLE_ESTIMATE: "a349f641b13b7867",
+    Lane.WAVE: "fae2eebfa6ec3c22",
+    Lane.MIXED_MOMENT: "95098315a8d70cf1",
+    Lane.KNOWN_G: "fe9a626f655b79db",
+    Lane.INNER_MC: "daa566986dfb800b",
+    Lane.VECTOR_WAVE: "4ff962aebb6e7138",
+    Lane.DAMAGE_RESAMPLE: "9456d9201e75fa55",
+    Lane.DAMAGE_OUTER: "435a47e5663f2729",
+    Lane.RENEWAL_ESTIMATE: "e84eed12241888d9",
+    Lane.RENEWAL_PLUGIN: "d0524b87bc02c31a",
+    Lane.COVERAGE_MC: "df22ac0666c4e315",
+    Lane.COVERAGE_INTERVAL: "160ade1513503efa",
+}
+
+
+def _raw_digest(generators) -> str:
+    raw = b"".join(g.bit_generator.random_raw(4).tobytes() for g in generators)
+    return hashlib.sha256(raw).hexdigest()[:16]
+
+
+def test_golden_stream_digests_cover_every_lane():
+    lanes = {v for k, v in vars(Lane).items() if not k.startswith("_")}
+    assert set(GOLDEN_STREAMS) == lanes
+
+
+@pytest.mark.parametrize("lane", sorted(GOLDEN_STREAMS))
+def test_golden_stream_digests(lane):
+    want = GOLDEN_STREAMS[lane]
+    assert _raw_digest(substream(7, lane, b) for b in (0, 1)) == want
+    # the batched keys, on both routes (a short and a long batch)
+    for rows in (2, 40):
+        streams = substreams(7, lane, np.arange(rows))
+        assert _raw_digest(next(streams) for _ in range(2)) == want
+
+
+@pytest.mark.parametrize("total", [1, BLOCK, BLOCK + 1, 3 * BLOCK,
+                                   11 * BLOCK + 5])
+def test_block_streams_equal_fresh_substreams(total):
+    got = [(start, stop, rng.bit_generator.random_raw(3).tolist())
+           for start, stop, rng in block_streams(total, 5, Lane.WAVE, 9)]
+    want = [(start, stop, substream(5, Lane.WAVE, 9, b)
+             .bit_generator.random_raw(3).tolist())
+            for b, start, stop in block_ranges(total, BLOCK)]
+    assert got == want
+
+
+def test_a_single_block_keeps_plain_substream(monkeypatch):
+    calls = []
+    real = _streams.substream
+    monkeypatch.setattr(_streams, "substream",
+                        lambda *key: calls.append(key) or real(*key))
+    # one row builds no reusable generator
+    monkeypatch.setattr(_streams, "KeyedGenerator", None)
+    (start, stop, rng), = block_streams(10, 5, Lane.WAVE)
+    assert (start, stop) == (0, 10) and calls == [(5, Lane.WAVE, 0)]
+    assert rng.random() == real(5, Lane.WAVE, 0).random()
+
+
+def test_substreams_broadcast_columns():
+    # experiment e, block b, as resampling_interval keys them
+    e, b = np.repeat(np.arange(4), 3), np.tile(np.arange(3), 4)
+    got = [g.random(2).tolist()
+           for g in substreams(11, Lane.COVERAGE_INTERVAL, e, b)]
+    want = [substream(11, Lane.COVERAGE_INTERVAL, i, j).random(2).tolist()
+            for i, j in zip(e.tolist(), b.tolist())]
+    assert got == want
+
+
+def test_substreams_of_many_seeds_span_several_key_batches():
+    seeds = np.arange(BLOCK + 3) * (2 ** 31 + 7)
+    streams = substreams(seeds, Lane.DAMAGE_RESAMPLE, 0)
+    got = [next(streams).bit_generator.random_raw() for _ in range(BLOCK + 3)]
+    for i in (0, 1, BLOCK - 1, BLOCK, BLOCK + 2):
+        ref = substream(int(seeds[i]), Lane.DAMAGE_RESAMPLE, 0)
+        assert got[i] == ref.bit_generator.random_raw()
+    assert next(streams, None) is None
+
+
+def test_substream_keys_shape_and_rejects():
+    keys = substream_keys(3, Lane.WAVE, np.arange(12))
+    assert keys.shape == (12, 2) and keys.dtype == np.uint64
+    with pytest.raises(ValueError):
+        substream_keys(np.arange(4).reshape(2, 2), 1)
+    with pytest.raises(TypeError):
+        substream_keys(np.linspace(0, 1, 12), 1)

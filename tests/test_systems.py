@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -130,3 +132,18 @@ def test_kofn_batch_equals_column_sort(c):
             f"kofn({k}; {', '.join(f'x{i + 1}' for i in range(c))})")
         assert np.array_equal(evaluate_batch(spec, X),
                               np.sort(X, axis=1)[:, c - k])
+
+
+def test_evaluate_batch_frees_its_input_without_the_cyclic_collector():
+    """Large replication runs evaluate one value matrix per block; each must
+    be freed when its call returns, not held by a reference cycle."""
+    spec = parse_system("min(x1, max(x2, x3))")
+    X = np.random.default_rng(0).random((8, 3))
+    ref = weakref.ref(X)
+    gc.disable()
+    try:
+        evaluate_batch(spec, X)
+        del X
+        assert ref() is None
+    finally:
+        gc.enable()
