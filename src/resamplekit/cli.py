@@ -8,9 +8,8 @@ damage-accumulation model from data / closed form), ``renewal``/
 reproductions).  Reports go to stdout as JSON (default, full precision) or
 as csv/plain tables (6 significant digits); every Monte-Carlo figure
 carries its standard error.  Errors are machine-readable JSON on stderr
-with distinct exit codes: 2 schema violation (a spec nested too deeply
-to walk included), 3 file not found, 4 enumeration budget exceeded, 5
-infeasible layout.
+with distinct exit codes: 2 schema violation, 3 input file not found or
+not readable, 4 enumeration budget exceeded, 5 infeasible layout.
 
 Seeds are mandatory for stochastic subcommands; ``repro`` pins its own.
 ``--threads`` is accepted for compatibility and has no effect.
@@ -86,9 +85,10 @@ def _read_text(path: str) -> str:
     try:
         with open(path) as fh:
             return fh.read()
-    except FileNotFoundError:
+    except OSError as exc:  # missing, a directory, no permission
         raise CliError("file-not-found", EXIT_NOT_FOUND,
-                       f"no such file: {path}", {"path": path}) from None
+                       f"cannot read {path}: {exc.strerror}",
+                       {"path": path}) from None
 
 
 def _read_values(path: str) -> np.ndarray:
@@ -116,9 +116,10 @@ def _read_samples(path: str, binding_path: str | None) -> SampleSet:
                            f"{binding_path}: {exc}") from None
     try:
         return SampleSet.from_csv(path, blocks=binding)
-    except FileNotFoundError:
+    except OSError as exc:  # missing, a directory, no permission
         raise CliError("file-not-found", EXIT_NOT_FOUND,
-                       f"no such file: {path}", {"path": path}) from None
+                       f"cannot read {path}: {exc.strerror}",
+                       {"path": path}) from None
 
 
 def _parse_dist(text: str) -> dists.KnownDistribution:
@@ -583,11 +584,6 @@ def run(config: RunConfig, out=None) -> int:
         return EXIT_INFEASIBLE
     except (LayoutError, ValueError) as exc:
         _write_error("schema-violation", EXIT_SCHEMA, str(exc))
-        return EXIT_SCHEMA
-    except RecursionError:
-        _write_error("schema-violation", EXIT_SCHEMA,
-                     "input is nested too deeply to process "
-                     f"(Python recursion limit {sys.getrecursionlimit()})")
         return EXIT_SCHEMA
 
 

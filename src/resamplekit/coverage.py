@@ -59,8 +59,7 @@ class OrderFunctional:
     spec: SystemSpec
 
     def __post_init__(self):
-        for nid in self.spec.node_ids:
-            node = self.spec.node_ids[nid]
+        for nid, node, _ in self.spec.table:
             if not isinstance(node, _ORDER_NODES):
                 raise ValueError(
                     f"node {type(node).__name__} is not order-invariant; "

@@ -70,7 +70,7 @@ class DamageData:
         b = np.array(self.h_b, dtype=float)
         if a.ndim != 1 or a.size == 0 or b.ndim != 1 or b.size == 0:
             raise ValueError("h_a and h_b must be non-empty 1-d arrays")
-        if (a < 0).any() or (b < 0).any():
+        if not ((a >= 0).all() and (b >= 0).all()):  # NaN fails too
             raise ValueError("times and durations must be non-negative")
         if a.size > b.size:
             raise ValueError(
@@ -357,7 +357,11 @@ def plugin_estimate(data: DamageData, t: float) -> PluginEstimate:
 
     int_0^t (1 - Fhat(x)) dx reduces to the mean of min(duration, t).
     """
-    rate = data.n_a / float(data.h_a.sum())
+    total = float(data.h_a.sum())
+    rate = data.n_a / total if total > 0.0 else math.inf
+    if math.isinf(rate):
+        raise ValueError("the plug-in rate n_A / sum(H_A) is infinite: the "
+                         f"inter-arrival times sum to {total!r}")
     isf = float(np.minimum(data.h_b, t).mean())
     return PluginEstimate(t=float(t), rate=rate, active_mean=rate * isf,
                           terminal_mean=rate * (t - isf))

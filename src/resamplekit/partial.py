@@ -35,7 +35,7 @@ from ._streams import Lane, block_streams
 from .distributions import KnownDistribution
 from .resampling import EstimateResult, draw_index_batch
 from .samples import SampleSet
-from .systems import (SystemSpec, children_of, elementary_apply, Input,
+from .systems import (SystemSpec, elementary_apply, evaluate_batch, Input,
                       parse_system)
 
 __all__ = [
@@ -108,17 +108,12 @@ def estimate_inner_mc(spec: SystemSpec, samples: SampleSet, z_dists,
             full[:, :, :m] = X[lo:hi, None, :]
             for z, d in enumerate(z_dists):
                 full[:, :, m + z] = d.sample(rng, (rows, N))
-            vals = _eval_rows(spec, full.reshape(rows * N, m + nu))
+            vals = evaluate_batch(spec, full.reshape(rows * N, m + nu))
             values[start + lo:start + hi] = vals.reshape(rows, N).mean(axis=1)
     var = float(np.var(values, ddof=1)) if r > 1 else 0.0
     return EstimateResult(estimate=float(values.mean()), realizations=r,
                           seed=seed, empirical_variance=var,
                           values=values if keep_values else None)
-
-
-def _eval_rows(spec: SystemSpec, rows: np.ndarray) -> np.ndarray:
-    from .systems import evaluate_batch
-    return evaluate_batch(spec, rows)
 
 
 def wave_estimate_vector_samples(spec: SystemSpec, samples: SampleSet, z_dists,
@@ -143,11 +138,9 @@ def wave_estimate_vector_samples(spec: SystemSpec, samples: SampleSet, z_dists,
     if N < 1:
         raise ValueError(f"need N >= 1, got N={N}")
     store: dict[int, np.ndarray] = {}
-    for nid in sorted(spec.node_ids):
-        node = spec.node_ids[nid]
-        if isinstance(node, Input):
+    for nid, node, kids in spec.table:
+        if not kids:
             continue
-        kids = spec.children_ids(nid)
         if nid not in sizes:
             raise ValueError(f"no size given for internal node {nid}")
         n_v = int(sizes[nid])

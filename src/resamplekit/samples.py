@@ -15,6 +15,7 @@ import csv
 import json
 import math
 import itertools
+from collections.abc import Hashable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -351,6 +352,9 @@ def product_grid(tables, slots, width: int, chunk: int = GRID_CHUNK):
 def _binding_from_map(blocks, names) -> tuple[int, ...]:
     name_pos = {n: i for i, n in enumerate(names)}
     parsed: dict[int, int] = {}
+    if not isinstance(blocks, Mapping):
+        raise LayoutError("blocks must map argument indices to sample names, "
+                          f"got {type(blocks).__name__}")
     for key, sample_name in blocks.items():
         try:
             arg = int(key)
@@ -358,7 +362,7 @@ def _binding_from_map(blocks, names) -> tuple[int, ...]:
             raise LayoutError(f"blocks key {key!r} is not an argument index") from None
         if arg < 1:
             raise LayoutError(f"argument indices are 1-based, got {arg}")
-        if sample_name not in name_pos:
+        if not isinstance(sample_name, Hashable) or sample_name not in name_pos:
             raise LayoutError(f"blocks map references unknown sample {sample_name!r}")
         parsed[arg] = name_pos[sample_name]
     m = max(parsed) if parsed else 0

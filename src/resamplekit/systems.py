@@ -146,81 +146,82 @@ def _kth_largest(values: list[np.ndarray], k: int) -> np.ndarray:
 
 # -- spec object ----------------------------------------------------------
 
+def _post_order(root) -> list:
+    """The nodes under ``root`` in post-order, children left to right: a
+    pre-order walk that takes the last child first, reversed."""
+    order, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            raise SystemValidationError(
+                "node object appears twice; the system must be a tree")
+        seen.add(id(node))
+        order.append(node)
+        stack.extend(children_of(node))
+    order.reverse()
+    return order
+
+
 @dataclass(frozen=True, eq=False)
 class SystemSpec:
-    """A validated structure function with post-order node numbering."""
+    """A validated structure function with post-order node numbering.
+
+    ``table`` is the compiled tree: one ``(node id, node, child ids)`` entry
+    per node in post-order, root last.  Every walk over the tree reads it.
+    """
 
     root: object
     m: int = field(init=False)
+    table: tuple = field(init=False, repr=False)     # post-order (id, node, kids)
     node_ids: dict = field(init=False, repr=False)   # node id -> node
     parent: dict = field(init=False, repr=False)     # node id -> parent id
     leaf_deps: dict = field(init=False, repr=False)  # node id -> frozenset of args
+    _kids: dict = field(init=False, repr=False)      # node id -> child ids
 
     def __post_init__(self):
-        order: list = []
-        seen: set[int] = set()
-
-        def walk(node):
-            if id(node) in seen:
-                raise SystemValidationError(
-                    "node object appears twice; the system must be a tree")
-            seen.add(id(node))
-            for c in children_of(node):
-                walk(c)
-            order.append(node)
-
-        walk(self.root)
-        inputs = [n for n in order if isinstance(n, Input)]
-        indices = sorted(n.index for n in inputs)
+        order = _post_order(self.root)
+        indices = sorted(n.index for n in order if isinstance(n, Input))
         m = len(indices)
         if indices != list(range(1, m + 1)):
             raise SystemValidationError(
                 f"leaf set must be exactly x1..x{m} with no repeats, "
                 f"got {['x%d' % i for i in indices]}")
-        for n in order:
-            if isinstance(n, KOfN) and not 1 <= n.k <= len(n.children):
-                raise SystemValidationError(
-                    f"kofn needs 1 <= k <= {len(n.children)} children, got k={n.k}")
-            if isinstance(n, (Min, Max, Sum, KOfN)) and not n.children:
-                raise SystemValidationError("operator node with no children")
-        node_ids: dict[int, object] = {}
-        next_internal = m + 1
-        assigned: dict[int, int] = {}  # id(node) -> node id
-        for n in order:
-            if isinstance(n, Input):
-                nid = n.index
-            else:
-                nid = next_internal
-                next_internal += 1
-            node_ids[nid] = n
-            assigned[id(n)] = nid
+        table = []
+        stack: list[int] = []  # ids of finished subtrees awaiting a parent
         parent: dict[int, int] = {}
         deps: dict[int, frozenset] = {}
+        next_internal = m + 1
         for n in order:
-            nid = assigned[id(n)]
             if isinstance(n, Input):
-                deps[nid] = frozenset((n.index,))
+                nid, kids = n.index, ()
+                deps[nid] = frozenset((nid,))
             else:
-                acc = frozenset()
-                for c in children_of(n):
-                    cid = assigned[id(c)]
-                    parent[cid] = nid
-                    acc |= deps[cid]
-                deps[nid] = acc
+                arity = len(children_of(n))
+                if isinstance(n, KOfN) and not 1 <= n.k <= arity:
+                    raise SystemValidationError(
+                        f"kofn needs 1 <= k <= {arity} children, got k={n.k}")
+                if not arity:
+                    raise SystemValidationError("operator node with no children")
+                nid, next_internal = next_internal, next_internal + 1
+                cut = len(stack) - arity
+                kids, stack[cut:] = tuple(stack[cut:]), []
+                parent.update(dict.fromkeys(kids, nid))
+                deps[nid] = frozenset().union(*(deps[c] for c in kids))
+            stack.append(nid)
+            table.append((nid, n, kids))
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "node_ids", node_ids)
+        object.__setattr__(self, "table", tuple(table))
+        object.__setattr__(self, "node_ids", {nid: n for nid, n, _ in table})
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "leaf_deps", deps)
+        object.__setattr__(self, "_kids", {nid: kids for nid, _, kids in table})
 
     @property
     def root_id(self) -> int:
-        return max(self.node_ids)
+        return self.table[-1][0]
 
     def children_ids(self, node_id: int) -> tuple[int, ...]:
-        node = self.node_ids[node_id]
-        kids = children_of(node)
-        by_obj = {id(n): i for i, n in self.node_ids.items()}
-        return tuple(by_obj[id(c)] for c in kids)
+        return self._kids[node_id]
 
     def __repr__(self):
         return f"SystemSpec({render(self.root)})"
@@ -237,24 +238,23 @@ def leaf_dependencies(spec: SystemSpec, node_id: int) -> frozenset:
 # -- evaluation -----------------------------------------------------------
 
 def evaluate_batch(spec: SystemSpec, X) -> np.ndarray:
-    """Evaluate the system on rows of ``X`` (shape (N, m)); returns (N,)."""
+    """Evaluate the system on rows of ``X`` (shape (N, m)); returns (N,).
+
+    A node replaces its children's columns on the value stack by its own.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
     if X.shape[1] != spec.m:
         raise ValueError(f"expected {spec.m} argument columns, got {X.shape[1]}")
-
-    def rec(node):
+    stack: list[np.ndarray] = []
+    for _, node, kids in spec.table:
         if isinstance(node, Input):
-            return X[:, node.index - 1]
-        return elementary_apply(node, [rec(c) for c in children_of(node)])
-
-    try:
-        return rec(spec.root)
-    finally:
-        # rec holds itself and X through its closure; without this the
-        # cycle keeps X alive until the next cyclic garbage collection
-        del rec
+            stack.append(X[:, node.index - 1])
+        else:
+            cut = len(stack) - len(kids)
+            stack[cut:] = [elementary_apply(node, stack[cut:])]
+    return stack[0]
 
 
 def evaluate(spec: SystemSpec, x) -> float:
@@ -306,58 +306,64 @@ class _Parser:
             raise self.error(f"expected {sym!r}, got {value!r}")
 
     def parse(self):
-        node = self.node()
+        """Read one node tree, keeping the open operators on a stack.
+
+        A frame is ``[name, k or relation, children]``.  Each finished node
+        goes to the innermost frame, which then waits for another child or
+        closes and becomes the finished node of the frame below it.
+        """
+        frames: list[list] = []
+        node = None
+        while node is None:
+            node = self.head(frames)
+            while node is not None and frames:
+                node = self.attach(frames, node)
         kind, value, _ = self.peek()
         if kind is not None:
             raise self.error(f"trailing input {value!r}")
         return node
 
-    def node(self):
+    def head(self, frames: list):
+        """Read a node's first tokens: return a leaf, or open a frame (None)."""
         kind, value = self.next()
         if kind != "ident":
             raise self.error(f"expected an operator or input, got {value!r}")
-        name = value
-        if name in ("min", "max", "sum"):
+        if value in ("min", "max", "sum", "kofn", "ind", "cmp"):
             self.expect_sym("(")
-            kids = self.node_list()
-            self.expect_sym(")")
-            cls = {"min": Min, "max": Max, "sum": Sum}[name]
-            return cls(tuple(kids))
-        if name == "kofn":
-            self.expect_sym("(")
-            k = self.integer("kofn count")
-            self.expect_sym(";")
-            kids = self.node_list()
-            self.expect_sym(")")
-            return KOfN(k, tuple(kids))
-        if name == "ind":
-            self.expect_sym("(")
-            child = self.node()
-            op = self.relation()
-            level = self.value("threshold level")
-            self.expect_sym(")")
-            return Threshold(child, op, level)
-        if name == "cmp":
-            self.expect_sym("(")
-            left = self.node()
-            op = self.relation()
-            right = self.node()
-            self.expect_sym(")")
-            return Compare(left, op, right)
-        m = re.fullmatch(r"x([1-9]\d*)", name)
+            k = None
+            if value == "kofn":
+                k = self.integer("kofn count")
+                self.expect_sym(";")
+            frames.append([value, k, []])
+            return None
+        m = re.fullmatch(r"x([1-9]\d*)", value)
         if m:
             return Input(int(m.group(1)))
-        raise self.error(f"unknown input name {name!r} (inputs are x1, x2, ...)")
+        raise self.error(f"unknown input name {value!r} (inputs are x1, x2, ...)")
 
-    def node_list(self):
-        kids = [self.node()]
-        while True:
-            kind, value, end = self.peek()
-            if kind == "sym" and value == ",":
-                self.pos = end
-                kids.append(self.node())
-            else:
-                return kids
+    def attach(self, frames: list, node):
+        """Give a finished node to the innermost frame; return the frame's
+        node once it closes, or None while it waits for another child."""
+        name, arg, kids = frame = frames[-1]
+        kids.append(node)
+        if name == "ind":
+            arg = (self.relation(), self.value("threshold level"))
+        elif name == "cmp":
+            if len(kids) == 1:
+                frame[1] = self.relation()
+                return None
+        elif self.peek()[:2] == ("sym", ","):
+            self.next()
+            return None
+        self.expect_sym(")")
+        frames.pop()
+        if name == "ind":
+            return Threshold(kids[0], *arg)
+        if name == "cmp":
+            return Compare(kids[0], arg, kids[1])
+        if name == "kofn":
+            return KOfN(arg, tuple(kids))
+        return {"min": Min, "max": Max, "sum": Sum}[name](tuple(kids))
 
     def relation(self) -> str:
         kind, value = self.next()
@@ -399,15 +405,19 @@ def parse_system(text: str, params: dict | None = None) -> SystemSpec:
 
 def render(node) -> str:
     """Render a node tree back to grammar text."""
-    if isinstance(node, Input):
-        return f"x{node.index}"
-    if isinstance(node, (Min, Max, Sum)):
-        name = type(node).__name__.lower()
-        return f"{name}({','.join(render(c) for c in node.children)})"
-    if isinstance(node, KOfN):
-        return f"kofn({node.k};{','.join(render(c) for c in node.children)})"
-    if isinstance(node, Threshold):
-        return f"ind({render(node.child)}{node.op}{format(node.level, 'g')})"
-    if isinstance(node, Compare):
-        return f"cmp({render(node.left)}{node.op}{render(node.right)})"
-    raise TypeError(f"not a system node: {node!r}")
+    stack: list[str] = []
+    for n in _post_order(node):
+        cut = len(stack) - len(children_of(n))
+        parts, stack[cut:] = stack[cut:], []
+        if isinstance(n, Input):
+            text = f"x{n.index}"
+        elif isinstance(n, KOfN):
+            text = f"kofn({n.k};{','.join(parts)})"
+        elif isinstance(n, Threshold):
+            text = f"ind({parts[0]}{n.op}{format(n.level, 'g')})"
+        elif isinstance(n, Compare):
+            text = f"cmp({parts[0]}{n.op}{parts[1]})"
+        else:
+            text = f"{type(n).__name__.lower()}({','.join(parts)})"
+        stack.append(text)
+    return stack[0]

@@ -38,7 +38,7 @@ from .pairs import (OmegaPair, PairRow, VarianceReport, _empirical_moments,
                     assemble_variance)
 from .resampling import EstimateResult
 from .samples import SampleSet
-from .systems import SystemSpec, children_of, elementary_apply
+from .systems import SystemSpec, elementary_apply
 
 __all__ = [
     "node_sizes", "default_node_sizes", "wave_estimate", "WavePropagation",
@@ -62,8 +62,8 @@ def node_sizes(spec: SystemSpec, samples: SampleSet,
     """
     _require_singleton(samples)
     sizes = {i: samples.sizes[i - 1] for i in range(1, spec.m + 1)}
-    for nid in spec.node_ids:
-        if nid <= spec.m:
+    for nid, _, kids in spec.table:
+        if not kids:
             continue
         if nid not in intermediate:
             raise ValueError(f"no size given for internal node {nid}")
@@ -78,13 +78,9 @@ def default_node_sizes(spec: SystemSpec, samples: SampleSet) -> dict[int, int]:
     """Convenience map: every internal node inherits its children's minimum."""
     _require_singleton(samples)
     sizes = {i: samples.sizes[i - 1] for i in range(1, spec.m + 1)}
-    by_obj = {id(n): nid for nid, n in spec.node_ids.items()}
-    for nid in sorted(spec.node_ids):
-        if nid <= spec.m:
-            continue
-        node = spec.node_ids[nid]
-        kids = [by_obj[id(c)] for c in children_of(node)]
-        sizes[nid] = min(sizes[c] for c in kids)
+    for nid, _, kids in spec.table:
+        if kids:
+            sizes[nid] = min(sizes[c] for c in kids)
     return sizes
 
 
@@ -111,11 +107,9 @@ def wave_estimate(spec: SystemSpec, samples: SampleSet, sizes: dict,
     store: dict[int, np.ndarray] = {
         i: samples.values_for_arg(i) for i in range(1, spec.m + 1)}
     exhaustive = {i: True for i in range(1, spec.m + 1)}
-    for nid in sorted(spec.node_ids):
-        if nid <= spec.m:
+    for nid, node, kids in spec.table:
+        if not kids:
             continue
-        node = spec.node_ids[nid]
-        kids = spec.children_ids(nid)
         n_v = int(sizes[nid])
         counts = [len(store[c]) for c in kids]
         if all(exhaustive[c] for c in kids) and n_v == math.prod(counts):
@@ -182,10 +176,9 @@ def propagate_pair_probabilities(spec: SystemSpec, sizes: dict,
     arm_counts: dict[int, int] = {}
     for i in range(1, spec.m + 1):
         tables[i] = {frozenset(): 1.0}
-    for nid in sorted(spec.node_ids):
-        if nid <= spec.m:
+    for nid, _, kids in spec.table:
+        if not kids:
             continue
-        kids = spec.children_ids(nid)
         arm_counts[nid] = 2 ** len(kids)
         combined = {frozenset(): 1.0}
         for c in kids:

@@ -23,7 +23,7 @@ from resamplekit.damage import (DamageData, DamageMCReport, PluginMCReport,
 from resamplekit.pairs import (alpha_from_indices, beta_from_indices,
                                omega_from_indices)
 from resamplekit.renewal import PluginReport
-from resamplekit.systems import evaluate
+from resamplekit.systems import Input, children_of, elementary_apply, evaluate
 
 
 def mean_se(values) -> float:
@@ -70,12 +70,12 @@ def trace_wave_patterns(spec, sizes, passes, rng, chunk=100_000):
         leafmap = {
             i: {i: np.broadcast_to(np.arange(sizes[i]), (p, sizes[i]))}
             for i in range(1, m + 1)}
-        for nid in sorted(spec.node_ids):
-            if nid <= m:
+        for nid, _, kids in spec.table:
+            if not kids:
                 continue
             n_v = sizes[nid]
             maps = {}
-            for c in spec.children_ids(nid):
+            for c in kids:
                 picks = rng.integers(0, sizes[c], size=(p, n_v))
                 for leaf, arr in leafmap[c].items():
                     maps[leaf] = np.take_along_axis(arr, picks, axis=1)
@@ -91,6 +91,22 @@ def trace_wave_patterns(spec, sizes, passes, rng, chunk=100_000):
         counts += np.bincount(mask, minlength=2**m)
         done += p
     return counts
+
+
+def evaluate_batch_oracle(spec, X) -> np.ndarray:
+    """``evaluate_batch`` by recursion over the node objects.
+
+    Reads neither the post-order table nor the node ids, so it checks the
+    table route independently; recursion limits it to shallow trees.
+    """
+    X = np.asarray(X, dtype=float)
+
+    def rec(node):
+        if isinstance(node, Input):
+            return X[:, node.index - 1]
+        return elementary_apply(node, [rec(c) for c in children_of(node)])
+
+    return rec(spec.root)
 
 
 def pattern_probabilities(table, m):

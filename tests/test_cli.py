@@ -1,5 +1,8 @@
 """Tests for the command-line front end."""
 
+import contextlib
+import io
+import itertools
 import json
 import math
 import subprocess
@@ -7,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from resamplekit.cli import main
 
@@ -121,6 +126,18 @@ def test_estimate_missing_file(files, capsys):
     assert env["code"] == "file-not-found"
 
 
+@pytest.mark.parametrize("which", ["--spec", "--samples"])
+def test_estimate_input_path_is_a_directory(files, capsys, which):
+    argv = {"--spec": str(files["spec"]), "--samples": str(files["samples"])}
+    argv[which] = str(files["dir"])
+    code, env = error_of(capsys, [
+        "estimate", *itertools.chain(*argv.items()), "--t", "1.0", "--r", "10",
+        "--seed", "1"])
+    assert code == 3
+    assert env["code"] == "file-not-found"
+    assert env["detail"]["path"] == str(files["dir"])
+
+
 def test_estimate_bad_spec_text(files, capsys):
     bad = files["dir"] / "bad.txt"
     bad.write_text("ind(kofn(9; x1) > )\n")
@@ -130,18 +147,34 @@ def test_estimate_bad_spec_text(files, capsys):
     assert code == 2
 
 
+def chain(depth: int, inner: str) -> str:
+    """``inner`` under ``depth`` nested one-child ``min`` nodes."""
+    return "min(" * depth + inner + ")" * depth
+
+
 def test_estimate_deep_spec(files, capsys):
-    deep = "x1"
-    for _ in range(1200):
-        deep = f"min({deep}, x1)"
+    """Specs have no nesting limit: a 5,000-deep one-child chain around the
+    2-of-3 body gives the shallow spec's report, since min of one child is
+    that child."""
+    deep = files["dir"] / "deep.txt"
+    deep.write_text(f"ind({chain(5000, 'kofn(2; x1, x2, x3)')} > t)\n")
+    argv = ["--samples", str(files["samples"]), "--t", "1.0", "--r", "50",
+            "--seed", "3"]
+    shallow = invoke_json(capsys, ["estimate", "--spec", str(files["spec"])]
+                          + argv)
+    assert invoke_json(capsys, ["estimate", "--spec", str(deep)]
+                       + argv) == shallow
+
+
+def test_estimate_deep_spec_with_repeated_leaf(files, capsys):
     spec = files["dir"] / "deep.txt"
-    spec.write_text(f"ind({deep} > t)\n")
+    spec.write_text(f"ind({chain(5000, 'min(x1, x1)')} > t)\n")
     code, env = error_of(capsys, [
         "estimate", "--spec", str(spec), "--samples", str(files["samples"]),
         "--t", "1.0", "--r", "10", "--seed", "1"])
     assert code == 2
     assert env["code"] == "schema-violation"
-    assert "nested too deeply" in env["message"]
+    assert "leaf set must be exactly x1..x2 with no repeats" in env["message"]
 
 
 def test_estimate_budget_exceeded(files, capsys):
@@ -355,6 +388,141 @@ def test_coverage_non_order_spec(files, capsys):
 def test_unknown_subcommand(capsys):
     code, env = error_of(capsys, ["frobnicate"])
     assert code == 2
+
+
+# -- fuzzing: every input ends in a documented exit and one envelope ------
+
+DOCUMENTED_EXITS = {0, 2, 3, 4, 5}
+VALID_SPECS = [TWO_OF_THREE, MIN_RACE, "cmp(x1 < x2)", "x1", "sum(x1, x2, x3)",
+               "ind(x1 > t)", "ind(min(max(x1, x2), x3) < t)",
+               "cmp(max(x1, x2) > kofn(1; x3))", "min(min(min(x2, x1)), x3)"]
+SPEC_TOKENS = ["min(", "max(", "sum(", "kofn(", "ind(", "cmp(", "(", ")", ",",
+               ";", "<", ">", " ", "x0", "x1", "x2", "x3", "x4", "t", "u",
+               "1", "2", "-1", "2.5", "1e999", "nan", "x"]
+
+
+@st.composite
+def mutated_spec(draw):
+    """A valid spec with one slice replaced by a few grammar tokens."""
+    text = draw(st.sampled_from(VALID_SPECS))
+    lo = draw(st.integers(0, len(text)))
+    hi = draw(st.integers(lo, len(text)))
+    tokens = draw(st.lists(st.sampled_from(SPEC_TOKENS), max_size=3))
+    return text[:lo] + "".join(tokens) + text[hi:]
+
+
+SPEC_TEXT = st.one_of(
+    st.sampled_from(VALID_SPECS), mutated_spec(),
+    st.lists(st.sampled_from(SPEC_TOKENS), max_size=24).map("".join),
+    st.text(max_size=30))
+NUMBER = st.floats(-3, 3).map(lambda x: format(x, ".3g"))
+CELL = st.one_of(
+    NUMBER, NUMBER.map(lambda x: x.lstrip("-")),
+    st.sampled_from(["", "0", "-0", "1e308", "1e-320", "nan", "inf", "-inf",
+                     "x", " ", '"1"']),
+    st.floats().map(repr), st.text(max_size=4))
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_documented(code, out, err):
+    assert code in DOCUMENTED_EXITS
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+        json.loads(out)
+        return
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    envelope = json.loads(lines[0])["error"]
+    assert envelope["exit"] == code
+    assert isinstance(envelope["code"], str) and envelope["message"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "samples.csv").write_text(SAMPLES_CSV)
+    return path
+
+
+FUZZ = settings(derandomize=True, deadline=None, max_examples=60,
+                database=None)
+
+
+@FUZZ
+@given(spec=st.one_of(SPEC_TEXT.map(lambda t: t.encode("utf-8", "replace")),
+                      st.binary(max_size=40)),
+       command=st.sampled_from(["estimate", "coverage"]),
+       budget=st.sampled_from([1, 50, 100_000]))
+def test_fuzz_spec_file(fuzz_dir, spec, command, budget):
+    path = fuzz_dir / "spec.txt"
+    path.write_bytes(spec)
+    if command == "estimate":
+        argv = ["estimate", "--spec", str(path), "--samples",
+                str(fuzz_dir / "samples.csv"), "--t", "1.0", "--r", "5",
+                "--seed", "1", "--budget", str(budget)]
+    else:
+        argv = ["coverage", "--spec", str(path), "--gen", "exp:1,exp:2,exp:3",
+                "--sizes", "1,2,1", "--gamma", "0.8", "--theta", "0.5",
+                "--k", "5", "--r", "4"]
+    assert_documented(*run_main(argv))
+
+
+@FUZZ
+@given(header=st.just(["a", "b", "c"]) | st.lists(
+           st.sampled_from(["a", "b", "c", "", "a b", "1"]), max_size=4),
+       rows=st.lists(st.lists(CELL, min_size=3, max_size=3)
+                     | st.lists(CELL, max_size=4), max_size=5),
+       budget=st.sampled_from([1, 100_000]))
+def test_fuzz_samples_csv(fuzz_dir, header, rows, budget):
+    path = fuzz_dir / "cells.csv"
+    path.write_text("\n".join(",".join(row) for row in [header] + rows)
+                    + "\n")
+    spec = fuzz_dir / "twoof3.txt"
+    spec.write_text(TWO_OF_THREE)
+    assert_documented(*run_main([
+        "estimate", "--spec", str(spec), "--samples", str(path), "--t", "1.0",
+        "--r", "5", "--seed", "1", "--budget", str(budget)]))
+
+
+@FUZZ
+@given(binding=st.one_of(
+    st.dictionaries(st.sampled_from(["1", "2", "3", "4", "0", "x", "-1"]),
+                    st.sampled_from(["a", "b", "c", "d", 1, None, [], ""]),
+                    max_size=4).map(json.dumps).map(str.encode),
+    st.sampled_from([b"[]", b"null", b"3", b'"a"', b"{", b""]),
+    st.binary(max_size=20)))
+@example(binding=b"[]")         # not an object
+@example(binding=b'{"1": []}')  # an unhashable sample name
+def test_fuzz_binding_json(fuzz_dir, binding):
+    path = fuzz_dir / "binding.json"
+    path.write_bytes(binding)
+    spec = fuzz_dir / "twoof3.txt"
+    spec.write_text(TWO_OF_THREE)
+    assert_documented(*run_main([
+        "estimate", "--spec", str(spec), "--samples",
+        str(fuzz_dir / "samples.csv"), "--binding", str(path), "--t", "1.0",
+        "--r", "5", "--seed", "1"]))
+
+
+@FUZZ
+@given(ha=st.lists(CELL, max_size=6), hb=st.lists(CELL, max_size=6),
+       sep=st.sampled_from([",", " ", "\n"]))
+@example(ha=["0"], hb=["0"], sep=",")     # no plug-in rate: zero total gap
+@example(ha=["1e-320"], hb=["1"], sep=",")  # the rate overflows to inf
+@example(ha=["nan"], hb=["1"], sep=",")   # NaN is not a non-negative time
+def test_fuzz_damage_value_files(fuzz_dir, ha, hb, sep):
+    for name, cells in (("ha.txt", ha), ("hb.txt", hb)):
+        (fuzz_dir / name).write_text(sep.join(cells))
+    assert_documented(*run_main([
+        "damage", "--ha", str(fuzz_dir / "ha.txt"), "--hb",
+        str(fuzz_dir / "hb.txt"), "--t", "3.0", "--r", "20", "--seed", "1"]))
 
 
 def test_console_script_subprocess(files, console_script):

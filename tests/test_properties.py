@@ -5,6 +5,7 @@ derandomized seed, so the suite stays deterministic; the oracles live in
 ``helpers.py``.
 """
 
+import dataclasses
 import itertools
 import math
 from unittest import mock
@@ -23,9 +24,11 @@ from resamplekit.coverage import (OrderFunctional, WVector, _enumerate_w,
                                   coverage_R, q_given_ordering, rho)
 from resamplekit.resampling import draw_index_batch
 from resamplekit.samples import product_grid
+from resamplekit.systems import evaluate_batch, render
 
-from helpers import (coverage_oracle, enumerate_w_oracle, fisher_yates_oracle,
-                     pair_moment_oracle, q_oracle, race_probability_oracle)
+from helpers import (coverage_oracle, enumerate_w_oracle, evaluate_batch_oracle,
+                     fisher_yates_oracle, pair_moment_oracle, q_oracle,
+                     race_probability_oracle)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30,
                     database=None)
@@ -183,6 +186,63 @@ def test_alpha_pattern_on_singleton_layout_reads_the_omega_table():
             == conditional_mixed_moment(spec, samples, omega)
     with pytest.raises(ValueError, match="probability 0"):
         conditional_mixed_moment(spec, samples, AlphaPair((2, 0)))
+
+
+# -- compiled spec tables against recursion over the nodes ----------------
+
+# Values with ties at the ind levels of ``systems``, so that the strict and
+# non-strict comparisons and the k-of-n compare-exchange passes meet equal
+# inputs.
+CELLS = st.sampled_from([0.0, 0.75, 1.0, 1.5, 2.5]) | st.floats(
+    -1e3, 1e3, allow_nan=False)
+CHAIN_OPS = ("min(", "max(", "sum(", "kofn(1; ")
+
+
+def table_rows(spec) -> list:
+    """The spec's table with every node cut down to its type and its own
+    fields; node ``==`` would recurse through the children."""
+    return [(nid, type(node).__name__,
+             [(f.name, getattr(node, f.name))
+              for f in dataclasses.fields(node)
+              if f.name not in ("children", "child", "left", "right")],
+             kids)
+            for nid, node, kids in spec.table]
+
+
+@PROPERTY
+@given(m=st.integers(1, 6), rows=st.integers(1, 12), data=st.data())
+def test_table_walk_equals_recursive_evaluation(m, rows, data):
+    text, _ = data.draw(systems(m))
+    spec = parse_system(text)
+    X = np.array(data.draw(st.lists(CELLS, min_size=rows * m,
+                                    max_size=rows * m))).reshape(rows, m)
+    got, want = evaluate_batch(spec, X), evaluate_batch_oracle(spec, X)
+    assert got.dtype == want.dtype and got.shape == want.shape == (rows,)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(PROPERTY, max_examples=20)
+@given(m=st.integers(1, 4), depth=st.sampled_from([0, 1, 2, 5000])
+       | st.integers(0, 5000), ops=st.lists(st.sampled_from(CHAIN_OPS),
+                                           min_size=1, max_size=3),
+       indicator=st.booleans(), data=st.data())
+def test_render_parse_round_trip(m, depth, ops, indicator, data):
+    """Random trees under a one-child chain of up to 5,000 operators."""
+    body, _ = data.draw(systems(m))
+    text = "".join(ops[i % len(ops)] for i in range(depth)) + body \
+        + ")" * depth
+    if indicator:
+        text = f"ind({text} < 1.5)"
+    spec = parse_system(text)
+    again = parse_system(render(spec.root))
+    assert render(again.root) == render(spec.root)
+    assert table_rows(again) == table_rows(spec)
+    # leaves keep their input index; operators count up from m + 1 in
+    # post-order, so the root comes last
+    size = len(parse_system(body).table) + depth + indicator
+    assert sorted(nid for nid, _, _ in spec.table) == list(range(1, size + 1))
+    assert [nid for nid, _, kids in spec.table if kids] \
+        == list(range(m + 1, size + 1))
 
 
 # -- coverage: array route against the per-W oracle -----------------------

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import sys
 import weakref
 
 import numpy as np
@@ -114,6 +115,30 @@ def test_parent_child_tables_consistent(six_tree):
             assert six_tree.parent[kid] == node
     root = six_tree.root_id
     assert root not in six_tree.parent
+
+
+def test_table_is_post_order_with_the_root_last():
+    spec = parse_system("min(max(x1,x2), max(x3,x4))")
+    assert [(nid, type(node).__name__, kids) for nid, node, kids in spec.table] \
+        == [(1, "Input", ()), (2, "Input", ()), (5, "Max", (1, 2)),
+            (3, "Input", ()), (4, "Input", ()), (6, "Max", (3, 4)),
+            (7, "Min", (5, 6))]
+    assert spec.root_id == 7 and spec.children_ids(7) == (5, 6)
+
+
+def test_deep_chain_under_the_default_recursion_limit():
+    """Nothing walks a spec by recursion, so depth is not limited by the
+    interpreter's recursion limit."""
+    depth = 5000
+    assert sys.getrecursionlimit() < depth
+    text = "ind(" + "max(" * depth + "kofn(2; x1, x2, x3)" + ")" * depth \
+        + " > 1)"
+    deep, shallow = parse_system(text), parse_system("ind(kofn(2; x1, x2, x3) > 1)")
+    assert len(deep.table) == len(shallow.table) + depth
+    assert render(deep.root) == text.replace(" ", "")
+    X = np.random.default_rng(4).exponential(1.0, size=(64, 3))
+    assert np.array_equal(evaluate_batch(deep, X), evaluate_batch(shallow, X))
+    assert repr(deep).startswith("SystemSpec(ind(max(max(")
 
 
 def test_evaluate_pure(two_of_three):
