@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -174,10 +175,36 @@ def _sig6(x) -> str:
     return "" if x is None else str(x)
 
 
+def _non_finite_field(obj, path: str) -> tuple[str, float] | None:
+    """Path and value of the first non-finite number in a report."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (path, obj)
+    if isinstance(obj, dict):
+        items = ((f"{path}.{k}", v) for k, v in obj.items())
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    for sub, value in items:
+        found = _non_finite_field(value, sub)
+        if found is not None:
+            return found
+    return None
+
+
 def _emit(report: dict, table: tuple[list[str], list[list]], fmt: str,
           out) -> None:
+    """Write the report, or refuse one that holds a non-finite number
+    (strict JSON has no token for it) before writing anything."""
+    found = _non_finite_field(report, "report")
+    if found is not None:
+        field, value = found
+        raise CliError("schema-violation", EXIT_SCHEMA,
+                       f"{field} is {value}, not a finite number",
+                       {"field": field})
     if fmt == "json":
-        json.dump(report, out, sort_keys=True, indent=2)
+        out.write(json.dumps(report, sort_keys=True, indent=2,
+                             allow_nan=False))
         out.write("\n")
         return
     header, rows = table
@@ -237,6 +264,11 @@ def _cmd_damage(cfg: RunConfig, out) -> None:
     plug = plugin_estimate(data, cfg.t)
     i_max = cfg.imax if cfg.imax is not None else data.n_a + 5
     hybrid = hybrid_pmf(counts, plug, i_max)
+    diagnostics = dict(counts.diagnostics)
+    if not diagnostics["pairs_inspected"]:
+        # r = 1 draws no realization pair, so the pair means are undefined
+        diagnostics.update(duration_overlap_mean=None,
+                           arrival_fixed_points_mean=None)
     report = {
         "subcommand": "damage",
         "t": cfg.t, "r": cfg.r, "seed": cfg.seed,
@@ -253,7 +285,7 @@ def _cmd_damage(cfg: RunConfig, out) -> None:
             "terminal_mean": plug.terminal_mean,
         },
         "hybrid_pmf": _np_list(hybrid),
-        "diagnostics": counts.diagnostics,
+        "diagnostics": diagnostics,
     }
     rows = [["active_mean", counts.active_mean, counts.active_se],
             ["terminal_mean", counts.terminal_mean, counts.terminal_se],
@@ -563,14 +595,15 @@ _BODIES = {
 def run(config: RunConfig, out=None) -> int:
     """Execute a parsed invocation; returns the exit status."""
     out = out if out is not None else sys.stdout
+    if config.subcommand == "repro":
+        body = _cmd_repro_coverage if config.table == "table-coverage" \
+            else _cmd_repro_damage
+    else:
+        body = _BODIES[config.subcommand]
     try:
-        if config.subcommand == "repro":
-            if config.table == "table-coverage":
-                _cmd_repro_coverage(config, out)
-            else:
-                _cmd_repro_damage(config, out)
-        else:
-            _BODIES[config.subcommand](config, out)
+        # overflow shows as a non-finite report field, which _emit refuses
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            body(config, out)
         return 0
     except CliError as exc:
         _write_error(exc.code, exc.exit_code, str(exc), exc.detail)

@@ -29,8 +29,9 @@ from ._streams import (Lane, block_count, block_ranges, block_streams,
                        substreams)
 from .budget import check_budget, enumeration_budget
 from .distributions import KnownDistribution
-from .samples import GRID_CHUNK, SampleSet
-from .systems import Compare, Input, KOfN, Max, Min, SystemSpec, evaluate_batch
+from .samples import SampleSet
+from .systems import (GRID_CHUNK, Compare, Input, KOfN, Max, Min, SystemSpec,
+                      evaluate_batch)
 
 __all__ = [
     "OrderFunctional", "WVector", "Protocol", "CoverageReport",
@@ -376,22 +377,41 @@ class _NumericOrderingLaw:
 
     def pw(self, w):
         """P_W of one label tuple (a float) or of each row of a (rows, n)
-        int array, integrating ``GRID_CHUNK`` grid cells at a time."""
+        int array, integrating ``GRID_CHUNK`` grid cells at a time.
+
+        The running integral after j labels depends on the first j labels
+        only, so it is computed once per run of rows sharing that prefix:
+        ``cur`` holds one integral per distinct prefix and ``node`` maps
+        each row to its prefix.  Rows in lexicographic order share most.
+        Every step writes into the same few buffers.
+        """
         rows = np.atleast_2d(np.asarray(w))
         h = self.grid[1] - self.grid[0]
         out = np.empty(len(rows))
-        per = max(1, GRID_CHUNK // len(self.grid))
+        per = min(len(rows), max(1, GRID_CHUNK // len(self.grid)))
+        cur, f, inc = (np.empty((per, len(self.grid))) for _ in range(3))
         for lo in range(0, len(rows), per):
             block = rows[lo:lo + per]
-            cur = np.ones((len(block), len(self.grid)))
+            cur[0] = 1.0
+            node = np.zeros(len(block), dtype=np.intp)
+            new_prefix = np.zeros(len(block), dtype=bool)
+            new_prefix[0] = True
             for labels in block.T:
-                f = self.dens[labels - 1] * cur
+                new_prefix[1:] |= labels[1:] != labels[:-1]
+                first = np.flatnonzero(new_prefix)
+                k = len(first)
+                # f = density of the next label times the integral so far
+                np.take(self.dens, labels[first] - 1, axis=0, out=f[:k],
+                        mode="clip")
+                np.take(cur, node[first], axis=0, out=inc[:k], mode="clip")
+                np.multiply(f[:k], inc[:k], out=f[:k])
                 # running trapezoid: I(x_k) = sum of trapezoids up to k
-                inc = np.empty_like(f)
-                inc[:, 0] = 0.0
-                inc[:, 1:] = (f[:, 1:] + f[:, :-1]) * (h / 2.0)
-                cur = np.cumsum(inc, axis=1)
-            out[lo:lo + per] = self.scale * cur[:, -1]
+                inc[:k, 0] = 0.0
+                np.add(f[:k, 1:], f[:k, :-1], out=inc[:k, 1:])
+                np.multiply(inc[:k, 1:], h / 2.0, out=inc[:k, 1:])
+                np.cumsum(inc[:k], axis=1, out=cur[:k])
+                node = np.cumsum(new_prefix) - 1
+            out[lo:lo + per] = self.scale * cur[node, -1]
         return float(out[0]) if np.ndim(w) == 1 else out
 
 

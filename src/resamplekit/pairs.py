@@ -23,6 +23,14 @@ index-vector pairs showing exactly that pattern.  *Generator* mode treats
 sample elements as draws from known distributions: coinciding positions
 share one random value, all others are independent; moments are computed
 exactly for finite-support distributions and by Monte Carlo otherwise.
+
+Every exact moment is a sum over a product grid evaluated by
+:func:`systems.evaluate_grid`, which gives each grid axis to the arguments
+it feeds: the value grid with one axis per sample (singleton layouts, whose
+omega moments all come from it by Moebius inversion), one axis per block's
+table of matched draw pairs (shared-block layouts; the first draw's
+positions feed the first realization, the second draw's the second), and
+one axis per finite support (generator mode).
 """
 
 from __future__ import annotations
@@ -38,9 +46,8 @@ from ._streams import Lane, block_streams
 from .budget import BudgetExceededError, check_budget
 from .distributions import KnownDistribution
 from .resampling import chunk_moments, exhaustive_moments, grid_values
-from .samples import (GRID_CHUNK, BlockLayout, SampleSet, ordered_draws,
-                      product_grid)
-from .systems import SystemSpec, evaluate_batch
+from .samples import BlockLayout, SampleSet, ordered_draws
+from .systems import GRID_CHUNK, SystemSpec, evaluate_batch, evaluate_grid
 
 __all__ = [
     "OmegaPair", "BetaPair", "AlphaPair", "MixedMoment", "PairRow",
@@ -426,7 +433,6 @@ def _empirical_mixed_moment(spec, samples: SampleSet, pair,
         _, sums, counts = _omega_pair_sums(spec, samples, budget)
         return MixedMoment(value=_omega_moment(sums, counts, mask, pair),
                            se=0.0, method="empirical-exact")
-    m = layout.m
     tables = []
     probe = 0
     for (kind, tgt), args, n in zip(_block_targets(pair, layout),
@@ -439,13 +445,14 @@ def _empirical_mixed_moment(spec, samples: SampleSet, pair,
         tables.append(matches)
     total = math.prod(len(t) for t in tables)
     check_budget(total, "pattern-constrained pair enumeration", budget)
-    # columns 0..m-1 index the first realization, m..2m-1 the second
-    slots = [[a - 1 for a in args] + [m + a - 1 for a in args]
-             for args in layout.block_args]
+    # one grid axis per block's matched pairs: the first draw's positions
+    # feed the first realization, the second draw's the second
+    dims = [len(t) for t in tables]
+    first = samples.grid_leaves([t[:, :t.shape[1] // 2] for t in tables])
+    second = samples.grid_leaves([t[:, t.shape[1] // 2:] for t in tables])
     s = 0.0
-    for rows in product_grid(tables, slots, 2 * m):
-        va = evaluate_batch(spec, samples.values_matrix(rows[:, :m]))
-        vb = evaluate_batch(spec, samples.values_matrix(rows[:, m:]))
+    for va, vb in zip(evaluate_grid(spec, first, dims),
+                      evaluate_grid(spec, second, dims)):
         s += float(np.dot(va, vb))
     return MixedMoment(value=s / total, se=0.0, method="empirical-exact")
 
@@ -568,22 +575,25 @@ def _one_matching_moment(spec, dists, matching, seed, matching_index,
     inverse = {v: i for i, v in matching.items()}
     fresh = [v for v in range(1, m + 1) if v not in inverse]
     if all(d.family == "empirical" for d in dists):
-        # grid columns: the m first-realization arguments, then one per
+        # grid axes: the m first-realization arguments, then one per
         # fresh argument of the second realization
         supports = [dists[a - 1].params for a in range(1, m + 1)]
         supports += [dists[v - 1].params for v in fresh]
-        second = [inverse[v] - 1 if v in inverse else m + fresh.index(v)
-                  for v in range(1, m + 1)]
+        second_axis = [inverse[v] - 1 if v in inverse else m + fresh.index(v)
+                       for v in range(1, m + 1)]
         try:
-            grid = _support_grid(supports, budget)
+            axes = _support_axes(supports, budget)
         except BudgetExceededError:
             pass
         else:
+            dims = [len(x) for x in axes]
+            first = [(a, axes[a]) for a in range(m)]
+            second = [(a, axes[a]) for a in second_axis]
             s = 0.0
-            for V in grid:
-                s += float(np.dot(evaluate_batch(spec, V[:, :m]),
-                                  evaluate_batch(spec, V[:, second])))
-            return s / math.prod(len(x) for x in supports), 0.0
+            for va, vb in zip(evaluate_grid(spec, first, dims),
+                              evaluate_grid(spec, second, dims)):
+                s += float(np.dot(va, vb))
+            return s / math.prod(dims), 0.0
     # Monte Carlo
     s = 0.0
     s2 = 0.0
@@ -605,18 +615,12 @@ def _one_matching_moment(spec, dists, matching, seed, matching_index,
     return mean, math.sqrt(var / mc_draws)
 
 
-def _support_grid(supports, budget):
-    """Every combination of finite-support values, as (N, k) value arrays.
-
-    Checks the budget before the first array is built.
-    """
+def _support_axes(supports, budget) -> list[np.ndarray]:
+    """The finite supports as float arrays, one grid axis each, once the
+    budget allows their product grid."""
     check_budget(math.prod(len(x) for x in supports),
                  "finite-support moment grid", budget)
-    values = [np.asarray(x, dtype=float) for x in supports]
-    tables = [np.arange(len(x))[:, None] for x in values]
-    slots = [[k] for k in range(len(values))]
-    return (np.column_stack([x[idx[:, k]] for k, x in enumerate(values)])
-            for idx in product_grid(tables, slots, len(values)))
+    return [np.asarray(x, dtype=float) for x in supports]
 
 
 def _generator_moments(spec, dists, seed, mc_draws, budget):
@@ -624,17 +628,13 @@ def _generator_moments(spec, dists, seed, mc_draws, budget):
     if all(d.family == "empirical" for d in dists):
         supports = [d.params for d in dists]
         try:
-            grid = _support_grid(supports, budget)
+            axes = _support_axes(supports, budget)
         except BudgetExceededError:
             pass
         else:
-            s1 = s2 = 0.0
-            for V in grid:
-                vals = evaluate_batch(spec, V)
-                s1 += float(vals.sum())
-                s2 += float(np.square(vals).sum())
-            total = math.prod(len(x) for x in supports)
-            return s1 / total, s2 / total, 0.0
+            ex = chunk_moments(evaluate_grid(spec, list(enumerate(axes)),
+                                             [len(x) for x in axes]))
+            return ex.mu, ex.mu2, 0.0
     s1 = s2 = 0.0
     for start, stop, rng in block_streams(mc_draws, seed, Lane.MIXED_MOMENT,
                                           0):

@@ -6,6 +6,13 @@ structure function on the selected values.  The estimate averages ``r``
 realizations.  Conditional on the data the estimate is unbiased for the
 exhaustive mean over all admissible vectors, which :func:`exhaustive_theta`
 computes directly.
+
+The exhaustive routes (:func:`grid_values` and everything built on it)
+evaluate the function with :func:`systems.evaluate_grid` on a grid with one
+axis per block, of length n!/(n-k)! for k draws from n elements: each
+argument is its column gathered through the block's ordered draws, and
+only the nodes over every block span the whole grid.  The values come out
+in index-vector enumeration order, ``GRID_CHUNK`` to an array.
 """
 
 from __future__ import annotations
@@ -16,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._streams import Lane, block_streams, draw_distinct
-from .samples import SampleSet
-from .systems import SystemSpec, evaluate_batch
+from .budget import check_budget
+from .samples import SampleSet, ordered_draws
+from .systems import SystemSpec, evaluate_batch, evaluate_grid
 
 __all__ = [
     "ResampleIndexVector", "EstimateResult", "draw_resample",
@@ -102,10 +110,14 @@ def realization_values(spec: SystemSpec, samples: SampleSet, r: int, seed: int,
 
 def grid_values(spec: SystemSpec, samples: SampleSet,
                 budget: int | None = None):
-    """Yield the realization values of every admissible index vector, one
-    array per chunk of :meth:`SampleSet.index_vector_chunks`."""
-    for idx in samples.index_vector_chunks(budget):
-        yield evaluate_batch(spec, samples.values_matrix(idx))
+    """Yield the realization values of every admissible index vector, in
+    the order of :meth:`SampleSet.enumerate_index_vectors`, ``GRID_CHUNK``
+    to an array.  The grid has one axis per block, over its ordered draws."""
+    check_budget(samples.admissible_count(), "index-vector enumeration",
+                 budget)
+    tables = [ordered_draws(b.size, b.draw_count) for b in samples.blocks]
+    yield from evaluate_grid(spec, samples.grid_leaves(tables),
+                             [len(t) for t in tables])
 
 
 def estimate_theta(spec: SystemSpec, samples: SampleSet, r: int | None,

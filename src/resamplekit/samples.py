@@ -7,6 +7,13 @@ columns, the argument-to-sample binding, and the derived block layout.
 
 Argument positions are 1-based (argument ``i`` corresponds to the grammar
 leaf ``xi``); index vectors are 0-based positions into the backing columns.
+
+The exact routes never build index vectors: they evaluate the structure
+function on a grid with one axis per block, whose positions are rows of a
+draw table such as :func:`ordered_draws`.  :meth:`SampleSet.grid_leaves`
+turns the tables into one value array per argument along its block's axis.
+:meth:`SampleSet.values_matrix` gathers index rows for the Monte Carlo
+routes.
 """
 
 from __future__ import annotations
@@ -23,10 +30,7 @@ import numpy as np
 from .budget import check_budget
 
 __all__ = ["LayoutError", "InfeasibleLayoutError", "Block", "BlockLayout",
-           "SampleSet", "ordered_draws", "product_grid"]
-
-# rows per array handed out by product_grid
-GRID_CHUNK = 100_000
+           "SampleSet", "ordered_draws"]
 
 
 class LayoutError(ValueError):
@@ -296,14 +300,17 @@ class SampleSet:
                     vec[a - 1] = j
             yield tuple(vec)
 
-    def index_vector_chunks(self, budget: int | None = None):
-        """Every admissible index vector as (N, m) int arrays of at most
-        ``GRID_CHUNK`` rows, in the order of :meth:`enumerate_index_vectors`.
-        """
-        check_budget(self.admissible_count(), "index-vector enumeration", budget)
-        return product_grid(
-            [ordered_draws(b.size, b.draw_count) for b in self.blocks],
-            [[a - 1 for a in b.args] for b in self.blocks], self.m)
+    def grid_leaves(self, tables) -> list:
+        """Leaves for :func:`systems.evaluate_grid` on a grid with one axis
+        per block: ``tables[b]`` is an (L_b, k_b) array of positions drawn
+        for block b's arguments, and argument ``args[j]`` of block b takes
+        ``column[tables[b][:, j]]`` along axis b."""
+        leaves = [None] * self.m
+        for axis, (b, table) in enumerate(zip(self.blocks, tables)):
+            column = self.columns[b.sample_index]
+            for j, a in enumerate(b.args):
+                leaves[a - 1] = (axis, column[table[:, j]])
+        return leaves
 
     def values_matrix(self, indices) -> np.ndarray:
         """Map index vectors (N, m) to argument values (N, m)."""
@@ -328,25 +335,6 @@ def ordered_draws(n: int, k: int) -> np.ndarray:
         parent, value = np.nonzero(free)
         rows = np.column_stack([rows[parent], value])
     return rows
-
-
-def product_grid(tables, slots, width: int, chunk: int = GRID_CHUNK):
-    """Yield the Cartesian product of row tables as (N, width) int arrays.
-
-    ``tables[k]`` is an (L_k, w_k) int array and ``slots[k]`` the ``w_k``
-    output columns its rows fill.  Rows come in lexicographic order of the
-    table positions, the last table varying fastest as in
-    ``itertools.product``, at most ``chunk`` rows to an array.
-    """
-    dims = [len(t) for t in tables]
-    total = math.prod(dims)
-    for start in range(0, total, chunk):
-        pos = np.unravel_index(np.arange(start, min(start + chunk, total)),
-                               dims)
-        out = np.empty((len(pos[0]), width), dtype=np.intp)
-        for table, cols, p in zip(tables, slots, pos):
-            out[:, list(cols)] = table[p]
-        yield out
 
 
 def _binding_from_map(blocks, names) -> tuple[int, ...]:

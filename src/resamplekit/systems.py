@@ -19,10 +19,16 @@ resolve as "not greater": ``> `` is strict, ``<`` includes equality.
 Every input ``x1..xm`` must occur exactly once, so argument positions map
 one-to-one onto draw slots.  Nodes are numbered post-order: leaves carry
 their input index 1..m, internal nodes m+1..K with the root last.
+
+One value-stack loop over that table evaluates the system:
+:func:`evaluate_batch` feeds it the columns of a row matrix, and
+:func:`evaluate_grid` feeds it leaves that each broadcast along one axis
+of a product grid, so every node is computed over the axes it depends on.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from functools import reduce
@@ -33,7 +39,7 @@ __all__ = [
     "SystemSyntaxError", "SystemValidationError",
     "Input", "Min", "Max", "Sum", "KOfN", "Threshold", "Compare",
     "SystemSpec", "parse_system", "evaluate", "evaluate_batch",
-    "leaf_dependencies", "elementary_apply", "render",
+    "evaluate_grid", "leaf_dependencies", "elementary_apply", "render",
 ]
 
 
@@ -237,24 +243,96 @@ def leaf_dependencies(spec: SystemSpec, node_id: int) -> frozenset:
 
 # -- evaluation -----------------------------------------------------------
 
-def evaluate_batch(spec: SystemSpec, X) -> np.ndarray:
-    """Evaluate the system on rows of ``X`` (shape (N, m)); returns (N,).
+# cells per flat array handed out by evaluate_grid
+GRID_CHUNK = 100_000
 
-    A node replaces its children's columns on the value stack by its own.
-    """
+
+def _run_table(spec: SystemSpec, leaves) -> np.ndarray:
+    """The post-order value-stack loop: ``leaves[i]`` holds the values of
+    argument i+1, and a node replaces its children's arrays on the stack
+    by its own.  Arrays broadcast, so a node spans the axes of its leaves."""
+    stack: list[np.ndarray] = []
+    for _, node, kids in spec.table:
+        if isinstance(node, Input):
+            stack.append(leaves[node.index - 1])
+        else:
+            cut = len(stack) - len(kids)
+            stack[cut:] = [elementary_apply(node, stack[cut:])]
+    return stack[0]
+
+
+def evaluate_batch(spec: SystemSpec, X) -> np.ndarray:
+    """Evaluate the system on rows of ``X`` (shape (N, m)); returns (N,)."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X[None, :]
     if X.shape[1] != spec.m:
         raise ValueError(f"expected {spec.m} argument columns, got {X.shape[1]}")
-    stack: list[np.ndarray] = []
-    for _, node, kids in spec.table:
-        if isinstance(node, Input):
-            stack.append(X[:, node.index - 1])
-        else:
-            cut = len(stack) - len(kids)
-            stack[cut:] = [elementary_apply(node, stack[cut:])]
-    return stack[0]
+    return _run_table(spec, X.T)
+
+
+def evaluate_grid(spec: SystemSpec, leaves, dims):
+    """Yield the system's values over a product grid, flat in C order.
+
+    ``dims`` are the axis lengths and ``leaves[i] = (axis, values)`` says
+    that argument i+1 takes ``values[p]`` at position p of that axis.  Each
+    leaf is shaped to broadcast along its own axis only, so a node is
+    computed over the axes its leaves span and only nodes over every axis
+    reach full size.  The grid is evaluated in slabs: a run of positions of
+    the leading axes times every position of the trailing axes, at most
+    ``GRID_CHUNK`` cells.  The values come out re-cut into arrays of
+    ``GRID_CHUNK`` cells, the last one shorter.
+    """
+    if len(leaves) != spec.m:
+        raise ValueError(f"expected {spec.m} leaves, got {len(leaves)}")
+    chunk = GRID_CHUNK
+    dims = tuple(int(d) for d in dims)
+    split, inner = len(dims), 1  # axes split.. are trailing, inner cells
+    while split and inner * dims[split - 1] <= chunk:
+        split -= 1
+        inner *= dims[split]
+    lead, tail = dims[:split], dims[split:]
+    cols = [None] * spec.m
+    for i, (axis, values) in enumerate(leaves):
+        if axis >= split:
+            shape = [1] * (1 + len(tail))
+            shape[1 + axis - split] = dims[axis]
+            cols[i] = np.asarray(values, dtype=float).reshape(shape)
+    gathered = [(i, axis, np.asarray(values, dtype=float))
+                for i, (axis, values) in enumerate(leaves) if axis < split]
+    step = max(1, chunk // inner)
+    outer = math.prod(lead)
+
+    def slabs():
+        for lo in range(0, outer, step):
+            hi = min(lo + step, outer)
+            if gathered:
+                pos = np.unravel_index(np.arange(lo, hi), lead)
+            for i, axis, values in gathered:
+                cols[i] = values[pos[axis]].reshape((hi - lo,) + (1,) * len(tail))
+            out = _run_table(spec, cols)
+            if out.shape != (hi - lo,) + tail:  # misses an axis
+                out = np.broadcast_to(out, (hi - lo,) + tail)
+            yield out.reshape(-1)
+
+    return _recut(slabs(), chunk)
+
+
+def _recut(pieces, chunk: int):
+    """Re-cut a stream of flat arrays into arrays of ``chunk`` cells."""
+    held, size = [], 0
+    for piece in pieces:
+        while size + len(piece) >= chunk:
+            cut = chunk - size
+            held.append(piece[:cut])
+            piece = piece[cut:]
+            yield held[0] if len(held) == 1 else np.concatenate(held)
+            held, size = [], 0
+        if len(piece):
+            held.append(piece)
+            size += len(piece)
+    if held:
+        yield held[0] if len(held) == 1 else np.concatenate(held)
 
 
 def evaluate(spec: SystemSpec, x) -> float:

@@ -20,10 +20,14 @@ from resamplekit.coverage import (ProtocolRow, WVector, _exponential_rates,
                                   coverage_conditional, q_given_ordering, rho)
 from resamplekit.damage import (DamageData, DamageMCReport, PluginMCReport,
                                 _damage_counts, plugin_estimate, poisson_truth)
-from resamplekit.pairs import (alpha_from_indices, beta_from_indices,
+from resamplekit.pairs import (_block_targets, _matched_draw_pairs,
+                               alpha_from_indices, beta_from_indices,
                                omega_from_indices)
 from resamplekit.renewal import PluginReport
-from resamplekit.systems import Input, children_of, elementary_apply, evaluate
+from resamplekit.resampling import chunk_moments
+from resamplekit.samples import ordered_draws
+from resamplekit.systems import (GRID_CHUNK, Input, children_of,
+                                 elementary_apply, evaluate, evaluate_batch)
 
 
 def mean_se(values) -> float:
@@ -143,6 +147,100 @@ def pair_moment_oracle(spec, samples, family):
     return {pattern: (s / n, n) for pattern, (s, n) in acc.items()}
 
 
+# -- the index-row grid route ----------------------------------------------
+
+def product_grid(tables, slots, width: int, chunk: int = GRID_CHUNK):
+    """Yield the Cartesian product of row tables as (N, width) int arrays.
+
+    ``tables[k]`` is an (L_k, w_k) int array and ``slots[k]`` the ``w_k``
+    output columns its rows fill.  Rows come in lexicographic order of the
+    table positions, the last table varying fastest as in
+    ``itertools.product``, at most ``chunk`` rows to an array.
+    """
+    dims = [len(t) for t in tables]
+    total = math.prod(dims)
+    for start in range(0, total, chunk):
+        pos = np.unravel_index(np.arange(start, min(start + chunk, total)),
+                               dims)
+        out = np.empty((len(pos[0]), width), dtype=np.intp)
+        for table, cols, p in zip(tables, slots, pos):
+            out[:, list(cols)] = table[p]
+        yield out
+
+
+def index_vector_chunks(samples, chunk: int = GRID_CHUNK):
+    """Every admissible index vector as (N, m) int arrays of at most
+    ``chunk`` rows, in the order of ``enumerate_index_vectors``."""
+    return product_grid(
+        [ordered_draws(b.size, b.draw_count) for b in samples.blocks],
+        [[a - 1 for a in b.args] for b in samples.blocks], samples.m, chunk)
+
+
+def grid_values_oracle(spec, samples, chunk: int = GRID_CHUNK):
+    """``grid_values`` with one index row per grid cell: index chunks
+    gathered by ``values_matrix`` and evaluated by ``evaluate_batch``."""
+    for idx in index_vector_chunks(samples, chunk):
+        yield evaluate_batch(spec, samples.values_matrix(idx))
+
+
+def shared_pair_moment_oracle(spec, samples, pair,
+                              chunk: int = GRID_CHUNK) -> float:
+    """Data-conditional mixed moment of a pattern from index rows: each
+    row joins one matched draw pair per block, columns 0..m-1 index the
+    first realization and m..2m-1 the second."""
+    layout = samples.layout
+    m = layout.m
+    tables = [_matched_draw_pairs(n, args, kind, tgt)
+              for (kind, tgt), args, n in zip(_block_targets(pair, layout),
+                                              layout.block_args,
+                                              layout.block_sizes)]
+    slots = [[a - 1 for a in args] + [m + a - 1 for a in args]
+             for args in layout.block_args]
+    s = 0.0
+    for rows in product_grid(tables, slots, 2 * m, chunk):
+        va = evaluate_batch(spec, samples.values_matrix(rows[:, :m]))
+        vb = evaluate_batch(spec, samples.values_matrix(rows[:, m:]))
+        s += float(np.dot(va, vb))
+    return s / math.prod(len(t) for t in tables)
+
+
+def support_grid_oracle(supports, chunk: int = GRID_CHUNK):
+    """Every combination of finite-support values as (N, k) value rows."""
+    values = [np.asarray(x, dtype=float) for x in supports]
+    tables = [np.arange(len(x))[:, None] for x in values]
+    slots = [[k] for k in range(len(values))]
+    for idx in product_grid(tables, slots, len(values), chunk):
+        yield np.column_stack([x[idx[:, k]] for k, x in enumerate(values)])
+
+
+def support_moments_oracle(spec, dists, chunk: int = GRID_CHUNK):
+    """(mu, mu2) of one realization under finite-support generators, from
+    value rows."""
+    ex = chunk_moments(evaluate_batch(spec, V) for V in
+                       support_grid_oracle([d.params for d in dists], chunk))
+    return ex.mu, ex.mu2
+
+
+def support_matching_oracle(spec, dists, matching,
+                            chunk: int = GRID_CHUNK) -> float:
+    """E[phi phi'] under finite-support generators when argument i of the
+    first realization reappears as argument ``matching[i]`` of the second,
+    from value rows: the m first arguments, then one column per fresh
+    argument of the second realization."""
+    m = spec.m
+    inverse = {v: i for i, v in matching.items()}
+    fresh = [v for v in range(1, m + 1) if v not in inverse]
+    supports = [dists[a - 1].params for a in range(1, m + 1)]
+    supports += [dists[v - 1].params for v in fresh]
+    second = [inverse[v] - 1 if v in inverse else m + fresh.index(v)
+              for v in range(1, m + 1)]
+    s = 0.0
+    for V in support_grid_oracle(supports, chunk):
+        s += float(np.dot(evaluate_batch(spec, V[:, :m]),
+                          evaluate_batch(spec, V[:, second])))
+    return s / math.prod(len(x) for x in supports)
+
+
 def enumerate_w_oracle(sizes):
     """All label interleavings of the given sample sizes, lexicographic,
     by depth-first recursion over the next label."""
@@ -176,6 +274,24 @@ def race_probability_oracle(w, rates, sizes) -> float:
         p *= num / den
         remaining[label - 1] -= 1
     return p
+
+
+def numeric_pw_oracle(law, w) -> np.ndarray:
+    """``_NumericOrderingLaw.pw`` integrating every row of ``w`` from
+    scratch: the running trapezoid over all columns, row by row."""
+    rows = np.atleast_2d(np.asarray(w))
+    h = law.grid[1] - law.grid[0]
+    out = np.empty(len(rows))
+    for i, row in enumerate(rows):
+        cur = np.ones(len(law.grid))
+        for label in row:
+            f = law.dens[label - 1] * cur
+            inc = np.empty_like(f)
+            inc[0] = 0.0
+            inc[1:] = (f[1:] + f[:-1]) * (h / 2.0)
+            cur = np.cumsum(inc)
+        out[i] = law.scale * cur[-1]
+    return out
 
 
 def q_oracle(spec, w) -> float:

@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,28 @@ def test_estimate_budget_exceeded(files, capsys):
     assert env["detail"]["budget"] == 5
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_estimate_non_finite_report_is_a_schema_violation(tmp_path, capsys,
+                                                          fmt):
+    """Sums of 1e308 overflow: no report, exit 2, one envelope naming the
+    field, and no numpy warning on stderr."""
+    spec = tmp_path / "sum.txt"
+    spec.write_text("sum(x1, x2, x3)\n")
+    samples = tmp_path / "big.csv"
+    samples.write_text("a,b,c\n" + "1e308,1e308,1e308\n" * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = invoke(capsys, [
+            "estimate", "--spec", str(spec), "--samples", str(samples),
+            "--r", "10", "--seed", "1", "--format", fmt])
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    envelope = json.loads(lines[0])["error"]
+    assert envelope["code"] == "schema-violation"
+    assert envelope["detail"] == {"field": "report.estimate"}
+
+
 def test_estimate_infeasible_binding(files, capsys):
     short = files["dir"] / "short.csv"
     short.write_text("a,b\n1.0,2.0\n3.0,\n")   # sample b has one value
@@ -225,6 +248,19 @@ def test_damage_imax_and_determinism(files, capsys):
     assert first == second
     report = json.loads(first[1])
     assert len(report["hybrid_pmf"]) == 7
+
+
+def test_damage_single_realization(files, capsys):
+    # r = 1 draws no realization pair: the pair diagnostics are null
+    code, out, err = invoke(capsys, [
+        "damage", "--ha", str(files["ha"]), "--hb", str(files["hb"]),
+        "--t", "3.0", "--r", "1", "--seed", "5"])
+    assert code == 0, err
+    report = json.loads(out, parse_constant=lambda c: pytest.fail(c))
+    diag = report["diagnostics"]
+    assert diag["pairs_inspected"] == 0
+    assert diag["duration_overlap_mean"] is None
+    assert diag["arrival_fixed_points_mean"] is None
 
 
 def test_damage_infeasible(files, capsys):
@@ -430,12 +466,16 @@ def run_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def reject_constant(token):
+    raise ValueError(f"report holds {token}, which is not strict JSON")
+
+
 def assert_documented(code, out, err):
     assert code in DOCUMENTED_EXITS
     assert "Traceback" not in err
     if code == 0:
         assert err == ""
-        json.loads(out)
+        json.loads(out, parse_constant=reject_constant)  # strict JSON
         return
     lines = err.splitlines()
     assert len(lines) == 1, err

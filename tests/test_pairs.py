@@ -363,14 +363,14 @@ def test_singleton_variance_evaluates_the_value_grid_once(monkeypatch):
     ex = exhaustive_moments(spec, s)
     want = (resampling_variance(spec, s, r=10).to_dict(),
             hierarchical_variance(spec, s, sizes).to_dict())
-    original = resampling_module.evaluate_batch
+    original = resampling_module.evaluate_grid
     calls = []
 
-    def counted(spec_, X):
-        calls.append(len(X))
-        return original(spec_, X)
+    def counted(spec_, leaves, dims):
+        calls.append(math.prod(dims))
+        return original(spec_, leaves, dims)
 
-    monkeypatch.setattr(resampling_module, "evaluate_batch", counted)
+    monkeypatch.setattr(resampling_module, "evaluate_grid", counted)
     rep = resampling_variance(spec, s, r=10)
     assert calls == [125]
     calls.clear()

@@ -5,6 +5,7 @@ derandomized seed, so the suite stays deterministic; the oracles live in
 ``helpers.py``.
 """
 
+import contextlib
 import dataclasses
 import itertools
 import math
@@ -12,23 +13,31 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from resamplekit import (AlphaPair, OmegaPair, SampleSet, _streams,
-                         conditional_mixed_moment, enumerate_pairs,
+import resamplekit.pairs as pairs_module
+import resamplekit.resampling as resampling_module
+import resamplekit.systems as systems_module
+from resamplekit import (AlphaPair, BudgetExceededError, OmegaPair, SampleSet,
+                         _streams, conditional_mixed_moment, empirical,
+                         enumerate_pairs, estimate_theta, exhaustive_moments,
                          exponential, normal, parse_system,
                          resampling_variance)
-from resamplekit.coverage import (OrderFunctional, WVector, _enumerate_w,
+from resamplekit.coverage import (OrderFunctional, WVector,
+                                  _NumericOrderingLaw, _enumerate_w,
                                   _pw_exponential, coverage_conditional,
                                   coverage_R, q_given_ordering, rho)
-from resamplekit.resampling import draw_index_batch
-from resamplekit.samples import product_grid
+from resamplekit.pairs import _matching_of
+from resamplekit.resampling import chunk_moments, draw_index_batch, grid_values
 from resamplekit.systems import evaluate_batch, render
 
 from helpers import (coverage_oracle, enumerate_w_oracle, evaluate_batch_oracle,
-                     fisher_yates_oracle, pair_moment_oracle, q_oracle,
-                     race_probability_oracle)
+                     fisher_yates_oracle, grid_values_oracle,
+                     index_vector_chunks, numeric_pw_oracle,
+                     pair_moment_oracle, product_grid, q_oracle,
+                     race_probability_oracle, shared_pair_moment_oracle,
+                     support_matching_oracle, support_moments_oracle)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30,
                     database=None)
@@ -107,7 +116,7 @@ def singleton_problems(draw, max_m=3, max_size=4):
 @given(samples=layouts(), chunk=st.integers(1, 40))
 def test_grid_rows_match_tuple_enumeration(samples, chunk):
     want = [tuple(v) for v in samples.enumerate_index_vectors()]
-    got = np.concatenate(list(samples.index_vector_chunks()))
+    got = np.concatenate(list(index_vector_chunks(samples)))
     assert [tuple(int(x) for x in row) for row in got] == want
     # permutation tables joined in small chunks give the same rows
     tables = [np.array(list(itertools.permutations(range(b.size),
@@ -186,6 +195,121 @@ def test_alpha_pattern_on_singleton_layout_reads_the_omega_table():
             == conditional_mixed_moment(spec, samples, omega)
     with pytest.raises(ValueError, match="probability 0"):
         conditional_mixed_moment(spec, samples, AlphaPair((2, 0)))
+
+
+# -- the grid layer against one index row per cell ------------------------
+
+GRID_VALUES = st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
+# None keeps GRID_CHUNK; the small chunks cut the grids at several
+# boundaries, most of them inside a slab
+CHUNKS = (None, 1, 2, 3, 5, 7, 16)
+
+
+@st.composite
+def grid_problems(draw, max_vectors=300):
+    """A generated layout with real-valued data and a system over it."""
+    samples = draw(layouts(max_vectors=max_vectors))
+    cols = tuple(draw(st.lists(GRID_VALUES, min_size=len(c), max_size=len(c)))
+                 for c in samples.columns)
+    samples = SampleSet(samples.names, cols, samples.arg_to_sample)
+    text, _ = draw(systems(samples.m))
+    return parse_system(text), samples
+
+
+def small_chunk(chunk):
+    """Patch the grid evaluator's chunk size (None: leave it)."""
+    if chunk is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(systems_module, "GRID_CHUNK", chunk)
+
+
+def oracle_chunk(chunk):
+    return systems_module.GRID_CHUNK if chunk is None else chunk
+
+
+@PROPERTY
+@given(problem=grid_problems())
+def test_grid_values_equal_index_rows_byte_for_byte(problem):
+    spec, samples = problem
+    for chunk in CHUNKS:
+        with small_chunk(chunk):
+            got = list(grid_values(spec, samples))
+            ex = exhaustive_moments(spec, samples)
+            kept = estimate_theta(spec, samples, None, keep_values=True).values
+        want = list(grid_values_oracle(spec, samples, oracle_chunk(chunk)))
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+        assert kept.tobytes() == np.concatenate(want).tobytes()
+        assert ex == chunk_moments(want)
+
+
+@PROPERTY
+@given(problem=grid_problems(max_vectors=60),
+       family=st.sampled_from(["alpha", "beta"]))
+def test_shared_block_pair_grid_equals_index_rows(problem, family):
+    spec, samples = problem
+    assume(not samples.singleton_blocks)
+    for pattern, p in enumerate_pairs(samples.layout, family=family):
+        if p == 0.0:
+            continue
+        for chunk in CHUNKS:
+            with small_chunk(chunk):
+                got = conditional_mixed_moment(spec, samples, pattern)
+            assert got.value == shared_pair_moment_oracle(
+                spec, samples, pattern, oracle_chunk(chunk))
+
+
+@PROPERTY
+@given(samples=layouts(max_m=3, max_size=3), data=st.data())
+def test_finite_support_grids_equal_value_rows(samples, data):
+    lay = samples.layout
+    support = st.lists(GRID_VALUES, min_size=1, max_size=3)
+    per_block = [empirical(data.draw(support)) for _ in lay.block_args]
+    dists = [per_block[lay.block_of_arg(a)] for a in range(1, lay.m + 1)]
+    text, _ = data.draw(systems(lay.m))
+    spec = parse_system(text)
+    for chunk in CHUNKS:
+        with small_chunk(chunk):
+            rep = resampling_variance(spec, dists, 3, layout=lay)
+        size = oracle_chunk(chunk)
+        assert (rep.mu, rep.mu2) == support_moments_oracle(spec, dists, size)
+        for row in rep.rows:
+            assert row.method == "generator-exact"
+            matchings = _matching_of(row.pair, lay)
+            assert row.moment == sum(
+                support_matching_oracle(spec, dists, matching, size)
+                for matching in matchings) / len(matchings)
+
+
+def test_over_budget_grids_raise_before_building_anything(monkeypatch):
+    """Budgets are checked on the grid size alone: no draw table, leaf or
+    grid evaluation is made for a grid of 10^15 cells."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("grid work started before the budget check")
+
+    for module, name in ((resampling_module, "ordered_draws"),
+                         (resampling_module, "evaluate_grid"),
+                         (pairs_module, "ordered_draws"),
+                         (pairs_module, "evaluate_grid")):
+        monkeypatch.setattr(module, name, refuse)
+    big = np.linspace(0.0, 1.0, 100_000)
+    singleton = SampleSet.from_samples([("a", big), ("b", big), ("c", big)])
+    shared = SampleSet.from_samples([("a", big[:10_000]), ("b", big)],
+                                    blocks={1: "a", 2: "a", 3: "b"})
+    spec = parse_system("sum(x1, max(x2, x3))")
+    for samples in (singleton, shared):
+        with pytest.raises(BudgetExceededError):
+            exhaustive_moments(spec, samples)
+        with pytest.raises(BudgetExceededError):
+            estimate_theta(spec, samples, None)
+        with pytest.raises(BudgetExceededError):
+            resampling_variance(spec, samples, 2)
+    with pytest.raises(BudgetExceededError):
+        conditional_mixed_moment(spec, shared, AlphaPair((1, 0)))
+    # an over-budget support grid is not built either: Monte Carlo runs
+    dists = [empirical(big[:200])] * 3
+    fallback = conditional_mixed_moment(spec, dists, OmegaPair(()),
+                                        mc_draws=100)
+    assert fallback.method == "generator-mc"
 
 
 # -- compiled spec tables against recursion over the nodes ----------------
@@ -320,6 +444,29 @@ def test_q_and_race_law_match_scalar_oracles(problem, data):
             func.spec, w)
         assert p == _pw_exponential(w, rates, sizes) == \
             race_probability_oracle(w, rates, sizes)
+
+
+@PROPERTY
+@given(sizes=st.lists(st.integers(1, 3), min_size=2, max_size=3),
+       rows=st.integers(1, 120), data=st.data())
+def test_numeric_law_shares_prefixes_bit_for_bit(sizes, rows, data):
+    """Random W rows, unsorted and repeated, against integration from
+    scratch per row."""
+    gens = [normal(data.draw(st.sampled_from([-0.5, 0.0, 1.0])), 1.0)
+            for _ in sizes]
+    law = _NumericOrderingLaw(gens, sizes)
+    w = np.array([data.draw(w_vectors(sizes)) for _ in range(rows)])
+    assert law.pw(w).tobytes() == numeric_pw_oracle(law, w).tobytes()
+    assert law.pw(tuple(w[0])) == numeric_pw_oracle(law, w[:1])[0]
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 2), (3, 2, 2)])
+def test_numeric_law_equals_per_row_integration_on_every_w(sizes):
+    gens = [normal(0.0, 1.0), normal(0.0, 1.0), normal(-0.5, 1.0)]
+    law = _NumericOrderingLaw(gens, sizes)
+    w = np.concatenate(list(_enumerate_w(sizes, 1000)))
+    assert len(w) == interleavings(sizes)
+    assert law.pw(w).tobytes() == numeric_pw_oracle(law, w).tobytes()
 
 
 @PROPERTY
