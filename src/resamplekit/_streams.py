@@ -322,26 +322,52 @@ def draw_distinct(rng: np.random.Generator, n: int, k: int,
 
     The same mapping is evaluated by a cached table of all outcomes when
     perm(n, k) <= 2**16, by swaps over the touched positions when
-    k**2 <= n, and by a positions-major swap table otherwise.
+    k**2 <= n, and by a positions-major swap table otherwise.  The draw is
+    :func:`distinct_codes` (everything taken from ``rng``) followed by
+    :func:`distinct_outcomes` (the mapping, which reads only the codes).
+    """
+    return distinct_outcomes(n, k, distinct_codes(rng, n, k, rows))
+
+
+def distinct_codes(rng: np.random.Generator, n: int, k: int,
+                   rows: int) -> np.ndarray:
+    """The draws of :func:`draw_distinct` from ``rng``, rows on the last axis.
+
+    On the table route (perm(n, k) <= 2**16) the code of a row is the rank
+    of its outcome, a (rows,) array; otherwise it is the row's swap digits,
+    a (k, rows) array.  Codes of several draws of one (n, k), joined along
+    the last axis, map to the outcomes of each draw stacked in that order.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n to draw without replacement, "
                          f"got k={k}, n={n}")
-    # perm(n, 9) >= 9! > 2**16, so nine factors decide the route
-    count = math.perm(n, min(k, 9))
-    if count <= _TABLE_LIMIT:
+    count = _table_size(n, k)
+    if count:
         # one run: the drawn integer is the rank of the outcome (a span of
         # 1 draws nothing from the generator)
-        rank = rng.integers(0, count, size=rows)
-        return _outcome_table(n, k).take(rank, axis=0)
+        return rng.integers(0, count, size=rows)
     radices = _radices(n, k)
     digits = np.empty((k, rows), dtype=np.intp)
     # k = n ends on position n - 1, whose swap is with itself
     digits[len(radices):] = 0
     for start, stop, span in _runs(radices):
         _decode_digits(rng.integers(0, span, size=rows), radices[start:stop],
-                      out=digits[start:stop])
-    return _fisher_yates(n, digits)
+                       out=digits[start:stop])
+    return digits
+
+
+def distinct_outcomes(n: int, k: int, codes: np.ndarray) -> np.ndarray:
+    """The (rows, k) outcomes of :func:`distinct_codes`'s codes for (n, k)."""
+    if _table_size(n, k):
+        return _outcome_table(n, k).take(codes, axis=0)
+    return _fisher_yates(n, codes)
+
+
+def _table_size(n: int, k: int) -> int:
+    """perm(n, k) when the draw is tabulated, else 0."""
+    # perm(n, 9) >= 9! > 2**16, so nine factors decide the route
+    count = math.perm(n, min(k, 9))
+    return count if count <= _TABLE_LIMIT else 0
 
 
 def _radices(n: int, k: int) -> list[int]:

@@ -32,10 +32,21 @@ one (arrival j of the resampled process is Gamma(j, lambda)).
 fresh data replications, and :func:`plugin_estimate` / :func:`hybrid_pmf`
 give the parametric plug-in baseline and the spliced pmf that uses
 resampling up to i = n_A and the plug-in tail beyond.
+
+The replication studies (:func:`damage_variance_mc`,
+:func:`plugin_variance_mc`) take from each replication's generators only
+its draws, in the order of a one-replication loop: the data, the inner
+seed and the codes of its without-replacement draws.  The rest -- the
+outcome mapping, partial sums, counts, means, the first-pair diagnostics
+and the plug-in fit -- runs over a chunk of replications at once, on
+(replications, realizations, n_A) arrays of at most :data:`BLOCK`
+realization rows, so each report equals the per-replication loop's byte
+for byte.  The truth integral int_0^t (1 - F) is cached per (law, t).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -43,8 +54,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate, stats
 
-from ._streams import (BLOCK, Lane, block_count, block_ranges, draw_distinct,
-                       substreams)
+from ._streams import (BLOCK, Lane, block_count, block_ranges, distinct_codes,
+                       distinct_outcomes, draw_distinct, substreams)
 from .distributions import KnownDistribution
 
 __all__ = [
@@ -64,18 +75,12 @@ class DamageData:
     h_b: np.ndarray
 
     def __post_init__(self):
-        # own read-only copies (the replication studies build one per
-        # replication, so this runs on ndarray methods, not np.* wrappers)
+        # own read-only copies
         a = np.array(self.h_a, dtype=float)
         b = np.array(self.h_b, dtype=float)
-        if a.ndim != 1 or a.size == 0 or b.ndim != 1 or b.size == 0:
+        if a.ndim != 1 or b.ndim != 1:
             raise ValueError("h_a and h_b must be non-empty 1-d arrays")
-        if not ((a >= 0).all() and (b >= 0).all()):  # NaN fails too
-            raise ValueError("times and durations must be non-negative")
-        if a.size > b.size:
-            raise ValueError(
-                f"need n_A <= n_B to draw {a.size} durations without "
-                f"replacement from {b.size}")
+        _check_data(a, b)
         a.flags.writeable = False
         b.flags.writeable = False
         object.__setattr__(self, "h_a", a)
@@ -90,6 +95,19 @@ class DamageData:
         return len(self.h_b)
 
 
+def _check_data(h_a: np.ndarray, h_b: np.ndarray) -> None:
+    """:class:`DamageData`'s checks on H_A and H_B, or on stacks of them,
+    one dataset per row."""
+    if h_a.shape[-1] == 0 or h_b.shape[-1] == 0:
+        raise ValueError("h_a and h_b must be non-empty 1-d arrays")
+    if not ((h_a >= 0).all() and (h_b >= 0).all()):  # NaN fails too
+        raise ValueError("times and durations must be non-negative")
+    if h_a.shape[-1] > h_b.shape[-1]:
+        raise ValueError(
+            f"need n_A <= n_B to draw {h_a.shape[-1]} durations without "
+            f"replacement from {h_b.shape[-1]}")
+
+
 @dataclass(frozen=True)
 class DamageTruth:
     """Generating model: Poisson arrivals plus a known duration distribution."""
@@ -98,10 +116,14 @@ class DamageTruth:
     degradation: KnownDistribution
 
     def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError(f"arrival rate must be positive, got {self.rate}")
+        # so that fresh data always passes DamageData's checks
+        if not 0 < self.rate < math.inf:
+            raise ValueError(
+                f"arrival rate must be positive and finite, got {self.rate}")
+        if any(math.isnan(p) for p in self.degradation.params):
+            raise ValueError("degradation law parameters must not be NaN")
         lo, _ = self.degradation.support()
-        if lo < 0:
+        if not lo >= 0:
             raise ValueError("degradation durations must be non-negative")
 
 
@@ -159,25 +181,24 @@ def _damage_counts(data: DamageData, t: float, r: int, seed: int,
     if r < 1:
         raise ValueError(f"need r >= 1 realizations, got {r}")
     n_a, n_b = data.n_a, data.n_b
+    h_a, h_b = data.h_a[None], data.h_b[None]
     active = np.empty(r, dtype=np.intp)
     terminal = np.empty(r, dtype=np.intp)
-    dur_overlap = 0.0
-    perm_fixed = 0.0
+    dur_overlap = 0
+    perm_fixed = 0
     pairs = 0
     for (_, start, stop), rng in zip(block_ranges(r), streams):
         rows = stop - start
-        perm = draw_distinct(rng, n_a, n_a, rows)
-        tau = np.cumsum(data.h_a[perm], axis=1)
-        which = draw_distinct(rng, n_b, n_a, rows)
-        dur = data.h_b[which]
-        end = tau + dur
-        active[start:stop] = ((tau <= t) & (t < end)).sum(axis=1)
-        terminal[start:stop] = (end <= t).sum(axis=1)
+        perm = draw_distinct(rng, n_a, n_a, rows)[None]
+        which = draw_distinct(rng, n_b, n_a, rows)[None]
+        block_active, block_terminal, overlap, fixed = _counts(
+            h_a, h_b, t, perm, which)
+        active[start:stop] = block_active[0]
+        terminal[start:stop] = block_terminal[0]
         if rows >= 2:
             # reuse bookkeeping for the block's first realization pair
-            first, second = which[:2].tolist()
-            dur_overlap += len(set(first) & set(second))
-            perm_fixed += int((perm[0] == perm[1]).sum())
+            dur_overlap += int(overlap[0])
+            perm_fixed += int(fixed[0])
             pairs += 1
     active_pmf = np.bincount(active, minlength=n_a + 1) / r
     terminal_pmf = np.bincount(terminal, minlength=n_a + 1) / r
@@ -194,10 +215,61 @@ def _damage_counts(data: DamageData, t: float, r: int, seed: int,
         diagnostics=diagnostics)
 
 
+def _counts(h_a: np.ndarray, h_b: np.ndarray, t: float, perm: np.ndarray,
+            which: np.ndarray):
+    """Active and terminal counts at t of realizations stacked per dataset.
+
+    Arguments as for :func:`_epochs`.  Returns the (sets, rows) active and
+    terminal counts and, per dataset, the number of durations its first two
+    realizations share and the number of positions their arrival orders
+    agree on (NaN when there are fewer than two realizations).
+    """
+    tau, end = _epochs(h_a, h_b, perm, which)
+    active = ((tau <= t) & (t < end)).sum(axis=1)
+    terminal = (end <= t).sum(axis=1)
+    if perm.shape[1] < 2:
+        nan = np.full(len(perm), np.nan)
+        return active, terminal, nan, nan
+    first, second = which[:, 0], which[:, 1]
+    overlap = (first[:, :, None] == second[:, None, :]).sum(axis=(1, 2))
+    fixed = (perm[:, 0] == perm[:, 1]).sum(axis=1)
+    return active, terminal, overlap, fixed
+
+
+def _epochs(h_a: np.ndarray, h_b: np.ndarray, perm: np.ndarray,
+            which: np.ndarray):
+    """Arrival epochs and end times of realizations stacked per dataset.
+
+    ``h_a`` (sets, n_A) and ``h_b`` (sets, n_B) hold one dataset per row;
+    ``perm`` and ``which`` (sets, rows, n_A) index into the row of their
+    dataset.  Returns ``tau`` (partial sums of the permuted gaps) and
+    ``tau + duration``, both positions-major (sets, n_A, rows), so that
+    every step below runs over whole rows.
+    """
+    tau = _gather(h_a, perm)
+    # np.cumsum's sequential sums, one position at a time
+    for k in range(1, tau.shape[1]):
+        tau[:, k] += tau[:, k - 1]
+    return tau, tau + _gather(h_b, which)
+
+
+def _gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``values[i][index[i]]`` for every row i of the (sets, n) ``values``,
+    with the last two axes of the (sets, rows, k) ``index`` swapped."""
+    sets, n = values.shape
+    index = np.add(index.transpose(0, 2, 1),
+                   np.arange(0, sets * n, n)[:, None, None], order="C")
+    return values.reshape(-1).take(index)
+
+
 # -- model-side quantities ------------------------------------------------
 
+@functools.lru_cache(maxsize=128)
 def _integral_sf(deg: KnownDistribution, t: float) -> float:
-    """int_0^t (1 - F(x)) dx with breakpoints at the distribution's corners."""
+    """int_0^t (1 - F(x)) dx with breakpoints at the distribution's corners.
+
+    Cached per (distribution, t): callers pass ``float(t)``, and the
+    distribution is a frozen value object, so equal laws share an entry."""
     pts = [p for p in deg.support() if 0.0 < p < t]
     val, _ = integrate.quad(deg.sf, 0.0, t, points=pts or None, limit=200)
     return val
@@ -223,7 +295,7 @@ def poisson_truth(truth: DamageTruth, t: float) -> TruthSummary:
     """Exact E X_t, E Y_t and Poisson count laws at time t."""
     if t < 0:
         raise ValueError(f"time t must be non-negative, got {t}")
-    isf = _integral_sf(truth.degradation, t)
+    isf = _integral_sf(truth.degradation, float(t))
     return TruthSummary(t=float(t), rate=truth.rate,
                         active_mean=truth.rate * isf,
                         terminal_mean=truth.rate * (t - isf))
@@ -289,8 +361,10 @@ def damage_variance_mc(truth: DamageTruth, n_a: int, n_b: int, t: float,
     E X_t of the generating model.  Replication ``rep`` draws its data from
     the substream ``(seed, DAMAGE_OUTER, rep)`` and then an inner seed, which
     keys its :func:`resample_damage_counts` blocks.  Replications run in
-    batches that derive at most :data:`BLOCK` inner keys at once;
-    ``threads`` is accepted for compatibility and has no effect.
+    batches that derive at most :data:`BLOCK` inner keys at once.  With
+    r <= BLOCK each replication takes only its draws from its generators;
+    its counts are computed with those of up to BLOCK // r others in one
+    array pass.  ``threads`` is accepted for compatibility and has no effect.
     """
     if n_a > n_b:
         raise ValueError(f"need n_A <= n_B, got {n_a} > {n_b}")
@@ -305,24 +379,41 @@ def damage_variance_mc(truth: DamageTruth, n_a: int, n_b: int, t: float,
 
     blocks = block_count(r)
     batch = max(1, BLOCK // blocks)
+    outer = substreams(seed, Lane.DAMAGE_OUTER, np.arange(replications))
     for lo in range(0, replications, batch):
-        reps = range(lo, min(lo + batch, replications))
-        datasets, inner_seeds = [], []
-        for rng in substreams(seed, Lane.DAMAGE_OUTER, np.array(reps)):
-            h_a = rng.exponential(1.0 / truth.rate, n_a)
-            h_b = truth.degradation.sample(rng, n_b)
-            inner_seeds.append(int(rng.integers(0, 2 ** 62)))
-            datasets.append(DamageData(h_a, h_b))
+        hi = min(lo + batch, replications)
+        h_a, h_b, inner_seeds = _fresh_data(truth, outer, n_a, n_b, hi - lo,
+                                            inner_seeds=True)
         # block b of replication rep's counts: (inner_seed, lane, b)
         inner = substreams(np.repeat(inner_seeds, blocks),
                            Lane.DAMAGE_RESAMPLE,
-                           np.tile(np.arange(blocks), len(reps)))
-        for rep, data, inner_seed in zip(reps, datasets, inner_seeds):
-            est = _damage_counts(data, t, r, inner_seed,
-                                 itertools.islice(inner, blocks))
-            estimates[rep] = est.active_mean
-            overlap[rep] = est.diagnostics["duration_overlap_mean"]
-            fixed[rep] = est.diagnostics["arrival_fixed_points_mean"]
+                           np.tile(np.arange(blocks), hi - lo))
+        if blocks > 1:
+            for i, rep in enumerate(range(lo, hi)):
+                est = _damage_counts(DamageData(h_a[i], h_b[i]), t, r,
+                                     inner_seeds[i],
+                                     itertools.islice(inner, blocks))
+                estimates[rep] = est.active_mean
+                overlap[rep] = est.diagnostics["duration_overlap_mean"]
+                fixed[rep] = est.diagnostics["arrival_fixed_points_mean"]
+            continue
+        # chunks of at most BLOCK realization rows
+        step = max(1, BLOCK // r)
+        for start in range(lo, hi, step):
+            stop = min(start + step, hi)
+            perm_codes, which_codes = [], []
+            for rng in itertools.islice(inner, stop - start):
+                perm_codes.append(distinct_codes(rng, n_a, n_a, r))
+                which_codes.append(distinct_codes(rng, n_b, n_a, r))
+            shape = (stop - start, r, n_a)
+            perm = distinct_outcomes(n_a, n_a, np.concatenate(
+                perm_codes, axis=-1)).reshape(shape)
+            which = distinct_outcomes(n_b, n_a, np.concatenate(
+                which_codes, axis=-1)).reshape(shape)
+            active, _, overlap[start:stop], fixed[start:stop] = _counts(
+                h_a[start - lo:stop - lo], h_b[start - lo:stop - lo], t,
+                perm, which)
+            estimates[start:stop] = active.mean(axis=-1)
     mean = float(estimates.mean())
     var = float(estimates.var(ddof=1))
     mse = float(np.mean((estimates - summ.active_mean) ** 2))
@@ -335,6 +426,25 @@ def damage_variance_mc(truth: DamageTruth, n_a: int, n_b: int, t: float,
             "duration_overlap_mean": float(overlap.mean()),
             "arrival_fixed_points_mean": float(fixed.mean()),
         })
+
+
+def _fresh_data(truth: DamageTruth, streams, n_a: int, n_b: int, count: int,
+                inner_seeds: bool = False):
+    """Data of the next ``count`` replications of a study, one generator of
+    ``streams`` each: H_A from the arrival rate, H_B from the degradation
+    law, then an inner seed when ``inner_seeds``.  Returns the stacked
+    (count, n_A) and (count, n_B) data, checked as :class:`DamageData`
+    checks it, and the list of inner seeds."""
+    h_a = np.empty((count, n_a))
+    h_b = np.empty((count, n_b))
+    seeds = []
+    for i, rng in zip(range(count), streams):
+        h_a[i] = rng.exponential(1.0 / truth.rate, n_a)
+        h_b[i] = truth.degradation.sample(rng, n_b)
+        if inner_seeds:
+            seeds.append(int(rng.integers(0, 2 ** 62)))
+    _check_data(h_a, h_b)
+    return h_a, h_b, seeds
 
 
 # -- plug-in baseline and hybrid pmf --------------------------------------
@@ -357,14 +467,24 @@ def plugin_estimate(data: DamageData, t: float) -> PluginEstimate:
 
     int_0^t (1 - Fhat(x)) dx reduces to the mean of min(duration, t).
     """
-    total = float(data.h_a.sum())
-    rate = data.n_a / total if total > 0.0 else math.inf
-    if math.isinf(rate):
-        raise ValueError("the plug-in rate n_A / sum(H_A) is infinite: the "
-                         f"inter-arrival times sum to {total!r}")
-    isf = float(np.minimum(data.h_b, t).mean())
+    rates, isfs = _plugin_fit(data.h_a[None], data.h_b[None], t)
+    rate, isf = float(rates[0]), float(isfs[0])
     return PluginEstimate(t=float(t), rate=rate, active_mean=rate * isf,
                           terminal_mean=rate * (t - isf))
+
+
+def _plugin_fit(h_a: np.ndarray, h_b: np.ndarray, t: float):
+    """Plug-in rate and int_0^t (1 - Fhat(x)) dx of each dataset, one per
+    row of the stacked H_A and H_B."""
+    total = h_a.sum(axis=1)
+    with np.errstate(divide="ignore", over="ignore"):
+        rate = h_a.shape[1] / total
+    infinite = np.flatnonzero(np.isinf(rate))
+    if len(infinite):
+        first = float(total[infinite[0]])
+        raise ValueError("the plug-in rate n_A / sum(H_A) is infinite: the "
+                         f"inter-arrival times sum to {first!r}")
+    return rate, np.minimum(h_b, t).mean(axis=1)
 
 
 def plugin_expectation(truth: DamageTruth, n_a: int, t: float) -> float:
@@ -376,7 +496,8 @@ def plugin_expectation(truth: DamageTruth, n_a: int, t: float) -> float:
     """
     if n_a < 2:
         raise ValueError("the plug-in rate has no finite mean for n_A < 2")
-    return (n_a / (n_a - 1.0)) * truth.rate * _integral_sf(truth.degradation, t)
+    return (n_a / (n_a - 1.0)) * truth.rate * _integral_sf(truth.degradation,
+                                                         float(t))
 
 
 @dataclass(frozen=True)
@@ -406,10 +527,11 @@ def plugin_variance_mc(truth: DamageTruth, n_a: int, n_b: int, t: float,
     summ = poisson_truth(truth, t)
     estimates = np.empty(replications, dtype=float)
     streams = substreams(seed, Lane.DAMAGE_OUTER, np.arange(replications))
-    for rep, rng in enumerate(streams):
-        h_a = rng.exponential(1.0 / truth.rate, n_a)
-        h_b = truth.degradation.sample(rng, n_b)
-        estimates[rep] = plugin_estimate(DamageData(h_a, h_b), t).active_mean
+    for lo in range(0, replications, BLOCK):
+        hi = min(lo + BLOCK, replications)
+        h_a, h_b, _ = _fresh_data(truth, streams, n_a, n_b, hi - lo)
+        rate, isf = _plugin_fit(h_a, h_b, t)
+        estimates[lo:hi] = rate * isf
     mean = float(estimates.mean())
     var = float(estimates.var(ddof=1))
     mse = float(np.mean((estimates - summ.active_mean) ** 2))

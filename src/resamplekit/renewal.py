@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate, stats
 
-from ._streams import Lane, block_streams, draw_distinct, substreams
+from ._streams import BLOCK, Lane, block_streams, draw_distinct, substreams
 from .distributions import KnownDistribution
 from .pairs import (AlphaPair, PairRow, VarianceReport, alpha_probability,
                     assemble_variance)
@@ -345,7 +345,9 @@ def plugin_baseline(layout, x_dist: KnownDistribution,
     """Classical comparator: bootstrap the sums with replacement.
 
     Per replication fresh data is drawn from the generators, the estimate
-    averages r with-replacement resamples of the two sums, and Var/Bias/MSE
+    averages r with-replacement resamples of the two sums (each
+    replication's draws come from its own substream; the sums of up to
+    BLOCK // r replications are computed together), and Var/Bias/MSE
     are taken against the analytic Theta (computed from a normal kit when
     not supplied).
     """
@@ -361,17 +363,26 @@ def plugin_baseline(layout, x_dist: KnownDistribution,
             raise ValueError("pass theta= for non-normal generators")
     estimates = np.empty(replications)
     streams = substreams(seed, Lane.RENEWAL_PLUGIN, np.arange(replications))
-    for rep, rng in enumerate(streams):
-        h_x = x_dist.sample(rng, lay.n_x)
-        h_y = y_dist.sample(rng, lay.n_y)
-        ix = rng.integers(0, lay.n_x, size=(r, lay.m_x))
-        dx = h_x[ix].sum(axis=1)
-        if lay.m_y > 0:
-            iy = rng.integers(0, lay.n_y, size=(r, lay.m_y))
-            sy = h_y[iy].sum(axis=1)
-        else:
-            sy = np.zeros(r)
-        estimates[rep] = float((dx > sy).mean())
+    # each replication takes its draws from its own generator; the sums and
+    # comparisons run over chunks of at most BLOCK resample rows
+    step = max(1, BLOCK // max(r, 1))
+    for lo in range(0, replications, step):
+        count = min(step, replications - lo)
+        h_x = np.empty((count, lay.n_x))
+        h_y = np.empty((count, lay.n_y))
+        ix = np.empty((count, r, lay.m_x), dtype=np.int64)
+        iy = np.empty((count, r, lay.m_y), dtype=np.int64)
+        for i, rng in zip(range(count), streams):
+            h_x[i] = x_dist.sample(rng, lay.n_x)
+            h_y[i] = y_dist.sample(rng, lay.n_y)
+            ix[i] = rng.integers(0, lay.n_x, size=(r, lay.m_x))
+            if lay.m_y > 0:
+                iy[i] = rng.integers(0, lay.n_y, size=(r, lay.m_y))
+        sets = np.arange(count)[:, None, None]
+        # m_Y = 0 draws nothing and sums to 0
+        dx = h_x[sets, ix].sum(axis=-1)
+        sy = h_y[sets, iy].sum(axis=-1)
+        estimates[lo:lo + count] = (dx > sy).mean(axis=1)
     mean = float(estimates.mean())
     var = float(estimates.var(ddof=1))
     bias = mean - theta

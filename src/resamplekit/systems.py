@@ -30,7 +30,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
 from functools import reduce
 
 import numpy as np
@@ -62,36 +63,101 @@ class Input:
     index: int  # 1-based argument position
 
 
-@dataclass(frozen=True)
-class Min:
+class _Operator:
+    """Structural ``==``, ``hash`` and ``repr`` for the operator nodes.
+
+    Each walks the tree on an explicit stack, so a tree of any depth can be
+    compared, hashed and printed; the dataclass versions recurse through
+    the children.  Equality and hash follow the dataclass semantics: two
+    nodes are equal when they have the same class and equal fields.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return _tokens(self) == _tokens(other)
+
+    def __hash__(self):
+        return hash(tuple(_tokens(self)))
+
+    def __repr__(self):
+        out, stack = [], [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            parts = [type(item).__name__, "("]
+            for i, f in enumerate(fields(item)):
+                value = getattr(item, f.name)
+                parts.append(f"{', ' if i else ''}{f.name}=")
+                if type(value) is tuple:
+                    parts.append("(")
+                    for j, child in enumerate(value):
+                        parts += [", "] * (j > 0) + [_text(child)]
+                    parts.append(",)" if len(value) == 1 else ")")
+                else:
+                    parts.append(_text(value))
+            parts.append(")")
+            stack.extend(reversed(parts))
+        return "".join(out)
+
+
+def _text(value):
+    """An operator node to expand later, or the repr of anything else."""
+    return value if isinstance(value, _Operator) else repr(value)
+
+
+def _tokens(root) -> list:
+    """The tree under ``root`` spelled out in pre-order: each operator node
+    gives its class and then its fields, and a tuple gives ``tuple``, its
+    length and its items; any other value is a token itself."""
+    out, stack = [], [root]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, _Operator):
+            out.append(type(item))
+            stack.extend(getattr(item, f.name) for f in reversed(fields(item)))
+        elif type(item) is tuple:
+            out += [tuple, len(item)]
+            stack.extend(reversed(item))
+        else:
+            out.append(item)
+    return out
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Min(_Operator):
     children: tuple
 
 
-@dataclass(frozen=True)
-class Max:
+@dataclass(frozen=True, eq=False, repr=False)
+class Max(_Operator):
     children: tuple
 
 
-@dataclass(frozen=True)
-class Sum:
+@dataclass(frozen=True, eq=False, repr=False)
+class Sum(_Operator):
     children: tuple
 
 
-@dataclass(frozen=True)
-class KOfN:
+@dataclass(frozen=True, eq=False, repr=False)
+class KOfN(_Operator):
     k: int
     children: tuple
 
 
-@dataclass(frozen=True)
-class Threshold:
+@dataclass(frozen=True, eq=False, repr=False)
+class Threshold(_Operator):
     child: object
     op: str  # "<" or ">"
     level: float
 
 
-@dataclass(frozen=True)
-class Compare:
+@dataclass(frozen=True, eq=False, repr=False)
+class Compare(_Operator):
     left: object
     op: str  # "<" or ">"
     right: object
@@ -174,6 +240,10 @@ class SystemSpec:
 
     ``table`` is the compiled tree: one ``(node id, node, child ids)`` entry
     per node in post-order, root last.  Every walk over the tree reads it.
+    A subtree is one contiguous slice of the table, so its leaves are one
+    contiguous run of the leaves in table order: ``leaf_deps`` keeps that
+    order once plus the bounds of each node's run, and slices a node's
+    leaves out when asked.
     """
 
     root: object
@@ -181,7 +251,7 @@ class SystemSpec:
     table: tuple = field(init=False, repr=False)     # post-order (id, node, kids)
     node_ids: dict = field(init=False, repr=False)   # node id -> node
     parent: dict = field(init=False, repr=False)     # node id -> parent id
-    leaf_deps: dict = field(init=False, repr=False)  # node id -> frozenset of args
+    leaf_deps: Mapping = field(init=False, repr=False)  # id -> frozenset of args
     _kids: dict = field(init=False, repr=False)      # node id -> child ids
 
     def __post_init__(self):
@@ -195,12 +265,14 @@ class SystemSpec:
         table = []
         stack: list[int] = []  # ids of finished subtrees awaiting a parent
         parent: dict[int, int] = {}
-        deps: dict[int, frozenset] = {}
+        leaves: list[int] = []  # leaf ids in table order
+        spans: dict[int, tuple[int, int]] = {}  # node id -> its run of leaves
         next_internal = m + 1
         for n in order:
             if isinstance(n, Input):
                 nid, kids = n.index, ()
-                deps[nid] = frozenset((nid,))
+                spans[nid] = (len(leaves), len(leaves) + 1)
+                leaves.append(nid)
             else:
                 arity = len(children_of(n))
                 if isinstance(n, KOfN) and not 1 <= n.k <= arity:
@@ -212,14 +284,14 @@ class SystemSpec:
                 cut = len(stack) - arity
                 kids, stack[cut:] = tuple(stack[cut:]), []
                 parent.update(dict.fromkeys(kids, nid))
-                deps[nid] = frozenset().union(*(deps[c] for c in kids))
+                spans[nid] = (spans[kids[0]][0], len(leaves))
             stack.append(nid)
             table.append((nid, n, kids))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "table", tuple(table))
         object.__setattr__(self, "node_ids", {nid: n for nid, n, _ in table})
         object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "leaf_deps", deps)
+        object.__setattr__(self, "leaf_deps", _LeafDeps(tuple(leaves), spans))
         object.__setattr__(self, "_kids", {nid: kids for nid, _, kids in table})
 
     @property
@@ -231,6 +303,26 @@ class SystemSpec:
 
     def __repr__(self):
         return f"SystemSpec({render(self.root)})"
+
+
+class _LeafDeps(Mapping):
+    """Node id -> frozenset of the argument positions under the node, sliced
+    out of the leaves in table order when asked, so a lookup costs the size
+    of the set it returns."""
+
+    def __init__(self, leaves: tuple, spans: dict):
+        self._leaves = leaves
+        self._spans = spans
+
+    def __getitem__(self, node_id: int) -> frozenset:
+        start, stop = self._spans[node_id]
+        return frozenset(self._leaves[start:stop])
+
+    def __iter__(self):
+        return iter(self._spans)
+
+    def __len__(self) -> int:
+        return len(self._spans)
 
 
 def leaf_dependencies(spec: SystemSpec, node_id: int) -> frozenset:

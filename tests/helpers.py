@@ -14,12 +14,13 @@ import math
 
 import numpy as np
 
-from resamplekit._streams import BLOCK, Lane, block_ranges, substream
+from resamplekit._streams import (BLOCK, Lane, block_ranges, draw_distinct,
+                                  substream)
 from resamplekit.coverage import (ProtocolRow, WVector, _exponential_rates,
                                   _NumericOrderingLaw, _pw_exponential,
                                   coverage_conditional, q_given_ordering, rho)
-from resamplekit.damage import (DamageData, DamageMCReport, PluginMCReport,
-                                _damage_counts, plugin_estimate, poisson_truth)
+from resamplekit.damage import (CountEstimates, DamageData, DamageMCReport,
+                                PluginMCReport, poisson_truth)
 from resamplekit.pairs import (_block_targets, _matched_draw_pairs,
                                alpha_from_indices, beta_from_indices,
                                omega_from_indices)
@@ -111,6 +112,16 @@ def evaluate_batch_oracle(spec, X) -> np.ndarray:
         return elementary_apply(node, [rec(c) for c in children_of(node)])
 
     return rec(spec.root)
+
+
+def leaf_deps_oracle(spec) -> dict:
+    """Node id -> frozenset of the argument positions under it, as the
+    union of its children's sets along the post-order table."""
+    deps = {}
+    for nid, _, kids in spec.table:
+        deps[nid] = (frozenset().union(*(deps[c] for c in kids)) if kids
+                     else frozenset((nid,)))
+    return deps
 
 
 def pattern_probabilities(table, m):
@@ -374,6 +385,42 @@ def fresh_blocks(seed, lane, total):
     return (substream(seed, lane, b) for b, _, _ in block_ranges(total, BLOCK))
 
 
+def damage_counts_oracle(data, t, r, seed, streams):
+    """resample_damage_counts as a loop over blocks that draws block b from
+    the b-th generator of ``streams`` and reads the counts off one
+    realization matrix at a time."""
+    n_a, n_b = data.n_a, data.n_b
+    active = np.empty(r, dtype=np.intp)
+    terminal = np.empty(r, dtype=np.intp)
+    dur_overlap = 0.0
+    perm_fixed = 0.0
+    pairs = 0
+    for (_, start, stop), rng in zip(block_ranges(r), streams):
+        rows = stop - start
+        perm = draw_distinct(rng, n_a, n_a, rows)
+        tau = np.cumsum(data.h_a[perm], axis=1)
+        which = draw_distinct(rng, n_b, n_a, rows)
+        end = tau + data.h_b[which]
+        active[start:stop] = ((tau <= t) & (t < end)).sum(axis=1)
+        terminal[start:stop] = (end <= t).sum(axis=1)
+        if rows >= 2:
+            first, second = which[:2].tolist()
+            dur_overlap += len(set(first) & set(second))
+            perm_fixed += int((perm[0] == perm[1]).sum())
+            pairs += 1
+    nan = float("nan")
+    return CountEstimates(
+        t=float(t), r=r, seed=seed,
+        active_mean=float(active.mean()),
+        terminal_mean=float(terminal.mean()),
+        active_pmf=np.bincount(active, minlength=n_a + 1) / r,
+        terminal_pmf=np.bincount(terminal, minlength=n_a + 1) / r,
+        diagnostics={
+            "duration_overlap_mean": dur_overlap / pairs if pairs else nan,
+            "arrival_fixed_points_mean": perm_fixed / pairs if pairs else nan,
+            "pairs_inspected": pairs})
+
+
 def damage_variance_oracle(truth, n_a, n_b, t, r, replications, seed):
     """damage_variance_mc as one loop over replications that builds a new
     substream for every replication's data and every block of its counts."""
@@ -386,8 +433,9 @@ def damage_variance_oracle(truth, n_a, n_b, t, r, replications, seed):
         h_a = rng.exponential(1.0 / truth.rate, n_a)
         h_b = truth.degradation.sample(rng, n_b)
         inner_seed = int(rng.integers(0, 2 ** 62))
-        est = _damage_counts(DamageData(h_a, h_b), t, r, inner_seed,
-                             fresh_blocks(inner_seed, Lane.DAMAGE_RESAMPLE, r))
+        est = damage_counts_oracle(
+            DamageData(h_a, h_b), t, r, inner_seed,
+            fresh_blocks(inner_seed, Lane.DAMAGE_RESAMPLE, r))
         estimates[rep] = est.active_mean
         overlap[rep] = est.diagnostics["duration_overlap_mean"]
         fixed[rep] = est.diagnostics["arrival_fixed_points_mean"]
@@ -406,14 +454,21 @@ def damage_variance_oracle(truth, n_a, n_b, t, r, replications, seed):
 
 
 def plugin_variance_oracle(truth, n_a, n_b, t, replications, seed):
-    """plugin_variance_mc with a new substream per replication."""
+    """plugin_variance_mc with a new substream and a plug-in fit per
+    replication."""
     summ = poisson_truth(truth, t)
     estimates = np.empty(replications, dtype=float)
     for rep in range(replications):
         rng = substream(seed, Lane.DAMAGE_OUTER, rep)
         h_a = rng.exponential(1.0 / truth.rate, n_a)
         h_b = truth.degradation.sample(rng, n_b)
-        estimates[rep] = plugin_estimate(DamageData(h_a, h_b), t).active_mean
+        data = DamageData(h_a, h_b)
+        total = float(data.h_a.sum())
+        rate = data.n_a / total if total > 0.0 else math.inf
+        if math.isinf(rate):
+            raise ValueError("the plug-in rate n_A / sum(H_A) is infinite: "
+                             f"the inter-arrival times sum to {total!r}")
+        estimates[rep] = rate * float(np.minimum(data.h_b, t).mean())
     mean = float(estimates.mean())
     var = float(estimates.var(ddof=1))
     mse = float(np.mean((estimates - summ.active_mean) ** 2))

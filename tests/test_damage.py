@@ -5,14 +5,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
 
 from resamplekit._streams import BLOCK, Lane
 from resamplekit.damage import (
     CountEstimates,
     DamageData,
     DamageTruth,
-    _damage_counts,
+    _integral_sf,
     damage_variance_mc,
     estimator_expectation,
     hybrid_pmf,
@@ -22,10 +22,11 @@ from resamplekit.damage import (
     poisson_truth,
     resample_damage_counts,
 )
-from resamplekit.distributions import exponential, triangular, uniform
+from resamplekit.distributions import (empirical, exponential, triangular,
+                                       uniform)
 
-from helpers import (combined_se, damage_variance_oracle, fresh_blocks,
-                     plugin_variance_oracle)
+from helpers import (combined_se, damage_counts_oracle, damage_variance_oracle,
+                     fresh_blocks, plugin_variance_oracle)
 
 TRI_TRUTH = DamageTruth(rate=0.5, degradation=triangular(0.0, 2.0, 4.0))
 
@@ -54,10 +55,18 @@ def test_damage_data_rejects(h_a, h_b):
 
 
 def test_damage_truth_rejects():
-    with pytest.raises(ValueError):
-        DamageTruth(rate=0.0, degradation=exponential(1.0))
-    with pytest.raises(ValueError):
-        DamageTruth(rate=1.0, degradation=uniform(-1.0, 1.0))
+    """Every accepted truth yields fresh data that passes DamageData's
+    checks, so a replication study fails on the first bad chunk in the
+    order a one-replication loop would."""
+    for rate, degradation in [(0.0, exponential(1.0)),
+                              (math.inf, exponential(1.0)),
+                              (math.nan, exponential(1.0)),
+                              (1.0, uniform(-1.0, 1.0)),
+                              (1.0, empirical([1.0, math.nan])),
+                              (1.0, empirical([math.nan, 1.0])),
+                              (1.0, exponential(math.nan))]:
+        with pytest.raises(ValueError):
+            DamageTruth(rate=rate, degradation=degradation)
 
 
 # -- resampling the process ------------------------------------------------
@@ -183,6 +192,32 @@ def test_poisson_truth_zero_time():
         poisson_truth(TRI_TRUTH, t=-1.0)
 
 
+def test_poisson_truth_integrates_once_per_law_and_time():
+    def quad(deg, t):
+        # the integral as one uncached integrate.quad call
+        pts = [p for p in deg.support() if 0.0 < p < t]
+        return integrate.quad(deg.sf, 0.0, t, points=pts or None,
+                              limit=200)[0]
+
+    _integral_sf.cache_clear()
+    base = poisson_truth(TRI_TRUTH, 5.0)
+    # an equal law and an int time reuse the entry
+    same = poisson_truth(DamageTruth(0.5, triangular(0, 2, 4)), 5)
+    assert _integral_sf.cache_info()[:2] == (1, 1)  # hits, misses
+    assert same == base
+    assert base.active_mean.hex() == (0.5 * quad(TRI_TRUTH.degradation,
+                                                 5.0)).hex()
+    # another time, or a law that differs in one parameter, misses
+    later = poisson_truth(TRI_TRUTH, 3.5)
+    wider = poisson_truth(DamageTruth(0.5, triangular(0, 2, 4.5)), 5.0)
+    assert _integral_sf.cache_info()[:2] == (1, 3)
+    assert later.active_mean.hex() == (0.5 * quad(TRI_TRUTH.degradation,
+                                                  3.5)).hex()
+    assert wider.active_mean.hex() == (
+        0.5 * quad(triangular(0, 2, 4.5), 5.0)).hex()
+    assert len({base.active_mean, later.active_mean, wider.active_mean}) == 3
+
+
 # -- capped expectation of the resampling estimator ------------------------
 
 def test_estimator_expectation_identities():
@@ -260,40 +295,102 @@ def test_damage_variance_mc_matches_naive_oracle():
     assert abs(report.estimate_mean - oracle.mean()) <= tol
 
 
-@pytest.mark.parametrize("n_a, n_b, r, replications, seed", [
-    (3, 4, 10, 50, 0),
-    (5, 5, 100, 30, 2**40 + 1),
+EXP_TRUTH = DamageTruth(rate=1.5, degradation=exponential(0.7))
+UNI_TRUTH = DamageTruth(rate=0.5, degradation=uniform(0.5, 3.0))
+EMP_TRUTH = DamageTruth(rate=0.8, degradation=empirical([0.2, 1.0, 2.5, 6.0]))
+
+
+def study_ids(cases):
+    """Test ids: the sizes and seed, after the degradation family unless
+    it is the triangular law of most cases."""
+    return ["-".join([c[0].degradation.family] * (c[0] is not TRI_TRUTH)
+                     + [str(x) for x in c[1:]]) for c in cases]
+
+
+DAMAGE_STUDIES = [
+    (TRI_TRUTH, 3, 4, 10, 50, 0),
+    (TRI_TRUTH, 5, 5, 100, 30, 2**40 + 1),
     # r = 1 leaves the diagnostics NaN
-    (2, 2, 1, 12, 4),
+    (TRI_TRUTH, 2, 2, 1, 12, 4),
     # more replications than one batch of keys
-    (2, 3, 2, BLOCK + 4, 7),
+    (TRI_TRUTH, 2, 3, 2, BLOCK + 4, 7),
     # several count blocks per replication, on both key routes
-    (3, 3, 2 * BLOCK + 1, 6, 11),
-    (2, 2, BLOCK + 1, 3, 2**64 + 5)])
-def test_damage_variance_mc_equals_per_replication_oracle(n_a, n_b, r,
+    (TRI_TRUTH, 3, 3, 2 * BLOCK + 1, 6, 11),
+    (TRI_TRUTH, 2, 2, BLOCK + 1, 3, 2**64 + 5),
+    # durations on the digit routes: perm(12, 7) > 2**16 with 7**2 > 12
+    # (dense swaps), and 3**2 <= 300 (sparse swaps)
+    (TRI_TRUTH, 7, 12, 40, 25, 13),
+    (TRI_TRUTH, 3, 300, 50, 12, 3),
+    # r = 1000 counts four replications per array pass: three passes
+    (TRI_TRUTH, 4, 6, 1000, 10, 21),
+    (EXP_TRUTH, 5, 8, 30, 40, 2**33),
+    (UNI_TRUTH, 6, 6, 3, 20, 5),
+    (EMP_TRUTH, 3, 9, 17, 15, 0),
+    # 20 arrivals and 30 durations on the swap routes, r = BLOCK
+    (TRI_TRUTH, 20, 30, BLOCK, 2, 8)]
+
+
+@pytest.mark.parametrize("truth, n_a, n_b, r, replications, seed",
+                         DAMAGE_STUDIES, ids=study_ids(DAMAGE_STUDIES))
+def test_damage_variance_mc_equals_per_replication_oracle(truth, n_a, n_b, r,
                                                           replications, seed):
-    got = damage_variance_mc(TRI_TRUTH, n_a, n_b, 5.0, r=r,
+    got = damage_variance_mc(truth, n_a, n_b, 5.0, r=r,
                              replications=replications, seed=seed)
-    want = damage_variance_oracle(TRI_TRUTH, n_a, n_b, 5.0, r, replications,
+    want = damage_variance_oracle(truth, n_a, n_b, 5.0, r, replications,
                                   seed)
     # repr, so that NaN diagnostics compare equal
     assert repr(got) == repr(want)
 
 
-@pytest.mark.parametrize("replications, seed", [(500, 3), (BLOCK + 2, 2**33)])
-def test_plugin_variance_mc_equals_per_replication_oracle(replications, seed):
-    got = plugin_variance_mc(TRI_TRUTH, 3, 4, 5.0, replications=replications,
+PLUGIN_STUDIES = [
+    (TRI_TRUTH, 3, 4, 500, 3),
+    (TRI_TRUTH, 3, 4, BLOCK + 2, 2**33),
+    (EXP_TRUTH, 9, 20, 300, 1),
+    (UNI_TRUTH, 1, 1, 40, 2**64 + 1),
+    (EMP_TRUTH, 12, 130, 25, 6)]
+
+
+# the first two cases keep the ids they had before n_A and n_B varied
+@pytest.mark.parametrize(
+    "truth, n_a, n_b, replications, seed", PLUGIN_STUDIES,
+    ids=["500-3", f"{BLOCK + 2}-{2**33}"] + study_ids(PLUGIN_STUDIES[2:]))
+def test_plugin_variance_mc_equals_per_replication_oracle(truth, n_a, n_b,
+                                                          replications, seed):
+    got = plugin_variance_mc(truth, n_a, n_b, 5.0, replications=replications,
                              seed=seed)
-    assert got == plugin_variance_oracle(TRI_TRUTH, 3, 4, 5.0, replications,
+    assert got == plugin_variance_oracle(truth, n_a, n_b, 5.0, replications,
                                          seed)
+
+
+def raised(call):
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("truth, n_a, n_b, counts_fail", [
+    # no arrival gaps, more arrivals than durations, and inter-arrival times
+    # whose sum is so small that the plug-in rate overflows
+    (TRI_TRUTH, 0, 3, True),
+    (TRI_TRUTH, 4, 3, False),
+    (DamageTruth(1.7e308, uniform(0.0, 1.0)), 2, 2, False)])
+def test_replication_studies_keep_the_per_replication_checks(truth, n_a, n_b,
+                                                            counts_fail):
+    assert raised(lambda: plugin_variance_mc(truth, n_a, n_b, 5.0, 10, 1)) \
+        == raised(lambda: plugin_variance_oracle(truth, n_a, n_b, 5.0, 10, 1))
+    if counts_fail:
+        assert raised(lambda: damage_variance_mc(truth, n_a, n_b, 5.0, 4, 10,
+                                                 1)) \
+            == raised(lambda: damage_variance_oracle(truth, n_a, n_b, 5.0, 4,
+                                                     10, 1))
 
 
 @pytest.mark.parametrize("r", [5, BLOCK + 1, 11 * BLOCK + 5])
 def test_resample_blocks_equal_fresh_substreams(r):
     data = DamageData([0.5, 1.0, 2.5], [1.0, 3.0, 0.2, 4.0])
     got = resample_damage_counts(data, 2.0, r, 99)
-    want = _damage_counts(data, 2.0, r, 99,
-                          fresh_blocks(99, Lane.DAMAGE_RESAMPLE, r))
+    want = damage_counts_oracle(data, 2.0, r, 99,
+                                fresh_blocks(99, Lane.DAMAGE_RESAMPLE, r))
     for name in ("active_mean", "terminal_mean", "diagnostics"):
         assert getattr(got, name) == getattr(want, name)
     assert got.active_pmf.tobytes() == want.active_pmf.tobytes()

@@ -30,11 +30,11 @@ from resamplekit.coverage import (OrderFunctional, WVector,
                                   coverage_R, q_given_ordering, rho)
 from resamplekit.pairs import _matching_of
 from resamplekit.resampling import chunk_moments, draw_index_batch, grid_values
-from resamplekit.systems import evaluate_batch, render
+from resamplekit.systems import evaluate_batch, leaf_dependencies, render
 
 from helpers import (coverage_oracle, enumerate_w_oracle, evaluate_batch_oracle,
                      fisher_yates_oracle, grid_values_oracle,
-                     index_vector_chunks, numeric_pw_oracle,
+                     index_vector_chunks, leaf_deps_oracle, numeric_pw_oracle,
                      pair_moment_oracle, product_grid, q_oracle,
                      race_probability_oracle, shared_pair_moment_oracle,
                      support_matching_oracle, support_moments_oracle)
@@ -324,7 +324,7 @@ CHAIN_OPS = ("min(", "max(", "sum(", "kofn(1; ")
 
 def table_rows(spec) -> list:
     """The spec's table with every node cut down to its type and its own
-    fields; node ``==`` would recurse through the children."""
+    fields; node ``==`` would compare each node's whole subtree again."""
     return [(nid, type(node).__name__,
              [(f.name, getattr(node, f.name))
               for f in dataclasses.fields(node)
@@ -367,6 +367,30 @@ def test_render_parse_round_trip(m, depth, ops, indicator, data):
     assert sorted(nid for nid, _, _ in spec.table) == list(range(1, size + 1))
     assert [nid for nid, _, kids in spec.table if kids] \
         == list(range(m + 1, size + 1))
+
+
+@PROPERTY
+@given(m=st.integers(1, 6), depth=st.integers(0, 40), data=st.data())
+def test_leaf_sets_equal_the_union_of_the_children(m, depth, data):
+    body, _ = data.draw(systems(m))
+    spec = parse_system("min(" * depth + body + ")" * depth)
+    want = leaf_deps_oracle(spec)
+    assert dict(spec.leaf_deps) == want
+    assert len(spec.leaf_deps) == len(want)
+    for nid, leaves in want.items():
+        assert leaf_dependencies(spec, nid) == leaves
+
+
+@PROPERTY
+@given(m=st.integers(1, 4), data=st.data())
+def test_node_equality_matches_rendered_text(m, data):
+    a = parse_system(data.draw(systems(m))[0]).root
+    b = parse_system(data.draw(systems(m))[0]).root
+    same = render(a) == render(b)
+    assert (a == b) == same == (repr(a) == repr(b))
+    assert a == parse_system(render(a)).root
+    if same:
+        assert hash(a) == hash(b)
 
 
 # -- coverage: array route against the per-W oracle -----------------------
@@ -560,6 +584,51 @@ def test_draw_routes_agree_on_equal_digits(shape, rows, cells, seed):
         decoded = np.empty((len(radices), rows), dtype=np.intp)
         _streams._decode_digits(rank, radices, decoded)
         assert decoded.tolist() == digits[:len(radices)].tolist()
+
+
+@st.composite
+def routed_shapes(draw):
+    """(n, k) on each route of draw_distinct: the outcome table, swaps over
+    the touched positions (k**2 <= n) and the dense swap table."""
+    route = draw(st.sampled_from(["table", "sparse", "dense"]))
+    if route == "table":
+        # perm(n, k) <= 8! < 2**16
+        n = draw(st.integers(1, 8))
+        k = draw(st.integers(0, n))
+    elif route == "sparse":
+        n = draw(st.integers(300, 5000))
+        k = draw(st.integers(2, math.isqrt(n)))
+    else:
+        n = draw(st.integers(10, 40))
+        k = draw(st.integers(7, n))
+    assert (math.perm(n, k) <= _streams._TABLE_LIMIT) == (route == "table")
+    assert route == "table" or (k * k <= n) == (route == "sparse")
+    return n, k
+
+
+@PROPERTY
+@given(shape=routed_shapes(), rows=st.lists(st.integers(0, 50), min_size=1,
+                                            max_size=4),
+       seed=st.integers(0, 2**32))
+def test_draw_is_codes_then_outcomes(shape, rows, seed):
+    n, k = shape
+    rngs = [np.random.default_rng([seed, g]) for g in range(len(rows))]
+    twins = [np.random.default_rng([seed, g]) for g in range(len(rows))]
+    draws = [_streams.draw_distinct(rng, n, k, count)
+             for rng, count in zip(rngs, rows)]
+    codes = [_streams.distinct_codes(rng, n, k, count)
+             for rng, count in zip(twins, rows)]
+    for draw, code in zip(draws, codes):
+        assert _streams.distinct_outcomes(n, k, code).tobytes() \
+            == draw.tobytes()
+    # the mapping reads only the codes: several generators' codes joined
+    # and mapped once give each generator's outcomes, stacked
+    joined = _streams.distinct_outcomes(n, k, np.concatenate(codes, axis=-1))
+    assert joined.shape == (sum(rows), k)
+    assert joined.tobytes() == np.concatenate(draws).tobytes()
+    # and the split draws as much from each generator as the whole draw
+    for rng, twin in zip(rngs, twins):
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 @PROPERTY

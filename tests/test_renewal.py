@@ -330,14 +330,29 @@ def test_plugin_baseline_symmetric_bias_zero():
     assert report.mse == pytest.approx(recon, abs=1e-12)
 
 
-@pytest.mark.parametrize("lay, r, replications, seed", [
-    (RenewalLayout(8, 4, 8, 3), 50, 40, 5),
-    (RenewalLayout(6, 2, 4, 0), 7, 25, 2**40 + 3),
+PLUGIN_BASELINES = [
+    (RenewalLayout(8, 4, 8, 3), 50, 40, 5, normal(2.0, 1.0), normal(1.5, 0.5)),
+    (RenewalLayout(6, 2, 4, 0), 7, 25, 2**40 + 3, normal(2.0, 1.0),
+     normal(1.5, 0.5)),
     # more replications than one batch of keys
-    (RenewalLayout(4, 2, 4, 1), 3, BLOCK + 3, 12)])
+    (RenewalLayout(4, 2, 4, 1), 3, BLOCK + 3, 12, normal(2.0, 1.0),
+     normal(1.5, 0.5)),
+    # r = 1000 sums four replications per array pass: three passes
+    (RenewalLayout(5, 2, 6, 3), 1000, 10, 8, exponential(1.0),
+     exponential(2.0)),
+    # sums of nine and twelve terms
+    (RenewalLayout(30, 9, 24, 12), 40, 30, 2**33, normal(2.0, 1.0),
+     normal(1.5, 0.5)),
+    (RenewalLayout(3, 1, 2, 1), BLOCK + 1, 3, 0, exponential(1.0),
+     normal(1.0, 0.3))]
+
+
+@pytest.mark.parametrize(
+    "lay, r, replications, seed, x, y", PLUGIN_BASELINES,
+    ids=[f"lay{i}-{r}-{n}-{seed}" for i, (_, r, n, seed, _, _)
+         in enumerate(PLUGIN_BASELINES)])
 def test_plugin_baseline_equals_per_replication_oracle(lay, r, replications,
-                                                       seed):
-    x, y = normal(2.0, 1.0), normal(1.5, 0.5)
+                                                       seed, x, y):
     got = plugin_baseline(lay, x, y, r=r, replications=replications,
                           seed=seed, theta=0.6)
     assert got == plugin_baseline_oracle(lay, x, y, r, replications, seed,

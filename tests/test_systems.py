@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from resamplekit import SystemSyntaxError, SystemValidationError, parse_system
-from resamplekit.systems import evaluate, evaluate_batch, leaf_dependencies, render
+from resamplekit.systems import (Input, Max, Min, evaluate, evaluate_batch,
+                                 leaf_dependencies, render)
 
 
 def test_six_tree_anchor(six_tree):
@@ -107,6 +108,48 @@ def test_leaf_dependencies(six_tree):
     assert leaf_dependencies(six_tree, six_tree.root_id) == frozenset({1, 2, 3, 4, 5, 6})
     with pytest.raises(SystemValidationError):
         leaf_dependencies(six_tree, 999)
+
+
+def one_child_chain(depth, op=Min, leaf=1):
+    node = Input(leaf)
+    for _ in range(depth):
+        node = op((node,))
+    return node
+
+
+def test_deep_node_chains_compare_hash_and_print():
+    a, b = one_child_chain(5000), one_child_chain(5000)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != one_child_chain(5000, leaf=2)
+    assert a != one_child_chain(4999)
+    assert a != one_child_chain(5000, op=Max)
+    assert repr(a) == "Min(children=(" * 5000 + "Input(index=1)" + ",))" * 5000
+
+
+def test_node_equality_and_repr_follow_the_dataclass_fields():
+    text = "kofn(2; min(x1,x2), ind(x3>1.5), cmp(x4<sum(x5)))"
+    root = parse_system(text).root
+    assert repr(root) == (
+        "KOfN(k=2, children=(Min(children=(Input(index=1), Input(index=2))), "
+        "Threshold(child=Input(index=3), op='>', level=1.5), "
+        "Compare(left=Input(index=4), op='<', right=Sum(children=("
+        "Input(index=5),)))))")
+    assert root == parse_system(text).root
+    for other in ("kofn(1; min(x1,x2), ind(x3>1.5), cmp(x4<sum(x5)))",
+                  "kofn(2; max(x1,x2), ind(x3>1.5), cmp(x4<sum(x5)))",
+                  "kofn(2; min(x2,x1), ind(x3>1.5), cmp(x4<sum(x5)))",
+                  "kofn(2; min(x1,x2), ind(x3<1.5), cmp(x4<sum(x5)))",
+                  "kofn(2; min(x1,x2), ind(x3>2.5), cmp(x4>sum(x5)))",
+                  "kofn(2; min(x1,x2), ind(x3>1.5), cmp(sum(x5)<x4))"):
+        assert root != parse_system(other).root
+    # the same pre-order of nodes under different parents
+    one, two = Input(1), Input(2)
+    assert Min((Min((one,)), two)) != Min((Min((one, two)),))
+    # a node object used twice is fine outside a spec
+    leaf = Input(1)
+    assert Min((leaf, leaf)) == Min((Input(1), Input(1)))
+    assert repr(Min((leaf, leaf))) == \
+        "Min(children=(Input(index=1), Input(index=1)))"
 
 
 def test_parent_child_tables_consistent(six_tree):

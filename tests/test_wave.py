@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -149,6 +150,31 @@ def test_propagation_size_one_child_always_shares(six_tree):
     root = prop.tables[10]
     # every pattern reaching the 3-child node contains {1,2} via node 7
     assert all(frozenset({1, 2}) <= s for s in root)
+
+
+def test_propagation_is_linear_in_chain_depth():
+    """On a deep one-child chain every child has one leaf, so propagation
+    takes a bounded number of traced lines per node, however deep the
+    chain (a leaf-set lookup that scans the subtree takes ~depth**2 / 2)."""
+    depth = 2000
+    spec = parse_system("max(" * depth + "x1" + ")" * depth)
+    lines = 0
+
+    def count(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return count
+
+    outer = sys.gettrace()
+    sys.settrace(count)
+    try:
+        prop = propagate_pair_probabilities(
+            spec, {nid: 2 for nid, _, _ in spec.table})
+    finally:
+        sys.settrace(outer)
+    assert lines < 100 * depth
+    assert set(prop.root_table) <= {frozenset(), frozenset({1})}
+    assert sum(prop.root_table.values()) == pytest.approx(1.0)
 
 
 def test_delta_indicator(six_tree):
