@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -500,7 +501,10 @@ def _cmd_repro_damage(cfg: RunConfig, out) -> None:
 
 # -- wiring ---------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and the budget default is read when a command runs."""
     parser = _Parser(prog="resamplekit",
                      description="Resampling-based reliability estimation.")
     sub = parser.add_subparsers(dest="subcommand", required=True)

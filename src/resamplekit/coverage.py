@@ -23,12 +23,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
 
 from ._streams import (Lane, block_count, block_ranges, block_streams,
                        substreams)
 from .budget import check_budget, enumeration_budget
-from .distributions import KnownDistribution
+from .distributions import KnownDistribution, binom_cdf, binom_sf
 from .samples import SampleSet
 from .systems import (GRID_CHUNK, Compare, Input, KOfN, Max, Min, SystemSpec,
                       evaluate_batch)
@@ -277,7 +276,7 @@ def rho(q, theta: float, r: int):
     elif kmax >= r:
         out = np.ones_like(qs)
     else:
-        out = stats.binom.cdf(kmax, r, qs)
+        out = binom_cdf(kmax, r, qs)
     return float(out) if out.ndim == 0 else out
 
 
@@ -311,7 +310,7 @@ def coverage_conditional(rho_, k: int, alpha):
     alphas = np.asarray(alpha, dtype=float)
     j0 = np.array([alpha_floor(float(a), k) for a in alphas.ravel()],
                   dtype=np.int64).reshape(alphas.shape)
-    out = stats.binom.sf(j0 - 1, k, rhos)
+    out = binom_sf(j0 - 1, k, rhos)
     return float(out) if out.ndim == 0 else out
 
 

@@ -52,11 +52,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, stats
 
 from ._streams import (BLOCK, Lane, block_count, block_ranges, distinct_codes,
                        distinct_outcomes, draw_distinct, substreams)
-from .distributions import KnownDistribution
+from .distributions import (KnownDistribution, binom_pmf, poisson_pmf,
+                            poisson_sf)
 
 __all__ = [
     "DamageData", "DamageTruth", "CountEstimates", "TruthSummary",
@@ -120,8 +120,6 @@ class DamageTruth:
         if not 0 < self.rate < math.inf:
             raise ValueError(
                 f"arrival rate must be positive and finite, got {self.rate}")
-        if any(math.isnan(p) for p in self.degradation.params):
-            raise ValueError("degradation law parameters must not be NaN")
         lo, _ = self.degradation.support()
         if not lo >= 0:
             raise ValueError("degradation durations must be non-negative")
@@ -266,13 +264,12 @@ def _gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=128)
 def _integral_sf(deg: KnownDistribution, t: float) -> float:
-    """int_0^t (1 - F(x)) dx with breakpoints at the distribution's corners.
+    """int_0^t (1 - F(x)) dx = E[min(D, t)] for a duration law D >= 0, the
+    law's closed-form limited mean.
 
     Cached per (distribution, t): callers pass ``float(t)``, and the
     distribution is a frozen value object, so equal laws share an entry."""
-    pts = [p for p in deg.support() if 0.0 < p < t]
-    val, _ = integrate.quad(deg.sf, 0.0, t, points=pts or None, limit=200)
-    return val
+    return deg.limited_mean(t)
 
 
 @dataclass(frozen=True)
@@ -285,10 +282,10 @@ class TruthSummary:
     terminal_mean: float
 
     def active_pmf(self, i):
-        return stats.poisson.pmf(i, self.active_mean)
+        return poisson_pmf(i, self.active_mean)
 
     def terminal_pmf(self, i):
-        return stats.poisson.pmf(i, self.terminal_mean)
+        return poisson_pmf(i, self.terminal_mean)
 
 
 def poisson_truth(truth: DamageTruth, t: float) -> TruthSummary:
@@ -320,15 +317,14 @@ def estimator_expectation(truth: DamageTruth, n_a: int, t: float) -> EstimatorEx
     lam_t = truth.rate * t
     p1 = summ.active_mean / lam_t if lam_t > 0 else 0.0
     j = np.arange(0, n_a + 1)
-    d = stats.poisson.pmf(j, lam_t)
-    tail = float(stats.poisson.sf(n_a, lam_t))
+    d = poisson_pmf(j, lam_t)
+    tail = float(poisson_sf(n_a, lam_t))
     mean = p1 * (float(np.dot(j, d)) + n_a * tail)
     pmf = np.empty(n_a + 1)
     for i in range(n_a + 1):
         jj = np.arange(i, n_a + 1)
-        body = float(np.dot(stats.poisson.pmf(jj, lam_t),
-                            stats.binom.pmf(i, jj, p1)))
-        pmf[i] = body + float(stats.binom.pmf(i, n_a, p1)) * tail
+        body = float(np.dot(poisson_pmf(jj, lam_t), binom_pmf(i, jj, p1)))
+        pmf[i] = body + float(binom_pmf(i, n_a, p1)) * tail
     return EstimatorExpectation(t=float(t), n_a=n_a, p1=p1,
                                 active_mean=mean, active_pmf=pmf)
 
@@ -459,7 +455,7 @@ class PluginEstimate:
     terminal_mean: float
 
     def active_pmf(self, i):
-        return stats.poisson.pmf(i, self.active_mean)
+        return poisson_pmf(i, self.active_mean)
 
 
 def plugin_estimate(data: DamageData, t: float) -> PluginEstimate:

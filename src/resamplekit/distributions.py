@@ -4,7 +4,9 @@ A :class:`KnownDistribution` is an immutable value object: a family name plus
 a parameter tuple.  Families supported: ``exponential`` (rate), ``normal``
 (mu, sigma), ``uniform`` (a, b), ``triangular`` (lower, mode, upper) and
 ``empirical`` (a fixed value list, sampled with replacement).  The parametric
-families are backed by the corresponding scipy.stats distributions.
+families evaluate the formulas of the matching scipy.stats distributions on
+numpy and ``scipy.special`` ufuncs, bit for bit, without importing
+scipy.stats.
 
 Two construction paths mirror the CLI and the config format:
 
@@ -16,10 +18,16 @@ Two construction paths mirror the CLI and the config format:
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
+from scipy import special
+# scipy.stats.binom's own kernels: the binomial pmf and cdf have no bit-equal
+# public route, and scipy.special loads this module anyway
+from scipy.special import _ufuncs
 
 __all__ = [
     "KnownDistribution",
@@ -54,7 +62,106 @@ _PARAM_NAMES = {
     "triangular": ("lower", "mode", "upper"),
 }
 
-_frozen_cache: dict[tuple, object] = {}
+_SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+def _triangular_cdf(z, c):
+    if c == 0:
+        return 2 * z - z * z
+    if c == 1:
+        return z * z
+    return np.where(z < c, z * z / c, (z * z - 2 * z + c) / (c - 1))
+
+
+def _triangular_limited(w, c):
+    """E[min(Z, w)] for the standard triangular: w minus int_0^w F on the
+    rising edge, the mean minus int_w^1 (1 - F) on the falling one."""
+    if w <= 0:
+        return w
+    if w <= c:
+        return w - w ** 3 / (3.0 * c)
+    if w < 1:
+        return (1.0 + c) / 3.0 - (1.0 - w) ** 3 / (3.0 * (1.0 - c))
+    return (1.0 + c) / 3.0
+
+
+def _triangular_pdf(z, c):
+    if c == 0:
+        return 2 - 2 * z
+    if c == 1:
+        return 2 * z
+    return np.where(z < c, 2 * z / c, 2 * (1 - z) / (1 - c))
+
+
+class _Standard(NamedTuple):
+    """A family's standard form z = (x - loc) / scale, written as
+    scipy.stats writes it so that every result keeps scipy's bits: the
+    support (a, b), cdf and sf on the open support, pdf on the closed one,
+    ppf on (0, 1) and the standard mean and variance.  ``limited(w, c)`` is
+    the limited mean E[min(Z, w)] at a scalar w.  ``c`` is the triangular
+    mode in [0, 1] and None otherwise."""
+
+    a: float
+    b: float
+    cdf: Callable
+    sf: Callable
+    pdf: Callable
+    ppf: Callable
+    moments: Callable
+    limited: Callable
+
+
+_STANDARD = {
+    "exponential": _Standard(
+        0.0, np.inf,
+        cdf=lambda z, c: -special.expm1(-z),
+        sf=lambda z, c: np.exp(-z),
+        pdf=lambda z, c: np.exp(-z),
+        ppf=lambda q, c: -special.log1p(-q),
+        moments=lambda c: (1.0, 1.0),
+        limited=lambda w, c: w if w <= 0 else -special.expm1(-w)),
+    "normal": _Standard(
+        -np.inf, np.inf,
+        cdf=lambda z, c: special.ndtr(z),
+        sf=lambda z, c: special.ndtr(-z),
+        pdf=lambda z, c: np.exp(-z ** 2 / 2.0) / _SQRT_2PI,
+        ppf=lambda q, c: special.ndtri(q),
+        moments=lambda c: (0.0, 1.0),
+        # w - int_-inf^w Phi = w - (w Phi(w) + phi(w))
+        limited=lambda w, c: w * special.ndtr(-w)
+        - np.exp(-w * w / 2.0) / _SQRT_2PI),
+    "uniform": _Standard(
+        0.0, 1.0,
+        cdf=lambda z, c: z,
+        sf=lambda z, c: 1.0 - z,
+        pdf=lambda z, c: np.ones_like(z),
+        ppf=lambda q, c: q,
+        moments=lambda c: (0.5, 1.0 / 12),
+        limited=lambda w, c: w if w <= 0 else w - w * w / 2.0 if w < 1
+        else 0.5),
+    "triangular": _Standard(
+        0.0, 1.0,
+        cdf=_triangular_cdf,
+        sf=lambda z, c: 1.0 - _triangular_cdf(z, c),
+        pdf=_triangular_pdf,
+        ppf=lambda q, c: np.where(q < c, np.sqrt(c * q),
+                                  1 - np.sqrt((1 - c) * (1 - q))),
+        moments=lambda c: ((c + 1.0) / 3.0, (1.0 - c + c * c) / 18),
+        limited=_triangular_limited),
+}
+
+
+def _assemble(z, inside, values, ones=None):
+    """scipy.stats's output: 0, or 1 where ``ones``, NaN at NaN inputs, and
+    ``values`` of the compressed ``z[inside]`` on ``inside``; a 0-d result
+    comes back as a numpy scalar."""
+    out = np.zeros(z.shape)
+    if ones is not None:
+        out[ones] = 1.0
+    out[np.isnan(z)] = np.nan
+    if inside.any():
+        out[inside] = values(z[inside])
+    return out[()]
 
 
 @dataclass(frozen=True)
@@ -69,37 +176,54 @@ class KnownDistribution:
             raise ValueError(f"unknown distribution family {self.family!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         p = self.params
-        if self.family == "exponential":
-            if len(p) != 1 or p[0] <= 0:
-                raise ValueError(f"exponential needs one positive rate, got {p}")
-        elif self.family == "normal":
-            if len(p) != 2 or p[1] <= 0:
-                raise ValueError(f"normal needs (mu, sigma>0), got {p}")
-        elif self.family == "uniform":
-            if len(p) != 2 or not p[0] < p[1]:
-                raise ValueError(f"uniform needs (a, b) with a < b, got {p}")
-        elif self.family == "triangular":
-            if len(p) != 3 or not (p[0] <= p[1] <= p[2]) or p[0] >= p[2]:
+        names = _PARAM_NAMES.get(self.family)
+        if names is not None and len(p) != len(names):
+            raise ValueError(f"{self.family} needs parameters "
+                             f"({', '.join(names)}), got {p}")
+        if self.family == "empirical" and len(p) == 0:
+            raise ValueError("empirical needs at least one value")
+        for i, v in enumerate(p):
+            if not math.isfinite(v):
+                what = names[i] if names else f"value {i}"
                 raise ValueError(
-                    f"triangular needs lower <= mode <= upper, lower < upper, got {p}")
-        elif self.family == "empirical":
-            if len(p) == 0:
-                raise ValueError("empirical needs at least one value")
-
-    # -- scipy backing ----------------------------------------------------
-
-    @property
-    def _frozen(self):
-        key = (self.family, self.params)
-        dist = _frozen_cache.get(key)
-        if dist is None:
-            dist = _make_frozen(self.family, self.params)
-            _frozen_cache[key] = dist
-        return dist
+                    f"{self.family} parameter {what} must be finite, got {v}")
+        if self.family == "exponential" and not p[0] > 0:
+            raise ValueError(f"exponential needs a positive rate, got {p}")
+        if self.family == "normal" and not p[1] > 0:
+            raise ValueError(f"normal needs (mu, sigma>0), got {p}")
+        if self.family == "uniform" and not p[0] < p[1]:
+            raise ValueError(f"uniform needs (a, b) with a < b, got {p}")
+        if self.family == "triangular" \
+                and (not p[0] <= p[1] <= p[2] or p[0] >= p[2]):
+            raise ValueError(
+                f"triangular needs lower <= mode <= upper, lower < upper, got {p}")
+        if self.family in ("uniform", "triangular") \
+                and not math.isfinite(p[-1] - p[0]):
+            raise ValueError(f"{self.family} support is wider than the "
+                             f"largest float, got {p}")
 
     @property
     def is_continuous(self) -> bool:
         return self.family != "empirical"
+
+    def _standard(self):
+        """(standard form, loc, scale, c) with x = loc + scale z, the
+        parameterization of the matching scipy.stats family."""
+        p = self.params
+        if self.family == "exponential":
+            loc, scale, c = 0.0, 1.0 / p[0], None
+        elif self.family == "normal":
+            loc, scale, c = p[0], p[1], None
+        elif self.family == "uniform":
+            loc, scale, c = p[0], p[1] - p[0], None
+        else:
+            loc, scale, c = p[0], p[2] - p[0], (p[1] - p[0]) / (p[2] - p[0])
+        return _STANDARD[self.family], loc, scale, c
+
+    def _z(self, x):
+        std, loc, scale, c = self._standard()
+        z = np.asarray((np.asarray(x, dtype=float) - loc) / scale)
+        return std, z, scale, c
 
     # -- queries ----------------------------------------------------------
 
@@ -116,26 +240,30 @@ class KnownDistribution:
         if self.family == "uniform":
             a, b = self.params
             return rng.uniform(a, b, size=size)
-        if self.family == "triangular":
-            return rng.triangular(*self.params, size=size)
-        return self._frozen.rvs(size=size, random_state=rng)
+        return rng.triangular(*self.params, size=size)
 
     def cdf(self, x):
         if self.family == "empirical":
             values = np.sort(np.asarray(self.params))
             return np.searchsorted(values, x, side="right") / len(values)
-        return self._frozen.cdf(x)
+        std, z, _, c = self._z(x)
+        return _assemble(z, (std.a < z) & (z < std.b),
+                         lambda v: std.cdf(v, c), ones=z >= std.b)
 
     def sf(self, x):
         """Survival function 1 - cdf(x)."""
         if self.family == "empirical":
             return 1.0 - self.cdf(x)
-        return self._frozen.sf(x)
+        std, z, _, c = self._z(x)
+        return _assemble(z, (std.a < z) & (z < std.b),
+                         lambda v: std.sf(v, c), ones=z <= std.a)
 
     def pdf(self, x):
         if self.family == "empirical":
             raise ValueError("empirical distribution has no density")
-        return self._frozen.pdf(x)
+        std, z, scale, c = self._z(x)
+        return _assemble(z, (std.a <= z) & (z <= std.b),
+                         lambda v: std.pdf(v, c) / scale)
 
     def ppf(self, q):
         """Quantile function (inverse cdf)."""
@@ -143,23 +271,40 @@ class KnownDistribution:
             values = np.sort(np.asarray(self.params))
             idx = np.ceil(np.asarray(q) * len(values)).astype(int) - 1
             return values[np.clip(idx, 0, len(values) - 1)]
-        return self._frozen.ppf(q)
+        std, loc, scale, c = self._standard()
+        q = np.asarray(q, dtype=float)
+        out = np.full(q.shape, np.nan)
+        out[q == 0] = std.a * scale + loc
+        out[q == 1] = std.b * scale + loc
+        inside = (0 < q) & (q < 1)
+        if inside.any():
+            out[inside] = std.ppf(q[inside], c) * scale + loc
+        return out[()]
 
     def mean(self) -> float:
         if self.family == "empirical":
             return float(np.mean(self.params))
-        return float(self._frozen.mean())
+        std, loc, scale, c = self._standard()
+        return float(std.moments(c)[0] * scale + loc)
 
     def var(self) -> float:
         if self.family == "empirical":
             return float(np.var(self.params))
-        return float(self._frozen.var())
+        std, _, scale, c = self._standard()
+        return float(std.moments(c)[1] * scale * scale)
+
+    def limited_mean(self, t: float) -> float:
+        """E[min(D, t)], in closed form; for D >= 0 it is int_0^t sf."""
+        if self.family == "empirical":
+            return float(np.minimum(self.params, t).mean())
+        std, loc, scale, c = self._standard()
+        return float(std.limited((t - loc) / scale, c) * scale + loc)
 
     def support(self) -> tuple[float, float]:
         if self.family == "empirical":
             return (float(min(self.params)), float(max(self.params)))
-        lo, hi = self._frozen.support()
-        return (float(lo), float(hi))
+        std, loc, scale, _ = self._standard()
+        return (float(std.a * scale + loc), float(std.b * scale + loc))
 
     def __repr__(self):
         if self.family == "empirical" and len(self.params) > 6:
@@ -168,18 +313,65 @@ class KnownDistribution:
         return f"KnownDistribution({self.family}:{body})"
 
 
-def _make_frozen(family: str, params: tuple[float, ...]):
-    if family == "exponential":
-        return stats.expon(scale=1.0 / params[0])
-    if family == "normal":
-        return stats.norm(params[0], params[1])
-    if family == "uniform":
-        a, b = params
-        return stats.uniform(loc=a, scale=b - a)
-    if family == "triangular":
-        lo, mode, hi = params
-        return stats.triang(c=(mode - lo) / (hi - lo), loc=lo, scale=hi - lo)
-    raise ValueError(family)
+# -- count laws -------------------------------------------------------------
+# Each gives the bits of the scipy.stats call it names, for integer or
+# infinite k (finite k for the pmfs), integer n >= 0, p in [0, 1] and
+# mu >= 0; callers check their parameters.
+
+def binom_pmf(k, n, p):
+    """P{Bin(n, p) = k}: ``scipy.stats.binom.pmf``."""
+    k, n, p = np.broadcast_arrays(k, n, p)
+    out = np.zeros(k.shape)
+    inside = (k >= 0) & (k <= n) & (np.floor(k) == k)
+    if inside.any():
+        # clipped as scipy.stats clips: the kernel can pass 1 by an ulp
+        out[inside] = np.clip(
+            _ufuncs._binom_pmf(k[inside], n[inside], p[inside]), 0, 1)
+    return out[()]
+
+
+def binom_cdf(k, n, p):
+    """P{Bin(n, p) <= k}: ``scipy.stats.binom.cdf``."""
+    k, n, p = np.broadcast_arrays(k, n, p)
+    out = np.where(k >= n, 1.0, 0.0)
+    inside = (k >= 0) & (k < n)
+    if inside.any():
+        out[inside] = np.clip(_ufuncs._binom_cdf(
+            np.floor(k[inside]), n[inside], p[inside]), 0, 1)
+    return out[()]
+
+
+def binom_sf(k, n, p):
+    """P{Bin(n, p) > k}: ``scipy.stats.binom.sf``."""
+    k, n, p = np.broadcast_arrays(k, n, p)
+    out = np.where(k < 0, 1.0, 0.0)
+    inside = (k >= 0) & (k < n)
+    if inside.any():
+        kf = np.floor(k[inside])
+        out[inside] = special.betainc(kf + 1, n[inside] - kf, p[inside])
+    return out[()]
+
+
+def poisson_pmf(k, mu):
+    """P{Poisson(mu) = k}: ``scipy.stats.poisson.pmf``."""
+    k, mu = np.broadcast_arrays(k, mu)
+    out = np.zeros(k.shape)
+    inside = (k >= 0) & (np.floor(k) == k) & np.isfinite(k)
+    if inside.any():
+        ki, mi = k[inside], mu[inside]
+        out[inside] = np.exp(special.xlogy(ki, mi) - special.gammaln(ki + 1)
+                             - mi)
+    return out[()]
+
+
+def poisson_sf(k, mu):
+    """P{Poisson(mu) > k}: ``scipy.stats.poisson.sf``."""
+    k, mu = np.broadcast_arrays(k, mu)
+    out = np.where(k < 0, 1.0, 0.0)
+    inside = (k >= 0) & (k < np.inf)
+    if inside.any():
+        out[inside] = special.pdtrc(np.floor(k[inside]), mu[inside])
+    return out[()]
 
 
 # -- constructors ---------------------------------------------------------

@@ -26,10 +26,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
 
 from ._streams import BLOCK, Lane, block_streams, draw_distinct, substreams
-from .distributions import KnownDistribution
+from .distributions import KnownDistribution, normal
 from .pairs import (AlphaPair, PairRow, VarianceReport, alpha_probability,
                     assemble_variance)
 from .resampling import EstimateResult
@@ -166,7 +165,7 @@ class NormalConvolutionKit:
         """P{D_{m_X} > S_{m_Y}} in closed form."""
         mean = self.m_x * self.mu_x - self.m_y * self.mu_y
         var = self.m_x * self.sigma_x ** 2 + self.m_y * self.sigma_y ** 2
-        return float(stats.norm.sf(0.0, mean, math.sqrt(var)))
+        return float(normal(mean, math.sqrt(var)).sf(0.0))
 
     def mu11(self, a_x: int, a_y: int) -> float:
         """int F_dif^2 dF_com for the given overlap counts."""
@@ -179,11 +178,12 @@ class NormalConvolutionKit:
             # F_dif is a step at md: integrand is P{C_com >= md}
             if vc == 0.0:
                 return 1.0 if mc >= md else 0.0
-            return float(stats.norm.sf(md, mc, math.sqrt(vc)))
-        fdif = stats.norm(md, math.sqrt(vd))
+            return float(normal(mc, math.sqrt(vc)).sf(md))
+        fdif = normal(md, math.sqrt(vd))
         if vc == 0.0:
             return float(fdif.cdf(mc)) ** 2
-        fcom = stats.norm(mc, math.sqrt(vc))
+        fcom = normal(mc, math.sqrt(vc))
+        from scipy import integrate  # loaded only for this mixed moment
         val, _ = integrate.quad(
             lambda z: fdif.cdf(z) ** 2 * fcom.pdf(z),
             -np.inf, np.inf, epsabs=1e-10, limit=200)

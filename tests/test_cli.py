@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from resamplekit.cli import main
+from resamplekit.cli import _build_parser, main
 
 TWO_OF_THREE = "ind(kofn(2; x1, x2, x3) > t)\n"
 MIN_RACE = "cmp(x3 < min(x1, x2))\n"
@@ -419,6 +420,25 @@ def test_coverage_non_order_spec(files, capsys):
     assert code == 2   # threshold node is not order-invariant
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["coverage", "--gen", "exp:nan,exp:3,exp:2", "--sizes", "2,2,2",
+      "--gamma", "0.8", "--theta", "0.25", "--k", "10", "--r", "16"], "rate"),
+    (["coverage", "--gen", "normal:0,1,normal:0,inf,exp:1", "--sizes", "2,2,2",
+      "--gamma", "0.8", "--theta", "0.25", "--k", "10", "--r", "16"], "sigma"),
+    (["damage-truth", "--lambda", "0.5", "--deg", "triangular:0,nan,4",
+      "--t", "5.0"], "mode"),
+    (["renewal-truth", "--x", "normal:inf,1", "--y", "normal:2,1", "--m", "5",
+      "--k", "1", "--nx", "10", "--ny", "10", "--r", "10"], "mu"),
+])
+def test_non_finite_distribution_parameter_fails_up_front(files, capsys, argv,
+                                                          name):
+    if argv[0] == "coverage":
+        argv = argv[:1] + ["--spec", str(files["race"])] + argv[1:]
+    code, env = error_of(capsys, argv)
+    assert (code, env["code"]) == (2, "schema-violation")
+    assert f"parameter {name} must be finite" in env["message"]
+
+
 # -- generic plumbing ------------------------------------------------------
 
 def test_unknown_subcommand(capsys):
@@ -563,6 +583,72 @@ def test_fuzz_damage_value_files(fuzz_dir, ha, hb, sep):
     assert_documented(*run_main([
         "damage", "--ha", str(fuzz_dir / "ha.txt"), "--hb",
         str(fuzz_dir / "hb.txt"), "--t", "3.0", "--r", "20", "--seed", "1"]))
+
+
+def fresh_process(argv, env=None):
+    res = subprocess.run([sys.executable, "-m", "resamplekit.cli", *argv],
+                         capture_output=True, text=True,
+                         env=None if env is None else {**os.environ, **env})
+    return res.returncode, res.stdout, res.stderr
+
+
+def test_main_calls_in_one_process_equal_fresh_processes(files, capsys,
+                                                         monkeypatch):
+    """The parser is built once per process; a run after a usage error, or
+    under another RESAMPLEKIT_BUDGET, gives what a fresh process gives."""
+    estimate = ["estimate", "--spec", str(files["spec"]), "--samples",
+                str(files["samples"]), "--t", "1.0", "--r", "50", "--seed", "3"]
+    damage = ["damage", "--ha", str(files["ha"]), "--hb", str(files["hb"]),
+              "--t", "3.0", "--r", "100", "--seed", "5"]
+    usage = ["estimate", "--spec", str(files["spec"]), "--r", "oops"]
+    calls = [(estimate, None), (usage, None), (damage, None),
+             (estimate, {"RESAMPLEKIT_BUDGET": "5"}), (estimate, None)]
+    got = []
+    for argv, env in calls:
+        with monkeypatch.context() as mp:
+            for key, value in (env or {}).items():
+                mp.setenv(key, value)
+            got.append(invoke(capsys, argv))
+    assert [code for code, _, _ in got] == [0, 2, 0, 4, 0]
+    assert got[0] == got[-1]
+    assert _build_parser() is _build_parser()
+    for (argv, env), result in zip(calls, got):
+        assert result == fresh_process(argv, env)
+
+
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+import resamplekit, resamplekit.cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert resamplekit.cli.main(argv) == 0, argv
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[:2] in (["scipy", "stats"],
+                                                ["scipy", "integrate"]))))
+"""
+
+
+def test_commands_load_neither_scipy_stats_nor_integrate(files):
+    """Import and the estimate, damage and coverage commands need only
+    numpy and scipy.special."""
+    coverage = ["coverage", "--spec", str(files["race"]), "--sizes", "2,2,2",
+                "--gamma", "0.8", "--theta", "0.25", "--k", "10", "--r", "16"]
+    commands = [
+        ["estimate", "--spec", str(files["spec"]), "--samples",
+         str(files["samples"]), "--t", "1.0", "--r", "50", "--seed", "3"],
+        ["damage", "--ha", str(files["ha"]), "--hb", str(files["hb"]),
+         "--t", "3.0", "--r", "100", "--seed", "5"],
+        ["damage-truth", "--lambda", "0.5", "--deg", "triangular:0,2,4",
+         "--t", "5.0", "--na", "4"],
+        coverage + ["--gen", "exp:3,exp:3,exp:2"],
+        coverage + ["--gen", "normal:0,1,normal:0.5,1,normal:1,2"],
+        coverage + ["--gen", "normal:0,1,normal:0.5,1,normal:1,2",
+                    "--mode", "mc", "--replications", "50", "--seed", "2"],
+    ]
+    res = subprocess.run([sys.executable, "-c", IMPORT_PROBE,
+                          json.dumps(commands)], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout) == []
 
 
 def test_console_script_subprocess(files, console_script):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,16 +58,17 @@ def test_damage_data_rejects(h_a, h_b):
 def test_damage_truth_rejects():
     """Every accepted truth yields fresh data that passes DamageData's
     checks, so a replication study fails on the first bad chunk in the
-    order a one-replication loop would."""
-    for rate, degradation in [(0.0, exponential(1.0)),
-                              (math.inf, exponential(1.0)),
-                              (math.nan, exponential(1.0)),
-                              (1.0, uniform(-1.0, 1.0)),
-                              (1.0, empirical([1.0, math.nan])),
-                              (1.0, empirical([math.nan, 1.0])),
-                              (1.0, exponential(math.nan))]:
+    order a one-replication loop would.  A law with a NaN parameter is
+    refused already by the distribution."""
+    for rate, law in [(0.0, lambda: exponential(1.0)),
+                      (math.inf, lambda: exponential(1.0)),
+                      (math.nan, lambda: exponential(1.0)),
+                      (1.0, lambda: uniform(-1.0, 1.0)),
+                      (1.0, lambda: empirical([1.0, math.nan])),
+                      (1.0, lambda: empirical([math.nan, 1.0])),
+                      (1.0, lambda: exponential(math.nan))]:
         with pytest.raises(ValueError):
-            DamageTruth(rate=rate, degradation=degradation)
+            DamageTruth(rate=rate, degradation=law())
 
 
 # -- resampling the process ------------------------------------------------
@@ -192,30 +194,55 @@ def test_poisson_truth_zero_time():
         poisson_truth(TRI_TRUTH, t=-1.0)
 
 
-def test_poisson_truth_integrates_once_per_law_and_time():
-    def quad(deg, t):
-        # the integral as one uncached integrate.quad call
-        pts = [p for p in deg.support() if 0.0 < p < t]
-        return integrate.quad(deg.sf, 0.0, t, points=pts or None,
-                              limit=200)[0]
+def quad_oracle(law, t):
+    """int_0^t (1 - F) by integrate.quad, split at every corner of the law
+    (support ends, triangular mode, empirical values) inside (0, t)."""
+    corners = set(law.params) | set(law.support())
+    pts = sorted(p for p in corners if 0.0 < p < t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        return integrate.quad(law.sf, 0.0, t, points=pts or None, limit=200,
+                              epsabs=0.0, epsrel=2e-14)[0]
 
+
+def test_poisson_truth_integrates_once_per_law_and_time():
     _integral_sf.cache_clear()
     base = poisson_truth(TRI_TRUTH, 5.0)
     # an equal law and an int time reuse the entry
     same = poisson_truth(DamageTruth(0.5, triangular(0, 2, 4)), 5)
     assert _integral_sf.cache_info()[:2] == (1, 1)  # hits, misses
     assert same == base
-    assert base.active_mean.hex() == (0.5 * quad(TRI_TRUTH.degradation,
-                                                 5.0)).hex()
+    assert base.active_mean == pytest.approx(
+        0.5 * quad_oracle(TRI_TRUTH.degradation, 5.0), rel=1e-13)
     # another time, or a law that differs in one parameter, misses
     later = poisson_truth(TRI_TRUTH, 3.5)
     wider = poisson_truth(DamageTruth(0.5, triangular(0, 2, 4.5)), 5.0)
     assert _integral_sf.cache_info()[:2] == (1, 3)
-    assert later.active_mean.hex() == (0.5 * quad(TRI_TRUTH.degradation,
-                                                  3.5)).hex()
-    assert wider.active_mean.hex() == (
-        0.5 * quad(triangular(0, 2, 4.5), 5.0)).hex()
+    assert later.active_mean == pytest.approx(
+        0.5 * quad_oracle(TRI_TRUTH.degradation, 3.5), rel=1e-13)
+    assert wider.active_mean == pytest.approx(
+        0.5 * quad_oracle(triangular(0, 2, 4.5), 5.0), rel=1e-13)
     assert len({base.active_mean, later.active_mean, wider.active_mean}) == 3
+
+
+@pytest.mark.parametrize("law", [
+    exponential(0.7), uniform(0.0, 2.0), uniform(1.0, 3.0),
+    triangular(0.0, 2.0, 4.0), triangular(1.0, 1.0, 3.0),
+    triangular(1.0, 3.0, 3.0), triangular(0.5, 1.25, 4.0),
+    empirical([0.0, 0.5, 2.0, 2.0, 3.5]), empirical([1.5])],
+    ids=repr)
+def test_truth_integral_closed_form_matches_quadrature(law):
+    """E[min(D, t)] in closed form equals int_0^t (1 - F) by quadrature, at
+    t below, at, inside and above each corner of the law."""
+    corners = sorted(p for p in set(law.params) | set(law.support())
+                     if math.isfinite(p))
+    times = {0.0, 40.0}
+    for lo, hi in zip([corners[0] - 1.0] + corners, corners + [corners[-1] + 1.0]):
+        times |= {lo, (lo + hi) / 2, hi}
+    for t in sorted(x for x in times if x >= 0.0):
+        _integral_sf.cache_clear()
+        assert _integral_sf(law, t) == pytest.approx(quad_oracle(law, t),
+                                                     rel=1e-13, abs=0.0), t
 
 
 # -- capped expectation of the resampling estimator ------------------------
@@ -227,6 +254,22 @@ def test_estimator_expectation_identities():
     i = np.arange(exp_.n_a + 1)
     assert exp_.active_mean == pytest.approx(
         float(np.dot(i, exp_.active_pmf)), abs=1e-12)
+
+
+def test_estimator_expectation_pmf_at_large_cap():
+    """The capped pmf keeps scipy.stats's binomial and Poisson bits where
+    comb(n_A, n_A / 2) no longer fits a float."""
+    exp_ = estimator_expectation(TRI_TRUTH, n_a=1100, t=5.0)
+    assert np.isfinite(exp_.active_pmf).all()
+    assert exp_.active_pmf.sum() == pytest.approx(1.0, abs=1e-12)
+    lam_t, n_a = TRI_TRUTH.rate * 5.0, exp_.n_a
+    tail = float(stats.poisson.sf(n_a, lam_t))
+    for i in (0, 1, 2, 550, 1099, 1100):
+        jj = np.arange(i, n_a + 1)
+        want = float(np.dot(stats.poisson.pmf(jj, lam_t),
+                            stats.binom.pmf(i, jj, exp_.p1))) \
+            + float(stats.binom.pmf(i, n_a, exp_.p1)) * tail
+        assert exp_.active_pmf[i] == want, i
 
 
 def test_estimator_expectation_cap_monotone():

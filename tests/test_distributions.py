@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from resamplekit import (KnownDistribution, empirical, exponential, normal,
                          parse_distribution, triangular, uniform)
-from resamplekit.distributions import from_dict
+from resamplekit.distributions import (binom_cdf, binom_pmf, binom_sf,
+                                       from_dict, poisson_pmf, poisson_sf)
 
 ALL = [exponential(2.0), normal(2.0, 3.0), uniform(1.0, 4.0), triangular(0.0, 2.0, 4.0)]
 
@@ -44,9 +49,28 @@ def test_from_dict(obj, expected):
     ("triangular", (0.0, 5.0, 4.0)),
     ("empirical", ()),
     ("weibull", (1.0,)),
+    ("uniform", (-1e308, 1e308)),       # the width overflows
+    ("triangular", (-1e308, 0.0, 1e308)),
 ])
 def test_invalid_parameters(family, params):
     with pytest.raises(ValueError):
+        KnownDistribution(family, params)
+
+
+@pytest.mark.parametrize("family, params, name", [
+    ("exponential", (math.nan,), "rate"),
+    ("exponential", (math.inf,), "rate"),
+    ("normal", (math.nan, 1.0), "mu"),
+    ("normal", (0.0, math.inf), "sigma"),
+    ("uniform", (-math.inf, 1.0), "a"),
+    ("uniform", (0.0, math.inf), "b"),
+    ("triangular", (0.0, math.nan, 4.0), "mode"),
+    ("triangular", (0.0, 2.0, math.inf), "upper"),
+    ("empirical", (1.0, math.nan), "value 1"),
+    ("empirical", (-math.inf, 1.0), "value 0"),
+])
+def test_non_finite_parameters_are_named(family, params, name):
+    with pytest.raises(ValueError, match=f"parameter {name} must be finite"):
         KnownDistribution(family, params)
 
 
@@ -134,3 +158,135 @@ def test_empirical_sample_support_and_moments():
     assert not d.is_continuous
     with pytest.raises(ValueError):
         d.pdf(1.0)
+
+
+# -- bit-for-bit against scipy.stats ---------------------------------------
+
+ORACLE = settings(derandomize=True, deadline=None, max_examples=150,
+                  database=None)
+MODERATE = st.floats(-1e3, 1e3, allow_nan=False)
+SCALE = st.floats(1e-3, 1e2)
+UNIT = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+def scipy_frozen(dist):
+    """The scipy.stats distribution the library formulas reproduce."""
+    p = dist.params
+    if dist.family == "exponential":
+        return stats.expon(scale=1.0 / p[0])
+    if dist.family == "normal":
+        return stats.norm(p[0], p[1])
+    if dist.family == "uniform":
+        return stats.uniform(loc=p[0], scale=p[1] - p[0])
+    lo, mode, hi = p
+    return stats.triang(c=(mode - lo) / (hi - lo), loc=lo, scale=hi - lo)
+
+
+@st.composite
+def laws(draw):
+    family = draw(st.sampled_from(["exponential", "normal", "uniform",
+                                   "triangular"]))
+    if family == "exponential":
+        return exponential(draw(SCALE))
+    if family == "normal":
+        return normal(draw(MODERATE), draw(SCALE))
+    lo, width = draw(MODERATE), draw(SCALE)
+    if family == "uniform":
+        return uniform(lo, lo + width)
+    # the mode anywhere, at either end included
+    return triangular(lo, lo + draw(UNIT) * width, lo + width)
+
+
+def assert_same_bits(got, want):
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (got, want)
+
+
+@ORACLE
+@given(dist=laws(), xs=st.lists(MODERATE, max_size=8),
+       qs=st.lists(UNIT | st.floats(-0.5, 1.5), max_size=8))
+def test_formulas_equal_scipy_stats_bit_for_bit(dist, xs, qs):
+    ref = scipy_frozen(dist)
+    lo, hi = dist.support()
+    mid = dist.ppf(0.5)
+    points = np.array(xs + [lo, hi, mid, -np.inf, np.inf, np.nan,
+                            *dist.params, np.nextafter(lo, -np.inf),
+                            np.nextafter(hi, np.inf)])
+    for name in ("cdf", "sf", "pdf"):
+        assert_same_bits(getattr(dist, name)(points), getattr(ref, name)(points))
+        for x in (float(points[0]), lo, hi, mid, 1):  # scalars: np.float64
+            assert_same_bits(getattr(dist, name)(x), getattr(ref, name)(x))
+    quantiles = np.array(qs + [0.0, 1.0, 0.5, -0.1, 1.1, np.nan, 1e-300])
+    assert_same_bits(dist.ppf(quantiles), ref.ppf(quantiles))
+    assert_same_bits(dist.ppf(0.25), ref.ppf(0.25))
+    assert_same_bits(dist.mean(), float(ref.mean()))
+    assert_same_bits(dist.var(), float(ref.var()))
+    assert_same_bits(dist.support(), tuple(float(v) for v in ref.support()))
+
+
+COUNTS = st.integers(0, 80)
+PROBABILITY = st.sampled_from([0.0, 1.0, 0.5]) | st.floats(0.0, 1.0) \
+    | st.floats(0.0, 1e-6)
+
+
+@ORACLE
+@given(n=COUNTS, p=PROBABILITY)
+def test_binomial_helpers_equal_scipy_stats(n, p):
+    k = np.concatenate([np.arange(-2.0, n + 3), [-np.inf, np.inf]])
+    assert_same_bits(binom_sf(k, n, p), stats.binom.sf(k, n, p))
+    assert_same_bits(binom_cdf(k, n, p), stats.binom.cdf(k, n, p))
+    k_pmf = np.concatenate([np.arange(-2.0, n + 3), [0.5, n - 0.5]])
+    assert_same_bits(binom_pmf(k_pmf, n, p), stats.binom.pmf(k_pmf, n, p))
+    for j in (-1, 0, n // 2, n, n + 1):
+        assert_same_bits(binom_sf(j, n, p), stats.binom.sf(j, n, p))
+        assert_same_bits(binom_cdf(j, n, p), stats.binom.cdf(j, n, p))
+        assert_same_bits(binom_pmf(j, n, p), stats.binom.pmf(j, n, p))
+    # k fixed against an array of n, as the capped expectation calls it
+    ns = np.arange(0, n + 1)
+    assert_same_bits(binom_pmf(n // 2, ns, p), stats.binom.pmf(n // 2, ns, p))
+
+
+def test_binomial_pmf_stays_finite_at_large_n():
+    """comb(n, n/2) overflows a float near n = 1030; the pmf must not."""
+    n = np.arange(1000, 1201)
+    for p in (0.01, 0.4, 0.999):
+        got = binom_pmf(n // 2, n, p)
+        assert np.isfinite(got).all()
+        assert_same_bits(got, stats.binom.pmf(n // 2, n, p))
+
+
+@pytest.mark.parametrize("dist", [
+    exponential(0.7), normal(-1.0, 2.0), uniform(-3.0, 2.0),
+    triangular(-2.0, -2.0, 1.0), triangular(-2.0, 1.0, 1.0),
+    triangular(-2.0, 0.5, 3.0), empirical([-1.0, 0.5, 2.0, 2.0])], ids=repr)
+def test_limited_mean_matches_quadrature(dist):
+    """E[min(D, t)] = t - int_-inf^t F, at t below, at, inside and above
+    each corner of the law."""
+    from scipy import integrate
+    lo, hi = dist.support()
+    corners = sorted({v for v in (*dist.params, lo, hi) if math.isfinite(v)})
+    times = {corners[0] - 1.0, corners[-1] + 1.0, *corners}
+    times |= {(a + b) / 2 for a, b in zip(corners, corners[1:])}
+    for t in sorted(times):
+        start = max(lo, t - 40.0 * math.sqrt(dist.var()) - 1.0)
+        pts = [v for v in corners if start < v < t]
+        area = integrate.quad(dist.cdf, start, t, points=pts or None,
+                              limit=200, epsabs=0.0, epsrel=1e-13)[0] \
+            if t > start else 0.0
+        assert dist.limited_mean(t) == pytest.approx(t - area, rel=1e-12,
+                                                     abs=1e-13), t
+    assert dist.limited_mean(1e6) == pytest.approx(dist.mean(), rel=1e-14)
+
+
+@ORACLE
+@given(mu=st.sampled_from([0.0]) | st.floats(0.0, 200.0)
+       | st.floats(0.0, 1e-6))
+def test_poisson_helpers_equal_scipy_stats(mu):
+    k = np.concatenate([np.arange(-2.0, 120), [-np.inf, 0.5, 2.5]])
+    assert_same_bits(poisson_pmf(k, mu), stats.poisson.pmf(k, mu))
+    k_sf = np.append(k, np.inf)
+    assert_same_bits(poisson_sf(k_sf, mu), stats.poisson.sf(k_sf, mu))
+    for j in (-1, 0, 3):
+        assert_same_bits(poisson_pmf(j, mu), stats.poisson.pmf(j, mu))
+        assert_same_bits(poisson_sf(j, mu), stats.poisson.sf(j, mu))
