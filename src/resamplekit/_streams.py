@@ -59,11 +59,15 @@ def substream(seed: int, *key: int) -> np.random.Generator:
         User-facing run seed (non-negative).
     *key : int
         Non-negative integers identifying the lane/block.
+
+    A seed or key that is not an integer (``1.5``, ``np.float64(2.0)``)
+    raises TypeError, as it does on the batched route.
     """
+    seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    ss = np.random.SeedSequence(entropy=int(seed),
-                                spawn_key=tuple(int(k) for k in key))
+    ss = np.random.SeedSequence(entropy=seed,
+                                spawn_key=tuple(map(operator.index, key)))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -108,7 +112,7 @@ def substreams(seeds, *key_columns):
     cols = np.broadcast_arrays(*map(np.atleast_1d, (seeds, *key_columns)))
     rows = len(cols[0])
     if rows == 1:
-        yield substream(*(int(c[0]) for c in cols))
+        yield substream(*(c[0] for c in cols))
         return
     stream = KeyedGenerator()
     for lo in range(0, rows, BLOCK):

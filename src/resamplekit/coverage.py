@@ -28,6 +28,7 @@ from ._streams import (Lane, block_count, block_ranges, block_streams,
                        substreams)
 from .budget import check_budget, enumeration_budget
 from .distributions import KnownDistribution, binom_cdf, binom_sf
+from .resampling import draw_values
 from .samples import SampleSet
 from .systems import (GRID_CHUNK, Compare, Input, KOfN, Max, Min, SystemSpec,
                       evaluate_batch)
@@ -642,8 +643,6 @@ def resampling_interval(func: OrderFunctional, samples: SampleSet,
     Runs k independent experiments of r realizations each on the given
     samples; a is the floor(alpha k)-th smallest estimate.
     """
-    from .resampling import draw_index_batch
-
     gamma = float(gamma)
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
@@ -659,9 +658,8 @@ def resampling_interval(func: OrderFunctional, samples: SampleSet,
     for e in range(k):
         values = np.empty(r)
         for (_, start, stop), rng in zip(block_ranges(r), streams):
-            idx = draw_index_batch(samples, stop - start, rng)
             values[start:stop] = evaluate_batch(
-                func.spec, samples.values_matrix(idx))
+                func.spec, draw_values(samples, stop - start, rng).T)
         estimates[e] = values.mean()
     a = float(np.sort(estimates)[j0 - 1])
     return IntervalResult(a=a, interval=(a, 1.0), gamma=gamma, k=k, r=r,

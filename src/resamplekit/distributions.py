@@ -19,7 +19,7 @@ Two construction paths mirror the CLI and the config format:
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -412,7 +412,14 @@ def parse_distribution(text: str) -> KnownDistribution:
 
 
 def from_dict(obj: dict) -> KnownDistribution:
-    """Build a distribution from a JSON object with named parameters."""
+    """Build a distribution from a JSON object with named parameters.
+
+    Raises ValueError on anything but an object whose parameters are
+    numbers (an empirical law's ``values`` a list of them).
+    """
+    if not isinstance(obj, Mapping):
+        raise ValueError(
+            f"distribution must be a JSON object, got {type(obj).__name__}")
     if "family" not in obj:
         raise ValueError(f"distribution object missing 'family': {obj!r}")
     family = _ALIASES.get(str(obj["family"]).lower())
@@ -421,9 +428,22 @@ def from_dict(obj: dict) -> KnownDistribution:
     if family == "empirical":
         if "values" not in obj:
             raise ValueError("empirical distribution object needs 'values'")
-        return empirical(obj["values"])
+        values = obj["values"]
+        if not isinstance(values, (list, tuple)):
+            raise ValueError("empirical 'values' must be a list of numbers, "
+                             f"got {type(values).__name__}")
+        return empirical(_number(v, family, "values") for v in values)
     names = _PARAM_NAMES[family]
     missing = [n for n in names if n not in obj]
     if missing:
         raise ValueError(f"{family} distribution object missing {missing}")
-    return KnownDistribution(family, tuple(float(obj[n]) for n in names))
+    return KnownDistribution(family,
+                             tuple(_number(obj[n], family, n) for n in names))
+
+
+def _number(value, family: str, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{family} parameter {name} must be a number, "
+                         f"got {value!r}") from None

@@ -33,7 +33,7 @@ import numpy as np
 
 from ._streams import Lane, block_streams
 from .distributions import KnownDistribution
-from .resampling import EstimateResult, draw_index_batch
+from .resampling import EstimateResult, draw_values
 from .samples import SampleSet
 from .systems import (SystemSpec, elementary_apply, evaluate_batch, Input,
                       parse_system)
@@ -62,16 +62,13 @@ def estimate_known_g(g, samples: SampleSet, r: int, seed: int,
         raise ValueError(f"need r >= 1 realizations, got {r}")
     values = np.empty(r, dtype=float)
     for start, stop, rng in block_streams(r, seed, Lane.KNOWN_G):
-        idx = draw_index_batch(samples, stop - start, rng)
-        X = samples.values_matrix(idx)
+        # g is the caller's: hand it rows in C order, as it always got them
+        X = np.ascontiguousarray(draw_values(samples, stop - start, rng).T)
         if vectorized:
             values[start:stop] = np.asarray(g(X), dtype=float)
         else:
             values[start:stop] = [float(g(row)) for row in X]
-    var = float(np.var(values, ddof=1)) if r > 1 else 0.0
-    return EstimateResult(estimate=float(values.mean()), realizations=r,
-                          seed=seed, empirical_variance=var,
-                          values=values if keep_values else None)
+    return EstimateResult.from_values(values, seed, keep_values)
 
 
 def _split_args(spec: SystemSpec, samples: SampleSet, z_dists):
@@ -99,8 +96,7 @@ def estimate_inner_mc(spec: SystemSpec, samples: SampleSet, z_dists,
     values = np.empty(r, dtype=float)
     rows_per = max(1, _ROWS_CHUNK // max(N, 1))
     for start, stop, rng in block_streams(r, seed, Lane.INNER_MC):
-        idx = draw_index_batch(samples, stop - start, rng)
-        X = samples.values_matrix(idx)
+        X = draw_values(samples, stop - start, rng).T
         for lo in range(0, stop - start, rows_per):
             hi = min(lo + rows_per, stop - start)
             rows = hi - lo
@@ -110,10 +106,7 @@ def estimate_inner_mc(spec: SystemSpec, samples: SampleSet, z_dists,
                 full[:, :, m + z] = d.sample(rng, (rows, N))
             vals = evaluate_batch(spec, full.reshape(rows * N, m + nu))
             values[start + lo:start + hi] = vals.reshape(rows, N).mean(axis=1)
-    var = float(np.var(values, ddof=1)) if r > 1 else 0.0
-    return EstimateResult(estimate=float(values.mean()), realizations=r,
-                          seed=seed, empirical_variance=var,
-                          values=values if keep_values else None)
+    return EstimateResult.from_values(values, seed, keep_values)
 
 
 def wave_estimate_vector_samples(spec: SystemSpec, samples: SampleSet, z_dists,

@@ -124,10 +124,7 @@ def estimate_exceedance(pair: RenewalPair, r: int, seed: int,
         # m_Y = 0 draws nothing and sums to 0
         sy = pair.h_y[draw_distinct(rng, n_y, pair.m_y, rows)].sum(axis=1)
         values[start:stop] = (dx > sy).astype(float)
-    var = float(np.var(values, ddof=1)) if r > 1 else 0.0
-    return EstimateResult(estimate=float(values.mean()), realizations=r,
-                          seed=seed, empirical_variance=var,
-                          values=values if keep_values else None)
+    return EstimateResult.from_values(values, seed, keep_values)
 
 
 # -- convolution kits -----------------------------------------------------

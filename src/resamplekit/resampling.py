@@ -7,6 +7,15 @@ realizations.  Conditional on the data the estimate is unbiased for the
 exhaustive mean over all admissible vectors, which :func:`exhaustive_theta`
 computes directly.
 
+A seeded run draws values, not index vectors: :func:`draw_values` takes
+each block's codes from :func:`_streams.distinct_codes`, exactly the draws
+:func:`draw_index_batch` takes, in the same order, and maps them through the
+block's cached value table (:attr:`SampleSet.draw_plan`) or its
+Fisher-Yates positions straight into an (m, rows) argument matrix.
+:func:`systems.evaluate_batch` takes its transpose, so the structure
+function reads each argument as one contiguous row.  The estimate and its
+variance come from :meth:`EstimateResult.from_values`.
+
 The exhaustive routes (:func:`grid_values` and everything built on it)
 evaluate the function with :func:`systems.evaluate_grid` on a grid with one
 axis per block, of length n!/(n-k)! for k draws from n elements: each
@@ -22,14 +31,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._streams import Lane, block_streams, draw_distinct
+from ._streams import (Lane, block_streams, distinct_codes, distinct_outcomes,
+                       draw_distinct)
 from .budget import check_budget
 from .samples import SampleSet, ordered_draws
 from .systems import SystemSpec, evaluate_batch, evaluate_grid
 
 __all__ = [
     "ResampleIndexVector", "EstimateResult", "draw_resample",
-    "draw_index_batch", "estimate_theta", "exhaustive_moments",
+    "draw_index_batch", "draw_values", "estimate_theta", "exhaustive_moments",
     "exhaustive_theta", "grid_values",
 ]
 
@@ -67,6 +77,26 @@ class EstimateResult:
     empirical_variance: float
     values: np.ndarray | None = None
 
+    @classmethod
+    def from_values(cls, values: np.ndarray, seed: int | None,
+                    keep_values: bool = False) -> "EstimateResult":
+        """The estimate of a non-empty float array of realization values.
+
+        Two ``np.add.reduce`` passes, the sum over n and then the squared
+        deviations from that mean over n - 1, are the steps of
+        ``values.mean()`` and ``np.var(values, ddof=1)``, so the bits are
+        theirs.
+        """
+        n = len(values)
+        mean = np.add.reduce(values) / n
+        var = 0.0
+        if n > 1:
+            dev = values - mean
+            var = np.add.reduce(np.multiply(dev, dev, out=dev)) / (n - 1)
+        return cls(estimate=float(mean), realizations=n, seed=seed,
+                   empirical_variance=float(var),
+                   values=values if keep_values else None)
+
     @property
     def standard_error(self) -> float:
         """SE of the estimate: sqrt(empirical variance / r)."""
@@ -93,6 +123,30 @@ def draw_index_batch(samples: SampleSet, count: int,
     return out
 
 
+def draw_values(samples: SampleSet, rows: int,
+                rng: np.random.Generator) -> np.ndarray:
+    """Draw ``rows`` admissible argument vectors; returns their values as an
+    (m, rows) float array, row a - 1 for argument a.
+
+    Takes the draws of :func:`draw_index_batch` from ``rng``, so the result
+    equals ``samples.values_matrix(draw_index_batch(samples, rows, rng)).T``;
+    a tabulated block reads its values by outcome rank from
+    :attr:`SampleSet.draw_plan` without forming positions.
+    """
+    out = np.empty((samples.m, rows))
+    # codes and positions are in range by construction, so "clip" never
+    # clips; it only spares take the buffered copy "raise" makes with out=
+    for n, k, slots, table, column in samples.draw_plan:
+        codes = distinct_codes(rng, n, k, rows)
+        if table is not None:
+            for a, by_rank in zip(slots, table):
+                by_rank.take(codes, out=out[a], mode="clip")
+        else:
+            for a, picked in zip(slots, distinct_outcomes(n, k, codes).T):
+                column.take(picked, out=out[a], mode="clip")
+    return out
+
+
 def realization_values(spec: SystemSpec, samples: SampleSet, r: int, seed: int,
                        lane: int = Lane.SIMPLE_ESTIMATE) -> np.ndarray:
     """Values of r independent realizations, keyed by (seed, lane, block)."""
@@ -103,8 +157,8 @@ def realization_values(spec: SystemSpec, samples: SampleSet, r: int, seed: int,
         raise ValueError(f"need r >= 1 realizations, got {r}")
     values = np.empty(r, dtype=float)
     for start, stop, rng in block_streams(r, seed, lane):
-        idx = draw_index_batch(samples, stop - start, rng)
-        values[start:stop] = evaluate_batch(spec, samples.values_matrix(idx))
+        values[start:stop] = evaluate_batch(
+            spec, draw_values(samples, stop - start, rng).T)
     return values
 
 
@@ -135,15 +189,7 @@ def estimate_theta(spec: SystemSpec, samples: SampleSet, r: int | None,
         if seed is None:
             raise ValueError("a seed is required when sampling (r is not None)")
         values = realization_values(spec, samples, r, seed)
-    n = len(values)
-    var = float(np.var(values, ddof=1)) if n > 1 else 0.0
-    return EstimateResult(
-        estimate=float(values.mean()),
-        realizations=n,
-        seed=seed,
-        empirical_variance=var,
-        values=values if keep_values else None,
-    )
+    return EstimateResult.from_values(values, seed, keep_values)
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,19 @@ The exact routes never build index vectors: they evaluate the structure
 function on a grid with one axis per block, whose positions are rows of a
 draw table such as :func:`ordered_draws`.  :meth:`SampleSet.grid_leaves`
 turns the tables into one value array per argument along its block's axis.
-:meth:`SampleSet.values_matrix` gathers index rows for the Monte Carlo
-routes.
+
+The seeded estimators do not build index vectors either:
+:attr:`SampleSet.draw_plan` holds, per block, what a value draw needs (the
+block's (n, k) and, where the draw is tabulated, the values of every
+outcome), and :func:`resampling.draw_values` writes drawn values straight
+into an argument matrix.  :meth:`SampleSet.values_matrix` gathers index
+rows, for callers that hold them.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import itertools
@@ -27,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._streams import _outcome_table, _table_size
 from .budget import check_budget
 
 __all__ = ["LayoutError", "InfeasibleLayoutError", "Block", "BlockLayout",
@@ -311,6 +318,28 @@ class SampleSet:
             for j, a in enumerate(b.args):
                 leaves[a - 1] = (axis, column[table[:, j]])
         return leaves
+
+    @functools.cached_property
+    def draw_plan(self) -> tuple:
+        """Per block, in block order: ``(n, k, slots, table, column)``.
+
+        ``slots`` are the 0-based positions of the block's arguments and
+        ``column`` its backing sample.  When :func:`_streams.distinct_codes`
+        draws outcome ranks (perm(n, k) <= 2**16), ``table`` is the
+        read-only (k, perm(n, k)) array ``column[_outcome_table(n, k)].T``,
+        whose row j holds draw j's value by rank; otherwise it is None.
+        Built on first use and kept with the sample set.
+        """
+        plan = []
+        for b in self.blocks:
+            n, k = b.size, b.draw_count
+            column = self.columns[b.sample_index]
+            table = None
+            if _table_size(n, k):
+                table = np.ascontiguousarray(column[_outcome_table(n, k)].T)
+                table.flags.writeable = False
+            plan.append((n, k, tuple(a - 1 for a in b.args), table, column))
+        return tuple(plan)
 
     def values_matrix(self, indices) -> np.ndarray:
         """Map index vectors (N, m) to argument values (N, m)."""

@@ -134,11 +134,7 @@ def wave_estimate(spec: SystemSpec, samples: SampleSet, sizes: dict,
                 cols.append(src[idx])
             out[start:stop] = elementary_apply(node, cols)
         store[nid] = out
-    root = store[spec.root_id]
-    var = float(np.var(root, ddof=1)) if len(root) > 1 else 0.0
-    return EstimateResult(estimate=float(root.mean()), realizations=len(root),
-                          seed=seed, empirical_variance=var,
-                          values=root if keep_values else None)
+    return EstimateResult.from_values(store[spec.root_id], seed, keep_values)
 
 
 @dataclass(frozen=True)

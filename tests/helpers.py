@@ -16,8 +16,9 @@ import numpy as np
 
 from resamplekit._streams import (BLOCK, Lane, block_ranges, draw_distinct,
                                   substream)
-from resamplekit.coverage import (ProtocolRow, WVector, _exponential_rates,
-                                  _NumericOrderingLaw, _pw_exponential,
+from resamplekit.coverage import (IntervalResult, ProtocolRow, WVector,
+                                  _exponential_rates, _NumericOrderingLaw,
+                                  _pw_exponential, alpha_floor,
                                   coverage_conditional, q_given_ordering, rho)
 from resamplekit.damage import (CountEstimates, DamageData, DamageMCReport,
                                 PluginMCReport, poisson_truth)
@@ -25,7 +26,8 @@ from resamplekit.pairs import (_block_targets, _matched_draw_pairs,
                                alpha_from_indices, beta_from_indices,
                                omega_from_indices)
 from resamplekit.renewal import PluginReport
-from resamplekit.resampling import chunk_moments
+from resamplekit.resampling import (EstimateResult, chunk_moments,
+                                   draw_index_batch)
 from resamplekit.samples import ordered_draws
 from resamplekit.systems import (GRID_CHUNK, Input, children_of,
                                  elementary_apply, evaluate, evaluate_batch)
@@ -503,3 +505,81 @@ def plugin_baseline_oracle(lay, x_dist, y_dist, r, replications, seed,
                         mse=float(np.mean((estimates - theta) ** 2)),
                         mean_se=float(math.sqrt(var / replications)),
                         replications=replications, r=r)
+
+
+# -- seeded estimates as per-block loops over index rows ------------------
+
+def estimate_result_oracle(values, seed) -> EstimateResult:
+    """EstimateResult from numpy's own ``mean`` and ddof=1 ``var``."""
+    var = float(np.var(values, ddof=1)) if len(values) > 1 else 0.0
+    return EstimateResult(estimate=float(values.mean()),
+                          realizations=len(values), seed=seed,
+                          empirical_variance=var)
+
+
+def index_row_blocks(samples, r, streams):
+    """``(start, stop, rng, X)`` per block of ``r`` realizations: block b
+    draws its index rows with ``draw_index_batch`` from the b-th generator
+    of ``streams``, and ``values_matrix`` gathers them into X, (rows, m)."""
+    for (_, start, stop), rng in zip(block_ranges(r), streams):
+        idx = draw_index_batch(samples, stop - start, rng)
+        yield start, stop, rng, samples.values_matrix(idx)
+
+
+def estimate_theta_oracle(spec, samples, r, seed) -> EstimateResult:
+    """estimate_theta(r, seed) with index rows and ``evaluate_batch``."""
+    values = np.empty(r)
+    for start, stop, _, X in index_row_blocks(
+            samples, r, fresh_blocks(seed, Lane.SIMPLE_ESTIMATE, r)):
+        values[start:stop] = evaluate_batch(spec, X)
+    return estimate_result_oracle(values, seed)
+
+
+def known_g_oracle(g, samples, r, seed, vectorized) -> EstimateResult:
+    """estimate_known_g with index rows; g sees each block's value rows."""
+    values = np.empty(r)
+    for start, stop, _, X in index_row_blocks(
+            samples, r, fresh_blocks(seed, Lane.KNOWN_G, r)):
+        if vectorized:
+            values[start:stop] = np.asarray(g(X), dtype=float)
+        else:
+            values[start:stop] = [float(g(row)) for row in X]
+    return estimate_result_oracle(values, seed)
+
+
+def inner_mc_oracle(spec, samples, z_dists, N, r, seed,
+                    rows_chunk: int = 1 << 19) -> EstimateResult:
+    """estimate_inner_mc with index rows: each block's Z draws follow its
+    index rows, ``rows_chunk // N`` realizations at a time."""
+    m, nu = samples.m, len(z_dists)
+    values = np.empty(r)
+    rows_per = max(1, rows_chunk // N)
+    for start, stop, rng, X in index_row_blocks(
+            samples, r, fresh_blocks(seed, Lane.INNER_MC, r)):
+        for lo in range(0, stop - start, rows_per):
+            hi = min(lo + rows_per, stop - start)
+            rows = hi - lo
+            full = np.empty((rows, N, m + nu))
+            full[:, :, :m] = X[lo:hi, None, :]
+            for z, d in enumerate(z_dists):
+                full[:, :, m + z] = d.sample(rng, (rows, N))
+            vals = evaluate_batch(spec, full.reshape(rows * N, m + nu))
+            values[start + lo:start + hi] = vals.reshape(rows, N).mean(axis=1)
+    return estimate_result_oracle(values, seed)
+
+
+def resampling_interval_oracle(func, samples, gamma, k, r,
+                               seed) -> IntervalResult:
+    """resampling_interval with index rows; experiment e, block b draws
+    from a fresh substream (seed, lane, e, b)."""
+    estimates = np.empty(k)
+    for e in range(k):
+        streams = (substream(seed, Lane.COVERAGE_INTERVAL, e, b)
+                   for b, _, _ in block_ranges(r))
+        values = np.empty(r)
+        for start, stop, _, X in index_row_blocks(samples, r, streams):
+            values[start:stop] = evaluate_batch(func.spec, X)
+        estimates[e] = values.mean()
+    a = float(np.sort(estimates)[alpha_floor(1.0 - gamma, k) - 1])
+    return IntervalResult(a=a, interval=(a, 1.0), gamma=gamma, k=k, r=r,
+                          estimates=tuple(float(x) for x in estimates))

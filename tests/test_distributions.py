@@ -41,6 +41,22 @@ def test_from_dict(obj, expected):
     assert from_dict(obj) == expected
 
 
+@pytest.mark.parametrize("obj", [
+    {"family": "exp", "rate": None},                 # JSON null
+    {"family": "exp", "rate": [3]},                  # JSON list
+    {"family": "normal", "mu": 0, "sigma": {"v": 1}},  # JSON object
+    {"family": "uniform", "a": 0, "b": "wide"},
+    {"family": "empirical", "values": 5},            # values not a list
+    {"family": "empirical", "values": "123"},
+    {"family": "empirical", "values": {"a": 1}},
+    {"family": "empirical", "values": [1, None]},
+    5, "exp", ["family", "exp"], None,               # not an object
+], ids=repr)
+def test_from_dict_rejects_with_value_error(obj):
+    with pytest.raises(ValueError):
+        from_dict(obj)
+
+
 @pytest.mark.parametrize("family, params", [
     ("exponential", (-1.0,)),
     ("exponential", (0.0,)),

@@ -17,26 +17,32 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import resamplekit.pairs as pairs_module
+import resamplekit.partial as partial_module
 import resamplekit.resampling as resampling_module
 import resamplekit.systems as systems_module
 from resamplekit import (AlphaPair, BudgetExceededError, OmegaPair, SampleSet,
                          _streams, conditional_mixed_moment, empirical,
                          enumerate_pairs, estimate_theta, exhaustive_moments,
                          exponential, normal, parse_system,
-                         resampling_variance)
+                         resampling_variance, uniform)
 from resamplekit.coverage import (OrderFunctional, WVector,
                                   _NumericOrderingLaw, _enumerate_w,
                                   _pw_exponential, coverage_conditional,
-                                  coverage_R, q_given_ordering, rho)
+                                  coverage_R, q_given_ordering,
+                                  resampling_interval, rho)
 from resamplekit.pairs import _matching_of
-from resamplekit.resampling import chunk_moments, draw_index_batch, grid_values
+from resamplekit.partial import estimate_inner_mc, estimate_known_g
+from resamplekit.resampling import (EstimateResult, chunk_moments,
+                                   draw_index_batch, draw_values, grid_values)
 from resamplekit.systems import evaluate_batch, leaf_dependencies, render
 
-from helpers import (coverage_oracle, enumerate_w_oracle, evaluate_batch_oracle,
+from helpers import (coverage_oracle, enumerate_w_oracle,
+                     estimate_theta_oracle, evaluate_batch_oracle,
                      fisher_yates_oracle, grid_values_oracle,
-                     index_vector_chunks, leaf_deps_oracle, numeric_pw_oracle,
-                     pair_moment_oracle, product_grid, q_oracle,
-                     race_probability_oracle, shared_pair_moment_oracle,
+                     index_vector_chunks, inner_mc_oracle, known_g_oracle,
+                     leaf_deps_oracle, numeric_pw_oracle, pair_moment_oracle,
+                     product_grid, q_oracle, race_probability_oracle,
+                     resampling_interval_oracle, shared_pair_moment_oracle,
                      support_matching_oracle, support_moments_oracle)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30,
@@ -692,6 +698,167 @@ def test_two_of_a_large_shared_block_run_on_the_sparse_route():
     assert idx.shape == (4096, 2)
     assert (idx[:, 0] != idx[:, 1]).all()
     assert ((idx >= 0) & (idx < 3000)).all()
+
+
+# -- value draws: the draws of draw_index_batch, as values ----------------
+
+@st.composite
+def routed_layouts(draw):
+    """SampleSets of one to three blocks, each on a route of draw_distinct
+    (see ``routed_shapes``), with the blocks' arguments interleaved and
+    every sample holding its own distinct values."""
+    shapes = draw(st.lists(routed_shapes().filter(lambda s: s[1] >= 1),
+                           min_size=1, max_size=3))
+    m = sum(k for _, k in shapes)
+    args = draw(st.permutations(range(1, m + 1)))
+    blocks, samples, at = {}, [], 0
+    for s, (n, k) in enumerate(shapes):
+        samples.append((f"s{s}", 1000.0 * s + np.arange(n) * 1.25))
+        blocks.update((a, f"s{s}") for a in args[at:at + k])
+        at += k
+    return SampleSet.from_samples(samples, blocks=blocks)
+
+
+@PROPERTY
+@given(samples=routed_layouts(), rows=st.integers(0, 50),
+       seed=st.integers(0, 2**32))
+def test_value_draws_equal_gathered_index_rows(samples, rows, seed):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = draw_values(samples, rows, ours)
+    want = samples.values_matrix(draw_index_batch(samples, rows, theirs)).T
+    assert got.shape == (samples.m, rows) and got.dtype == np.float64
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+def fixed_layout(name) -> SampleSet:
+    """One layout per draw route: singleton and shared blocks on the table
+    route, a four-of-eight table, and two- and seven-argument blocks on
+    the sparse and dense Fisher-Yates routes."""
+    rng = np.random.default_rng(17)
+    col = lambda n: np.round(rng.exponential(1.0, n), 3)  # noqa: E731
+    if name == "singleton":
+        return SampleSet.from_samples([("a", col(3)), ("b", col(4)),
+                                       ("c", col(5))])
+    if name == "shared":
+        return SampleSet.from_samples([("a", col(4)), ("b", col(3))],
+                                      blocks={1: "a", 2: "b", 3: "a"})
+    if name == "table":
+        return SampleSet.from_samples([("a", col(8))],
+                                      blocks={i: "a" for i in range(1, 5)})
+    if name == "sparse":
+        return SampleSet.from_samples([("a", col(400)), ("b", col(5))],
+                                      blocks={1: "a", 2: "b", 3: "a"})
+    return SampleSet.from_samples([("a", col(12)), ("b", col(3))],
+                                  blocks={i: "a" if i != 4 else "b"
+                                          for i in range(1, 9)})
+
+
+FIXED_LAYOUTS = ["singleton", "shared", "table", "sparse", "dense"]
+ORACLE_R = [1, 2, 10, 4096, 4097]
+
+
+def test_fixed_layouts_take_every_draw_route():
+    routes = set()
+    for name in FIXED_LAYOUTS:
+        for n, k, _, table, _ in fixed_layout(name).draw_plan:
+            routes.add("table" if table is not None
+                       else "sparse" if k * k <= n else "dense")
+    assert routes == {"table", "sparse", "dense"}
+
+
+def same_estimate(got: EstimateResult, want: EstimateResult) -> bool:
+    return (np.float64(got.estimate).tobytes(),
+            np.float64(got.empirical_variance).tobytes(),
+            got.realizations, got.seed) == (
+        np.float64(want.estimate).tobytes(),
+        np.float64(want.empirical_variance).tobytes(),
+        want.realizations, want.seed)
+
+
+def kofn_text(args) -> str:
+    return f"kofn(2; {', '.join(f'x{a}' for a in args)})"
+
+
+@pytest.mark.parametrize("r", ORACLE_R)
+@pytest.mark.parametrize("layout", FIXED_LAYOUTS)
+def test_estimate_theta_equals_index_row_loop(layout, r):
+    samples = fixed_layout(layout)
+    spec = parse_system(f"sum({kofn_text(range(1, samples.m))}, "
+                        f"x{samples.m})")
+    got = estimate_theta(spec, samples, r, seed=r + 3, keep_values=True)
+    assert same_estimate(got, estimate_theta_oracle(spec, samples, r, r + 3))
+    assert got.values.shape == (r,)
+
+
+@pytest.mark.parametrize("r", ORACLE_R)
+@pytest.mark.parametrize("layout", FIXED_LAYOUTS)
+def test_known_g_equals_index_row_loop(layout, r):
+    samples = fixed_layout(layout)
+
+    def g(X):
+        return np.sin(X).sum(axis=-1) ** 2
+
+    for vectorized in (True, False):
+        got = estimate_known_g(g, samples, r, seed=5, vectorized=vectorized)
+        want = known_g_oracle(g, samples, r, 5, vectorized)
+        assert same_estimate(got, want)
+
+
+@pytest.mark.parametrize("r", ORACLE_R)
+@pytest.mark.parametrize("layout", FIXED_LAYOUTS)
+def test_inner_mc_equals_index_row_loop(layout, r):
+    samples = fixed_layout(layout)
+    m = samples.m
+    spec = parse_system(f"min({kofn_text(range(1, m + 1))}, "
+                        f"max(x{m + 1}, x{m + 2}))")
+    z_dists = [exponential(1.0), uniform(0.0, 2.0)]
+    # 40 // 3 = 13 realizations a chunk, so a block takes several chunks
+    with mock.patch.object(partial_module, "_ROWS_CHUNK", 40):
+        got = estimate_inner_mc(spec, samples, z_dists, 3, r, seed=9)
+    want = inner_mc_oracle(spec, samples, z_dists, 3, r, 9, rows_chunk=40)
+    assert same_estimate(got, want)
+
+
+@pytest.mark.parametrize("r", ORACLE_R)
+@pytest.mark.parametrize("layout", FIXED_LAYOUTS)
+def test_resampling_interval_equals_index_row_loop(layout, r):
+    samples = fixed_layout(layout)
+    func = OrderFunctional(parse_system(
+        f"cmp(x1 < {kofn_text(range(2, samples.m + 1))})"))
+    got = resampling_interval(func, samples, 0.5, 4, r, seed=11)
+    want = resampling_interval_oracle(func, samples, 0.5, 4, r, 11)
+    assert got == want
+
+
+@PROPERTY
+@given(n=st.one_of(st.integers(1, 12), st.integers(1, 5000)),
+       seed=st.integers(0, 2**32), spread=st.integers(0, 30),
+       kind=st.sampled_from(["mixed", "indicator", "shifted"]))
+def test_estimate_moments_equal_numpy_mean_and_var(n, seed, spread, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "indicator":
+        values = (rng.random(n) < rng.random()).astype(float)
+    else:
+        # magnitudes from 10**-spread to 10**spread in one array
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(
+            -spread, spread + 1, n)
+        if kind == "shifted":
+            values += 10.0 ** spread
+    kept = values.copy()
+    got = EstimateResult.from_values(values, seed, keep_values=True)
+    want_var = np.var(kept, ddof=1) if n > 1 else 0.0
+    assert np.float64(got.estimate).tobytes() == kept.mean().tobytes()
+    assert np.float64(got.empirical_variance).tobytes() \
+        == np.float64(want_var).tobytes()
+    assert got.values is values and values.tobytes() == kept.tobytes()
+    assert got.realizations == n and got.seed == seed
+
+
+def test_one_realization_has_zero_variance():
+    got = EstimateResult.from_values(np.array([0.75]), 4)
+    assert (got.estimate, got.empirical_variance, got.values) == (0.75, 0.0,
+                                                                 None)
 
 
 # -- batched substream keys ----------------------------------------------

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from resamplekit import _streams
+from resamplekit import SampleSet, _streams, estimate_theta, parse_system
 from resamplekit._streams import (BLOCK, KeyedGenerator, Lane, block_ranges,
                                   block_streams, substream, substream_keys,
                                   substreams)
@@ -151,3 +151,28 @@ def test_substream_keys_shape_and_rejects():
         substream_keys(np.arange(4).reshape(2, 2), 1)
     with pytest.raises(TypeError):
         substream_keys(np.linspace(0, 1, 12), 1)
+
+
+@pytest.mark.parametrize("seed, key", [
+    (1.5, (1, 0)), (np.float64(2.0), (1,)), (2, (1.5,)),
+    (2, (1, np.float64(0.0))), ("3", (1,))])
+def test_substream_rejects_non_integer_seeds_and_keys(seed, key):
+    with pytest.raises(TypeError):
+        substream(seed, *key)
+    with pytest.raises(TypeError):
+        next(substreams(seed, *key))
+
+
+def test_substream_takes_numpy_integers():
+    want = substream(7, 3, 0).random(4)
+    got = substream(np.int64(7), np.uint8(3), np.intp(0)).random(4)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("r", [10, BLOCK + 904], ids=["one-block", "batched"])
+def test_estimate_with_a_non_integer_seed_raises(r):
+    samples = SampleSet.from_samples([("a", [1.0, 2.0, 3.0])])
+    spec = parse_system("x1")
+    assert estimate_theta(spec, samples, r, seed=1).realizations == r
+    with pytest.raises(TypeError):
+        estimate_theta(spec, samples, r, seed=1.5)
