@@ -2,7 +2,7 @@
 
 Every randomized routine in the package is keyed by an integer seed plus a
 tuple of non-negative integers (a "lane" constant per routine, then block
-indices).  Streams are Philox counter-based generators derived through
+indices).  Streams are Philox counter-based generators keyed through
 ``numpy.random.SeedSequence`` spawn keys, so the same (seed, key) always
 yields the same draws regardless of execution order or thread count.
 
@@ -10,11 +10,18 @@ Long runs are split into fixed blocks of :data:`BLOCK` units; block ``b`` of a
 computation uses the substream keyed ``(*key, b)``.  Assembling results in
 block order makes output independent of how blocks were scheduled.
 
-Loops whose keys are known before they start (blocks, replications)
-derive them in one batch with :func:`substream_keys` and set each into one
-reused Philox (:class:`KeyedGenerator`, through :func:`substreams` and
-:func:`block_streams`).  Those are the SeedSequence keys themselves, so the
-draws equal :func:`substream`'s; only the per-stream set-up cost goes.
+A Philox stream is its key and a counter (Salmon et al., SC'11), so a
+stream loop (:func:`block_streams`, :func:`substreams`) builds no generator
+per stream: it takes one :class:`KeyedGenerator` from a module-level idle
+list, sets each stream's key into it, and hands it back when the loop ends.
+A key is ``SeedSequence(seed, spawn_key=key).generate_state(2, uint64)``.
+A loop of fewer than ``_HASH_MIN_ROWS`` streams reads each key off
+SeedSequence's pool and runs generate_state's four output hashmixes in
+Python ints (:func:`_pool_key`); a longer one runs SeedSequence's whole
+hash as array operations over the batch (:func:`substream_keys`).  Either
+way the draws equal :func:`substream`'s, which builds a fresh
+SeedSequence and Philox per call and is kept as the reference.  Every
+route checks seeds and keys with :func:`_key_int`.
 
 Every draw without replacement goes through :func:`draw_distinct`, a partial
 Fisher-Yates shuffle (Durstenfeld 1964) driven by bounded integers, so its
@@ -60,15 +67,25 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     *key : int
         Non-negative integers identifying the lane/block.
 
-    A seed or key that is not an integer (``1.5``, ``np.float64(2.0)``)
-    raises TypeError, as it does on the batched route.
+    Builds a new SeedSequence, Philox and Generator per call; the stream
+    loops draw the same numbers from a reused generator.  Seeds and keys
+    are checked by :func:`_key_int`.
     """
-    seed = operator.index(seed)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    ss = np.random.SeedSequence(entropy=seed,
-                                spawn_key=tuple(map(operator.index, key)))
+    ss = np.random.SeedSequence(entropy=_key_int(seed),
+                                spawn_key=tuple(map(_key_int, key)))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _key_int(value) -> int:
+    """``value`` as a seed or key entry: a bool or a non-integer
+    (``1.5``, ``np.float64(2.0)``) raises TypeError, a negative integer
+    ValueError."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"seeds and keys must be integers, got {value!r}")
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"seeds and keys must be non-negative, got {value}")
+    return value
 
 
 def block_ranges(total: int, block: int = BLOCK):
@@ -89,35 +106,38 @@ def block_count(total: int) -> int:
 
 def block_streams(total: int, seed: int, *key: int):
     """Yield ``(start, stop, rng)`` over the blocks of ``block_ranges(total)``;
-    block b draws from the substream keyed ``(seed, *key, b)``."""
-    if total <= BLOCK:
-        # the common single block, without the batch machinery
-        if total > 0:
-            yield 0, total, substream(seed, *key, 0)
-        return
-    streams = substreams(seed, *key, np.arange(block_count(total)))
-    for (_, start, stop), rng in zip(block_ranges(total), streams):
-        yield start, stop, rng
+    block b draws from the substream keyed ``(seed, *key, b)``.  ``rng`` is
+    one reused generator, as in :func:`substreams`."""
+    if total > BLOCK:
+        streams = substreams(seed, *key, np.arange(block_count(total)))
+        for (_, start, stop), rng in zip(block_ranges(total), streams):
+            yield start, stop, rng
+    elif total > 0:
+        # the common single block: one key, no arrays
+        stream = _idle_generator()
+        try:
+            yield 0, total, stream(_pool_key(seed, *key, 0))
+        finally:
+            _IDLE.append(stream)
 
 
 def substreams(seeds, *key_columns):
     """Yield the generator of ``substream(seed_i, *key_i)`` for each row i.
 
-    Arguments are broadcast as in :func:`substream_keys`.  A single row is
-    plain :func:`substream`; more rows share one :class:`KeyedGenerator`,
-    whose one ``Generator`` is yielded for every row, so a row's draws must
-    be taken before the next row is requested.  Keys are derived
-    :data:`BLOCK` rows at a time.
+    Arguments are broadcast as in :func:`substream_keys`.  Every row's
+    generator is the same ``Generator`` object of one :class:`KeyedGenerator`,
+    so a row's draws must be taken before the next row is requested, and
+    before the loop ends (it then goes back to the idle list).  Keys are
+    derived :data:`BLOCK` rows at a time.
     """
-    cols = np.broadcast_arrays(*map(np.atleast_1d, (seeds, *key_columns)))
-    rows = len(cols[0])
-    if rows == 1:
-        yield substream(*(c[0] for c in cols))
-        return
-    stream = KeyedGenerator()
-    for lo in range(0, rows, BLOCK):
-        for key in substream_keys(*(c[lo:lo + BLOCK] for c in cols)).tolist():
-            yield stream(key)
+    cols = _key_columns(seeds, key_columns)
+    stream = _idle_generator()
+    try:
+        for lo in range(0, len(cols[0]), BLOCK):
+            for key in _batch_keys([c[lo:lo + BLOCK] for c in cols]):
+                yield stream(key)
+    finally:
+        _IDLE.append(stream)
 
 
 class KeyedGenerator:
@@ -128,7 +148,9 @@ class KeyedGenerator:
     the state a fresh ``Philox(SeedSequence)`` starts in, and returns the
     same ``Generator`` every time.  Its draws then equal those of the
     corresponding :func:`substream`, without building a SeedSequence and a
-    Philox per substream.  Make one per call; it is not shared state.
+    Philox per substream.  Since every call resets the whole state, nothing
+    a stream leaves behind reaches the next one: the stream loops keep idle
+    instances in ``_IDLE`` and reuse them, one loop at a time each.
     """
 
     _ZERO = (0, 0, 0, 0)
@@ -146,10 +168,25 @@ class KeyedGenerator:
         return self._generator
 
 
-# Keys of fewer rows than this are derived one row at a time by numpy's
-# SeedSequence (about 24 us a row); from this many rows on, one array hash
-# over the batch is cheaper (about 230 us a batch plus 0.1 us a row; both
-# best of 7 on a 2-core x86-64 VM, crossing at 10 rows).
+# KeyedGenerators that no live stream loop holds.  A loop pops one (or
+# builds one when none is idle) and appends it back when it ends, so loops
+# live at once (nested, interleaved or on other threads) never share one;
+# list.pop and list.append are atomic.  The list holds at most as many as
+# were ever live at once.
+_IDLE: list = []
+
+
+def _idle_generator() -> KeyedGenerator:
+    try:
+        return _IDLE.pop()
+    except IndexError:
+        return KeyedGenerator()
+
+
+# Keys of fewer rows than this are read one row at a time off numpy's
+# SeedSequence pool (about 18 us a row); from this many rows on, one array
+# hash over the batch is cheaper (about 200 us a batch plus 0.1 us a row;
+# both best of 7 on a 2-core x86-64 VM, crossing near 11 rows).
 _HASH_MIN_ROWS = 10
 
 # SeedSequence constants (numpy.random.bit_generator, NEP 19)
@@ -168,25 +205,45 @@ def substream_keys(seeds, *key_columns) -> np.ndarray:
     ``(key_columns[0][i], key_columns[1][i], ...)``.  Row i of the result
     equals ``SeedSequence(seeds[i], spawn_key=key_i).generate_state(2,
     np.uint64)``, the key that ``Philox(SeedSequence)`` and so
-    :func:`substream` use.  Below ``_HASH_MIN_ROWS`` rows numpy computes
-    each key; otherwise one array pass runs SeedSequence's hash, which NEP 19
-    fixes across numpy releases, over every row at once.
+    :func:`substream` use.  Below ``_HASH_MIN_ROWS`` rows each key is read
+    off numpy's SeedSequence pool (:func:`_pool_key`); otherwise one array
+    pass runs SeedSequence's hash, which NEP 19 fixes across numpy
+    releases, over every row at once.
     """
+    keys = _batch_keys(_key_columns(seeds, key_columns))
+    return np.array(keys, dtype=np.uint64).reshape(-1, 2)
+
+
+def _key_columns(seeds, key_columns) -> list:
+    """Seeds and key columns broadcast to 1-d arrays of one length."""
     cols = np.broadcast_arrays(*map(np.atleast_1d, (seeds, *key_columns)))
     if cols[0].ndim != 1:
         raise ValueError("seeds and key columns must be integers or 1-d")
+    return cols
+
+
+def _batch_keys(cols):
+    """Keys of the rows of ``cols``, each a list of two ints, by the
+    route :func:`substream_keys` names."""
     if len(cols[0]) < _HASH_MIN_ROWS:
-        return _seedsequence_keys(cols)
-    return _hashed_keys(cols)
+        return [_pool_key(*row) for row in zip(*(c.tolist() for c in cols))]
+    return _hashed_keys(cols).tolist()
 
 
-def _seedsequence_keys(cols) -> np.ndarray:
-    """substream_keys, one ``numpy.random.SeedSequence`` per row."""
-    out = np.empty((len(cols[0]), 2), dtype=np.uint64)
-    for i, (seed, *key) in enumerate(zip(*(c.tolist() for c in cols))):
-        out[i] = np.random.SeedSequence(seed, spawn_key=key).generate_state(
-            2, np.uint64)
-    return out
+def _pool_key(seed, *key) -> list:
+    """The Philox key of ``substream(seed, *key)``, as two ints.
+
+    ``generate_state(2, uint64)`` hashes each of the pool's four words once
+    and joins them into two little-endian 64-bit words; those four hashmixes
+    run here in Python ints, on ``SeedSequence(seed, spawn_key=key).pool``.
+    """
+    pool = np.random.SeedSequence(_key_int(seed),
+                                  spawn_key=tuple(map(_key_int, key))).pool
+    words = []
+    for value, xor, mult in zip(pool.tolist(), *_STATE_CONSTANTS):
+        value = (value ^ xor) * mult & _MASK32
+        words.append(value ^ value >> 16)
+    return [words[0] | words[1] << 32, words[2] | words[3] << 32]
 
 
 def _hashed_keys(cols) -> np.ndarray:
@@ -222,9 +279,9 @@ def _int_words(col: np.ndarray):
     if col.dtype.kind not in "iuO":
         raise TypeError(f"seeds and keys must be integers, got {col.dtype}")
     if col.dtype.kind == "O":
-        col = np.array([operator.index(x) for x in col], dtype=object)
-    if len(col) and col.min() < 0:
-        raise ValueError("seeds and keys must be non-negative")
+        col = np.array([_key_int(x) for x in col], dtype=object)
+    elif len(col):
+        _key_int(col.min())
     if col.dtype.kind == "i":
         col = col.astype(np.uint64)
     words = [col & _MASK32]
@@ -259,6 +316,7 @@ def _mix_constants(length: int):
 
 # the four output words of generate_state
 _STATE_XOR, _STATE_MULT = _constants(_INIT_B, _MULT_B, _POOL)
+_STATE_CONSTANTS = (_STATE_XOR.ravel().tolist(), _STATE_MULT.ravel().tolist())
 
 
 def _hashmix(value, xor, mult):

@@ -610,10 +610,10 @@ def coverage_R(func: OrderFunctional, generators, sizes, theta: float,
              for g, n in zip(generators, sizes)], axis=1)
         # stable argsort breaks (measure-zero) ties by sample index
         w_rows = labels[np.argsort(draws, axis=1, kind="stable")]
-        distinct, inverse = np.unique(w_rows, axis=0, return_inverse=True)
+        distinct, inverse = _distinct_rows(w_rows)
         rc = _conditional_coverages(func, distinct, theta, r, k, alphas,
                                     budget)[2]
-        rc_all[start:stop] = rc[inverse.reshape(-1)]
+        rc_all[start:stop] = rc[inverse]
     mean = rc_all.mean(axis=0)
     se = rc_all.std(axis=0, ddof=1) / math.sqrt(replications)
     return CoverageReport(
@@ -621,6 +621,20 @@ def coverage_R(func: OrderFunctional, generators, sizes, theta: float,
         coverage=tuple(float(x) for x in mean),
         se=tuple(float(x) for x in se), replications=replications,
         seed=seed)
+
+
+def _distinct_rows(rows: np.ndarray):
+    """``np.unique(rows, axis=0, return_inverse=True)`` of a non-empty 2-d
+    int array, by one ``np.lexsort``: the distinct rows in lexicographic
+    order and, for each row, the index of its distinct row."""
+    order = np.lexsort(rows.T[::-1])
+    ordered = rows[order]
+    first = np.empty(len(rows), dtype=bool)
+    first[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
 
 
 @dataclass(frozen=True)

@@ -53,8 +53,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._streams import (BLOCK, Lane, block_count, block_ranges, distinct_codes,
-                       distinct_outcomes, draw_distinct, substreams)
+from ._streams import (BLOCK, Lane, _table_size, block_count, block_ranges,
+                       distinct_codes, distinct_outcomes, draw_distinct,
+                       substreams)
 from .distributions import (KnownDistribution, binom_pmf, poisson_pmf,
                             poisson_sf)
 
@@ -375,6 +376,10 @@ def damage_variance_mc(truth: DamageTruth, n_a: int, n_b: int, t: float,
 
     blocks = block_count(r)
     batch = max(1, BLOCK // blocks)
+    # two tabulated draws with equal outcome counts take their ranks from
+    # one bounded-integer call, the same numbers as one call each
+    count = _table_size(n_a, n_a)
+    joined = count and count == _table_size(n_b, n_a)
     outer = substreams(seed, Lane.DAMAGE_OUTER, np.arange(replications))
     for lo in range(0, replications, batch):
         hi = min(lo + batch, replications)
@@ -399,8 +404,14 @@ def damage_variance_mc(truth: DamageTruth, n_a: int, n_b: int, t: float,
             stop = min(start + step, hi)
             perm_codes, which_codes = [], []
             for rng in itertools.islice(inner, stop - start):
-                perm_codes.append(distinct_codes(rng, n_a, n_a, r))
-                which_codes.append(distinct_codes(rng, n_b, n_a, r))
+                if joined:
+                    codes = distinct_codes(rng, n_a, n_a, 2 * r)
+                    perm, which = codes[:r], codes[r:]
+                else:
+                    perm = distinct_codes(rng, n_a, n_a, r)
+                    which = distinct_codes(rng, n_b, n_a, r)
+                perm_codes.append(perm)
+                which_codes.append(which)
             shape = (stop - start, r, n_a)
             perm = distinct_outcomes(n_a, n_a, np.concatenate(
                 perm_codes, axis=-1)).reshape(shape)

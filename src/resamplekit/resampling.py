@@ -9,7 +9,8 @@ computes directly.
 
 A seeded run draws values, not index vectors: :func:`draw_values` takes
 each block's codes from :func:`_streams.distinct_codes`, exactly the draws
-:func:`draw_index_batch` takes, in the same order, and maps them through the
+:func:`draw_index_batch` takes, in the same order (one call for a run of
+tabulated blocks with equal outcome counts), and maps them through the
 block's cached value table (:attr:`SampleSet.draw_plan`) or its
 Fisher-Yates positions straight into an (m, rows) argument matrix.
 :func:`systems.evaluate_batch` takes its transpose, so the structure
@@ -131,19 +132,27 @@ def draw_values(samples: SampleSet, rows: int,
     Takes the draws of :func:`draw_index_batch` from ``rng``, so the result
     equals ``samples.values_matrix(draw_index_batch(samples, rows, rng)).T``;
     a tabulated block reads its values by outcome rank from
-    :attr:`SampleSet.draw_plan` without forming positions.
+    :attr:`SampleSet.draw_plan` without forming positions.  The ranks of a
+    run of tabulated blocks with equal perm(n, k) come from one
+    ``distinct_codes`` call of ``len(run) * rows`` rows, which are the same
+    numbers as a call per block: numpy's bounded integers carry nothing
+    from one call to the next but the generator's state.
     """
     out = np.empty((samples.m, rows))
     # codes and positions are in range by construction, so "clip" never
     # clips; it only spares take the buffered copy "raise" makes with out=
-    for n, k, slots, table, column in samples.draw_plan:
-        codes = distinct_codes(rng, n, k, rows)
-        if table is not None:
-            for a, by_rank in zip(slots, table):
-                by_rank.take(codes, out=out[a], mode="clip")
-        else:
-            for a, picked in zip(slots, distinct_outcomes(n, k, codes).T):
-                column.take(picked, out=out[a], mode="clip")
+    for run in samples.draw_plan:
+        n, k = run[0][:2]
+        codes = distinct_codes(rng, n, k, len(run) * rows)
+        for j, (_, _, slots, table, column) in enumerate(run):
+            if table is not None:
+                ranks = codes[j * rows:(j + 1) * rows]
+                for a, by_rank in zip(slots, table):
+                    by_rank.take(ranks, out=out[a], mode="clip")
+            else:
+                # a Fisher-Yates block is a run alone
+                for a, picked in zip(slots, distinct_outcomes(n, k, codes).T):
+                    column.take(picked, out=out[a], mode="clip")
     return out
 
 

@@ -16,8 +16,9 @@ turns the tables into one value array per argument along its block's axis.
 The seeded estimators do not build index vectors either:
 :attr:`SampleSet.draw_plan` holds, per block, what a value draw needs (the
 block's (n, k) and, where the draw is tabulated, the values of every
-outcome), and :func:`resampling.draw_values` writes drawn values straight
-into an argument matrix.  :meth:`SampleSet.values_matrix` gathers index
+outcome), grouped into runs of blocks whose codes one draw takes, and
+:func:`resampling.draw_values` writes drawn values straight into an
+argument matrix.  :meth:`SampleSet.values_matrix` gathers index
 rows, for callers that hold them.
 """
 
@@ -321,25 +322,35 @@ class SampleSet:
 
     @functools.cached_property
     def draw_plan(self) -> tuple:
-        """Per block, in block order: ``(n, k, slots, table, column)``.
+        """Runs of blocks, in block order, each a tuple of one entry
+        ``(n, k, slots, table, column)`` per block.
 
         ``slots`` are the 0-based positions of the block's arguments and
         ``column`` its backing sample.  When :func:`_streams.distinct_codes`
         draws outcome ranks (perm(n, k) <= 2**16), ``table`` is the
         read-only (k, perm(n, k)) array ``column[_outcome_table(n, k)].T``,
         whose row j holds draw j's value by rank; otherwise it is None.
-        Built on first use and kept with the sample set.
+        Consecutive tabulated blocks with equal perm(n, k) form one run,
+        whose ranks one ``distinct_codes`` call draws; every other block is
+        a run alone.  Built on first use and kept with the sample set.
         """
-        plan = []
+        runs = []
+        previous = 0
         for b in self.blocks:
             n, k = b.size, b.draw_count
             column = self.columns[b.sample_index]
             table = None
-            if _table_size(n, k):
+            count = _table_size(n, k)
+            if count:
                 table = np.ascontiguousarray(column[_outcome_table(n, k)].T)
                 table.flags.writeable = False
-            plan.append((n, k, tuple(a - 1 for a in b.args), table, column))
-        return tuple(plan)
+            entry = (n, k, tuple(a - 1 for a in b.args), table, column)
+            if count and count == previous:
+                runs[-1].append(entry)
+            else:
+                runs.append([entry])
+            previous = count
+        return tuple(map(tuple, runs))
 
     def values_matrix(self, indices) -> np.ndarray:
         """Map index vectors (N, m) to argument values (N, m)."""

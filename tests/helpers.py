@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from resamplekit._streams import (BLOCK, Lane, block_ranges, draw_distinct,
-                                  substream)
+from resamplekit._streams import (BLOCK, Lane, block_ranges, distinct_codes,
+                                  distinct_outcomes, draw_distinct, substream)
 from resamplekit.coverage import (IntervalResult, ProtocolRow, WVector,
                                   _exponential_rates, _NumericOrderingLaw,
                                   _pw_exponential, alpha_floor,
@@ -515,6 +515,19 @@ def estimate_result_oracle(values, seed) -> EstimateResult:
     return EstimateResult(estimate=float(values.mean()),
                           realizations=len(values), seed=seed,
                           empirical_variance=var)
+
+
+def draw_values_oracle(samples, rows, rng) -> np.ndarray:
+    """draw_values with one ``distinct_codes`` call per block, in block
+    order, and each block's outcomes gathered from its column; (m, rows)."""
+    out = np.empty((samples.m, rows))
+    for b in samples.blocks:
+        n, k = b.size, b.draw_count
+        picked = distinct_outcomes(n, k, distinct_codes(rng, n, k, rows))
+        column = samples.columns[b.sample_index]
+        for pos, a in enumerate(b.args):
+            out[a - 1] = column[picked[:, pos]]
+    return out
 
 
 def index_row_blocks(samples, r, streams):

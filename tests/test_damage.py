@@ -370,7 +370,13 @@ DAMAGE_STUDIES = [
     (UNI_TRUTH, 6, 6, 3, 20, 5),
     (EMP_TRUTH, 3, 9, 17, 15, 0),
     # 20 arrivals and 30 durations on the swap routes, r = BLOCK
-    (TRI_TRUTH, 20, 30, BLOCK, 2, 8)]
+    (TRI_TRUTH, 20, 30, BLOCK, 2, 8),
+    # n_A = n_B: one joined rank draw for the arrival order and the
+    # durations at 8! outcomes, one draw each at 9! (swap digits); and
+    # n_A < n_B, two draws of unequal counts (4! and 5!/1!)
+    (TRI_TRUTH, 8, 8, 7, 9, 31),
+    (TRI_TRUTH, 9, 9, 5, 4, 17),
+    (TRI_TRUTH, 4, 5, 64, 9, 23)]
 
 
 @pytest.mark.parametrize("truth, n_a, n_b, r, replications, seed",

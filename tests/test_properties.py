@@ -26,7 +26,8 @@ from resamplekit import (AlphaPair, BudgetExceededError, OmegaPair, SampleSet,
                          exponential, normal, parse_system,
                          resampling_variance, uniform)
 from resamplekit.coverage import (OrderFunctional, WVector,
-                                  _NumericOrderingLaw, _enumerate_w,
+                                  _NumericOrderingLaw, _distinct_rows,
+                                  _enumerate_w,
                                   _pw_exponential, coverage_conditional,
                                   coverage_R, q_given_ordering,
                                   resampling_interval, rho)
@@ -36,7 +37,7 @@ from resamplekit.resampling import (EstimateResult, chunk_moments,
                                    draw_index_batch, draw_values, grid_values)
 from resamplekit.systems import evaluate_batch, leaf_dependencies, render
 
-from helpers import (coverage_oracle, enumerate_w_oracle,
+from helpers import (coverage_oracle, draw_values_oracle, enumerate_w_oracle,
                      estimate_theta_oracle, evaluate_batch_oracle,
                      fisher_yates_oracle, grid_values_oracle,
                      index_vector_chunks, inner_mc_oracle, known_g_oracle,
@@ -531,6 +532,22 @@ def test_mc_coverage_matches_per_row_oracle(problem, seed, replications):
     assert rep.se == se
 
 
+@PROPERTY
+@given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
+       count=st.integers(1, 300), seed=st.integers(0, 2**32))
+def test_distinct_w_rows_equal_numpy_unique(sizes, count, seed):
+    # label rows as coverage_R's mc mode builds them: each a random
+    # interleaving of the samples' labels, so rows repeat at small sizes
+    labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    rng = np.random.default_rng(seed)
+    w_rows = labels[np.argsort(rng.random((count, len(labels))), axis=1)]
+    distinct, inverse = _distinct_rows(w_rows)
+    want, want_inverse = np.unique(w_rows, axis=0, return_inverse=True)
+    assert distinct.dtype == want.dtype
+    assert distinct.tolist() == want.tolist()
+    assert inverse.tolist() == want_inverse.reshape(-1).tolist()
+
+
 BAD_PROBABILITIES = st.sampled_from(
     [-1e-12, -0.5, 1.0 + 1e-12, 2.0, math.nan, math.inf, -math.inf])
 
@@ -731,6 +748,53 @@ def test_value_draws_equal_gathered_index_rows(samples, rows, seed):
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
+# (n, k) shapes on the table route whose outcome counts collide (3, 6, 12
+# and 24 outcomes each come from two or three shapes), and one shape on
+# each Fisher-Yates route
+JOINABLE_SHAPES = [(3, 1), (3, 2), (3, 3), (6, 1), (4, 2), (12, 1), (4, 3),
+                   (4, 4), (24, 1), (5, 2)]
+SWAP_SHAPES = [(300, 2), (10, 7)]
+
+
+@st.composite
+def joinable_layouts(draw):
+    """SampleSets of one to six blocks, mostly on the table route with
+    colliding outcome counts, adjacent or apart, and with Fisher-Yates
+    blocks in between; arguments interleaved as in ``routed_layouts``."""
+    shapes = draw(st.lists(st.sampled_from(JOINABLE_SHAPES + SWAP_SHAPES),
+                           min_size=1, max_size=6))
+    m = sum(k for _, k in shapes)
+    args = draw(st.permutations(range(1, m + 1)))
+    blocks, samples, at = {}, [], 0
+    for s, (n, k) in enumerate(shapes):
+        samples.append((f"s{s}", 1000.0 * s + np.arange(n) * 1.25))
+        blocks.update((a, f"s{s}") for a in args[at:at + k])
+        at += k
+    return SampleSet.from_samples(samples, blocks=blocks)
+
+
+@PROPERTY
+@given(samples=joinable_layouts(), rows=st.integers(0, 50),
+       seed=st.integers(0, 2**32))
+def test_joined_draws_equal_a_draw_per_block(samples, rows, seed):
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = draw_values(samples, rows, ours)
+    assert got.tobytes() == draw_values_oracle(samples, rows, theirs).tobytes()
+    # the generator is left where a draw per block leaves it
+    assert ours.integers(0, 2**62, 3).tolist() \
+        == theirs.integers(0, 2**62, 3).tolist()
+    # and the plan joins exactly the adjacent tabulated blocks of equal count
+    counts = [_streams._table_size(b.size, b.draw_count)
+              for b in samples.blocks]
+    lengths = []
+    for prev, count in zip([0] + counts, counts):
+        if count and count == prev:
+            lengths[-1] += 1
+        else:
+            lengths.append(1)
+    assert [len(run) for run in samples.draw_plan] == lengths
+
+
 def fixed_layout(name) -> SampleSet:
     """One layout per draw route: singleton and shared blocks on the table
     route, a four-of-eight table, and two- and seven-argument blocks on
@@ -761,7 +825,8 @@ ORACLE_R = [1, 2, 10, 4096, 4097]
 def test_fixed_layouts_take_every_draw_route():
     routes = set()
     for name in FIXED_LAYOUTS:
-        for n, k, _, table, _ in fixed_layout(name).draw_plan:
+        for n, k, _, table, _ in itertools.chain.from_iterable(
+                fixed_layout(name).draw_plan):
             routes.add("table" if table is not None
                        else "sparse" if k * k <= n else "dense")
     assert routes == {"table", "sparse", "dense"}
@@ -901,8 +966,15 @@ def test_substream_keys_equal_numpy_seedsequence(seeds, width, scalar_seed,
     got = _streams.substream_keys(*cols)
     assert got.dtype == np.uint64 and got.tolist() == want.tolist()
     rows = np.broadcast_arrays(*map(np.atleast_1d, cols))
-    for route in (_streams._seedsequence_keys, _streams._hashed_keys):
+    for route in (pool_keys, _streams._hashed_keys):
         assert route(rows).tolist() == want.tolist()
+
+
+def pool_keys(rows) -> np.ndarray:
+    """substream_keys's short-batch route on every row, as (K, 2) uint64."""
+    return np.array([_streams._pool_key(*row)
+                     for row in zip(*(c.tolist() for c in rows))],
+                    dtype=np.uint64)
 
 
 def draws(g, n):
@@ -934,7 +1006,7 @@ def test_keyed_generator_draws_equal_substream(seed, key, n, used):
     (np.array([2**70, -1], dtype=object), 1)])
 def test_negative_seeds_and_keys_raise_on_both_routes(seeds, key):
     rows = np.broadcast_arrays(*map(np.atleast_1d, (seeds, key)))
-    for route in (_streams._seedsequence_keys, _streams._hashed_keys,
+    for route in (pool_keys, _streams._hashed_keys,
                   lambda rows: _streams.substream_keys(*rows)):
         with pytest.raises(ValueError):
             route(rows)

@@ -1,12 +1,13 @@
 import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from resamplekit import SampleSet, _streams, estimate_theta, parse_system
-from resamplekit._streams import (BLOCK, KeyedGenerator, Lane, block_ranges,
-                                  block_streams, substream, substream_keys,
-                                  substreams)
+from resamplekit import SampleSet, estimate_theta, parse_system
+from resamplekit._streams import (BLOCK, Lane, block_ranges, block_streams,
+                                  substream, substream_keys, substreams)
 
 
 def test_substream_reproducible():
@@ -112,16 +113,109 @@ def test_block_streams_equal_fresh_substreams(total):
     assert got == want
 
 
-def test_a_single_block_keeps_plain_substream(monkeypatch):
-    calls = []
-    real = _streams.substream
-    monkeypatch.setattr(_streams, "substream",
-                        lambda *key: calls.append(key) or real(*key))
-    # one row builds no reusable generator
-    monkeypatch.setattr(_streams, "KeyedGenerator", None)
-    (start, stop, rng), = block_streams(10, 5, Lane.WAVE)
-    assert (start, stop) == (0, 10) and calls == [(5, Lane.WAVE, 0)]
-    assert rng.random() == real(5, Lane.WAVE, 0).random()
+def raw_draws(rng, count=3):
+    return rng.bit_generator.random_raw(count).tolist()
+
+
+def test_a_single_block_keeps_plain_substream():
+    got = [(start, stop, raw_draws(rng))
+           for start, stop, rng in block_streams(10, 5, Lane.WAVE)]
+    assert got == [(0, 10, raw_draws(substream(5, Lane.WAVE, 0)))]
+
+
+def test_nested_stream_loops_keep_their_own_streams():
+    # the damage study's pattern: an outer loop over replications, and an
+    # inner loop of blocks inside each, both live at once
+    got, want = [], []
+    for rep, outer in enumerate(substreams(3, Lane.DAMAGE_OUTER,
+                                           np.arange(4))):
+        got.append(raw_draws(outer, 1))
+        want.append(raw_draws(substream(3, Lane.DAMAGE_OUTER, rep), 1))
+        for start, stop, inner in block_streams(2 * BLOCK + 1, rep,
+                                                Lane.DAMAGE_RESAMPLE):
+            got.append(raw_draws(inner, 2))
+            want.append(raw_draws(substream(rep, Lane.DAMAGE_RESAMPLE,
+                                            start // BLOCK), 2))
+        for _, _, inner in block_streams(5, rep, Lane.WAVE):
+            got.append(raw_draws(inner, 1))
+            want.append(raw_draws(substream(rep, Lane.WAVE, 0), 1))
+        # the outer stream goes on where it stopped
+        got.append(raw_draws(outer, 1))
+        want.append(raw_draws(substream(3, Lane.DAMAGE_OUTER, rep), 2)[1:])
+    assert got == want
+
+
+@pytest.mark.parametrize("rows", [3, 40], ids=["pool-keys", "hashed-keys"])
+def test_interleaved_stream_loops_keep_their_own_streams(rows):
+    a = substreams(1, Lane.KNOWN_G, np.arange(rows))
+    b = substreams(2, Lane.KNOWN_G, np.arange(rows))
+    got, want = [], []
+    for i, (ga, gb) in enumerate(zip(a, b)):
+        got += [raw_draws(ga, 1), raw_draws(gb, 2), raw_draws(ga, 1)]
+        ref_a = substream(1, Lane.KNOWN_G, i)
+        want += [raw_draws(ref_a, 1), raw_draws(substream(2, Lane.KNOWN_G, i),
+                                                2), raw_draws(ref_a, 1)]
+    assert got == want
+
+
+def test_an_abandoned_loop_leaves_the_next_loop_its_streams():
+    first = substreams(4, Lane.WAVE, np.arange(5))
+    rng = next(first)
+    assert raw_draws(rng) == raw_draws(substream(4, Lane.WAVE, 0))
+    # the abandoned loop holds its generator until it is closed; a new
+    # loop while it lives, and one after, both draw their own streams
+    for _ in range(2):
+        got = [raw_draws(g) for g in substreams(6, Lane.WAVE, np.arange(3))]
+        assert got == [raw_draws(substream(6, Lane.WAVE, i)) for i in range(3)]
+        first.close()
+
+
+def test_stream_loops_on_threads_keep_their_own_streams():
+    # more threads than cores and a short switch interval, so that loops
+    # on different threads interleave between every draw
+    def loop(seed, out):
+        for _ in range(20):
+            for start, stop, rng in block_streams(BLOCK + 1, seed,
+                                                  Lane.COVERAGE_MC):
+                out.append(raw_draws(rng, 2))
+            for rng in substreams(seed, Lane.KNOWN_G, np.arange(3)):
+                out.append(raw_draws(rng, 2))
+
+    def want(seed):
+        one = [raw_draws(substream(seed, Lane.COVERAGE_MC, b), 2)
+               for b in range(2)]
+        one += [raw_draws(substream(seed, Lane.KNOWN_G, i), 2)
+                for i in range(3)]
+        return one * 20
+
+    outs = {seed: [] for seed in range(4)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=loop, args=(seed, out))
+                   for seed, out in outs.items()]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for seed, out in outs.items():
+        assert out == want(seed)
+
+
+def test_many_estimates_build_a_few_generators(monkeypatch):
+    samples = SampleSet.from_samples([("a", [1.0, 2.0, 3.0]),
+                                      ("b", [0.5, 4.0])])
+    spec = parse_system("max(x1, x2)")
+    built = []
+    real = np.random.Philox
+    monkeypatch.setattr(np.random, "Philox",
+                        lambda *args: built.append(args) or real(*args))
+    for seed in range(1000):
+        estimate_theta(spec, samples, 10, seed=seed)
+    assert len(built) <= 2
 
 
 def test_substreams_broadcast_columns():
@@ -176,3 +270,32 @@ def test_estimate_with_a_non_integer_seed_raises(r):
     assert estimate_theta(spec, samples, r, seed=1).realizations == r
     with pytest.raises(TypeError):
         estimate_theta(spec, samples, r, seed=1.5)
+
+
+# one block (pool key), three (pool keys) and eleven (hashed keys)
+SEED_CHECK_R = [10, 3 * BLOCK, 11 * BLOCK]
+
+
+@pytest.mark.parametrize("r", SEED_CHECK_R)
+def test_every_route_rejects_bool_and_negative_seeds_alike(r):
+    samples = SampleSet.from_samples([("a", [1.0, 2.0, 3.0])])
+    spec = parse_system("x1")
+    for seed in (True, np.True_):
+        with pytest.raises(TypeError, match="must be integers"):
+            estimate_theta(spec, samples, r, seed=seed)
+    with pytest.raises(ValueError) as info:
+        estimate_theta(spec, samples, r, seed=-1)
+    assert str(info.value) == "seeds and keys must be non-negative, got -1"
+
+
+@pytest.mark.parametrize("rows", [1, 3, 11], ids=["one", "pool", "hashed"])
+def test_substreams_rejects_bool_and_negative_seeds_alike(rows):
+    for seed in (True, np.array([True] * rows)):
+        with pytest.raises(TypeError, match="must be integers"):
+            next(substreams(seed, Lane.WAVE, np.arange(rows)))
+    with pytest.raises(ValueError) as info:
+        next(substreams(np.arange(rows) - 1, Lane.WAVE, 0))
+    assert str(info.value) == "seeds and keys must be non-negative, got -1"
+    with pytest.raises(ValueError) as info:
+        substream(-1, Lane.WAVE)
+    assert str(info.value) == "seeds and keys must be non-negative, got -1"
