@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -410,6 +411,38 @@ def test_coverage_protocol_csv(files, capsys):
     assert len(lines) == 1 + 90   # 6!/(2!2!2!) interleavings
     total = sum(float(line.split(",")[1]) for line in lines[1:])
     assert total == pytest.approx(1.0, abs=1e-9)
+
+
+# Bytes of the race's coverage outputs: the --protocol-csv file at (2,2,2),
+# exact coverage and total probability at (2,2,3), and mc coverage and SE
+# at (2,2,3) for seed 44.
+PROTOCOL_CSV_SHA256 = \
+    "a2d14abb7603065fa4eff31540bc4d62852c6afe63c0b58d9cf5d0800b20cbf0"
+EXACT_COVERAGE_HEX = ("0x1.13f3b8ccfa336p-1", "0x1.21e377beb52bbp-1",
+                      "0x1.37633f0a37b80p-1", "0x1.595e696964ce5p-1",
+                      "0x1.8623f3f6726b7p-1")
+EXACT_TOTAL_HEX = "0x1.0000000000003p+0"
+MC_COVERAGE_HEX = ("0x1.1135700d3a5adp-1", "0x1.5720e96a727fep-1")
+MC_SE_HEX = ("0x1.1e01f612dc9b9p-7", "0x1.e835ae36f4859p-8")
+
+
+def test_coverage_outputs_keep_their_bytes(files, capsys):
+    race = ["coverage", "--spec", str(files["race"]), "--gen",
+            "exp:3,exp:3,exp:2", "--theta", "0.25", "--k", "10", "--r", "16"]
+    out_csv = files["dir"] / "protocol.csv"
+    invoke_json(capsys, race + ["--sizes", "2,2,2", "--gamma", "0.8",
+                                "--protocol-csv", str(out_csv)])
+    assert hashlib.sha256(out_csv.read_bytes()).hexdigest() == \
+        PROTOCOL_CSV_SHA256
+    exact = invoke_json(capsys, race + ["--sizes", "2,2,3", "--gamma",
+                                        "0.5,0.6,0.7,0.8,0.9"])
+    assert tuple(c.hex() for c in exact["coverage"]) == EXACT_COVERAGE_HEX
+    assert exact["total_probability"].hex() == EXACT_TOTAL_HEX
+    mc = invoke_json(capsys, race + ["--sizes", "2,2,3", "--gamma", "0.5,0.8",
+                                     "--mode", "mc", "--seed", "44",
+                                     "--replications", "3000"])
+    assert tuple(c.hex() for c in mc["coverage"]) == MC_COVERAGE_HEX
+    assert tuple(s.hex() for s in mc["se"]) == MC_SE_HEX
 
 
 def test_coverage_non_order_spec(files, capsys):
