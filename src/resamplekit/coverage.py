@@ -16,18 +16,17 @@ other continuous generators, or by Monte Carlo over simulated datasets.
 
 from __future__ import annotations
 
-import gc
 import math
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from ._streams import (Lane, block_count, block_ranges, block_streams,
                        substreams)
-from .budget import check_budget, enumeration_budget
-from .distributions import KnownDistribution, binom_cdf, binom_sf
+from .budget import check_budget
+from .distributions import binom_cdf, binom_sf
 from .resampling import draw_values
 from .samples import SampleSet
 from .systems import (GRID_CHUNK, Compare, Input, KOfN, Max, Min, SystemSpec,
@@ -209,16 +208,17 @@ def _as_w_rows(w) -> tuple[np.ndarray, bool]:
     return rows, False
 
 
-def q_given_ordering(func: OrderFunctional, w, budget: int | None = None):
+def q_given_ordering(func: OrderFunctional, w):
     """Conditional success probability of one realization given the ordering.
 
     Every argument draws uniformly from its own sample; only ranks matter,
     so the pooled positions serve as values and q is an exact ratio
-    (count of succeeding index combinations over the product of sizes).
+    (count of succeeding index combinations over the product of sizes),
+    counted from the ranks without evaluating the functional.
 
     ``w`` is a WVector (returns a float) or a (rows, n) int array of W
-    rows with the same label counts (returns one q per row).  At most
-    ``GRID_CHUNK`` combinations go to one ``evaluate_batch`` call.
+    rows with the same label counts (returns one q per row), counted in
+    chunks of ``GRID_CHUNK // (n + 1)`` rows.
     """
     rows, scalar = _as_w_rows(w)
     m = int(rows.max())
@@ -229,33 +229,56 @@ def q_given_ordering(func: OrderFunctional, w, budget: int | None = None):
     if min(sizes) < 1 or sum(sizes) != rows.shape[1]:
         raise ValueError("W rows need labels 1..m without gaps")
     total = math.prod(sizes)
-    check_budget(total, "q_given_ordering enumeration", budget)
-    # positions[i][row, j]: pooled rank of the j-th value of sample i+1
-    positions = []
-    for label, n in enumerate(sizes, start=1):
-        at, col = np.nonzero(rows == label)
-        if len(at) != n * len(rows) or \
-                (at.reshape(-1, n) != np.arange(len(rows))[:, None]).any():
-            raise ValueError("every W row needs the label counts of the first")
-        positions.append(col.reshape(-1, n) + 1.0)
-    hits = np.zeros(len(rows), dtype=np.int64)
-    per = max(1, GRID_CHUNK // total)
-    # one argument-major buffer reused by every evaluate_batch call: each
-    # column of the values is contiguous and its pages are touched once
-    buf = np.empty(m * min(per, len(rows)) * min(total, GRID_CHUNK))
-    for c0 in range(0, total, GRID_CHUNK):
-        picks = np.unravel_index(np.arange(c0, min(c0 + GRID_CHUNK, total)),
-                                 sizes)
-        for r0 in range(0, len(rows), per):
-            shape = (min(per, len(rows) - r0), len(picks[0]))
-            values = buf[:m * shape[0] * shape[1]].reshape((m,) + shape)
-            for i, (pos, j) in enumerate(zip(positions, picks)):
-                values[i] = pos[r0:r0 + shape[0]][:, j]
-            phi = evaluate_batch(func.spec, values.reshape(m, -1).T)
-            hits[r0:r0 + shape[0]] += np.count_nonzero(phi.reshape(shape),
-                                                       axis=1)
+    if total >= 2**63:
+        raise ValueError(f"q counts in int64: product of sizes {total} >= 2**63")
+    per = max(1, GRID_CHUNK // (rows.shape[1] + 1))
+    hits = np.concatenate([_count_hits(func.spec, rows[r0:r0 + per], sizes)
+                           for r0 in range(0, len(rows), per)])
     q = hits / total
     return float(q[0]) if scalar else q
+
+
+def _count_hits(spec: SystemSpec, rows: np.ndarray, sizes) -> np.ndarray:
+    """Succeeding index combinations of each W row, by rank counting.
+
+    Each node gets G[v, row], the number of index combinations of its
+    leaves with node value at most pooled rank v (v = 0..n; David and
+    Nagaraja, *Order Statistics*, 2003).  Leaves are distinct arguments,
+    so children are independent and their values never tie.
+    """
+    stack = []
+    for _, node, kids in spec.table:
+        cut = len(stack) - len(kids)
+        args = stack[cut:]
+        if isinstance(node, Input):
+            g = np.zeros((rows.shape[1] + 1, len(rows)), dtype=np.int64)
+            g[1:] = rows.T == node.index
+            # a running sum row by row; np.cumsum is several times slower
+            for v in range(2, len(g)):
+                g[v] += g[v - 1]
+            if (g[-1] != sizes[node.index - 1]).any():
+                raise ValueError("every W row needs the label counts of the "
+                                 "first")
+        elif isinstance(node, Compare):
+            # a > b: sum over v of #(a = v) #(b < v); a < b the other way
+            a, b = args if node.op == ">" else args[::-1]
+            g = np.einsum("ij,ij->j", np.diff(a, axis=0), b[:-1])
+        elif isinstance(node, Max):
+            g = reduce(np.multiply, args)
+        elif isinstance(node, Min):
+            g = reduce(np.multiply, [c[-1] for c in args]) - \
+                reduce(np.multiply, [c[-1] - c for c in args])
+        else:
+            # the k-th largest is at most v when fewer than k children are
+            # above v; ways[j] counts combinations with j children above v
+            ways = [1] + [0] * (node.k - 1)
+            for c in args:
+                above = c[-1] - c
+                ways = [ways[0] * c] + [ways[j] * c + ways[j - 1] * above
+                                        for j in range(1, node.k)]
+            g = sum(ways)
+        stack[cut:] = [g]
+    return stack[0]
 
 
 def rho(q, theta: float, r: int):
@@ -271,6 +294,7 @@ def rho(q, theta: float, r: int):
         raise ValueError(f"q must be in [0,1], got {bad[0]}")
     if r < 1:
         raise ValueError(f"need r >= 1, got {r}")
+    _check_theta(theta)
     kmax = math.ceil(theta * r - _EPS) - 1
     if kmax < 0:
         out = np.zeros_like(qs)
@@ -279,6 +303,11 @@ def rho(q, theta: float, r: int):
     else:
         out = binom_cdf(kmax, r, qs)
     return float(out) if out.ndim == 0 else out
+
+
+def _check_theta(theta) -> None:
+    if not math.isfinite(theta):
+        raise ValueError(f"parameter theta must be finite, got {theta}")
 
 
 def alpha_floor(alpha: float, k: int) -> int:
@@ -331,16 +360,15 @@ def _count_strides(shape) -> np.ndarray:
     return np.array([math.prod(shape[i + 1:]) for i in range(len(shape))])
 
 
-def _pw_exponential(w, rates, sizes):
+def _pw_exponential(rows, rates, sizes):
     """Exact ordering probability for exponential generators.
 
     Memorylessness reduces the pooled ordering to a race: the next order
     statistic carries label i with probability c_i l_i / sum c_j l_j,
-    c = remaining counts.  ``w`` is one label tuple (returns a float) or a
-    (rows, n) int array (one probability per row, a running product over
-    the columns of the race step looked up per remaining-count vector).
+    c = remaining counts.  ``rows`` is a (rows, n) int array of W rows; the
+    probability of each is a running product over the columns of the race
+    step looked up per remaining-count vector.
     """
-    rows = np.atleast_2d(np.asarray(w))
     shape = [n + 1 for n in sizes]
     counts = np.indices(shape).reshape(len(shape), -1).astype(float)
     rates = np.asarray(rates, dtype=float)
@@ -355,7 +383,7 @@ def _pw_exponential(w, rates, sizes):
     for labels in (rows - 1).T:
         p *= step[labels, here]
         here -= strides[labels]
-    return float(p[0]) if np.ndim(w) == 1 else p
+    return p
 
 
 class _NumericOrderingLaw:
@@ -375,9 +403,9 @@ class _NumericOrderingLaw:
                               for g in generators])
         self.scale = float(math.prod(math.factorial(n) for n in sizes))
 
-    def pw(self, w):
-        """P_W of one label tuple (a float) or of each row of a (rows, n)
-        int array, integrating ``GRID_CHUNK`` grid cells at a time.
+    def pw(self, rows):
+        """P_W of each row of a (rows, n) int array of W rows, integrating
+        ``GRID_CHUNK`` grid cells at a time.
 
         The running integral after j labels depends on the first j labels
         only, so it is computed once per run of rows sharing that prefix:
@@ -385,7 +413,6 @@ class _NumericOrderingLaw:
         each row to its prefix.  Rows in lexicographic order share most.
         Every step writes into the same few buffers.
         """
-        rows = np.atleast_2d(np.asarray(w))
         h = self.grid[1] - self.grid[0]
         out = np.empty(len(rows))
         per = min(len(rows), max(1, GRID_CHUNK // len(self.grid)))
@@ -412,13 +439,11 @@ class _NumericOrderingLaw:
                 np.cumsum(inc[:k], axis=1, out=cur[:k])
                 node = np.cumsum(new_prefix) - 1
             out[lo:lo + per] = self.scale * cur[node, -1]
-        return float(out[0]) if np.ndim(w) == 1 else out
+        return out
 
 
-def _enumerate_w(sizes, chunk: int | None = None):
-    """All distinct label interleavings, lexicographic.
-
-    Yields one tuple per interleaving or, given ``chunk``, (rows, n) int
+def _enumerate_w(sizes, chunk: int):
+    """All distinct label interleavings, lexicographic, as (rows, n) int
     arrays of at most ``chunk`` rows.  Rows are unranked: at each position
     the label is the first whose completions, added up over it and the
     smaller labels, exceed the rank left over.
@@ -434,11 +459,10 @@ def _enumerate_w(sizes, chunk: int | None = None):
     strides = _count_strides(completions.shape)
     start_at = int(np.dot(np.add(sizes, 1), strides))
     total = int(flat[start_at])
-    step = GRID_CHUNK if chunk is None else chunk
-    for start in range(0, total, step):
-        rank = np.arange(start, min(start + step, total), dtype=np.int64)
+    for start in range(0, total, chunk):
+        rank = np.arange(start, min(start + chunk, total), dtype=np.int64)
         here = np.full(len(rank), start_at)
-        out = np.empty((len(rank), sum(sizes)), dtype=np.int64)
+        out = np.empty((len(rank), sum(sizes)), np.min_scalar_type(len(sizes)))
         for j in range(out.shape[1]):
             label = np.zeros(len(rank), dtype=np.int64)
             below = np.zeros(len(rank), dtype=np.int64)
@@ -451,10 +475,7 @@ def _enumerate_w(sizes, chunk: int | None = None):
             rank -= below
             here -= strides[label]
             out[:, j] = label + 1
-        if chunk is None:
-            yield from map(tuple, out.tolist())
-        else:
-            yield out
+        yield out
 
 
 @dataclass(frozen=True)
@@ -466,6 +487,26 @@ class ProtocolRow:
     q: float
     rho: float
     coverage: tuple[float, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class ProtocolTable:
+    """Exact-mode table in W order, one array per column (W rows, p, q, rho,
+    R_C per gamma); iterating it gives one :class:`ProtocolRow` per row."""
+
+    w: np.ndarray
+    probability: np.ndarray
+    q: np.ndarray
+    rho: np.ndarray
+    coverage: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.w)
+
+    def __iter__(self):
+        return map(ProtocolRow, map(tuple, self.w.tolist()),
+                   self.probability.tolist(), self.q.tolist(),
+                   self.rho.tolist(), map(tuple, self.coverage.tolist()))
 
 
 @dataclass(frozen=True)
@@ -483,7 +524,7 @@ class CoverageReport:
     replications: int | None
     seed: int | None
     total_probability: float | None = None
-    table: tuple[ProtocolRow, ...] | None = field(default=None, repr=False)
+    table: ProtocolTable | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         out = {
@@ -512,30 +553,6 @@ def _as_gammas(gamma) -> tuple[float, ...]:
     return gammas
 
 
-@contextmanager
-def _gc_paused():
-    """Hold off the cycle collector while the exact table is built.
-
-    The table gets several small objects per W row and none of them can
-    form a cycle, but every full collection rescans the whole growing
-    table (about a third of the time on 756,756 rows).
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _conditional_coverages(func, w_rows, theta, r, k, alphas, budget):
-    """q, rho and R_C (one column per alpha) for a (rows, n) W array."""
-    q = q_given_ordering(func, w_rows, budget=budget)
-    rho_w = rho(q, theta, r)
-    return q, rho_w, coverage_conditional(rho_w[:, None], k, alphas)
-
-
 def coverage_R(func: OrderFunctional, generators, sizes, theta: float,
                gamma, k: int, r: int, mode: str = "exact",
                seed: int | None = None, replications: int = 10_000,
@@ -546,9 +563,8 @@ def coverage_R(func: OrderFunctional, generators, sizes, theta: float,
     ordering law of the generators (closed-form race for exponentials,
     numeric integration otherwise).  mc mode simulates datasets with
     keyed substreams and reports mean and SE per gamma.  Both work on
-    arrays of W rows: exact mode on chunks of the enumeration, mc mode on
-    the distinct rows of each block.  ``threads`` is accepted for
-    compatibility and has no effect.
+    arrays of W rows: exact mode on chunks of the enumeration (``budget``
+    bounds their count), mc mode on each block.  ``threads`` has no effect.
     """
     sizes = tuple(int(n) for n in sizes)
     generators = tuple(generators)
@@ -561,6 +577,7 @@ def coverage_R(func: OrderFunctional, generators, sizes, theta: float,
     for g in generators:
         if not g.is_continuous:
             raise ValueError(f"generators must be continuous, got {g}")
+    _check_theta(theta)
     gammas = _as_gammas(gamma)
     alphas = np.array([1.0 - g for g in gammas])
     for a in alphas:
@@ -576,23 +593,22 @@ def coverage_R(func: OrderFunctional, generators, sizes, theta: float,
             _NumericOrderingLaw(generators, sizes)
         # running sums of p R_C per gamma and of p, added in W order
         acc = np.zeros(len(gammas) + 1)
-        rows = []
-        with _gc_paused():
-            for w in _enumerate_w(sizes, GRID_CHUNK):
-                p = _pw_exponential(w, rates, sizes) if rates is not None \
-                    else law.pw(w)
-                q, rho_w, rc = _conditional_coverages(func, w, theta, r, k,
-                                                      alphas, budget)
-                terms = np.column_stack([p[:, None] * rc, p])
-                acc = np.cumsum(np.vstack([acc, terms]), axis=0)[-1]
-                rows.extend(map(ProtocolRow, map(tuple, w.tolist()),
-                                p.tolist(), q.tolist(), rho_w.tolist(),
-                                map(tuple, rc.tolist())))
+        columns = []
+        for w in _enumerate_w(sizes, GRID_CHUNK):
+            p = _pw_exponential(w, rates, sizes) if rates is not None \
+                else law.pw(w)
+            q = q_given_ordering(func, w)
+            rho_w = rho(q, theta, r)
+            rc = coverage_conditional(rho_w[:, None], k, alphas)
+            terms = np.column_stack([p[:, None] * rc, p])
+            acc = np.cumsum(np.vstack([acc, terms]), axis=0)[-1]
+            columns.append((w, p, q, rho_w, rc))
         return CoverageReport(
             mode="exact", sizes=sizes, theta=float(theta), k=k, r=r,
             gammas=gammas, coverage=tuple(float(c) for c in acc[:-1]),
             se=None, replications=None, seed=None,
-            total_probability=float(acc[-1]), table=tuple(rows))
+            total_probability=float(acc[-1]),
+            table=ProtocolTable(*map(np.concatenate, zip(*columns))))
 
     if mode != "mc":
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
@@ -601,8 +617,7 @@ def coverage_R(func: OrderFunctional, generators, sizes, theta: float,
     if replications < 2:
         raise ValueError("need at least 2 mc replications")
     rc_all = np.empty((replications, len(gammas)))
-    labels = np.concatenate(
-        [np.full(n, i + 1, dtype=int) for i, n in enumerate(sizes)])
+    labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
     for start, stop, rng in block_streams(replications, seed,
                                           Lane.COVERAGE_MC):
         draws = np.concatenate(
@@ -610,10 +625,8 @@ def coverage_R(func: OrderFunctional, generators, sizes, theta: float,
              for g, n in zip(generators, sizes)], axis=1)
         # stable argsort breaks (measure-zero) ties by sample index
         w_rows = labels[np.argsort(draws, axis=1, kind="stable")]
-        distinct, inverse = _distinct_rows(w_rows)
-        rc = _conditional_coverages(func, distinct, theta, r, k, alphas,
-                                    budget)[2]
-        rc_all[start:stop] = rc[inverse]
+        rho_w = rho(q_given_ordering(func, w_rows), theta, r)
+        rc_all[start:stop] = coverage_conditional(rho_w[:, None], k, alphas)
     mean = rc_all.mean(axis=0)
     se = rc_all.std(axis=0, ddof=1) / math.sqrt(replications)
     return CoverageReport(
@@ -621,20 +634,6 @@ def coverage_R(func: OrderFunctional, generators, sizes, theta: float,
         coverage=tuple(float(x) for x in mean),
         se=tuple(float(x) for x in se), replications=replications,
         seed=seed)
-
-
-def _distinct_rows(rows: np.ndarray):
-    """``np.unique(rows, axis=0, return_inverse=True)`` of a non-empty 2-d
-    int array, by one ``np.lexsort``: the distinct rows in lexicographic
-    order and, for each row, the index of its distinct row."""
-    order = np.lexsort(rows.T[::-1])
-    ordered = rows[order]
-    first = np.empty(len(rows), dtype=bool)
-    first[0] = True
-    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
-    inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse
 
 
 @dataclass(frozen=True)

@@ -321,7 +321,7 @@ def coverage_oracle(func, generators, sizes, theta, gammas, k, r,
     """``coverage_R`` one W vector at a time, with the scalar layers.
 
     Exact mode walks ``enumerate_w_oracle`` and calls ``_pw_exponential``
-    or ``law.pw``, ``q_given_ordering``, ``rho`` and
+    or ``law.pw`` on a one-row array, and ``q_given_ordering``, ``rho`` and
     ``coverage_conditional`` once per tuple, adding up in W order; it
     returns ``(coverage, total_probability, table)``.  mc mode draws each
     block from its keyed substream and fills the replications row by row
@@ -341,8 +341,9 @@ def coverage_oracle(func, generators, sizes, theta, gammas, k, r,
         total = 0.0
         table = []
         for w in enumerate_w_oracle(sizes):
-            p = _pw_exponential(w, rates, sizes) if rates is not None \
-                else law.pw(w)
+            row = np.array([w])
+            p = float(_pw_exponential(row, rates, sizes)[0]
+                      if rates is not None else law.pw(row)[0])
             q, rho_w, rc = r_c(w)
             cov += p * np.asarray(rc)
             total += p

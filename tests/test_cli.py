@@ -462,6 +462,11 @@ def test_coverage_non_order_spec(files, capsys):
       "--t", "5.0"], "mode"),
     (["renewal-truth", "--x", "normal:inf,1", "--y", "normal:2,1", "--m", "5",
       "--k", "1", "--nx", "10", "--ny", "10", "--r", "10"], "mu"),
+    (["coverage", "--gen", "exp:3,exp:3,exp:2", "--sizes", "2,2,2",
+      "--gamma", "0.8", "--theta", "inf", "--k", "10", "--r", "16"], "theta"),
+    (["coverage", "--gen", "exp:3,exp:3,exp:2", "--sizes", "2,2,2",
+      "--gamma", "0.8", "--theta", "nan", "--k", "10", "--r", "16", "--mode",
+      "mc", "--seed", "1"], "theta"),
 ])
 def test_non_finite_distribution_parameter_fails_up_front(files, capsys, argv,
                                                           name):

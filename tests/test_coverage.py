@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from resamplekit.coverage import _NumericOrderingLaw, _enumerate_w, _pw_exponent
 from resamplekit.distributions import empirical, exponential, normal, uniform
 from resamplekit.samples import SampleSet
 from resamplekit.systems import parse_system
+
+from helpers import q_oracle
 
 MIN_RACE = "cmp(x3 < min(x1, x2))"   # phi = 1{x3 is the pooled minimum}
 
@@ -174,8 +177,40 @@ def test_q_matches_brute_force(min_race):
 def test_q_argument_checks(min_race):
     with pytest.raises(ValueError):
         q_given_ordering(min_race, WVector((1, 2)))   # m mismatch
-    with pytest.raises(BudgetExceededError):
-        q_given_ordering(min_race, WVector((1, 1, 2, 2, 3, 3)), budget=7)
+    with pytest.raises(ValueError, match="label counts"):
+        q_given_ordering(min_race, np.array([[1, 2, 3, 3], [1, 2, 2, 3]]))
+
+
+@pytest.mark.parametrize("text, sizes", [
+    ("cmp(kofn(2; x1, x2, x3) < max(x4, x5))", (2, 3, 2, 2, 1)),
+    ("cmp(min(max(x1, x2), x3) > kofn(2; x4, x5, x6))", (2, 1, 2, 2, 1, 2)),
+    ("cmp(kofn(3; x1, x2, x3, x4) > min(x5, kofn(2; x6, x7, x8)))",
+     (1, 2, 1, 2, 1, 1, 2, 1)),
+    ("cmp(max(x1, kofn(1; x2, x3), min(x4, x5, x6)) < x7)",
+     (2, 1, 1, 2, 1, 1, 2)),
+])
+def test_q_counts_wide_nodes_like_phi(text, sizes):
+    func = OrderFunctional(parse_system(text))
+    labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    rng = np.random.default_rng(11)
+    ws = labels[np.argsort(rng.random((30, len(labels))), axis=1)]
+    got = q_given_ordering(func, ws)
+    assert got.tolist() == [q_oracle(func.spec, w) for w in ws.tolist()]
+
+
+def test_q_refuses_size_products_past_int64_before_allocating():
+    # 40 samples of 3 values: 3**40 index combinations, past 2**63
+    func = OrderFunctional(parse_system(
+        "cmp(x1 < max(" + ", ".join(f"x{i}" for i in range(2, 41)) + "))"))
+    w = np.broadcast_to(np.repeat(np.arange(1, 41), 3), (20_000, 120))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            q_given_ordering(func, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000   # the hit counts alone would take 160 kB
 
 
 # -- binomial layers -------------------------------------------------------
@@ -224,8 +259,9 @@ def test_coverage_conditional_anchors():
 def test_exponential_race_law_closure_and_mc():
     rates = [3.0, 1.0]
     sizes = (2, 1)
-    ws = list(_enumerate_w(sizes))
-    probs = {w: _pw_exponential(w, rates, sizes) for w in ws}
+    ws = np.concatenate(list(_enumerate_w(sizes, 100)))
+    probs = dict(zip(map(tuple, ws.tolist()),
+                     _pw_exponential(ws, rates, sizes)))
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
     # independent route: simulate the pooled ordering directly
     rng = np.random.default_rng(42)
@@ -246,20 +282,18 @@ def test_numeric_law_matches_race_on_exponentials():
     sizes = (2, 2, 1)
     law = _NumericOrderingLaw(gens, sizes, points=4096)
     rates = [3.0, 3.0, 2.0]
-    total = 0.0
-    for w in _enumerate_w(sizes):
-        exact = _pw_exponential(w, rates, sizes)
-        numeric = law.pw(w)
-        assert numeric == pytest.approx(exact, abs=2e-6)
-        total += numeric
-    assert total == pytest.approx(1.0, abs=1e-4)
+    ws = np.concatenate(list(_enumerate_w(sizes, 100)))
+    numeric = law.pw(ws)
+    assert numeric == pytest.approx(_pw_exponential(ws, rates, sizes),
+                                    abs=2e-6)
+    assert numeric.sum() == pytest.approx(1.0, abs=1e-4)
 
 
 def test_numeric_law_uniform_symmetry():
     # identical continuous generators: all interleavings equally likely
     law = _NumericOrderingLaw([uniform(0.0, 1.0)] * 2, (2, 2), points=4096)
-    for w in _enumerate_w((2, 2)):
-        assert law.pw(w) == pytest.approx(1.0 / 6.0, abs=1e-6)
+    for w in _enumerate_w((2, 2), 100):
+        assert law.pw(w) == pytest.approx([1.0 / 6.0] * 6, abs=1e-6)
 
 
 # -- unconditional coverage ------------------------------------------------

@@ -26,8 +26,7 @@ from resamplekit import (AlphaPair, BudgetExceededError, OmegaPair, SampleSet,
                          exponential, normal, parse_system,
                          resampling_variance, uniform)
 from resamplekit.coverage import (OrderFunctional, WVector,
-                                  _NumericOrderingLaw, _distinct_rows,
-                                  _enumerate_w,
+                                  _NumericOrderingLaw, _enumerate_w,
                                   _pw_exponential, coverage_conditional,
                                   coverage_R, q_given_ordering,
                                   resampling_interval, rho)
@@ -411,21 +410,40 @@ def interleavings(sizes) -> int:
 
 
 @st.composite
+def order_subtree(draw, leaves):
+    """A min/max/kofn expression over the given leaves whose inner nodes
+    take two to four children."""
+    if len(leaves) == 1:
+        return f"x{leaves[0]}"
+    width = draw(st.integers(2, min(4, len(leaves))))
+    cuts = sorted(draw(st.lists(st.integers(1, len(leaves) - 1),
+                                min_size=width - 1, max_size=width - 1,
+                                unique=True)))
+    kids = ", ".join(draw(order_subtree(leaves[a:b]))
+                     for a, b in zip([0] + cuts, cuts + [len(leaves)]))
+    op = draw(st.sampled_from(ORDER_OPS))
+    if op == "kofn":
+        return f"kofn({draw(st.integers(1, width))}; {kids})"
+    return f"{op}({kids})"
+
+
+@st.composite
 def order_functionals(draw, m):
     """A comparison of two min/max/kofn subtrees over x1..xm."""
     leaves = draw(st.permutations(range(1, m + 1)))
     cut = draw(st.integers(1, m - 1))
     op = draw(st.sampled_from("<>"))
-    text = (f"cmp({draw(subtree(leaves[:cut], ORDER_OPS))} {op} "
-            f"{draw(subtree(leaves[cut:], ORDER_OPS))})")
+    text = (f"cmp({draw(order_subtree(leaves[:cut]))} {op} "
+            f"{draw(order_subtree(leaves[cut:]))})")
     return OrderFunctional(parse_system(text))
 
 
 @st.composite
-def coverage_problems(draw, max_w=200):
-    """Sizes with at most ``max_w`` interleavings, an order functional and
-    exponential or normal generators, plus the interval settings."""
-    m = draw(st.integers(2, 3))
+def coverage_problems(draw, max_w=200, max_m=3):
+    """Sizes with at most ``max_w`` interleavings (``max_w`` >= max_m!),
+    an order functional and exponential or normal generators, plus the
+    interval settings."""
+    m = draw(st.integers(2, max_m))
     sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)))
     while interleavings(sizes) > max_w:
         sizes = tuple(n - 1 if n == max(sizes) else n for n in sizes)
@@ -456,25 +474,26 @@ def test_w_enumeration_matches_recursion(sizes, chunk):
     while interleavings(sizes) > 2000:
         sizes[sizes.index(max(sizes))] -= 1
     want = list(enumerate_w_oracle(sizes))
-    assert list(_enumerate_w(sizes)) == want
     parts = list(_enumerate_w(sizes, chunk))
     assert all(len(part) <= chunk for part in parts)
     assert [tuple(row) for part in parts for row in part.tolist()] == want
 
 
-@PROPERTY
-@given(problem=coverage_problems(max_w=60), data=st.data())
+@settings(PROPERTY, max_examples=200)
+@given(problem=coverage_problems(max_w=30_000, max_m=5), data=st.data())
 def test_q_and_race_law_match_scalar_oracles(problem, data):
+    """Rank counting against phi on every index combination, on nested
+    min/max/kofn nodes of up to four children, either comparison and
+    unequal sizes."""
     func, sizes = problem["func"], problem["sizes"]
     ws = [data.draw(w_vectors(sizes)) for _ in range(4)]
     qs = q_given_ordering(func, np.array(ws))
-    rates = [1.0, 2.0, 3.0][:len(sizes)]
+    rates = [1.0, 2.0, 3.0, 0.5, 1.5][:len(sizes)]
     ps = _pw_exponential(np.array(ws), rates, sizes)
     for w, q, p in zip(ws, qs, ps):
         assert q == q_given_ordering(func, WVector(w)) == q_oracle(
             func.spec, w)
-        assert p == _pw_exponential(w, rates, sizes) == \
-            race_probability_oracle(w, rates, sizes)
+        assert p == race_probability_oracle(w, rates, sizes)
 
 
 @PROPERTY
@@ -488,7 +507,6 @@ def test_numeric_law_shares_prefixes_bit_for_bit(sizes, rows, data):
     law = _NumericOrderingLaw(gens, sizes)
     w = np.array([data.draw(w_vectors(sizes)) for _ in range(rows)])
     assert law.pw(w).tobytes() == numeric_pw_oracle(law, w).tobytes()
-    assert law.pw(tuple(w[0])) == numeric_pw_oracle(law, w[:1])[0]
 
 
 @pytest.mark.parametrize("sizes", [(2, 2, 2), (3, 2, 2)])
@@ -530,22 +548,6 @@ def test_mc_coverage_matches_per_row_oracle(problem, seed, replications):
         mode="mc", seed=seed, replications=replications)
     assert rep.coverage == coverage
     assert rep.se == se
-
-
-@PROPERTY
-@given(sizes=st.lists(st.integers(1, 4), min_size=1, max_size=4),
-       count=st.integers(1, 300), seed=st.integers(0, 2**32))
-def test_distinct_w_rows_equal_numpy_unique(sizes, count, seed):
-    # label rows as coverage_R's mc mode builds them: each a random
-    # interleaving of the samples' labels, so rows repeat at small sizes
-    labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
-    rng = np.random.default_rng(seed)
-    w_rows = labels[np.argsort(rng.random((count, len(labels))), axis=1)]
-    distinct, inverse = _distinct_rows(w_rows)
-    want, want_inverse = np.unique(w_rows, axis=0, return_inverse=True)
-    assert distinct.dtype == want.dtype
-    assert distinct.tolist() == want.tolist()
-    assert inverse.tolist() == want_inverse.reshape(-1).tolist()
 
 
 BAD_PROBABILITIES = st.sampled_from(

@@ -1,0 +1,32 @@
+"""The names the benchmark tracer rebinds still exist in the library.
+
+``perfbench/tracer.py`` wraps each ``(module, attribute, class)`` of its
+``TARGETS`` for the traced run (``perfbench/run.py --trace 1``); a name
+that a change removes or renames breaks that run.  The list is read from
+the tracer itself, so it is checked as the benchmark uses it.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def tracer_targets():
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return [target[:3] for target in tracer.TARGETS]
+
+
+@pytest.mark.parametrize(
+    "module, attr, cls", tracer_targets(),
+    ids=lambda x: x if isinstance(x, str) else "-")
+def test_tracer_target_resolves(module, attr, cls):
+    owner = importlib.import_module(f"resamplekit.{module}")
+    if cls is not None:
+        owner = getattr(owner, cls)
+    assert callable(getattr(owner, attr))
