@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -378,3 +379,72 @@ def test_singleton_variance_evaluates_the_value_grid_once(monkeypatch):
     assert calls == [125]
     assert (rep.mu, rep.mu2) == (hier.mu, hier.mu2) == (ex.mu, ex.mu2)
     assert (rep.to_dict(), hier.to_dict()) == want
+
+
+# Bytes of the singleton exact variances: float.hex of the variance, mu11
+# and every row moment of resampling_variance on the (5,5,5) 2-of-3 and
+# (3,3,3,3) SP4 data below, of hierarchical_variance on the SP4 data with
+# every internal node of size 3, and the sha256 of the estimate command's
+# stdout on the 2-of-3 data.
+PIN_2OF3 = [[4.643, 0.839, 0.086, 0.784, 2.739],
+            [1.69, 1.315, 1.013, 0.207, 1.705],
+            [0.177, 0.149, 0.094, 2.028, 1.106]]
+PIN_SP4 = [[1.243, 0.667, 1.087], [1.658, 0.479, 0.542],
+           [0.123, 0.427, 0.441], [1.084, 0.618, 0.049]]
+PINNED_VARIANCE_HEX = {
+    "2of3": ("0x1.1c9dfd0245ec0p-5", "0x1.0588dcca9793fp+0", (
+        "0x1.e63fa2be6c9ddp-1", "0x1.17d46b2f568d5p+0", "0x1.0ad45317c3dadp+0",
+        "0x1.2f901bca13929p+0", "0x1.126562ca1378dp+0", "0x1.37938b84fb496p+0",
+        "0x1.27fd233d02253p+0", "0x1.5e7a3bdb4d6e2p+0")),
+    "sp4": ("0x1.284b1e802b0a0p-7", "0x1.ac1120a724f19p-2", (
+        "0x1.869300d953bb7p-2", "0x1.869300d953bbcp-2", "0x1.869300d953bbap-2",
+        "0x1.869300d953bbdp-2", "0x1.869300d953bc2p-2", "0x1.869300d953bbdp-2",
+        "0x1.869300d953bbdp-2", "0x1.869300d953bbcp-2", "0x1.f072871df584dp-2",
+        "0x1.f70ad29220882p-2", "0x1.f072871df5849p-2", "0x1.fda31e064b8b9p-2",
+        "0x1.fb780346dc5dap-2", "0x1.0108275d83b07p-1", "0x1.fb780346dc5d5p-2",
+        "0x1.04544d1799323p-1")),
+    "hvar-sp4": ("0x1.9369b9c847848p-5", "0x1.c96936b8aba11p-2", (
+        "0x1.869300d953bb7p-2", "0x1.869300d953bbcp-2", "0x1.869300d953bbap-2",
+        "0x1.869300d953bc2p-2", "0x1.f072871df584dp-2", "0x1.869300d953bbdp-2",
+        "0x1.869300d953bbdp-2", "0x1.f70ad29220882p-2", "0x1.869300d953bbdp-2",
+        "0x1.f072871df5849p-2", "0x1.fb780346dc5dap-2", "0x1.869300d953bbcp-2",
+        "0x1.fda31e064b8b9p-2", "0x1.0108275d83b07p-1", "0x1.fb780346dc5d5p-2",
+        "0x1.04544d1799323p-1")),
+}
+PINNED_ESTIMATE_SHA256 = \
+    "d89cd143068158cf6a07cd0b11cc648505a04244df1b21700dd11fa85006e99b"
+
+
+def _report_hex(rep):
+    return (rep.variance.hex(), rep.mu11.hex(),
+            tuple(row.moment.hex() for row in rep.rows))
+
+
+def test_singleton_exact_variances_keep_their_bytes(tmp_path, capsys):
+    from resamplekit.cli import main
+    from resamplekit.wave import node_sizes
+
+    def samples(cols):
+        return SampleSet.from_samples(
+            [(f"x{i}", c) for i, c in enumerate(cols, start=1)])
+
+    two = parse_system("kofn(2; x1, x2, x3)")
+    sp4 = parse_system("min(max(x1, x2), max(x3, x4))")
+    internal = {nid: 3 for nid in sp4.node_ids if nid > sp4.m}
+    got = {
+        "2of3": _report_hex(resampling_variance(two, samples(PIN_2OF3), 10)),
+        "sp4": _report_hex(resampling_variance(sp4, samples(PIN_SP4), 10)),
+        "hvar-sp4": _report_hex(hierarchical_variance(
+            sp4, samples(PIN_SP4),
+            node_sizes(sp4, samples(PIN_SP4), internal))),
+    }
+    assert got == PINNED_VARIANCE_HEX
+    spec = tmp_path / "twoof3.txt"
+    spec.write_text("kofn(2; x1, x2, x3)\n")
+    data = tmp_path / "samples.csv"
+    data.write_text("x1,x2,x3\n" + "".join(
+        ",".join(str(c[i]) for c in PIN_2OF3) + "\n" for i in range(5)))
+    assert main(["estimate", "--spec", str(spec), "--samples", str(data),
+                 "--r", "100", "--seed", "7"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_ESTIMATE_SHA256
