@@ -28,19 +28,17 @@ class BudgetExceededError(RuntimeError):
 
 
 def enumeration_budget(override: int | None = None) -> int:
-    """Resolve the active budget: explicit override, else env var, else default."""
-    if override is not None:
-        return int(override)
-    raw = os.environ.get(_ENV_VAR)
-    if raw is not None:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(f"{_ENV_VAR} must be an integer, got {raw!r}") from None
-        if value <= 0:
-            raise ValueError(f"{_ENV_VAR} must be positive, got {value}")
-        return value
-    return DEFAULT_BUDGET
+    """Resolve the active budget: explicit override, else env var, else
+    default.  A budget from either source must be a positive integer."""
+    name, raw = ("budget", override) if override is not None else \
+        (_ENV_VAR, os.environ.get(_ENV_VAR, DEFAULT_BUDGET))
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+    if value <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return value
 
 
 def check_budget(needed: int, what: str, budget: int | None = None) -> None:

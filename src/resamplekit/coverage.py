@@ -598,8 +598,7 @@ def coverage_R(func: OrderFunctional, generators, sizes, theta: float,
             p = _pw_exponential(w, rates, sizes) if rates is not None \
                 else law.pw(w)
             q = q_given_ordering(func, w)
-            rho_w = rho(q, theta, r)
-            rc = coverage_conditional(rho_w[:, None], k, alphas)
+            rho_w, rc = _rho_and_coverage(q, theta, r, k, alphas)
             terms = np.column_stack([p[:, None] * rc, p])
             acc = np.cumsum(np.vstack([acc, terms]), axis=0)[-1]
             columns.append((w, p, q, rho_w, rc))
@@ -625,8 +624,8 @@ def coverage_R(func: OrderFunctional, generators, sizes, theta: float,
              for g, n in zip(generators, sizes)], axis=1)
         # stable argsort breaks (measure-zero) ties by sample index
         w_rows = labels[np.argsort(draws, axis=1, kind="stable")]
-        rho_w = rho(q_given_ordering(func, w_rows), theta, r)
-        rc_all[start:stop] = coverage_conditional(rho_w[:, None], k, alphas)
+        _, rc_all[start:stop] = _rho_and_coverage(
+            q_given_ordering(func, w_rows), theta, r, k, alphas)
     mean = rc_all.mean(axis=0)
     se = rc_all.std(axis=0, ddof=1) / math.sqrt(replications)
     return CoverageReport(
@@ -634,6 +633,15 @@ def coverage_R(func: OrderFunctional, generators, sizes, theta: float,
         coverage=tuple(float(x) for x in mean),
         se=tuple(float(x) for x in se), replications=replications,
         seed=seed)
+
+
+def _rho_and_coverage(q, theta: float, r: int, k: int, alphas):
+    """rho and R_C (a column per alpha) of each W row, computed once per
+    distinct q: q takes at most prod n_i + 1 values."""
+    distinct, row_of = np.unique(q, return_inverse=True)
+    rho_d = rho(distinct, theta, r)
+    return rho_d[row_of], coverage_conditional(rho_d[:, None], k,
+                                               alphas)[row_of]
 
 
 @dataclass(frozen=True)

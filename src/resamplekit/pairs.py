@@ -24,17 +24,16 @@ sample elements as draws from known distributions: coinciding positions
 share one random value, all others are independent; moments are computed
 exactly for finite-support distributions and by Monte Carlo otherwise.
 
-Every exact moment is a sum over a product grid evaluated by
-:func:`systems.evaluate_grid`, which gives each grid axis to the arguments
-it feeds: the value grid with one axis per sample (singleton layouts, whose
-omega moments all come from it by Moebius inversion), one axis per block's
-table of matched draw pairs (shared-block layouts; the first draw's
-positions feed the first realization, the second draw's the second), and
-one axis per finite support (generator mode).
+Empirical moments of every layout come from one value grid: its marginals
+and Moebius inversion over partial injections give the sum of phi(v) phi(v')
+over the pairs that coincide exactly on each joint injection, which every
+pattern family reads (:func:`_pair_sums`).  Exact generator-mode moments
+evaluate phi on a grid with one axis per finite support.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -45,9 +44,9 @@ import numpy as np
 from ._streams import Lane, block_streams
 from .budget import BudgetExceededError, check_budget
 from .distributions import KnownDistribution
-from .resampling import chunk_moments, exhaustive_moments, grid_values
+from .resampling import chunk_moments, grid_values
 from .samples import BlockLayout, SampleSet, ordered_draws
-from .systems import GRID_CHUNK, SystemSpec, evaluate_batch, evaluate_grid
+from .systems import SystemSpec, evaluate_batch, evaluate_grid
 
 __all__ = [
     "OmegaPair", "BetaPair", "AlphaPair", "MixedMoment", "PairRow",
@@ -427,130 +426,133 @@ def conditional_mixed_moment(spec: SystemSpec, source, pair, *,
 
 def _empirical_mixed_moment(spec, samples: SampleSet, pair,
                             budget) -> MixedMoment:
-    layout = samples.layout
-    if layout.singleton_blocks:
-        mask = _omega_mask(pair, layout)
-        _, sums, counts = _omega_pair_sums(spec, samples, budget)
-        return MixedMoment(value=_omega_moment(sums, counts, mask, pair),
-                           se=0.0, method="empirical-exact")
-    tables = []
-    probe = 0
-    for (kind, tgt), args, n in zip(_block_targets(pair, layout),
-                                    layout.block_args, layout.block_sizes):
-        probe += math.perm(n, len(args)) ** 2
-        check_budget(probe, "pattern-constrained pair enumeration", budget)
-        matches = _matched_draw_pairs(n, args, kind, tgt)
-        if len(matches) == 0:
-            raise ValueError(f"pattern {pair!r} has probability 0 on this layout")
-        tables.append(matches)
-    total = math.prod(len(t) for t in tables)
-    check_budget(total, "pattern-constrained pair enumeration", budget)
-    # one grid axis per block's matched pairs: the first draw's positions
-    # feed the first realization, the second draw's the second
-    dims = [len(t) for t in tables]
-    first = samples.grid_leaves([t[:, :t.shape[1] // 2] for t in tables])
-    second = samples.grid_leaves([t[:, t.shape[1] // 2:] for t in tables])
-    s = 0.0
-    for va, vb in zip(evaluate_grid(spec, first, dims),
-                      evaluate_grid(spec, second, dims)):
-        s += float(np.dot(va, vb))
-    return MixedMoment(value=s / total, se=0.0, method="empirical-exact")
-
-
-def _matched_draw_pairs(n: int, args, kind: str, tgt) -> np.ndarray:
-    """Pairs of ordered draws from one block that show the block's match
-    condition, as rows [p, p2] in (p, p2) lexicographic order."""
-    k = len(args)
-    draws = ordered_draws(n, k)
-    # want[s, t]: position s of the first draw reappears at position t
-    want = np.zeros((k, k), dtype=bool)
-    if kind == "frag":
-        pos = {a: s for s, a in enumerate(args)}
-        for a, v in tgt.items():
-            want[pos[a], pos[v]] = True
-    out = []
-    step = max(1, GRID_CHUNK // len(draws))
-    for lo in range(0, len(draws), step):
-        first = draws[lo:lo + step]
-        eq = first[:, None, :, None] == draws[None, :, None, :]
-        if kind == "frag":
-            ok = (eq == want).all(axis=(2, 3))
-        else:
-            ok = eq.sum(axis=(2, 3)) == tgt
-        a, b = np.nonzero(ok)
-        out.append(np.hstack([first[a], draws[b]]))
-    return np.concatenate(out)
-
-
-def _omega_mask(pair, layout: BlockLayout) -> int:
-    """The omega bitmask (bit a-1 for argument a) a pattern fixes on a
-    singleton layout."""
-    mask = 0
-    for (kind, tgt), args in zip(_block_targets(pair, layout),
-                                 layout.block_args):
-        shared = len(tgt) if kind == "frag" else tgt
-        if shared not in (0, 1):
-            raise ValueError(f"pattern {pair!r} has probability 0 on this layout")
-        mask |= shared << (args[0] - 1)
-    return mask
-
-
-def _omega_pair_sums(spec, samples: SampleSet, budget):
-    """Exhaustive moments, and sums of phi(v) phi(v') and pair counts for
-    every omega pattern, all from one value grid.
-
-    Singleton layouts only.  With T = phi on the value grid,
-    S(A) = sum_{x_A} (sum_{x_rest} T)^2 sums over the pairs that agree at
-    least on A; the superset Moebius transform leaves the pairs that agree
-    exactly on omega.  Entry ``mask`` (bit a-1 for argument a) of each
-    array belongs to that omega; the pair count is
-    prod_{i in omega} n_i prod_{i not in omega} n_i (n_i - 1).  mu and mu2
-    are summed chunk by chunk as in ``exhaustive_moments``.
-    """
-    sizes = samples.sizes
-    m = len(sizes)
-    check_budget(math.prod(sizes) + 2 ** m, "omega pair-moment value grid",
-                 budget)
-    chunks = list(grid_values(spec, samples, budget))
-    moments = chunk_moments(chunks)
-    grid = np.concatenate(chunks)
-    sums = np.empty(2 ** m)
-
-    def walk(marginal, mask, first):
-        # each subset once: drop arguments in increasing order
-        sums[mask] = float(np.square(marginal).sum())
-        for i in range(first, m):
-            walk(marginal.sum(axis=i, keepdims=True), mask & ~(1 << i), i + 1)
-
-    walk(grid.reshape(sizes), 2 ** m - 1, 0)
-    counts = np.ones(1)
-    for i, n in enumerate(sizes):
-        sub = sums.reshape(-1, 2, 2 ** i)
-        sub[:, 0, :] -= sub[:, 1, :]
-        counts = np.concatenate([counts * (n * (n - 1)), counts * n])
-    return moments, sums, counts
-
-
-def _omega_moment(sums, counts, mask: int, pair) -> float:
-    if counts[mask] == 0:
-        raise ValueError(f"pattern {pair!r} has probability 0 on this layout")
-    return float(sums[mask] / counts[mask])
+    _, (value,) = _empirical_moments(spec, samples, [pair], budget)
+    return MixedMoment(value=value, se=0.0, method="empirical-exact")
 
 
 def _empirical_moments(spec, samples: SampleSet, patterns, budget):
-    """Exhaustive moments and the data-conditional mixed moments of several
-    patterns; singleton layouts read them all from one value grid."""
+    """Exhaustive moments and the mixed moments of several patterns, each
+    the pair sums of the joint injections it admits (per block the one its
+    fragment names, or all with its shared count) over their pair counts."""
+    layout = samples.layout
+    moments, sums, counts, plans = _pair_sums(spec, samples, budget)
+    out = []
+    for pat in patterns:
+        cells, stride = [0], 1  # joint index: block 0 varies fastest
+        for (kind, tgt), (frags, where, _) in zip(_block_targets(pat, layout),
+                                                  plans):
+            key = frozenset(tgt.items()) if kind == "frag" else tgt
+            cells = [c + stride * j for j in where.get(key, ()) for c in cells]
+            stride *= len(frags)
+        count = sum(counts[c] for c in cells)
+        if count == 0:
+            raise ValueError(f"pattern {pat!r} has probability 0 on this layout")
+        out.append(sum(sums[c] for c in cells) / count)
+    return moments, out
+
+
+@functools.lru_cache(maxsize=64)
+def _block_plan(args: tuple[int, ...]):
+    """A block's partial injections a -> v (first draw to second), the
+    identities on the subsets of ``args`` first (bit s for ``args[s]``);
+    their indices by items and by size; and per pair a -> v the superset
+    Moebius step src -> dst = src + {a -> v}, as slices (views) if single."""
+    frags = [{a: a for s, a in enumerate(args) if sub >> s & 1}
+             for sub in range(2 ** len(args))]
+    frags += [frag for frag, _ in _block_beta_fragments(args)
+              if frag not in frags]
+    where = {frozenset(frag.items()): [j] for j, frag in enumerate(frags)}
+    for j, frag in enumerate(frags):
+        where.setdefault(len(frag), []).append(j)
+    steps = []
+    for a, v in itertools.product(args, repeat=2):
+        src = [j for j, frag in enumerate(frags)
+               if a not in frag and v not in frag.values()]
+        dst = [where[frozenset(frags[j].items()) | {(a, v)}][0] for j in src]
+        steps.append((np.array(src), np.array(dst)) if len(src) > 1 else
+                     (slice(src[0], src[0] + 1), slice(dst[0], dst[0] + 1)))
+    return tuple(frags), where, tuple(steps)
+
+
+def _pair_sums(spec, samples: SampleSet, budget):
+    """Exhaustive moments, and per joint partial injection sigma (per block,
+    which argument of the first draw reappears as which of the second) the
+    sum of phi(v) phi(v') and the count of the ordered pairs of admissible
+    vectors that coincide exactly on sigma, all from one value grid.
+
+    T is phi on a dense grid with an axis of length n_b for each of block
+    b's arguments, 0 where a block repeats a position; M_K sums it over the
+    axes outside K.  A(tau) = sum M_dom M_ran, each ran axis moved onto its
+    dom partner, sums over the pairs that agree at least on tau; superset
+    Moebius inversion (Rota 1964), in place as in Bjoerklund et al. (2007),
+    leaves exact(sigma), a non-injective superset adding 0.  Only marginals
+    that keep an axis of a block with several arguments are held, none on
+    a singleton layout.  The budget counts the dense cells, the joint
+    injections and those held marginals: all prod_b (n_b + 1)^k_b cells of
+    every marginal, less the ones over one-argument blocks only.
+    """
     if samples.m != spec.m:
         raise ValueError(
             f"system takes {spec.m} arguments but samples bind {samples.m}")
-    if not samples.singleton_blocks:
-        return exhaustive_moments(spec, samples, budget), [
-            _empirical_mixed_moment(spec, samples, pat, budget).value
-            for pat in patterns]
-    moments, sums, counts = _omega_pair_sums(spec, samples, budget)
-    return moments, [
-        _omega_moment(sums, counts, _omega_mask(pat, samples.layout), pat)
-        for pat in patterns]
+    blocks, m = samples.blocks, samples.m
+    cells = injections = held = 1
+    for b in blocks:
+        n, k = b.size, b.draw_count
+        cells *= n ** k
+        injections *= sum(math.comb(k, a) ** 2 * math.factorial(a)
+                          for a in range(k + 1))
+        held *= (n + 1) ** k
+    held -= math.prod(b.size + 1 for b in blocks if b.draw_count == 1)
+    check_budget(cells + injections + held, "pair-moment tensor", budget)
+    plans = [_block_plan(b.args) for b in blocks]
+    chunks = list(grid_values(spec, samples, budget))
+    tensor = np.concatenate(chunks)
+    if cells > len(tensor):  # a block draws twice: scatter into zeros
+        drawn = [np.ravel_multi_index(ordered_draws(b.size, b.draw_count).T,
+                                      (b.size,) * b.draw_count) for b in blocks]
+        dense = np.zeros([b.size ** b.draw_count for b in blocks])
+        dense[np.ix_(*drawn)] = tensor.reshape([len(d) for d in drawn])
+        tensor = dense
+    tensor = tensor.reshape([b.size for b in blocks for _ in b.args])
+    slot = {a: g for g, a in enumerate(a for b in blocks for a in b.args)}
+    shared = sum(1 << slot[a] for b in blocks if b.draw_count > 1
+                 for a in b.args)
+    # per mask the joint index of its identity; per joint index the count
+    identity, counts = [0], [1]
+    for b, (frags, _, _) in zip(blocks, plans):
+        n, k = b.size, b.draw_count
+        identity = [i + len(counts) * j for j in range(2 ** k) for i in identity]
+        counts = [c * math.perm(n, k) * math.perm(n - k, k - len(frag))
+                  for frag in frags for c in counts]
+    sums = np.empty(len(counts))
+    marginals = {}
+
+    def walk(marginal, mask, first):
+        # each subset once: drop axes in increasing order
+        sums[identity[mask]] = float(np.square(marginal).sum())
+        if mask & shared:
+            marginals[mask] = marginal
+        for i in range(first, m):
+            walk(marginal.sum(axis=i, keepdims=True), mask & ~(1 << i), i + 1)
+
+    walk(tensor, 2 ** m - 1, 0)
+    joint = itertools.product(*(frags for frags, _, _ in reversed(plans)))
+    for j, combo in enumerate(joint if shared else ()):  # else identities
+        meets = {slot[a]: slot[v] for frag in combo for a, v in frag.items()}
+        if any(g != h for g, h in meets.items()):
+            dom = sum(1 << g for g in meets)
+            ran = sum(1 << h for h in meets.values())
+            rest = iter(h for h in range(m) if not ran >> h & 1)
+            order = [meets[g] if g in meets else next(rest) for g in range(m)]
+            sums[j] = float((marginals[dom]
+                             * marginals[ran].transpose(order)).sum())
+    inner = 1
+    for frags, _, steps in plans:
+        sub = sums.reshape(-1, len(frags), inner)
+        for src, dst in steps:
+            sub[:, src, :] -= sub[:, dst, :]
+        inner *= len(frags)
+    return chunk_moments(chunks), sums.tolist(), counts, plans
 
 
 def _generator_mixed_moment(spec, dists, matchings, seed, mc_draws,

@@ -178,9 +178,13 @@ def grid_values(spec: SystemSpec, samples: SampleSet,
     to an array.  The grid has one axis per block, over its ordered draws."""
     check_budget(samples.admissible_count(), "index-vector enumeration",
                  budget)
-    tables = [ordered_draws(b.size, b.draw_count) for b in samples.blocks]
-    yield from evaluate_grid(spec, samples.grid_leaves(tables),
-                             [len(t) for t in tables])
+    leaves, dims = [None] * samples.m, []
+    for axis, b in enumerate(samples.blocks):
+        table = ordered_draws(b.size, b.draw_count)
+        for j, a in enumerate(b.args):
+            leaves[a - 1] = (axis, samples.columns[b.sample_index][table[:, j]])
+        dims.append(len(table))
+    yield from evaluate_grid(spec, leaves, dims)
 
 
 def estimate_theta(spec: SystemSpec, samples: SampleSet, r: int | None,

@@ -9,9 +9,8 @@ Argument positions are 1-based (argument ``i`` corresponds to the grammar
 leaf ``xi``); index vectors are 0-based positions into the backing columns.
 
 The exact routes never build index vectors: they evaluate the structure
-function on a grid with one axis per block, whose positions are rows of a
-draw table such as :func:`ordered_draws`.  :meth:`SampleSet.grid_leaves`
-turns the tables into one value array per argument along its block's axis.
+function on a grid with one axis per block, whose positions are the rows
+of :func:`ordered_draws` (:func:`resampling.grid_values`).
 
 The seeded estimators do not build index vectors either:
 :attr:`SampleSet.draw_plan` holds, per block, what a value draw needs (the
@@ -307,18 +306,6 @@ class SampleSet:
                 for a, j in zip(args, perm):
                     vec[a - 1] = j
             yield tuple(vec)
-
-    def grid_leaves(self, tables) -> list:
-        """Leaves for :func:`systems.evaluate_grid` on a grid with one axis
-        per block: ``tables[b]`` is an (L_b, k_b) array of positions drawn
-        for block b's arguments, and argument ``args[j]`` of block b takes
-        ``column[tables[b][:, j]]`` along axis b."""
-        leaves = [None] * self.m
-        for axis, (b, table) in enumerate(zip(self.blocks, tables)):
-            column = self.columns[b.sample_index]
-            for j, a in enumerate(b.args):
-                leaves[a - 1] = (axis, column[table[:, j]])
-        return leaves
 
     @functools.cached_property
     def draw_plan(self) -> tuple:

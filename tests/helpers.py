@@ -22,9 +22,8 @@ from resamplekit.coverage import (IntervalResult, ProtocolRow, WVector,
                                   coverage_conditional, q_given_ordering, rho)
 from resamplekit.damage import (CountEstimates, DamageData, DamageMCReport,
                                 PluginMCReport, poisson_truth)
-from resamplekit.pairs import (_block_targets, _matched_draw_pairs,
-                               alpha_from_indices, beta_from_indices,
-                               omega_from_indices)
+from resamplekit.pairs import (_block_targets, alpha_from_indices,
+                               beta_from_indices, omega_from_indices)
 from resamplekit.renewal import PluginReport
 from resamplekit.resampling import (EstimateResult, chunk_moments,
                                    draw_index_batch)
@@ -194,6 +193,34 @@ def grid_values_oracle(spec, samples, chunk: int = GRID_CHUNK):
     gathered by ``values_matrix`` and evaluated by ``evaluate_batch``."""
     for idx in index_vector_chunks(samples, chunk):
         yield evaluate_batch(spec, samples.values_matrix(idx))
+
+
+def _matched_draw_pairs(n: int, args, kind: str, tgt) -> np.ndarray:
+    """Pairs of ordered draws from one block that show the block's match
+    condition, as rows [p, p2] in (p, p2) lexicographic order.  ``kind``
+    and ``tgt`` are an entry of ``pairs._block_targets``: ("frag", {a: v})
+    asks that exactly argument a's element reappear as argument v,
+    ("count", k) that exactly k elements be shared."""
+    k = len(args)
+    draws = ordered_draws(n, k)
+    # want[s, t]: position s of the first draw reappears at position t
+    want = np.zeros((k, k), dtype=bool)
+    if kind == "frag":
+        pos = {a: s for s, a in enumerate(args)}
+        for a, v in tgt.items():
+            want[pos[a], pos[v]] = True
+    out = []
+    step = max(1, GRID_CHUNK // len(draws))
+    for lo in range(0, len(draws), step):
+        first = draws[lo:lo + step]
+        eq = first[:, None, :, None] == draws[None, :, None, :]
+        if kind == "frag":
+            ok = (eq == want).all(axis=(2, 3))
+        else:
+            ok = eq.sum(axis=(2, 3)) == tgt
+        a, b = np.nonzero(ok)
+        out.append(np.hstack([first[a], draws[b]]))
+    return np.concatenate(out)
 
 
 def shared_pair_moment_oracle(spec, samples, pair,

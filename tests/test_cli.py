@@ -190,6 +190,24 @@ def test_estimate_budget_exceeded(files, capsys):
     assert env["detail"]["budget"] == 5
 
 
+@pytest.mark.parametrize("argv, env", [
+    (["--budget", "0"], None), (["--budget", "-5"], None),
+    ([], {"RESAMPLEKIT_BUDGET": "0"})])
+def test_estimate_non_positive_budget_is_a_schema_violation(files, capsys,
+                                                            monkeypatch,
+                                                            argv, env):
+    """--budget and RESAMPLEKIT_BUDGET reject a non-positive budget alike."""
+    for key, value in (env or {}).items():
+        monkeypatch.setenv(key, value)
+    code, envelope = error_of(capsys, [
+        "estimate", "--spec", str(files["spec"]), "--samples",
+        str(files["samples"]), "--t", "1.0", "--r", "10", "--seed", "1",
+        *argv])
+    assert code == 2
+    assert envelope["code"] == "schema-violation"
+    assert "must be positive" in envelope["message"]
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])
 def test_estimate_non_finite_report_is_a_schema_violation(tmp_path, capsys,
                                                           fmt):

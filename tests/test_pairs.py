@@ -350,6 +350,31 @@ def test_block_variance_vs_seeded_runs(two_of_three):
     assert abs(emp - rep.variance) < 4 * var_se(estimates)
 
 
+@pytest.mark.parametrize("text, blocks, n", [
+    ("min(max(x1, x2), max(x3, x4))", {1: "a", 2: "a", 3: "b", 4: "b"}, 10),
+    ("min(max(x1, x2), max(x3, x4))", {1: "a", 2: "a", 3: "b", 4: "b"}, 12),
+    ("kofn(2; x1, x2, x3)", {1: "a", 2: "a", 3: "a"}, 12),
+], ids=["two-blocks-n10", "two-blocks-n12", "one-sample-kofn-n12"])
+def test_shared_layouts_run_within_the_default_budget(monkeypatch, text,
+                                                      blocks, n):
+    """Two two-argument blocks at n = 10 and 12 (over the default budget
+    for one pattern-matched grid per pattern) and a 2-of-3 on one sample
+    at n = 12 (about a second that way) run on the pair-moment tensor; the
+    alpha and beta tables give one variance, and sum_p p mu11(p) is mu^2
+    because the two realizations are independent."""
+    monkeypatch.delenv("RESAMPLEKIT_BUDGET", raising=False)
+    rng = np.random.default_rng(n)
+    s = SampleSet.from_samples(
+        [(name, rng.exponential(1.0, n)) for name in sorted(set(blocks.values()))],
+        blocks=blocks)
+    spec = parse_system(text)
+    alpha = resampling_variance(spec, s, 10, family="alpha")
+    beta = resampling_variance(spec, s, 10, family="beta")
+    assert alpha.variance == pytest.approx(beta.variance, rel=0, abs=1e-12)
+    for rep in (alpha, beta):
+        assert rep.mu11 == pytest.approx(rep.mu ** 2, rel=0, abs=1e-12)
+
+
 def test_singleton_variance_evaluates_the_value_grid_once(monkeypatch):
     """mu, mu2 and every omega pair sum come from one 5x5x5 value grid."""
     import resamplekit.resampling as resampling_module

@@ -112,6 +112,22 @@ def test_budget_default_and_override(monkeypatch):
         enumeration_budget()
 
 
+@pytest.mark.parametrize("bad", [0, -5])
+def test_non_positive_budget_is_rejected_from_either_source(monkeypatch, bad):
+    """A non-positive budget is an error whether it is passed or set in
+    the environment, not a budget every enumeration exceeds."""
+    monkeypatch.delenv("RESAMPLEKIT_BUDGET", raising=False)
+    with pytest.raises(ValueError, match=f"budget must be positive, got {bad}"):
+        enumeration_budget(bad)
+    with pytest.raises(ValueError, match="budget must be positive"):
+        list(SampleSet.from_samples([("a", [1.0])]).enumerate_index_vectors(
+            budget=bad))
+    monkeypatch.setenv("RESAMPLEKIT_BUDGET", str(bad))
+    with pytest.raises(ValueError,
+                       match=f"RESAMPLEKIT_BUDGET must be positive, got {bad}"):
+        enumeration_budget()
+
+
 def test_enumeration_respects_budget():
     s = SampleSet.from_samples([("a", np.arange(10.0)), ("b", np.arange(10.0))])
     with pytest.raises(BudgetExceededError) as err:
