@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distributions as dists
-from .budget import BudgetExceededError
+from .budget import BudgetExceededError, enumeration_budget
 from .coverage import OrderFunctional, coverage_R
 from .damage import (DamageData, DamageTruth, damage_variance_mc,
                      estimator_expectation, hybrid_pmf, plugin_estimate,
@@ -405,9 +405,11 @@ def _cmd_coverage(cfg: RunConfig, out) -> None:
     if cfg.mode == "mc" and cfg.seed is None:
         raise CliError("schema-violation", EXIT_SCHEMA,
                        "--seed is mandatory for mc mode")
+    # resolved here: mc mode checks no budget, so a bad one would pass
     rep = coverage_R(func, gens, sizes, cfg.theta, gammas, cfg.k, cfg.r,
                      mode=cfg.mode, seed=cfg.seed,
-                     replications=cfg.replications, budget=cfg.budget,
+                     replications=cfg.replications,
+                     budget=enumeration_budget(cfg.budget),
                      threads=cfg.threads)
     report = {"subcommand": "coverage", **rep.to_dict()}
     rows = [[g, c, (rep.se[i] if rep.se else None)]
@@ -509,12 +511,14 @@ def _build_parser() -> _Parser:
                      description="Resampling-based reliability estimation.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p, seed_required=True):
-        p.add_argument("--format", choices=("json", "csv", "table"),
-                       default="json")
+    def budget(p):
         p.add_argument("--budget", type=int, default=None,
                        help="enumeration budget override "
                             "(else RESAMPLEKIT_BUDGET)")
+
+    def common(p, seed_required=True):
+        p.add_argument("--format", choices=("json", "csv", "table"),
+                       default="json")
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; has no effect")
         if seed_required is not None:
@@ -530,6 +534,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--family", choices=("auto", "omega", "alpha"),
                    default="auto")
+    budget(p)
     common(p)
 
     p = sub.add_parser("damage", help="damage counts from data")
@@ -578,6 +583,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=("exact", "mc"), default="exact")
     p.add_argument("--replications", type=int, default=10_000)
     p.add_argument("--protocol-csv", dest="protocol_csv", default=None)
+    budget(p)
     common(p, seed_required=False)
 
     p = sub.add_parser("repro", help="pinned-seed table reproduction")

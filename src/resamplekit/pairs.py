@@ -24,11 +24,11 @@ sample elements as draws from known distributions: coinciding positions
 share one random value, all others are independent; moments are computed
 exactly for finite-support distributions and by Monte Carlo otherwise.
 
-Empirical moments of every layout come from one value grid: its marginals
-and Moebius inversion over partial injections give the sum of phi(v) phi(v')
-over the pairs that coincide exactly on each joint injection, which every
-pattern family reads (:func:`_pair_sums`).  Exact generator-mode moments
-evaluate phi on a grid with one axis per finite support.
+Exact moments of every layout come from one tensor of phi, over the data
+or over the finite supports: its marginals give the sum of phi(v) phi(v')
+over the pairs that agree at least on each joint partial injection, and on
+data Moebius inversion leaves those that coincide exactly, which every
+pattern family reads (:func:`_pair_sums`).
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from ._streams import Lane, block_streams
-from .budget import BudgetExceededError, check_budget
+from .budget import check_budget
 from .distributions import KnownDistribution
 from .resampling import chunk_moments, grid_values
 from .samples import BlockLayout, SampleSet, ordered_draws
@@ -392,50 +392,66 @@ def conditional_mixed_moment(spec: SystemSpec, source, pair, *,
         per-argument distributions runs the generator route.
     pair : OmegaPair, BetaPair or AlphaPair
     layout : optional
-        Block structure; only needed for alpha patterns in generator mode
-        (omega/beta carry their own matching).
+        Block structure in generator mode; one block per argument if not
+        given.  A pattern that matches an argument outside its block is an
+        error.
     seed, mc_draws : int
-        Only used when the generator route falls back to Monte Carlo.
+        Only used in generator mode when some law has no finite support:
+        the moment is then Monte Carlo (``method="generator-mc"``).
     """
     if isinstance(source, SampleSet):
         return _empirical_mixed_moment(spec, source, pair, budget)
     dists = list(source)
-    if len(dists) != spec.m:
-        raise ValueError(f"need one distribution per argument ({spec.m})")
-    m = spec.m
-    if isinstance(pair, OmegaPair):
-        if not pair.args <= set(range(1, m + 1)):
-            raise ValueError(f"{pair!r} not within arguments 1..{m}")
-        matchings = [{i: i for i in pair.args}]
-    elif isinstance(pair, BetaPair):
-        if len(pair.beta) != m:
-            raise ValueError(f"beta has {len(pair.beta)} entries for m={m}")
-        matching = {i: v for i, v in enumerate(pair.beta, start=1) if v}
-        if any(not 1 <= v <= m for v in matching.values()) \
-                or len(set(matching.values())) != len(matching):
-            raise ValueError(f"{pair!r} is not an injective reuse map")
-        matchings = [matching]
-    elif isinstance(pair, AlphaPair):
-        if layout is None:
-            raise ValueError("alpha patterns need layout= (block structure)")
-        matchings = _matching_of(pair, as_layout(layout))
-    else:
-        raise TypeError(f"not a pair pattern: {pair!r}")
-    return _generator_mixed_moment(spec, dists, matchings, seed, mc_draws, budget)
+    lay = _generator_layout(spec, dists, layout)
+    return _generator_mixed_moment(spec, dists, lay, pair, seed, mc_draws,
+                                   budget)
+
+
+def _generator_layout(spec, dists, layout) -> BlockLayout:
+    """The block layout of generator mode, checked against the system and
+    the laws; one block per argument if none is given (block sizes enter
+    pattern probabilities only, never a moment)."""
+    lay = as_layout([1] * spec.m if layout is None else layout)
+    if len(dists) != lay.m:
+        raise ValueError(f"need one distribution per argument ({lay.m})")
+    for args in lay.block_args:
+        first = dists[args[0] - 1]
+        for a in args[1:]:
+            if dists[a - 1] != first:
+                raise ValueError(
+                    f"arguments {args} share a sample and must share "
+                    f"one distribution")
+    if spec.m != lay.m:
+        raise ValueError(
+            f"system takes {spec.m} arguments but layout binds {lay.m}")
+    return lay
 
 
 def _empirical_mixed_moment(spec, samples: SampleSet, pair,
                             budget) -> MixedMoment:
-    _, (value,) = _empirical_moments(spec, samples, [pair], budget)
+    _, (value,) = _exact_moments(spec, samples, samples.layout, [pair],
+                                 budget)
     return MixedMoment(value=value, se=0.0, method="empirical-exact")
 
 
-def _empirical_moments(spec, samples: SampleSet, patterns, budget):
+def _generator_mixed_moment(spec, dists, layout: BlockLayout, pair, seed,
+                            mc_draws, budget) -> MixedMoment:
+    if all(d.family == "empirical" for d in dists):
+        _, (value,) = _exact_moments(spec, dists, layout, [pair], budget)
+        return MixedMoment(value=value, se=0.0, method="generator-exact")
+    moments = [_one_matching_moment(spec, dists, matching, seed, mi, mc_draws)
+               for mi, matching in enumerate(_matching_of(pair, layout))]
+    k = len(moments)
+    return MixedMoment(value=sum(v for v, _ in moments) / k,
+                       se=math.sqrt(sum(se * se for _, se in moments)) / k,
+                       method="generator-mc")
+
+
+def _exact_moments(spec, source, layout: BlockLayout, patterns, budget):
     """Exhaustive moments and the mixed moments of several patterns, each
     the pair sums of the joint injections it admits (per block the one its
     fragment names, or all with its shared count) over their pair counts."""
-    layout = samples.layout
-    moments, sums, counts, plans = _pair_sums(spec, samples, budget)
+    moments, sums, counts, plans = _pair_sums(spec, source, layout, budget)
     out = []
     for pat in patterns:
         cells, stride = [0], 1  # joint index: block 0 varies fastest
@@ -474,57 +490,105 @@ def _block_plan(args: tuple[int, ...]):
     return tuple(frags), where, tuple(steps)
 
 
-def _pair_sums(spec, samples: SampleSet, budget):
+def _pair_sums(spec, source, layout: BlockLayout, budget):
     """Exhaustive moments, and per joint partial injection sigma (per block,
     which argument of the first draw reappears as which of the second) the
-    sum of phi(v) phi(v') and the count of the ordered pairs of admissible
-    vectors that coincide exactly on sigma, all from one value grid.
+    sum of phi(v) phi(v') and the count of the pairs that coincide on sigma,
+    all from one tensor T of phi with an axis for each argument, block by
+    block, and the sums A(tau) of :func:`_at_least_sums` over it.
 
-    T is phi on a dense grid with an axis of length n_b for each of block
-    b's arguments, 0 where a block repeats a position; M_K sums it over the
-    axes outside K.  A(tau) = sum M_dom M_ran, each ran axis moved onto its
-    dom partner, sums over the pairs that agree at least on tau; superset
-    Moebius inversion (Rota 1964), in place as in Bjoerklund et al. (2007),
-    leaves exact(sigma), a non-injective superset adding 0.  Only marginals
-    that keep an axis of a block with several arguments are held, none on
-    a singleton layout.  The budget counts the dense cells, the joint
-    injections and those held marginals: all prod_b (n_b + 1)^k_b cells of
-    every marginal, less the ones over one-argument blocks only.
+    On data (``source`` a SampleSet) block b's axes have length n_b and T is
+    0 where a block repeats a position.  The pairs are the ordered pairs of
+    admissible vectors that coincide exactly on sigma: superset Moebius
+    inversion (Rota 1964), in place as in Bjoerklund et al. (2007), turns
+    A into those sums, a non-injective superset adding 0, and they number
+    prod_b perm(n_b, k_b) perm(n_b - k_b, k_b - |sigma_b|).  Under
+    finite-support generators (``source`` a list of empirical laws) T is
+    phi over the product of the supports, s_b values per axis of block b,
+    and A(sigma) itself sums over the grid points of the first draw and of
+    the second draw's arguments outside sigma's range,
+    prod_b s_b^k_b s_b^(k_b - |sigma_b|) of them.  The budget counts the
+    dense cells, the joint injections and the marginals held: all
+    prod_b (n_b + 1)^k_b cells of every marginal (s_b for n_b under
+    generators), less the ones over one-argument blocks only.
     """
-    if samples.m != spec.m:
-        raise ValueError(
-            f"system takes {spec.m} arguments but samples bind {samples.m}")
-    blocks, m = samples.blocks, samples.m
+    data = isinstance(source, SampleSet)
+    if data:
+        if source.m != spec.m:
+            raise ValueError(
+                f"system takes {spec.m} arguments but samples bind {source.m}")
+        sizes = layout.block_sizes
+    else:
+        axes = [np.asarray(d.params, dtype=float) for d in source]
+        sizes = [len(axes[args[0] - 1]) for args in layout.block_args]
+    blocks = list(zip(layout.block_args, sizes))
     cells = injections = held = 1
-    for b in blocks:
-        n, k = b.size, b.draw_count
+    for args, n in blocks:
+        k = len(args)
         cells *= n ** k
         injections *= sum(math.comb(k, a) ** 2 * math.factorial(a)
                           for a in range(k + 1))
         held *= (n + 1) ** k
-    held -= math.prod(b.size + 1 for b in blocks if b.draw_count == 1)
+    held -= math.prod(n + 1 for args, n in blocks if len(args) == 1)
     check_budget(cells + injections + held, "pair-moment tensor", budget)
-    plans = [_block_plan(b.args) for b in blocks]
-    chunks = list(grid_values(spec, samples, budget))
-    tensor = np.concatenate(chunks)
-    if cells > len(tensor):  # a block draws twice: scatter into zeros
-        drawn = [np.ravel_multi_index(ordered_draws(b.size, b.draw_count).T,
-                                      (b.size,) * b.draw_count) for b in blocks]
-        dense = np.zeros([b.size ** b.draw_count for b in blocks])
-        dense[np.ix_(*drawn)] = tensor.reshape([len(d) for d in drawn])
-        tensor = dense
-    tensor = tensor.reshape([b.size for b in blocks for _ in b.args])
-    slot = {a: g for g, a in enumerate(a for b in blocks for a in b.args)}
-    shared = sum(1 << slot[a] for b in blocks if b.draw_count > 1
-                 for a in b.args)
-    # per mask the joint index of its identity; per joint index the count
-    identity, counts = [0], [1]
-    for b, (frags, _, _) in zip(blocks, plans):
-        n, k = b.size, b.draw_count
-        identity = [i + len(counts) * j for j in range(2 ** k) for i in identity]
-        counts = [c * math.perm(n, k) * math.perm(n - k, k - len(frag))
+    plans = [_block_plan(args) for args, _ in blocks]
+    if data:
+        chunks = list(grid_values(spec, source, budget))
+        tensor = np.concatenate(chunks)
+        if cells > len(tensor):  # a block draws twice: scatter into zeros
+            drawn = [np.ravel_multi_index(ordered_draws(n, len(args)).T,
+                                          (n,) * len(args))
+                     for args, n in blocks]
+            dense = np.zeros([n ** len(args) for args, n in blocks])
+            dense[np.ix_(*drawn)] = tensor.reshape([len(d) for d in drawn])
+            tensor = dense
+        tensor = tensor.reshape([n for args, n in blocks for _ in args])
+    else:
+        dims = [len(x) for x in axes]
+        chunks = list(evaluate_grid(spec, list(enumerate(axes)), dims))
+        tensor = np.concatenate(chunks).reshape(dims).transpose(
+            [a - 1 for args, _ in blocks for a in args])
+    draws = math.perm if data else pow  # ordered draws of k of n values
+    counts = [1]
+    for (args, n), (frags, _, _) in zip(blocks, plans):
+        k = len(args)
+        rest = n - k if data else n  # values for the second draw off sigma
+        counts = [c * draws(n, k) * draws(rest, k - len(frag))
                   for frag in frags for c in counts]
-    sums = np.empty(len(counts))
+    sums = _at_least_sums(tensor, layout.block_args, plans)
+    if data:
+        inner = 1
+        for frags, _, steps in plans:
+            sub = sums.reshape(-1, len(frags), inner)
+            for src, dst in steps:
+                sub[:, src, :] -= sub[:, dst, :]
+            inner *= len(frags)
+    return chunk_moments(chunks), sums.tolist(), counts, plans
+
+
+def _at_least_sums(tensor, block_args, plans) -> np.ndarray:
+    """Per joint partial injection tau of the blocks (block 0 varying
+    fastest), A(tau): the sum of T(v) T(v') over the pairs of cells of T
+    that agree at least on tau, T having one axis per argument, block by
+    block.
+
+    M_K sums T over the axes outside K, and A(tau) = sum M_dom M_ran with
+    each ran axis moved onto its dom partner; an identity on K gives
+    sum M_K^2, taken on the walk over the marginals.  Only marginals that
+    keep an axis of a block with several arguments are held, none on a
+    singleton layout.
+    """
+    m = tensor.ndim
+    slot = {a: g for g, a in enumerate(a for args in block_args for a in args)}
+    shared = sum(1 << slot[a] for args in block_args if len(args) > 1
+                 for a in args)
+    # per mask the joint index of its identity
+    identity, size = [0], 1
+    for args, (frags, _, _) in zip(block_args, plans):
+        identity = [i + size * j for j in range(2 ** len(args))
+                    for i in identity]
+        size *= len(frags)
+    sums = np.empty(size)
     marginals = {}
 
     def walk(marginal, mask, first):
@@ -546,57 +610,13 @@ def _pair_sums(spec, samples: SampleSet, budget):
             order = [meets[g] if g in meets else next(rest) for g in range(m)]
             sums[j] = float((marginals[dom]
                              * marginals[ran].transpose(order)).sum())
-    inner = 1
-    for frags, _, steps in plans:
-        sub = sums.reshape(-1, len(frags), inner)
-        for src, dst in steps:
-            sub[:, src, :] -= sub[:, dst, :]
-        inner *= len(frags)
-    return chunk_moments(chunks), sums.tolist(), counts, plans
-
-
-def _generator_mixed_moment(spec, dists, matchings, seed, mc_draws,
-                            budget) -> MixedMoment:
-    values = []
-    ses = []
-    for mi, matching in enumerate(matchings):
-        v, se = _one_matching_moment(spec, dists, matching, seed, mi,
-                                     mc_draws, budget)
-        values.append(v)
-        ses.append(se)
-    k = len(values)
-    value = sum(values) / k
-    se = math.sqrt(sum(s * s for s in ses)) / k
-    method = "generator-exact" if all(s == 0.0 for s in ses) else "generator-mc"
-    return MixedMoment(value=value, se=se, method=method)
+    return sums
 
 
 def _one_matching_moment(spec, dists, matching, seed, matching_index,
-                         mc_draws, budget):
+                         mc_draws):
     m = spec.m
     inverse = {v: i for i, v in matching.items()}
-    fresh = [v for v in range(1, m + 1) if v not in inverse]
-    if all(d.family == "empirical" for d in dists):
-        # grid axes: the m first-realization arguments, then one per
-        # fresh argument of the second realization
-        supports = [dists[a - 1].params for a in range(1, m + 1)]
-        supports += [dists[v - 1].params for v in fresh]
-        second_axis = [inverse[v] - 1 if v in inverse else m + fresh.index(v)
-                       for v in range(1, m + 1)]
-        try:
-            axes = _support_axes(supports, budget)
-        except BudgetExceededError:
-            pass
-        else:
-            dims = [len(x) for x in axes]
-            first = [(a, axes[a]) for a in range(m)]
-            second = [(a, axes[a]) for a in second_axis]
-            s = 0.0
-            for va, vb in zip(evaluate_grid(spec, first, dims),
-                              evaluate_grid(spec, second, dims)):
-                s += float(np.dot(va, vb))
-            return s / math.prod(dims), 0.0
-    # Monte Carlo
     s = 0.0
     s2 = 0.0
     for start, stop, rng in block_streams(mc_draws, seed, Lane.MIXED_MOMENT,
@@ -617,26 +637,8 @@ def _one_matching_moment(spec, dists, matching, seed, matching_index,
     return mean, math.sqrt(var / mc_draws)
 
 
-def _support_axes(supports, budget) -> list[np.ndarray]:
-    """The finite supports as float arrays, one grid axis each, once the
-    budget allows their product grid."""
-    check_budget(math.prod(len(x) for x in supports),
-                 "finite-support moment grid", budget)
-    return [np.asarray(x, dtype=float) for x in supports]
-
-
-def _generator_moments(spec, dists, seed, mc_draws, budget):
-    """(mu, mu2, se_mu) for a single realization under the generators."""
-    if all(d.family == "empirical" for d in dists):
-        supports = [d.params for d in dists]
-        try:
-            axes = _support_axes(supports, budget)
-        except BudgetExceededError:
-            pass
-        else:
-            ex = chunk_moments(evaluate_grid(spec, list(enumerate(axes)),
-                                             [len(x) for x in axes]))
-            return ex.mu, ex.mu2, 0.0
+def _generator_moments(spec, dists, seed, mc_draws):
+    """Monte Carlo (mu, mu2, se_mu) of one realization under the generators."""
     s1 = s2 = 0.0
     for start, stop, rng in block_streams(mc_draws, seed, Lane.MIXED_MOMENT,
                                           0):
@@ -714,39 +716,38 @@ def resampling_variance(spec: SystemSpec, source, r: int, *, layout=None,
         raise ValueError(f"need r >= 1, got {r}")
     if isinstance(source, SampleSet):
         lay = source.layout
-        table = enumerate_pairs(lay, family, budget)
-        ex, moments = _empirical_moments(
-            spec, source, [pat for pat, _ in table], budget)
-        mu, mu2, mu_se = ex.mu, ex.mu2, 0.0
-        rows = [PairRow(pat, p, moment, 0.0, "empirical-exact")
-                for (pat, p), moment in zip(table, moments)]
-        mode = "empirical"
+    elif layout is None:
+        raise ValueError("generator mode needs layout= (block sizes)")
     else:
-        dists = list(source)
-        if layout is None:
-            raise ValueError("generator mode needs layout= (block sizes)")
-        lay = as_layout(layout)
-        if len(dists) != lay.m:
-            raise ValueError(f"need one distribution per argument ({lay.m})")
-        for args in lay.block_args:
-            first = dists[args[0] - 1]
-            for a in args[1:]:
-                if dists[a - 1] != first:
-                    raise ValueError(
-                        f"arguments {args} share a sample and must share "
-                        f"one distribution")
-        if spec.m != lay.m:
-            raise ValueError(
-                f"system takes {spec.m} arguments but layout binds {lay.m}")
-        mu, mu2, mu_se = _generator_moments(spec, dists, seed, mc_draws, budget)
-        table = enumerate_pairs(lay, family, budget)
-        rows = []
-        for pi, (pat, p) in enumerate(table):
-            matchings = _matching_of(pat, lay)
-            mm = _generator_mixed_moment(spec, dists, matchings,
-                                         seed + 1 + pi, mc_draws, budget)
-            rows.append(PairRow(pat, p, mm.value, mm.se, mm.method))
+        source = list(source)
+        lay = _generator_layout(spec, source, layout)
+    table = enumerate_pairs(lay, family, budget)
+    return _variance_report(spec, source, lay, table, r, seed, mc_draws,
+                            budget)
+
+
+def _variance_report(spec, source, layout: BlockLayout, table, r: int, seed,
+                     mc_draws, budget) -> VarianceReport:
+    """The variance report of a (pattern, probability) table: every moment
+    from one read of the pair-moment tensor on data and under
+    finite-support generators, else Monte Carlo pattern by pattern."""
+    if isinstance(source, SampleSet):
+        mode, exact = "empirical", True
+    else:
         mode = "generator"
+        exact = all(d.family == "empirical" for d in source)
+    if exact:
+        ex, moments = _exact_moments(spec, source, layout,
+                                     [pat for pat, _ in table], budget)
+        rows = [PairRow(pat, p, moment, 0.0, f"{mode}-exact")
+                for (pat, p), moment in zip(table, moments)]
+        return assemble_variance(rows, r, ex.mu, ex.mu2, 0.0, mode)
+    mu, mu2, mu_se = _generator_moments(spec, source, seed, mc_draws)
+    rows = []
+    for pi, (pat, p) in enumerate(table):
+        mm = _generator_mixed_moment(spec, source, layout, pat,
+                                     seed + 1 + pi, mc_draws, budget)
+        rows.append(PairRow(pat, p, mm.value, mm.se, mm.method))
     return assemble_variance(rows, r, mu, mu2, mu_se, mode)
 
 

@@ -33,9 +33,8 @@ import numpy as np
 
 from ._streams import Lane, block_streams
 from .budget import check_budget
-from .pairs import (OmegaPair, PairRow, VarianceReport, _empirical_moments,
-                    _generator_mixed_moment, _generator_moments,
-                    assemble_variance)
+from .pairs import (OmegaPair, VarianceReport, _generator_layout,
+                    _variance_report)
 from .resampling import EstimateResult
 from .samples import SampleSet
 from .systems import SystemSpec, elementary_apply
@@ -217,23 +216,10 @@ def hierarchical_variance(spec: SystemSpec, source, sizes: dict, *,
                    key=lambda kv: (len(kv[0]), sorted(kv[0])))
     if isinstance(source, SampleSet):
         _require_singleton(source)
-        patterns = [OmegaPair(s) for s, _ in table]
-        ex, moments = _empirical_moments(spec, source, patterns, budget)
-        mu, mu2, mu_se = ex.mu, ex.mu2, 0.0
-        rows = [PairRow(pat, p, moment, 0.0, "empirical-exact")
-                for pat, (_, p), moment in zip(patterns, table, moments)]
-        mode = "empirical"
+        layout = source.layout
     else:
-        dists = list(source)
-        if len(dists) != spec.m:
-            raise ValueError(f"need one distribution per argument ({spec.m})")
-        mu, mu2, mu_se = _generator_moments(spec, dists, seed, mc_draws, budget)
-        rows = []
-        for pi, (s, p) in enumerate(table):
-            mm = _generator_mixed_moment(
-                spec, dists, [{i: i for i in s}], seed + 1 + pi, mc_draws,
-                budget)
-            rows.append(PairRow(OmegaPair(s), p, mm.value, mm.se,
-                                mm.method))
-        mode = "generator"
-    return assemble_variance(rows, r, mu, mu2, mu_se, mode)
+        source = list(source)
+        layout = _generator_layout(spec, source, None)
+    return _variance_report(spec, source, layout,
+                            [(OmegaPair(s), p) for s, p in table], r, seed,
+                            mc_draws, budget)

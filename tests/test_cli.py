@@ -196,16 +196,22 @@ def test_estimate_budget_exceeded(files, capsys):
 def test_estimate_non_positive_budget_is_a_schema_violation(files, capsys,
                                                             monkeypatch,
                                                             argv, env):
-    """--budget and RESAMPLEKIT_BUDGET reject a non-positive budget alike."""
+    """--budget and RESAMPLEKIT_BUDGET reject a non-positive budget alike,
+    also on Monte Carlo coverage, which never reaches an enumeration."""
     for key, value in (env or {}).items():
         monkeypatch.setenv(key, value)
-    code, envelope = error_of(capsys, [
+    estimate = [
         "estimate", "--spec", str(files["spec"]), "--samples",
-        str(files["samples"]), "--t", "1.0", "--r", "10", "--seed", "1",
-        *argv])
-    assert code == 2
-    assert envelope["code"] == "schema-violation"
-    assert "must be positive" in envelope["message"]
+        str(files["samples"]), "--t", "1.0", "--r", "10", "--seed", "1"]
+    coverage_mc = [
+        "coverage", "--spec", str(files["race"]), "--gen", "exp:3,exp:3,exp:2",
+        "--sizes", "2,2,2", "--gamma", "0.8", "--theta", "0.25", "--k", "10",
+        "--r", "16", "--mode", "mc", "--seed", "1", "--replications", "50"]
+    for command in (estimate, coverage_mc):
+        code, envelope = error_of(capsys, [*command, *argv])
+        assert code == 2
+        assert envelope["code"] == "schema-violation"
+        assert "must be positive" in envelope["message"]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "table"])

@@ -9,7 +9,7 @@ from scipy import stats
 from resamplekit import (AlphaPair, BetaPair, BlockLayout, BudgetExceededError,
                          OmegaPair, SampleSet, alpha_probability, beta_probability,
                          conditional_mixed_moment, empirical, enumerate_pairs,
-                         estimate_theta, exhaustive_moments,
+                         estimate_theta, exhaustive_moments, exponential,
                          hierarchical_variance, omega_probability,
                          pair_probability, parse_system, resampling_variance)
 from resamplekit.pairs import alpha_from_indices, beta_from_indices, omega_from_indices
@@ -235,18 +235,39 @@ def test_generator_grid_is_exact_on_finite_supports(two_of_three):
     assert shared.value == pytest.approx(mu, abs=1e-15)
 
 
-def test_generator_grid_over_budget_falls_back_to_reported_mc(two_of_three):
+def test_generator_matchings_stay_within_their_blocks(two_of_three):
+    """Generator mode takes one block per argument unless given a layout,
+    and a matching that leaves its block is an error, as on data."""
     dists = [empirical([0.5, 1.5, 2.0])] * 3
-    mc = conditional_mixed_moment(two_of_three, dists, OmegaPair(frozenset()),
-                                  seed=3, mc_draws=20_000, budget=10)
-    assert mc.method == "generator-mc" and mc.se > 0
-    assert abs(mc.value - (20 / 27) ** 2) < 5 * mc.se
+    with pytest.raises(ValueError, match="outside its block"):
+        conditional_mixed_moment(two_of_three, dists, BetaPair((2, 1, 0)))
+    layout = BlockLayout(((1, 2), (3,)), (3, 3))
+    swap = conditional_mixed_moment(two_of_three, dists, BetaPair((2, 1, 0)),
+                                    layout=layout)
+    keep = conditional_mixed_moment(two_of_three, dists, BetaPair((1, 2, 0)),
+                                    layout=layout)
+    # a 2-of-3 does not see the order of its arguments
+    assert swap == keep and swap.method == "generator-exact"
+
+
+def test_generator_grid_over_budget_raises(two_of_three):
+    """Budgets raise on the generator route as on data; no Monte Carlo
+    stands in for an exact moment."""
+    dists = [empirical([0.5, 1.5, 2.0])] * 3
+    layout = BlockLayout.singleton((3, 3, 3))
+    with pytest.raises(BudgetExceededError, match="pair-moment tensor"):
+        conditional_mixed_moment(two_of_three, dists, OmegaPair(frozenset()),
+                                 budget=10)
+    with pytest.raises(BudgetExceededError, match="pair-moment tensor"):
+        resampling_variance(two_of_three, dists, 4, layout=layout, budget=10)
 
 
 def test_variance_rows_report_the_moment_route(two_of_three, small_samples):
-    """The Monte Carlo fallback of an over-budget grid shows in every row of
-    resampling_variance and hierarchical_variance and in to_dict()."""
-    dists = [empirical([0.5, 1.5, 2.0])] * 3
+    """The route of every moment shows in every row of resampling_variance
+    and hierarchical_variance and in to_dict(): Monte Carlo when a law has
+    no finite support."""
+    finite = [empirical([0.5, 1.5, 2.0])] * 3
+    continuous = [exponential(1.0)] * 3
     layout = BlockLayout.singleton((3, 3, 3))
     sizes = {1: 3, 2: 3, 3: 3, 4: 3, 5: 4}
 
@@ -255,17 +276,34 @@ def test_variance_rows_report_the_moment_route(two_of_three, small_samples):
             [row.method for row in rep.rows]
         return {row.method for row in rep.rows}
 
-    over = dict(seed=3, mc_draws=20_000, budget=10)
-    assert methods(resampling_variance(two_of_three, dists, 4, layout=layout,
-                                       **over)) == {"generator-mc"}
-    assert methods(hierarchical_variance(two_of_three, dists, sizes,
-                                         **over)) == {"generator-mc"}
-    assert methods(resampling_variance(two_of_three, dists, 4,
+    mc = dict(seed=3, mc_draws=20_000)
+    assert methods(resampling_variance(two_of_three, continuous, 4,
+                                       layout=layout, **mc)) == {"generator-mc"}
+    assert methods(hierarchical_variance(two_of_three, continuous, sizes,
+                                         **mc)) == {"generator-mc"}
+    assert methods(resampling_variance(two_of_three, finite, 4,
                                        layout=layout)) == {"generator-exact"}
-    assert methods(hierarchical_variance(two_of_three, dists,
+    assert methods(hierarchical_variance(two_of_three, finite,
                                          sizes)) == {"generator-exact"}
     assert methods(resampling_variance(two_of_three, small_samples,
                                        4)) == {"empirical-exact"}
+
+
+@pytest.mark.parametrize("family", ["alpha", "beta"])
+def test_shared_finite_supports_stay_exact_within_the_default_budget(
+        monkeypatch, family):
+    """Eight values on each of two shared supports: every row comes from
+    the pair-moment tensor, where one value grid per matching (up to 8^8
+    cells) went over the default budget and mixed in Monte Carlo rows."""
+    monkeypatch.delenv("RESAMPLEKIT_BUDGET", raising=False)
+    spec = parse_system("min(max(x1, x2), sum(x3, x4))")
+    a = empirical(np.linspace(0.25, 2.0, 8))
+    b = empirical(np.linspace(0.1, 1.5, 8))
+    layout = BlockLayout(((1, 2), (3, 4)), (10, 10))
+    rep = resampling_variance(spec, [a, a, b, b], 5, layout=layout,
+                              family=family)
+    assert {row.method for row in rep.rows} == {"generator-exact"}
+    assert rep.variance_se == 0.0 and rep.variance > 0.0
 
 
 def test_generator_grid_rejects_a_malformed_budget_setting(two_of_three,
