@@ -12,8 +12,8 @@ resampling confidence intervals.
 from .budget import BudgetExceededError, enumeration_budget
 from .coverage import (CoverageReport, IntervalResult, OrderFunctional,
                        Protocol, WVector, coverage_R, coverage_conditional,
-                       protocol_from_w, q_given_ordering, resampling_interval,
-                       rho, w_from_protocol, w_vector)
+                       protocol_from_w, protocol_table, q_given_ordering,
+                       resampling_interval, rho, w_from_protocol, w_vector)
 from .damage import (CountEstimates, DamageData, DamageMCReport, DamageTruth,
                      EstimatorExpectation, PluginEstimate, PluginMCReport,
                      TruthSummary, damage_variance_mc, estimator_expectation,
@@ -83,7 +83,7 @@ __all__ = [
     "OrderFunctional", "WVector", "Protocol", "CoverageReport",
     "IntervalResult", "w_vector", "protocol_from_w", "w_from_protocol",
     "q_given_ordering", "rho", "coverage_conditional", "coverage_R",
-    "resampling_interval",
+    "protocol_table", "resampling_interval",
     # budget
     "BudgetExceededError", "enumeration_budget",
 ]

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import distributions as dists
 from .budget import BudgetExceededError, enumeration_budget
-from .coverage import OrderFunctional, coverage_R
+from .coverage import OrderFunctional, coverage_R, protocol_table
 from .damage import (DamageData, DamageTruth, damage_variance_mc,
                      estimator_expectation, hybrid_pmf, plugin_estimate,
                      plugin_expectation, plugin_variance_mc, poisson_truth,
@@ -406,21 +406,25 @@ def _cmd_coverage(cfg: RunConfig, out) -> None:
         raise CliError("schema-violation", EXIT_SCHEMA,
                        "--seed is mandatory for mc mode")
     # resolved here: mc mode checks no budget, so a bad one would pass
+    budget = enumeration_budget(cfg.budget)
     rep = coverage_R(func, gens, sizes, cfg.theta, gammas, cfg.k, cfg.r,
                      mode=cfg.mode, seed=cfg.seed,
-                     replications=cfg.replications,
-                     budget=enumeration_budget(cfg.budget),
+                     replications=cfg.replications, budget=budget,
                      threads=cfg.threads)
+    # the per-W table is enumerated only when asked for, before any output
+    table = protocol_table(func, gens, sizes, cfg.theta, gammas, cfg.k,
+                           cfg.r, budget=budget) \
+        if cfg.protocol_csv and cfg.mode == "exact" else None
     report = {"subcommand": "coverage", **rep.to_dict()}
     rows = [[g, c, (rep.se[i] if rep.se else None)]
             for i, (g, c) in enumerate(zip(rep.gammas, rep.coverage))]
     _emit(report, (["gamma", "coverage", "se"], rows), cfg.format, out)
-    if cfg.protocol_csv and rep.table is not None:
+    if table is not None:
         with open(cfg.protocol_csv, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["w", "probability", "q", "rho"]
                             + [f"coverage[{g}]" for g in rep.gammas])
-            for row in rep.table:
+            for row in table:
                 writer.writerow(["".join(map(str, row.w)), row.probability,
                                  row.q, row.rho] + list(row.coverage))
 
@@ -444,14 +448,17 @@ def _cmd_repro_coverage(cfg: RunConfig, out) -> None:
                          gamma=_COVERAGE_GAMMAS, k=10, r=16, mode="mc",
                          seed=_REPRO_SEED, replications=10_000,
                          threads=cfg.threads)
+        exact = coverage_R(func, gens, sizes, theta=0.25,
+                           gamma=_COVERAGE_GAMMAS, k=10, r=16).coverage
         entries.append({"sizes": list(sizes),
                         "coverage": list(rep.coverage),
-                        "se": list(rep.se)})
+                        "se": list(rep.se), "exact": list(exact)})
         rows.append(["(" + ",".join(map(str, sizes)) + ")"]
-                    + [x for pair in zip(rep.coverage, rep.se) for x in pair])
+                    + [x for cells in zip(rep.coverage, rep.se, exact)
+                       for x in cells])
     header = ["sizes"]
     for g in _COVERAGE_GAMMAS:
-        header += [f"R[{g}]", f"se[{g}]"]
+        header += [f"R[{g}]", f"se[{g}]", f"exact[{g}]"]
     report = {
         "subcommand": "repro", "table": "coverage",
         "theta": 0.25, "k": 10, "r": 16,
@@ -511,9 +518,9 @@ def _build_parser() -> _Parser:
                      description="Resampling-based reliability estimation.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def budget(p):
+    def budget(p, counts=""):
         p.add_argument("--budget", type=int, default=None,
-                       help="enumeration budget override "
+                       help=f"enumeration budget override{counts} "
                             "(else RESAMPLEKIT_BUDGET)")
 
     def common(p, seed_required=True):
@@ -582,8 +589,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--mode", choices=("exact", "mc"), default="exact")
     p.add_argument("--replications", type=int, default=10_000)
-    p.add_argument("--protocol-csv", dest="protocol_csv", default=None)
-    budget(p)
+    p.add_argument("--protocol-csv", dest="protocol_csv", default=None,
+                   help="also write the per-W table (exact mode)")
+    budget(p, ": exact-coverage DP states, and W rows for --protocol-csv")
     common(p, seed_required=False)
 
     p = sub.add_parser("repro", help="pinned-seed table reproduction")

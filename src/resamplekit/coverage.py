@@ -10,22 +10,25 @@ q of one realization is a ratio of counting outcomes; one experiment
 undershoots Theta with probability rho = P{Bin(r, q) < Theta r}, and the
 interval covers with conditional probability R_C = P{Bin(k, rho) >=
 floor(alpha k)}.  The unconditional coverage R averages R_C over the
-ordering law P_W: exactly (enumerating W vectors) for exponential or
-other continuous generators, or by Monte Carlo over simulated datasets.
+ordering law P_W: exactly for exponential or other continuous generators,
+by a dynamic program over the counts of labels placed and the hits
+counted so far (the recursion Mann and Whitney, 1947, used to tabulate
+U), or by Monte Carlo over simulated datasets.  ``protocol_table`` lists
+P_W, q, rho and R_C for every W vector.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from ._streams import (Lane, block_count, block_ranges, block_streams,
                        substreams)
-from .budget import check_budget
+from .budget import check_budget, enumeration_budget
 from .distributions import binom_cdf, binom_sf
 from .resampling import draw_values
 from .samples import SampleSet
@@ -36,7 +39,7 @@ __all__ = [
     "OrderFunctional", "WVector", "Protocol", "CoverageReport",
     "IntervalResult", "w_vector", "protocol_from_w", "w_from_protocol",
     "q_given_ordering", "rho", "alpha_floor", "coverage_conditional",
-    "coverage_R", "resampling_interval",
+    "coverage_R", "protocol_table", "resampling_interval",
 ]
 
 _EPS = 1e-9
@@ -241,44 +244,55 @@ def q_given_ordering(func: OrderFunctional, w):
 def _count_hits(spec: SystemSpec, rows: np.ndarray, sizes) -> np.ndarray:
     """Succeeding index combinations of each W row, by rank counting.
 
-    Each node gets G[v, row], the number of index combinations of its
-    leaves with node value at most pooled rank v (v = 0..n; David and
-    Nagaraja, *Order Statistics*, 2003).  Leaves are distinct arguments,
-    so children are independent and their values never tie.
+    ``below[i, v, row]`` is how many values of sample i+1 sit at pooled
+    rank v or lower (v = 0..n); the root sums #(a = v) #(b < v) over v.
     """
-    stack = []
+    below = np.zeros((len(sizes), rows.shape[1] + 1, len(rows)),
+                     dtype=np.int64)
+    below[:, 1:] = rows.T == np.arange(1, len(sizes) + 1)[:, None, None]
+    # a running sum rank by rank; np.cumsum is several times slower
+    for v in range(2, below.shape[1]):
+        below[:, v] += below[:, v - 1]
+    if (below[:, -1] != np.asarray(sizes)[:, None]).any():
+        raise ValueError("every W row needs the label counts of the first")
+    a, b = _side_counts(spec, below, sizes)
+    return np.einsum("ij,ij->j", np.diff(a, axis=0), b[:-1])
+
+
+def _side_counts(spec: SystemSpec, below, sizes):
+    """G of the root comparison's two sides (a, b), ordered so that its
+    hits are the sum of #(a = v) #(b < v) over pooled ranks v.
+
+    ``below[i]`` holds, at each point of any array shape, how many values
+    of sample i+1 lie at or below it; each node's G counts the index
+    combinations of its leaves whose node value lies at or below it
+    (David and Nagaraja, *Order Statistics*, 2003).  Leaves are distinct
+    arguments, so children are independent and their values never tie.
+    """
+    stack = []  # (G, number of index combinations of the node's leaves)
     for _, node, kids in spec.table:
         cut = len(stack) - len(kids)
         args = stack[cut:]
+        total = math.prod(t for _, t in args)
         if isinstance(node, Input):
-            g = np.zeros((rows.shape[1] + 1, len(rows)), dtype=np.int64)
-            g[1:] = rows.T == node.index
-            # a running sum row by row; np.cumsum is several times slower
-            for v in range(2, len(g)):
-                g[v] += g[v - 1]
-            if (g[-1] != sizes[node.index - 1]).any():
-                raise ValueError("every W row needs the label counts of the "
-                                 "first")
+            g, total = below[node.index - 1], sizes[node.index - 1]
         elif isinstance(node, Compare):
-            # a > b: sum over v of #(a = v) #(b < v); a < b the other way
             a, b = args if node.op == ">" else args[::-1]
-            g = np.einsum("ij,ij->j", np.diff(a, axis=0), b[:-1])
+            return a[0], b[0]
         elif isinstance(node, Max):
-            g = reduce(np.multiply, args)
+            g = reduce(np.multiply, [c for c, _ in args])
         elif isinstance(node, Min):
-            g = reduce(np.multiply, [c[-1] for c in args]) - \
-                reduce(np.multiply, [c[-1] - c for c in args])
+            g = total - reduce(np.multiply, [t - c for c, t in args])
         else:
             # the k-th largest is at most v when fewer than k children are
             # above v; ways[j] counts combinations with j children above v
             ways = [1] + [0] * (node.k - 1)
-            for c in args:
-                above = c[-1] - c
+            for c, t in args:
+                above = t - c
                 ways = [ways[0] * c] + [ways[j] * c + ways[j - 1] * above
                                         for j in range(1, node.k)]
             g = sum(ways)
-        stack[cut:] = [g]
-    return stack[0]
+        stack[cut:] = [(g, total)]
 
 
 def rho(q, theta: float, r: int):
@@ -360,6 +374,19 @@ def _count_strides(shape) -> np.ndarray:
     return np.array([math.prod(shape[i + 1:]) for i in range(len(shape))])
 
 
+def _race_steps(rates, sizes) -> np.ndarray:
+    """step[i, c]: the race step of label i+1 with counts c (a C-order
+    flat index over 0..n_i) still to come; NaN when none are."""
+    shape = [n + 1 for n in sizes]
+    counts = np.indices(shape).reshape(len(shape), -1).astype(float)
+    rates = np.asarray(rates, dtype=float)
+    den = counts[0] * rates[0]
+    for c, rate in zip(counts[1:], rates[1:]):
+        den = den + c * rate
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return counts * rates[:, None] / den
+
+
 def _pw_exponential(rows, rates, sizes):
     """Exact ordering probability for exponential generators.
 
@@ -369,15 +396,8 @@ def _pw_exponential(rows, rates, sizes):
     probability of each is a running product over the columns of the race
     step looked up per remaining-count vector.
     """
-    shape = [n + 1 for n in sizes]
-    counts = np.indices(shape).reshape(len(shape), -1).astype(float)
-    rates = np.asarray(rates, dtype=float)
-    den = counts[0] * rates[0]
-    for c, rate in zip(counts[1:], rates[1:]):
-        den = den + c * rate
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = counts * rates[:, None] / den  # step[i, c]: label i next
-    strides = _count_strides(shape)
+    step = _race_steps(rates, sizes)
+    strides = _count_strides([n + 1 for n in sizes])
     here = np.full(len(rows), int(np.dot(sizes, strides)))
     p = np.ones(len(rows))
     for labels in (rows - 1).T:
@@ -413,7 +433,6 @@ class _NumericOrderingLaw:
         each row to its prefix.  Rows in lexicographic order share most.
         Every step writes into the same few buffers.
         """
-        h = self.grid[1] - self.grid[0]
         out = np.empty(len(rows))
         per = min(len(rows), max(1, GRID_CHUNK // len(self.grid)))
         cur, f, inc = (np.empty((per, len(self.grid))) for _ in range(3))
@@ -432,14 +451,20 @@ class _NumericOrderingLaw:
                         mode="clip")
                 np.take(cur, node[first], axis=0, out=inc[:k], mode="clip")
                 np.multiply(f[:k], inc[:k], out=f[:k])
-                # running trapezoid: I(x_k) = sum of trapezoids up to k
-                inc[:k, 0] = 0.0
-                np.add(f[:k, 1:], f[:k, :-1], out=inc[:k, 1:])
-                np.multiply(inc[:k, 1:], h / 2.0, out=inc[:k, 1:])
-                np.cumsum(inc[:k], axis=1, out=cur[:k])
+                self.running_integral(f[:k], inc[:k], cur[:k])
                 node = np.cumsum(new_prefix) - 1
             out[lo:lo + per] = self.scale * cur[node, -1]
         return out
+
+    def running_integral(self, f, inc, out):
+        """Trapezoid running integral of each row of ``f`` into ``out``:
+        I(x_k) is the sum of the trapezoids up to k.  ``inc`` is a buffer
+        of the same shape; ``out`` may be ``f``."""
+        inc[:, 0] = 0.0
+        np.add(f[:, 1:], f[:, :-1], out=inc[:, 1:])
+        np.multiply(inc[:, 1:], (self.grid[1] - self.grid[0]) / 2.0,
+                    out=inc[:, 1:])
+        np.cumsum(inc, axis=1, out=out)
 
 
 def _enumerate_w(sizes, chunk: int):
@@ -476,6 +501,92 @@ def _enumerate_w(sizes, chunk: int):
             here -= strides[label]
             out[:, j] = label + 1
         yield out
+
+
+def _hit_plan(func: OrderFunctional, sizes, budget):
+    """Integer plan of the coverage DP over states (c, h), level by level.
+
+    c is the count vector of labels placed so far, smallest pooled value
+    first, and h the root's hits so far: placing label i at c adds
+    (G_a(c + e_i) - G_a(c)) G_b(c) hits (``_side_counts`` on the count
+    lattice), so a step depends on c only, and (c, h) -> (c + e_i, h +
+    step) maps the states of c one to one into those of c + e_i.  Each c
+    keeps one row per h from the fewest to the most hits that reach it,
+    contiguous within its level.  Returns the hits of the final rows and,
+    per level, its row count and per c (c, first row, rows, [(label,
+    first target row in the next level)]).  The budget counts the rows
+    (every c has one at least) before any probability is computed.
+    """
+    what = "coverage DP states"
+    shape = tuple(n + 1 for n in sizes)
+    cells = math.prod(shape)
+    limit = enumeration_budget(budget)
+    check_budget(cells, what, limit)
+    placed = np.indices(shape).reshape(len(shape), -1)
+    a, b = _side_counts(func.spec, placed, sizes)
+    strides = _count_strides(shape)[:, None]
+    up = np.arange(cells) + strides
+    # hits added by placing each label at each c; -1 once it is used up
+    step = np.where(placed < np.asarray(sizes)[:, None],
+                    (a[np.minimum(up, cells - 1)] - a) * b, -1)
+    moves = [[(i, c + stride, d) for i, (stride, d) in
+              enumerate(zip(strides.ravel().tolist(), col)) if d >= 0]
+             for c, col in enumerate(step.T.tolist())]
+    lo, hi = [0] + [math.inf] * (cells - 1), [0] + [-math.inf] * (cells - 1)
+    first = [0] * cells
+    by_level = [[] for _ in range(sum(sizes) + 1)]
+    for c, level in enumerate(placed.sum(axis=0).tolist()):
+        by_level[level].append(c)
+    levels, states = [], 1
+    for here, there in zip(by_level, by_level[1:]):
+        for c in here:
+            for _, c2, d in moves[c]:
+                lo[c2] = min(lo[c2], lo[c] + d)
+                hi[c2] = max(hi[c2], hi[c] + d)
+        rows = 0
+        for c2 in there:
+            first[c2] = rows
+            rows += hi[c2] - lo[c2] + 1
+        states += rows
+        check_budget(states, what, limit)
+        levels.append((rows, [
+            (c, first[c], hi[c] - lo[c] + 1,
+             [(i, first[c2] + lo[c] + d - lo[c2]) for i, c2, d in moves[c]])
+            for c in here]))
+    return np.arange(lo[-1], hi[-1] + 1), levels
+
+
+def _hit_law(func: OrderFunctional, generators, sizes, budget):
+    """Exact law of the root's hit count: (hits, probability) arrays.
+
+    Each state carries the probability of reaching it: under exponential
+    generators a scalar, moved by ``_race_steps``; otherwise a running
+    integral of ``_NumericOrderingLaw`` on its grid.
+    That chain is linear in the integral, so the moves into a level add
+    density times integral before one running integral per state.
+    """
+    hits, levels = _hit_plan(func, sizes, budget)
+    rates = _exponential_rates(generators)
+    law, tail = None, ()
+    if rates is not None:
+        # counts placed index the remaining ones backwards: flat(n - c) =
+        # flat(n) - flat(c)
+        factor = _race_steps(rates, sizes)[:, ::-1].tolist()
+    else:
+        law = _NumericOrderingLaw(generators, sizes)
+        tail = law.grid.shape
+    cur = np.ones((1,) + tail)
+    for rows, here in levels:
+        nxt = np.zeros((rows,) + tail)
+        for c, at, width, targets in here:
+            block = cur[at:at + width]
+            for i, to in targets:
+                nxt[to:to + width] += block * (
+                    factor[i][c] if law is None else law.dens[i])
+        if law is not None:
+            law.running_integral(nxt, np.empty_like(nxt), nxt)
+        cur = nxt
+    return hits, cur if law is None else law.scale * cur[:, -1]
 
 
 @dataclass(frozen=True)
@@ -524,7 +635,6 @@ class CoverageReport:
     replications: int | None
     seed: int | None
     total_probability: float | None = None
-    table: ProtocolTable | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         out = {
@@ -553,19 +663,9 @@ def _as_gammas(gamma) -> tuple[float, ...]:
     return gammas
 
 
-def coverage_R(func: OrderFunctional, generators, sizes, theta: float,
-               gamma, k: int, r: int, mode: str = "exact",
-               seed: int | None = None, replications: int = 10_000,
-               budget: int | None = None, threads: int = 1) -> CoverageReport:
-    """Unconditional coverage R = E_W[R_C] of the upper quantile interval.
-
-    exact mode enumerates interleavings and averages R_C under the
-    ordering law of the generators (closed-form race for exponentials,
-    numeric integration otherwise).  mc mode simulates datasets with
-    keyed substreams and reports mean and SE per gamma.  Both work on
-    arrays of W rows: exact mode on chunks of the enumeration (``budget``
-    bounds their count), mc mode on each block.  ``threads`` has no effect.
-    """
+def _check_problem(func: OrderFunctional, generators, sizes, theta, gamma,
+                   k: int):
+    """Validated (sizes, generators, gammas, alphas) of a coverage problem."""
     sizes = tuple(int(n) for n in sizes)
     generators = tuple(generators)
     if len(generators) != func.m or len(sizes) != func.m:
@@ -582,32 +682,36 @@ def coverage_R(func: OrderFunctional, generators, sizes, theta: float,
     alphas = np.array([1.0 - g for g in gammas])
     for a in alphas:
         alpha_floor(a, k)  # fail fast on undefined intervals
+    return sizes, generators, gammas, alphas
+
+
+def coverage_R(func: OrderFunctional, generators, sizes, theta: float,
+               gamma, k: int, r: int, mode: str = "exact",
+               seed: int | None = None, replications: int = 10_000,
+               budget: int | None = None, threads: int = 1) -> CoverageReport:
+    """Unconditional coverage R = E_W[R_C] of the upper quantile interval.
+
+    exact mode takes the law of the root's hit count (so of q) from a
+    dynamic program over count vectors of placed labels and running hit
+    counts (``budget`` bounds its states), under the ordering law of the
+    generators (closed-form race for exponentials, numeric integration
+    otherwise), and averages R_C over it.  mc mode simulates datasets with
+    keyed substreams, works on the W rows of each block, and reports mean
+    and SE per gamma.  ``threads`` has no effect.
+    """
+    sizes, generators, gammas, alphas = _check_problem(
+        func, generators, sizes, theta, gamma, k)
 
     if mode == "exact":
-        total_w = math.factorial(sum(sizes))
-        for n in sizes:
-            total_w //= math.factorial(n)
-        check_budget(total_w, "ordering enumeration", budget)
-        rates = _exponential_rates(generators)
-        law = None if rates is not None else \
-            _NumericOrderingLaw(generators, sizes)
-        # running sums of p R_C per gamma and of p, added in W order
-        acc = np.zeros(len(gammas) + 1)
-        columns = []
-        for w in _enumerate_w(sizes, GRID_CHUNK):
-            p = _pw_exponential(w, rates, sizes) if rates is not None \
-                else law.pw(w)
-            q = q_given_ordering(func, w)
-            rho_w, rc = _rho_and_coverage(q, theta, r, k, alphas)
-            terms = np.column_stack([p[:, None] * rc, p])
-            acc = np.cumsum(np.vstack([acc, terms]), axis=0)[-1]
-            columns.append((w, p, q, rho_w, rc))
+        hits, p = _hit_law(func, generators, sizes, budget)
+        _, rc = _rho_and_coverage(hits / math.prod(sizes), theta, r, k,
+                                  alphas)
+        acc = np.column_stack([p[:, None] * rc, p]).sum(axis=0)
         return CoverageReport(
             mode="exact", sizes=sizes, theta=float(theta), k=k, r=r,
             gammas=gammas, coverage=tuple(float(c) for c in acc[:-1]),
             se=None, replications=None, seed=None,
-            total_probability=float(acc[-1]),
-            table=ProtocolTable(*map(np.concatenate, zip(*columns))))
+            total_probability=float(acc[-1]))
 
     if mode != "mc":
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
@@ -642,6 +746,35 @@ def _rho_and_coverage(q, theta: float, r: int, k: int, alphas):
     rho_d = rho(distinct, theta, r)
     return rho_d[row_of], coverage_conditional(rho_d[:, None], k,
                                                alphas)[row_of]
+
+
+def protocol_table(func: OrderFunctional, generators, sizes, theta: float,
+                   gamma, k: int, r: int,
+                   budget: int | None = None) -> ProtocolTable:
+    """The exact-mode table: one row per interleaving W, lexicographic,
+    with its probability P_W, q, rho and R_C per gamma.
+
+    Enumerates every W (``budget`` bounds their count), so it grows as
+    the multinomial coefficient of the sizes; ``coverage_R`` needs no
+    table.  Summing P_W R_C over the rows gives the exact coverage up to
+    float summation order.
+    """
+    sizes, generators, gammas, alphas = _check_problem(
+        func, generators, sizes, theta, gamma, k)
+    total_w = math.factorial(sum(sizes))
+    for n in sizes:
+        total_w //= math.factorial(n)
+    check_budget(total_w, "ordering enumeration", budget)
+    rates = _exponential_rates(generators)
+    law = None if rates is not None else \
+        _NumericOrderingLaw(generators, sizes)
+    columns = []
+    for w in _enumerate_w(sizes, GRID_CHUNK):
+        p = _pw_exponential(w, rates, sizes) if rates is not None \
+            else law.pw(w)
+        q = q_given_ordering(func, w)
+        columns.append((w, p, q, *_rho_and_coverage(q, theta, r, k, alphas)))
+    return ProtocolTable(*map(np.concatenate, zip(*columns)))
 
 
 @dataclass(frozen=True)

@@ -175,7 +175,7 @@ def _damage_counts(data: DamageData, t: float, r: int, seed: int,
                    streams) -> CountEstimates:
     """:func:`resample_damage_counts`, drawing block b of the r realizations
     from the b-th generator of ``streams``."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"time t must be non-negative, got {t}")
     if r < 1:
         raise ValueError(f"need r >= 1 realizations, got {r}")
@@ -291,8 +291,8 @@ class TruthSummary:
 
 def poisson_truth(truth: DamageTruth, t: float) -> TruthSummary:
     """Exact E X_t, E Y_t and Poisson count laws at time t."""
-    if t < 0:
-        raise ValueError(f"time t must be non-negative, got {t}")
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time t must be finite and non-negative, got {t}")
     isf = _integral_sf(truth.degradation, float(t))
     return TruthSummary(t=float(t), rate=truth.rate,
                         active_mean=truth.rate * isf,

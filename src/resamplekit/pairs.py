@@ -146,6 +146,9 @@ def alpha_probability(alpha, layout) -> float:
             f"alpha has {len(counts)} entries for {len(layout.block_args)} blocks")
     p = 1.0
     for a, args, n in zip(counts, layout.block_args, layout.block_sizes):
+        if not 0 <= a <= len(args):
+            raise ValueError(f"alpha shares {a} elements in block {args}; "
+                             f"the count must be in 0..{len(args)}")
         p *= _hyper_pmf(int(a), n, len(args))
     return p
 
@@ -442,6 +445,8 @@ def _generator_mixed_moment(spec, dists, layout: BlockLayout, pair, seed,
     moments = [_one_matching_moment(spec, dists, matching, seed, mi, mc_draws)
                for mi, matching in enumerate(_matching_of(pair, layout))]
     k = len(moments)
+    if k == 0:
+        raise ValueError(f"pattern {pair!r} has probability 0 on this layout")
     return MixedMoment(value=sum(v for v, _ in moments) / k,
                        se=math.sqrt(sum(se * se for _, se in moments)) / k,
                        method="generator-mc")

@@ -200,6 +200,8 @@ class GridConvolutionKit:
                  m_x: int, m_y: int, points: int = 4096, pad_sd: float = 8.0):
         if m_x < 1 or m_y < 0:
             raise ValueError(f"need m_X >= 1, m_Y >= 0, got {m_x}, {m_y}")
+        if not points >= 2:
+            raise ValueError(f"need points >= 2 lattice cells, got {points}")
         self.m_x, self.m_y = int(m_x), int(m_y)
         los, his = [], []
         for d in (x_dist, y_dist):

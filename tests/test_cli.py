@@ -439,13 +439,16 @@ def test_coverage_protocol_csv(files, capsys):
 
 # Bytes of the race's coverage outputs: the --protocol-csv file at (2,2,2),
 # exact coverage and total probability at (2,2,3), and mc coverage and SE
-# at (2,2,3) for seed 44.
+# at (2,2,3) for seed 44.  The exact values come from the count-vector DP;
+# each lies within 1e-15 of the sum over the 210 W rows of the protocol
+# table (0x1.13f3b8ccfa336p-1, 0x1.21e377beb52bbp-1, 0x1.37633f0a37b80p-1,
+# 0x1.595e696964ce5p-1, 0x1.8623f3f6726b7p-1; total 0x1.0000000000003p+0).
 PROTOCOL_CSV_SHA256 = \
     "a2d14abb7603065fa4eff31540bc4d62852c6afe63c0b58d9cf5d0800b20cbf0"
-EXACT_COVERAGE_HEX = ("0x1.13f3b8ccfa336p-1", "0x1.21e377beb52bbp-1",
-                      "0x1.37633f0a37b80p-1", "0x1.595e696964ce5p-1",
-                      "0x1.8623f3f6726b7p-1")
-EXACT_TOTAL_HEX = "0x1.0000000000003p+0"
+EXACT_COVERAGE_HEX = ("0x1.13f3b8ccfa33cp-1", "0x1.21e377beb52bdp-1",
+                      "0x1.37633f0a37b7ep-1", "0x1.595e696964cdcp-1",
+                      "0x1.8623f3f6726b9p-1")
+EXACT_TOTAL_HEX = "0x1.0000000000000p+0"
 MC_COVERAGE_HEX = ("0x1.1135700d3a5adp-1", "0x1.5720e96a727fep-1")
 MC_SE_HEX = ("0x1.1e01f612dc9b9p-7", "0x1.e835ae36f4859p-8")
 
@@ -467,6 +470,47 @@ def test_coverage_outputs_keep_their_bytes(files, capsys):
                                      "--replications", "3000"])
     assert tuple(c.hex() for c in mc["coverage"]) == MC_COVERAGE_HEX
     assert tuple(s.hex() for s in mc["se"]) == MC_SE_HEX
+
+
+def test_coverage_enumerates_w_only_for_the_protocol_csv(files, capsys,
+                                                         monkeypatch):
+    import resamplekit.cli as cli_module
+    calls = []
+    real = cli_module.protocol_table
+    monkeypatch.setattr(cli_module, "protocol_table",
+                        lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    race = ["coverage", "--spec", str(files["race"]), "--gen",
+            "exp:3,exp:3,exp:2", "--sizes", "9,9,3", "--gamma", "0.8",
+            "--theta", "0.25", "--k", "10", "--r", "16"]
+    # 64,664,600 interleavings: over the budget for a table, not for the DP
+    report = invoke_json(capsys, race + ["--budget", "1000000"])
+    assert report["coverage"][0] == pytest.approx(0.701066, abs=1e-6)
+    assert calls == []
+    code, env = error_of(capsys, race + ["--budget", "1000000",
+                                         "--protocol-csv",
+                                         str(files["dir"] / "w.csv")])
+    assert code == 4 and "ordering enumeration" in env["message"]
+    assert len(calls) == 1
+    assert not (files["dir"] / "w.csv").exists()
+
+
+# The exact rows beside the Monte Carlo ones; the published (3,3,3) row.
+PUBLISHED_COVERAGE = (0.533, 0.576, 0.625, 0.686, 0.770)
+
+
+def test_repro_coverage_reports_exact_beside_mc(capsys):
+    report = invoke_json(capsys, ["repro", "table-coverage"])
+    assert len(report["rows"]) == 7
+    for row in report["rows"]:
+        for mc, se, exact in zip(row["coverage"], row["se"], row["exact"]):
+            assert abs(mc - exact) <= 4.0 * se, row["sizes"]
+    first = report["rows"][0]
+    assert first["sizes"] == [3, 3, 3]
+    assert first["exact"] == pytest.approx(PUBLISHED_COVERAGE, abs=1e-3)
+    code, out, _ = invoke(capsys, ["repro", "table-coverage", "--format",
+                                   "csv"])
+    assert code == 0
+    assert out.splitlines()[0].startswith("sizes,R[0.5],se[0.5],exact[0.5],")
 
 
 def test_coverage_non_order_spec(files, capsys):

@@ -1,5 +1,6 @@
 """Tests for quantile-interval coverage analysis of order functionals."""
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -17,13 +18,15 @@ from resamplekit.coverage import (
     coverage_R,
     coverage_conditional,
     protocol_from_w,
+    protocol_table,
     q_given_ordering,
     resampling_interval,
     rho,
     w_from_protocol,
     w_vector,
 )
-from resamplekit.coverage import _NumericOrderingLaw, _enumerate_w, _pw_exponential
+from resamplekit.coverage import (_hit_law, _NumericOrderingLaw, _enumerate_w,
+                                  _pw_exponential)
 from resamplekit.distributions import empirical, exponential, normal, uniform
 from resamplekit.samples import SampleSet
 from resamplekit.systems import parse_system
@@ -315,13 +318,70 @@ def test_coverage_exact_published_row(min_race):
 def test_coverage_exact_table_reweights(min_race):
     rep = coverage_R(min_race, GENS, (2, 2, 2), 0.25, (0.5, 0.9), k=10, r=16,
                      mode="exact")
-    assert rep.table is not None
+    table = protocol_table(min_race, GENS, (2, 2, 2), 0.25, (0.5, 0.9), k=10,
+                           r=16)
+    assert len(table) == 90
     for j in range(2):
-        recon = sum(row.probability * row.coverage[j] for row in rep.table)
+        recon = sum(row.probability * row.coverage[j] for row in table)
         assert rep.coverage[j] == pytest.approx(recon, abs=1e-12)
-    for row in rep.table:
+    for row in table:
         assert 0.0 <= row.q <= 1.0
         assert 0.0 <= row.rho <= 1.0
+    with pytest.raises(BudgetExceededError, match="ordering enumeration"):
+        protocol_table(min_race, GENS, (2, 2, 2), 0.25, 0.5, 10, 16,
+                       budget=89)
+
+
+def mann_whitney_null(n1, n2):
+    """P{U = u}, u = 0..n1 n2, with U the number of pairs whose sample-1
+    value lies below the sample-2 value, under exchangeable samples, by the
+    recursion of Mann and Whitney (1947) on the largest value: from sample
+    2 it lies above all n1 values of sample 1, else it adds no pair."""
+    @functools.cache
+    def ways(u, a, b):
+        if u < 0:
+            return 0
+        if a == 0 or b == 0:
+            return int(u == 0)
+        return ways(u - a, a, b - 1) + ways(u, a - 1, b)
+    total = math.comb(n1 + n2, n1)
+    return np.array([ways(u, n1, n2) / total for u in range(n1 * n2 + 1)])
+
+
+@pytest.mark.parametrize("sizes", [(1, 1), (3, 2), (4, 4), (7, 5)])
+def test_dp_hit_law_is_the_mann_whitney_null(sizes):
+    """Equal-rate exponentials make every interleaving equally likely, so
+    the law of hits of cmp(x1 < x2) is the null law of U."""
+    func = OrderFunctional(parse_system("cmp(x1 < x2)"))
+    hits, p = _hit_law(func, (exponential(1.5),) * 2, sizes, None)
+    law = np.zeros(math.prod(sizes) + 1)
+    law[hits] = p
+    assert law == pytest.approx(mann_whitney_null(*sizes), abs=1e-15)
+
+
+def test_coverage_dp_reaches_sizes_enumeration_cannot(min_race):
+    """(20,20,20) has about 5.8e26 interleavings and about 2.8e7 DP
+    states."""
+    rep = coverage_R(min_race, GENS, (20, 20, 20), 0.25, GAMMAS, k=10, r=16,
+                     budget=30_000_000)
+    assert rep.total_probability == pytest.approx(1.0, abs=1e-12)
+    assert all(0.0 < a < b < 1.0 for a, b in zip(rep.coverage,
+                                                 rep.coverage[1:]))
+
+
+def test_coverage_budget_counts_dp_states_before_any_law(min_race,
+                                                        monkeypatch):
+    import resamplekit.coverage as coverage_module
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ordering law built over the budget")
+
+    monkeypatch.setattr(coverage_module, "_NumericOrderingLaw", refuse)
+    gens = (normal(0.0, 1.0),) * 3
+    with pytest.raises(BudgetExceededError, match="coverage DP states"):
+        coverage_R(min_race, gens, (4, 4, 4), 0.25, 0.8, 10, 16, budget=124)
+    with pytest.raises(BudgetExceededError, match="coverage DP states"):
+        coverage_R(min_race, gens, (4, 4, 4), 0.25, 0.8, 10, 16, budget=125)
 
 
 def test_coverage_exact_numeric_generators(min_race):

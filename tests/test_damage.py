@@ -109,7 +109,7 @@ def test_resample_time_edges():
     assert late.active_mean == 0.0
 
 
-@pytest.mark.parametrize("t, r", [(-1.0, 10), (1.0, 0)])
+@pytest.mark.parametrize("t, r", [(-1.0, 10), (math.nan, 10), (1.0, 0)])
 def test_resample_rejects(t, r):
     data = DamageData([1.0], [1.0])
     with pytest.raises(ValueError):
@@ -192,6 +192,14 @@ def test_poisson_truth_zero_time():
     assert summ.terminal_mean == 0.0
     with pytest.raises(ValueError):
         poisson_truth(TRI_TRUTH, t=-1.0)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_truth_routes_reject_non_finite_times(t):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        poisson_truth(TRI_TRUTH, t=t)
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        estimator_expectation(TRI_TRUTH, 3, t)
 
 
 def quad_oracle(law, t):

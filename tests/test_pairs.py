@@ -77,6 +77,21 @@ def test_alpha_zero_overlap_impossible_when_tight():
     assert alpha_probability(AlphaPair((0,)), lay) == 0.0
 
 
+@pytest.mark.parametrize("counts", [(-1, 0, 0), (0, 2, 0)])
+def test_alpha_count_outside_its_block_raises(counts):
+    with pytest.raises(ValueError, match="the count must be in 0..1"):
+        alpha_probability(AlphaPair(counts), [3, 3, 3])
+
+
+@pytest.mark.parametrize("law", [exponential(1.0), empirical([1.0, 2.0])])
+def test_pattern_without_matching_raises_on_every_generator_route(law):
+    """alpha(2, 0, 0) shares two elements of a one-argument block: no
+    matching has it, under a finite support or a continuous law."""
+    with pytest.raises(ValueError, match=r"alpha\(2, 0, 0\) has probability 0"):
+        conditional_mixed_moment(parse_system("kofn(2; x1, x2, x3)"),
+                                 [law] * 3, AlphaPair((2, 0, 0)))
+
+
 def test_alpha_counting_oracle():
     lay = BlockLayout(block_args=((1, 2), (3,)), block_sizes=(4, 2))
     vectors = list(admissible_vectors(lay))

@@ -28,8 +28,8 @@ from resamplekit import (AlphaPair, BlockLayout, BudgetExceededError,
 from resamplekit.coverage import (OrderFunctional, WVector,
                                   _NumericOrderingLaw, _enumerate_w,
                                   _pw_exponential, coverage_conditional,
-                                  coverage_R, q_given_ordering,
-                                  resampling_interval, rho)
+                                  coverage_R, protocol_table,
+                                  q_given_ordering, resampling_interval, rho)
 from resamplekit.pairs import _matching_of
 from resamplekit.partial import estimate_inner_mc, estimate_known_g
 from resamplekit.resampling import (EstimateResult, chunk_moments,
@@ -450,15 +450,15 @@ def order_functionals(draw, m):
 
 
 @st.composite
-def coverage_problems(draw, max_w=200, max_m=3):
+def coverage_problems(draw, max_w=200, max_m=3, law=None):
     """Sizes with at most ``max_w`` interleavings (``max_w`` >= max_m!),
-    an order functional and exponential or normal generators, plus the
-    interval settings."""
+    an order functional and exponential or normal generators (``law``
+    "race" or "numeric" fixes which), plus the interval settings."""
     m = draw(st.integers(2, max_m))
     sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)))
     while interleavings(sizes) > max_w:
         sizes = tuple(n - 1 if n == max(sizes) else n for n in sizes)
-    if draw(st.booleans()):
+    if draw(st.booleans()) if law is None else law == "race":
         rate = st.sampled_from([0.5, 1.0, 2.0, 3.0])
         gens = tuple(exponential(draw(rate)) for _ in range(m))
     else:
@@ -529,20 +529,41 @@ def test_numeric_law_equals_per_row_integration_on_every_w(sizes):
     assert law.pw(w).tobytes() == numeric_pw_oracle(law, w).tobytes()
 
 
-@PROPERTY
-@given(problem=coverage_problems())
-def test_exact_coverage_matches_per_w_oracle(problem):
+def assert_dp_matches_per_w_oracle(problem):
+    """Exact coverage from the count-vector DP against the sum over every W
+    row of ``coverage_oracle``: the same law and R_C, added in another
+    order, so within 1e-13."""
     rep = coverage_R(problem["func"], problem["generators"], problem["sizes"],
                      problem["theta"], problem["gammas"], problem["k"],
                      problem["r"], mode="exact")
     coverage, total, table = coverage_oracle(
         problem["func"], problem["generators"], problem["sizes"],
         problem["theta"], problem["gammas"], problem["k"], problem["r"])
-    assert len(rep.table) == len(table)
-    for got, want in zip(rep.table, table):
-        assert got == want
-    assert rep.coverage == coverage
-    assert rep.total_probability == total
+    assert rep.coverage == pytest.approx(coverage, abs=1e-13, rel=0)
+    assert rep.total_probability == pytest.approx(total, abs=1e-13, rel=0)
+    return table
+
+
+@PROPERTY
+@given(problem=coverage_problems())
+def test_exact_coverage_matches_per_w_oracle(problem):
+    """The per-W table bit for bit, and the DP within 1e-13 of its sum."""
+    table = assert_dp_matches_per_w_oracle(problem)
+    got = protocol_table(problem["func"], problem["generators"],
+                         problem["sizes"], problem["theta"], problem["gammas"],
+                         problem["k"], problem["r"])
+    assert len(got) == len(table)
+    for row, want in zip(got, table):
+        assert row == want
+
+
+@pytest.mark.parametrize("law", ["race", "numeric"])
+@PROPERTY
+@given(data=st.data())
+def test_dp_coverage_matches_per_w_oracle_on_up_to_four_samples(law, data):
+    """Nested min/max/kofn comparisons of two to four samples."""
+    assert_dp_matches_per_w_oracle(
+        data.draw(coverage_problems(max_w=400, max_m=4, law=law)))
 
 
 @PROPERTY

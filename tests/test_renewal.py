@@ -231,6 +231,10 @@ def test_grid_kit_rejects():
     gk = GridConvolutionKit(exponential(1.0), exponential(1.0), 2, 1)
     with pytest.raises(ValueError):
         gk.mu11(3, 0)
+    for points in (0, 1, -5, math.nan):
+        with pytest.raises(ValueError, match="points >= 2"):
+            GridConvolutionKit(exponential(1.0), exponential(2.0), 2, 1,
+                               points=points)
 
 
 # -- mu11 dispatch ---------------------------------------------------------
