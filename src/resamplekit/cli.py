@@ -12,7 +12,6 @@ with distinct exit codes: 2 schema violation, 3 input file not found or
 not readable, 4 enumeration budget exceeded, 5 infeasible layout.
 
 Seeds are mandatory for stochastic subcommands; ``repro`` pins its own.
-``--threads`` is accepted for compatibility and has no effect.
 """
 
 from __future__ import annotations
@@ -405,16 +404,17 @@ def _cmd_coverage(cfg: RunConfig, out) -> None:
     if cfg.mode == "mc" and cfg.seed is None:
         raise CliError("schema-violation", EXIT_SCHEMA,
                        "--seed is mandatory for mc mode")
+    if cfg.mode == "mc" and cfg.protocol_csv:
+        raise CliError("schema-violation", EXIT_SCHEMA,
+                       "--protocol-csv needs exact mode")
     # resolved here: mc mode checks no budget, so a bad one would pass
     budget = enumeration_budget(cfg.budget)
     rep = coverage_R(func, gens, sizes, cfg.theta, gammas, cfg.k, cfg.r,
                      mode=cfg.mode, seed=cfg.seed,
-                     replications=cfg.replications, budget=budget,
-                     threads=cfg.threads)
+                     replications=cfg.replications, budget=budget)
     # the per-W table is enumerated only when asked for, before any output
     table = protocol_table(func, gens, sizes, cfg.theta, gammas, cfg.k,
-                           cfg.r, budget=budget) \
-        if cfg.protocol_csv and cfg.mode == "exact" else None
+                           cfg.r, budget=budget) if cfg.protocol_csv else None
     report = {"subcommand": "coverage", **rep.to_dict()}
     rows = [[g, c, (rep.se[i] if rep.se else None)]
             for i, (g, c) in enumerate(zip(rep.gammas, rep.coverage))]
@@ -446,8 +446,7 @@ def _cmd_repro_coverage(cfg: RunConfig, out) -> None:
     for sizes in _COVERAGE_SIZES:
         rep = coverage_R(func, gens, sizes, theta=0.25,
                          gamma=_COVERAGE_GAMMAS, k=10, r=16, mode="mc",
-                         seed=_REPRO_SEED, replications=10_000,
-                         threads=cfg.threads)
+                         seed=_REPRO_SEED, replications=10_000)
         exact = coverage_R(func, gens, sizes, theta=0.25,
                            gamma=_COVERAGE_GAMMAS, k=10, r=16).coverage
         entries.append({"sizes": list(sizes),
@@ -476,8 +475,7 @@ def _cmd_repro_damage(cfg: RunConfig, out) -> None:
     entries = []
     rows = []
     for n_a in range(3, 9):
-        res = damage_variance_mc(truth, n_a, n_a, t, r, reps, _REPRO_SEED,
-                                 threads=cfg.threads)
+        res = damage_variance_mc(truth, n_a, n_a, t, r, reps, _REPRO_SEED)
         plug = plugin_variance_mc(truth, n_a, n_a, t, reps, _REPRO_SEED)
         capped = estimator_expectation(truth, n_a, t)
         entries.append({
@@ -526,8 +524,6 @@ def _build_parser() -> _Parser:
     def common(p, seed_required=True):
         p.add_argument("--format", choices=("json", "csv", "table"),
                        default="json")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; has no effect")
         if seed_required is not None:
             p.add_argument("--seed", type=int, required=seed_required)
 

@@ -7,9 +7,10 @@ Arguments split into a resampled part X (data samples) and a known part Z
   g(x) = E[phi(x, Z)] is available in closed form; resample X and average g.
 * :func:`estimate_inner_mc` -- g is not available; for each X resample draw
   N fresh Z vectors and average phi over them (inner Monte Carlo).
-* :func:`wave_estimate_vector_samples` -- hierarchical variant: node samples
-  hold N-vectors, Z draws are refreshed elementwise at every level, and the
-  estimate averages the root sample across both elements and vector slots.
+* :func:`wave_estimate_vector_samples` -- hierarchical variant: the cascade
+  of :mod:`wave` with node samples of N-vectors, Z draws refreshed
+  elementwise at every level; the estimate averages the root sample across
+  both elements and vector slots.
 
 By convention a system with known parts takes m + v arguments: positions
 1..m bind to the data samples, positions m+1..m+v to the distributions in
@@ -35,8 +36,8 @@ from ._streams import Lane, block_streams
 from .distributions import KnownDistribution
 from .resampling import EstimateResult, draw_values
 from .samples import SampleSet
-from .systems import (SystemSpec, elementary_apply, evaluate_batch, Input,
-                      parse_system)
+from .systems import SystemSpec, evaluate_batch, parse_system
+from .wave import _cascade, _require_singleton
 
 __all__ = [
     "estimate_known_g", "estimate_inner_mc", "wave_estimate_vector_samples",
@@ -120,48 +121,20 @@ def wave_estimate_vector_samples(spec: SystemSpec, samples: SampleSet, z_dists,
     elements and slots; ``empirical_variance`` is the spread of the
     per-element slot means.
 
-    ``sizes`` maps internal node ids to n_v (root included).  Data-backed
-    leaves use their sample sizes; Z leaves have no sample.
+    ``sizes`` maps internal node ids to n_v (root included), each a
+    positive integer.  Data-backed leaves use their sample sizes; Z leaves
+    have no sample.  This is the cascade of :func:`wave.wave_estimate`
+    with N slots: a node whose subtree holds no Z argument and whose size
+    is the product of its children's sizes enumerates every child
+    combination, as it does there.
     """
     z_dists = list(z_dists)
-    m, nu = _split_args(spec, samples, z_dists)
-    if not samples.singleton_blocks:
-        raise ValueError(
-            "hierarchical resampling needs one sample per argument")
+    _split_args(spec, samples, z_dists)
+    _require_singleton(samples)
     if N < 1:
         raise ValueError(f"need N >= 1, got N={N}")
-    store: dict[int, np.ndarray] = {}
-    for nid, node, kids in spec.table:
-        if not kids:
-            continue
-        if nid not in sizes:
-            raise ValueError(f"no size given for internal node {nid}")
-        n_v = int(sizes[nid])
-        if n_v < 1:
-            raise ValueError(f"node {nid} size must be >= 1, got {n_v}")
-        out = np.empty((n_v, N), dtype=float)
-        for start, stop, rng in block_streams(n_v, seed, Lane.VECTOR_WAVE,
-                                              nid):
-            rows = stop - start
-            cols = []
-            for c in kids:
-                child = spec.node_ids[c]
-                if isinstance(child, Input):
-                    if child.index <= m:
-                        src = samples.values_for_arg(child.index)
-                        idx = rng.integers(0, len(src), size=rows)
-                        cols.append(np.broadcast_to(src[idx][:, None],
-                                                    (rows, N)))
-                    else:
-                        d = z_dists[child.index - m - 1]
-                        cols.append(d.sample(rng, (rows, N)))
-                else:
-                    src = store[c]
-                    idx = rng.integers(0, len(src), size=rows)
-                    cols.append(src[idx])
-            out[start:stop] = elementary_apply(node, cols)
-        store[nid] = out
-    root = store[spec.root_id]
+    root = _cascade(spec, samples, sizes, seed, Lane.VECTOR_WAVE, z_dists,
+                    (N,))
     per_element = root.mean(axis=1)
     var = float(np.var(per_element, ddof=1)) if len(per_element) > 1 else 0.0
     return EstimateResult(estimate=float(root.mean()),

@@ -29,8 +29,8 @@ import numpy as np
 
 from ._streams import BLOCK, Lane, block_streams, draw_distinct, substreams
 from .distributions import KnownDistribution, normal
-from .pairs import (AlphaPair, PairRow, VarianceReport, alpha_probability,
-                    assemble_variance)
+from .pairs import (AlphaPair, PairRow, VarianceReport, assemble_variance,
+                    enumerate_pairs)
 from .resampling import EstimateResult
 from .samples import BlockLayout, InfeasibleLayoutError
 
@@ -312,15 +312,10 @@ def exceedance_variance(pair, kit, r: int) -> VarianceReport:
         (tuple(range(1, lay.m_x + 1)),
          tuple(range(lay.m_x + 1, lay.m_x + lay.m_y + 1))),
         (lay.n_x, lay.n_y))
-    rows = []
-    for a_x in range(lay.m_x + 1):
-        for a_y in range(lay.m_y + 1):
-            pat = AlphaPair((a_x, a_y))
-            p = alpha_probability(pat, block_layout)
-            if p == 0.0:
-                continue
-            rows.append(PairRow(pat, p, kit.mu11(a_x, a_y), 0.0,
-                                "convolution-kit"))
+    # n >= 2m in both blocks: a row per (a_X, a_Y) in 0..m_X x 0..m_Y, less
+    # any whose probability underflows to 0
+    rows = [PairRow(pat, p, kit.mu11(*pat.counts), 0.0, "convolution-kit")
+            for pat, p in enumerate_pairs(block_layout, "alpha") if p > 0.0]
     return assemble_variance(rows, r, theta, theta, 0.0, "generator")
 
 

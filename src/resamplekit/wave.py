@@ -21,7 +21,10 @@ of the root mean then assembles exactly like the flat case with r = n_k and
 the pattern weights P^k{omega}.
 
 Every argument must have its own sample (blocks of size one); the cascade
-draws children independently.
+draws children independently.  One cascade serves :func:`wave_estimate`
+and ``partial.wave_estimate_vector_samples`` (node samples of N-vectors).
+Every node size must be a positive integer; a missing or bad one raises
+``ValueError``.
 """
 
 from __future__ import annotations
@@ -52,6 +55,18 @@ def _require_singleton(samples: SampleSet):
             "(no shared blocks)")
 
 
+def _size(sizes: dict, nid: int) -> int:
+    """``sizes[nid]`` as an int: an integer or integral float above 0."""
+    if nid not in sizes:
+        raise ValueError(f"no size given for node {nid}")
+    n = sizes[nid]
+    whole = (isinstance(n, (int, np.integer))
+             or isinstance(n, (float, np.floating)) and n.is_integer())
+    if isinstance(n, (bool, np.bool_)) or not whole or n < 1:
+        raise ValueError(f"node {nid} size must be a positive integer, got {n}")
+    return int(n)
+
+
 def node_sizes(spec: SystemSpec, samples: SampleSet,
                intermediate: dict) -> dict[int, int]:
     """Full node-size map: leaf sizes from the data, internal from the caller.
@@ -62,14 +77,8 @@ def node_sizes(spec: SystemSpec, samples: SampleSet,
     _require_singleton(samples)
     sizes = {i: samples.sizes[i - 1] for i in range(1, spec.m + 1)}
     for nid, _, kids in spec.table:
-        if not kids:
-            continue
-        if nid not in intermediate:
-            raise ValueError(f"no size given for internal node {nid}")
-        n = int(intermediate[nid])
-        if n < 1:
-            raise ValueError(f"node {nid} size must be >= 1, got {n}")
-        sizes[nid] = n
+        if kids:
+            sizes[nid] = _size(intermediate, nid)
     return sizes
 
 
@@ -81,6 +90,51 @@ def default_node_sizes(spec: SystemSpec, samples: SampleSet) -> dict[int, int]:
         if kids:
             sizes[nid] = min(sizes[c] for c in kids)
     return sizes
+
+
+def _cascade(spec: SystemSpec, samples: SampleSet, sizes: dict, seed: int,
+             lane: Lane, z_dists=(), slots: tuple = ()) -> np.ndarray:
+    """Build every internal node's sample bottom-up; return the root's.
+
+    Arguments 1..m read the data, stored once and broadcast over ``slots``;
+    arguments m+1.. are known distributions, drawn fresh as
+    ``(rows,) + slots`` values wherever they are a child.  Node v's draws
+    come from the (seed, lane, v) block streams, one per child in child
+    order: a Z sample or one pick per row from the child's sample.  A node
+    whose size is the product of its children's sizes, all of them data
+    or enumerated, takes every child combination once and draws nothing.
+    """
+    m = samples.m
+    store: dict[int, np.ndarray] = {}
+    for i in range(1, m + 1):
+        v = samples.values_for_arg(i)
+        store[i] = np.broadcast_to(v.reshape(v.shape + (1,) * len(slots)),
+                                   v.shape + slots)
+    exhaustive = dict.fromkeys(store, True)
+    for nid, node, kids in spec.table:
+        if not kids:
+            continue
+        n_v = _size(sizes, nid)
+        counts = [len(store[c]) if exhaustive.get(c) else 0 for c in kids]
+        exhaustive[nid] = n_v == math.prod(counts)
+        if exhaustive[nid]:
+            picks = np.unravel_index(np.arange(n_v), counts)
+            cols = [store[c][idx] for c, idx in zip(kids, picks)]
+            store[nid] = np.asarray(elementary_apply(node, cols), dtype=float)
+            continue
+        out = np.empty((n_v,) + slots, dtype=float)
+        for start, stop, rng in block_streams(n_v, seed, lane, nid):
+            rows = stop - start
+            cols = []
+            for c in kids:
+                if m < c <= spec.m:
+                    cols.append(z_dists[c - m - 1].sample(rng, (rows,) + slots))
+                else:
+                    src = store[c]
+                    cols.append(src[rng.integers(0, len(src), size=rows)])
+            out[start:stop] = elementary_apply(node, cols)
+        store[nid] = out
+    return store[spec.root_id]
 
 
 def wave_estimate(spec: SystemSpec, samples: SampleSet, sizes: dict,
@@ -95,7 +149,8 @@ def wave_estimate(spec: SystemSpec, samples: SampleSet, sizes: dict,
     Parameters
     ----------
     sizes : dict
-        Node id -> sample size for every node (see :func:`node_sizes`).
+        Node id -> sample size for every internal node, each a positive
+        integer (see :func:`node_sizes`); leaf sizes come from the data.
     seed : int
         Run seed; node v's picks are keyed by (seed, wave-lane, v, block).
     """
@@ -103,37 +158,8 @@ def wave_estimate(spec: SystemSpec, samples: SampleSet, sizes: dict,
     if samples.m != spec.m:
         raise ValueError(
             f"system takes {spec.m} arguments but samples bind {samples.m}")
-    store: dict[int, np.ndarray] = {
-        i: samples.values_for_arg(i) for i in range(1, spec.m + 1)}
-    exhaustive = {i: True for i in range(1, spec.m + 1)}
-    for nid, node, kids in spec.table:
-        if not kids:
-            continue
-        n_v = int(sizes[nid])
-        counts = [len(store[c]) for c in kids]
-        if all(exhaustive[c] for c in kids) and n_v == math.prod(counts):
-            pos = np.arange(n_v)
-            cols = []
-            stride = 1
-            for c, cnt in zip(reversed(kids), reversed(counts)):
-                cols.append(store[c][(pos // stride) % cnt])
-                stride *= cnt
-            cols.reverse()
-            out = np.asarray(elementary_apply(node, cols), dtype=float)
-            exhaustive[nid] = True
-            store[nid] = out
-            continue
-        exhaustive[nid] = False
-        out = np.empty(n_v, dtype=float)
-        for start, stop, rng in block_streams(n_v, seed, Lane.WAVE, nid):
-            cols = []
-            for c in kids:
-                src = store[c]
-                idx = rng.integers(0, len(src), size=stop - start)
-                cols.append(src[idx])
-            out[start:stop] = elementary_apply(node, cols)
-        store[nid] = out
-    return EstimateResult.from_values(store[spec.root_id], seed, keep_values)
+    root = _cascade(spec, samples, sizes, seed, Lane.WAVE)
+    return EstimateResult.from_values(root, seed, keep_values)
 
 
 @dataclass(frozen=True)
@@ -177,9 +203,7 @@ def propagate_pair_probabilities(spec: SystemSpec, sizes: dict,
         arm_counts[nid] = 2 ** len(kids)
         combined = {frozenset(): 1.0}
         for c in kids:
-            if c not in sizes:
-                raise ValueError(f"no size given for node {c}")
-            n_c = int(sizes[c])
+            n_c = _size(sizes, c)
             leaves_c = spec.leaf_deps[c]
             factor: dict[frozenset, float] = {}
             for s, p in tables[c].items():
@@ -207,10 +231,7 @@ def hierarchical_variance(spec: SystemSpec, source, sizes: dict, *,
     KnownDistribution (generator mode); ``sizes`` the full node-size map
     including the root.
     """
-    root_id = spec.root_id
-    if root_id not in sizes:
-        raise ValueError("sizes must include the root node")
-    r = int(sizes[root_id])
+    r = _size(sizes, spec.root_id)
     prop = propagate_pair_probabilities(spec, sizes, budget)
     table = sorted(prop.root_table.items(),
                    key=lambda kv: (len(kv[0]), sorted(kv[0])))

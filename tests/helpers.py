@@ -9,6 +9,7 @@ the library's array routes.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -624,3 +625,80 @@ def resampling_interval_oracle(func, samples, gamma, k, r,
     a = float(np.sort(estimates)[alpha_floor(1.0 - gamma, k) - 1])
     return IntervalResult(a=a, interval=(a, 1.0), gamma=gamma, k=k, r=r,
                           estimates=tuple(float(x) for x in estimates))
+
+
+# -- hierarchical cascades, one loop per estimator ------------------------
+
+def _node_blocks(seed, lane, nid, n_v):
+    """``(start, stop, rng)`` per block of node ``nid``'s ``n_v`` elements,
+    each from a freshly built substream ``(seed, lane, nid, b)``."""
+    for b, start, stop in block_ranges(n_v, BLOCK):
+        yield start, stop, substream(seed, lane, nid, b)
+
+
+def wave_oracle(spec, samples, sizes, seed) -> EstimateResult:
+    """wave_estimate as a loop over the spec's table: a node sized to the
+    product of its children's sizes, all leaves or enumerated, lists every
+    child combination; any other node picks one element of each child per
+    row."""
+    store = {i: samples.values_for_arg(i) for i in range(1, spec.m + 1)}
+    exhaustive = {i: True for i in range(1, spec.m + 1)}
+    for nid, node, kids in spec.table:
+        if not kids:
+            continue
+        n_v = int(sizes[nid])
+        counts = [len(store[c]) for c in kids]
+        if all(exhaustive[c] for c in kids) and n_v == math.prod(counts):
+            combos = itertools.product(*(range(cnt) for cnt in counts))
+            idx = np.array(list(combos)).reshape(n_v, len(kids))
+            cols = [store[c][idx[:, j]] for j, c in enumerate(kids)]
+            store[nid] = np.asarray(elementary_apply(node, cols), dtype=float)
+            exhaustive[nid] = True
+            continue
+        exhaustive[nid] = False
+        out = np.empty(n_v)
+        for start, stop, rng in _node_blocks(seed, Lane.WAVE, nid, n_v):
+            cols = [store[c][rng.integers(0, len(store[c]), size=stop - start)]
+                    for c in kids]
+            out[start:stop] = elementary_apply(node, cols)
+        store[nid] = out
+    root = store[spec.root_id]
+    return dataclasses.replace(estimate_result_oracle(root, seed), values=root)
+
+
+def vector_wave_oracle(spec, samples, z_dists, N, sizes,
+                       seed) -> EstimateResult:
+    """wave_estimate_vector_samples as a loop that samples every internal
+    node: a data leaf is picked per row and repeated over the N slots, a
+    Z leaf drawn fresh per row and slot, an internal child picked per row."""
+    m = samples.m
+    store = {}
+    for nid, node, kids in spec.table:
+        if not kids:
+            continue
+        n_v = int(sizes[nid])
+        out = np.empty((n_v, N))
+        for start, stop, rng in _node_blocks(seed, Lane.VECTOR_WAVE, nid,
+                                             n_v):
+            rows = stop - start
+            cols = []
+            for c in kids:
+                child = spec.node_ids[c]
+                if isinstance(child, Input) and child.index <= m:
+                    src = samples.values_for_arg(child.index)
+                    idx = rng.integers(0, len(src), size=rows)
+                    cols.append(np.broadcast_to(src[idx][:, None], (rows, N)))
+                elif isinstance(child, Input):
+                    cols.append(z_dists[child.index - m - 1].sample(
+                        rng, (rows, N)))
+                else:
+                    idx = rng.integers(0, len(store[c]), size=rows)
+                    cols.append(store[c][idx])
+            out[start:stop] = elementary_apply(node, cols)
+        store[nid] = out
+    root = store[spec.root_id]
+    per_element = root.mean(axis=1)
+    var = float(np.var(per_element, ddof=1)) if len(per_element) > 1 else 0.0
+    return EstimateResult(estimate=float(root.mean()),
+                          realizations=root.shape[0], seed=seed,
+                          empirical_variance=var, values=per_element)

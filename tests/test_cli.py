@@ -411,17 +411,36 @@ def test_coverage_mc_requires_seed(files, capsys):
     assert "--seed" in env["message"]
 
 
-def test_coverage_mc_threads_identical(files, capsys):
+def test_threads_option_is_rejected(files, capsys):
     argv = ["coverage", "--spec", str(files["race"]), "--gen",
             "exp:3,exp:3,exp:2", "--sizes", "2,2,2", "--gamma", "0.8",
             "--theta", "0.25", "--k", "10", "--r", "16", "--mode", "mc",
             "--seed", "44", "--replications", "2000"]
-    one = invoke(capsys, argv + ["--threads", "1"])
-    four = invoke(capsys, argv + ["--threads", "4"])
-    assert one == four
-    report = json.loads(one[1])
+    report = invoke_json(capsys, argv)
     assert report["replications"] == 2000
     assert len(report["se"]) == 1
+    for args in (argv, ["repro", "table-damage"]):
+        code, out, err = invoke(capsys, args + ["--threads", "1"])
+        assert out == ""
+        envelope = json.loads(err)["error"]
+        assert (code, envelope["exit"], envelope["code"]) \
+            == (2, 2, "schema-violation")
+        assert "--threads" in envelope["message"]
+
+
+def test_coverage_protocol_csv_needs_exact_mode(files, capsys):
+    out_csv = files["dir"] / "protocol.csv"
+    code, out, err = invoke(capsys, [
+        "coverage", "--spec", str(files["race"]), "--gen", "exp:3,exp:3,exp:2",
+        "--sizes", "2,2,2", "--gamma", "0.8", "--theta", "0.25", "--k", "10",
+        "--r", "16", "--mode", "mc", "--seed", "44", "--replications", "50",
+        "--protocol-csv", str(out_csv)])
+    assert out == ""
+    envelope = json.loads(err)["error"]
+    assert (code, envelope["exit"], envelope["code"]) \
+        == (2, 2, "schema-violation")
+    assert "--protocol-csv" in envelope["message"]
+    assert not out_csv.exists()
 
 
 def test_coverage_protocol_csv(files, capsys):

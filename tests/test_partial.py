@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from resamplekit import (SampleSet, estimate_inner_mc, estimate_known_g,
-                         exponential, three_branch_conditional,
+                         exhaustive_theta, exponential,
+                         three_branch_conditional,
                          three_branch_system, uniform,
                          wave_estimate_vector_samples)
 from resamplekit.systems import evaluate_batch
@@ -147,6 +148,23 @@ def test_vector_wave_deterministic(x_samples):
     with pytest.raises(ValueError):
         wave_estimate_vector_samples(spec, x_samples, Z_DISTS, N=3,
                                      sizes={7: 2}, seed=1)
+
+
+def test_vector_wave_without_z_enumerates_like_the_scalar_cascade(six_tree):
+    """With no Z argument and every node sized to its children's product,
+    each node enumerates, so every slot holds the exhaustive mean."""
+    data = SampleSet.from_json({
+        "x1": [9.0, 12.0], "x2": [8.0, 11.0], "x3": [9.0, 15.0],
+        "x4": [10.0, 14.0], "x5": [4.0, 6.0], "x6": [5.0, 7.0]})
+    sizes = {7: 4, 8: 4, 9: 4, 10: 64, 11: 64}
+    want = exhaustive_theta(six_tree, data)
+    assert 0.0 < want < 1.0
+    for seed, N in [(0, 1), (5, 3), (77, 4)]:
+        res = wave_estimate_vector_samples(six_tree, data, [], N, sizes, seed,
+                                           keep_values=True)
+        assert res.estimate == want
+        assert res.realizations == 64
+        assert res.values.mean() == want
 
 
 def test_vector_wave_uniform_z_smoke(x_samples):

@@ -1,4 +1,6 @@
 import itertools
+import math
+import re
 import sys
 
 import numpy as np
@@ -8,7 +10,8 @@ from scipy import stats
 from resamplekit import (SampleSet, default_node_sizes, estimate_theta,
                          exhaustive_moments, exhaustive_theta, exponential,
                          hierarchical_variance, node_sizes, parse_system,
-                         propagate_pair_probabilities, wave_estimate)
+                         propagate_pair_probabilities, wave_estimate,
+                         wave_estimate_vector_samples)
 
 from helpers import pattern_probabilities, trace_wave_patterns, var_se
 
@@ -29,6 +32,62 @@ def test_node_sizes_requires_all_internal(six_tree, six_data):
     assert sizes[1] == 2 and sizes[7] == 3 and sizes[11] == 4
     with pytest.raises(ValueError):
         node_sizes(six_tree, six_data, {7: 0, 8: 3, 9: 3, 10: 5, 11: 4})
+
+
+MISSING = object()
+# six_tree's nodes: max(x1, x2) is 7 and the root 11
+GOOD_SIZES = {7: 3, 8: 3, 9: 3, 10: 5, 11: 4}
+
+
+def call_with_sizes(which, spec, data, sizes):
+    if which == "node_sizes":
+        return node_sizes(spec, data, sizes)
+    full = {i: 2 for i in range(1, 7)} | sizes
+    if which == "wave_estimate":
+        return wave_estimate(spec, data, full, seed=1)
+    if which == "propagate_pair_probabilities":
+        return propagate_pair_probabilities(spec, full)
+    if which == "hierarchical_variance":
+        return hierarchical_variance(spec, data, full)
+    # x1..x3 from the data, x4..x6 known
+    part = SampleSet.from_json({f"x{i}": data.values_for_arg(i).tolist()
+                                for i in (1, 2, 3)})
+    return wave_estimate_vector_samples(spec, part, [exponential(1.0)] * 3,
+                                        2, sizes, seed=1)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 2.5, 2.7, math.nan, True, MISSING],
+                         ids=["0", "-1", "2.5", "2.7", "nan", "True",
+                              "missing"])
+@pytest.mark.parametrize("which, node", [
+    (which, node)
+    for which in ("node_sizes", "wave_estimate", "propagate_pair_probabilities",
+                  "hierarchical_variance", "wave_estimate_vector_samples")
+    # the propagation reads the sizes of children only, not the root's
+    for node in ((7,) if which == "propagate_pair_probabilities" else (7, 11))
+])
+def test_every_size_reader_rejects_a_bad_size(six_tree, six_data, which,
+                                              node, bad):
+    sizes = dict(GOOD_SIZES)
+    if bad is MISSING:
+        del sizes[node]
+        message = f"no size given for node {node}"
+    else:
+        sizes[node] = bad
+        message = f"node {node} size must be a positive integer, got {bad}"
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        call_with_sizes(which, six_tree, six_data, sizes)
+
+
+def test_sizes_take_any_integer_type(six_tree, six_data):
+    sizes = {7: np.int64(3), 8: np.int32(3), 9: 3.0, 10: np.uint8(5),
+             11: np.float64(4.0)}
+    got = node_sizes(six_tree, six_data, sizes)
+    assert got == {**{i: 2 for i in range(1, 7)}, **GOOD_SIZES}
+    assert all(type(n) is int for n in list(got.values())[6:])
+    assert wave_estimate(six_tree, six_data, got, seed=3).estimate == \
+        wave_estimate(six_tree, six_data, node_sizes(six_tree, six_data,
+                                                     GOOD_SIZES), seed=3).estimate
 
 
 def test_default_node_sizes_min_of_children(six_tree):
