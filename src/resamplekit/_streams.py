@@ -25,7 +25,12 @@ route checks seeds and keys with :func:`_key_int`.
 
 Every draw without replacement goes through :func:`draw_distinct`, a partial
 Fisher-Yates shuffle (Durstenfeld 1964) driven by bounded integers, so its
-stream is defined once for the whole package.
+stream is defined once for the whole package: :func:`_code_draws` takes
+every integer of a draw from the generator, in order.  A caller that needs
+only the first positions of some rows reads them through
+:func:`distinct_prefix`, which takes the same integers and decodes a
+position's swap digit only for the rows asked for, so the stream and every
+outcome read are those of the whole draw.
 """
 
 from __future__ import annotations
@@ -368,6 +373,11 @@ _TABLE_LIMIT = 1 << 16
 _DENSE_CELLS = 1 << 22
 # every run of digits is read from one integer below this span
 _SPAN_LIMIT = 1 << 63
+# swaps run over the touched positions when n >= _SPARSE_FACTOR * k**2.  At
+# 4096 rows (best of 7, 2-core x86-64 VM) the sparse route against the dense
+# one takes 1195 vs 255 us at (n, k) = (50, 7), 564 vs 409 at (400, 5), 498
+# vs 548 at (800, 5), 637 vs 672 at (1000, 6) and 1004 vs 3073 at (2000, 8).
+_SPARSE_FACTOR = 32
 
 
 def draw_distinct(rng: np.random.Generator, n: int, k: int,
@@ -384,11 +394,31 @@ def draw_distinct(rng: np.random.Generator, n: int, k: int,
 
     The same mapping is evaluated by a cached table of all outcomes when
     perm(n, k) <= 2**16, by swaps over the touched positions when
-    k**2 <= n, and by a positions-major swap table otherwise.  The draw is
-    :func:`distinct_codes` (everything taken from ``rng``) followed by
-    :func:`distinct_outcomes` (the mapping, which reads only the codes).
+    32 k**2 <= n, and by a positions-major swap table otherwise.  The draw
+    is :func:`distinct_codes` (everything taken from ``rng``) followed by
+    :func:`distinct_outcomes` (the mapping, which reads only the codes);
+    :func:`distinct_prefix` takes the same draws and reads the outcomes
+    one position at a time.
     """
     return distinct_outcomes(n, k, distinct_codes(rng, n, k, rows))
+
+
+def _code_draws(rng: np.random.Generator, n: int, k: int, rows: int):
+    """Every integer a draw of ``rows`` ordered k-subsets of ``range(n)``
+    takes from ``rng``, in order, as ``(count, draws)``: perm(n, k) and the
+    (rows,) outcome ranks on the table route, else 0 and, for each run of
+    :func:`_runs`, its swap radices and its (rows,) integers."""
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n to draw without replacement, "
+                         f"got k={k}, n={n}")
+    count = _table_size(n, k)
+    if count:
+        # one run: the drawn integer is the rank of the outcome (a span of
+        # 1 draws nothing from the generator)
+        return count, rng.integers(0, count, size=rows)
+    radices = _radices(n, k)
+    return 0, [(radices[start:stop], rng.integers(0, span, size=rows))
+               for start, stop, span in _runs(radices)]
 
 
 def distinct_codes(rng: np.random.Generator, n: int, k: int,
@@ -400,21 +430,17 @@ def distinct_codes(rng: np.random.Generator, n: int, k: int,
     a (k, rows) array.  Codes of several draws of one (n, k), joined along
     the last axis, map to the outcomes of each draw stacked in that order.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n to draw without replacement, "
-                         f"got k={k}, n={n}")
-    count = _table_size(n, k)
+    count, draws = _code_draws(rng, n, k, rows)
     if count:
-        # one run: the drawn integer is the rank of the outcome (a span of
-        # 1 draws nothing from the generator)
-        return rng.integers(0, count, size=rows)
-    radices = _radices(n, k)
+        return draws
     digits = np.empty((k, rows), dtype=np.intp)
+    start = 0
+    for radices, u in draws:
+        stop = start + len(radices)
+        _decode_digits(u, radices, out=digits[start:stop])
+        start = stop
     # k = n ends on position n - 1, whose swap is with itself
-    digits[len(radices):] = 0
-    for start, stop, span in _runs(radices):
-        _decode_digits(rng.integers(0, span, size=rows), radices[start:stop],
-                       out=digits[start:stop])
+    digits[start:] = 0
     return digits
 
 
@@ -423,6 +449,126 @@ def distinct_outcomes(n: int, k: int, codes: np.ndarray) -> np.ndarray:
     if _table_size(n, k):
         return _outcome_table(n, k).take(codes, axis=0)
     return _fisher_yates(n, codes)
+
+
+def distinct_prefix(rng: np.random.Generator, n: int, k: int,
+                    rows: int) -> "DistinctPrefix":
+    """The outcomes of ``draw_distinct(rng, n, k, rows)``, read one position
+    at a time (see :class:`DistinctPrefix`).  Takes from ``rng`` exactly the
+    draws of :func:`distinct_codes`."""
+    return DistinctPrefix(n, k, rows, *_code_draws(rng, n, k, rows))
+
+
+class DistinctPrefix:
+    """One draw without replacement whose outcomes are read by position.
+
+    ``position(i, rows)`` gives position i's outcome for ``rows`` (an index
+    array into the draw's rows, or None for all of them), for i = 0, 1, ...
+    in turn; a row may drop out between positions but not come back, so a
+    caller that needs only a prefix of some rows decodes no more than that.
+    A row's swap digit at position i is decoded alone, as
+    ``(u // product of the run's later radices) % radix`` of its run's
+    integer u, and the swaps run as in :func:`_fy_dense` on a
+    positions-major (n, rows) table, or over the touched positions as in
+    :func:`_fy_sparse` where the draw takes the sparse route or that table
+    would exceed ``_DENSE_CELLS`` cells.  On the table route one gather
+    reads every outcome.  Outcomes equal those of :func:`distinct_outcomes`
+    on the same draws, whatever rows drop out.  ``row(j)`` gives row j's
+    whole outcome, decoded in Python ints.
+    """
+
+    def __init__(self, n: int, k: int, rows: int, count: int, draws):
+        self.k, self.rows = k, rows
+        self._next = 0
+        if count:
+            # positions-major (k, rows)
+            self._outcomes = _outcome_table(n, k).T.take(draws, axis=1)
+            return
+        self._outcomes = None
+        self._cols = np.arange(rows)
+        # (u, product of the later radices of its run, radix, first of its
+        # run) of each swap digit
+        self._digits = []
+        for radices, u in draws:
+            below = math.prod(radices)
+            for at, radix in enumerate(radices):
+                below //= radix
+                self._digits.append((u, below, radix, at == 0))
+        if _sparse(n, k) or n * rows > _DENSE_CELLS:
+            self._table = None
+            self._target = np.empty((k, rows), dtype=np.intp)
+            self._w = np.empty((k, rows), dtype=np.intp)
+        else:
+            start = np.arange(n, dtype=np.min_scalar_type(n - 1))[:, None]
+            self._table = np.empty((n, rows), dtype=start.dtype)
+            self._table[:] = start
+
+    def position(self, i: int, rows: np.ndarray | None = None) -> np.ndarray:
+        """Position i's outcome (an integer array) for ``rows``, or for
+        every row when ``rows`` is None."""
+        if i != self._next or i >= self.k:
+            raise ValueError(f"positions are read in order 0..{self.k - 1}: "
+                             f"expected {self._next}, got {i}")
+        self._next += 1
+        sel = slice(None) if rows is None else rows
+        if self._outcomes is not None:
+            return self._outcomes[i, sel]
+        cols = self._cols if rows is None else rows
+        pos = self._digit(i, rows)
+        pos += i
+        if self._table is None:
+            if i == 0:
+                value = pos
+                self._w[0, sel] = 0
+            else:
+                earlier = self._target[:i, sel]
+                value = _touched(earlier, self._w, pos, cols)
+                if i + 1 < self.k:
+                    # what position i held before its swap, for later steps
+                    self._w[i, sel] = _touched(earlier, self._w, i, cols)
+            self._target[i, sel] = pos
+            return value
+        table = self._table
+        flat = table.reshape(-1)
+        pos *= self.rows
+        pos += cols
+        held = flat.take(pos)
+        flat[pos] = table[i, sel]
+        table[i, sel] = held
+        return held
+
+    def _digit(self, i: int, rows) -> np.ndarray:
+        """A new array of the swap digits at position i of ``rows``."""
+        if i >= len(self._digits):
+            # position n - 1 of k = n swaps with itself
+            return np.zeros(len(self._cols if rows is None else rows),
+                            dtype=np.intp)
+        u, below, radix, first = self._digits[i]
+        if rows is not None:
+            u = u.take(rows)
+        q = u // below
+        if first:
+            # u < below * radix at the first digit of a run
+            return q
+        # q % radix; numpy's integer % is slower than // by a scalar
+        rest = q // radix
+        rest *= radix
+        return np.subtract(q, rest, out=q)
+
+    def row(self, j: int) -> list[int]:
+        """Row j's whole outcome, from its draws alone."""
+        if self._outcomes is not None:
+            return self._outcomes[:, j].tolist()
+        digits = [u.item(j) // below % radix
+                  for u, below, radix, _ in self._digits]
+        digits += [0] * (self.k - len(digits))
+        # the swaps on a map of the positions they touched
+        moved: dict[int, int] = {}
+        out = []
+        for i, d in enumerate(digits):
+            out.append(moved.get(i + d, i + d))
+            moved[i + d] = moved.get(i, i)
+        return out
 
 
 def _table_size(n: int, k: int) -> int:
@@ -463,8 +609,13 @@ def _decode_digits(u: np.ndarray, radices, out: np.ndarray) -> None:
 
 def _fisher_yates(n: int, digits: np.ndarray) -> np.ndarray:
     """Outcomes of the swaps given by ``digits`` (k, rows); (rows, k)."""
-    k = len(digits)
-    return _fy_sparse(n, digits) if k * k <= n else _fy_dense(n, digits)
+    return (_fy_sparse if _sparse(n, len(digits)) else _fy_dense)(n, digits)
+
+
+def _sparse(n: int, k: int) -> bool:
+    """Whether swaps of k positions of ``range(n)`` run over the touched
+    positions (see ``_SPARSE_FACTOR``)."""
+    return _SPARSE_FACTOR * k * k <= n
 
 
 @functools.lru_cache(maxsize=32)
@@ -493,12 +644,19 @@ def _fy_sparse(n: int, digits: np.ndarray) -> np.ndarray:
     w = np.empty((k, rows), dtype=np.intp)
     cols = np.arange(rows)
     for i in range(k):
-        steps = np.arange(i)[:, None]
-        for pos, dest in ((target[i], out[:, i]), (i, w[i])):
-            latest = np.where(target[:i] == pos, steps, -1).max(axis=0,
-                                                                 initial=-1)
-            dest[...] = np.where(latest >= 0, w[latest, cols], pos)
+        out[:, i] = _touched(target[:i], w, target[i], cols)
+        w[i] = _touched(target[:i], w, i, cols)
     return out
+
+
+def _touched(target: np.ndarray, w: np.ndarray, pos, cols: np.ndarray):
+    """The value at position ``pos`` before step ``len(target)`` of the
+    swaps in columns ``cols``: ``w`` of the latest step whose target
+    (a row of ``target``, already restricted to ``cols``) was ``pos``, else
+    ``pos`` itself."""
+    steps = np.arange(len(target))[:, None]
+    latest = np.where(target == pos, steps, -1).max(axis=0, initial=-1)
+    return np.where(latest >= 0, w[latest, cols], pos)
 
 
 def _fy_dense(n: int, digits: np.ndarray) -> np.ndarray:

@@ -12,7 +12,17 @@ With only data -- inter-arrival times H_A (n_A values) and durations H_B
 (n_B values) -- :func:`resample_damage_counts` re-enacts the process: a
 random permutation of all of H_A gives arrival epochs as partial sums, n_A
 durations are drawn from H_B without replacement, and the counts are read
-off.  The resampled arrival count can never exceed n_A, so the estimator's
+off.  Gaps are >= 0, so epochs never decrease, and an end tau + duration
+<= t needs tau <= t: a realization's counts are fixed once its epoch has
+passed t.  The re-enactment therefore reads the arrival order and the
+durations one position at a time (:func:`_streams.distinct_prefix`) and
+stops reading a realization once its epoch is past t, so its cost grows
+with the arrivals before t rather than with n_A.  The generator gives the
+draws of the whole permutation and duration draw, each epoch and end is
+the same sum in the same order as on whole realization matrices, and the
+first-pair diagnostics read the first two realizations' whole outcomes, so
+every count, pmf, mean and diagnostic keeps its bytes.  The resampled
+arrival count can never exceed n_A, so the estimator's
 expectation is a tail-capped version of the truth; :func:`estimator_expectation`
 evaluates the capped formulas
 
@@ -53,9 +63,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._streams import (BLOCK, Lane, _table_size, block_count, block_ranges,
-                       distinct_codes, distinct_outcomes, draw_distinct,
-                       substreams)
+from ._streams import (BLOCK, DistinctPrefix, Lane, _table_size, block_count,
+                       block_ranges, distinct_codes, distinct_outcomes,
+                       distinct_prefix, substreams)
 from .distributions import (KnownDistribution, binom_pmf, poisson_pmf,
                             poisson_sf)
 
@@ -180,7 +190,6 @@ def _damage_counts(data: DamageData, t: float, r: int, seed: int,
     if r < 1:
         raise ValueError(f"need r >= 1 realizations, got {r}")
     n_a, n_b = data.n_a, data.n_b
-    h_a, h_b = data.h_a[None], data.h_b[None]
     active = np.empty(r, dtype=np.intp)
     terminal = np.empty(r, dtype=np.intp)
     dur_overlap = 0
@@ -188,16 +197,16 @@ def _damage_counts(data: DamageData, t: float, r: int, seed: int,
     pairs = 0
     for (_, start, stop), rng in zip(block_ranges(r), streams):
         rows = stop - start
-        perm = draw_distinct(rng, n_a, n_a, rows)[None]
-        which = draw_distinct(rng, n_b, n_a, rows)[None]
-        block_active, block_terminal, overlap, fixed = _counts(
-            h_a, h_b, t, perm, which)
-        active[start:stop] = block_active[0]
-        terminal[start:stop] = block_terminal[0]
+        perm = distinct_prefix(rng, n_a, n_a, rows)
+        which = distinct_prefix(rng, n_b, n_a, rows)
+        arrived, ended = _prefix_counts(data.h_a, data.h_b, t, perm, which)
+        np.subtract(arrived, ended, out=active[start:stop])
+        terminal[start:stop] = ended
         if rows >= 2:
             # reuse bookkeeping for the block's first realization pair
-            dur_overlap += int(overlap[0])
-            perm_fixed += int(fixed[0])
+            first, second = perm.row(0), perm.row(1)
+            perm_fixed += sum(a == b for a, b in zip(first, second))
+            dur_overlap += len(set(which.row(0)).intersection(which.row(1)))
             pairs += 1
     active_pmf = np.bincount(active, minlength=n_a + 1) / r
     terminal_pmf = np.bincount(terminal, minlength=n_a + 1) / r
@@ -212,6 +221,52 @@ def _damage_counts(data: DamageData, t: float, r: int, seed: int,
         terminal_mean=float(terminal.mean()),
         active_pmf=active_pmf, terminal_pmf=terminal_pmf,
         diagnostics=diagnostics)
+
+
+def _prefix_counts(h_a: np.ndarray, h_b: np.ndarray, t: float,
+                   perm: DistinctPrefix, which: DistinctPrefix):
+    """Arrivals and ended degradations at t of one block's realizations.
+
+    Position i adds the gap ``h_a[perm_i]`` into the epoch tau and reads the
+    end tau + ``h_b[which_i]``, the sums of :func:`_epochs`.  Returns, per
+    realization, the number of epochs tau <= t and the number of ends
+    <= t; the active count is their difference.  Gaps are >= 0, so epochs
+    never decrease: once a realization's epoch passes t, no later epoch or
+    end (>= its epoch) counts.  Such realizations are dropped, and their
+    later positions never read, once they are half of those still read.
+    """
+    rows = perm.rows
+    arrived = np.empty(rows, dtype=np.intp)
+    ended = np.empty(rows, dtype=np.intp)
+    live = None      # the realizations still read, None while all are
+    for i in range(perm.k):
+        gap = h_a.take(perm.position(i, live))
+        tau = gap if i == 0 else tau + gap
+        done = tau + h_b.take(which.position(i, live)) <= t
+        inside = tau <= t
+        if i == 0:
+            # counts up to k in the smallest type: adds run faster
+            small = np.min_scalar_type(perm.k)
+            n_in, n_done = inside.astype(small), done.astype(small)
+        else:
+            n_in += inside
+            n_done += done
+        still = np.count_nonzero(inside)
+        if 2 * still > len(tau):
+            continue
+        out = np.flatnonzero(~inside)
+        gone = out if live is None else live.take(out)
+        arrived[gone] = n_in.take(out)
+        ended[gone] = n_done.take(out)
+        if not still:
+            return arrived, ended
+        keep = np.flatnonzero(inside)
+        live = keep if live is None else live.take(keep)
+        tau, n_in, n_done = tau.take(keep), n_in.take(keep), n_done.take(keep)
+    rest = slice(None) if live is None else live
+    arrived[rest] = n_in
+    ended[rest] = n_done
+    return arrived, ended
 
 
 def _counts(h_a: np.ndarray, h_b: np.ndarray, t: float, perm: np.ndarray,
@@ -289,11 +344,17 @@ class TruthSummary:
         return poisson_pmf(i, self.terminal_mean)
 
 
-def poisson_truth(truth: DamageTruth, t: float) -> TruthSummary:
-    """Exact E X_t, E Y_t and Poisson count laws at time t."""
+def _finite_time(t: float) -> float:
+    """``t`` as a float; NaN, a negative or an infinite t raises
+    ValueError."""
     if not 0 <= t < math.inf:
         raise ValueError(f"time t must be finite and non-negative, got {t}")
-    isf = _integral_sf(truth.degradation, float(t))
+    return float(t)
+
+
+def poisson_truth(truth: DamageTruth, t: float) -> TruthSummary:
+    """Exact E X_t, E Y_t and Poisson count laws at time t."""
+    isf = _integral_sf(truth.degradation, _finite_time(t))
     return TruthSummary(t=float(t), rate=truth.rate,
                         active_mean=truth.rate * isf,
                         terminal_mean=truth.rate * (t - isf))
@@ -473,7 +534,9 @@ def plugin_estimate(data: DamageData, t: float) -> PluginEstimate:
     """Fit lambda = n_A / sum(H_A) and the duration ecdf; read the law off.
 
     int_0^t (1 - Fhat(x)) dx reduces to the mean of min(duration, t).
+    A NaN, negative or infinite t raises ValueError.
     """
+    _finite_time(t)
     rates, isfs = _plugin_fit(data.h_a[None], data.h_b[None], t)
     rate, isf = float(rates[0]), float(isfs[0])
     return PluginEstimate(t=float(t), rate=rate, active_mean=rate * isf,
@@ -499,12 +562,12 @@ def plugin_expectation(truth: DamageTruth, n_a: int, t: float) -> float:
 
     lambda-hat = n_A / sum(H_A) has mean lambda n_A/(n_A - 1) for
     exponential inter-arrivals, independent of the duration part whose
-    integral estimate is unbiased; needs n_A >= 2.
+    integral estimate is unbiased; needs n_A >= 2 and a finite t >= 0.
     """
     if n_a < 2:
         raise ValueError("the plug-in rate has no finite mean for n_A < 2")
     return (n_a / (n_a - 1.0)) * truth.rate * _integral_sf(truth.degradation,
-                                                         float(t))
+                                                         _finite_time(t))
 
 
 @dataclass(frozen=True)

@@ -229,7 +229,8 @@ def hierarchical_variance(spec: SystemSpec, source, sizes: dict, *,
 
     ``source`` is a SampleSet (data-conditional) or a list of per-argument
     KnownDistribution (generator mode); ``sizes`` the full node-size map
-    including the root.
+    including the root.  On a SampleSet each leaf's entry must equal its
+    sample's size (as in :func:`node_sizes`), else ValueError.
     """
     r = _size(sizes, spec.root_id)
     prop = propagate_pair_probabilities(spec, sizes, budget)
@@ -237,6 +238,10 @@ def hierarchical_variance(spec: SystemSpec, source, sizes: dict, *,
                    key=lambda kv: (len(kv[0]), sorted(kv[0])))
     if isinstance(source, SampleSet):
         _require_singleton(source)
+        for i, n in enumerate(source.sizes, start=1):
+            if _size(sizes, i) != n:
+                raise ValueError(f"node {i} size must be its sample's size "
+                                 f"{n}, got {sizes[i]}")
         layout = source.layout
     else:
         source = list(source)

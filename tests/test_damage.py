@@ -6,9 +6,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
-from resamplekit._streams import BLOCK, Lane
+from resamplekit._streams import _TABLE_LIMIT, BLOCK, Lane
 from resamplekit.damage import (
     CountEstimates,
     DamageData,
@@ -368,8 +370,8 @@ DAMAGE_STUDIES = [
     # several count blocks per replication, on both key routes
     (TRI_TRUTH, 3, 3, 2 * BLOCK + 1, 6, 11),
     (TRI_TRUTH, 2, 2, BLOCK + 1, 3, 2**64 + 5),
-    # durations on the digit routes: perm(12, 7) > 2**16 with 7**2 > 12
-    # (dense swaps), and 3**2 <= 300 (sparse swaps)
+    # durations on the digit routes: perm(12, 7) > 2**16 with 32 * 7**2 > 12
+    # (dense swaps), and 32 * 3**2 <= 300 (sparse swaps)
     (TRI_TRUTH, 7, 12, 40, 25, 13),
     (TRI_TRUTH, 3, 300, 50, 12, 3),
     # r = 1000 counts four replications per array pass: three passes
@@ -454,6 +456,101 @@ def test_resample_blocks_equal_fresh_substreams(r):
     assert got.terminal_pmf.tobytes() == want.terminal_pmf.tobytes()
 
 
+# -- the prefix walk against whole realization matrices -------------------
+
+WALK = settings(derandomize=True, deadline=None, max_examples=8,
+                database=None)
+# sums of these are exact in any order, so t can sit exactly on an epoch
+# or an end of many realizations
+DYADIC = [0.0, 0.25, 0.5, 1.0, 1.75, 3.0]
+
+
+def first_untabulated(k):
+    """The least n >= k with perm(n, k) above the outcome table's limit."""
+    n = k
+    while math.perm(n, k) <= _TABLE_LIMIT:
+        n += 1
+    return n
+
+
+@st.composite
+def duration_routes(draw):
+    """(n_A, n_B) with the durations on the table, dense or sparse route
+    of draw_distinct; dense shapes above 1024 durations also pass the
+    prefix reader's table-cell bound at 4096 rows."""
+    route = draw(st.sampled_from(["table", "dense", "sparse"]))
+    if route == "table":
+        n_a = draw(st.integers(1, 8))
+        n_b = draw(st.integers(n_a, first_untabulated(n_a) - 1))
+    elif route == "dense":
+        n_a = draw(st.integers(3, 30))
+        n_b = draw(st.integers(first_untabulated(n_a), 32 * n_a * n_a - 1))
+    else:
+        n_a = draw(st.integers(1, 30))
+        low = max(32 * n_a * n_a, first_untabulated(n_a))
+        n_b = draw(st.integers(low, low + 50))
+    return n_a, n_b
+
+
+@st.composite
+def walk_cases(draw, when):
+    """Data with zero gaps and durations, and t at 0 (``when="zero"``), on
+    an epoch, between two epochs, past every epoch or infinite."""
+    n_a, n_b = draw(duration_routes())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    if when == "epoch" or draw(st.booleans()):
+        h_a = rng.choice(DYADIC, n_a)
+        h_b = rng.choice(DYADIC, n_b)
+    else:
+        h_a = rng.exponential(1.0, n_a)
+        h_b = rng.uniform(0.0, 3.0, n_b)
+        h_a[rng.random(n_a) < 0.2] = 0.0
+        h_b[rng.random(n_b) < 0.2] = 0.0
+    j = draw(st.integers(1, n_a))
+    epochs = np.cumsum(h_a)
+    t = {"zero": 0.0, "epoch": epochs[j - 1],
+         "between": (epochs[j - 1] + (epochs[j] if j < n_a else 9.0)) / 2,
+         "past": epochs[-1] + 1.0, "inf": math.inf}[when]
+    return DamageData(h_a, h_b), float(t)
+
+
+def same_counts(got, want) -> bool:
+    return (got.active_pmf.tobytes(), got.terminal_pmf.tobytes(),
+            np.float64(got.active_mean).tobytes(),
+            np.float64(got.terminal_mean).tobytes(),
+            repr(got.diagnostics)) == (
+        want.active_pmf.tobytes(), want.terminal_pmf.tobytes(),
+        np.float64(want.active_mean).tobytes(),
+        np.float64(want.terminal_mean).tobytes(), repr(want.diagnostics))
+
+
+@pytest.mark.parametrize("r", [1, 2, BLOCK - 1, BLOCK + 1])
+@pytest.mark.parametrize("when", ["zero", "epoch", "between", "past", "inf"])
+@WALK
+@given(data=st.data(), seed=st.integers(0, 2**40))
+def test_resample_walk_equals_realization_matrices(when, r, data, seed):
+    data, t = data.draw(walk_cases(when))
+    got = resample_damage_counts(data, t, r, seed)
+    want = damage_counts_oracle(data, t, r, seed,
+                                fresh_blocks(seed, Lane.DAMAGE_RESAMPLE, r))
+    assert same_counts(got, want)
+
+
+@settings(WALK, max_examples=12)
+@given(shape=duration_routes(), t=st.sampled_from([0.0, 1.75, 4.0, 1e3]),
+       seed=st.integers(0, 2**40))
+def test_large_r_studies_equal_realization_matrices(shape, t, seed):
+    """damage_variance_mc above BLOCK realizations counts each replication
+    with the prefix walk of resample_damage_counts."""
+    n_a, n_b = shape
+    truth = DamageTruth(rate=0.8, degradation=empirical([0.0, 0.5, 1.75,
+                                                         3.0]))
+    got = damage_variance_mc(truth, n_a, n_b, t, r=BLOCK + 1,
+                             replications=2, seed=seed)
+    want = damage_variance_oracle(truth, n_a, n_b, t, BLOCK + 1, 2, seed)
+    assert repr(got) == repr(want)
+
+
 def test_damage_variance_mc_mse_identity():
     report = damage_variance_mc(TRI_TRUTH, 4, 6, 5.0, r=8,
                                 replications=50, seed=7)
@@ -505,6 +602,19 @@ def test_plugin_expectation_anchor():
     assert plugin_expectation(TRI_TRUTH, 5, 5.0) == pytest.approx(1.25, rel=1e-9)
     with pytest.raises(ValueError):
         plugin_expectation(TRI_TRUTH, 1, 5.0)
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+def test_plugin_estimate_rejects_bad_times(t):
+    data = DamageData([1.0, 1.5, 2.5], [0.5, 3.0, 1.5, 2.0])
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        plugin_estimate(data, t)
+
+
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+def test_plugin_expectation_rejects_bad_times(t):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        plugin_expectation(TRI_TRUTH, 3, t)
 
 
 def test_plugin_variance_mc_mean_matches_expectation():

@@ -649,7 +649,7 @@ def test_draw_routes_agree_on_equal_digits(shape, rows, cells, seed):
 @st.composite
 def routed_shapes(draw):
     """(n, k) on each route of draw_distinct: the outcome table, swaps over
-    the touched positions (k**2 <= n) and the dense swap table."""
+    the touched positions (32 k**2 <= n) and the dense swap table."""
     route = draw(st.sampled_from(["table", "sparse", "dense"]))
     if route == "table":
         # perm(n, k) <= 8! < 2**16
@@ -657,12 +657,12 @@ def routed_shapes(draw):
         k = draw(st.integers(0, n))
     elif route == "sparse":
         n = draw(st.integers(300, 5000))
-        k = draw(st.integers(2, math.isqrt(n)))
+        k = draw(st.integers(2, math.isqrt(n // 32)))
     else:
         n = draw(st.integers(10, 40))
         k = draw(st.integers(7, n))
     assert (math.perm(n, k) <= _streams._TABLE_LIMIT) == (route == "table")
-    assert route == "table" or (k * k <= n) == (route == "sparse")
+    assert route == "table" or (32 * k * k <= n) == (route == "sparse")
     return n, k
 
 
@@ -689,6 +689,34 @@ def test_draw_is_codes_then_outcomes(shape, rows, seed):
     # and the split draws as much from each generator as the whole draw
     for rng, twin in zip(rngs, twins):
         assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@PROPERTY
+@given(shape=routed_shapes(), rows=st.integers(0, 60),
+       cells=st.sampled_from([_streams._DENSE_CELLS, 1]),
+       seed=st.integers(0, 2**32), keep=st.floats(0.0, 1.0))
+def test_prefix_reader_equals_outcomes(shape, rows, cells, seed, keep):
+    """Reading positions in order for a shrinking set of rows gives the
+    outcomes of distinct_outcomes, on every route and on the touched
+    positions once a dense table would pass ``_DENSE_CELLS``."""
+    n, k = shape
+    rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+    with mock.patch.object(_streams, "_DENSE_CELLS", cells):
+        prefix = _streams.distinct_prefix(rng, n, k, rows)
+    want = _streams.distinct_outcomes(n, k, _streams.distinct_codes(
+        twin, n, k, rows))
+    # the reader takes exactly the draws of distinct_codes
+    assert rng.bit_generator.state == twin.bit_generator.state
+    drop = np.random.default_rng(seed + 1)
+    live = None
+    for i in range(k):
+        expect = want[:, i] if live is None else want[live, i]
+        assert prefix.position(i, live).tolist() == expect.tolist()
+        stay = drop.random(len(expect)) < keep
+        live = np.flatnonzero(stay) if live is None else live[stay]
+    with pytest.raises(ValueError, match="read in order"):
+        prefix.position(k, live)
+    assert [prefix.row(j) for j in range(rows)] == want.tolist()
 
 
 @PROPERTY
@@ -865,7 +893,7 @@ def test_fixed_layouts_take_every_draw_route():
         for n, k, _, table, _ in itertools.chain.from_iterable(
                 fixed_layout(name).draw_plan):
             routes.add("table" if table is not None
-                       else "sparse" if k * k <= n else "dense")
+                       else "sparse" if 32 * k * k <= n else "dense")
     assert routes == {"table", "sparse", "dense"}
 
 

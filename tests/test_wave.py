@@ -277,6 +277,21 @@ def test_hierarchical_variance_two_leaf_min():
     assert abs(emp - rep.variance) < 4 * var_se(estimates)
 
 
+def test_hierarchical_variance_rejects_a_leaf_size_off_its_sample():
+    """Leaf sizes must be the data's: a leaf entry of 50 for a 2-value
+    sample used to change the variance (0.13715 -> 0.13271) silently."""
+    spec = parse_system("ind(min(max(x1, x2), x3) < 2.0)")
+    s = SampleSet.from_json({"x1": [1.0, 3.0], "x2": [0.5, 2.5],
+                             "x3": [1.5, 2.2]})
+    sizes = node_sizes(spec, s, {4: 3, 5: 3, 6: 3})
+    assert hierarchical_variance(spec, s, sizes).variance == \
+        pytest.approx(0.13715, abs=1e-5)
+    sizes[1] = 50
+    with pytest.raises(ValueError, match=re.escape(
+            "node 1 size must be its sample's size 2, got 50") + "$"):
+        hierarchical_variance(spec, s, sizes)
+
+
 def test_hierarchical_variance_six_tree_seeded_runs(six_tree, six_data):
     sizes = node_sizes(six_tree, six_data, {7: 2, 8: 2, 9: 2, 10: 3, 11: 3})
     rep = hierarchical_variance(six_tree, six_data, sizes)
