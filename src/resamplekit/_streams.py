@@ -28,7 +28,8 @@ Fisher-Yates shuffle (Durstenfeld 1964) driven by bounded integers, so its
 stream is defined once for the whole package: :func:`_code_draws` takes
 every integer of a draw from the generator, in order.  A caller that needs
 only the first positions of some rows reads them through
-:func:`distinct_prefix`, which takes the same integers and decodes a
+:func:`distinct_prefix` (or :func:`joined_prefix`, one reader over the
+draws of several generators), which takes the same integers and decodes a
 position's swap digit only for the rows asked for, so the stream and every
 outcome read are those of the whole draw.
 """
@@ -431,8 +432,11 @@ def distinct_codes(rng: np.random.Generator, n: int, k: int,
     the last axis, map to the outcomes of each draw stacked in that order.
     """
     count, draws = _code_draws(rng, n, k, rows)
-    if count:
-        return draws
+    return draws if count else _swap_digits(k, rows, draws)
+
+
+def _swap_digits(k: int, rows: int, draws) -> np.ndarray:
+    """The (k, rows) swap digits of the runs ``draws`` of :func:`_code_draws`."""
     digits = np.empty((k, rows), dtype=np.intp)
     start = 0
     for radices, u in draws:
@@ -459,6 +463,24 @@ def distinct_prefix(rng: np.random.Generator, n: int, k: int,
     return DistinctPrefix(n, k, rows, *_code_draws(rng, n, k, rows))
 
 
+def joined_prefix(n: int, k: int, parts, stride: int) -> "DistinctPrefix":
+    """One :class:`DistinctPrefix` over several draws of one (n, k), their
+    rows joined in order; ``parts`` holds each draw's
+    ``_code_draws(rng, n, k, rows)``.  Every outcome of draw g is read
+    raised by ``g * stride``: with stride n, an index into row g of a
+    flattened (len(parts), n) array."""
+    count = parts[0][0]
+    if count:
+        draws = np.concatenate([ranks for _, ranks in parts])
+        sizes = [len(ranks) for _, ranks in parts]
+    else:
+        draws = [(radices, np.concatenate([runs[j][1] for _, runs in parts]))
+                 for j, (radices, _) in enumerate(parts[0][1])]
+        sizes = [len(runs[0][1]) for _, runs in parts]
+    shift = np.repeat(np.arange(len(parts)) * stride, sizes)
+    return DistinctPrefix(n, k, len(shift), count, draws, shift)
+
+
 class DistinctPrefix:
     """One draw without replacement whose outcomes are read by position.
 
@@ -468,23 +490,39 @@ class DistinctPrefix:
     caller that needs only a prefix of some rows decodes no more than that.
     A row's swap digit at position i is decoded alone, as
     ``(u // product of the run's later radices) % radix`` of its run's
-    integer u, and the swaps run as in :func:`_fy_dense` on a
-    positions-major (n, rows) table, or over the touched positions as in
-    :func:`_fy_sparse` where the draw takes the sparse route or that table
-    would exceed ``_DENSE_CELLS`` cells.  On the table route one gather
-    reads every outcome.  Outcomes equal those of :func:`distinct_outcomes`
-    on the same draws, whatever rows drop out.  ``row(j)`` gives row j's
-    whole outcome, decoded in Python ints.
+    integer u, and the swap runs as in :func:`_fy_dense` (:func:`_swap`) on
+    a positions-major (n, rows) table, or over the touched positions as in
+    :func:`_fy_sparse` where the draw takes the sparse route.  Where that
+    table would exceed ``_DENSE_CELLS`` cells, :func:`_fy_dense` decodes
+    every outcome in row chunks first, and on the table route one gather
+    does; positions are then read off those outcomes.  Outcomes equal those
+    of :func:`distinct_outcomes` on the same draws, whatever rows drop out.
+    ``decoded`` tells whether every outcome was decoded up front.
+    ``outcomes(rows)`` gives the whole outcomes of some rows at once, and
+    ``row(j)`` row j's, decoded in Python ints.  Every outcome read is
+    raised by its row's entry of ``shift`` when one is given.
     """
 
-    def __init__(self, n: int, k: int, rows: int, count: int, draws):
+    def __init__(self, n: int, k: int, rows: int, count: int, draws,
+                 shift: np.ndarray | None = None):
         self.k, self.rows = k, rows
         self._next = 0
+        self._shift = shift
         if count:
-            # positions-major (k, rows)
-            self._outcomes = _outcome_table(n, k).T.take(draws, axis=1)
+            outcomes = _outcome_table(n, k).take(draws, axis=0)
+        elif not _sparse(n, k) and n * rows > _DENSE_CELLS:
+            outcomes = _fy_dense(n, _swap_digits(k, rows, draws))
+        else:
+            outcomes = None
+        # reading a position then costs no decoding
+        self.decoded = outcomes is not None
+        if self.decoded:
+            # positions-major (k, rows), each row raised by its shift
+            self._outcomes = np.empty((k, rows), dtype=outcomes.dtype)
+            np.add(outcomes.T, 0 if shift is None else shift,
+                   out=self._outcomes)
             return
-        self._outcomes = None
+        self._n, self._draws = n, draws
         self._cols = np.arange(rows)
         # (u, product of the later radices of its run, radix, first of its
         # run) of each swap digit
@@ -494,7 +532,7 @@ class DistinctPrefix:
             for at, radix in enumerate(radices):
                 below //= radix
                 self._digits.append((u, below, radix, at == 0))
-        if _sparse(n, k) or n * rows > _DENSE_CELLS:
+        if _sparse(n, k):
             self._table = None
             self._target = np.empty((k, rows), dtype=np.intp)
             self._w = np.empty((k, rows), dtype=np.intp)
@@ -511,31 +549,27 @@ class DistinctPrefix:
                              f"expected {self._next}, got {i}")
         self._next += 1
         sel = slice(None) if rows is None else rows
-        if self._outcomes is not None:
+        if self.decoded:
             return self._outcomes[i, sel]
         cols = self._cols if rows is None else rows
         pos = self._digit(i, rows)
         pos += i
+        if self._table is not None:
+            value = _swap(self._table, i, pos, cols, sel)
+        elif i == 0:
+            value = pos
+            self._w[0, sel] = 0
+        else:
+            earlier = self._target[:i, sel]
+            value = _touched(earlier, self._w, pos, cols)
+            if i + 1 < self.k:
+                # what position i held before its swap, for later steps
+                self._w[i, sel] = _touched(earlier, self._w, i, cols)
         if self._table is None:
-            if i == 0:
-                value = pos
-                self._w[0, sel] = 0
-            else:
-                earlier = self._target[:i, sel]
-                value = _touched(earlier, self._w, pos, cols)
-                if i + 1 < self.k:
-                    # what position i held before its swap, for later steps
-                    self._w[i, sel] = _touched(earlier, self._w, i, cols)
             self._target[i, sel] = pos
-            return value
-        table = self._table
-        flat = table.reshape(-1)
-        pos *= self.rows
-        pos += cols
-        held = flat.take(pos)
-        flat[pos] = table[i, sel]
-        table[i, sel] = held
-        return held
+        if self._shift is not None:
+            value = value + self._shift[sel]
+        return value
 
     def _digit(self, i: int, rows) -> np.ndarray:
         """A new array of the swap digits at position i of ``rows``."""
@@ -555,18 +589,30 @@ class DistinctPrefix:
         rest *= radix
         return np.subtract(q, rest, out=q)
 
+    def outcomes(self, rows: np.ndarray) -> np.ndarray:
+        """The whole (len(rows), k) outcomes of ``rows``, from their draws
+        alone."""
+        if self.decoded:
+            return self._outcomes[:, rows].T
+        draws = [(radices, u.take(rows)) for radices, u in self._draws]
+        out = _fisher_yates(self._n, _swap_digits(self.k, len(rows), draws))
+        if self._shift is not None:
+            out += self._shift.take(rows)[:, None]
+        return out
+
     def row(self, j: int) -> list[int]:
         """Row j's whole outcome, from its draws alone."""
-        if self._outcomes is not None:
+        if self.decoded:
             return self._outcomes[:, j].tolist()
         digits = [u.item(j) // below % radix
                   for u, below, radix, _ in self._digits]
         digits += [0] * (self.k - len(digits))
         # the swaps on a map of the positions they touched
+        shift = 0 if self._shift is None else self._shift.item(j)
         moved: dict[int, int] = {}
         out = []
         for i, d in enumerate(digits):
-            out.append(moved.get(i + d, i + d))
+            out.append(moved.get(i + d, i + d) + shift)
             moved[i + d] = moved.get(i, i)
         return out
 
@@ -673,15 +719,23 @@ def _fy_dense(n: int, digits: np.ndarray) -> np.ndarray:
         width = d.shape[1]
         table = np.empty((n, width), dtype=start.dtype)
         table[:] = start
-        flat = table.reshape(-1)
         cols = np.arange(width)
         for i in range(swaps):
-            # flat index of each row's swap target i + d_i
-            at = d[i] + i
-            at *= width
-            at += cols
-            held = flat.take(at)
-            flat[at] = table[i]
-            table[i] = held
+            _swap(table, i, d[i] + i, cols)
         out[lo:lo + width] = table[:k].T
     return out
+
+
+def _swap(table: np.ndarray, i: int, at: np.ndarray, cols: np.ndarray,
+          sel=slice(None)) -> np.ndarray:
+    """Swap position i with position ``at`` (an array, overwritten) of the
+    columns ``cols``, which are ``sel`` of the positions-major ``table``;
+    returns the values moved into position i."""
+    flat = table.reshape(-1)
+    # flat index of each column's swap target
+    at *= table.shape[1]
+    at += cols
+    held = flat.take(at)
+    flat[at] = table[i, sel]
+    table[i, sel] = held
+    return held

@@ -46,12 +46,14 @@ resampling up to i = n_A and the plug-in tail beyond.
 The replication studies (:func:`damage_variance_mc`,
 :func:`plugin_variance_mc`) take from each replication's generators only
 its draws, in the order of a one-replication loop: the data, the inner
-seed and the codes of its without-replacement draws.  The rest -- the
+seed and the integers of its without-replacement draws.  The rest -- the
 outcome mapping, partial sums, counts, means, the first-pair diagnostics
-and the plug-in fit -- runs over a chunk of replications at once, on
-(replications, realizations, n_A) arrays of at most :data:`BLOCK`
-realization rows, so each report equals the per-replication loop's byte
-for byte.  The truth integral int_0^t (1 - F) is cached per (law, t).
+and the plug-in fit -- runs over a chunk of replications at once: with
+r <= :data:`BLOCK`, one prefix walk reads the joined draws of a chunk of
+at most BLOCK realization rows (:func:`_streams.joined_prefix` raises each
+replication's indices to its own data row), so each report equals the
+per-replication loop's byte for byte.  The truth integral
+int_0^t (1 - F) is cached per (law, t).
 """
 
 from __future__ import annotations
@@ -63,9 +65,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._streams import (BLOCK, DistinctPrefix, Lane, _table_size, block_count,
-                       block_ranges, distinct_codes, distinct_outcomes,
-                       distinct_prefix, substreams)
+from ._streams import (BLOCK, DistinctPrefix, Lane, _code_draws, _table_size,
+                       block_count, block_ranges, distinct_prefix,
+                       joined_prefix, substreams)
 from .distributions import (KnownDistribution, binom_pmf, poisson_pmf,
                             poisson_sf)
 
@@ -225,34 +227,47 @@ def _damage_counts(data: DamageData, t: float, r: int, seed: int,
 
 def _prefix_counts(h_a: np.ndarray, h_b: np.ndarray, t: float,
                    perm: DistinctPrefix, which: DistinctPrefix):
-    """Arrivals and ended degradations at t of one block's realizations.
+    """Arrivals and ended degradations at t of a set of realizations.
 
-    Position i adds the gap ``h_a[perm_i]`` into the epoch tau and reads the
-    end tau + ``h_b[which_i]``, the sums of :func:`_epochs`.  Returns, per
-    realization, the number of epochs tau <= t and the number of ends
-    <= t; the active count is their difference.  Gaps are >= 0, so epochs
-    never decrease: once a realization's epoch passes t, no later epoch or
-    end (>= its epoch) counts.  Such realizations are dropped, and their
-    later positions never read, once they are half of those still read.
+    ``perm`` and ``which`` give each realization's indices into the flat
+    ``h_a`` and ``h_b`` (raised to its dataset's row when several datasets
+    are stacked).  Position i adds the gap ``h_a[perm_i]`` into the epoch
+    tau (the sequential sums of np.cumsum) and reads the end
+    tau + ``h_b[which_i]``.  Returns, per realization, the number of epochs
+    tau <= t and the number of ends <= t; the active count is their
+    difference.  Gaps are >= 0, so epochs never decrease: once a
+    realization's epoch passes t, no later epoch or end (>= its epoch)
+    counts.  Such realizations are dropped, and their later positions never
+    read, once they are all of those still read, or, while a reader still
+    decodes positions, half of them with two positions to go.
     """
     rows = perm.rows
     arrived = np.empty(rows, dtype=np.intp)
     ended = np.empty(rows, dtype=np.intp)
     live = None      # the realizations still read, None while all are
-    for i in range(perm.k):
-        gap = h_a.take(perm.position(i, live))
-        tau = gap if i == 0 else tau + gap
-        done = tau + h_b.take(which.position(i, live)) <= t
+    k = perm.k
+    # counts up to k in the smallest type: adds run faster
+    small = np.min_scalar_type(k)
+    # on decoded outcomes a position read costs no decoding, and dropping
+    # some rows costs more than reading them on
+    shrink = not (perm.decoded and which.decoded)
+    for i in range(k):
+        # float adds commute bit for bit: tau + gap, tau + duration
+        if i == 0:
+            tau = h_a.take(perm.position(i))
+        else:
+            tau += h_a.take(perm.position(i, live))
+        end = h_b.take(which.position(i, live))
+        end += tau
+        done = end <= t
         inside = tau <= t
         if i == 0:
-            # counts up to k in the smallest type: adds run faster
-            small = np.min_scalar_type(perm.k)
             n_in, n_done = inside.astype(small), done.astype(small)
         else:
             n_in += inside
             n_done += done
         still = np.count_nonzero(inside)
-        if 2 * still > len(tau):
+        if still and (not shrink or 2 * still > len(tau) or i + 2 >= k):
             continue
         out = np.flatnonzero(~inside)
         gone = out if live is None else live.take(out)
@@ -269,51 +284,22 @@ def _prefix_counts(h_a: np.ndarray, h_b: np.ndarray, t: float,
     return arrived, ended
 
 
-def _counts(h_a: np.ndarray, h_b: np.ndarray, t: float, perm: np.ndarray,
-            which: np.ndarray):
-    """Active and terminal counts at t of realizations stacked per dataset.
-
-    Arguments as for :func:`_epochs`.  Returns the (sets, rows) active and
-    terminal counts and, per dataset, the number of durations its first two
-    realizations share and the number of positions their arrival orders
-    agree on (NaN when there are fewer than two realizations).
-    """
-    tau, end = _epochs(h_a, h_b, perm, which)
-    active = ((tau <= t) & (t < end)).sum(axis=1)
-    terminal = (end <= t).sum(axis=1)
-    if perm.shape[1] < 2:
-        nan = np.full(len(perm), np.nan)
-        return active, terminal, nan, nan
-    first, second = which[:, 0], which[:, 1]
-    overlap = (first[:, :, None] == second[:, None, :]).sum(axis=(1, 2))
-    fixed = (perm[:, 0] == perm[:, 1]).sum(axis=1)
-    return active, terminal, overlap, fixed
-
-
-def _epochs(h_a: np.ndarray, h_b: np.ndarray, perm: np.ndarray,
-            which: np.ndarray):
-    """Arrival epochs and end times of realizations stacked per dataset.
-
-    ``h_a`` (sets, n_A) and ``h_b`` (sets, n_B) hold one dataset per row;
-    ``perm`` and ``which`` (sets, rows, n_A) index into the row of their
-    dataset.  Returns ``tau`` (partial sums of the permuted gaps) and
-    ``tau + duration``, both positions-major (sets, n_A, rows), so that
-    every step below runs over whole rows.
-    """
-    tau = _gather(h_a, perm)
-    # np.cumsum's sequential sums, one position at a time
-    for k in range(1, tau.shape[1]):
-        tau[:, k] += tau[:, k - 1]
-    return tau, tau + _gather(h_b, which)
-
-
-def _gather(values: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """``values[i][index[i]]`` for every row i of the (sets, n) ``values``,
-    with the last two axes of the (sets, rows, k) ``index`` swapped."""
-    sets, n = values.shape
-    index = np.add(index.transpose(0, 2, 1),
-                   np.arange(0, sets * n, n)[:, None, None], order="C")
-    return values.reshape(-1).take(index)
+def _first_pairs(perm: DistinctPrefix, which: DistinctPrefix, r: int):
+    """Per dataset of ``r`` realizations (rows of ``perm`` and ``which`` in
+    turn), the number of durations its first two realizations share and
+    the number of positions their arrival orders agree on, NaN when
+    r < 2."""
+    sets = perm.rows // r
+    if r < 2:
+        nan = np.full(sets, np.nan)
+        return nan, nan
+    first = np.arange(0, perm.rows, r)
+    pairs = np.stack([first, first + 1], axis=1).reshape(-1)
+    p = perm.outcomes(pairs).reshape(sets, 2, -1)
+    w = which.outcomes(pairs).reshape(sets, 2, -1)
+    overlap = (w[:, 0, :, None] == w[:, 1, None, :]).sum(axis=(1, 2))
+    fixed = (p[:, 0] == p[:, 1]).sum(axis=1)
+    return overlap, fixed
 
 
 # -- model-side quantities ------------------------------------------------
@@ -421,8 +407,8 @@ def damage_variance_mc(truth: DamageTruth, n_a: int, n_b: int, t: float,
     keys its :func:`resample_damage_counts` blocks.  Replications run in
     batches that derive at most :data:`BLOCK` inner keys at once.  With
     r <= BLOCK each replication takes only its draws from its generators;
-    its counts are computed with those of up to BLOCK // r others in one
-    array pass.  ``threads`` is accepted for compatibility and has no effect.
+    its counts are read with those of up to BLOCK // r others in one prefix
+    walk.  ``threads`` is accepted for compatibility and has no effect.
     """
     if n_a > n_b:
         raise ValueError(f"need n_A <= n_B, got {n_a} > {n_b}")
@@ -463,25 +449,25 @@ def damage_variance_mc(truth: DamageTruth, n_a: int, n_b: int, t: float,
         step = max(1, BLOCK // r)
         for start in range(lo, hi, step):
             stop = min(start + step, hi)
-            perm_codes, which_codes = [], []
+            perm_parts, which_parts = [], []
             for rng in itertools.islice(inner, stop - start):
                 if joined:
-                    codes = distinct_codes(rng, n_a, n_a, 2 * r)
-                    perm, which = codes[:r], codes[r:]
+                    ranks = _code_draws(rng, n_a, n_a, 2 * r)[1]
+                    perm_parts.append((count, ranks[:r]))
+                    which_parts.append((count, ranks[r:]))
                 else:
-                    perm = distinct_codes(rng, n_a, n_a, r)
-                    which = distinct_codes(rng, n_b, n_a, r)
-                perm_codes.append(perm)
-                which_codes.append(which)
-            shape = (stop - start, r, n_a)
-            perm = distinct_outcomes(n_a, n_a, np.concatenate(
-                perm_codes, axis=-1)).reshape(shape)
-            which = distinct_outcomes(n_b, n_a, np.concatenate(
-                which_codes, axis=-1)).reshape(shape)
-            active, _, overlap[start:stop], fixed[start:stop] = _counts(
-                h_a[start - lo:stop - lo], h_b[start - lo:stop - lo], t,
-                perm, which)
+                    perm_parts.append(_code_draws(rng, n_a, n_a, r))
+                    which_parts.append(_code_draws(rng, n_b, n_a, r))
+            perm = joined_prefix(n_a, n_a, perm_parts, n_a)
+            which = joined_prefix(n_b, n_a, which_parts, n_b)
+            sets = slice(start - lo, stop - lo)
+            arrived, ended = _prefix_counts(h_a[sets].reshape(-1),
+                                            h_b[sets].reshape(-1), t, perm,
+                                            which)
+            active = np.subtract(arrived, ended).reshape(-1, r)
             estimates[start:stop] = active.mean(axis=-1)
+            overlap[start:stop], fixed[start:stop] = _first_pairs(perm,
+                                                                  which, r)
     mean = float(estimates.mean())
     var = float(estimates.var(ddof=1))
     mse = float(np.mean((estimates - summ.active_mean) ** 2))

@@ -3,6 +3,7 @@
 import itertools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from resamplekit import _streams
 from resamplekit._streams import _TABLE_LIMIT, BLOCK, Lane
 from resamplekit.damage import (
     CountEstimates,
@@ -374,7 +376,7 @@ DAMAGE_STUDIES = [
     # (dense swaps), and 32 * 3**2 <= 300 (sparse swaps)
     (TRI_TRUTH, 7, 12, 40, 25, 13),
     (TRI_TRUTH, 3, 300, 50, 12, 3),
-    # r = 1000 counts four replications per array pass: three passes
+    # r = 1000 counts four replications per walk: three walks
     (TRI_TRUTH, 4, 6, 1000, 10, 21),
     (EXP_TRUTH, 5, 8, 30, 40, 2**33),
     (UNI_TRUTH, 6, 6, 3, 20, 5),
@@ -536,19 +538,36 @@ def test_resample_walk_equals_realization_matrices(when, r, data, seed):
     assert same_counts(got, want)
 
 
+@pytest.mark.parametrize("r", [2, 7, BLOCK + 1])
 @settings(WALK, max_examples=12)
 @given(shape=duration_routes(), t=st.sampled_from([0.0, 1.75, 4.0, 1e3]),
        seed=st.integers(0, 2**40))
-def test_large_r_studies_equal_realization_matrices(shape, t, seed):
-    """damage_variance_mc above BLOCK realizations counts each replication
-    with the prefix walk of resample_damage_counts."""
+def test_studies_equal_realization_matrices(r, shape, t, seed):
+    """damage_variance_mc counts each replication with the prefix walk of
+    resample_damage_counts, the replications of a chunk joined in one walk
+    when r <= BLOCK."""
     n_a, n_b = shape
     truth = DamageTruth(rate=0.8, degradation=empirical([0.0, 0.5, 1.75,
                                                          3.0]))
-    got = damage_variance_mc(truth, n_a, n_b, t, r=BLOCK + 1,
-                             replications=2, seed=seed)
-    want = damage_variance_oracle(truth, n_a, n_b, t, BLOCK + 1, 2, seed)
+    replications = 2 if r > BLOCK else 5
+    got = damage_variance_mc(truth, n_a, n_b, t, r=r,
+                             replications=replications, seed=seed)
+    want = damage_variance_oracle(truth, n_a, n_b, t, r, replications, seed)
     assert repr(got) == repr(want)
+
+
+def test_wide_walk_reads_decoded_outcomes():
+    """Above _DENSE_CELLS / BLOCK = 1024 arrivals a block's arrival order
+    and durations are decoded whole in row chunks, not swapped over the
+    touched positions, whose cost grows with the square of n_A."""
+    rng = np.random.default_rng(5)
+    data = DamageData(rng.exponential(1.0, 1030), rng.uniform(0, 3, 1030))
+    with mock.patch.object(_streams, "_touched",
+                           side_effect=AssertionError("touched route")):
+        got = resample_damage_counts(data, math.inf, BLOCK, 12)
+    want = damage_counts_oracle(data, math.inf, BLOCK, 12,
+                                fresh_blocks(12, Lane.DAMAGE_RESAMPLE, BLOCK))
+    assert same_counts(got, want)
 
 
 def test_damage_variance_mc_mse_identity():

@@ -691,14 +691,29 @@ def test_draw_is_codes_then_outcomes(shape, rows, seed):
         assert rng.bit_generator.state == twin.bit_generator.state
 
 
+def read_in_order(prefix, want, keep, seed):
+    """Read every position of ``prefix`` in order for a row set that loses
+    each row with chance 1 - ``keep`` after each position; check each
+    read against the (rows, k) ``want``."""
+    drop = np.random.default_rng(seed)
+    live = None
+    for i in range(prefix.k):
+        expect = want[:, i] if live is None else want[live, i]
+        assert prefix.position(i, live).tolist() == expect.tolist()
+        stay = drop.random(len(expect)) < keep
+        live = np.flatnonzero(stay) if live is None else live[stay]
+    with pytest.raises(ValueError, match="read in order"):
+        prefix.position(prefix.k, live)
+
+
 @PROPERTY
 @given(shape=routed_shapes(), rows=st.integers(0, 60),
        cells=st.sampled_from([_streams._DENSE_CELLS, 1]),
        seed=st.integers(0, 2**32), keep=st.floats(0.0, 1.0))
 def test_prefix_reader_equals_outcomes(shape, rows, cells, seed, keep):
     """Reading positions in order for a shrinking set of rows gives the
-    outcomes of distinct_outcomes, on every route and on the touched
-    positions once a dense table would pass ``_DENSE_CELLS``."""
+    outcomes of distinct_outcomes, on every route, and off the whole
+    outcomes once a dense table would pass ``_DENSE_CELLS``."""
     n, k = shape
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     with mock.patch.object(_streams, "_DENSE_CELLS", cells):
@@ -707,16 +722,38 @@ def test_prefix_reader_equals_outcomes(shape, rows, cells, seed, keep):
         twin, n, k, rows))
     # the reader takes exactly the draws of distinct_codes
     assert rng.bit_generator.state == twin.bit_generator.state
-    drop = np.random.default_rng(seed + 1)
-    live = None
-    for i in range(k):
-        expect = want[:, i] if live is None else want[live, i]
-        assert prefix.position(i, live).tolist() == expect.tolist()
-        stay = drop.random(len(expect)) < keep
-        live = np.flatnonzero(stay) if live is None else live[stay]
-    with pytest.raises(ValueError, match="read in order"):
-        prefix.position(k, live)
+    # and builds no swap table past the cell bound
+    assert prefix.decoded == bool(_streams._table_size(n, k) or (
+        not _streams._sparse(n, k) and n * rows > cells))
+    read_in_order(prefix, want, keep, seed + 1)
     assert [prefix.row(j) for j in range(rows)] == want.tolist()
+    some = np.flatnonzero(np.random.default_rng(seed).random(rows) < keep)
+    assert prefix.outcomes(some).tolist() == want[some].tolist()
+
+
+@PROPERTY
+@given(shape=routed_shapes(), rows=st.lists(st.integers(0, 30), min_size=1,
+                                            max_size=4),
+       stride=st.integers(0, 100), seed=st.integers(0, 2**32),
+       keep=st.floats(0.0, 1.0))
+def test_joined_prefix_reads_each_draw_shifted(shape, rows, stride, seed,
+                                               keep):
+    """A reader over several generators' draws gives draw g's outcomes,
+    raised by g * stride, in draw order."""
+    n, k = shape
+    rngs = [np.random.default_rng([seed, g]) for g in range(len(rows))]
+    twins = [np.random.default_rng([seed, g]) for g in range(len(rows))]
+    prefix = _streams.joined_prefix(n, k, [
+        _streams._code_draws(rng, n, k, count)
+        for rng, count in zip(rngs, rows)], stride)
+    want = np.concatenate([
+        _streams.draw_distinct(twin, n, k, count) + g * stride
+        for g, (twin, count) in enumerate(zip(twins, rows))])
+    for rng, twin in zip(rngs, twins):
+        assert rng.bit_generator.state == twin.bit_generator.state
+    read_in_order(prefix, want, keep, seed + 1)
+    assert [prefix.row(j) for j in range(len(want))] == want.tolist()
+    assert prefix.outcomes(np.arange(len(want))).tolist() == want.tolist()
 
 
 @PROPERTY
