@@ -94,6 +94,21 @@ def _key_int(value) -> int:
     return value
 
 
+def _count(value, name: str, least: int = 1) -> int:
+    """``value`` as a count argument such as r, k, a sample size or a
+    replication count: a bool or a non-integer (``2.5``, ``np.float64(2.0)``)
+    raises TypeError, an integer below ``least`` ValueError."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"need {name} >= {least}, got {value}")
+    return value
+
+
 def block_ranges(total: int, block: int = BLOCK):
     """Yield ``(index, start, stop)`` triples covering ``range(total)``."""
     b = 0

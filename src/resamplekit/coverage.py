@@ -22,12 +22,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
-from ._streams import (Lane, block_count, block_ranges, block_streams,
-                       substreams)
+from ._streams import (Lane, _count, block_count, block_ranges,
+                       block_streams, substreams)
 from .budget import check_budget, enumeration_budget
 from .distributions import binom_cdf, binom_sf
 from .resampling import draw_values
@@ -300,14 +300,14 @@ def rho(q, theta: float, r: int):
 
     The upper summation limit is read strictly: successes up to
     ceil(theta r) - 1 (an epsilon guards float ceilings).  ``q`` may be an
-    array; a scalar gives a float.
+    array; a scalar gives a float.  ``r`` must be an integer (TypeError for
+    a bool or a float) of at least 1 (ValueError).
     """
     qs = np.asarray(q, dtype=float)
     bad = qs[~((qs >= 0.0) & (qs <= 1.0))]
     if bad.size:
         raise ValueError(f"q must be in [0,1], got {bad[0]}")
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
+    r = _count(r, "r")
     _check_theta(theta)
     kmax = math.ceil(theta * r - _EPS) - 1
     if kmax < 0:
@@ -327,10 +327,10 @@ def _check_theta(theta) -> None:
 def alpha_floor(alpha: float, k: int) -> int:
     """floor(alpha k) = max{xi >= 1 : xi <= alpha k}, epsilon-guarded.
 
-    Raises when alpha k < 1: the quantile interval is undefined there.
+    Raises when alpha k < 1: the quantile interval is undefined there, and
+    as :func:`rho` does for r when ``k`` is no integer of at least 1.
     """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
+    k = _count(k, "k")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
     j = math.floor(alpha * k + _EPS)
@@ -346,7 +346,9 @@ def coverage_conditional(rho_, k: int, alpha):
 
     ``rho_`` and ``alpha`` may be arrays and broadcast against each other
     (rho per row in a column, one alpha per column); scalars give a float.
+    ``k`` is checked as :func:`rho` checks r.
     """
+    k = _count(k, "k")
     rhos = np.asarray(rho_, dtype=float)
     bad = rhos[~((rhos >= 0.0) & (rhos <= 1.0))]
     if bad.size:
@@ -406,36 +408,110 @@ def _pw_exponential(rows, rates, sizes):
     return p
 
 
+# The composite Gauss-Legendre rule of the numeric ordering law: panel
+# edges at the finite support ends, the triangular mode and these quantile
+# levels of every generator (0 and 1 give the support ends), no panel longer
+# than 1/_PANELS of the edges' span, _GAUSS_NODES nodes per panel.
+_EDGE_LEVELS = (0.0, 1e-10, 1e-6, 1e-3, 0.05, 0.25, 0.5, 0.75, 0.95,
+                1.0 - 1e-3, 1.0 - 1e-6, 1.0 - 1e-10, 1.0)
+_PANELS = 16
+_GAUSS_NODES = 8
+
+
+def _legendre(t, n: int) -> np.ndarray:
+    """P_0(t) .. P_n(t), one row each, by Bonnet's recurrence."""
+    p = [np.ones_like(t), t]
+    for m in range(1, n):
+        p.append(((2 * m + 1) * t * p[m] - m * p[m - 1]) / (m + 1))
+    return np.array(p)
+
+
+@cache
+def _gauss_rule():
+    """Gauss-Legendre nodes t on [-1, 1], ascending, and a read-only
+    (n + 1, n) matrix: row j < n maps values at the nodes to the integral
+    from -1 to t_j of their interpolating polynomial (Q V^-1, V the
+    Legendre basis at the nodes and Q its integrals), row n to the integral
+    over [-1, 1] (the Gauss weights).
+
+    The nodes are the roots of P_n by Newton's method; V^-1 is the
+    discrete orthogonality of P_0 .. P_(n-1) under the rule, (2m + 1)/2
+    w_k P_m(t_k), so no linear algebra routine is called.
+    """
+    n = _GAUSS_NODES
+    t = np.cos(np.pi * (np.arange(n, 0, -1) - 0.25) / (n + 0.5))
+    for _ in range(8):
+        p = _legendre(t, n)
+        t = t - p[n] * (t * t - 1) / (n * (t * p[n] - p[n - 1]))
+    p = _legendre(t, n)
+    weights = 2 * (1 - t * t) / (n * (t * p[n] - p[n - 1])) ** 2
+    # int_-1^t P_0 = t + 1 and int_-1^t P_m = (P_m+1 - P_m-1) / (2m + 1),
+    # times the (2m + 1)/2 of V^-1
+    integrals = np.vstack([(t + 1) / 2, (p[2:] - p[:-2]) / 2]).T
+    # einsum, not @: the first BLAS call maps its buffers (0.3 MB resident)
+    rule = np.vstack([np.einsum("jm,mk->jk", integrals, p[:n] * weights),
+                      weights])
+    t.setflags(write=False)
+    rule.setflags(write=False)
+    return t, rule
+
+
+def _panel_edges(generators) -> np.ndarray:
+    """Sorted panel edges: every generator's finite support ends, quantiles
+    at ``_EDGE_LEVELS`` and triangular mode, with each gap longer than
+    1/_PANELS of their span cut into equal pieces."""
+    levels = np.array(_EDGE_LEVELS)
+    cuts = {x for g in generators for x in g.ppf(levels).tolist()
+            if math.isfinite(x)}
+    cuts.update(g.params[1] for g in generators if g.family == "triangular")
+    cuts = sorted(cuts)
+    longest = (cuts[-1] - cuts[0]) / _PANELS
+    edges = []
+    for a, b in zip(cuts, cuts[1:]):
+        pieces = math.ceil((b - a) / longest)
+        edges.extend(a + (b - a) * (i / pieces) for i in range(pieces))
+    edges.append(cuts[-1])
+    return np.array(edges)
+
+
 class _NumericOrderingLaw:
-    """P_W for general continuous generators by grid integration.
+    """P_W for general continuous generators by numeric integration.
 
     P_W = (prod n_i!) * int_{x_1<...<x_n} prod f_{w_j}(x_j) dx, evaluated
-    by the chain of running integrals I_j(x) = int^x f_{w_j} I_{j-1};
-    trapezoidal on a shared grid clipped to extreme quantiles.
+    by the chain of running integrals I_j(x) = int^x f_{w_j} I_{j-1}, on a
+    composite Gauss-Legendre rule (Davis and Rabinowitz, *Methods of
+    Numerical Integration*, 1984): ``_GAUSS_NODES`` nodes on each panel of
+    ``_panel_edges``.  No density jumps inside a panel, and every law's own
+    scale is resolved by its quantile edges; the mass beyond the outermost
+    1e-10 quantiles is cut off.  ``nodes`` holds node k of every panel for
+    k = 0, 1, ... (column k P + p is node k of panel p), then the last edge,
+    whose column carries the whole integral.
     """
 
-    def __init__(self, generators, sizes, points: int = 2048):
-        qs = (1e-10, 1.0 - 1e-10)
-        lo = min(float(g.ppf(qs[0])) for g in generators)
-        hi = max(float(g.ppf(qs[1])) for g in generators)
-        self.grid = np.linspace(lo, hi, points)
-        self.dens = np.stack([np.asarray(g.pdf(self.grid), dtype=float)
-                              for g in generators])
+    def __init__(self, generators, sizes):
+        t, self.rule = _gauss_rule()
+        distinct = dict.fromkeys(generators)  # equal laws evaluated once
+        edges = _panel_edges(distinct)
+        self.half = np.diff(edges) / 2.0
+        centers = edges[:-1] + self.half
+        self.nodes = np.append(centers + self.half * t[:, None], edges[-1])
+        pdf = {g: g.pdf(self.nodes) for g in distinct}
+        self.dens = np.stack([pdf[g] for g in generators])
         self.scale = float(math.prod(math.factorial(n) for n in sizes))
 
     def pw(self, rows):
         """P_W of each row of a (rows, n) int array of W rows, integrating
-        ``GRID_CHUNK`` grid cells at a time.
+        ``GRID_CHUNK`` node values at a time.
 
         The running integral after j labels depends on the first j labels
         only, so it is computed once per run of rows sharing that prefix:
         ``cur`` holds one integral per distinct prefix and ``node`` maps
         each row to its prefix.  Rows in lexicographic order share most.
-        Every step writes into the same few buffers.
+        The integrals and the gathered rows stay in the same few buffers.
         """
         out = np.empty(len(rows))
-        per = min(len(rows), max(1, GRID_CHUNK // len(self.grid)))
-        cur, f, inc = (np.empty((per, len(self.grid))) for _ in range(3))
+        per = min(len(rows), max(1, GRID_CHUNK // len(self.nodes)))
+        cur, f, inc = (np.empty((per, len(self.nodes))) for _ in range(3))
         for lo in range(0, len(rows), per):
             block = rows[lo:lo + per]
             cur[0] = 1.0
@@ -451,20 +527,33 @@ class _NumericOrderingLaw:
                         mode="clip")
                 np.take(cur, node[first], axis=0, out=inc[:k], mode="clip")
                 np.multiply(f[:k], inc[:k], out=f[:k])
-                self.running_integral(f[:k], inc[:k], cur[:k])
+                self.running_integral(f[:k], cur[:k])
                 node = np.cumsum(new_prefix) - 1
             out[lo:lo + per] = self.scale * cur[node, -1]
         return out
 
-    def running_integral(self, f, inc, out):
-        """Trapezoid running integral of each row of ``f`` into ``out``:
-        I(x_k) is the sum of the trapezoids up to k.  ``inc`` is a buffer
-        of the same shape; ``out`` may be ``f``."""
-        inc[:, 0] = 0.0
-        np.add(f[:, 1:], f[:, :-1], out=inc[:, 1:])
-        np.multiply(inc[:, 1:], (self.grid[1] - self.grid[0]) / 2.0,
-                    out=inc[:, 1:])
-        np.cumsum(inc, axis=1, out=out)
+    def running_integral(self, f, out):
+        """Running integral from the first edge of each row of ``f`` (values
+        at ``nodes``; the last column is not read) into ``out``, which may
+        be ``f``.  At a panel's nodes it is the totals of the panels before
+        it, carried in panel order, plus half its width times ``rule``
+        applied to its values; in the last column, the total of every panel.
+
+        The rule is applied by einsum, whose inner loop runs along the
+        panels of one row and one rule row: each value is a sum from 0 over
+        the nodes in order, whatever the rows beside it (a reduction in the
+        inner loop, as on the panel-major layout, would be summed in SIMD
+        lanes that depend on the data's alignment, and ``@`` calls BLAS)."""
+        rows, n = len(f), _GAUSS_NODES
+        part = np.einsum("rkp,jk->jrp", f[:, :-1].reshape(rows, n, -1),
+                         self.rule)
+        part *= self.half
+        carry = np.cumsum(part[n], axis=1)
+        inner = out[:, :-1].reshape(rows, n, -1)
+        inner[:, :, 0] = part[:n, :, 0].T
+        np.add(part[:n, :, 1:].transpose(1, 0, 2), carry[:, None, :-1],
+               out=inner[:, :, 1:])
+        out[:, -1] = carry[:, -1]
 
 
 def _enumerate_w(sizes, chunk: int):
@@ -560,10 +649,11 @@ def _hit_law(func: OrderFunctional, generators, sizes, budget):
     """Exact law of the root's hit count: (hits, probability) arrays.
 
     Each state carries the probability of reaching it: under exponential
-    generators a scalar, moved by ``_race_steps``; otherwise a running
-    integral of ``_NumericOrderingLaw`` on its grid.
-    That chain is linear in the integral, so the moves into a level add
-    density times integral before one running integral per state.
+    generators a scalar, moved by ``_race_steps``; otherwise the running
+    integral of ``_NumericOrderingLaw`` at its Gauss-Legendre nodes, whose
+    last column holds the whole integral.  That chain is linear in the
+    integral, so the moves into a level add density times integral before
+    one running integral over the level's states.
     """
     hits, levels = _hit_plan(func, sizes, budget)
     rates = _exponential_rates(generators)
@@ -574,7 +664,7 @@ def _hit_law(func: OrderFunctional, generators, sizes, budget):
         factor = _race_steps(rates, sizes)[:, ::-1].tolist()
     else:
         law = _NumericOrderingLaw(generators, sizes)
-        tail = law.grid.shape
+        tail = law.nodes.shape
     cur = np.ones((1,) + tail)
     for rows, here in levels:
         nxt = np.zeros((rows,) + tail)
@@ -584,7 +674,7 @@ def _hit_law(func: OrderFunctional, generators, sizes, budget):
                 nxt[to:to + width] += block * (
                     factor[i][c] if law is None else law.dens[i])
         if law is not None:
-            law.running_integral(nxt, np.empty_like(nxt), nxt)
+            law.running_integral(nxt, nxt)
         cur = nxt
     return hits, cur if law is None else law.scale * cur[:, -1]
 
@@ -657,6 +747,8 @@ def _as_gammas(gamma) -> tuple[float, ...]:
     if np.isscalar(gamma):
         gamma = (float(gamma),)
     gammas = tuple(float(g) for g in gamma)
+    if not gammas:
+        raise ValueError("need at least one gamma")
     for g in gammas:
         if not 0.0 < g < 1.0:
             raise ValueError(f"gamma must be in (0,1), got {g}")
@@ -664,16 +756,16 @@ def _as_gammas(gamma) -> tuple[float, ...]:
 
 
 def _check_problem(func: OrderFunctional, generators, sizes, theta, gamma,
-                   k: int):
-    """Validated (sizes, generators, gammas, alphas) of a coverage problem."""
-    sizes = tuple(int(n) for n in sizes)
+                   k: int, r: int):
+    """Validated (sizes, generators, gammas, alphas, k, r) of a coverage
+    problem."""
+    sizes = tuple(_count(n, "sample size") for n in sizes)
+    k, r = _count(k, "k"), _count(r, "r")
     generators = tuple(generators)
     if len(generators) != func.m or len(sizes) != func.m:
         raise ValueError(
             f"functional takes {func.m} arguments; got {len(generators)} "
             f"generators and {len(sizes)} sizes")
-    if any(n < 1 for n in sizes):
-        raise ValueError(f"sample sizes must be positive, got {sizes}")
     for g in generators:
         if not g.is_continuous:
             raise ValueError(f"generators must be continuous, got {g}")
@@ -682,7 +774,7 @@ def _check_problem(func: OrderFunctional, generators, sizes, theta, gamma,
     alphas = np.array([1.0 - g for g in gammas])
     for a in alphas:
         alpha_floor(a, k)  # fail fast on undefined intervals
-    return sizes, generators, gammas, alphas
+    return sizes, generators, gammas, alphas, k, r
 
 
 def coverage_R(func: OrderFunctional, generators, sizes, theta: float,
@@ -697,10 +789,13 @@ def coverage_R(func: OrderFunctional, generators, sizes, theta: float,
     generators (closed-form race for exponentials, numeric integration
     otherwise), and averages R_C over it.  mc mode simulates datasets with
     keyed substreams, works on the W rows of each block, and reports mean
-    and SE per gamma.  ``threads`` has no effect.
+    and SE per gamma.  ``threads`` has no effect.  ``k``, ``r``, the sizes
+    and ``replications`` must be integers, not bools (TypeError), of at
+    least 1 (2 for ``replications``; ValueError), and ``gamma`` a value or a
+    non-empty sequence in (0, 1).
     """
-    sizes, generators, gammas, alphas = _check_problem(
-        func, generators, sizes, theta, gamma, k)
+    sizes, generators, gammas, alphas, k, r = _check_problem(
+        func, generators, sizes, theta, gamma, k, r)
 
     if mode == "exact":
         hits, p = _hit_law(func, generators, sizes, budget)
@@ -717,8 +812,7 @@ def coverage_R(func: OrderFunctional, generators, sizes, theta: float,
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
     if seed is None:
         raise ValueError("mc mode needs a seed")
-    if replications < 2:
-        raise ValueError("need at least 2 mc replications")
+    replications = _count(replications, "replications", 2)
     rc_all = np.empty((replications, len(gammas)))
     labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
     for start, stop, rng in block_streams(replications, seed,
@@ -757,10 +851,10 @@ def protocol_table(func: OrderFunctional, generators, sizes, theta: float,
     Enumerates every W (``budget`` bounds their count), so it grows as
     the multinomial coefficient of the sizes; ``coverage_R`` needs no
     table.  Summing P_W R_C over the rows gives the exact coverage up to
-    float summation order.
+    float summation order.  Arguments are checked as by ``coverage_R``.
     """
-    sizes, generators, gammas, alphas = _check_problem(
-        func, generators, sizes, theta, gamma, k)
+    sizes, generators, gammas, alphas, k, r = _check_problem(
+        func, generators, sizes, theta, gamma, k, r)
     total_w = math.factorial(sum(sizes))
     for n in sizes:
         total_w //= math.factorial(n)
@@ -801,8 +895,7 @@ def resampling_interval(func: OrderFunctional, samples: SampleSet,
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
     j0 = alpha_floor(1.0 - gamma, k)
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
+    r = _count(r, "r")
     estimates = np.empty(k)
     blocks = block_count(r)
     # experiment e, block b draws from the substream (seed, lane, e, b)

@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._streams import Lane, block_streams
+from ._streams import Lane, _count, block_streams
 from .budget import check_budget
 from .distributions import KnownDistribution
 from .resampling import chunk_moments, grid_values
@@ -715,10 +715,10 @@ def resampling_variance(spec: SystemSpec, source, r: int, *, layout=None,
     moments are exhaustive averages, and the result matches the spread of
     repeated seeded runs on the same data.  Generator mode (``source`` is a
     list of per-argument KnownDistribution, with ``layout`` giving block
-    sizes) averages over the data draw as well.
+    sizes) averages over the data draw as well.  ``r`` must be an integer,
+    not a bool (TypeError), of at least 1 (ValueError).
     """
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
+    r = _count(r, "r")
     if isinstance(source, SampleSet):
         lay = source.layout
     elif layout is None:

@@ -319,18 +319,35 @@ def race_probability_oracle(w, rates, sizes) -> float:
 
 def numeric_pw_oracle(law, w) -> np.ndarray:
     """``_NumericOrderingLaw.pw`` integrating every row of ``w`` from
-    scratch: the running trapezoid over all columns, row by row."""
-    rows = np.atleast_2d(np.asarray(w))
-    h = law.grid[1] - law.grid[0]
-    out = np.empty(len(rows))
-    for i, row in enumerate(rows):
-        cur = np.ones(len(law.grid))
+    scratch with Python floats, label by label and panel by panel (node k
+    of panel p in column k P + p): each row of ``law.rule`` applied to a
+    panel's values is a sum from 0.0 in node order, times half the panel's
+    width; a node's integral adds the totals of the panels before it,
+    carried in panel order; the last column holds the total of every
+    panel.  Equal to the last bit where numpy's einsum multiplies and adds
+    in two roundings, as its x86-64 builds do (a fused multiply-add would
+    round once)."""
+    n, panels = law.rule.shape[1], len(law.half)
+    rule, half, dens = law.rule.tolist(), law.half.tolist(), law.dens.tolist()
+    out = np.empty(len(np.atleast_2d(w)))
+    for i, row in enumerate(np.atleast_2d(w).tolist()):
+        cur = [1.0] * len(law.nodes)
         for label in row:
-            f = law.dens[label - 1] * cur
-            inc = np.empty_like(f)
-            inc[0] = 0.0
-            inc[1:] = (f[1:] + f[:-1]) * (h / 2.0)
-            cur = np.cumsum(inc)
+            f = [d * c for d, c in zip(dens[label - 1], cur)]
+            cur, carry = [0.0] * len(f), None
+            for p, h in enumerate(half):
+                values = f[p:n * panels:panels]
+                part = []
+                for weights in rule:
+                    s = 0.0
+                    for v, x in zip(values, weights):
+                        s += v * x
+                    part.append(s * h)
+                for k in range(n):
+                    cur[k * panels + p] = part[k] if carry is None \
+                        else part[k] + carry
+                carry = part[n] if carry is None else carry + part[n]
+            cur[-1] = carry
         out[i] = law.scale * cur[-1]
     return out
 

@@ -27,7 +27,8 @@ from resamplekit.coverage import (
 )
 from resamplekit.coverage import (_hit_law, _NumericOrderingLaw, _enumerate_w,
                                   _pw_exponential)
-from resamplekit.distributions import empirical, exponential, normal, uniform
+from resamplekit.distributions import (empirical, exponential, normal,
+                                      parse_distribution, uniform)
 from resamplekit.samples import SampleSet
 from resamplekit.systems import parse_system
 
@@ -283,20 +284,60 @@ def test_exponential_race_law_closure_and_mc():
 def test_numeric_law_matches_race_on_exponentials():
     gens = [exponential(3.0), exponential(3.0), exponential(2.0)]
     sizes = (2, 2, 1)
-    law = _NumericOrderingLaw(gens, sizes, points=4096)
+    law = _NumericOrderingLaw(gens, sizes)
     rates = [3.0, 3.0, 2.0]
     ws = np.concatenate(list(_enumerate_w(sizes, 100)))
     numeric = law.pw(ws)
     assert numeric == pytest.approx(_pw_exponential(ws, rates, sizes),
-                                    abs=2e-6)
-    assert numeric.sum() == pytest.approx(1.0, abs=1e-4)
+                                    abs=1e-8)
+    assert numeric.sum() == pytest.approx(1.0, abs=1e-8)
 
 
 def test_numeric_law_uniform_symmetry():
     # identical continuous generators: all interleavings equally likely
-    law = _NumericOrderingLaw([uniform(0.0, 1.0)] * 2, (2, 2), points=4096)
+    law = _NumericOrderingLaw([uniform(0.0, 1.0)] * 2, (2, 2))
     for w in _enumerate_w((2, 2), 100):
-        assert law.pw(w) == pytest.approx([1.0 / 6.0] * 6, abs=1e-6)
+        assert law.pw(w) == pytest.approx([1.0 / 6.0] * 6, abs=1e-8)
+
+
+@pytest.mark.parametrize("gens", [
+    ("normal:0,1", "normal:0.2,1", "normal:0,2"),
+    ("exp:3", "exp:3", "uniform:0,1"),
+    ("triangular:0,1,3", "exp:1", "normal:1,0.5"),
+    # one law narrow against the span of the others
+    ("normal:0,0.01", "normal:100,50", "exp:0.5"),
+    ("normal:0,1", "normal:0,1", "normal:1e6,1"),
+])
+def test_numeric_law_total_probability_at_444(min_race, gens):
+    """The law's mass is 1 up to the 1e-10 tails cut off each generator."""
+    rep = coverage_R(min_race, [parse_distribution(g) for g in gens],
+                     (4, 4, 4), 0.25, (0.5, 0.9), 10, 16)
+    assert rep.total_probability == pytest.approx(1.0, abs=1e-8)
+    assert 0.0 <= rep.coverage[0] <= rep.coverage[1] <= 1.0
+
+
+def test_numeric_hit_law_matches_race_at_333(min_race, monkeypatch):
+    import resamplekit.coverage as coverage_module
+
+    gens = (exponential(3.0), exponential(3.0), exponential(2.0))
+    hits, race = _hit_law(min_race, gens, (3, 3, 3), None)
+    monkeypatch.setattr(coverage_module, "_exponential_rates",
+                        lambda generators: None)
+    numeric_hits, numeric = _hit_law(min_race, gens, (3, 3, 3), None)
+    assert numeric_hits.tolist() == hits.tolist()
+    assert numeric == pytest.approx(race, abs=1e-8, rel=0)
+
+
+def test_numeric_coverage_of_a_narrow_law_matches_mc(min_race):
+    """One law narrow against the span of the others: the exact coverage
+    agrees with Monte Carlo."""
+    gens = [parse_distribution(g)
+            for g in ("normal:0,0.01", "normal:100,50", "exp:0.5")]
+    exact = coverage_R(min_race, gens, (2, 2, 2), 0.25, (0.5, 0.9), 10, 16)
+    mc = coverage_R(min_race, gens, (2, 2, 2), 0.25, (0.5, 0.9), 10, 16,
+                    mode="mc", seed=5, replications=4000)
+    for e, m, s in zip(exact.coverage, mc.coverage, mc.se):
+        assert abs(e - m) <= 4.0 * s
 
 
 # -- unconditional coverage ------------------------------------------------
@@ -449,6 +490,52 @@ def test_coverage_argument_checks(min_race):
                    seed=1, replications=1)
     with pytest.raises(BudgetExceededError):
         coverage_R(min_race, GENS, (8, 8, 8), 0.25, 0.8, 10, 16, budget=1000)
+
+
+COUNT_ARGUMENTS = {
+    "coverage_R r": ("r", lambda f, n: coverage_R(
+        f, GENS, (2, 2, 2), 0.25, 0.8, 10, n)),
+    "coverage_R k": ("k", lambda f, n: coverage_R(
+        f, GENS, (2, 2, 2), 0.25, 0.8, n, 16)),
+    "coverage_R sizes": ("sample size", lambda f, n: coverage_R(
+        f, GENS, (n, 2, 2), 0.25, 0.8, 10, 16)),
+    "coverage_R replications": ("replications", lambda f, n: coverage_R(
+        f, GENS, (2, 2, 2), 0.25, 0.8, 10, 16, mode="mc", seed=1,
+        replications=n)),
+    "protocol_table r": ("r", lambda f, n: protocol_table(
+        f, GENS, (2, 2, 2), 0.25, 0.8, 10, n)),
+    "rho r": ("r", lambda f, n: rho(0.5, 0.25, n)),
+    "coverage_conditional k": ("k", lambda f, n: coverage_conditional(
+        0.5, n, 0.2)),
+    "alpha_floor k": ("k", lambda f, n: alpha_floor(0.2, n)),
+}
+
+
+@pytest.mark.parametrize("entry", COUNT_ARGUMENTS)
+@pytest.mark.parametrize("bad, error", [
+    (2.5, TypeError), (16.0, TypeError), (True, TypeError), (0, ValueError)])
+def test_count_arguments_reject_non_integers(min_race, entry, bad, error):
+    """A float was truncated or used as a binomial size, and a bool taken
+    as 1, before."""
+    name, call = COUNT_ARGUMENTS[entry]
+    with pytest.raises(error, match=rf"\b{name}\b"):
+        call(min_race, bad)
+
+
+def test_coverage_layer_accepts_numpy_integers(min_race):
+    args = (min_race, GENS, (2, 2, 2), 0.25, 0.8)
+    want = coverage_R(*args, 10, 16)
+    got = coverage_R(min_race, GENS, np.array([2, 2, 2]), 0.25, 0.8,
+                     np.int64(10), np.int32(16))
+    assert got == want
+    assert rho(0.5, 0.25, np.int64(16)) == rho(0.5, 0.25, 16)
+
+
+def test_coverage_rejects_an_empty_gamma_list(min_race):
+    with pytest.raises(ValueError, match="gamma"):
+        coverage_R(min_race, GENS, (2, 2, 2), 0.25, [], 10, 16)
+    with pytest.raises(ValueError, match="gamma"):
+        protocol_table(min_race, GENS, (2, 2, 2), 0.25, (), 10, 16)
 
 
 # -- the interval itself ---------------------------------------------------

@@ -526,3 +526,13 @@ def test_singleton_exact_variances_keep_their_bytes(tmp_path, capsys):
                  "--r", "100", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_ESTIMATE_SHA256
+
+
+@pytest.mark.parametrize("bad, error", [
+    (2.5, TypeError), (True, TypeError), (np.float64(4.0), TypeError),
+    (0, ValueError)])
+def test_resampling_variance_rejects_a_non_integer_r(two_of_three,
+                                                      small_samples, bad,
+                                                      error):
+    with pytest.raises(error, match=r"\br\b"):
+        resampling_variance(two_of_three, small_samples, bad)

@@ -24,7 +24,8 @@ from resamplekit import (AlphaPair, BlockLayout, BudgetExceededError,
                          OmegaPair, SampleSet, _streams,
                          conditional_mixed_moment, empirical, enumerate_pairs,
                          estimate_theta, exhaustive_moments, exponential,
-                         normal, parse_system, resampling_variance, uniform)
+                         normal, parse_system, resampling_variance,
+                         triangular, uniform)
 from resamplekit.coverage import (OrderFunctional, WVector,
                                   _NumericOrderingLaw, _enumerate_w,
                                   _pw_exponential, coverage_conditional,
@@ -530,6 +531,36 @@ def test_numeric_law_equals_per_row_integration_on_every_w(sizes):
     w = np.concatenate(list(_enumerate_w(sizes, 1000)))
     assert len(w) == interleavings(sizes)
     assert law.pw(w).tobytes() == numeric_pw_oracle(law, w).tobytes()
+
+
+@st.composite
+def continuous_laws(draw):
+    """A law of one of the four continuous families, at a location and a
+    scale each drawn over several decades."""
+    family = draw(st.sampled_from(
+        ["exponential", "normal", "uniform", "triangular"]))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    loc = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(
+        st.floats(-3.0, 4.0))
+    if family == "exponential":
+        return exponential(1.0 / scale)
+    if family == "normal":
+        return normal(loc, scale)
+    if family == "uniform":
+        return uniform(loc, loc + scale)
+    return triangular(loc, loc + draw(st.floats(0.0, 1.0)) * scale,
+                      loc + scale)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(gens=st.lists(continuous_laws(), min_size=3, max_size=3),
+       sizes=st.lists(st.integers(1, 3), min_size=3, max_size=3))
+def test_numeric_law_total_probability_on_mixed_scales(gens, sizes):
+    """Every law's own scale is resolved by its quantile edges, however far
+    the others sit, so the mass is 1 up to the 1e-10 tails cut off."""
+    func = OrderFunctional(parse_system("cmp(x3 < min(x1, x2))"))
+    rep = coverage_R(func, gens, sizes, 0.25, 0.8, 10, 16)
+    assert rep.total_probability == pytest.approx(1.0, abs=1e-8)
 
 
 def assert_dp_matches_per_w_oracle(problem):
