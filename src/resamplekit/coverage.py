@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .distributions import binom_cdf, binom_sf
 from .resampling import draw_values
 from .samples import SampleSet
 from .systems import (GRID_CHUNK, Compare, Input, KOfN, Max, Min, SystemSpec,
-                      evaluate_batch)
+                      evaluate_batch, parse_system, render)
 
 __all__ = [
     "OrderFunctional", "WVector", "Protocol", "CoverageReport",
@@ -602,17 +602,33 @@ def _hit_plan(func: OrderFunctional, sizes, budget):
     step) maps the states of c one to one into those of c + e_i.  Each c
     keeps one row per h from the fewest to the most hits that reach it,
     contiguous within its level.  Returns the hits of the final rows and,
-    per level, its row count and per c (c, first row, rows, [(label,
-    first target row in the next level)]).  The budget counts the rows
-    (every c has one at least) before any probability is computed.
+    per level, its row count and per c (c, first row, rows, ((label, first
+    target row in the next level), ...)).
+
+    The plan is built once per (rendered functional, sizes) and shared.
+    The budget counts the rows (every c has one at least) on every call
+    before any probability is computed: the cells before the plan is built
+    or read, then the rows up to each level in turn.  The plan's own size
+    is bounded by the cells, whatever the rows.
     """
     what = "coverage DP states"
+    limit = enumeration_budget(budget)
+    check_budget(math.prod(n + 1 for n in sizes), what, limit)
+    hits, levels, states = _dp_plan(render(func.spec.root), sizes)
+    for needed in states:
+        check_budget(needed, what, limit)
+    return hits, levels
+
+
+@lru_cache(maxsize=32)
+def _dp_plan(text: str, sizes: tuple[int, ...]):
+    """:func:`_hit_plan`'s plan of the functional ``text`` (read-only hits,
+    levels as tuples) and the rows up to each level."""
+    spec = parse_system(text)
     shape = tuple(n + 1 for n in sizes)
     cells = math.prod(shape)
-    limit = enumeration_budget(budget)
-    check_budget(cells, what, limit)
     placed = np.indices(shape).reshape(len(shape), -1)
-    a, b = _side_counts(func.spec, placed, sizes)
+    a, b = _side_counts(spec, placed, sizes)
     strides = _count_strides(shape)[:, None]
     up = np.arange(cells) + strides
     # hits added by placing each label at each c; -1 once it is used up
@@ -626,7 +642,7 @@ def _hit_plan(func: OrderFunctional, sizes, budget):
     by_level = [[] for _ in range(sum(sizes) + 1)]
     for c, level in enumerate(placed.sum(axis=0).tolist()):
         by_level[level].append(c)
-    levels, states = [], 1
+    levels, states, counted = [], [], 1
     for here, there in zip(by_level, by_level[1:]):
         for c in here:
             for _, c2, d in moves[c]:
@@ -636,13 +652,16 @@ def _hit_plan(func: OrderFunctional, sizes, budget):
         for c2 in there:
             first[c2] = rows
             rows += hi[c2] - lo[c2] + 1
-        states += rows
-        check_budget(states, what, limit)
-        levels.append((rows, [
+        counted += rows
+        states.append(counted)
+        levels.append((rows, tuple(
             (c, first[c], hi[c] - lo[c] + 1,
-             [(i, first[c2] + lo[c] + d - lo[c2]) for i, c2, d in moves[c]])
-            for c in here]))
-    return np.arange(lo[-1], hi[-1] + 1), levels
+             tuple((i, first[c2] + lo[c] + d - lo[c2])
+                   for i, c2, d in moves[c]))
+            for c in here)))
+    hits = np.arange(lo[-1], hi[-1] + 1)
+    hits.flags.writeable = False
+    return hits, tuple(levels), tuple(states)
 
 
 def _hit_law(func: OrderFunctional, generators, sizes, budget):

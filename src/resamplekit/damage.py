@@ -65,8 +65,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._streams import (BLOCK, DistinctPrefix, Lane, _code_draws, _table_size,
-                       block_count, block_ranges, distinct_prefix,
+from ._streams import (BLOCK, DistinctPrefix, Lane, _code_draws, _count,
+                       _table_size, block_count, block_ranges, distinct_prefix,
                        joined_prefix, substreams)
 from .distributions import (KnownDistribution, binom_pmf, poisson_pmf,
                             poisson_sf)
@@ -177,8 +177,10 @@ def resample_damage_counts(data: DamageData, t: float, r: int,
     Each realization permutes all of H_A into arrival epochs (partial sums)
     and attaches durations drawn from H_B without replacement; the active
     count is the number of epochs tau <= t < tau + duration, the terminal
-    count the number with tau + duration <= t.
+    count the number with tau + duration <= t.  ``r`` must be an integer,
+    not a bool (TypeError), of at least 1 (ValueError).
     """
+    r = _count(r, "r")
     return _damage_counts(data, t, r, seed, substreams(
         seed, Lane.DAMAGE_RESAMPLE, np.arange(block_count(r))))
 
@@ -186,11 +188,9 @@ def resample_damage_counts(data: DamageData, t: float, r: int,
 def _damage_counts(data: DamageData, t: float, r: int, seed: int,
                    streams) -> CountEstimates:
     """:func:`resample_damage_counts`, drawing block b of the r realizations
-    from the b-th generator of ``streams``."""
+    from the b-th generator of ``streams``; the caller has checked r."""
     if not t >= 0:
         raise ValueError(f"time t must be non-negative, got {t}")
-    if r < 1:
-        raise ValueError(f"need r >= 1 realizations, got {r}")
     n_a, n_b = data.n_a, data.n_b
     active = np.empty(r, dtype=np.intp)
     terminal = np.empty(r, dtype=np.intp)
@@ -358,9 +358,9 @@ class EstimatorExpectation:
 
 
 def estimator_expectation(truth: DamageTruth, n_a: int, t: float) -> EstimatorExpectation:
-    """Expected value of the n_A-capped resampling estimator (see module doc)."""
-    if n_a < 1:
-        raise ValueError(f"need n_A >= 1, got {n_a}")
+    """Expected value of the n_A-capped resampling estimator (see module
+    doc); ``n_a`` is checked as by :func:`damage_variance_mc`."""
+    n_a = _count(n_a, "n_a")
     summ = poisson_truth(truth, t)
     lam_t = truth.rate * t
     p1 = summ.active_mean / lam_t if lam_t > 0 else 0.0
@@ -409,13 +409,14 @@ def damage_variance_mc(truth: DamageTruth, n_a: int, n_b: int, t: float,
     r <= BLOCK each replication takes only its draws from its generators;
     its counts are read with those of up to BLOCK // r others in one prefix
     walk.  ``threads`` is accepted for compatibility and has no effect.
+    ``n_a``, ``n_b``, ``r`` and ``replications`` must be integers, not
+    bools (TypeError), of at least 1 (2 for ``replications``; ValueError).
     """
+    n_a, n_b = _count(n_a, "n_a"), _count(n_b, "n_b")
+    r = _count(r, "r")
+    replications = _count(replications, "replications", 2)
     if n_a > n_b:
         raise ValueError(f"need n_A <= n_B, got {n_a} > {n_b}")
-    if replications < 2:
-        raise ValueError("need at least 2 replications")
-    if r < 1:
-        raise ValueError(f"need r >= 1 realizations, got {r}")
     summ = poisson_truth(truth, t)
     estimates = np.empty(replications, dtype=float)
     overlap = np.empty(replications, dtype=float)
@@ -576,10 +577,11 @@ def plugin_variance_mc(truth: DamageTruth, n_a: int, n_b: int, t: float,
     """Bias/Var/MSE of the plug-in estimate over fresh-data replications.
 
     Uses the same data substreams as :func:`damage_variance_mc`, so with
-    equal seeds the two studies see identical datasets.
+    equal seeds the two studies see identical datasets.  ``n_a``, ``n_b``
+    and ``replications`` are checked as by :func:`damage_variance_mc`.
     """
-    if replications < 2:
-        raise ValueError("need at least 2 replications")
+    n_a, n_b = _count(n_a, "n_a"), _count(n_b, "n_b")
+    replications = _count(replications, "replications", 2)
     summ = poisson_truth(truth, t)
     estimates = np.empty(replications, dtype=float)
     streams = substreams(seed, Lane.DAMAGE_OUTER, np.arange(replications))

@@ -232,6 +232,9 @@ def enumerate_pairs(layout, family: str = "auto", budget: int | None = None):
     Returns
     -------
     list of (pattern, probability)
+        A new list on every call.  The table behind it is built once per
+        (layout, family) and shared; the budget is checked on every call,
+        on the pattern count, before the table is built or read.
     """
     layout = as_layout(layout)
     if family == "auto":
@@ -239,47 +242,58 @@ def enumerate_pairs(layout, family: str = "auto", budget: int | None = None):
     if family == "omega":
         if not layout.singleton_blocks:
             raise ValueError("omega patterns require one argument per block")
-        m = layout.m
-        check_budget(2 ** m, "omega pattern enumeration", budget)
-        sizes = layout.sizes
+        total = 2 ** layout.m
+    elif family == "alpha":
+        total = math.prod(len(r) for r in _shared_counts(layout))
+    elif family == "beta":
+        # a block of m arguments has C(m, k) perm(m, k) fragments that
+        # share k elements
+        total = math.prod(
+            sum(math.comb(len(args), k) * math.perm(len(args), k)
+                for k in shared)
+            for args, shared in zip(layout.block_args,
+                                    _shared_counts(layout)))
+    else:
+        raise ValueError(f"unknown pattern family {family!r}")
+    check_budget(total, f"{family} pattern enumeration", budget)
+    return list(_pattern_table(layout, family))
+
+
+def _shared_counts(layout: BlockLayout) -> list[range]:
+    """Per block the shared counts of positive probability (those of the
+    alpha patterns and of the beta fragments)."""
+    return [range(max(0, 2 * len(args) - n), len(args) + 1)
+            for args, n in zip(layout.block_args, layout.block_sizes)]
+
+
+@functools.lru_cache(maxsize=32)
+def _pattern_table(layout: BlockLayout, family: str) -> tuple:
+    """The (pattern, probability) rows of :func:`enumerate_pairs` for an
+    omega, alpha or beta ``family``, built once per (layout, family)."""
+    if family == "omega":
+        m, sizes = layout.m, layout.sizes
         out = []
         for mask in range(2 ** m):
             omega = OmegaPair(i + 1 for i in range(m) if mask >> i & 1)
             p = omega_probability(omega, sizes)
             if p > 0.0:  # a sample of size 1 is always shared
                 out.append((omega, p))
-        return out
+        return tuple(out)
     if family == "alpha":
-        ranges = []
-        for args, n in zip(layout.block_args, layout.block_sizes):
-            m_i = len(args)
-            ranges.append(range(max(0, 2 * m_i - n), m_i + 1))
-        total = math.prod(len(r) for r in ranges)
-        check_budget(total, "alpha pattern enumeration", budget)
-        out = []
-        for counts in itertools.product(*ranges):
-            alpha = AlphaPair(counts)
-            out.append((alpha, alpha_probability(alpha, layout)))
-        return out
-    if family == "beta":
-        per_block = []
-        for args, n in zip(layout.block_args, layout.block_sizes):
-            m_i = len(args)
-            frags = [(f, k) for f, k in _block_beta_fragments(args)
-                     if _hyper_pmf(k, n, m_i) > 0.0]
-            per_block.append(frags)
-        total = math.prod(len(f) for f in per_block)
-        check_budget(total, "beta pattern enumeration", budget)
-        out = []
-        for combo in itertools.product(*per_block):
-            beta = [0] * layout.m
-            for frag, _ in combo:
-                for i, v in frag.items():
-                    beta[i - 1] = v
-            beta = BetaPair(beta)
-            out.append((beta, beta_probability(beta, layout)))
-        return out
-    raise ValueError(f"unknown pattern family {family!r}")
+        return tuple((alpha, alpha_probability(alpha, layout)) for alpha in
+                     map(AlphaPair, itertools.product(*_shared_counts(layout))))
+    per_block = [[f for f, k in _block_beta_fragments(args) if k in shared]
+                 for args, shared in zip(layout.block_args,
+                                         _shared_counts(layout))]
+    out = []
+    for combo in itertools.product(*per_block):
+        beta = [0] * layout.m
+        for frag in combo:
+            for i, v in frag.items():
+                beta[i - 1] = v
+        beta = BetaPair(beta)
+        out.append((beta, beta_probability(beta, layout)))
+    return tuple(out)
 
 
 # -- classification of index-vector pairs ---------------------------------
@@ -432,7 +446,7 @@ def _generator_layout(spec, dists, layout) -> BlockLayout:
 
 def _empirical_mixed_moment(spec, samples: SampleSet, pair,
                             budget) -> MixedMoment:
-    _, (value,) = _exact_moments(spec, samples, samples.layout, [pair],
+    _, (value,) = _exact_moments(spec, samples, samples.layout, (pair,),
                                  budget)
     return MixedMoment(value=value, se=0.0, method="empirical-exact")
 
@@ -440,7 +454,7 @@ def _empirical_mixed_moment(spec, samples: SampleSet, pair,
 def _generator_mixed_moment(spec, dists, layout: BlockLayout, pair, seed,
                             mc_draws, budget) -> MixedMoment:
     if all(d.family == "empirical" for d in dists):
-        _, (value,) = _exact_moments(spec, dists, layout, [pair], budget)
+        _, (value,) = _exact_moments(spec, dists, layout, (pair,), budget)
         return MixedMoment(value=value, se=0.0, method="generator-exact")
     moments = [_one_matching_moment(spec, dists, matching, seed, mi, mc_draws)
                for mi, matching in enumerate(_matching_of(pair, layout))]
@@ -452,24 +466,43 @@ def _generator_mixed_moment(spec, dists, layout: BlockLayout, pair, seed,
                        method="generator-mc")
 
 
-def _exact_moments(spec, source, layout: BlockLayout, patterns, budget):
+def _exact_moments(spec, source, layout: BlockLayout, patterns: tuple,
+                   budget):
     """Exhaustive moments and the mixed moments of several patterns, each
     the pair sums of the joint injections it admits (per block the one its
-    fragment names, or all with its shared count) over their pair counts."""
-    moments, sums, counts, plans = _pair_sums(spec, source, layout, budget)
+    fragment names, or all with its shared count) over their pair counts.
+    The injections of a table of patterns are found once per (layout,
+    table), after the budget check of :func:`_pair_sums`; those of a single
+    pattern (a mixed moment) on every call."""
+    moments, sums, counts = _pair_sums(spec, source, layout, budget)
+    cells = (_table_cells(layout, patterns) if len(patterns) > 1
+             else [_pattern_cells(pat, layout) for pat in patterns])
     out = []
-    for pat in patterns:
-        cells, stride = [0], 1  # joint index: block 0 varies fastest
-        for (kind, tgt), (frags, where, _) in zip(_block_targets(pat, layout),
-                                                  plans):
-            key = frozenset(tgt.items()) if kind == "frag" else tgt
-            cells = [c + stride * j for j in where.get(key, ()) for c in cells]
-            stride *= len(frags)
-        count = sum(counts[c] for c in cells)
+    for pat, admitted in zip(patterns, cells):
+        count = sum(counts[c] for c in admitted)
         if count == 0:
             raise ValueError(f"pattern {pat!r} has probability 0 on this layout")
-        out.append(sum(sums[c] for c in cells) / count)
+        out.append(sum(sums[c] for c in admitted) / count)
     return moments, out
+
+
+@functools.lru_cache(maxsize=32)
+def _table_cells(layout: BlockLayout, patterns: tuple) -> tuple:
+    """:func:`_pattern_cells` of every pattern of a table, in order."""
+    return tuple(_pattern_cells(pat, layout) for pat in patterns)
+
+
+def _pattern_cells(pair, layout: BlockLayout) -> tuple:
+    """The joint injections a pattern admits, as indices into the lists of
+    :func:`_pair_sums` (block 0 varying fastest), in order."""
+    cells, stride = [0], 1
+    for (kind, tgt), args in zip(_block_targets(pair, layout),
+                                 layout.block_args):
+        frags, where, _ = _block_plan(args)
+        key = frozenset(tgt.items()) if kind == "frag" else tgt
+        cells = [c + stride * j for j in where.get(key, ()) for c in cells]
+        stride *= len(frags)
+    return tuple(cells)
 
 
 @functools.lru_cache(maxsize=64)
@@ -568,7 +601,7 @@ def _pair_sums(spec, source, layout: BlockLayout, budget):
             for src, dst in steps:
                 sub[:, src, :] -= sub[:, dst, :]
             inner *= len(frags)
-    return chunk_moments(chunks), sums.tolist(), counts, plans
+    return chunk_moments(chunks), sums.tolist(), counts
 
 
 def _at_least_sums(tensor, block_args, plans) -> np.ndarray:
@@ -743,7 +776,7 @@ def _variance_report(spec, source, layout: BlockLayout, table, r: int, seed,
         exact = all(d.family == "empirical" for d in source)
     if exact:
         ex, moments = _exact_moments(spec, source, layout,
-                                     [pat for pat, _ in table], budget)
+                                     tuple(pat for pat, _ in table), budget)
         rows = [PairRow(pat, p, moment, 0.0, f"{mode}-exact")
                 for (pat, p), moment in zip(table, moments)]
         return assemble_variance(rows, r, ex.mu, ex.mu2, 0.0, mode)

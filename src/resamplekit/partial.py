@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._streams import Lane, block_streams
+from ._streams import Lane, _count, block_streams
 from .distributions import KnownDistribution
 from .resampling import EstimateResult, draw_values
 from .samples import SampleSet
@@ -58,9 +58,10 @@ def estimate_known_g(g, samples: SampleSet, r: int, seed: int,
         Maps an argument vector (length m) to E[phi(x, Z)].  With
         ``vectorized=True`` it receives an (n, m) matrix and must return
         (n,) values.
+    r : int
+        An integer, not a bool (TypeError), of at least 1 (ValueError).
     """
-    if r < 1:
-        raise ValueError(f"need r >= 1 realizations, got {r}")
+    r = _count(r, "r")
     values = np.empty(r, dtype=float)
     for start, stop, rng in block_streams(r, seed, Lane.KNOWN_G):
         # g is the caller's: hand it rows in C order, as it always got them
@@ -88,14 +89,14 @@ def estimate_inner_mc(spec: SystemSpec, samples: SampleSet, z_dists,
     """Resample X; average phi over N fresh Z draws per realization.
 
     Realization q's value is (1/N) sum_i phi(X^q, Z^{q,i}); the estimate
-    averages the r realizations.
+    averages the r realizations.  ``N`` and ``r`` are checked as
+    :func:`estimate_known_g` checks r.
     """
     z_dists = list(z_dists)
     m, nu = _split_args(spec, samples, z_dists)
-    if N < 1 or r < 1:
-        raise ValueError(f"need N >= 1 and r >= 1, got N={N}, r={r}")
+    N, r = _count(N, "N"), _count(r, "r")
     values = np.empty(r, dtype=float)
-    rows_per = max(1, _ROWS_CHUNK // max(N, 1))
+    rows_per = max(1, _ROWS_CHUNK // N)
     for start, stop, rng in block_streams(r, seed, Lane.INNER_MC):
         X = draw_values(samples, stop - start, rng).T
         for lo in range(0, stop - start, rows_per):
@@ -123,16 +124,15 @@ def wave_estimate_vector_samples(spec: SystemSpec, samples: SampleSet, z_dists,
 
     ``sizes`` maps internal node ids to n_v (root included), each a
     positive integer.  Data-backed leaves use their sample sizes; Z leaves
-    have no sample.  This is the cascade of :func:`wave.wave_estimate`
-    with N slots: a node whose subtree holds no Z argument and whose size
-    is the product of its children's sizes enumerates every child
-    combination, as it does there.
+    have no sample.  ``N`` is checked as by :func:`estimate_inner_mc`.
+    This is the cascade of :func:`wave.wave_estimate` with N slots: a node
+    whose subtree holds no Z argument and whose size is the product of its
+    children's sizes enumerates every child combination, as it does there.
     """
     z_dists = list(z_dists)
     _split_args(spec, samples, z_dists)
     _require_singleton(samples)
-    if N < 1:
-        raise ValueError(f"need N >= 1, got N={N}")
+    N = _count(N, "N")
     root = _cascade(spec, samples, sizes, seed, Lane.VECTOR_WAVE, z_dists,
                     (N,))
     per_element = root.mean(axis=1)

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._streams import BLOCK, Lane, block_streams, draw_distinct, substreams
+from ._streams import (BLOCK, Lane, _count, block_streams, draw_distinct,
+                       substreams)
 from .distributions import KnownDistribution, normal
 from .pairs import (AlphaPair, PairRow, VarianceReport, assemble_variance,
                     enumerate_pairs)
@@ -113,9 +114,11 @@ def _as_renewal_layout(obj) -> RenewalLayout:
 
 def estimate_exceedance(pair: RenewalPair, r: int, seed: int,
                         keep_values: bool = False) -> EstimateResult:
-    """Resampling estimate of Theta = P{sum of m_X X's > sum of m_Y Y's}."""
-    if r < 1:
-        raise ValueError(f"need r >= 1 realizations, got {r}")
+    """Resampling estimate of Theta = P{sum of m_X X's > sum of m_Y Y's}.
+
+    ``r`` must be an integer, not a bool (TypeError), of at least 1
+    (ValueError)."""
+    r = _count(r, "r")
     values = np.empty(r, dtype=float)
     n_x, n_y = len(pair.h_x), len(pair.h_y)
     for start, stop, rng in block_streams(r, seed, Lane.RENEWAL_ESTIMATE):
@@ -291,11 +294,11 @@ def exceedance_variance(pair, kit, r: int) -> VarianceReport:
     """Exact Var of the r-realization exceedance estimate.
 
     ``pair`` may be a RenewalPair or a RenewalLayout (only sizes are used;
-    the moments come from the kit's distributions).
+    the moments come from the kit's distributions).  ``r`` is checked as
+    by :func:`estimate_exceedance`.
     """
     lay = _as_renewal_layout(pair)
-    if r < 1:
-        raise ValueError(f"need r >= 1, got {r}")
+    r = _count(r, "r")
     if (kit.m_x, kit.m_y) != (lay.m_x, lay.m_y):
         raise ValueError(
             f"kit counts ({kit.m_x},{kit.m_y}) disagree with layout "
@@ -343,12 +346,13 @@ def plugin_baseline(layout, x_dist: KnownDistribution,
     replication's draws come from its own substream; the sums of up to
     BLOCK // r replications are computed together), and Var/Bias/MSE
     are taken against the analytic Theta (computed from a normal kit when
-    not supplied).
+    not supplied).  ``r`` and ``replications`` must be integers, not
+    bools (TypeError), of at least 1 and 2 (ValueError).
     """
     lay = _as_renewal_layout(layout) if not isinstance(layout, RenewalLayout) \
         else layout
-    if replications < 2:
-        raise ValueError("need at least 2 replications")
+    r = _count(r, "r")
+    replications = _count(replications, "replications", 2)
     if theta is None:
         if x_dist.family == "normal" and y_dist.family == "normal":
             theta = analytic_theta_normal(*x_dist.params, *y_dist.params,
@@ -359,7 +363,7 @@ def plugin_baseline(layout, x_dist: KnownDistribution,
     streams = substreams(seed, Lane.RENEWAL_PLUGIN, np.arange(replications))
     # each replication takes its draws from its own generator; the sums and
     # comparisons run over chunks of at most BLOCK resample rows
-    step = max(1, BLOCK // max(r, 1))
+    step = max(1, BLOCK // r)
     for lo in range(0, replications, step):
         count = min(step, replications - lo)
         h_x = np.empty((count, lay.n_x))

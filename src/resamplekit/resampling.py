@@ -20,9 +20,10 @@ variance come from :meth:`EstimateResult.from_values`.
 The exhaustive routes (:func:`grid_values` and everything built on it)
 evaluate the function with :func:`systems.evaluate_grid` on a grid with one
 axis per block, of length n!/(n-k)! for k draws from n elements: each
-argument is its column gathered through the block's ordered draws, and
-only the nodes over every block span the whole grid.  The values come out
-in index-vector enumeration order, ``GRID_CHUNK`` to an array.
+argument is its column gathered through the block's ordered draws (the
+column itself in a block of one argument), and only the nodes over every
+block span the whole grid.  The values come out in index-vector
+enumeration order, ``GRID_CHUNK`` to an array.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._streams import (Lane, block_streams, distinct_codes, distinct_outcomes,
-                       draw_distinct)
+from ._streams import (Lane, _count, block_streams, distinct_codes,
+                       distinct_outcomes, draw_distinct)
 from .budget import check_budget
 from .samples import SampleSet, ordered_draws
 from .systems import SystemSpec, evaluate_batch, evaluate_grid
@@ -175,15 +176,21 @@ def grid_values(spec: SystemSpec, samples: SampleSet,
                 budget: int | None = None):
     """Yield the realization values of every admissible index vector, in
     the order of :meth:`SampleSet.enumerate_index_vectors`, ``GRID_CHUNK``
-    to an array.  The grid has one axis per block, over its ordered draws."""
+    to an array.  The grid has one axis per block, over its ordered draws.
+    The arrays may be read-only: for the system ``x1`` on a block of one
+    argument, a view of its sample column."""
     check_budget(samples.admissible_count(), "index-vector enumeration",
                  budget)
     leaves, dims = [None] * samples.m, []
     for axis, b in enumerate(samples.blocks):
+        column = samples.columns[b.sample_index]
+        dims.append(math.perm(b.size, b.draw_count))
+        if b.draw_count == 1:  # the column is its own draw table
+            leaves[b.args[0] - 1] = (axis, column)
+            continue
         table = ordered_draws(b.size, b.draw_count)
         for j, a in enumerate(b.args):
-            leaves[a - 1] = (axis, samples.columns[b.sample_index][table[:, j]])
-        dims.append(len(table))
+            leaves[a - 1] = (axis, column[table[:, j]])
     yield from evaluate_grid(spec, leaves, dims)
 
 
@@ -195,10 +202,13 @@ def estimate_theta(spec: SystemSpec, samples: SampleSet, r: int | None,
     Deterministic in ``seed`` and independent of how work is scheduled.
     ``r=None`` enumerates every admissible index vector once instead of
     sampling (no seed needed); the result then equals the exhaustive mean.
+    Any other ``r`` must be an integer, not a bool (TypeError), of at least
+    1 (ValueError).
     """
     if r is None:
         values = np.concatenate(list(grid_values(spec, samples)))
     else:
+        r = _count(r, "r")
         if seed is None:
             raise ValueError("a seed is required when sampling (r is not None)")
         values = realization_values(spec, samples, r, seed)

@@ -2,9 +2,17 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from resamplekit import (BudgetExceededError, SampleSet, draw_resample,
-                         estimate_theta, exhaustive_moments, exhaustive_theta,
-                         exponential, resampling_variance)
+from resamplekit import (BudgetExceededError, DamageData, DamageTruth,
+                         RenewalPair, SampleSet, damage_variance_mc,
+                         draw_resample, estimate_exceedance, estimate_inner_mc,
+                         estimate_known_g, estimate_theta,
+                         estimator_expectation, exhaustive_moments,
+                         exhaustive_theta, exponential, normal, parse_system,
+                         plugin_variance_mc, resample_damage_counts,
+                         resampling_variance, triangular,
+                         wave_estimate_vector_samples)
+from resamplekit.renewal import (NormalConvolutionKit, RenewalLayout,
+                                 exceedance_variance, plugin_baseline)
 from resamplekit.systems import evaluate
 
 from helpers import var_se
@@ -171,3 +179,71 @@ def test_variance_generator_mode_moments(two_of_three):
 def test_variance_generator_needs_layout(two_of_three):
     with pytest.raises(ValueError):
         resampling_variance(two_of_three, [exponential(1.0)] * 3, r=10)
+
+
+def count_arguments():
+    """(count name, call with that count replaced) per estimator, study and
+    variance entry point outside the coverage layer; every other argument
+    is valid."""
+    spec = parse_system("max(x1, x2)")
+    samples = SampleSet.from_samples([("a", [0.5, 1.5, 2.5]),
+                                      ("b", [1.0, 2.0])])
+    one = SampleSet.from_samples([("a", [0.5, 1.5, 2.5])])
+    z = [exponential(1.0)]
+    pair = RenewalPair([1.0, 2.0, 3.0, 0.5], [1.5, 2.5], m_x=2, m_y=1)
+    data = DamageData([1.0, 2.0], [1.0, 3.0, 2.0])
+    truth = DamageTruth(0.5, triangular(0.0, 2.0, 4.0))
+    study = dict(n_a=2, n_b=16, t=5.0, r=4, replications=4, seed=1)
+    plugin = dict(n_a=2, n_b=16, t=5.0, replications=4, seed=1)
+    lay = RenewalLayout(6, 2, 4, 1)
+    kit = NormalConvolutionKit(1.0, 0.3, 1.5, 0.4, 2, 1)
+    bootstrap = dict(layout=lay, x_dist=normal(1.0, 0.3),
+                     y_dist=normal(1.5, 0.4), r=4, replications=4, seed=1)
+    return {
+        "estimate_theta r": ("r", lambda n: estimate_theta(
+            spec, samples, n, seed=1)),
+        "estimate_known_g r": ("r", lambda n: estimate_known_g(
+            lambda x: float(x[0]), samples, n, 1)),
+        "estimate_inner_mc N": ("N", lambda n: estimate_inner_mc(
+            spec, one, z, N=n, r=5, seed=1)),
+        "estimate_inner_mc r": ("r", lambda n: estimate_inner_mc(
+            spec, one, z, N=3, r=n, seed=1)),
+        "estimate_exceedance r": ("r", lambda n: estimate_exceedance(
+            pair, n, 1)),
+        "exceedance_variance r": ("r", lambda n: exceedance_variance(
+            lay, kit, n)),
+        **{f"plugin_baseline {name}": (name, lambda n, name=name:
+                                       plugin_baseline(
+                                           **{**bootstrap, name: n}))
+           for name in ("r", "replications")},
+        "wave_estimate_vector_samples N": ("N", lambda n:
+                                           wave_estimate_vector_samples(
+                                               spec, one, z, n, {3: 3}, 1)),
+        "estimator_expectation n_a": ("n_a", lambda n: estimator_expectation(
+            truth, n, 5.0)),
+        "resample_damage_counts r": ("r", lambda n: resample_damage_counts(
+            data, 2.0, n, 1)),
+        **{f"damage_variance_mc {name}": (name, lambda n, name=name:
+                                          damage_variance_mc(
+                                              truth, **{**study, name: n}))
+           for name in ("n_a", "n_b", "r", "replications")},
+        **{f"plugin_variance_mc {name}": (name, lambda n, name=name:
+                                          plugin_variance_mc(
+                                              truth, **{**plugin, name: n}))
+           for name in ("n_a", "n_b", "replications")},
+    }
+
+
+COUNT_ARGUMENTS = count_arguments()
+
+
+@pytest.mark.parametrize("entry", COUNT_ARGUMENTS)
+@pytest.mark.parametrize("bad, error", [
+    (2.5, TypeError), (16.0, TypeError), (True, TypeError), (0, ValueError)])
+def test_count_arguments_reject_non_integers(entry, bad, error):
+    """Before, numpy or the data checks raised for some of these, and others
+    returned a number for a float, a bool or 0."""
+    name, call = COUNT_ARGUMENTS[entry]
+    with pytest.raises(error, match=rf"\b{name}\b"):
+        call(bad)
+    call(16)  # a valid count runs
