@@ -9,6 +9,7 @@ environment variable or per call.
 
 from __future__ import annotations
 
+import operator
 import os
 
 DEFAULT_BUDGET = 10_000_000
@@ -29,13 +30,23 @@ class BudgetExceededError(RuntimeError):
 
 def enumeration_budget(override: int | None = None) -> int:
     """Resolve the active budget: explicit override, else env var, else
-    default.  A budget from either source must be a positive integer."""
-    name, raw = ("budget", override) if override is not None else \
-        (_ENV_VAR, os.environ.get(_ENV_VAR, DEFAULT_BUDGET))
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+    default.  A budget from either source must be a positive integer; an
+    override that is a bool or not an integer raises TypeError."""
+    if override is None:
+        name, raw = _ENV_VAR, os.environ.get(_ENV_VAR, DEFAULT_BUDGET)
+        try:
+            value = int(raw)
+        except ValueError:
+            raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+    else:
+        name = "budget"
+        try:
+            if isinstance(override, bool):
+                raise TypeError
+            value = operator.index(override)
+        except TypeError:
+            raise TypeError(
+                f"budget must be an integer, got {override!r}") from None
     if value <= 0:
         raise ValueError(f"{name} must be positive, got {value}")
     return value

@@ -123,13 +123,6 @@ def _read_samples(path: str, binding_path: str | None) -> SampleSet:
                        {"path": path}) from None
 
 
-def _parse_dist(text: str) -> dists.KnownDistribution:
-    try:
-        return dists.parse_distribution(text)
-    except ValueError as exc:
-        raise CliError("schema-violation", EXIT_SCHEMA, str(exc)) from None
-
-
 def _parse_dist_list(text: str) -> list[dists.KnownDistribution]:
     """Comma-separated specs; bare numbers continue the previous spec.
 
@@ -141,7 +134,7 @@ def _parse_dist_list(text: str) -> list[dists.KnownDistribution]:
             items.append(token)
         else:
             items[-1] += "," + token
-    return [_parse_dist(item) for item in items]
+    return [dists.parse_distribution(item) for item in items]
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -297,12 +290,9 @@ def _cmd_damage(cfg: RunConfig, out) -> None:
 
 
 def _cmd_damage_truth(cfg: RunConfig, out) -> None:
-    deg = _parse_dist(cfg.deg)
-    try:
-        truth = DamageTruth(rate=cfg.rate, degradation=deg)
-        summ = poisson_truth(truth, cfg.t)
-    except ValueError as exc:
-        raise CliError("schema-violation", EXIT_SCHEMA, str(exc)) from None
+    deg = dists.parse_distribution(cfg.deg)
+    truth = DamageTruth(rate=cfg.rate, degradation=deg)
+    summ = poisson_truth(truth, cfg.t)
     i_max = cfg.imax if cfg.imax is not None else 8
     idx = np.arange(i_max + 1)
     report = {
@@ -330,14 +320,8 @@ def _cmd_damage_truth(cfg: RunConfig, out) -> None:
 
 
 def _cmd_renewal(cfg: RunConfig, out) -> None:
-    try:
-        pair = RenewalPair.for_threshold(_read_values(cfg.hx),
-                                         _read_values(cfg.hy),
-                                         cfg.m, cfg.k)
-    except InfeasibleLayoutError as exc:
-        raise CliError("infeasible-layout", EXIT_INFEASIBLE, str(exc)) from None
-    except ValueError as exc:
-        raise CliError("schema-violation", EXIT_SCHEMA, str(exc)) from None
+    pair = RenewalPair.for_threshold(_read_values(cfg.hx),
+                                     _read_values(cfg.hy), cfg.m, cfg.k)
     est = estimate_exceedance(pair, cfg.r, cfg.seed)
     report = {
         "subcommand": "renewal",
@@ -354,8 +338,8 @@ def _cmd_renewal(cfg: RunConfig, out) -> None:
 
 
 def _cmd_renewal_truth(cfg: RunConfig, out) -> None:
-    x = _parse_dist(cfg.x)
-    y = _parse_dist(cfg.y)
+    x = dists.parse_distribution(cfg.x)
+    y = dists.parse_distribution(cfg.y)
     ks = _parse_int_list(cfg.k, "K range")
     entries = []
     rows = []
@@ -364,11 +348,7 @@ def _cmd_renewal_truth(cfg: RunConfig, out) -> None:
         if not 0 <= m_y <= cfg.m:
             raise CliError("schema-violation", EXIT_SCHEMA,
                            f"threshold K={k} outside 0..m={cfg.m}")
-        try:
-            lay = RenewalLayout(cfg.nx, cfg.m, cfg.ny, m_y)
-        except InfeasibleLayoutError as exc:
-            raise CliError("infeasible-layout", EXIT_INFEASIBLE,
-                           str(exc)) from None
+        lay = RenewalLayout(cfg.nx, cfg.m, cfg.ny, m_y)
         if x.family == "normal" and y.family == "normal":
             kit = NormalConvolutionKit(*x.params, *y.params, cfg.m, m_y)
         else:

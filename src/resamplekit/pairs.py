@@ -123,11 +123,12 @@ def omega_probability(omega, sizes) -> float:
     """P{omega} for a layout with one argument per sample.
 
     Equals prod_{i in omega} 1/n_i * prod_{i not in omega} (1 - 1/n_i).
+    Each size is checked as a count of at least 1.
     """
     if isinstance(omega, OmegaPair):
         omega = omega.args
     omega = frozenset(int(a) for a in omega)
-    sizes = tuple(int(n) for n in sizes)
+    sizes = tuple(_count(n, "sample size") for n in sizes)
     m = len(sizes)
     if not omega <= set(range(1, m + 1)):
         raise ValueError(f"omega {sorted(omega)} not within arguments 1..{m}")

@@ -16,7 +16,8 @@ decompose as common + fresh sums,
 and  mu11(alpha) = int F_dif(z | alpha)^2 dF_com(z | alpha),  with the
 overlap law hypergeometric per block.  For normal inter-renewal times the
 convolutions stay normal and everything is closed-form up to one
-well-behaved quadrature; other distributions use a lattice (FFT) kit.
+well-behaved quadrature; other distributions use a lattice kit whose
+m-fold sums and differences come from one FFT per component.
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ class RenewalLayout:
     m_y: int
 
     def __post_init__(self):
-        if self.m_x < 1 or self.m_y < 0:
-            raise ValueError(
-                f"need m_X >= 1 and m_Y >= 0, got {self.m_x}, {self.m_y}")
+        _count(self.n_x, "n_X", 0)
+        _count(self.n_y, "n_Y", 0)
+        _summands(self.m_x, self.m_y)
         if self.n_x < 2 * self.m_x or self.n_y < 2 * self.m_y:
             raise InfeasibleLayoutError(
                 f"need n_X >= 2 m_X and n_Y >= 2 m_Y, got "
@@ -95,13 +96,29 @@ class RenewalPair:
     @classmethod
     def for_threshold(cls, h_x, h_y, m_x: int, k: int) -> "RenewalPair":
         """Build with m_Y = m_X - K."""
-        if not 0 <= k <= m_x:
+        if not 0 <= _count(k, "threshold K", 0) <= m_x:
             raise ValueError(f"threshold K must be in 0..m_X, got {k}")
         return cls(h_x, h_y, m_x, m_x - k)
 
     @property
     def layout(self) -> RenewalLayout:
         return RenewalLayout(len(self.h_x), self.m_x, len(self.h_y), self.m_y)
+
+
+def _summands(m_x, m_y) -> tuple[int, int]:
+    """The summand counts as integers: a bool or a non-integer raises
+    TypeError, m_X below 1 or m_Y below 0 ValueError."""
+    return _count(m_x, "m_X"), _count(m_y, "m_Y", 0)
+
+
+def _overlap(kit, a_x, a_y) -> tuple[int, int]:
+    """Overlap counts of ``kit`` checked as by :func:`_summands`, each
+    within 0..m of its process."""
+    a_x, a_y = _count(a_x, "a_X", 0), _count(a_y, "a_Y", 0)
+    if a_x > kit.m_x or a_y > kit.m_y:
+        raise ValueError(f"overlap ({a_x},{a_y}) outside "
+                         f"[0,{kit.m_x}]x[0,{kit.m_y}]")
+    return a_x, a_y
 
 
 def _as_renewal_layout(obj) -> RenewalLayout:
@@ -146,11 +163,9 @@ class NormalConvolutionKit:
                  sigma_y: float, m_x: int, m_y: int):
         if sigma_x <= 0 or sigma_y <= 0:
             raise ValueError("component sigmas must be positive")
-        if m_x < 1 or m_y < 0:
-            raise ValueError(f"need m_X >= 1, m_Y >= 0, got {m_x}, {m_y}")
+        self.m_x, self.m_y = _summands(m_x, m_y)
         self.mu_x, self.sigma_x = float(mu_x), float(sigma_x)
         self.mu_y, self.sigma_y = float(mu_y), float(sigma_y)
-        self.m_x, self.m_y = int(m_x), int(m_y)
 
     def _com(self, a_x: int, a_y: int) -> tuple[float, float]:
         return (a_x * self.mu_x - a_y * self.mu_y,
@@ -169,9 +184,7 @@ class NormalConvolutionKit:
 
     def mu11(self, a_x: int, a_y: int) -> float:
         """int F_dif^2 dF_com for the given overlap counts."""
-        if not (0 <= a_x <= self.m_x and 0 <= a_y <= self.m_y):
-            raise ValueError(f"overlap ({a_x},{a_y}) outside "
-                             f"[0,{self.m_x}]x[0,{self.m_y}]")
+        a_x, a_y = _overlap(self, a_x, a_y)
         mc, vc = self._com(a_x, a_y)
         md, vd = self._dif(a_x, a_y)
         if vd == 0.0:
@@ -190,38 +203,49 @@ class NormalConvolutionKit:
         return float(val)
 
 
+_PAD_SD = 8.0
+
+
 class GridConvolutionKit:
     """Lattice convolutions for arbitrary component distributions.
 
-    Components are discretized to a common step (cell masses from cdf
-    differences, clipped to mean +- ``pad_sd`` standard deviations for
-    unbounded supports); m-fold sums come from FFT convolution powers.
-    Accuracy is set by ``points`` (lattice cells per component range).
+    Both components are discretized to one step h, ``points`` cells over
+    the union of their ranges: cell masses are cdf differences, a support
+    unbounded on a side is cut at mean +- ``_PAD_SD`` standard deviations
+    and the tail mass folded into the end cell.  The kit keeps one real FFT
+    per component pmf (L_X and L_Y cells), zero-padded to a power-of-two
+    length N >= m_X (L_X - 1) + m_Y (L_Y - 1) + 1, so that no difference of
+    at most m_X X's and m_Y Y's wraps around.  The law of a X's minus b Y's
+    is then one inverse FFT of F_X^a conj(F_Y)^b rolled by b (L_Y - 1),
+    and of a Y's minus b X's its mirror: the FFT evaluation of lattice
+    convolution powers (Embrechts and Frei, Math. Methods Oper. Res. 2009).
+    Accuracy is set by ``points``.
     """
 
     def __init__(self, x_dist: KnownDistribution, y_dist: KnownDistribution,
-                 m_x: int, m_y: int, points: int = 4096, pad_sd: float = 8.0):
-        if m_x < 1 or m_y < 0:
-            raise ValueError(f"need m_X >= 1, m_Y >= 0, got {m_x}, {m_y}")
+                 m_x: int, m_y: int, points: int = 4096):
+        self.m_x, self.m_y = _summands(m_x, m_y)
         if not points >= 2:
             raise ValueError(f"need points >= 2 lattice cells, got {points}")
-        self.m_x, self.m_y = int(m_x), int(m_y)
         los, his = [], []
         for d in (x_dist, y_dist):
             lo, hi = d.support()
             if not math.isfinite(lo):
-                lo = d.mean() - pad_sd * math.sqrt(d.var())
+                lo = d.mean() - _PAD_SD * math.sqrt(d.var())
             if not math.isfinite(hi):
-                hi = d.mean() + pad_sd * math.sqrt(d.var())
+                hi = d.mean() + _PAD_SD * math.sqrt(d.var())
             los.append(lo)
             his.append(hi)
         # one shared step so that sums of either component stay on-lattice
         h = (max(his) - min(los)) / points
         self._h = h
-        self._pmf_x, self._base_x = self._component(x_dist, los[0], his[0], h)
-        self._pmf_y, self._base_y = self._component(y_dist, los[1], his[1], h)
-        self._pow_x = self._powers(self._pmf_x, self.m_x)
-        self._pow_y = self._powers(self._pmf_y, self.m_y)
+        pmf_x, base_x = self._component(x_dist, los[0], his[0], h)
+        pmf_y, base_y = self._component(y_dist, los[1], his[1], h)
+        span = self.m_x * (len(pmf_x) - 1) + self.m_y * (len(pmf_y) - 1) + 1
+        self._n = 1 << (span - 1).bit_length()
+        # (spectrum, cells - 1, midpoint of the first cell) per component
+        self._x = (np.fft.rfft(pmf_x, self._n), len(pmf_x) - 1, base_x)
+        self._y = (np.fft.rfft(pmf_y, self._n), len(pmf_y) - 1, base_y)
 
     @staticmethod
     def _component(d, lo, hi, h):
@@ -236,40 +260,27 @@ class GridConvolutionKit:
         # cell midpoints represent the lattice values
         return mass / total, lo + h / 2
 
-    @staticmethod
-    def _powers(pmf, m):
-        """pmf arrays of the j-fold sums for j = 0..m (lattice offsets add)."""
-        out = [np.array([1.0])]
-        cur = np.array([1.0])
-        for _ in range(m):
-            cur = np.convolve(cur, pmf)
-            out.append(cur)
-        return out
-
-    def _diff_pmf(self, pos_pmf, pos_base, neg_pmf, neg_base):
-        """Law of (positive sum) - (negative sum) on the lattice."""
-        pmf = np.convolve(pos_pmf, neg_pmf[::-1])
-        lo = pos_base - (neg_base + self._h * (len(neg_pmf) - 1))
-        values = lo + self._h * np.arange(len(pmf))
-        return values, pmf
+    def _diff_pmf(self, pos, a, neg, b):
+        """Lattice values and pmf of a draws of component ``pos`` minus b
+        of component ``neg`` (each ``self._x`` or ``self._y``)."""
+        (f_pos, top_pos, base_pos), (f_neg, top_neg, base_neg) = pos, neg
+        shift = b * top_neg
+        size = a * top_pos + shift + 1
+        pmf = np.fft.irfft(f_pos ** a * np.conj(f_neg) ** b, self._n)
+        lo = a * base_pos - (b * base_neg + self._h * shift)
+        return lo + self._h * np.arange(size), np.roll(pmf, shift)[:size]
 
     def theta(self) -> float:
-        values, pmf = self._diff_pmf(
-            self._pow_x[self.m_x], self.m_x * self._base_x,
-            self._pow_y[self.m_y], self.m_y * self._base_y)
+        values, pmf = self._diff_pmf(self._x, self.m_x, self._y, self.m_y)
         return float(pmf[values > 0].sum())
 
     def mu11(self, a_x: int, a_y: int) -> float:
-        if not (0 <= a_x <= self.m_x and 0 <= a_y <= self.m_y):
-            raise ValueError(f"overlap ({a_x},{a_y}) outside "
-                             f"[0,{self.m_x}]x[0,{self.m_y}]")
+        a_x, a_y = _overlap(self, a_x, a_y)
         # C_com = shared X sum - shared Y sum
-        vc, pc = self._diff_pmf(self._pow_x[a_x], a_x * self._base_x,
-                                self._pow_y[a_y], a_y * self._base_y)
+        vc, pc = self._diff_pmf(self._x, a_x, self._y, a_y)
         # C_dif = fresh Y sum - fresh X sum
-        fx, fy = self.m_x - a_x, self.m_y - a_y
-        vd, pd = self._diff_pmf(self._pow_y[fy], fy * self._base_y,
-                                self._pow_x[fx], fx * self._base_x)
+        vd, pd = self._diff_pmf(self._y, self.m_y - a_y,
+                                self._x, self.m_x - a_x)
         cdf_d = np.cumsum(pd)
         # F_dif evaluated at the com lattice points
         pos = np.searchsorted(vd, vc + self._h * 0.5) - 1
@@ -287,7 +298,7 @@ def mu11_alpha(kit, alpha) -> float:
     counts = alpha.counts if isinstance(alpha, AlphaPair) else tuple(alpha)
     if len(counts) != 2:
         raise ValueError(f"alpha must have two entries (a_X, a_Y), got {counts}")
-    return kit.mu11(int(counts[0]), int(counts[1]))
+    return kit.mu11(*counts)
 
 
 def exceedance_variance(pair, kit, r: int) -> VarianceReport:
@@ -349,8 +360,7 @@ def plugin_baseline(layout, x_dist: KnownDistribution,
     not supplied).  ``r`` and ``replications`` must be integers, not
     bools (TypeError), of at least 1 and 2 (ValueError).
     """
-    lay = _as_renewal_layout(layout) if not isinstance(layout, RenewalLayout) \
-        else layout
+    lay = _as_renewal_layout(layout)
     r = _count(r, "r")
     replications = _count(replications, "replications", 2)
     if theta is None:

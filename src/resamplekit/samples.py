@@ -132,13 +132,6 @@ class BlockLayout:
     def singleton_blocks(self) -> bool:
         return all(len(a) == 1 for a in self.block_args)
 
-    def block_of_arg(self, arg: int) -> int:
-        """Index of the block containing 1-based argument ``arg``."""
-        for i, args in enumerate(self.block_args):
-            if arg in args:
-                return i
-        raise LayoutError(f"no argument {arg}")
-
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:

@@ -252,7 +252,6 @@ class SystemSpec:
     node_ids: dict = field(init=False, repr=False)   # node id -> node
     parent: dict = field(init=False, repr=False)     # node id -> parent id
     leaf_deps: Mapping = field(init=False, repr=False)  # id -> frozenset of args
-    _kids: dict = field(init=False, repr=False)      # node id -> child ids
 
     def __post_init__(self):
         order = _post_order(self.root)
@@ -280,6 +279,8 @@ class SystemSpec:
                         f"kofn needs 1 <= k <= {arity} children, got k={n.k}")
                 if not arity:
                     raise SystemValidationError("operator node with no children")
+                if isinstance(n, Threshold) and math.isnan(n.level):
+                    raise SystemValidationError("threshold level is NaN")
                 nid, next_internal = next_internal, next_internal + 1
                 cut = len(stack) - arity
                 kids, stack[cut:] = tuple(stack[cut:]), []
@@ -292,14 +293,10 @@ class SystemSpec:
         object.__setattr__(self, "node_ids", {nid: n for nid, n, _ in table})
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "leaf_deps", _LeafDeps(tuple(leaves), spans))
-        object.__setattr__(self, "_kids", {nid: kids for nid, _, kids in table})
 
     @property
     def root_id(self) -> int:
         return self.table[-1][0]
-
-    def children_ids(self, node_id: int) -> tuple[int, ...]:
-        return self._kids[node_id]
 
     def __repr__(self):
         return f"SystemSpec({render(self.root)})"

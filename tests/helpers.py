@@ -25,7 +25,7 @@ from resamplekit.damage import (CountEstimates, DamageData, DamageMCReport,
                                 PluginMCReport, poisson_truth)
 from resamplekit.pairs import (_block_targets, alpha_from_indices,
                                beta_from_indices, omega_from_indices)
-from resamplekit.renewal import PluginReport
+from resamplekit.renewal import _PAD_SD, GridConvolutionKit, PluginReport
 from resamplekit.resampling import (EstimateResult, chunk_moments,
                                    draw_index_batch)
 from resamplekit.samples import ordered_draws
@@ -124,6 +124,16 @@ def leaf_deps_oracle(spec) -> dict:
         deps[nid] = (frozenset().union(*(deps[c] for c in kids)) if kids
                      else frozenset((nid,)))
     return deps
+
+
+def children_ids(spec, node_id) -> tuple:
+    """Child ids of a node, read off the post-order table."""
+    return next(kids for nid, _, kids in spec.table if nid == node_id)
+
+
+def block_of_arg(layout, arg: int) -> int:
+    """Index of the block of a BlockLayout holding 1-based argument ``arg``."""
+    return next(i for i, args in enumerate(layout.block_args) if arg in args)
 
 
 def pattern_probabilities(table, m):
@@ -423,6 +433,62 @@ def fisher_yates_oracle(n, k, digits):
         j = i + int(digits[i])
         perm[i], perm[j] = perm[j], perm[i]
     return perm[:k]
+
+
+# -- lattice renewal laws by direct convolution ---------------------------
+
+class DirectGridKit:
+    """``GridConvolutionKit`` with every j-fold power of both component
+    pmfs kept from direct ``np.convolve`` and each difference law one more
+    ``np.convolve``: the same lattice, O(L^2) per product."""
+
+    def __init__(self, x_dist, y_dist, m_x, m_y, points=4096):
+        self.m_x, self.m_y = m_x, m_y
+        los, his = [], []
+        for d in (x_dist, y_dist):
+            lo, hi = d.support()
+            if not math.isfinite(lo):
+                lo = d.mean() - _PAD_SD * math.sqrt(d.var())
+            if not math.isfinite(hi):
+                hi = d.mean() + _PAD_SD * math.sqrt(d.var())
+            los.append(lo)
+            his.append(hi)
+        self._h = h = (max(his) - min(los)) / points
+        pmf_x, self._base_x = GridConvolutionKit._component(
+            x_dist, los[0], his[0], h)
+        pmf_y, self._base_y = GridConvolutionKit._component(
+            y_dist, los[1], his[1], h)
+        self._pow_x = self._powers(pmf_x, m_x)
+        self._pow_y = self._powers(pmf_y, m_y)
+
+    @staticmethod
+    def _powers(pmf, m):
+        out = [np.array([1.0])]
+        for _ in range(m):
+            out.append(np.convolve(out[-1], pmf))
+        return out
+
+    def _diff_pmf(self, pos_pmf, pos_base, neg_pmf, neg_base):
+        pmf = np.convolve(pos_pmf, neg_pmf[::-1])
+        lo = pos_base - (neg_base + self._h * (len(neg_pmf) - 1))
+        return lo + self._h * np.arange(len(pmf)), pmf
+
+    def theta(self) -> float:
+        values, pmf = self._diff_pmf(
+            self._pow_x[self.m_x], self.m_x * self._base_x,
+            self._pow_y[self.m_y], self.m_y * self._base_y)
+        return float(pmf[values > 0].sum())
+
+    def mu11(self, a_x, a_y) -> float:
+        vc, pc = self._diff_pmf(self._pow_x[a_x], a_x * self._base_x,
+                                self._pow_y[a_y], a_y * self._base_y)
+        fx, fy = self.m_x - a_x, self.m_y - a_y
+        vd, pd = self._diff_pmf(self._pow_y[fy], fy * self._base_y,
+                                self._pow_x[fx], fx * self._base_x)
+        cdf_d = np.cumsum(pd)
+        pos = np.searchsorted(vd, vc + self._h * 0.5) - 1
+        fvals = np.where(pos >= 0, cdf_d[np.clip(pos, 0, len(cdf_d) - 1)], 0.0)
+        return float(np.dot(pc, fvals ** 2))
 
 
 # -- per-replication loops with one fresh substream each ------------------

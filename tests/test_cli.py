@@ -743,19 +743,36 @@ def test_main_calls_in_one_process_equal_fresh_processes(files, capsys,
 
 IMPORT_PROBE = """
 import contextlib, io, json, sys
+import numpy, scipy.special
+# scipy.special may load numpy.fft itself; drop its Python modules (a
+# compiled one cannot load twice) so that a later load is the package's own
+for name in [m for m in sys.modules if m.split(".")[:2] == ["numpy", "fft"]]:
+    if sys.modules[name].__file__.endswith(".py"):
+        del sys.modules[name]
+vars(numpy).pop("fft", None)
 import resamplekit, resamplekit.cli
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert resamplekit.cli.main(argv) == 0, argv
 print(json.dumps(sorted(m for m in sys.modules
                         if m.split(".")[:2] in (["scipy", "stats"],
-                                                ["scipy", "integrate"]))))
+                                                ["scipy", "integrate"])
+                        or m == "numpy.fft")))
 """
+
+
+def import_probe(commands) -> list:
+    """Modules of scipy.stats, scipy.integrate and numpy.fft that a fresh
+    interpreter holds after importing the package and running ``commands``."""
+    res = subprocess.run([sys.executable, "-c", IMPORT_PROBE,
+                          json.dumps(commands)], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout)
 
 
 def test_commands_load_neither_scipy_stats_nor_integrate(files):
     """Import and the estimate, damage and coverage commands need only
-    numpy and scipy.special."""
+    numpy and scipy.special, and none of them loads numpy.fft."""
     coverage = ["coverage", "--spec", str(files["race"]), "--sizes", "2,2,2",
                 "--gamma", "0.8", "--theta", "0.25", "--k", "10", "--r", "16"]
     commands = [
@@ -770,10 +787,14 @@ def test_commands_load_neither_scipy_stats_nor_integrate(files):
         coverage + ["--gen", "normal:0,1,normal:0.5,1,normal:1,2",
                     "--mode", "mc", "--replications", "50", "--seed", "2"],
     ]
-    res = subprocess.run([sys.executable, "-c", IMPORT_PROBE,
-                          json.dumps(commands)], capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    assert json.loads(res.stdout) == []
+    assert import_probe(commands) == []
+
+
+def test_import_probe_sees_the_grid_kit_load_numpy_fft():
+    """The probe above can see numpy.fft: the grid kit loads it."""
+    assert import_probe([["renewal-truth", "--x", "exp:1", "--y", "exp:2",
+                          "--m", "2", "--k", "1", "--nx", "4", "--ny", "4",
+                          "--r", "10"]]) == ["numpy.fft"]
 
 
 def test_console_script_subprocess(files, console_script):

@@ -41,6 +41,15 @@ def test_omega_anchors():
     assert omega_probability(OmegaPair(frozenset({1})), ones) == 0.0
 
 
+@pytest.mark.parametrize("sizes, exc", [
+    ((0, 2), ValueError), ((-1, 2), ValueError), ((2.5, 2), TypeError),
+    ((True, 2), TypeError)])
+def test_omega_probability_checks_each_size(sizes, exc):
+    """A size of 0 divided by zero; a float or bool was truncated."""
+    with pytest.raises(exc, match="sample size"):
+        omega_probability({1}, sizes)
+
+
 def test_omega_probability_counting_oracle():
     """Compare against exhaustive counting of coincidence patterns."""
     sizes = (2, 3, 4)

@@ -39,8 +39,9 @@ from resamplekit.resampling import (EstimateResult, chunk_moments,
 from resamplekit.systems import evaluate_batch, leaf_dependencies, render
 from resamplekit.wave import wave_estimate
 
-from helpers import (coverage_oracle, draw_values_oracle, enumerate_w_oracle,
-                     estimate_theta_oracle, evaluate_batch_oracle,
+from helpers import (block_of_arg, coverage_oracle, draw_values_oracle,
+                     enumerate_w_oracle, estimate_theta_oracle,
+                     evaluate_batch_oracle,
                      fisher_yates_oracle, grid_values_oracle,
                      index_vector_chunks, inner_mc_oracle, known_g_oracle,
                      leaf_deps_oracle, numeric_pw_oracle, pair_moment_oracle,
@@ -281,7 +282,7 @@ def test_finite_support_grids_equal_value_rows(samples, family, data):
     lay = samples.layout
     support = st.lists(GRID_VALUES, min_size=1, max_size=3)
     per_block = [empirical(data.draw(support)) for _ in lay.block_args]
-    dists = [per_block[lay.block_of_arg(a)] for a in range(1, lay.m + 1)]
+    dists = [per_block[block_of_arg(lay, a)] for a in range(1, lay.m + 1)]
     text, _ = data.draw(systems(lay.m))
     spec = parse_system(text)
     for chunk in CHUNKS:

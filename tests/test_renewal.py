@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from resamplekit._streams import BLOCK
-from resamplekit.distributions import exponential, normal, uniform
+from resamplekit.distributions import exponential, normal, triangular, uniform
 from resamplekit.renewal import (
     GridConvolutionKit,
     NormalConvolutionKit,
@@ -23,7 +25,7 @@ from resamplekit.renewal import (
 from resamplekit.pairs import AlphaPair
 from resamplekit.samples import InfeasibleLayoutError
 
-from helpers import plugin_baseline_oracle, var_se
+from helpers import DirectGridKit, plugin_baseline_oracle, var_se
 
 
 # -- layout and pair containers -------------------------------------------
@@ -42,6 +44,26 @@ def test_layout_threshold():
 def test_layout_rejects(n_x, m_x, n_y, m_y, exc):
     with pytest.raises(exc):
         RenewalLayout(n_x, m_x, n_y, m_y)
+
+
+@pytest.mark.parametrize("sizes, exc", [
+    ((10, 2.5, 10, 1), TypeError), ((10, True, 10, 1), TypeError),
+    ((10, 2, 10, 1.0), TypeError), ((10.0, 2, 10, 1), TypeError),
+    ((10, 2, -10, 0), ValueError)])
+def test_layout_counts_are_checked_not_truncated(sizes, exc):
+    """RenewalLayout(10, 2.5, 10, 1) was accepted."""
+    with pytest.raises(exc):
+        RenewalLayout(*sizes)
+
+
+def test_pair_counts_are_checked_not_truncated():
+    h = np.arange(1.0, 11.0)
+    for m_x, m_y in [(2.5, 1), (True, 1), (2, 1.0)]:
+        with pytest.raises(TypeError):
+            RenewalPair(h, h, m_x, m_y)
+    for m_x, k in [(4, True), (4, 1.0), (4.5, 1)]:
+        with pytest.raises(TypeError):
+            RenewalPair.for_threshold(h, h, m_x, k)
 
 
 def test_pair_for_threshold_roundtrip():
@@ -193,6 +215,29 @@ def test_normal_kit_rejects():
         kit.mu11(6, 0)
 
 
+KITS = [lambda m_x, m_y: NormalConvolutionKit(2.0, 1.0, 2.0, 1.0, m_x, m_y),
+        lambda m_x, m_y: GridConvolutionKit(exponential(1.0), exponential(2.0),
+                                            m_x, m_y, points=64)]
+
+
+@pytest.mark.parametrize("make", KITS, ids=["normal", "grid"])
+def test_kit_counts_are_checked_not_truncated(make):
+    """Both kits took m_X = 2.5 as 2 and m_X = True as 1, and the normal
+    kit's mu11(1.5, 1) returned a number."""
+    for m_x, m_y, exc in [(2.5, 1, TypeError), (True, 1, TypeError),
+                          (2, np.float64(1.0), TypeError), (2, -1, ValueError)]:
+        with pytest.raises(exc):
+            make(m_x, m_y)
+    kit = make(5, 4)
+    for a, exc in [((1.5, 1), TypeError), ((1, True), TypeError),
+                   ((-1, 0), ValueError), ((0, 5), ValueError)]:
+        with pytest.raises(exc):
+            kit.mu11(*a)
+        with pytest.raises(exc):
+            mu11_alpha(kit, a)
+    assert kit.mu11(np.int64(2), 1) == kit.mu11(2, 1)
+
+
 # -- grid convolution kit --------------------------------------------------
 
 def test_grid_matches_normal_kit():
@@ -235,6 +280,31 @@ def test_grid_kit_rejects():
         with pytest.raises(ValueError, match="points >= 2"):
             GridConvolutionKit(exponential(1.0), exponential(2.0), 2, 1,
                                points=points)
+
+
+LAWS = st.one_of(
+    st.floats(0.25, 4.0).map(exponential),
+    st.tuples(st.floats(-1.0, 2.0), st.floats(0.1, 3.0)).map(
+        lambda p: uniform(p[0], p[0] + p[1])),
+    st.tuples(st.floats(-1.0, 2.0), st.floats(0.0, 1.0),
+              st.floats(0.1, 3.0)).map(
+        lambda p: triangular(p[0], p[0] + p[1] * p[2], p[0] + p[2])),
+    st.tuples(st.floats(-1.0, 3.0), st.floats(0.2, 2.0)).map(
+        lambda p: normal(*p)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(x=LAWS, y=LAWS, m_x=st.integers(1, 6), m_y=st.integers(0, 6),
+       points=st.integers(256, 1024))
+def test_grid_kit_equals_direct_convolution(x, y, m_x, m_y, points):
+    """The two-spectra kit reads the lattice laws of the direct
+    np.convolve powers: theta and every mu11 within 1e-12."""
+    kit = GridConvolutionKit(x, y, m_x, m_y, points=points)
+    direct = DirectGridKit(x, y, m_x, m_y, points=points)
+    assert kit.theta() == pytest.approx(direct.theta(), rel=0, abs=1e-12)
+    for a_x, a_y in itertools.product(range(m_x + 1), range(m_y + 1)):
+        assert kit.mu11(a_x, a_y) == pytest.approx(direct.mu11(a_x, a_y),
+                                                   rel=0, abs=1e-12)
 
 
 # -- mu11 dispatch ---------------------------------------------------------

@@ -128,6 +128,15 @@ def test_non_positive_budget_is_rejected_from_either_source(monkeypatch, bad):
         enumeration_budget()
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, np.True_, "5"])
+def test_non_integer_budget_override_is_a_type_error(monkeypatch, bad):
+    """A float or bool override was truncated to a budget of 1 (or 2)."""
+    monkeypatch.delenv("RESAMPLEKIT_BUDGET", raising=False)
+    with pytest.raises(TypeError, match="budget must be an integer"):
+        enumeration_budget(bad)
+    assert enumeration_budget(np.int64(7)) == 7
+
+
 def test_enumeration_respects_budget():
     s = SampleSet.from_samples([("a", np.arange(10.0)), ("b", np.arange(10.0))])
     with pytest.raises(BudgetExceededError) as err:

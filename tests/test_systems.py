@@ -7,8 +7,12 @@ import numpy as np
 import pytest
 
 from resamplekit import SystemSyntaxError, SystemValidationError, parse_system
-from resamplekit.systems import (Input, Max, Min, evaluate, evaluate_batch,
-                                 leaf_dependencies, render)
+from resamplekit.partial import three_branch_system
+from resamplekit.systems import (Input, Max, Min, SystemSpec, Threshold,
+                                 evaluate, evaluate_batch, leaf_dependencies,
+                                 render)
+
+from helpers import children_ids
 
 
 def test_six_tree_anchor(six_tree):
@@ -97,12 +101,24 @@ def test_validation_errors(text):
         parse_system(text)
 
 
+def test_nan_threshold_level_is_rejected():
+    """A NaN level compares false everywhere, so the spec would read 0 on
+    every input; each way of building one raises."""
+    nan = float("nan")
+    with pytest.raises(SystemValidationError, match="threshold level is NaN"):
+        parse_system("ind(x1 > t)", params={"t": nan})
+    with pytest.raises(SystemValidationError, match="threshold level is NaN"):
+        three_branch_system(nan)
+    with pytest.raises(SystemValidationError, match="threshold level is NaN"):
+        SystemSpec(Threshold(Input(1), "<", nan))
+
+
 def test_leaf_dependencies(six_tree):
     deps = six_tree.leaf_deps
     assert deps[six_tree.root_id] == frozenset({1, 2, 3, 4, 5, 6})
     # the three first-level subtrees split the leaves
-    inner = six_tree.children_ids(six_tree.root_id)[0]
-    level1 = six_tree.children_ids(inner)
+    inner = children_ids(six_tree, six_tree.root_id)[0]
+    level1 = children_ids(six_tree, inner)
     sets = [deps[v] for v in level1]
     assert sorted(map(sorted, sets)) == [[1, 2], [3, 4], [5, 6]]
     assert leaf_dependencies(six_tree, six_tree.root_id) == frozenset({1, 2, 3, 4, 5, 6})
@@ -153,7 +169,8 @@ def test_node_equality_and_repr_follow_the_dataclass_fields():
 
 
 def test_parent_child_tables_consistent(six_tree):
-    for node, kids in ((v, six_tree.children_ids(v)) for v in six_tree.node_ids):
+    for node, kids in ((v, children_ids(six_tree, v))
+                       for v in six_tree.node_ids):
         for kid in kids:
             assert six_tree.parent[kid] == node
     root = six_tree.root_id
@@ -166,7 +183,7 @@ def test_table_is_post_order_with_the_root_last():
         == [(1, "Input", ()), (2, "Input", ()), (5, "Max", (1, 2)),
             (3, "Input", ()), (4, "Input", ()), (6, "Max", (3, 4)),
             (7, "Min", (5, 6))]
-    assert spec.root_id == 7 and spec.children_ids(7) == (5, 6)
+    assert spec.root_id == 7 and children_ids(spec, 7) == (5, 6)
 
 
 def test_deep_chain_under_the_default_recursion_limit():
