@@ -88,7 +88,11 @@ def _key_int(value) -> int:
     ValueError."""
     if isinstance(value, (bool, np.bool_)):
         raise TypeError(f"seeds and keys must be integers, got {value!r}")
-    value = operator.index(value)
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise TypeError(
+            f"seeds and keys must be integers, got {value!r}") from None
     if value < 0:
         raise ValueError(f"seeds and keys must be non-negative, got {value}")
     return value
@@ -236,7 +240,11 @@ def substream_keys(seeds, *key_columns) -> np.ndarray:
 
 
 def _key_columns(seeds, key_columns) -> list:
-    """Seeds and key columns broadcast to 1-d arrays of one length."""
+    """Seeds and key columns broadcast to 1-d arrays of one length.  A
+    single seed is checked by :func:`_key_int` first, so a bad one is
+    named as given, not by the dtype of the column it would become."""
+    if np.ndim(seeds) == 0:
+        seeds = _key_int(seeds)
     cols = np.broadcast_arrays(*map(np.atleast_1d, (seeds, *key_columns)))
     if cols[0].ndim != 1:
         raise ValueError("seeds and key columns must be integers or 1-d")

@@ -301,7 +301,8 @@ def rho(q, theta: float, r: int):
     The upper summation limit is read strictly: successes up to
     ceil(theta r) - 1 (an epsilon guards float ceilings).  ``q`` may be an
     array; a scalar gives a float.  ``r`` must be an integer (TypeError for
-    a bool or a float) of at least 1 (ValueError).
+    a bool or a float) of at least 1, and ``theta`` finite and in [0, 1]
+    (ValueError).
     """
     qs = np.asarray(q, dtype=float)
     bad = qs[~((qs >= 0.0) & (qs <= 1.0))]
@@ -320,8 +321,11 @@ def rho(q, theta: float, r: int):
 
 
 def _check_theta(theta) -> None:
+    """theta is a proportion of the r experiments: finite and in [0, 1]."""
     if not math.isfinite(theta):
         raise ValueError(f"parameter theta must be finite, got {theta}")
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError(f"parameter theta must be in [0,1], got {theta}")
 
 
 def alpha_floor(alpha: float, k: int) -> int:
@@ -810,8 +814,8 @@ def coverage_R(func: OrderFunctional, generators, sizes, theta: float,
     keyed substreams, works on the W rows of each block, and reports mean
     and SE per gamma.  ``threads`` has no effect.  ``k``, ``r``, the sizes
     and ``replications`` must be integers, not bools (TypeError), of at
-    least 1 (2 for ``replications``; ValueError), and ``gamma`` a value or a
-    non-empty sequence in (0, 1).
+    least 1 (2 for ``replications``; ValueError), ``theta`` finite and in
+    [0, 1], and ``gamma`` a value or a non-empty sequence in (0, 1).
     """
     sizes, generators, gammas, alphas, k, r = _check_problem(
         func, generators, sizes, theta, gamma, k, r)

@@ -606,7 +606,10 @@ def hybrid_pmf(counts: CountEstimates, plugin: PluginEstimate,
 
     The resampling route cannot produce counts above n_A; beyond that the
     plug-in Poisson tail fills in, and the whole vector is renormalized.
+    ``i_max`` must be an integer (TypeError for a bool or a float) of at
+    least n_A (ValueError).
     """
+    i_max = _count(i_max, "i_max", least=0)
     if i_max < counts.n_a:
         raise ValueError(f"i_max must cover the resampled range 0..{counts.n_a}")
     out = np.empty(i_max + 1)

@@ -32,7 +32,8 @@ import math
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from functools import reduce
+from functools import lru_cache, reduce
+from types import MappingProxyType
 
 import numpy as np
 
@@ -244,13 +245,15 @@ class SystemSpec:
     contiguous run of the leaves in table order: ``leaf_deps`` keeps that
     order once plus the bounds of each node's run, and slices a node's
     leaves out when asked.
+
+    A spec is read-only all the way down, so :func:`parse_system` can hand
+    the same object to every caller that parses the same text and values.
     """
 
     root: object
     m: int = field(init=False)
     table: tuple = field(init=False, repr=False)     # post-order (id, node, kids)
-    node_ids: dict = field(init=False, repr=False)   # node id -> node
-    parent: dict = field(init=False, repr=False)     # node id -> parent id
+    node_ids: Mapping = field(init=False, repr=False)   # node id -> node
     leaf_deps: Mapping = field(init=False, repr=False)  # id -> frozenset of args
 
     def __post_init__(self):
@@ -263,7 +266,6 @@ class SystemSpec:
                 f"got {['x%d' % i for i in indices]}")
         table = []
         stack: list[int] = []  # ids of finished subtrees awaiting a parent
-        parent: dict[int, int] = {}
         leaves: list[int] = []  # leaf ids in table order
         spans: dict[int, tuple[int, int]] = {}  # node id -> its run of leaves
         next_internal = m + 1
@@ -284,14 +286,13 @@ class SystemSpec:
                 nid, next_internal = next_internal, next_internal + 1
                 cut = len(stack) - arity
                 kids, stack[cut:] = tuple(stack[cut:]), []
-                parent.update(dict.fromkeys(kids, nid))
                 spans[nid] = (spans[kids[0]][0], len(leaves))
             stack.append(nid)
             table.append((nid, n, kids))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "table", tuple(table))
-        object.__setattr__(self, "node_ids", {nid: n for nid, n, _ in table})
-        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "node_ids", MappingProxyType(
+            {nid: n for nid, n, _ in table}))
         object.__setattr__(self, "leaf_deps", _LeafDeps(tuple(leaves), spans))
 
     @property
@@ -431,39 +432,51 @@ def evaluate(spec: SystemSpec, x) -> float:
 
 # -- parsing --------------------------------------------------------------
 
+# No two kinds start with the same character, so the order of the
+# alternatives only sets how soon a match is found: the common kinds first.
 _TOKEN = re.compile(r"""
     \s*(?:
-    (?P<num>[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)
+    (?P<sym>[(),;<>])
     |(?P<ident>[A-Za-z_][A-Za-z_0-9]*)
-    |(?P<sym>[(),;<>])
+    |(?P<num>[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?)
+    |(?P<bad>\S)
     )""", re.VERBOSE)
+_INPUT = re.compile(r"x([1-9]\d*)")
+_INTEGER = re.compile(r"\d+")
+# a name right after a relation: the only place the parser reads params
+_LEVEL_NAME = re.compile(r"[<>]\s*([A-Za-z_][A-Za-z_0-9]*)")
 
 
 class _Parser:
+    """Reads the text's tokens, cut once by one ``finditer``, in order.
+
+    Each token is ``(kind, text, end)``; a ``bad`` token is a character no
+    token starts with, reported at its own position when the parser reaches
+    it.  Other errors point at the end of the last token read (``pos``).
+    """
+
     def __init__(self, text: str, params: dict | None):
-        self.text = text
         self.params = params or {}
+        self.tokens = [(m.lastgroup, m[m.lastgroup], m.end())
+                       for m in _TOKEN.finditer(text)]
+        self.tokens.append((None, None, None))  # end of input
+        self.at = 0  # index of the next token
         self.pos = 0
 
     def error(self, message: str) -> SystemSyntaxError:
         return SystemSyntaxError(message, self.pos)
 
     def peek(self):
-        m = _TOKEN.match(self.text, self.pos)
-        if m is None:
-            rest = self.text[self.pos:].lstrip()
-            if not rest:
-                return None, None, self.pos
-            raise SystemSyntaxError(f"unexpected character {rest[0]!r}",
-                                    self.pos + (len(self.text) - self.pos
-                                                - len(rest)))
-        kind = m.lastgroup
-        return kind, m.group(kind), m.end()
+        kind, value, end = token = self.tokens[self.at]
+        if kind == "bad":
+            raise SystemSyntaxError(f"unexpected character {value!r}", end - 1)
+        return token
 
     def next(self):
         kind, value, end = self.peek()
         if kind is None:
             raise self.error("unexpected end of input")
+        self.at += 1
         self.pos = end
         return kind, value
 
@@ -503,7 +516,7 @@ class _Parser:
                 self.expect_sym(";")
             frames.append([value, k, []])
             return None
-        m = re.fullmatch(r"x([1-9]\d*)", value)
+        m = _INPUT.fullmatch(value)
         if m:
             return Input(int(m.group(1)))
         raise self.error(f"unknown input name {value!r} (inputs are x1, x2, ...)")
@@ -540,7 +553,7 @@ class _Parser:
 
     def integer(self, what: str) -> int:
         kind, value = self.next()
-        if kind != "num" or not re.fullmatch(r"\d+", value):
+        if kind != "num" or not _INTEGER.fullmatch(value):
             raise self.error(f"expected an integer {what}, got {value!r}")
         return int(value)
 
@@ -564,10 +577,49 @@ def parse_system(text: str, params: dict | None = None) -> SystemSpec:
         Expression in the module grammar.
     params : dict, optional
         Named values usable in threshold positions, e.g. ``{"t": 1.0}``
-        for ``ind(... < t)``.
+        for ``ind(... < t)``.  Entries the text does not name are not read.
+
+    Specs are read-only and cached: the same text with the same values of
+    the parameters it names may return the same object.
     """
-    root = _Parser(text, params).parse()
-    return SystemSpec(root)
+    try:
+        bound = _bound_params(text, params)
+    except Exception:
+        # a named entry could not be read as a float: the uncached parse
+        # raises that error where it reads the entry, or never reads it
+        bound = None
+    if bound is None:
+        return _parse(text, params)
+    return _parse_cached(text, bound)
+
+
+def _bound_params(text, params):
+    """The cache key's part from ``params``: ``(name, value, sign)`` of
+    each entry the text may read as a level, as floats, so ``1``, ``1.0``
+    and ``True`` share a key and ``-0.0`` and ``0.0`` do not.  None when
+    the spec is not to be cached: text that is no string, or a NaN."""
+    if type(text) is not str:
+        return None
+    if not params:
+        return ()
+    bound = []
+    for name in dict.fromkeys(_LEVEL_NAME.findall(text)):
+        if name in params:
+            value = float(params[name])
+            if math.isnan(value):
+                return None
+            bound.append((name, value, math.copysign(1.0, value)))
+    return tuple(bound)
+
+
+@lru_cache(maxsize=128)
+def _parse_cached(text: str, bound: tuple) -> SystemSpec:
+    """The one spec shared by every parse of ``text`` with these values."""
+    return _parse(text, {name: value for name, value, _ in bound})
+
+
+def _parse(text: str, params: dict | None) -> SystemSpec:
+    return SystemSpec(_Parser(text, params).parse())
 
 
 def render(node) -> str:

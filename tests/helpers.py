@@ -14,6 +14,7 @@ import itertools
 import math
 
 import numpy as np
+from hypothesis import strategies as st
 
 from resamplekit._streams import (BLOCK, Lane, block_ranges, distinct_codes,
                                   distinct_outcomes, draw_distinct, substream)
@@ -32,6 +33,47 @@ from resamplekit.samples import ordered_draws
 from resamplekit.systems import (GRID_CHUNK, Input, children_of,
                                  elementary_apply, evaluate, evaluate_batch)
 
+
+# -- generated system texts -----------------------------------------------
+
+# one-child operators to wrap a system text in
+CHAIN_OPS = ("min(", "max(", "sum(", "kofn(1; ")
+
+
+@st.composite
+def subtree(draw, leaves, ops=("min", "max", "sum", "kofn")):
+    """Real-valued expression over the given leaves (one of ``ops`` per
+    inner node)."""
+    if len(leaves) == 1:
+        return f"x{leaves[0]}"
+    cut = draw(st.integers(1, len(leaves) - 1))
+    left = draw(subtree(leaves[:cut], ops))
+    right = draw(subtree(leaves[cut:], ops))
+    op = draw(st.sampled_from(list(ops)))
+    if op == "kofn":
+        return f"kofn({draw(st.integers(1, 2))}; {left}, {right})"
+    return f"{op}({left}, {right})"
+
+
+@st.composite
+def systems(draw, m):
+    """System text over x1..xm and whether its root is an indicator."""
+    leaves = draw(st.permutations(range(1, m + 1)))
+    root = draw(st.sampled_from(["real", "ind", "cmp"] if m > 1
+                                else ["real", "ind"]))
+    if root == "cmp":
+        cut = draw(st.integers(1, m - 1))
+        op = draw(st.sampled_from("<>"))
+        return (f"cmp({draw(subtree(leaves[:cut]))} {op} "
+                f"{draw(subtree(leaves[cut:]))})", True)
+    body = draw(subtree(leaves))
+    if root == "ind":
+        level = draw(st.sampled_from([0.75, 1.0, 1.5, 2.5]))
+        return f"ind({body} > {level})", True
+    return body, False
+
+
+# -- statistics ------------------------------------------------------------
 
 def mean_se(values) -> float:
     """Standard error of the sample mean."""
@@ -129,6 +171,12 @@ def leaf_deps_oracle(spec) -> dict:
 def children_ids(spec, node_id) -> tuple:
     """Child ids of a node, read off the post-order table."""
     return next(kids for nid, _, kids in spec.table if nid == node_id)
+
+
+def parent_of(spec) -> dict:
+    """Node id -> the id of its parent, read off the post-order table; the
+    root has none."""
+    return {kid: nid for nid, _, kids in spec.table for kid in kids}
 
 
 def block_of_arg(layout, arg: int) -> int:

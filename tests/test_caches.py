@@ -1,9 +1,11 @@
-"""The tables the exact routes keep once per shape.
+"""The tables the exact routes keep once per shape, and the parsed specs.
 
 Each cached table must equal a cold build, be immutable or read-only, and
 leave every budget check in place: an over-budget call raises the same
-``BudgetExceededError`` whether the cache is warm or cold.  A last test
-keeps every argument-taking cache in the package bounded.
+``BudgetExceededError`` whether the cache is warm or cold.  A parsed spec
+must equal a cold parse, and a bad text or parameter must raise the same
+error warm or cold.  A last test keeps every argument-taking cache in the
+package bounded.
 """
 
 import importlib
@@ -22,7 +24,9 @@ from resamplekit import (BlockLayout, BudgetExceededError, SampleSet,
 from resamplekit.coverage import (OrderFunctional, _dp_plan, _hit_plan,
                                   coverage_R)
 from resamplekit.pairs import _pattern_cells, _pattern_table, _table_cells
-from resamplekit.systems import render
+from resamplekit.systems import _parse, _parse_cached, render
+
+from helpers import CHAIN_OPS, systems
 
 CACHED = settings(derandomize=True, deadline=None, max_examples=30,
                   database=None)
@@ -84,6 +88,15 @@ def data_of(layout: BlockLayout) -> SampleSet:
     return SampleSet.from_samples(
         [(name, np.arange(n) * 0.5 + b) for b, (name, n)
          in enumerate(zip(names, layout.block_sizes))], blocks=blocks)
+
+
+def error_of(call):
+    """(type, message) of the exception ``call`` raises, or None."""
+    try:
+        call()
+    except Exception as err:
+        return type(err), str(err)
+    return None
 
 
 def sum_system(m: int):
@@ -156,6 +169,91 @@ def test_cached_arrays_are_read_only():
     hits, _ = _hit_plan(func, (2, 2, 2), None)
     with pytest.raises(ValueError):
         hits[0] = 7
+
+
+def spec_fields(spec):
+    """Everything a cold parse decides: text, table, m and leaf sets."""
+    return (render(spec.root), spec.table, spec.m, dict(spec.leaf_deps))
+
+
+@CACHED
+@given(m=st.integers(1, 4), depth=st.integers(0, 30),
+       ops=st.lists(st.sampled_from(CHAIN_OPS), min_size=1, max_size=3),
+       level=st.sampled_from([None, -0.0, 0.0, 1, 1.5, True]),
+       data=st.data())
+def test_parsed_specs_equal_cold_builds(m, depth, ops, level, data):
+    """The texts of the render/parse round trip, under a chain of one-child
+    operators and, with a level, an indicator on a parameter."""
+    body, _ = data.draw(systems(m))
+    text = "".join(ops[i % len(ops)] for i in range(depth)) + body \
+        + ")" * depth
+    params = None
+    if level is not None:
+        text, params = f"ind({text} < t)", {"t": level}
+    warm = parse_system(text, params)
+    _parse_cached.cache_clear()
+    cold = parse_system(text, params)
+    assert cold is not warm
+    assert spec_fields(cold) == spec_fields(warm) \
+        == spec_fields(_parse(text, params))
+    assert parse_system(text, dict(params or {})) is cold
+    again = parse_system(render(cold.root))
+    assert render(again.root) == render(cold.root)
+
+
+BAD_SPECS = [
+    ("min(x1", None),
+    ("min()", None),
+    ("ind(x1 >> 1)", None),
+    ("foo(x1)", None),
+    ("kofn(2, x1, x2)", None),
+    ("kofn(4; x1, x2, x3)", None),
+    ("min(x1, x1)", None),
+    ("min(x1,, x2) $", None),   # the first error, not the bad character
+    ("min(x1, x2) $", None),
+    ("min(x1, x2) x3", None),
+    ("ind(x1 > t)", None),
+    ("ind(x1 > t)", {"u": 1.0}),
+    ("ind(x1 > t)", {"t": float("nan")}),
+    ("ind(x1 > t)", {"t": "level"}),
+    ("ind(x1 > t)", {"t": [1]}),
+    ("foo(x1 > t)", {"t": [1]}),  # the syntax error comes first
+    (None, None),
+]
+
+
+@pytest.mark.parametrize("text, params", BAD_SPECS)
+def test_bad_specs_raise_alike_warm_and_cold(text, params):
+    parse_system("ind(x1 > t)", {"t": 1.0})
+    parse_system("min(x1, x2)")
+    _parse_cached.cache_clear()
+    cold = error_of(lambda: parse_system(text, params))
+    assert cold is not None
+    assert error_of(lambda: _parse(text, params)) == cold
+    assert _parse_cached.cache_info().currsize == 0  # failures not kept
+    parse_system("ind(x1 > t)", {"t": 1.0})
+    parse_system("min(x1, x2)")
+    assert error_of(lambda: parse_system(text, params)) == cold
+
+
+@settings(CACHED, max_examples=200)
+@given(st.lists(st.sampled_from(list("x12 ,;()<>.-+$") + [
+    "min(", "max(", "kofn(", "ind(", "cmp(", "x1", "x2", "t", "u", "1.5"]),
+    max_size=12).map("".join))
+def test_parsed_text_answers_alike_warm_and_cold(text):
+    """Any text, good or bad, gives the same spec or the same error."""
+    params = {"t": 0.5, "u": -0.0}
+
+    def outcome():
+        try:
+            spec = parse_system(text, params)
+        except ValueError as err:
+            return type(err), str(err)
+        return spec_fields(spec)
+
+    _parse_cached.cache_clear()
+    cold = outcome()
+    assert outcome() == cold
 
 
 # -- budgets warm and cold -------------------------------------------------
@@ -258,7 +356,7 @@ def test_caches_that_take_arguments_are_bounded():
     for name in ("pairs._pattern_table", "pairs._table_cells",
                  "pairs._block_plan",
                  "coverage._dp_plan", "coverage._gauss_rule",
-                 "_streams._outcome_table",
+                 "_streams._outcome_table", "systems._parse_cached",
                  "cli._build_parser"):
         assert f"resamplekit.{name}" in found
     unbounded = [name for name, wrapper in found.items()

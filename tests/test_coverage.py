@@ -237,6 +237,24 @@ def test_rho_rejects():
         rho(0.5, 0.25, 0)
 
 
+@pytest.mark.parametrize("theta", [2.0, 1.0000001, -0.1, -0.0 - 1e-300])
+def test_theta_outside_the_unit_interval_is_refused(min_race, theta):
+    """theta is a share of the r experiments; rho(q, 2.0, r) read 1
+    before."""
+    with pytest.raises(ValueError, match=r"theta must be in \[0,1\]"):
+        rho(0.5, theta, 16)
+    with pytest.raises(ValueError, match=r"theta must be in \[0,1\]"):
+        coverage_R(min_race, GENS, (2, 2, 2), theta, 0.8, 10, 16)
+    with pytest.raises(ValueError, match=r"theta must be in \[0,1\]"):
+        protocol_table(min_race, GENS, (2, 2, 2), theta, 0.8, 10, 16)
+
+
+def test_theta_at_the_ends_of_the_unit_interval():
+    assert rho(0.5, 0.0, 16) == 0.0
+    assert rho(0.5, 1.0, 16) == pytest.approx(1.0 - 0.5 ** 16, abs=1e-15)
+    assert rho(0.5, -0.0, 16) == 0.0
+
+
 def test_alpha_floor():
     assert alpha_floor(0.5, 10) == 5
     assert alpha_floor(0.1, 10) == 1

@@ -683,3 +683,13 @@ def test_hybrid_pmf_degenerate_and_rejects():
     assert np.allclose(same, counts.active_pmf)
     with pytest.raises(ValueError):
         hybrid_pmf(counts, plugin, i_max=1)
+
+
+@pytest.mark.parametrize("bad", [2.5, 8.0, np.float64(8.0), True])
+def test_hybrid_pmf_rejects_a_non_integer_i_max(bad):
+    counts = make_counts([0.5, 0.3, 0.2])
+    plugin = plugin_estimate(DamageData([1.0, 2.0], [1.5, 2.5]), t=5.0)
+    with pytest.raises(TypeError, match=r"i_max must be an integer"):
+        hybrid_pmf(counts, plugin, i_max=bad)
+    assert hybrid_pmf(counts, plugin, i_max=np.int64(8)).tobytes() == \
+        hybrid_pmf(counts, plugin, i_max=8).tobytes()

@@ -39,16 +39,16 @@ from resamplekit.resampling import (EstimateResult, chunk_moments,
 from resamplekit.systems import evaluate_batch, leaf_dependencies, render
 from resamplekit.wave import wave_estimate
 
-from helpers import (block_of_arg, coverage_oracle, draw_values_oracle,
-                     enumerate_w_oracle, estimate_theta_oracle,
-                     evaluate_batch_oracle,
+from helpers import (CHAIN_OPS, block_of_arg, coverage_oracle,
+                     draw_values_oracle, enumerate_w_oracle,
+                     estimate_theta_oracle, evaluate_batch_oracle,
                      fisher_yates_oracle, grid_values_oracle,
                      index_vector_chunks, inner_mc_oracle, known_g_oracle,
                      leaf_deps_oracle, numeric_pw_oracle, pair_moment_oracle,
                      product_grid, q_oracle, race_probability_oracle,
                      resampling_interval_oracle, shared_pair_moment_oracle,
                      support_matching_oracle, support_moments_oracle,
-                     vector_wave_oracle, wave_oracle)
+                     systems, vector_wave_oracle, wave_oracle)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30,
                     database=None)
@@ -73,39 +73,6 @@ def layouts(draw, max_m=4, max_size=4, max_vectors=300):
         samples = [(n, v[:binding.count(s)]) for (n, v), s in zip(samples, used)]
         out = SampleSet.from_samples(samples, blocks=blocks)
     return out
-
-
-@st.composite
-def subtree(draw, leaves, ops=("min", "max", "sum", "kofn")):
-    """Real-valued expression over the given leaves (one of ``ops`` per
-    inner node)."""
-    if len(leaves) == 1:
-        return f"x{leaves[0]}"
-    cut = draw(st.integers(1, len(leaves) - 1))
-    left = draw(subtree(leaves[:cut], ops))
-    right = draw(subtree(leaves[cut:], ops))
-    op = draw(st.sampled_from(list(ops)))
-    if op == "kofn":
-        return f"kofn({draw(st.integers(1, 2))}; {left}, {right})"
-    return f"{op}({left}, {right})"
-
-
-@st.composite
-def systems(draw, m):
-    """System text over x1..xm and whether its root is an indicator."""
-    leaves = draw(st.permutations(range(1, m + 1)))
-    root = draw(st.sampled_from(["real", "ind", "cmp"] if m > 1
-                                else ["real", "ind"]))
-    if root == "cmp":
-        cut = draw(st.integers(1, m - 1))
-        op = draw(st.sampled_from("<>"))
-        return (f"cmp({draw(subtree(leaves[:cut]))} {op} "
-                f"{draw(subtree(leaves[cut:]))})", True)
-    body = draw(subtree(leaves))
-    if root == "ind":
-        level = draw(st.sampled_from([0.75, 1.0, 1.5, 2.5]))
-        return f"ind({body} > {level})", True
-    return body, False
 
 
 @st.composite
@@ -341,9 +308,6 @@ def test_over_budget_grids_raise_before_building_anything(monkeypatch):
 # inputs.
 CELLS = st.sampled_from([0.0, 0.75, 1.0, 1.5, 2.5]) | st.floats(
     -1e3, 1e3, allow_nan=False)
-CHAIN_OPS = ("min(", "max(", "sum(", "kofn(1; ")
-
-
 def table_rows(spec) -> list:
     """The spec's table with every node cut down to its type and its own
     fields; node ``==`` would compare each node's whole subtree again."""

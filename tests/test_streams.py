@@ -277,6 +277,28 @@ SEED_CHECK_R = [10, 3 * BLOCK, 11 * BLOCK]
 
 
 @pytest.mark.parametrize("r", SEED_CHECK_R)
+def test_non_integer_seeds_raise_the_library_message(r):
+    samples = SampleSet.from_samples([("a", [1.0, 2.0, 3.0])])
+    spec = parse_system("x1")
+    for seed in (1.5, np.float64(2.0), "3"):
+        with pytest.raises(TypeError) as info:
+            estimate_theta(spec, samples, r, seed=seed)
+        assert str(info.value) == \
+            f"seeds and keys must be integers, got {seed!r}"
+    with pytest.raises(TypeError, match="seeds and keys must be integers"):
+        substream(7, 1.5)
+
+
+@pytest.mark.parametrize("rows", [1, 3, 11], ids=["one", "pool", "hashed"])
+def test_substreams_name_a_non_integer_seed_as_given(rows):
+    for seed in (1.5, np.float64(2.0)):
+        with pytest.raises(TypeError) as info:
+            next(substreams(seed, Lane.WAVE, np.arange(rows)))
+        assert str(info.value) == \
+            f"seeds and keys must be integers, got {seed!r}"
+
+
+@pytest.mark.parametrize("r", SEED_CHECK_R)
 def test_every_route_rejects_bool_and_negative_seeds_alike(r):
     samples = SampleSet.from_samples([("a", [1.0, 2.0, 3.0])])
     spec = parse_system("x1")

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import sys
@@ -9,10 +10,10 @@ import pytest
 from resamplekit import SystemSyntaxError, SystemValidationError, parse_system
 from resamplekit.partial import three_branch_system
 from resamplekit.systems import (Input, Max, Min, SystemSpec, Threshold,
-                                 evaluate, evaluate_batch, leaf_dependencies,
-                                 render)
+                                 _parse_cached, evaluate, evaluate_batch,
+                                 leaf_dependencies, render)
 
-from helpers import children_ids
+from helpers import children_ids, parent_of
 
 
 def test_six_tree_anchor(six_tree):
@@ -113,6 +114,97 @@ def test_nan_threshold_level_is_rejected():
         SystemSpec(Threshold(Input(1), "<", nan))
 
 
+# -- parsed specs are shared ----------------------------------------------
+
+class Unreadable:
+    """A value that fails if anything hashes or converts it."""
+
+    def __hash__(self):
+        raise AssertionError("hashed")
+
+    def __float__(self):
+        raise AssertionError("converted")
+
+
+class ReadLog(dict):
+    """A params dict that logs the names looked up in it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = []
+
+    def __contains__(self, name):
+        self.read.append(name)
+        return super().__contains__(name)
+
+    def __getitem__(self, name):
+        self.read.append(name)
+        return super().__getitem__(name)
+
+
+def test_parse_returns_one_shared_spec_per_text_and_values():
+    text = "ind(min(x1, x2) > t)"
+    spec = parse_system(text, {"t": 1.0})
+    assert parse_system(text, {"t": 1.0}) is spec
+    # 1, 1.0 and True build the same spec
+    assert parse_system(text, {"t": 1}) is spec
+    assert parse_system(text, {"t": True}) is spec
+    assert parse_system(text, {"t": 2.0}) is not spec
+    assert parse_system("min(x1, x2)") is parse_system("min(x1, x2)", {})
+
+
+def test_signed_zero_levels_are_different_specs():
+    text = "ind(x1 > t)"
+    neg, pos = parse_system(text, {"t": -0.0}), parse_system(text, {"t": 0.0})
+    assert neg is not pos
+    assert render(neg.root) == "ind(x1>-0)"
+    assert render(pos.root) == "ind(x1>0)"
+    assert parse_system(text, {"t": 0}) is pos
+    assert parse_system(text, {"t": -0.0}) is neg
+
+
+def test_params_the_text_does_not_name_are_not_read():
+    text = "ind(kofn(2; x1, x2, x3) > t)"
+    spec = parse_system(text, {"t": 0.5})
+    assert parse_system(text, {"t": 0.5, "meta": [1]}) is spec
+    assert parse_system(text, {"t": 0.5, "meta": Unreadable()}) is spec
+    log = ReadLog({"t": 0.5, "meta": 1, "x1": 2})
+    assert parse_system(text, log) is spec
+    assert set(log.read) == {"t"}
+    # a name the parser reads as an operator, not as a level, may hold
+    # anything, as before; that spec is parsed but not kept
+    race = parse_system("cmp(x3 < min(x1, x2))", {"min": [1]})
+    assert render(race.root) == "cmp(x3<min(x1,x2))"
+
+
+def test_nan_levels_are_never_cached():
+    _parse_cached.cache_clear()
+    for _ in range(2):
+        with pytest.raises(SystemValidationError,
+                           match="threshold level is NaN"):
+            parse_system("ind(x1 > t)", params={"t": float("nan")})
+    # a NaN under a name the parser reads as an input still parses
+    first = parse_system("cmp(x2 < x1)", {"x1": float("nan")})
+    assert parse_system("cmp(x2 < x1)", {"x1": float("nan")}) is not first
+    assert _parse_cached.cache_info().currsize == 0
+
+
+def test_specs_are_read_only(six_tree):
+    spec = parse_system("ind(min(max(x1, x2), x3) > t)", {"t": 1.0})
+    for target in (spec, six_tree):
+        with pytest.raises(TypeError):
+            target.node_ids[1] = Input(9)
+        with pytest.raises(TypeError):
+            target.leaf_deps[1] = frozenset()
+        with pytest.raises(TypeError):
+            target.table[0] = None
+        for name in ("root", "m", "table", "node_ids", "leaf_deps"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(target, name, None)
+        assert not hasattr(target, "parent")
+    assert dict(spec.node_ids) == {nid: node for nid, node, _ in spec.table}
+
+
 def test_leaf_dependencies(six_tree):
     deps = six_tree.leaf_deps
     assert deps[six_tree.root_id] == frozenset({1, 2, 3, 4, 5, 6})
@@ -169,12 +261,14 @@ def test_node_equality_and_repr_follow_the_dataclass_fields():
 
 
 def test_parent_child_tables_consistent(six_tree):
+    parent = parent_of(six_tree)
     for node, kids in ((v, children_ids(six_tree, v))
                        for v in six_tree.node_ids):
         for kid in kids:
-            assert six_tree.parent[kid] == node
+            assert parent[kid] == node
     root = six_tree.root_id
-    assert root not in six_tree.parent
+    assert root not in parent
+    assert sorted(parent) == sorted(set(six_tree.node_ids) - {root})
 
 
 def test_table_is_post_order_with_the_root_last():
