@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._streams import Lane, _count, block_streams
+from ._streams import BLOCK, Lane, _count, block_streams
 from .distributions import KnownDistribution
 from .resampling import EstimateResult, draw_values
 from .samples import SampleSet
@@ -97,12 +97,14 @@ def estimate_inner_mc(spec: SystemSpec, samples: SampleSet, z_dists,
     N, r = _count(N, "N"), _count(r, "r")
     values = np.empty(r, dtype=float)
     rows_per = max(1, _ROWS_CHUNK // N)
+    # one argument array for the call; each chunk fills a leading slice
+    buffer = np.empty((min(rows_per, r, BLOCK), N, m + nu), dtype=float)
     for start, stop, rng in block_streams(r, seed, Lane.INNER_MC):
         X = draw_values(samples, stop - start, rng).T
         for lo in range(0, stop - start, rows_per):
             hi = min(lo + rows_per, stop - start)
             rows = hi - lo
-            full = np.empty((rows, N, m + nu), dtype=float)
+            full = buffer[:rows]
             full[:, :, :m] = X[lo:hi, None, :]
             for z, d in enumerate(z_dists):
                 full[:, :, m + z] = d.sample(rng, (rows, N))

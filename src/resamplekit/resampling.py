@@ -87,13 +87,19 @@ class EstimateResult:
         Two ``np.add.reduce`` passes, the sum over n and then the squared
         deviations from that mean over n - 1, are the steps of
         ``values.mean()`` and ``np.var(values, ddof=1)``, so the bits are
-        theirs.
+        theirs.  The variance pass runs in place: unless ``keep_values`` is
+        set, a writeable C-contiguous float64 ``values`` is overwritten by
+        its squared deviations, so no second array of length n is made.
+        Any other array is left as it was and the pass runs on a copy.
         """
         n = len(values)
         mean = np.add.reduce(values) / n
         var = 0.0
         if n > 1:
-            dev = values - mean
+            in_place = (not keep_values and values.dtype == np.float64
+                        and values.flags.writeable
+                        and values.flags.c_contiguous)
+            dev = np.subtract(values, mean, out=values if in_place else None)
             var = np.add.reduce(np.multiply(dev, dev, out=dev)) / (n - 1)
         return cls(estimate=float(mean), realizations=n, seed=seed,
                    empirical_variance=float(var),

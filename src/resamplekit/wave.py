@@ -103,6 +103,10 @@ def _cascade(spec: SystemSpec, samples: SampleSet, sizes: dict, seed: int,
     order: a Z sample or one pick per row from the child's sample.  A node
     whose size is the product of its children's sizes, all of them data
     or enumerated, takes every child combination once and draws nothing.
+
+    Every sampled node's sample is a slice of one slab of sum(n_v) rows,
+    in post-order, so a call allocates its full-length memory once; a
+    sampled root comes back as a view of that slab.
     """
     m = samples.m
     store: dict[int, np.ndarray] = {}
@@ -110,19 +114,28 @@ def _cascade(spec: SystemSpec, samples: SampleSet, sizes: dict, seed: int,
         v = samples.values_for_arg(i)
         store[i] = np.broadcast_to(v.reshape(v.shape + (1,) * len(slots)),
                                    v.shape + slots)
+    n_of = {i: len(v) for i, v in store.items()}
     exhaustive = dict.fromkeys(store, True)
+    offsets: dict[int, int] = {}
+    total = 0
+    for nid, _, kids in spec.table:
+        if kids:
+            n_of[nid] = n_v = _size(sizes, nid)
+            exhaustive[nid] = n_v == math.prod(
+                n_of[c] if exhaustive.get(c) else 0 for c in kids)
+            if not exhaustive[nid]:
+                offsets[nid], total = total, total + n_v
+    slab = np.empty((total,) + slots, dtype=float)
     for nid, node, kids in spec.table:
         if not kids:
             continue
-        n_v = _size(sizes, nid)
-        counts = [len(store[c]) if exhaustive.get(c) else 0 for c in kids]
-        exhaustive[nid] = n_v == math.prod(counts)
+        n_v = n_of[nid]
         if exhaustive[nid]:
-            picks = np.unravel_index(np.arange(n_v), counts)
+            picks = np.unravel_index(np.arange(n_v), [n_of[c] for c in kids])
             cols = [store[c][idx] for c, idx in zip(kids, picks)]
             store[nid] = np.asarray(elementary_apply(node, cols), dtype=float)
             continue
-        out = np.empty((n_v,) + slots, dtype=float)
+        out = slab[offsets[nid]:offsets[nid] + n_v]
         for start, stop, rng in block_streams(n_v, seed, lane, nid):
             rows = stop - start
             cols = []
@@ -131,7 +144,8 @@ def _cascade(spec: SystemSpec, samples: SampleSet, sizes: dict, seed: int,
                     cols.append(z_dists[c - m - 1].sample(rng, (rows,) + slots))
                 else:
                     src = store[c]
-                    cols.append(src[rng.integers(0, len(src), size=rows)])
+                    cols.append(src.take(rng.integers(0, len(src), size=rows),
+                                         axis=0))
             out[start:stop] = elementary_apply(node, cols)
         store[nid] = out
     return store[spec.root_id]
@@ -159,7 +173,9 @@ def wave_estimate(spec: SystemSpec, samples: SampleSet, sizes: dict,
         raise ValueError(
             f"system takes {spec.m} arguments but samples bind {samples.m}")
     root = _cascade(spec, samples, sizes, seed, Lane.WAVE)
-    return EstimateResult.from_values(root, seed, keep_values)
+    # a kept root must not pin the cascade's slab
+    return EstimateResult.from_values(root.copy() if keep_values else root,
+                                      seed, keep_values)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 from hypothesis import strategies as st
@@ -833,3 +834,18 @@ def vector_wave_oracle(spec, samples, z_dists, N, sizes,
     return EstimateResult(estimate=float(root.mean()),
                           realizations=root.shape[0], seed=seed,
                           empirical_variance=var, values=per_element)
+
+
+# -- memory ----------------------------------------------------------------
+
+def peak_bytes(fn) -> int:
+    """Peak memory, in bytes, that one call of ``fn`` holds at once, as
+    ``tracemalloc`` sees it (numpy reports its array data there).  ``fn``
+    runs once untraced first, so caches it fills are not counted."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
