@@ -6,7 +6,10 @@ a parameter tuple.  Families supported: ``exponential`` (rate), ``normal``
 ``empirical`` (a fixed value list, sampled with replacement).  The parametric
 families evaluate the formulas of the matching scipy.stats distributions on
 numpy and ``scipy.special`` ufuncs, bit for bit, without importing
-scipy.stats.
+scipy.stats.  Those ufuncs are bound from scipy.special's compiled modules
+without running the package ``__init__`` (see :func:`_load_ufuncs`), so
+importing this module loads neither scipy.special's array-API layer nor
+the ``numpy.f2py``, ``numpy.testing`` and ``numpy.fft`` modules it imports.
 
 Two construction paths mirror the CLI and the config format:
 
@@ -18,16 +21,17 @@ Two construction paths mirror the CLI and the config format:
 
 from __future__ import annotations
 
+import importlib
 import math
+import os
+import sys
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+from types import ModuleType
 from typing import NamedTuple
 
 import numpy as np
-from scipy import special
-# scipy.stats.binom's own kernels: the binomial pmf and cdf have no bit-equal
-# public route, and scipy.special loads this module anyway
-from scipy.special import _ufuncs
+import scipy
 
 __all__ = [
     "KnownDistribution",
@@ -63,6 +67,48 @@ _PARAM_NAMES = {
 }
 
 _SQRT_2PI = np.sqrt(2 * np.pi)
+
+# the scipy.special ufuncs this module calls; the binomial pmf and cdf are
+# scipy.stats.binom's own kernels, since no public ufunc gives their bits
+_UFUNCS = ("expm1", "log1p", "ndtr", "ndtri", "betainc", "xlogy", "gammaln",
+           "pdtrc", "_binom_pmf", "_binom_cdf")
+
+
+def _load_ufuncs() -> ModuleType:
+    """scipy.special's compiled ``_ufuncs`` module, which holds every name
+    in ``_UFUNCS`` (those of ``_special_ufuncs`` as the same objects).
+
+    The package ``__init__`` is most of the cost of importing scipy.special:
+    its array-API layer imports ``numpy.f2py``, ``numpy.testing`` and
+    ``numpy.fft``.  When scipy.special is not yet imported, a bare package
+    stub (only a ``__path__``) stands in for it while the compiled ufunc
+    modules load, and is removed afterwards, so a later ``import
+    scipy.special`` runs its own ``__init__`` and reuses those same
+    extension modules.  If the package is already imported, or that route
+    fails (a scipy without ``_special_ufuncs``, a missing name), the full
+    package import gives the module instead: the same module either way.
+    While the stub stands (a few ms, at import), another thread's ``import
+    scipy.special`` would see it.
+    """
+    if "scipy.special" not in sys.modules:
+        stub = ModuleType("scipy.special")
+        stub.__path__ = [os.path.join(p, "special") for p in scipy.__path__]
+        sys.modules["scipy.special"] = stub
+        try:
+            importlib.import_module("scipy.special._special_ufuncs")
+            ufuncs = importlib.import_module("scipy.special._ufuncs")
+            if all(hasattr(ufuncs, name) for name in _UFUNCS):
+                return ufuncs
+        except ImportError:
+            pass
+        finally:
+            if sys.modules.get("scipy.special") is stub:
+                del sys.modules["scipy.special"]
+    from scipy.special import _ufuncs
+    return _ufuncs
+
+
+_ufuncs = _load_ufuncs()
 
 
 def _triangular_cdf(z, c):
@@ -114,21 +160,21 @@ class _Standard(NamedTuple):
 _STANDARD = {
     "exponential": _Standard(
         0.0, np.inf,
-        cdf=lambda z, c: -special.expm1(-z),
+        cdf=lambda z, c: -_ufuncs.expm1(-z),
         sf=lambda z, c: np.exp(-z),
         pdf=lambda z, c: np.exp(-z),
-        ppf=lambda q, c: -special.log1p(-q),
+        ppf=lambda q, c: -_ufuncs.log1p(-q),
         moments=lambda c: (1.0, 1.0),
-        limited=lambda w, c: w if w <= 0 else -special.expm1(-w)),
+        limited=lambda w, c: w if w <= 0 else -_ufuncs.expm1(-w)),
     "normal": _Standard(
         -np.inf, np.inf,
-        cdf=lambda z, c: special.ndtr(z),
-        sf=lambda z, c: special.ndtr(-z),
+        cdf=lambda z, c: _ufuncs.ndtr(z),
+        sf=lambda z, c: _ufuncs.ndtr(-z),
         pdf=lambda z, c: np.exp(-z ** 2 / 2.0) / _SQRT_2PI,
-        ppf=lambda q, c: special.ndtri(q),
+        ppf=lambda q, c: _ufuncs.ndtri(q),
         moments=lambda c: (0.0, 1.0),
         # w - int_-inf^w Phi = w - (w Phi(w) + phi(w))
-        limited=lambda w, c: w * special.ndtr(-w)
+        limited=lambda w, c: w * _ufuncs.ndtr(-w)
         - np.exp(-w * w / 2.0) / _SQRT_2PI),
     "uniform": _Standard(
         0.0, 1.0,
@@ -348,7 +394,7 @@ def binom_sf(k, n, p):
     inside = (k >= 0) & (k < n)
     if inside.any():
         kf = np.floor(k[inside])
-        out[inside] = special.betainc(kf + 1, n[inside] - kf, p[inside])
+        out[inside] = _ufuncs.betainc(kf + 1, n[inside] - kf, p[inside])
     return out[()]
 
 
@@ -359,7 +405,7 @@ def poisson_pmf(k, mu):
     inside = (k >= 0) & (np.floor(k) == k) & np.isfinite(k)
     if inside.any():
         ki, mi = k[inside], mu[inside]
-        out[inside] = np.exp(special.xlogy(ki, mi) - special.gammaln(ki + 1)
+        out[inside] = np.exp(_ufuncs.xlogy(ki, mi) - _ufuncs.gammaln(ki + 1)
                              - mi)
     return out[()]
 
@@ -370,7 +416,7 @@ def poisson_sf(k, mu):
     out = np.where(k < 0, 1.0, 0.0)
     inside = (k >= 0) & (k < np.inf)
     if inside.any():
-        out[inside] = special.pdtrc(np.floor(k[inside]), mu[inside])
+        out[inside] = _ufuncs.pdtrc(np.floor(k[inside]), mu[inside])
     return out[()]
 
 

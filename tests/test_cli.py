@@ -741,6 +741,14 @@ def test_main_calls_in_one_process_equal_fresh_processes(files, capsys,
         assert result == fresh_process(argv, env)
 
 
+RUN_COMMANDS = """
+import resamplekit, resamplekit.cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert resamplekit.cli.main(argv) == 0, argv
+print(json.dumps(sorted(sys.modules)))
+"""
+
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 import numpy, scipy.special
@@ -750,32 +758,37 @@ for name in [m for m in sys.modules if m.split(".")[:2] == ["numpy", "fft"]]:
     if sys.modules[name].__file__.endswith(".py"):
         del sys.modules[name]
 vars(numpy).pop("fft", None)
-import resamplekit, resamplekit.cli
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert resamplekit.cli.main(argv) == 0, argv
-print(json.dumps(sorted(m for m in sys.modules
-                        if m.split(".")[:2] in (["scipy", "stats"],
-                                                ["scipy", "integrate"])
-                        or m == "numpy.fft")))
-"""
+""" + RUN_COMMANDS
+
+BARE_PROBE = """
+import contextlib, io, json, sys
+""" + RUN_COMMANDS
 
 
-def import_probe(commands) -> list:
-    """Modules of scipy.stats, scipy.integrate and numpy.fft that a fresh
-    interpreter holds after importing the package and running ``commands``."""
-    res = subprocess.run([sys.executable, "-c", IMPORT_PROBE,
-                          json.dumps(commands)], capture_output=True, text=True)
+def loaded_modules(probe, commands) -> list:
+    """Every module a fresh interpreter holds after running ``probe`` on
+    ``commands``."""
+    res = subprocess.run([sys.executable, "-c", probe, json.dumps(commands)],
+                         capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     return json.loads(res.stdout)
 
 
-def test_commands_load_neither_scipy_stats_nor_integrate(files):
-    """Import and the estimate, damage and coverage commands need only
-    numpy and scipy.special, and none of them loads numpy.fft."""
+def import_probe(commands) -> list:
+    """Modules of scipy.stats, scipy.integrate and numpy.fft that a fresh
+    interpreter holds after importing numpy, scipy.special and the package
+    and running ``commands``."""
+    return [m for m in loaded_modules(IMPORT_PROBE, commands)
+            if m.split(".")[:2] in (["scipy", "stats"], ["scipy", "integrate"])
+            or m == "numpy.fft"]
+
+
+def probe_commands(files) -> list:
+    """The estimate, damage and coverage commands: none needs more than
+    scipy.special's compiled ufuncs."""
     coverage = ["coverage", "--spec", str(files["race"]), "--sizes", "2,2,2",
                 "--gamma", "0.8", "--theta", "0.25", "--k", "10", "--r", "16"]
-    commands = [
+    return [
         ["estimate", "--spec", str(files["spec"]), "--samples",
          str(files["samples"]), "--t", "1.0", "--r", "50", "--seed", "3"],
         ["damage", "--ha", str(files["ha"]), "--hb", str(files["hb"]),
@@ -787,7 +800,24 @@ def test_commands_load_neither_scipy_stats_nor_integrate(files):
         coverage + ["--gen", "normal:0,1,normal:0.5,1,normal:1,2",
                     "--mode", "mc", "--replications", "50", "--seed", "2"],
     ]
-    assert import_probe(commands) == []
+
+
+def test_commands_load_neither_scipy_stats_nor_integrate(files):
+    """Import and the estimate, damage and coverage commands need only
+    numpy and scipy.special, and none of them loads numpy.fft."""
+    assert import_probe(probe_commands(files)) == []
+
+
+def test_commands_skip_the_scipy_special_package(files):
+    """With nothing imported first, import and the same commands load
+    scipy.special's compiled ufuncs but not the package, nor its array-API
+    layer and the numpy modules that layer imports."""
+    skipped = ("scipy._lib.array_api_compat", "numpy.f2py", "numpy.testing",
+               "numpy.fft")
+    loaded = loaded_modules(BARE_PROBE, probe_commands(files))
+    assert "scipy.special._ufuncs" in loaded
+    assert [m for m in loaded if m == "scipy.special"
+            or m.startswith(skipped)] == []
 
 
 def test_import_probe_sees_the_grid_kit_load_numpy_fft():

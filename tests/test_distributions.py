@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -306,3 +310,87 @@ def test_poisson_helpers_equal_scipy_stats(mu):
     for j in (-1, 0, 3):
         assert_same_bits(poisson_pmf(j, mu), stats.poisson.pmf(j, mu))
         assert_same_bits(poisson_sf(j, mu), stats.poisson.sf(j, mu))
+
+
+# -- how the scipy.special ufuncs load -------------------------------------
+# Each probe runs in a fresh interpreter, so that resamplekit is imported
+# before scipy.special (conftest has imported both here).  SCIPY_ARRAY_API
+# is dropped: under it scipy.special exports wrappers, not the ufuncs.
+
+def run_probe(script):
+    env = {k: v for k, v in os.environ.items() if k != "SCIPY_ARRAY_API"}
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+HANDOFF_PROBE = """
+import sys
+from resamplekit import distributions, normal
+from resamplekit.distributions import binom_cdf, binom_pmf, poisson_sf
+assert "scipy.special" not in sys.modules
+import numpy as np, scipy.special, scipy.stats, scipy.integrate
+special = sys.modules["scipy.special"]
+assert special is scipy.special and hasattr(special, "__file__")
+assert distributions._ufuncs is special._ufuncs
+for name in distributions._UFUNCS:
+    own = getattr(special._ufuncs if name.startswith("_") else special, name)
+    assert getattr(distributions._ufuncs, name) is own, name
+x, k = np.linspace(-4.0, 6.0, 41), np.arange(-1.0, 14.0)
+assert (scipy.stats.norm.cdf(x, 0.5, 2.0) == normal(0.5, 2.0).cdf(x)).all()
+assert (scipy.stats.binom.pmf(k, 12, 0.3) == binom_pmf(k, 12, 0.3)).all()
+assert (scipy.stats.binom.cdf(k, 12, 0.3) == binom_cdf(k, 12, 0.3)).all()
+assert (scipy.stats.poisson.sf(k, 3.7) == poisson_sf(k, 3.7)).all()
+assert abs(scipy.integrate.quad(lambda t: t * t, 0.0, 1.0)[0] - 1 / 3) < 1e-14
+"""
+
+
+def test_scipy_special_imported_later_reuses_the_bound_ufuncs():
+    """Importing scipy.special, scipy.stats and scipy.integrate after
+    resamplekit runs the real package, whose exports are the very ufuncs
+    resamplekit bound."""
+    run_probe(HANDOFF_PROBE)
+
+
+REFUSE_SPECIAL_UFUNCS = """
+import importlib.abc, sys
+
+class Refuse(importlib.abc.MetaPathFinder):
+    refused = 0
+
+    def find_spec(self, name, path, target=None):
+        special = sys.modules.get("scipy.special")
+        if (name == "scipy.special._special_ufuncs" and special is not None
+                and not hasattr(special, "__file__")):
+            Refuse.refused += 1
+            raise ImportError(name)
+        return None
+
+sys.meta_path.insert(0, Refuse())
+"""
+
+ROUTE_PROBE = """
+import json, sys
+import numpy as np
+from resamplekit import exponential, normal
+from resamplekit.distributions import binom_cdf, poisson_sf
+special = sys.modules.get("scipy.special")
+x, k = np.linspace(-4.0, 6.0, 41), np.arange(-1.0, 14.0)
+values = [normal(0.5, 2.0).cdf(x), exponential(2.0).cdf(x),
+          binom_cdf(k, 12, 0.3), poisson_sf(k, 3.7)]
+print(json.dumps({
+    "special": None if special is None else hasattr(special, "__file__"),
+    "refused": getattr(sys.meta_path[0], "refused", None),
+    "bits": [np.asarray(v).tobytes().hex() for v in values]}))
+"""
+
+
+def test_a_refused_compiled_module_falls_back_to_the_full_import():
+    """When the bare route fails, import takes scipy.special's own
+    ``__init__``, leaves no stub behind, and every law keeps its bits."""
+    direct = json.loads(run_probe(ROUTE_PROBE))
+    fallback = json.loads(run_probe(REFUSE_SPECIAL_UFUNCS + ROUTE_PROBE))
+    assert (direct["special"], direct["refused"]) == (None, None)
+    assert (fallback["special"], fallback["refused"]) == (True, 1)
+    assert fallback["bits"] == direct["bits"]
