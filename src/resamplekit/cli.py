@@ -185,21 +185,33 @@ def _non_finite_field(obj, path: str) -> tuple[str, float] | None:
     return None
 
 
-def _emit(report: dict, table: tuple[list[str], list[list]], fmt: str,
-          out) -> None:
-    """Write the report, or refuse one that holds a non-finite number
-    (strict JSON has no token for it) before writing anything."""
+def _refuse_non_finite(report: dict) -> None:
+    """Raise the schema violation that names the report's first non-finite
+    number, if it holds one."""
     found = _non_finite_field(report, "report")
     if found is not None:
         field, value = found
         raise CliError("schema-violation", EXIT_SCHEMA,
                        f"{field} is {value}, not a finite number",
                        {"field": field})
+
+
+def _emit(report: dict, table: tuple[list[str], list[list]], fmt: str,
+          out) -> None:
+    """Write the report, or refuse one that holds a non-finite number
+    (strict JSON has no token for it) before writing anything.  JSON is
+    encoded first and the report walked only when the encoder refuses."""
     if fmt == "json":
-        out.write(json.dumps(report, sort_keys=True, indent=2,
-                             allow_nan=False))
+        try:
+            text = json.dumps(report, sort_keys=True, indent=2,
+                              allow_nan=False)
+        except ValueError:
+            _refuse_non_finite(report)
+            raise
+        out.write(text)
         out.write("\n")
         return
+    _refuse_non_finite(report)
     header, rows = table
     cells = [header] + [[_sig6(c) for c in row] for row in rows]
     if fmt == "csv":

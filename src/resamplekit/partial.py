@@ -97,18 +97,19 @@ def estimate_inner_mc(spec: SystemSpec, samples: SampleSet, z_dists,
     N, r = _count(N, "N"), _count(r, "r")
     values = np.empty(r, dtype=float)
     rows_per = max(1, _ROWS_CHUNK // N)
-    # one argument array for the call; each chunk fills a leading slice
-    buffer = np.empty((min(rows_per, r, BLOCK), N, m + nu), dtype=float)
+    # one argument-major array for the call, so each argument reaches the
+    # evaluator as a contiguous column; each chunk fills a leading slice
+    buffer = np.empty((m + nu, min(rows_per, r, BLOCK), N), dtype=float)
     for start, stop, rng in block_streams(r, seed, Lane.INNER_MC):
-        X = draw_values(samples, stop - start, rng).T
+        X = draw_values(samples, stop - start, rng)
         for lo in range(0, stop - start, rows_per):
             hi = min(lo + rows_per, stop - start)
             rows = hi - lo
-            full = buffer[:rows]
-            full[:, :, :m] = X[lo:hi, None, :]
+            full = buffer[:, :rows]
+            full[:m] = X[:, lo:hi, None]
             for z, d in enumerate(z_dists):
-                full[:, :, m + z] = d.sample(rng, (rows, N))
-            vals = evaluate_batch(spec, full.reshape(rows * N, m + nu))
+                full[m + z] = d.sample(rng, (rows, N))
+            vals = evaluate_batch(spec, full.reshape(m + nu, rows * N).T)
             values[start + lo:start + hi] = vals.reshape(rows, N).mean(axis=1)
     return EstimateResult.from_values(values, seed, keep_values)
 

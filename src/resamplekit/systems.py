@@ -41,7 +41,8 @@ __all__ = [
     "SystemSyntaxError", "SystemValidationError",
     "Input", "Min", "Max", "Sum", "KOfN", "Threshold", "Compare",
     "SystemSpec", "parse_system", "evaluate", "evaluate_batch",
-    "evaluate_grid", "leaf_dependencies", "elementary_apply", "render",
+    "evaluate_grid", "leaf_dependencies", "class_levels", "elementary_apply",
+    "render",
 ]
 
 
@@ -246,6 +247,9 @@ class SystemSpec:
     order once plus the bounds of each node's run, and slices a node's
     leaves out when asked.
 
+    ``class_levels`` is the threshold-class map of :func:`class_levels`
+    with every argument finite, as data samples are.
+
     A spec is read-only all the way down, so :func:`parse_system` can hand
     the same object to every caller that parses the same text and values.
     """
@@ -255,6 +259,7 @@ class SystemSpec:
     table: tuple = field(init=False, repr=False)     # post-order (id, node, kids)
     node_ids: Mapping = field(init=False, repr=False)   # node id -> node
     leaf_deps: Mapping = field(init=False, repr=False)  # id -> frozenset of args
+    class_levels: Mapping = field(init=False, repr=False)  # id -> level L
 
     def __post_init__(self):
         order = _post_order(self.root)
@@ -294,6 +299,8 @@ class SystemSpec:
         object.__setattr__(self, "node_ids", MappingProxyType(
             {nid: n for nid, n, _ in table}))
         object.__setattr__(self, "leaf_deps", _LeafDeps(tuple(leaves), spans))
+        object.__setattr__(self, "class_levels", MappingProxyType(
+            class_levels(self.table)))
 
     @property
     def root_id(self) -> int:
@@ -321,6 +328,47 @@ class _LeafDeps(Mapping):
 
     def __len__(self) -> int:
         return len(self._spans)
+
+
+def class_levels(table, unbounded=()) -> dict[int, float]:
+    """Node id -> level L of every node that an ``ind`` reads only through
+    its class u = [v > L], for a spec's ``table``.
+
+    Those are the child of an ``ind`` with level L, every node reached from
+    it down through ``min``, ``max`` and ``kofn`` only, and the children
+    where that run stops.  Min, max and the k-th largest commute with the
+    monotone map v -> [v > L] (Barlow & Proschan 1975), so such a node's
+    class follows from its children's: all, any, or at least k of them
+    above L.  The ``ind`` gives u for ``>`` and not u for ``<``.
+
+    NaN is neither above L nor at most L, so a region in which a value
+    could be NaN is left out.  Arguments are taken as finite apart from
+    those in ``unbounded``; only a sum makes a NaN, where a partial sum that
+    could be infinite meets a child that could be.
+    """
+    infinite = set(unbounded)  # nodes whose values could be infinite
+    nan = set()  # nodes whose values could be NaN
+    for nid, node, kids in table:
+        if not kids or isinstance(node, (Threshold, Compare)):
+            continue  # a leaf is as unbounded says; ind and cmp give 0 or 1
+        if not nan.isdisjoint(kids):
+            nan.add(nid)
+        if not infinite.isdisjoint(kids):
+            infinite.add(nid)
+        if isinstance(node, Sum) and len(kids) > 1:
+            # after two terms the partial sum may overflow
+            if kids[0] in infinite and kids[1] in infinite \
+                    or not infinite.isdisjoint(kids[2:]):
+                nan.add(nid)
+            infinite.add(nid)
+    levels: dict[int, float] = {}
+    for nid, node, kids in reversed(table):  # every parent before its kids
+        if isinstance(node, Threshold):
+            if kids[0] not in nan:
+                levels[kids[0]] = node.level
+        elif nid in levels and isinstance(node, (Min, Max, KOfN)):
+            levels.update(dict.fromkeys(kids, levels[nid]))
+    return levels
 
 
 def leaf_dependencies(spec: SystemSpec, node_id: int) -> frozenset:

@@ -20,6 +20,10 @@ has P{empty} = 1 (two distinct data elements share nothing).  The variance
 of the root mean then assembles exactly like the flat case with r = n_k and
 the pattern weights P^k{omega}.
 
+A node that an ``ind`` reads only through its side of the level (the
+threshold-class map ``SystemSpec.class_levels``) keeps its sample as one
+byte per element, u = [v > L], instead of an 8-byte value.
+
 Every argument must have its own sample (blocks of size one); the cascade
 draws children independently.  One cascade serves :func:`wave_estimate`
 and ``partial.wave_estimate_vector_samples`` (node samples of N-vectors).
@@ -40,7 +44,8 @@ from .pairs import (OmegaPair, VarianceReport, _generator_layout,
                     _variance_report)
 from .resampling import EstimateResult
 from .samples import SampleSet
-from .systems import SystemSpec, elementary_apply
+from .systems import (SystemSpec, Threshold, class_levels,
+                      elementary_apply)
 
 __all__ = [
     "node_sizes", "default_node_sizes", "wave_estimate", "WavePropagation",
@@ -99,56 +104,108 @@ def _cascade(spec: SystemSpec, samples: SampleSet, sizes: dict, seed: int,
     Arguments 1..m read the data, stored once and broadcast over ``slots``;
     arguments m+1.. are known distributions, drawn fresh as
     ``(rows,) + slots`` values wherever they are a child.  Node v's draws
-    come from the (seed, lane, v) block streams, one per child in child
-    order: a Z sample or one pick per row from the child's sample.  A node
-    whose size is the product of its children's sizes, all of them data
-    or enumerated, takes every child combination once and draws nothing.
+    come from the (seed, lane, v) block streams in child order: a Z sample,
+    or one pick per row from a child's sample.  A run of consecutive non-Z
+    children of one sample size takes its picks from one ``integers`` call,
+    cut into one slice per child: bounded integers carry nothing from one
+    call to the next but the generator state, so these are the numbers of
+    one call per child.  A node whose size is the product of its children's
+    sizes, all of them data or enumerated, takes every child combination
+    once and draws nothing.
 
-    Every sampled node's sample is a slice of one slab of sum(n_v) rows,
-    in post-order, so a call allocates its full-length memory once; a
-    sampled root comes back as a view of that slab.
+    A node in the threshold-class map (``spec.class_levels``; with Z
+    arguments, which may be infinite, :func:`class_levels` with them
+    unbounded) keeps only its class u = [v > L], one byte per element: a
+    data leaf is compared once, a Z draw per block, a ``min``, ``max`` or
+    ``kofn`` of classes takes all, any or at least k of them, and any other
+    node compares its value.  The ``ind`` above reads u, or not u for ``<``.
+
+    Every sampled node's sample is a slice of one of two slabs, one of
+    floats and one of classes, each of the sum of its nodes' n_v rows in
+    post-order, so a call allocates its full-length memory once; a sampled
+    root (never a class node) comes back as a view of the float slab.
     """
     m = samples.m
+    levels = (class_levels(spec.table, range(m + 1, spec.m + 1)) if z_dists
+              else spec.class_levels)
     store: dict[int, np.ndarray] = {}
     for i in range(1, m + 1):
         v = samples.values_for_arg(i)
+        if i in levels:
+            v = v > levels[i]
         store[i] = np.broadcast_to(v.reshape(v.shape + (1,) * len(slots)),
                                    v.shape + slots)
     n_of = {i: len(v) for i, v in store.items()}
     exhaustive = dict.fromkeys(store, True)
     offsets: dict[int, int] = {}
-    total = 0
+    totals = {float: 0, bool: 0}  # rows of each slab
     for nid, _, kids in spec.table:
         if kids:
             n_of[nid] = n_v = _size(sizes, nid)
             exhaustive[nid] = n_v == math.prod(
                 n_of[c] if exhaustive.get(c) else 0 for c in kids)
             if not exhaustive[nid]:
-                offsets[nid], total = total, total + n_v
-    slab = np.empty((total,) + slots, dtype=float)
+                kind = bool if nid in levels else float
+                offsets[nid], totals[kind] = totals[kind], totals[kind] + n_v
+    slabs = {kind: np.empty((total,) + slots, dtype=kind)
+             for kind, total in totals.items()}
     for nid, node, kids in spec.table:
         if not kids:
             continue
         n_v = n_of[nid]
+        level = levels.get(nid)
+        kind = float if level is None else bool
+        classes_in = kids[0] in levels
         if exhaustive[nid]:
             picks = np.unravel_index(np.arange(n_v), [n_of[c] for c in kids])
             cols = [store[c][idx] for c, idx in zip(kids, picks)]
-            store[nid] = np.asarray(elementary_apply(node, cols), dtype=float)
+            store[nid] = np.asarray(
+                _node_values(node, cols, classes_in, level), dtype=kind)
             continue
-        out = slab[offsets[nid]:offsets[nid] + n_v]
+        runs: list[tuple[int | None, list[int]]] = []  # (size, kids) or Z
+        for c in kids:
+            if m < c <= spec.m:
+                runs.append((None, [c]))
+            elif runs and runs[-1][0] == n_of[c]:
+                runs[-1][1].append(c)
+            else:
+                runs.append((n_of[c], [c]))
+        out = slabs[kind][offsets[nid]:offsets[nid] + n_v]
         for start, stop, rng in block_streams(n_v, seed, lane, nid):
             rows = stop - start
             cols = []
-            for c in kids:
-                if m < c <= spec.m:
-                    cols.append(z_dists[c - m - 1].sample(rng, (rows,) + slots))
+            for n, run in runs:
+                if n is None:
+                    c = run[0]
+                    z = z_dists[c - m - 1].sample(rng, (rows,) + slots)
+                    cols.append(z if c not in levels else z > levels[c])
                 else:
-                    src = store[c]
-                    cols.append(src.take(rng.integers(0, len(src), size=rows),
-                                         axis=0))
-            out[start:stop] = elementary_apply(node, cols)
+                    cols += _picked(store, run, rng.integers(
+                        0, n, size=len(run) * rows), rows)
+            out[start:stop] = _node_values(node, cols, classes_in, level)
         store[nid] = out
     return store[spec.root_id]
+
+
+def _picked(store: dict, run: list, picks: np.ndarray, rows: int) -> list:
+    """The rows of each child in ``run`` at its slice of ``picks``; the
+    picks are freed on return, before the node's values are made."""
+    return [store[c].take(picks[j * rows:(j + 1) * rows], axis=0)
+            for j, c in enumerate(run)]
+
+
+def _node_values(node, cols: list, classes_in: bool, level):
+    """A node's values from its children's columns, or its classes
+    [v > level] when it has a level; ``classes_in`` says that the columns
+    hold the children's classes."""
+    if not classes_in:
+        values = elementary_apply(node, cols)
+    elif isinstance(node, Threshold):
+        values = cols[0] if node.op == ">" else ~cols[0]
+    else:
+        # min, max and the k-th largest of classes: all, any, at least k
+        return elementary_apply(node, cols)
+    return values if level is None else values > level
 
 
 def wave_estimate(spec: SystemSpec, samples: SampleSet, sizes: dict,

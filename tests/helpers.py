@@ -41,24 +41,44 @@ from resamplekit.systems import (GRID_CHUNK, Input, children_of,
 CHAIN_OPS = ("min(", "max(", "sum(", "kofn(1; ")
 
 
+# the levels of generated ``ind`` nodes
+LEVELS = (0.75, 1.0, 1.5, 2.5)
+
+
 @st.composite
-def subtree(draw, leaves, ops=("min", "max", "sum", "kofn")):
-    """Real-valued expression over the given leaves (one of ``ops`` per
-    inner node)."""
+def indicator(draw, body):
+    """``ind(body < level)`` or ``ind(body > level)``."""
+    op = draw(st.sampled_from("<>"))
+    return f"ind({body} {op} {draw(st.sampled_from(LEVELS))})"
+
+
+@st.composite
+def subtree(draw, leaves, ops=("min", "max", "sum", "kofn", "cmp")):
+    """Expression over the given leaves: one of ``ops`` per inner node, and
+    now and then an ``ind`` around a subtree, so that order operators and
+    sums meet indicators and comparisons among their children."""
     if len(leaves) == 1:
-        return f"x{leaves[0]}"
-    cut = draw(st.integers(1, len(leaves) - 1))
-    left = draw(subtree(leaves[:cut], ops))
-    right = draw(subtree(leaves[cut:], ops))
-    op = draw(st.sampled_from(list(ops)))
-    if op == "kofn":
-        return f"kofn({draw(st.integers(1, 2))}; {left}, {right})"
-    return f"{op}({left}, {right})"
+        text = f"x{leaves[0]}"
+    else:
+        cut = draw(st.integers(1, len(leaves) - 1))
+        left = draw(subtree(leaves[:cut], ops))
+        right = draw(subtree(leaves[cut:], ops))
+        op = draw(st.sampled_from(list(ops)))
+        if op == "kofn":
+            text = f"kofn({draw(st.integers(1, 2))}; {left}, {right})"
+        elif op == "cmp":
+            text = f"cmp({left} {draw(st.sampled_from('<>'))} {right})"
+        else:
+            text = f"{op}({left}, {right})"
+    if draw(st.integers(0, 5)) == 0:
+        text = draw(indicator(text))
+    return text
 
 
 @st.composite
 def systems(draw, m):
-    """System text over x1..xm and whether its root is an indicator."""
+    """System text over x1..xm and whether it holds an indicator (an ``ind``
+    or ``cmp`` node), whose 0/1 values want absolute tolerances."""
     leaves = draw(st.permutations(range(1, m + 1)))
     root = draw(st.sampled_from(["real", "ind", "cmp"] if m > 1
                                 else ["real", "ind"]))
@@ -69,9 +89,8 @@ def systems(draw, m):
                 f"{draw(subtree(leaves[cut:]))})", True)
     body = draw(subtree(leaves))
     if root == "ind":
-        level = draw(st.sampled_from([0.75, 1.0, 1.5, 2.5]))
-        return f"ind({body} > {level})", True
-    return body, False
+        body = draw(indicator(body))
+    return body, "ind(" in body or "cmp(" in body
 
 
 # -- statistics ------------------------------------------------------------

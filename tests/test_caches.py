@@ -172,8 +172,10 @@ def test_cached_arrays_are_read_only():
 
 
 def spec_fields(spec):
-    """Everything a cold parse decides: text, table, m and leaf sets."""
-    return (render(spec.root), spec.table, spec.m, dict(spec.leaf_deps))
+    """Everything a cold parse decides: text, table, m, leaf sets and the
+    threshold-class map."""
+    return (render(spec.root), spec.table, spec.m, dict(spec.leaf_deps),
+            dict(spec.class_levels))
 
 
 @CACHED

@@ -1,7 +1,8 @@
 """Memory of the Monte Carlo routes: what one call holds and what it keeps.
 
 A call allocates each full-length array once: the cascade of
-:func:`wave_estimate` keeps every sampled node in one slab, and
+:func:`wave_estimate` keeps every sampled node in one of two slabs, floats
+and one-byte threshold classes, and
 :meth:`EstimateResult.from_values` takes the variance pass in the
 realization buffer.  Kept values are the realizations themselves, in an
 array of their own.
@@ -17,6 +18,7 @@ from resamplekit import (EstimateResult, RenewalPair, SampleSet,
                          estimate_known_g, estimate_theta, exponential,
                          node_sizes, parse_system, three_branch_conditional,
                          three_branch_system, wave_estimate)
+from resamplekit._streams import BLOCK
 
 from helpers import peak_bytes
 
@@ -43,14 +45,18 @@ def _sizes(spec, samples, root_n, other_n):
 @pytest.mark.parametrize("root_n, other_n", [(1 << 16, 1 << 16),
                                              (1 << 18, 1 << 12)])
 def test_wave_estimate_holds_one_slab(tree6, root_n, other_n):
-    # the five node samples and the variance pass fit in one slab of
-    # sum(n_v) floats plus the per-block temporaries; a root that outgrows
-    # the rest shows a second root-length array at once
+    # the node samples and the variance pass fit in the slabs, 8 bytes a
+    # row for the root and 1 byte a row for the four class nodes under it,
+    # plus the per-block temporaries: the picks, the gathered children and
+    # a node's values, a few 4,096-row float columns.  Float samples of the
+    # class nodes break the bound at 2^16, and a root that outgrows the
+    # rest shows a second root-length array at once
     spec, samples = tree6
     sizes = _sizes(spec, samples, root_n, other_n)
-    slab = 8 * sum(sizes[nid] for nid, _, kids in spec.table if kids)
+    slab = sum(sizes[nid] * (1 if nid in spec.class_levels else 8)
+               for nid, _, kids in spec.table if kids)
     peak = peak_bytes(lambda: wave_estimate(spec, samples, sizes, seed=3))
-    assert peak <= 1.15 * slab
+    assert peak <= 1.15 * slab + 4 * 8 * BLOCK
 
 
 def test_estimate_theta_holds_one_realization_array():

@@ -10,8 +10,8 @@ import pytest
 from resamplekit import SystemSyntaxError, SystemValidationError, parse_system
 from resamplekit.partial import three_branch_system
 from resamplekit.systems import (Input, Max, Min, SystemSpec, Threshold,
-                                 _parse_cached, evaluate, evaluate_batch,
-                                 leaf_dependencies, render)
+                                 _parse_cached, class_levels, evaluate,
+                                 evaluate_batch, leaf_dependencies, render)
 
 from helpers import children_ids, parent_of
 
@@ -198,11 +198,67 @@ def test_specs_are_read_only(six_tree):
             target.leaf_deps[1] = frozenset()
         with pytest.raises(TypeError):
             target.table[0] = None
-        for name in ("root", "m", "table", "node_ids", "leaf_deps"):
+        with pytest.raises(TypeError):
+            target.class_levels[1] = 0.0
+        for name in ("root", "m", "table", "node_ids", "leaf_deps",
+                     "class_levels"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(target, name, None)
         assert not hasattr(target, "parent")
     assert dict(spec.node_ids) == {nid: node for nid, node, _ in spec.table}
+
+
+# -- threshold classes ----------------------------------------------------
+
+def test_class_map_of_tree6():
+    # x1..x6, then max(x1,x2)=7, max(x3,x4)=8, sum(x5,x6)=9, min=10, ind=11:
+    # the run from the ind stops at the leaves under the maxes and at the sum
+    spec = parse_system(
+        "ind(min(max(x1, x2), max(x3, x4), sum(x5, x6)) > t)", {"t": 1.5})
+    assert dict(spec.class_levels) == dict.fromkeys([1, 2, 3, 4, 7, 8, 9, 10],
+                                                    1.5)
+
+
+def test_class_map_of_two_of_three(two_of_three):
+    assert dict(two_of_three.class_levels) == dict.fromkeys([1, 2, 3, 4], 1.0)
+
+
+def test_class_map_of_the_three_branch_system():
+    # x1, x4, max=7, x2, x5, min=8, x3, x6, sum=9, min=10, ind=11
+    spec = three_branch_system(2.0)
+    want = dict.fromkeys([1, 2, 4, 5, 7, 8, 9, 10], 2.0)
+    assert dict(spec.class_levels) == want
+    # Z arguments may be infinite, but x3 + x6 adds one finite term to
+    # them, which makes no NaN
+    assert class_levels(spec.table, {4, 5, 6}) == want
+
+
+def test_class_map_nests_and_stops_at_comparisons():
+    # max(x2,x3)=7, ind=8, min=9, ind=10, cmp(x4<x5)=11, max=12, ind=13
+    spec = parse_system("max(ind(min(x1, ind(max(x2, x3) > 2)) < 0.5), "
+                        "ind(max(cmp(x4 < x5), x6) > 0))")
+    assert dict(spec.class_levels) == {9: 0.5, 1: 0.5, 8: 0.5, 7: 2.0,
+                                       2: 2.0, 3: 2.0, 12: 0.0, 11: 0.0,
+                                       6: 0.0}
+
+
+@pytest.mark.parametrize("text, unbounded, want", [
+    # a sum of finite arguments may overflow but is never NaN
+    ("ind(sum(x1, x2) > 0)", (), {3: 0.0}),
+    # two arguments that may be infinite: inf + -inf
+    ("ind(sum(x1, x2) > 0)", (1, 2), {}),
+    ("ind(sum(x1, x2) > 0)", (2,), {3: 0.0}),
+    # a partial sum of two finite terms may be infinite too
+    ("ind(sum(x1, x2, x3) > 0)", (3,), {}),
+    ("ind(sum(x1, x2, x3) > 0)", (1,), {4: 0.0}),
+    ("ind(max(sum(sum(x1, x2), sum(x3, x4)), x5) > 0)", (), {}),
+    ("ind(max(sum(sum(x1, x2), sum(x3, x4)), x5) < 0)", (), {}),
+    # an indicator in between is 0 or 1 whatever lies below it
+    ("ind(max(ind(sum(sum(x1, x2), sum(x3, x4)) > 0), x5) > 0.5)", (),
+     {10: 0.5, 9: 0.5, 5: 0.5}),
+])
+def test_a_region_that_could_be_nan_is_left_out(text, unbounded, want):
+    assert class_levels(parse_system(text).table, unbounded) == want
 
 
 def test_leaf_dependencies(six_tree):

@@ -7,13 +7,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import resamplekit.wave as wave_module
 from resamplekit import (SampleSet, default_node_sizes, estimate_theta,
                          exhaustive_moments, exhaustive_theta, exponential,
                          hierarchical_variance, node_sizes, parse_system,
-                         propagate_pair_probabilities, wave_estimate,
-                         wave_estimate_vector_samples)
+                         propagate_pair_probabilities, three_branch_system,
+                         wave_estimate, wave_estimate_vector_samples)
+from resamplekit._streams import BLOCK
 
-from helpers import pattern_probabilities, trace_wave_patterns, var_se
+from helpers import (pattern_probabilities, trace_wave_patterns, var_se,
+                     vector_wave_oracle, wave_oracle)
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +174,106 @@ def test_wave_unbiased_on_redraws(six_tree):
     truth = phi.mean()
     se = np.sqrt(np.var(vals, ddof=1) / len(vals) + phi.var() / phi.size)
     assert abs(np.mean(vals) - truth) < 4 * se
+
+
+# -- threshold classes and merged picks -----------------------------------
+
+NAN_TREE = "ind(max(sum(sum(x1, x2), sum(x3, x4)), x5) {} 0)"
+
+
+@pytest.mark.parametrize("op", [">", "<"])
+def test_a_region_that_could_be_nan_keeps_its_float_values(op):
+    """1e308 + 1e308 - (1e308 + 1e308) is NaN, which is neither above nor
+    at most the level, so the max's region is left out of the class map
+    and both cascades give the oracles' bits."""
+    spec = parse_system(NAN_TREE.format(op))
+    assert dict(spec.class_levels) == {}
+    data = {"x1": [1e308, 1.0], "x2": [1e308, 2.0], "x3": [-1e308, 0.5],
+            "x4": [-1e308, -3.0], "x5": [-1.0, 1.0]}
+    full = SampleSet.from_json(data)
+    four = SampleSet.from_json({k: v for k, v in data.items() if k != "x5"})
+    sizes = {nid: 300 for nid, _, kids in spec.table if kids}
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = wave_estimate(spec, full, sizes, seed=4, keep_values=True)
+        want = wave_oracle(spec, full, sizes, seed=4)
+        vec = wave_estimate_vector_samples(spec, four, [exponential(1.0)], 3,
+                                           sizes, seed=4, keep_values=True)
+        vec_want = vector_wave_oracle(spec, four, [exponential(1.0)], 3,
+                                      sizes, seed=4)
+    for a, b in ((got, want), (vec, vec_want)):
+        for name in ("estimate", "empirical_variance", "values"):
+            assert np.asarray(getattr(a, name)).tobytes() \
+                == np.asarray(getattr(b, name)).tobytes()
+    # the region holds NaN rows: read through classes, max(NaN, x5) > 0
+    # would follow x5
+    assert 0.0 < got.estimate < 1.0
+
+
+class CountingStream:
+    """A generator stand-in that counts its ``integers`` calls."""
+
+    def __init__(self, rng, counts, key):
+        self._rng, self._counts, self._key = rng, counts, key
+
+    def integers(self, *args, **kwargs):
+        self._counts[self._key] = self._counts.get(self._key, 0) + 1
+        return self._rng.integers(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def counted_picks(monkeypatch):
+    """Patch the cascade's block streams; return ``{(node, block): calls}``."""
+    counts = {}
+    real = wave_module.block_streams
+
+    def streams(total, seed, lane, nid):
+        for b, (start, stop, rng) in enumerate(real(total, seed, lane, nid)):
+            yield start, stop, CountingStream(rng, counts, (nid, b))
+
+    monkeypatch.setattr(wave_module, "block_streams", streams)
+    return counts
+
+
+def test_one_pick_draw_per_run_of_equal_size_siblings(monkeypatch):
+    """TREE6 with x4 and sum(x5, x6) sized apart from their siblings: the
+    max over x3, x4 and the min over the three branches draw twice per
+    block, every other node once."""
+    spec = parse_system(
+        "ind(min(max(x1, x2), max(x3, x4), sum(x5, x6)) > t)", {"t": 1.0})
+    rng = np.random.default_rng(9)
+    samples = SampleSet.from_samples(
+        [(f"x{i}", rng.exponential(1.0, 40 if i == 4 else 50))
+         for i in range(1, 7)])
+    sizes = node_sizes(spec, samples, {7: 5000, 8: 5000, 9: 3000, 10: 9000,
+                                       11: 5000})
+    counts = counted_picks(monkeypatch)
+    got = wave_estimate(spec, samples, sizes, seed=6, keep_values=True)
+    runs = {7: 1, 8: 2, 9: 1, 10: 2, 11: 1}
+    assert counts == {(nid, b): runs[nid] for nid in runs
+                      for b in range(-(-sizes[nid] // BLOCK))}
+    monkeypatch.undo()
+    assert got.values.tobytes() \
+        == wave_oracle(spec, samples, sizes, seed=6).values.tobytes()
+
+
+def test_z_children_split_the_runs_of_picks(monkeypatch):
+    """In the three-branch system every data child sits beside a Z child,
+    and the root min's three branches of one size share one draw."""
+    spec = three_branch_system(1.0)
+    z_dists = [exponential(1.0), exponential(0.5), exponential(2.0)]
+    samples = SampleSet.from_json({"x1": [0.4, 1.3, 0.9], "x2": [1.2, 0.6],
+                                   "x3": [0.2, 0.7, 1.1]})
+    sizes = {7: 100, 8: 100, 9: 100, 10: BLOCK + 5, 11: 50}
+    counts = counted_picks(monkeypatch)
+    got = wave_estimate_vector_samples(spec, samples, z_dists, 2, sizes,
+                                       seed=3, keep_values=True)
+    assert counts == {(7, 0): 1, (8, 0): 1, (9, 0): 1, (10, 0): 1,
+                      (10, 1): 1, (11, 0): 1}
+    monkeypatch.undo()
+    want = vector_wave_oracle(spec, samples, z_dists, 2, sizes, seed=3)
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 # -- propagation ----------------------------------------------------------
