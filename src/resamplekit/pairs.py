@@ -28,7 +28,10 @@ Exact moments of every layout come from one tensor of phi, over the data
 or over the finite supports: its marginals give the sum of phi(v) phi(v')
 over the pairs that agree at least on each joint partial injection, and on
 data Moebius inversion leaves those that coincide exactly, which every
-pattern family reads (:func:`_pair_sums`).
+pattern family reads (:func:`_pair_sums`).  A threshold system that reads
+each argument of a singleton layout only through its side of the level
+puts that tensor on its 2^m lattice of classes, each class weighted by
+its count of values (:func:`_class_at_least_sums`).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 from ._streams import Lane, _count, block_streams
 from .budget import check_budget
 from .distributions import KnownDistribution
-from .resampling import chunk_moments, grid_values
+from .resampling import chunk_moments, class_moments, grid_values
 from .samples import BlockLayout, SampleSet, ordered_draws
 from .systems import SystemSpec, evaluate_batch, evaluate_grid
 
@@ -550,6 +553,16 @@ def _pair_sums(spec, source, layout: BlockLayout, budget):
     dense cells, the joint injections and the marginals held: all
     prod_b (n_b + 1)^k_b cells of every marginal (s_b for n_b under
     generators), less the ones over one-argument blocks only.
+
+    On data with one argument per sample, a system whose class lattice
+    (:attr:`SystemSpec.class_lattice`) has only data leaves as boundary
+    nodes reads each argument through its class alone.  There T is the
+    2^m lattice, each class standing for its count of values, and
+    :func:`_class_at_least_sums` gives every A(tau) as an exact integer, so
+    every pair sum and moment keeps the bits of the position tensor.
+    :func:`resampling.class_moments` decides that route (its 3^m class
+    cells no more than the prod n_i positions) and charges the cells it
+    builds.
     """
     data = isinstance(source, SampleSet)
     if data:
@@ -569,24 +582,31 @@ def _pair_sums(spec, source, layout: BlockLayout, budget):
                           for a in range(k + 1))
         held *= (n + 1) ** k
     held -= math.prod(n + 1 for args, n in blocks if len(args) == 1)
-    check_budget(cells + injections + held, "pair-moment tensor", budget)
     plans = [_block_plan(args) for args, _ in blocks]
-    if data:
-        chunks = list(grid_values(spec, source, budget))
-        tensor = np.concatenate(chunks)
-        if cells > len(tensor):  # a block draws twice: scatter into zeros
-            drawn = [np.ravel_multi_index(ordered_draws(n, len(args)).T,
-                                          (n,) * len(args))
-                     for args, n in blocks]
-            dense = np.zeros([n ** len(args) for args, n in blocks])
-            dense[np.ix_(*drawn)] = tensor.reshape([len(d) for d in drawn])
-            tensor = dense
-        tensor = tensor.reshape([n for args, n in blocks for _ in args])
+    found = class_moments(spec, source, budget, pairs=True) if data else None
+    if found is not None:
+        classes, moments = found
+        sums = _class_at_least_sums(spec.class_lattice.phi, classes)
     else:
-        dims = [len(x) for x in axes]
-        chunks = list(evaluate_grid(spec, list(enumerate(axes)), dims))
-        tensor = np.concatenate(chunks).reshape(dims).transpose(
-            [a - 1 for args, _ in blocks for a in args])
+        check_budget(cells + injections + held, "pair-moment tensor", budget)
+        if data:
+            chunks = list(grid_values(spec, source, budget))
+            tensor = np.concatenate(chunks)
+            if cells > len(tensor):  # a block draws twice: scatter into zeros
+                drawn = [np.ravel_multi_index(ordered_draws(n, len(args)).T,
+                                              (n,) * len(args))
+                         for args, n in blocks]
+                dense = np.zeros([n ** len(args) for args, n in blocks])
+                dense[np.ix_(*drawn)] = tensor.reshape([len(d) for d in drawn])
+                tensor = dense
+            tensor = tensor.reshape([n for args, n in blocks for _ in args])
+        else:
+            dims = [len(x) for x in axes]
+            chunks = list(evaluate_grid(spec, list(enumerate(axes)), dims))
+            tensor = np.concatenate(chunks).reshape(dims).transpose(
+                [a - 1 for args, _ in blocks for a in args])
+        moments = chunk_moments(chunks)
+        sums = _at_least_sums(tensor, layout.block_args, plans)
     draws = math.perm if data else pow  # ordered draws of k of n values
     counts = [1]
     for (args, n), (frags, _, _) in zip(blocks, plans):
@@ -594,7 +614,6 @@ def _pair_sums(spec, source, layout: BlockLayout, budget):
         rest = n - k if data else n  # values for the second draw off sigma
         counts = [c * draws(n, k) * draws(rest, k - len(frag))
                   for frag in frags for c in counts]
-    sums = _at_least_sums(tensor, layout.block_args, plans)
     if data:
         inner = 1
         for frags, _, steps in plans:
@@ -602,7 +621,52 @@ def _pair_sums(spec, source, layout: BlockLayout, budget):
             for src, dst in steps:
                 sub[:, src, :] -= sub[:, dst, :]
             inner *= len(frags)
-    return chunk_moments(chunks), sums.tolist(), counts
+    return moments, sums.tolist(), counts
+
+
+# the maps of one axis's two classes (columns) onto its three states (rows:
+# class 0 kept, class 1 kept, the axis summed out), M's first and N's
+# second: FIXED + SCALED * (cnt(0), cnt(1))
+_CLASS_FIXED = np.array([[[[1, 0], [0, 1], [0, 0]]],
+                         [[[0, 0], [0, 0], [0, 0]]]])
+_CLASS_SCALED = np.array([[[[0, 0], [0, 0], [1, 1]]],
+                          [[[1, 0], [0, 1], [1, 1]]]])
+# the fold of one axis's three states into (summed out, kept)
+_CLASS_FOLD = np.array([[0, 0, 1], [1, 1, 0]])
+
+
+def _class_at_least_sums(phi: np.ndarray, counts) -> np.ndarray:
+    """A(tau) of :func:`_at_least_sums` for every identity tau on a subset
+    K of the arguments (index bit g for argument g + 1), on a singleton
+    layout whose system reads each argument only through its class:
+    ``phi`` is the system on the class lattice, axis g for argument g + 1,
+    and ``counts[g]`` the number of argument g + 1's values at most and
+    above the level.
+
+    A(K) = sum_{b_K} cnt_K(b_K) M_K(b_K)^2, where M_K sums phi weighted by
+    the counts of the classes off K.  Each axis takes three states, its two
+    classes kept or the axis summed out, so every M_K lies in one tensor of
+    3^m cells, made by one product per axis; so does N_K = cnt_K M_K, whose
+    summed-out axes drop by plain sums.  A(K) sums M_K N_K over the kept
+    classes: one more product per axis folds each axis's states into
+    (summed out, kept), leaving 2^m cells.  The route holds M and N,
+    2 * 3^m cells, at most.  Every term is an integer, held in int64 while
+    the pair count (prod n)^2 fits and in Python ints beyond, so every A(K)
+    is exact.
+    """
+    m = phi.ndim
+    total = math.prod(below + above for below, above in counts)
+    dtype = np.int64 if total * total < 2 ** 63 else object
+    maps = _CLASS_FIXED + _CLASS_SCALED * np.array(
+        counts, dtype=dtype)[:, None, None, None, :]
+    MN = phi.reshape(1, 1, 2, -1)
+    for g in range(m):
+        MN = np.matmul(maps[g], MN.reshape(len(MN), 3 ** g, 2, -1))
+    sums = np.multiply(MN[0], MN[1], out=MN[0])
+    for g in range(m):  # axis g of 3 states -> 2, the axes before it done
+        sums = np.matmul(_CLASS_FOLD, sums.reshape(2 ** g, 3, -1))
+    # axis g is bit g: reverse the axes, so the last varies fastest
+    return sums.reshape((2,) * m).transpose().ravel()
 
 
 def _at_least_sums(tensor, block_args, plans) -> np.ndarray:
@@ -615,7 +679,9 @@ def _at_least_sums(tensor, block_args, plans) -> np.ndarray:
     each ran axis moved onto its dom partner; an identity on K gives
     sum M_K^2, taken on the walk over the marginals.  Only marginals that
     keep an axis of a block with several arguments are held, none on a
-    singleton layout.
+    singleton layout.  On the class lattice of a threshold system the same
+    sums come from :func:`_class_at_least_sums`, each class weighted by its
+    count of values.
     """
     m = tensor.ndim
     slot = {a: g for g, a in enumerate(a for args in block_args for a in args)}

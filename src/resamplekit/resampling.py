@@ -24,6 +24,17 @@ argument is its column gathered through the block's ordered draws (the
 column itself in a block of one argument), and only the nodes over every
 block span the whole grid.  The values come out in index-vector
 enumeration order, ``GRID_CHUNK`` to an array.
+
+A threshold system, whose root ``ind`` reads its boundary nodes only
+through their side of the level (:class:`systems.ClassLattice`), needs no
+grid for its moments: :func:`exhaustive_moments` counts, per boundary node,
+the cells of the node's own local grid above the level (a data leaf's grid
+is its column) and sums the system over the 2^B lattice of classes with
+those counts as weights, in Python ints (:func:`class_moments`,
+:meth:`systems.ClassLattice.hits`).  It takes that route when the lattice
+and the local grids have no more cells than the grid, and no block's
+arguments lie under two boundary nodes.
+``estimate_theta(r=None)`` keeps the grid, whose values it returns.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ from ._streams import (Lane, _count, block_streams, distinct_codes,
                        distinct_outcomes, draw_distinct)
 from .budget import check_budget
 from .samples import SampleSet, ordered_draws
-from .systems import SystemSpec, evaluate_batch, evaluate_grid
+from .systems import ClassLattice, SystemSpec, evaluate_batch, evaluate_grid
 
 __all__ = [
     "ResampleIndexVector", "EstimateResult", "draw_resample",
@@ -187,8 +198,15 @@ def grid_values(spec: SystemSpec, samples: SampleSet,
     argument, a view of its sample column."""
     check_budget(samples.admissible_count(), "index-vector enumeration",
                  budget)
+    yield from evaluate_grid(spec, *_grid_leaves(samples, samples.blocks))
+
+
+def _grid_leaves(samples: SampleSet, blocks):
+    """The leaves and axis lengths of :func:`systems.evaluate_grid` for a
+    grid with one axis per block of ``blocks``, over its ordered draws;
+    the arguments of other blocks get None."""
     leaves, dims = [None] * samples.m, []
-    for axis, b in enumerate(samples.blocks):
+    for axis, b in enumerate(blocks):
         column = samples.columns[b.sample_index]
         dims.append(math.perm(b.size, b.draw_count))
         if b.draw_count == 1:  # the column is its own draw table
@@ -197,7 +215,7 @@ def grid_values(spec: SystemSpec, samples: SampleSet,
         table = ordered_draws(b.size, b.draw_count)
         for j, a in enumerate(b.args):
             leaves[a - 1] = (axis, column[table[:, j]])
-    yield from evaluate_grid(spec, leaves, dims)
+    return leaves, dims
 
 
 def estimate_theta(spec: SystemSpec, samples: SampleSet, r: int | None,
@@ -232,11 +250,111 @@ class ExhaustiveMoments:
 
 def exhaustive_moments(spec: SystemSpec, samples: SampleSet,
                        budget: int | None = None) -> ExhaustiveMoments:
-    """Exact mean and second moment over every admissible index vector."""
+    """Exact mean and second moment over every admissible index vector:
+    on the class lattice where :func:`class_moments` takes it, else over
+    the grid.  Both give the same bits, and the budget counts the cells of
+    the route taken."""
     if samples.m != spec.m:
         raise ValueError(
             f"system takes {spec.m} arguments but samples bind {samples.m}")
+    found = class_moments(spec, samples, budget)
+    if found is not None:
+        return found[1]
     return chunk_moments(grid_values(spec, samples, budget))
+
+
+def class_moments(spec: SystemSpec, samples: SampleSet, budget,
+                  pairs: bool = False):
+    """The threshold-class route of exact moments: the class counts of
+    :func:`class_counts` and the :class:`ExhaustiveMoments`, after the
+    budget check of the cells the route builds; None where the value grid
+    (``pairs`` false) or the position tensor of :func:`pairs._pair_sums`
+    (``pairs`` true) is the route.
+
+    The route needs a :class:`ClassRoute`.  Its hit count is
+    sum_b phi(b) prod_v cnt_v(b_v), in Python ints, and mu = mu2 =
+    hits / count: the grid's sum of 0/1 values is that same integer, so
+    the bits are the grid's.  For :func:`exhaustive_moments` it is taken
+    when its cells, 2^B for B boundary nodes plus each node's local grid,
+    are no more than the grid's (``"threshold-class lattice"``).  For the
+    pair sums every argument needs a sample of its own and a data leaf as
+    its boundary node; the route is taken when the 3^m cells of the class
+    tensor of :func:`pairs._class_at_least_sums` are no more than the
+    position tensor's prod n_i, and counts the 2 * 3^m cells of M and N,
+    the 2^m joint injections and the sum n_i values compared with the
+    level (``"threshold-class pair tensor"``).
+    """
+    route = class_route(spec, samples)
+    if route is None:
+        return None
+    count = math.prod(route.sizes)
+    if not pairs:
+        cells = 2 ** len(route.sizes) + sum(route.sizes)
+        if cells > count:
+            return None
+        what = "threshold-class lattice"
+    elif (samples.singleton_blocks and route.lattice.boundary[-1] <= spec.m
+          and 3 ** spec.m <= count):  # boundary ids up to m are leaves
+        cells = 2 * 3 ** spec.m + 2 ** spec.m + sum(route.sizes)
+        what = "threshold-class pair tensor"
+    else:
+        return None
+    check_budget(cells, what, budget)
+    counts = class_counts(spec, samples, route)
+    mu = route.lattice.hits(counts) / count
+    return counts, ExhaustiveMoments(mu=mu, mu2=mu, count=count)
+
+
+@dataclass(frozen=True)
+class ClassRoute:
+    """The threshold-class lattice of a spec on a sample set: per boundary
+    node, the blocks of its local grid, those whose arguments lie under
+    the node, and the grid's cell count (its admissible draws)."""
+
+    lattice: ClassLattice
+    blocks: tuple
+    sizes: tuple
+
+
+def class_route(spec: SystemSpec, samples: SampleSet) -> ClassRoute | None:
+    """The :class:`ClassRoute` of ``spec`` on ``samples``; None without a
+    class lattice, or when a block's arguments lie under two boundary
+    nodes, whose classes its draws without replacement couple."""
+    lattice = spec.class_lattice
+    if lattice is None:
+        return None
+    owner = lattice.owner
+    local = [[] for _ in lattice.boundary]
+    sizes = [1] * len(local)
+    for b in samples.blocks:
+        j = owner[b.args[0] - 1]
+        for a in b.args[1:]:
+            if owner[a - 1] != j:
+                return None
+        local[j].append(b)
+        sizes[j] *= math.perm(b.size, len(b.args))
+    return ClassRoute(lattice, tuple(local), tuple(sizes))
+
+
+def class_counts(spec: SystemSpec, samples: SampleSet,
+                 route: ClassRoute) -> list:
+    """Per boundary node v of ``route``, the cells of its local grid at
+    most and above the level, (N_v - c_v, c_v).  A data leaf's local grid
+    is its column; any other node is evaluated over the grid of its own
+    blocks and compared with the level, as the cascade does."""
+    level = route.lattice.level
+    counts = []
+    for v, blocks, size in zip(route.lattice.boundary, route.blocks,
+                               route.sizes):
+        if v <= spec.m:  # a leaf on a sample of its own
+            above = np.count_nonzero(samples.columns[blocks[0].sample_index]
+                                     > level)
+        else:
+            leaves, dims = _grid_leaves(samples, blocks)
+            above = sum(np.count_nonzero(chunk > level) for chunk
+                        in evaluate_grid(spec, leaves, dims, node=v))
+        counts.append((size - int(above), int(above)))
+    return counts
 
 
 def chunk_moments(chunks) -> ExhaustiveMoments:

@@ -32,7 +32,7 @@ import math
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
 
 import numpy as np
@@ -41,8 +41,8 @@ __all__ = [
     "SystemSyntaxError", "SystemValidationError",
     "Input", "Min", "Max", "Sum", "KOfN", "Threshold", "Compare",
     "SystemSpec", "parse_system", "evaluate", "evaluate_batch",
-    "evaluate_grid", "leaf_dependencies", "class_levels", "elementary_apply",
-    "render",
+    "evaluate_grid", "leaf_dependencies", "class_levels", "ClassLattice",
+    "elementary_apply", "render",
 ]
 
 
@@ -218,6 +218,21 @@ def _kth_largest(values: list[np.ndarray], k: int) -> np.ndarray:
     return reduce(carry, values)
 
 
+def _node_values(node, cols: list, classes_in: bool, level):
+    """A node's values from its children's columns, or its classes
+    [v > level] when it has a level; ``classes_in`` says that the columns
+    hold the children's classes.  These are the class rules of the
+    threshold-class map (:func:`class_levels`)."""
+    if not classes_in:
+        values = elementary_apply(node, cols)
+    elif isinstance(node, Threshold):
+        values = cols[0] if node.op == ">" else ~cols[0]
+    else:
+        # min, max and the k-th largest of classes: all, any, at least k
+        return elementary_apply(node, cols)
+    return values if level is None else values > level
+
+
 # -- spec object ----------------------------------------------------------
 
 def _post_order(root) -> list:
@@ -306,6 +321,30 @@ class SystemSpec:
     def root_id(self) -> int:
         return self.table[-1][0]
 
+    @cached_property
+    def class_lattice(self) -> "ClassLattice | None":
+        """The :class:`ClassLattice` of an ``ind`` root whose child is in
+        ``class_levels``, else None; made on first use and kept."""
+        _, root, kids = self.table[-1]
+        if not isinstance(root, Threshold) or kids[0] not in self.class_levels:
+            return None
+        return ClassLattice(self.table, self.class_levels[kids[0]],
+                            self.leaf_deps)
+
+    @cached_property
+    def _positions(self) -> dict:
+        return {entry[0]: i for i, entry in enumerate(self.table)}
+
+    def subtree(self, node_id: int) -> tuple:
+        """The entries of ``table`` for the subtree under ``node_id``: a
+        contiguous slice that ends at the node's own entry."""
+        stop = self._positions[node_id] + 1
+        start, open_ = stop, 1  # entries still to take
+        while open_:
+            start -= 1
+            open_ += len(self.table[start][2]) - 1
+        return self.table[start:stop]
+
     def __repr__(self):
         return f"SystemSpec({render(self.root)})"
 
@@ -371,6 +410,66 @@ def class_levels(table, unbounded=()) -> dict[int, float]:
     return levels
 
 
+class ClassLattice:
+    """The root ``ind``'s system on the classes of its boundary nodes.
+
+    The region of the root's level L in the class map runs from the root's
+    child down through ``min``, ``max`` and ``kofn``; its boundary nodes,
+    ``boundary`` in ascending id order, are the members that are none of
+    these: data leaves, sums, comparisons and inner indicators.  The
+    system's value depends on the arguments only through the classes
+    b_v = [v > L] of those nodes, so ``phi``, its 0/1 value on the 2^B
+    lattice of classes (axis j for ``boundary[j]``, index 0 at most L and 1
+    above it), stands for every argument vector with those classes.  It
+    reads the lattice with the class rules of the cascade, and is made on
+    first use.  ``owner[a - 1]`` is the axis of the boundary node above
+    argument a.
+    """
+
+    def __init__(self, table, level: float, leaf_deps: Mapping):
+        self.level = level
+        region, boundary = {table[-1][2][0]}, []
+        for nid, node, kids in reversed(table):  # every parent before its kids
+            if nid in region:
+                if isinstance(node, (Min, Max, KOfN)):
+                    region.update(kids)
+                else:
+                    boundary.append(nid)
+        self.boundary = tuple(sorted(boundary))
+        owner = {a: j for j, v in enumerate(self.boundary)
+                 for a in leaf_deps[v]}
+        self.owner = tuple(owner[a] for a in sorted(owner))
+        self._table = table
+        self._region = region
+
+    @cached_property
+    def phi(self) -> np.ndarray:
+        axes = len(self.boundary)
+        stack: list[np.ndarray] = []
+        for nid, node, kids in self._table:
+            if nid in self.boundary:
+                shape = [1] * axes
+                shape[self.boundary.index(nid)] = 2
+                stack.append(np.array([False, True]).reshape(shape))
+            elif nid in self._region or nid == self._table[-1][0]:
+                cut = len(stack) - len(kids)
+                stack[cut:] = [_node_values(node, stack[cut:], True, None)]
+        phi = np.broadcast_to(stack[0], (2,) * axes).astype(np.int64)
+        phi.flags.writeable = False
+        return phi
+
+    def hits(self, counts) -> int:
+        """sum_b phi(b) prod_j counts[j][b_j] in Python ints, for
+        ``counts[j]`` the weights (at most L, above L) of axis j: the number
+        of grid cells at which the system is 1, when each class stands for
+        that many cells of its node's grid."""
+        cells = self.phi.ravel().tolist()
+        for below, above in reversed(counts):  # the last axis varies fastest
+            cells = [c0 * below + c1 * above
+                     for c0, c1 in zip(cells[::2], cells[1::2])]
+        return cells[0]
+
+
 def leaf_dependencies(spec: SystemSpec, node_id: int) -> frozenset:
     """Set of 1-based argument positions feeding the given node."""
     try:
@@ -385,12 +484,13 @@ def leaf_dependencies(spec: SystemSpec, node_id: int) -> frozenset:
 GRID_CHUNK = 100_000
 
 
-def _run_table(spec: SystemSpec, leaves) -> np.ndarray:
-    """The post-order value-stack loop: ``leaves[i]`` holds the values of
-    argument i+1, and a node replaces its children's arrays on the stack
-    by its own.  Arrays broadcast, so a node spans the axes of its leaves."""
+def _run_table(table, leaves) -> np.ndarray:
+    """The post-order value-stack loop over a spec's ``table`` or a subtree
+    of it: ``leaves[i]`` holds the values of argument i+1, and a node
+    replaces its children's arrays on the stack by its own.  Arrays
+    broadcast, so a node spans the axes of its leaves."""
     stack: list[np.ndarray] = []
-    for _, node, kids in spec.table:
+    for _, node, kids in table:
         if isinstance(node, Input):
             stack.append(leaves[node.index - 1])
         else:
@@ -406,14 +506,16 @@ def evaluate_batch(spec: SystemSpec, X) -> np.ndarray:
         X = X[None, :]
     if X.shape[1] != spec.m:
         raise ValueError(f"expected {spec.m} argument columns, got {X.shape[1]}")
-    return _run_table(spec, X.T)
+    return _run_table(spec.table, X.T)
 
 
-def evaluate_grid(spec: SystemSpec, leaves, dims):
-    """Yield the system's values over a product grid, flat in C order.
+def evaluate_grid(spec: SystemSpec, leaves, dims, node: int | None = None):
+    """Yield the system's values over a product grid, flat in C order; with
+    ``node``, the values of the subtree under that node id.
 
     ``dims`` are the axis lengths and ``leaves[i] = (axis, values)`` says
-    that argument i+1 takes ``values[p]`` at position p of that axis.  Each
+    that argument i+1 takes ``values[p]`` at position p of that axis (None
+    for an argument outside the subtree evaluated).  Each
     leaf is shaped to broadcast along its own axis only, so a node is
     computed over the axes its leaves span and only nodes over every axis
     reach full size.  The grid is evaluated in slabs: a run of positions of
@@ -430,14 +532,20 @@ def evaluate_grid(spec: SystemSpec, leaves, dims):
         split -= 1
         inner *= dims[split]
     lead, tail = dims[:split], dims[split:]
+    table = spec.table if node is None else spec.subtree(node)
     cols = [None] * spec.m
-    for i, (axis, values) in enumerate(leaves):
+    gathered = []
+    for i, leaf in enumerate(leaves):
+        if leaf is None:
+            continue
+        axis, values = leaf
+        values = np.asarray(values, dtype=float)
         if axis >= split:
             shape = [1] * (1 + len(tail))
             shape[1 + axis - split] = dims[axis]
-            cols[i] = np.asarray(values, dtype=float).reshape(shape)
-    gathered = [(i, axis, np.asarray(values, dtype=float))
-                for i, (axis, values) in enumerate(leaves) if axis < split]
+            cols[i] = values.reshape(shape)
+        else:
+            gathered.append((i, axis, values))
     step = max(1, chunk // inner)
     outer = math.prod(lead)
 
@@ -448,7 +556,7 @@ def evaluate_grid(spec: SystemSpec, leaves, dims):
                 pos = np.unravel_index(np.arange(lo, hi), lead)
             for i, axis, values in gathered:
                 cols[i] = values[pos[axis]].reshape((hi - lo,) + (1,) * len(tail))
-            out = _run_table(spec, cols)
+            out = _run_table(table, cols)
             if out.shape != (hi - lo,) + tail:  # misses an axis
                 out = np.broadcast_to(out, (hi - lo,) + tail)
             yield out.reshape(-1)

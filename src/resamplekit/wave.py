@@ -44,8 +44,7 @@ from .pairs import (OmegaPair, VarianceReport, _generator_layout,
                     _variance_report)
 from .resampling import EstimateResult
 from .samples import SampleSet
-from .systems import (SystemSpec, Threshold, class_levels,
-                      elementary_apply)
+from .systems import SystemSpec, _node_values, class_levels
 
 __all__ = [
     "node_sizes", "default_node_sizes", "wave_estimate", "WavePropagation",
@@ -192,20 +191,6 @@ def _picked(store: dict, run: list, picks: np.ndarray, rows: int) -> list:
     picks are freed on return, before the node's values are made."""
     return [store[c].take(picks[j * rows:(j + 1) * rows], axis=0)
             for j, c in enumerate(run)]
-
-
-def _node_values(node, cols: list, classes_in: bool, level):
-    """A node's values from its children's columns, or its classes
-    [v > level] when it has a level; ``classes_in`` says that the columns
-    hold the children's classes."""
-    if not classes_in:
-        values = elementary_apply(node, cols)
-    elif isinstance(node, Threshold):
-        values = cols[0] if node.op == ">" else ~cols[0]
-    else:
-        # min, max and the k-th largest of classes: all, any, at least k
-        return elementary_apply(node, cols)
-    return values if level is None else values > level
 
 
 def wave_estimate(spec: SystemSpec, samples: SampleSet, sizes: dict,

@@ -13,6 +13,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ from resamplekit.coverage import (IntervalResult, ProtocolRow, WVector,
                                   coverage_conditional, q_given_ordering, rho)
 from resamplekit.damage import (CountEstimates, DamageData, DamageMCReport,
                                 PluginMCReport, poisson_truth)
-from resamplekit.pairs import (_block_targets, alpha_from_indices,
+from resamplekit.pairs import (OmegaPair, _block_targets, alpha_from_indices,
                                beta_from_indices, omega_from_indices)
 from resamplekit.renewal import _PAD_SD, GridConvolutionKit, PluginReport
 from resamplekit.resampling import (EstimateResult, chunk_moments,
@@ -76,18 +77,19 @@ def subtree(draw, leaves, ops=("min", "max", "sum", "kofn", "cmp")):
 
 
 @st.composite
-def systems(draw, m):
+def systems(draw, m, ops=("min", "max", "sum", "kofn", "cmp")):
     """System text over x1..xm and whether it holds an indicator (an ``ind``
-    or ``cmp`` node), whose 0/1 values want absolute tolerances."""
+    or ``cmp`` node), whose 0/1 values want absolute tolerances; the inner
+    nodes as in :func:`subtree` with these ``ops``."""
     leaves = draw(st.permutations(range(1, m + 1)))
     root = draw(st.sampled_from(["real", "ind", "cmp"] if m > 1
                                 else ["real", "ind"]))
     if root == "cmp":
         cut = draw(st.integers(1, m - 1))
         op = draw(st.sampled_from("<>"))
-        return (f"cmp({draw(subtree(leaves[:cut]))} {op} "
-                f"{draw(subtree(leaves[cut:]))})", True)
-    body = draw(subtree(leaves))
+        return (f"cmp({draw(subtree(leaves[:cut], ops))} {op} "
+                f"{draw(subtree(leaves[cut:], ops))})", True)
+    body = draw(subtree(leaves, ops))
     if root == "ind":
         body = draw(indicator(body))
     return body, "ind(" in body or "cmp(" in body
@@ -236,6 +238,45 @@ def pair_moment_oracle(spec, samples, family):
         s, n = acc.get(pattern, (0.0, 0))
         acc[pattern] = (s + fv * fw, n + 1)
     return {pattern: (s / n, n) for pattern, (s, n) in acc.items()}
+
+
+def class_moment_oracle(spec, samples, level):
+    """Omega moments, as exact Fractions, of a system that reads each
+    argument of a singleton layout only through its class [x > level],
+    from the counts of each sample's values at most and above the level.
+
+    Each pair of class vectors (b, b') is weighed by the number of value
+    pairs that show it under pattern K: per argument in K, one shared value
+    of class b_g (so b_g = b'_g); per argument off K, two distinct values
+    of classes b_g and b'_g.  phi(b) is the system at values that show
+    the classes, taken from the data.  Returns ``{OmegaPair: Fraction}``
+    for the patterns with pairs.
+    """
+    m = spec.m
+    cols = [samples.values_for_arg(a) for a in range(1, m + 1)]
+    sides = [(col[col <= level], col[col > level]) for col in cols]
+    counts = [(len(low), len(high)) for low, high in sides]
+    phi = {}
+    for b in itertools.product((0, 1), repeat=m):
+        if all(counts[g][c] for g, c in enumerate(b)):
+            phi[b] = int(evaluate(spec, [sides[g][c][0]
+                                         for g, c in enumerate(b)]))
+    out = {}
+    for mask in range(2 ** m):
+        total = pairs = 0
+        for b, u in phi.items():
+            for b2, u2 in phi.items():
+                weight = 1
+                for g in range(m):
+                    same = counts[g][b[g]] if b[g] == b2[g] else 0
+                    weight *= same if mask >> g & 1 else \
+                        counts[g][b[g]] * counts[g][b2[g]] - same
+                total += u * u2 * weight
+                pairs += weight
+        if pairs:
+            out[OmegaPair(g + 1 for g in range(m) if mask >> g & 1)] = \
+                Fraction(total, pairs)
+    return out
 
 
 # -- the index-row grid route ----------------------------------------------

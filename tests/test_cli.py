@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -178,6 +179,30 @@ def test_estimate_deep_spec_with_repeated_leaf(files, capsys):
     assert code == 2
     assert env["code"] == "schema-violation"
     assert "leaf set must be exactly x1..x2 with no repeats" in env["message"]
+
+
+def test_estimate_gives_the_exact_variance_at_200_values_per_sample(
+        files, capsys, tmp_path):
+    """The 2-of-3 indicator reads each argument only through its side of
+    t, so its exact variance takes the class lattice (8 cells, 8 joint
+    injections and 600 values) instead of the 200^3 value grid, within a
+    budget of 10^4; mu is the 2-of-3 reliability polynomial of the shares
+    of each sample above t, and the realizations are independent."""
+    cols = np.random.default_rng(26).exponential(1.0, (3, 200))
+    path = tmp_path / "big.csv"
+    path.write_text("a,b,c\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in cols.T))
+    report = invoke_json(capsys, [
+        "estimate", "--spec", str(files["spec"]), "--samples", str(path),
+        "--t", "1.0", "--r", "50", "--seed", "3", "--budget", "10000"])
+    exact = report["exact_variance"]
+    p1, p2, p3 = (Fraction(int(np.count_nonzero(c > 1.0)), 200) for c in cols)
+    mu = p1 * p2 + p1 * p3 + p2 * p3 - 2 * p1 * p2 * p3
+    assert exact["mu"] == exact["mu2"] == float(mu)
+    assert {row["method"] for row in exact["pairs"]} == {"empirical-exact"}
+    assert exact["variance"] == pytest.approx(float((mu - mu * mu) / 50),
+                                              rel=1e-12)
+    assert report["sizes"] == [200, 200, 200]
 
 
 def test_estimate_budget_exceeded(files, capsys):

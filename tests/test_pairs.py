@@ -15,7 +15,7 @@ from resamplekit import (AlphaPair, BetaPair, BlockLayout, BudgetExceededError,
 from resamplekit.pairs import alpha_from_indices, beta_from_indices, omega_from_indices
 from resamplekit.systems import evaluate
 
-from helpers import var_se
+from helpers import class_moment_oracle, var_se
 
 
 def admissible_vectors(layout: BlockLayout):
@@ -501,6 +501,18 @@ PINNED_VARIANCE_HEX = {
 PINNED_ESTIMATE_SHA256 = \
     "d89cd143068158cf6a07cd0b11cc648505a04244df1b21700dd11fa85006e99b"
 
+# Bytes of exhaustive_moments on threshold systems: float.hex of mu and
+# mu2 and the vector count, for TREE6 at t = 1 on data with values (and
+# sums of x5 and x6) equal to the level, for SP4 under a "<" level that is
+# one of the data values, and for a 2-of-3 whose x1 and x2 share a sample.
+PIN_TREE6 = [[1.0, 0.4, 2.2, 1.3], [1.0, 1.7, 0.3], [0.9, 1.0, 1.6, 0.2, 1.1],
+             [1.0, 2.5, 0.7], [0.5, 1.0, 0.25, 0.125], [0.5, 0.0, 0.75, 0.9]]
+PINNED_MOMENTS_HEX = {
+    "tree6-ties": ("0x1.6666666666666p-3", "0x1.6666666666666p-3", 2880),
+    "sp4-below": ("0x1.5555555555555p-1", "0x1.5555555555555p-1", 81),
+    "2of3-shared": ("0x1.d70a3d70a3d71p-2", "0x1.d70a3d70a3d71p-2", 100),
+}
+
 
 def _report_hex(rep):
     return (rep.variance.hex(), rep.mu11.hex(),
@@ -537,6 +549,28 @@ def test_singleton_exact_variances_keep_their_bytes(tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_ESTIMATE_SHA256
 
 
+def test_threshold_exhaustive_moments_keep_their_bytes():
+    def moments_hex(text, t, samples):
+        ex = exhaustive_moments(parse_system(text, params={"t": t}), samples)
+        return ex.mu.hex(), ex.mu2.hex(), ex.count
+
+    def samples(cols):
+        return SampleSet.from_samples(
+            [(f"x{i}", c) for i, c in enumerate(cols, start=1)])
+
+    shared = SampleSet.from_samples([("a", PIN_2OF3[0]), ("b", PIN_2OF3[1])],
+                                    blocks={1: "a", 2: "a", 3: "b"})
+    assert {
+        "tree6-ties": moments_hex(
+            "ind(min(max(x1, x2), max(x3, x4), sum(x5, x6)) > t)", 1.0,
+            samples(PIN_TREE6)),
+        "sp4-below": moments_hex("ind(min(max(x1, x2), max(x3, x4)) < t)",
+                                 0.618, samples(PIN_SP4)),
+        "2of3-shared": moments_hex("ind(kofn(2; x1, x2, x3) > t)", 1.013,
+                                   shared),
+    } == PINNED_MOMENTS_HEX
+
+
 @pytest.mark.parametrize("bad, error", [
     (2.5, TypeError), (True, TypeError), (np.float64(4.0), TypeError),
     (0, ValueError)])
@@ -545,3 +579,53 @@ def test_resampling_variance_rejects_a_non_integer_r(two_of_three,
                                                       error):
     with pytest.raises(error, match=r"\br\b"):
         resampling_variance(two_of_three, small_samples, bad)
+
+
+SP4_IND = "ind(min(max(x1, x2), max(x3, x4)) > t)"
+
+
+@pytest.mark.parametrize("n", [30, 1000])
+def test_class_tensor_moments_are_exact(n):
+    """SP4 and a 2-of-3 on data of quarters, with ties at the level: every
+    omega moment equals the class-count oracle's fraction, correctly
+    rounded.  At n = 1000 the pair counts pass 2^63, so the tensor holds
+    Python ints."""
+    rng = np.random.default_rng(n)
+    for text in (SP4_IND, "ind(kofn(2; x1, x2, x3) < t)"):
+        spec = parse_system(text, params={"t": 1.0})
+        cols = np.round(rng.exponential(1.0, (spec.m, n)) * 4) / 4
+        s = SampleSet.from_samples(
+            [(f"x{i}", c) for i, c in enumerate(cols, start=1)])
+        rep = resampling_variance(spec, s, 10)
+        assert len(rep.rows) == 2 ** spec.m
+        assert {row.pair: row.moment for row in rep.rows} == {
+            pattern: float(moment) for pattern, moment
+            in class_moment_oracle(spec, s, 1.0).items()}
+
+
+def test_sp4_variances_at_200_per_sample_match_seeded_runs():
+    """SP4 at 200 values per sample (1.6e9 value cells, over the default
+    budget for the position tensor): the flat variance against 4,000
+    seeded estimates, and the cascade's, whose pattern moments do not
+    cancel to mu^2, against 4,000 seeded cascades, each within 4 SE."""
+    from resamplekit import wave_estimate
+    from resamplekit.wave import node_sizes
+
+    cols = np.random.default_rng(200).exponential(1.0, (4, 200))
+    spec = parse_system(SP4_IND, params={"t": float(np.median(cols))})
+    s = SampleSet.from_samples(
+        [(f"x{i}", c) for i, c in enumerate(cols, start=1)])
+    rep = resampling_variance(spec, s, 10)
+    estimates = np.array([estimate_theta(spec, s, 10, seed=k).estimate
+                          for k in range(4000)])
+    assert abs(float(np.var(estimates, ddof=1)) - rep.variance) \
+        < 4 * var_se(estimates)
+    sizes = node_sizes(spec, s, {nid: 12 for nid in spec.node_ids
+                                 if nid > spec.m})
+    rep = hierarchical_variance(spec, s, sizes)
+    assert rep.mu11 != pytest.approx(rep.mu ** 2, abs=1e-4)
+    estimates = np.array([wave_estimate(spec, s, sizes, seed=k).estimate
+                          for k in range(4000)])
+    assert abs(float(np.var(estimates, ddof=1)) - rep.variance) \
+        < 4 * var_se(estimates)
+

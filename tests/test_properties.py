@@ -35,7 +35,8 @@ from resamplekit.pairs import _matching_of
 from resamplekit.partial import (estimate_inner_mc, estimate_known_g,
                                  wave_estimate_vector_samples)
 from resamplekit.resampling import (EstimateResult, chunk_moments,
-                                   draw_index_batch, draw_values, grid_values)
+                                   class_moments, draw_index_batch,
+                                   draw_values, grid_values)
 from resamplekit.systems import evaluate_batch, leaf_dependencies, render
 from resamplekit.wave import wave_estimate
 
@@ -43,9 +44,10 @@ from helpers import (CHAIN_OPS, block_of_arg, coverage_oracle,
                      draw_values_oracle, enumerate_w_oracle,
                      estimate_theta_oracle, evaluate_batch_oracle,
                      fisher_yates_oracle, grid_values_oracle,
-                     index_vector_chunks, inner_mc_oracle, known_g_oracle,
-                     leaf_deps_oracle, numeric_pw_oracle, pair_moment_oracle,
-                     product_grid, q_oracle, race_probability_oracle,
+                     index_vector_chunks, indicator, inner_mc_oracle,
+                     known_g_oracle, leaf_deps_oracle, numeric_pw_oracle,
+                     pair_moment_oracle, product_grid, q_oracle,
+                     race_probability_oracle,
                      resampling_interval_oracle, shared_pair_moment_oracle,
                      support_matching_oracle, support_moments_oracle,
                      systems, vector_wave_oracle, wave_oracle)
@@ -236,6 +238,71 @@ def test_shared_block_pair_grid_equals_index_rows(problem, family):
                 got = conditional_mixed_moment(spec, samples, pattern)
             assert got.value == pytest.approx(shared_pair_moment_oracle(
                 spec, samples, pattern, oracle_chunk(chunk)), rel=0, abs=1e-12)
+
+
+# data on a grid of quarters, which holds every generated level, so that
+# values and sums meet the levels
+QUARTERS = st.sampled_from([0.25 * k for k in range(12)])
+
+
+@st.composite
+def threshold_problems(draw):
+    """Data on quarters, on a generated layout (one time in four) or on one
+    sample per argument, and a system with an ``ind`` root: a generated
+    system, wrapped in one if its root is not.  A singleton layout has at
+    most 150 vectors, in sizes for which a lattice over data leaves has
+    fewer cells than the grid.  Half of the systems have only order
+    operators inside (and the ``ind`` nodes that the strategy puts around a
+    subtree), so that their lattices often have only data leaves as
+    boundary nodes."""
+    if draw(st.integers(0, 3)):
+        m = draw(st.sampled_from([3, 2, 4]))
+        low, high = {2: (4, 8), 3: (3, 5), 4: (3, 3)}[m]
+        sizes = draw(st.lists(st.integers(low, high), min_size=m, max_size=m))
+        samples = SampleSet.from_samples(
+            [(f"x{i}", np.zeros(n)) for i, n in enumerate(sizes, start=1)])
+    else:
+        samples = draw(layouts(max_vectors=150))
+    cols = tuple(draw(st.lists(QUARTERS, min_size=len(c), max_size=len(c)))
+                 for c in samples.columns)
+    samples = SampleSet(samples.names, cols, samples.arg_to_sample)
+    ops = draw(st.sampled_from([("min", "max", "sum", "kofn", "cmp"),
+                                ("min", "max", "kofn")]))
+    text, _ = draw(systems(samples.m, ops))
+    if not text.startswith("ind("):
+        text = draw(indicator(text))
+    return parse_system(text), samples
+
+
+def refuse_grids(module, refuse: bool):
+    """Make ``module.grid_values`` raise, when ``refuse`` is set."""
+    def refused(*args, **kwargs):
+        raise AssertionError("the value grid was evaluated")
+
+    return (mock.patch.object(module, "grid_values", refused) if refuse
+            else contextlib.nullcontext())
+
+
+@settings(PROPERTY, max_examples=100)
+@given(problem=threshold_problems())
+def test_class_lattice_moments_equal_the_oracles(problem):
+    """Where the class lattice is taken (its cells no more than the
+    grid's), mu, mu2 and every omega moment come without the value grid
+    and equal the index-row oracles bit for bit."""
+    spec, samples = problem
+    want = chunk_moments(grid_values_oracle(spec, samples))
+    lattice = class_moments(spec, samples, None) is not None
+    with refuse_grids(resampling_module, lattice):
+        assert exhaustive_moments(spec, samples) == want
+    if not samples.singleton_blocks:
+        return
+    tensor = class_moments(spec, samples, None, pairs=True) is not None
+    with refuse_grids(pairs_module, tensor):
+        rep = resampling_variance(spec, samples, 3)
+    assert (rep.mu, rep.mu2) == (want.mu, want.mu2)
+    oracle = pair_moment_oracle(spec, samples, "omega")
+    assert {row.pair: row.moment for row in rep.rows} == {
+        pattern: moment for pattern, (moment, _) in oracle.items()}
 
 
 @PROPERTY

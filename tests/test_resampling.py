@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -122,10 +124,127 @@ def test_estimate_converges_to_exhaustive(two_of_three, small_samples):
     assert abs(res.estimate - target) < 4 * res.standard_error
 
 
-def test_budget_guard(two_of_three):
+def test_budget_guard():
+    """A system without a class lattice enumerates the 300^3 grid."""
     big = SampleSet.from_json({n: list(range(300)) for n in ("a", "b", "c")})
-    with pytest.raises(BudgetExceededError):
-        exhaustive_theta(two_of_three, big, budget=1000)
+    with pytest.raises(BudgetExceededError) as err:
+        exhaustive_theta(parse_system("kofn(2; x1, x2, x3)"), big, budget=1000)
+    assert (err.value.needed, err.value.what) == (
+        300 ** 3, "index-vector enumeration")
+
+
+def test_class_lattice_charges_its_reduced_cells(two_of_three):
+    """The 2-of-3 indicator takes its 2^3 lattice and three columns of 300
+    (908 cells) and TREE6 its 2^5 lattice, four columns of 6 and the 6 x 6
+    grid of sum(x5, x6) (92 cells), instead of their value grids; a budget
+    one below raises with those counts.  The pair sums of the 2-of-3 hold
+    M and N on its 3^3 class cells (962 cells in all)."""
+    big = SampleSet.from_json({n: list(range(300)) for n in ("a", "b", "c")})
+    tree6 = parse_system("ind(min(max(x1, x2), max(x3, x4), sum(x5, x6)) > t)",
+                         params={"t": 4.0})
+    six = SampleSet.from_samples(
+        [(f"x{i}", np.arange(6.0)) for i in range(1, 7)])
+    for spec, samples, cells in ((two_of_three, big, 908), (tree6, six, 92)):
+        assert exhaustive_moments(spec, samples, budget=cells).count \
+            == samples.admissible_count()
+        with pytest.raises(BudgetExceededError) as err:
+            exhaustive_theta(spec, samples, budget=cells - 1)
+        assert (err.value.needed, err.value.what) == (
+            cells, "threshold-class lattice")
+    # M and N on 3^3 cells each, 2^3 joint injections and the three columns
+    with pytest.raises(BudgetExceededError) as err:
+        resampling_variance(two_of_three, big, 4, budget=961)
+    assert (err.value.needed, err.value.what) == (
+        962, "threshold-class pair tensor")
+    # 298 values of each sample lie above t = 1 and 2 do not
+    assert exhaustive_theta(two_of_three, big) == float(Fraction(
+        300 ** 3 - 2 ** 3 - 3 * 298 * 2 ** 2, 300 ** 3))
+
+
+def test_class_pair_tensor_charges_the_cells_it_builds():
+    """A 9-of-16 on 16 samples of 3 values: 3^16 class cells are no more
+    than the 3^16 positions, so the pair sums take the class tensor, and
+    its M and N, 2 * 3^16 cells, exceed the default budget.  The lattice
+    of exhaustive_moments (2^16 cells and 48 values) stays within it."""
+    spec = parse_system(
+        "ind(kofn(9; " + ", ".join(f"x{i}" for i in range(1, 17)) + ") > t)",
+        params={"t": 1.0})
+    s = SampleSet.from_samples(
+        [(f"x{i}", [0.5, 1.5, 2.5]) for i in range(1, 17)])
+    assert exhaustive_moments(spec, s).count == 3 ** 16
+    with pytest.raises(BudgetExceededError) as err:
+        resampling_variance(spec, s, 4)
+    assert (err.value.needed, err.value.what) == (
+        2 * 3 ** 16 + 2 ** 16 + 48, "threshold-class pair tensor")
+
+
+def test_class_pair_tensor_larger_than_the_positions_is_not_taken():
+    """Five samples of 2 values and five of 3 have 7,776 positions and
+    3^10 = 59,049 class cells, so the pair sums keep the position tensor;
+    exhaustive_moments takes the 2^10-cell lattice, and both give mu."""
+    spec = parse_system(
+        "ind(kofn(4; " + ", ".join(f"x{i}" for i in range(1, 11)) + ") > t)",
+        params={"t": 1.0})
+    s = SampleSet.from_samples(
+        [(f"x{i}", [0.5, 1.5, 2.5][:2 + i % 2]) for i in range(1, 11)])
+    with pytest.raises(BudgetExceededError) as err:
+        resampling_variance(spec, s, 4, budget=7000)
+    assert (err.value.needed, err.value.what) == (
+        7776 + 2 ** 10, "pair-moment tensor")
+    rep = resampling_variance(spec, s, 4)
+    assert rep.mu == rep.mu2 == exhaustive_moments(spec, s).mu
+
+
+TREE6 = "ind(min(max(x1, x2), max(x3, x4), sum(x5, x6)) > t)"
+
+
+def test_tree6_exhaustive_theta_at_1000_per_sample():
+    """10^18 index vectors, over any budget for the value grid: the class
+    lattice reads the four leaves' shares above t and the 10^6 sums of x5
+    and x6.  The branches draw from disjoint samples, so theta is the
+    product of the branches' empirical probabilities, taken here as exact
+    fractions; the lattice's hit count gives it correctly rounded."""
+    cols = np.random.default_rng(1000).exponential(1.0, (6, 1000))
+    t = 0.9
+    spec = parse_system(TREE6, params={"t": t})
+    s = SampleSet.from_samples(
+        [(f"x{i}", c) for i, c in enumerate(cols, start=1)])
+    n = Fraction(1000)
+
+    def below(c):
+        return np.count_nonzero(c <= t) / n
+
+    def parallel(a, b):
+        return 1 - below(a) * below(b)
+
+    summed = Fraction(int(np.count_nonzero(np.add.outer(cols[4], cols[5])
+                                            > t)), 1000 ** 2)
+    theta = parallel(cols[0], cols[1]) * parallel(cols[2], cols[3]) * summed
+    assert exhaustive_theta(spec, s) == float(theta)
+
+
+def test_shared_sample_under_one_boundary_node_takes_the_lattice():
+    """x5 and x6 of TREE6 drawn from one sample meet only in sum(x5, x6),
+    whose local grid is their 5 x 4 ordered draws; x1 and x2 on one sample
+    lie under two boundary nodes, which the draw couples, so that layout
+    takes the value grid.  Both give the index-row oracle's bits."""
+    from helpers import grid_values_oracle
+    from resamplekit.resampling import chunk_moments
+
+    rng = np.random.default_rng(6)
+    spec = parse_system(TREE6, params={"t": 1.0})
+    cols = [np.round(rng.exponential(1.0, n) * 4) / 4 for n in (3, 4, 3, 5, 5)]
+    for blocks, what in (({5: "x5", 6: "x5"}, "threshold-class lattice"),
+                         ({1: "x1", 2: "x1"}, "index-vector enumeration")):
+        names = [f"x{i}" for i in range(1, 7) if i not in blocks
+                 or blocks[i] == f"x{i}"]
+        binding = {a: blocks.get(a, f"x{a}") for a in range(1, 7)}
+        s = SampleSet.from_samples(list(zip(names, cols)), blocks=binding)
+        assert exhaustive_moments(spec, s) == chunk_moments(
+            grid_values_oracle(spec, s))
+        with pytest.raises(BudgetExceededError) as err:
+            exhaustive_moments(spec, s, budget=1)
+        assert err.value.what == what
 
 
 # -- variance report, empirical mode --------------------------------------
