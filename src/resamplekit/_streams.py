@@ -26,7 +26,11 @@ route checks seeds and keys with :func:`_key_int`.
 Every draw without replacement goes through :func:`draw_distinct`, a partial
 Fisher-Yates shuffle (Durstenfeld 1964) driven by bounded integers, so its
 stream is defined once for the whole package: :func:`_code_draws` takes
-every integer of a draw from the generator, in order.  A caller that needs
+every integer of a draw from the generator, in order.  Its outcomes are
+read off a cached table of every outcome when there are at most 2**16, by
+compare and select on the swap targets alone when k**2 <= n (the select
+route, O(k**2) compares a row), and by swaps on a positions-major (n, rows)
+table otherwise; all three give the same outcomes.  A caller that needs
 only the first positions of some rows reads them through
 :func:`distinct_prefix` (or :func:`joined_prefix`, one reader over the
 draws of several generators), which takes the same integers and decodes a
@@ -397,11 +401,15 @@ _TABLE_LIMIT = 1 << 16
 _DENSE_CELLS = 1 << 22
 # every run of digits is read from one integer below this span
 _SPAN_LIMIT = 1 << 63
-# swaps run over the touched positions when n >= _SPARSE_FACTOR * k**2.  At
-# 4096 rows (best of 7, 2-core x86-64 VM) the sparse route against the dense
-# one takes 1195 vs 255 us at (n, k) = (50, 7), 564 vs 409 at (400, 5), 498
-# vs 548 at (800, 5), 637 vs 672 at (1000, 6) and 1004 vs 3073 at (2000, 8).
-_SPARSE_FACTOR = 32
+# untabulated draws with n >= _SELECT_FACTOR * k**2 read their outcomes by
+# compare and select (_fy_select), the others swap on a positions-major
+# table (_fy_dense).  At 4096 rows (best of 7, 2-core x86-64 VM) select
+# against dense takes 40 vs 198 us at (n, k) = (300, 3), 100 vs 2486 at
+# (2000, 8), 122 vs 215 at (49, 7), 162 vs 299 at (100, 10) and 356 vs 787
+# at (400, 20).  Below the switch it depends on k: 153 vs 208 at (30, 7),
+# 281 vs 300 at (30, 10), but 483 vs 216 at (15, 10) and 1784 vs 396 at
+# (20, 20).
+_SELECT_FACTOR = 1
 
 
 def draw_distinct(rng: np.random.Generator, n: int, k: int,
@@ -417,9 +425,10 @@ def draw_distinct(rng: np.random.Generator, n: int, k: int,
     single call ``rng.integers(0, n, size=rows)``.
 
     The same mapping is evaluated by a cached table of all outcomes when
-    perm(n, k) <= 2**16, by swaps over the touched positions when
-    32 k**2 <= n, and by a positions-major swap table otherwise.  The draw
-    is :func:`distinct_codes` (everything taken from ``rng``) followed by
+    perm(n, k) <= 2**16, by compare and select on the swap targets alone
+    when k**2 <= n (:func:`_fy_select`), and by a positions-major swap
+    table otherwise (:func:`_fy_dense`).  The draw is
+    :func:`distinct_codes` (everything taken from ``rng``) followed by
     :func:`distinct_outcomes` (the mapping, which reads only the codes);
     :func:`distinct_prefix` takes the same draws and reads the outcomes
     one position at a time.
@@ -513,13 +522,15 @@ class DistinctPrefix:
     caller that needs only a prefix of some rows decodes no more than that.
     A row's swap digit at position i is decoded alone, as
     ``(u // product of the run's later radices) % radix`` of its run's
-    integer u, and the swap runs as in :func:`_fy_dense` (:func:`_swap`) on
-    a positions-major (n, rows) table, or over the touched positions as in
-    :func:`_fy_sparse` where the draw takes the sparse route.  Where that
-    table would exceed ``_DENSE_CELLS`` cells, :func:`_fy_dense` decodes
-    every outcome in row chunks first, and on the table route one gather
-    does; positions are then read off those outcomes.  Outcomes equal those
-    of :func:`distinct_outcomes` on the same draws, whatever rows drop out.
+    integer u.  Where the draw takes the select route, the only state is
+    the (k, rows) array of swap targets, and position i is traced back
+    through the i earlier swaps as in :func:`_fy_select`; otherwise the
+    swap runs as in :func:`_fy_dense` (:func:`_swap`) on a positions-major
+    (n, rows) table.  Where that table would exceed ``_DENSE_CELLS`` cells,
+    :func:`_fy_dense` decodes every outcome in row chunks first, and on the
+    table route one gather does; positions are then read off those
+    outcomes.  Outcomes equal those of :func:`distinct_outcomes` on the
+    same draws, whatever rows drop out.
     ``decoded`` tells whether every outcome was decoded up front.
     ``outcomes(rows)`` gives the whole outcomes of some rows at once, and
     ``row(j)`` row j's, decoded in Python ints.  Every outcome read is
@@ -533,7 +544,7 @@ class DistinctPrefix:
         self._shift = shift
         if count:
             outcomes = _outcome_table(n, k).take(draws, axis=0)
-        elif not _sparse(n, k) and n * rows > _DENSE_CELLS:
+        elif not _selects(n, k) and n * rows > _DENSE_CELLS:
             outcomes = _fy_dense(n, _swap_digits(k, rows, draws))
         else:
             outcomes = None
@@ -555,14 +566,14 @@ class DistinctPrefix:
             for at, radix in enumerate(radices):
                 below //= radix
                 self._digits.append((u, below, radix, at == 0))
-        if _sparse(n, k):
+        small = np.min_scalar_type(n - 1)
+        if _selects(n, k):
+            # each swap's target, by position; the outcomes are read off it
             self._table = None
-            self._target = np.empty((k, rows), dtype=np.intp)
-            self._w = np.empty((k, rows), dtype=np.intp)
+            self._target = np.empty((k, rows), dtype=small)
         else:
-            start = np.arange(n, dtype=np.min_scalar_type(n - 1))[:, None]
-            self._table = np.empty((n, rows), dtype=start.dtype)
-            self._table[:] = start
+            self._table = np.empty((n, rows), dtype=small)
+            self._table[:] = np.arange(n, dtype=small)[:, None]
 
     def position(self, i: int, rows: np.ndarray | None = None) -> np.ndarray:
         """Position i's outcome (an integer array) for ``rows``, or for
@@ -574,22 +585,23 @@ class DistinctPrefix:
         sel = slice(None) if rows is None else rows
         if self.decoded:
             return self._outcomes[i, sel]
-        cols = self._cols if rows is None else rows
         pos = self._digit(i, rows)
         pos += i
         if self._table is not None:
+            cols = self._cols if rows is None else rows
             value = _swap(self._table, i, pos, cols, sel)
-        elif i == 0:
-            value = pos
-            self._w[0, sel] = 0
         else:
-            earlier = self._target[:i, sel]
-            value = _touched(earlier, self._w, pos, cols)
-            if i + 1 < self.k:
-                # what position i held before its swap, for later steps
-                self._w[i, sel] = _touched(earlier, self._w, i, cols)
-        if self._table is None:
-            self._target[i, sel] = pos
+            value = pos.astype(self._target.dtype)
+            if rows is None:
+                self._target[i] = value
+                earlier = self._target[:i]
+            else:
+                # take and put move a row set faster than fancy indexing
+                self._target[i].put(rows, value)
+                earlier = self._target[:i].take(rows, axis=1)
+            hit = np.empty(value.shape, dtype=bool)
+            for j in range(i - 1, -1, -1):
+                _unswap(value, j, earlier[j], hit)
         if self._shift is not None:
             value = value + self._shift[sel]
         return value
@@ -678,13 +690,13 @@ def _decode_digits(u: np.ndarray, radices, out: np.ndarray) -> None:
 
 def _fisher_yates(n: int, digits: np.ndarray) -> np.ndarray:
     """Outcomes of the swaps given by ``digits`` (k, rows); (rows, k)."""
-    return (_fy_sparse if _sparse(n, len(digits)) else _fy_dense)(n, digits)
+    return (_fy_select if _selects(n, len(digits)) else _fy_dense)(n, digits)
 
 
-def _sparse(n: int, k: int) -> bool:
-    """Whether swaps of k positions of ``range(n)`` run over the touched
-    positions (see ``_SPARSE_FACTOR``)."""
-    return _SPARSE_FACTOR * k * k <= n
+def _selects(n: int, k: int) -> bool:
+    """Whether draws of k positions of ``range(n)`` take the select route
+    (see ``_SELECT_FACTOR``)."""
+    return _SELECT_FACTOR * k * k <= n
 
 
 @functools.lru_cache(maxsize=32)
@@ -699,33 +711,40 @@ def _outcome_table(n: int, k: int) -> np.ndarray:
     return table
 
 
-def _fy_sparse(n: int, digits: np.ndarray) -> np.ndarray:
-    """Swaps tracked over the touched positions: O(rows * k) memory.
+def _fy_select(n: int, digits: np.ndarray) -> np.ndarray:
+    """Outcomes read from the swap targets alone: O(rows * k) memory.
 
-    Step i moves the value at i + d_i into position i, which no later step
-    touches.  That value is ``w`` of the latest earlier step whose target
-    was i + d_i, where ``w[s]`` is the value position s held before step
-    s; without such a step it is i + d_i itself.
+    With t_j = j + d_j and tau_j the transposition of j and t_j, the
+    outcome at position i is tau_0(tau_1(...tau_{i-1}(t_i))): the value at
+    t_i before step i, traced back through the earlier swaps.  Starting
+    from every target, step j = k - 2, ..., 0 applies tau_j to the
+    positions after j (:func:`_unswap`), on the smallest integer type that
+    holds n - 1.  Row j itself changes only at the steps below j, which
+    run after step j, so step j reads t_j there.
     """
     k, rows = digits.shape
-    target = digits + np.arange(k)[:, None]
+    value = np.empty((k, rows), dtype=np.min_scalar_type(n - 1))
+    np.add(digits, np.arange(k)[:, None], out=value, casting="unsafe")
+    hit = np.empty((k, rows), dtype=bool)
+    for j in range(k - 2, -1, -1):
+        _unswap(value[j + 1:], j, value[j], hit[j + 1:])
     out = np.empty((rows, k), dtype=np.intp)
-    w = np.empty((k, rows), dtype=np.intp)
-    cols = np.arange(rows)
-    for i in range(k):
-        out[:, i] = _touched(target[:i], w, target[i], cols)
-        w[i] = _touched(target[:i], w, i, cols)
+    out[:] = value.T
     return out
 
 
-def _touched(target: np.ndarray, w: np.ndarray, pos, cols: np.ndarray):
-    """The value at position ``pos`` before step ``len(target)`` of the
-    swaps in columns ``cols``: ``w`` of the latest step whose target
-    (a row of ``target``, already restricted to ``cols``) was ``pos``, else
-    ``pos`` itself."""
-    steps = np.arange(len(target))[:, None]
-    latest = np.where(target == pos, steps, -1).max(axis=0, initial=-1)
-    return np.where(latest >= 0, w[latest, cols], pos)
+def _unswap(value: np.ndarray, j: int, target: np.ndarray,
+            hit: np.ndarray) -> None:
+    """Apply tau_j, the transposition of j and ``target`` (one entry per
+    column), to ``value`` in place; ``hit`` is a bool work array of its
+    shape.
+
+    A value traced down to step j is t_i >= i > j, or the index j' > j of
+    a step traced before it, so it is never j: tau_j only moves ``target``
+    to j, one compare and one masked assignment.
+    """
+    np.equal(value, target, out=hit)
+    np.copyto(value, j, where=hit)
 
 
 def _fy_dense(n: int, digits: np.ndarray) -> np.ndarray:

@@ -549,8 +549,10 @@ def plugin_expectation(truth: DamageTruth, n_a: int, t: float) -> float:
 
     lambda-hat = n_A / sum(H_A) has mean lambda n_A/(n_A - 1) for
     exponential inter-arrivals, independent of the duration part whose
-    integral estimate is unbiased; needs n_A >= 2 and a finite t >= 0.
+    integral estimate is unbiased; needs an integer n_A >= 2 and a finite
+    t >= 0.
     """
+    n_a = _count(n_a, "n_a")
     if n_a < 2:
         raise ValueError("the plug-in rate has no finite mean for n_A < 2")
     return (n_a / (n_a - 1.0)) * truth.rate * _integral_sf(truth.degradation,

@@ -419,7 +419,10 @@ def conditional_mixed_moment(spec: SystemSpec, source, pair, *,
     seed, mc_draws : int
         Only used in generator mode when some law has no finite support:
         the moment is then Monte Carlo (``method="generator-mc"``).
+        ``mc_draws`` must be an integer, not a bool (TypeError), of at
+        least 2, so that the standard error is defined (ValueError).
     """
+    mc_draws = _count(mc_draws, "mc_draws", 2)
     if isinstance(source, SampleSet):
         return _empirical_mixed_moment(spec, source, pair, budget)
     dists = list(source)
@@ -816,9 +819,12 @@ def resampling_variance(spec: SystemSpec, source, r: int, *, layout=None,
     repeated seeded runs on the same data.  Generator mode (``source`` is a
     list of per-argument KnownDistribution, with ``layout`` giving block
     sizes) averages over the data draw as well.  ``r`` must be an integer,
-    not a bool (TypeError), of at least 1 (ValueError).
+    not a bool (TypeError), of at least 1 (ValueError), and ``mc_draws``,
+    the Monte Carlo draws per moment where a law has no finite support, an
+    integer of at least 2.
     """
     r = _count(r, "r")
+    mc_draws = _count(mc_draws, "mc_draws", 2)
     if isinstance(source, SampleSet):
         lay = source.layout
     elif layout is None:

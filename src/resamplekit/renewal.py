@@ -30,6 +30,7 @@ import numpy as np
 
 from ._streams import (BLOCK, Lane, _count, block_streams, draw_distinct,
                        substreams)
+from .coverage import _check_theta
 from .distributions import KnownDistribution, normal
 from .pairs import (AlphaPair, PairRow, VarianceReport, assemble_variance,
                     enumerate_pairs)
@@ -219,14 +220,13 @@ class GridConvolutionKit:
     is then one inverse FFT of F_X^a conj(F_Y)^b rolled by b (L_Y - 1),
     and of a Y's minus b X's its mirror: the FFT evaluation of lattice
     convolution powers (Embrechts and Frei, Math. Methods Oper. Res. 2009).
-    Accuracy is set by ``points``.
+    Accuracy is set by ``points``, an integer (not a bool) of at least 2.
     """
 
     def __init__(self, x_dist: KnownDistribution, y_dist: KnownDistribution,
                  m_x: int, m_y: int, points: int = 4096):
         self.m_x, self.m_y = _summands(m_x, m_y)
-        if not points >= 2:
-            raise ValueError(f"need points >= 2 lattice cells, got {points}")
+        points = _count(points, "points", 2)
         los, his = [], []
         for d in (x_dist, y_dist):
             lo, hi = d.support()
@@ -358,17 +358,19 @@ def plugin_baseline(layout, x_dist: KnownDistribution,
     BLOCK // r replications are computed together), and Var/Bias/MSE
     are taken against the analytic Theta (computed from a normal kit when
     not supplied).  ``r`` and ``replications`` must be integers, not
-    bools (TypeError), of at least 1 and 2 (ValueError).
+    bools (TypeError), of at least 1 and 2 (ValueError), and a given
+    ``theta`` a probability: finite and in [0, 1] (ValueError).
     """
     lay = _as_renewal_layout(layout)
     r = _count(r, "r")
     replications = _count(replications, "replications", 2)
-    if theta is None:
-        if x_dist.family == "normal" and y_dist.family == "normal":
-            theta = analytic_theta_normal(*x_dist.params, *y_dist.params,
-                                          lay.m_x, lay.m_y)
-        else:
-            raise ValueError("pass theta= for non-normal generators")
+    if theta is not None:
+        _check_theta(theta)
+    elif x_dist.family == "normal" and y_dist.family == "normal":
+        theta = analytic_theta_normal(*x_dist.params, *y_dist.params,
+                                      lay.m_x, lay.m_y)
+    else:
+        raise ValueError("pass theta= for non-normal generators")
     estimates = np.empty(replications)
     streams = substreams(seed, Lane.RENEWAL_PLUGIN, np.arange(replications))
     # each replication takes its draws from its own generator; the sums and

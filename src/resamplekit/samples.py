@@ -258,12 +258,6 @@ class SampleSet:
         """Backing column for 1-based argument ``arg``."""
         return self.columns[self.arg_to_sample[arg - 1]]
 
-    def block_of_arg(self, arg: int) -> Block:
-        for b in self.blocks:
-            if arg in b.args:
-                return b
-        raise LayoutError(f"no argument {arg}")
-
     @property
     def singleton_blocks(self) -> bool:
         """True when every block has exactly one argument."""

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._streams import Lane, block_streams
+from ._streams import Lane, _count, block_streams
 from .budget import check_budget
 from .pairs import (OmegaPair, VarianceReport, _generator_layout,
                     _variance_report)
@@ -288,8 +288,11 @@ def hierarchical_variance(spec: SystemSpec, source, sizes: dict, *,
     ``source`` is a SampleSet (data-conditional) or a list of per-argument
     KnownDistribution (generator mode); ``sizes`` the full node-size map
     including the root.  On a SampleSet each leaf's entry must equal its
-    sample's size (as in :func:`node_sizes`), else ValueError.
+    sample's size (as in :func:`node_sizes`), else ValueError.  ``mc_draws``
+    (generator mode, a law without finite support) is checked as in
+    :func:`resampling_variance`.
     """
+    mc_draws = _count(mc_draws, "mc_draws", 2)
     r = _size(sizes, spec.root_id)
     prop = propagate_pair_probabilities(spec, sizes, budget)
     table = sorted(prop.root_table.items(),

@@ -18,8 +18,9 @@ from fractions import Fraction
 import numpy as np
 from hypothesis import strategies as st
 
-from resamplekit._streams import (BLOCK, Lane, block_ranges, distinct_codes,
-                                  distinct_outcomes, draw_distinct, substream)
+from resamplekit._streams import (_TABLE_LIMIT, BLOCK, Lane, block_ranges,
+                                  distinct_codes, distinct_outcomes,
+                                  draw_distinct, substream)
 from resamplekit.coverage import (IntervalResult, ProtocolRow, WVector,
                                   _exponential_rates, _NumericOrderingLaw,
                                   _pw_exponential, alpha_floor,
@@ -532,6 +533,14 @@ def coverage_oracle(func, generators, sizes, theta, gammas, k, r,
     mean = rc_all.mean(axis=0)
     se = rc_all.std(axis=0, ddof=1) / math.sqrt(replications)
     return tuple(float(x) for x in mean), tuple(float(x) for x in se)
+
+
+def first_untabulated(k):
+    """The least n >= k with perm(n, k) above the outcome table's limit."""
+    n = k
+    while math.perm(n, k) <= _TABLE_LIMIT:
+        n += 1
+    return n
 
 
 def fisher_yates_oracle(n, k, digits):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from resamplekit import _streams
-from resamplekit._streams import _TABLE_LIMIT, BLOCK, Lane
+from resamplekit._streams import BLOCK, Lane
 from resamplekit.damage import (
     CountEstimates,
     DamageData,
@@ -31,7 +31,7 @@ from resamplekit.distributions import (empirical, exponential, triangular,
                                        uniform)
 
 from helpers import (combined_se, damage_counts_oracle, damage_variance_oracle,
-                     fresh_blocks, plugin_variance_oracle)
+                     first_untabulated, fresh_blocks, plugin_variance_oracle)
 
 TRI_TRUTH = DamageTruth(rate=0.5, degradation=triangular(0.0, 2.0, 4.0))
 
@@ -372,8 +372,8 @@ DAMAGE_STUDIES = [
     # several count blocks per replication, on both key routes
     (TRI_TRUTH, 3, 3, 2 * BLOCK + 1, 6, 11),
     (TRI_TRUTH, 2, 2, BLOCK + 1, 3, 2**64 + 5),
-    # durations on the digit routes: perm(12, 7) > 2**16 with 32 * 7**2 > 12
-    # (dense swaps), and 32 * 3**2 <= 300 (sparse swaps)
+    # durations on the digit routes: perm(12, 7) > 2**16 with 7**2 > 12
+    # (dense swaps), and 3**2 <= 300 (compare and select)
     (TRI_TRUTH, 7, 12, 40, 25, 13),
     (TRI_TRUTH, 3, 300, 50, 12, 3),
     # r = 1000 counts four replications per walk: three walks
@@ -470,30 +470,23 @@ WALK = settings(derandomize=True, deadline=None, max_examples=8,
 DYADIC = [0.0, 0.25, 0.5, 1.0, 1.75, 3.0]
 
 
-def first_untabulated(k):
-    """The least n >= k with perm(n, k) above the outcome table's limit."""
-    n = k
-    while math.perm(n, k) <= _TABLE_LIMIT:
-        n += 1
-    return n
-
-
 @st.composite
 def duration_routes(draw):
-    """(n_A, n_B) with the durations on the table, dense or sparse route
-    of draw_distinct; dense shapes above 1024 durations also pass the
-    prefix reader's table-cell bound at 4096 rows."""
-    route = draw(st.sampled_from(["table", "dense", "sparse"]))
+    """(n_A, n_B) with the durations on the table, dense or select route
+    of draw_distinct, n_B = n_A**2 - 1 and n_B = n_A**2 drawn often on
+    either side of the select route's switch."""
+    route = draw(st.sampled_from(["table", "dense", "select"]))
     if route == "table":
         n_a = draw(st.integers(1, 8))
         n_b = draw(st.integers(n_a, first_untabulated(n_a) - 1))
     elif route == "dense":
-        n_a = draw(st.integers(3, 30))
-        n_b = draw(st.integers(first_untabulated(n_a), 32 * n_a * n_a - 1))
+        n_a = draw(st.integers(5, 30))
+        n_b = draw(st.one_of(st.just(n_a * n_a - 1), st.integers(
+            first_untabulated(n_a), n_a * n_a - 1)))
     else:
         n_a = draw(st.integers(1, 30))
-        low = max(32 * n_a * n_a, first_untabulated(n_a))
-        n_b = draw(st.integers(low, low + 50))
+        low = max(n_a * n_a, first_untabulated(n_a))
+        n_b = draw(st.one_of(st.just(low), st.integers(low, low + 50)))
     return n_a, n_b
 
 
@@ -561,13 +554,24 @@ def test_studies_equal_realization_matrices(r, shape, t, seed):
 
 def test_wide_walk_reads_decoded_outcomes():
     """Above _DENSE_CELLS / BLOCK = 1024 arrivals a block's arrival order
-    and durations are decoded whole in row chunks, not swapped over the
-    touched positions, whose cost grows with the square of n_A."""
+    and durations are decoded whole in row chunks, not read position by
+    position: no (n_A, rows) swap table, and no compare and select, whose
+    cost grows with the square of n_A."""
     rng = np.random.default_rng(5)
     data = DamageData(rng.exponential(1.0, 1030), rng.uniform(0, 3, 1030))
-    with mock.patch.object(_streams, "_touched",
-                           side_effect=AssertionError("touched route")):
+    decoded = []
+
+    def dense(n, digits):
+        decoded.append(digits.shape)
+        return real_dense(n, digits)
+
+    real_dense = _streams._fy_dense
+    with mock.patch.object(_streams, "_unswap",
+                           side_effect=AssertionError("select route")), \
+            mock.patch.object(_streams, "_fy_dense", dense):
         got = resample_damage_counts(data, math.inf, BLOCK, 12)
+    # the arrival order and the durations, each decoded whole
+    assert decoded == [(1030, BLOCK)] * 2
     want = damage_counts_oracle(data, math.inf, BLOCK, 12,
                                 fresh_blocks(12, Lane.DAMAGE_RESAMPLE, BLOCK))
     assert same_counts(got, want)
@@ -624,6 +628,10 @@ def test_plugin_expectation_anchor():
     assert plugin_expectation(TRI_TRUTH, 5, 5.0) == pytest.approx(1.25, rel=1e-9)
     with pytest.raises(ValueError):
         plugin_expectation(TRI_TRUTH, 1, 5.0)
+    # n_A = 2.5 returned 0.83
+    for n_a in (2.5, True, np.float64(3.0)):
+        with pytest.raises(TypeError, match="n_a must be an integer"):
+            plugin_expectation(TRI_TRUTH, n_a, 5.0)
 
 
 @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])

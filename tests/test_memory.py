@@ -5,7 +5,8 @@ A call allocates each full-length array once: the cascade of
 and one-byte threshold classes, and
 :meth:`EstimateResult.from_values` takes the variance pass in the
 realization buffer.  Kept values are the realizations themselves, in an
-array of their own.
+array of their own.  A wide draw without replacement is read off its
+swap targets alone.
 """
 
 import tracemalloc
@@ -18,7 +19,7 @@ from resamplekit import (EstimateResult, RenewalPair, SampleSet,
                          estimate_known_g, estimate_theta, exponential,
                          node_sizes, parse_system, three_branch_conditional,
                          three_branch_system, wave_estimate)
-from resamplekit._streams import BLOCK
+from resamplekit._streams import BLOCK, distinct_prefix
 
 from helpers import peak_bytes
 
@@ -82,6 +83,22 @@ def test_wave_estimate_keeps_nothing_after_it_returns(tree6):
     finally:
         tracemalloc.stop()
     assert left < 64 * 1024
+
+
+def test_wide_prefix_read_holds_only_swap_targets():
+    # four of 10^6 take the select route: the draws, the (k, rows) swap
+    # targets and a position's temporaries, about 14 bytes per target,
+    # where a positions-major swap table would hold n entries per row
+    n, k = 10**6, 4
+
+    def read():
+        prefix = distinct_prefix(np.random.default_rng(9), n, k, BLOCK)
+        live = None
+        for i in range(k):
+            prefix.position(i, live)
+            live = np.arange(0, BLOCK, 2) if live is None else live[::2]
+
+    assert peak_bytes(read) <= 24 * k * BLOCK
 
 
 # -- kept values ----------------------------------------------------------

@@ -286,6 +286,31 @@ def test_generator_grid_over_budget_raises(two_of_three):
         resampling_variance(two_of_three, dists, 4, layout=layout, budget=10)
 
 
+MC_ENTRIES = {
+    "resampling_variance": lambda spec, dists, draws: resampling_variance(
+        spec, dists, 4, layout=(4, 4, 4), mc_draws=draws),
+    "conditional_mixed_moment": lambda spec, dists, draws:
+        conditional_mixed_moment(spec, dists, OmegaPair(frozenset({1})),
+                                 mc_draws=draws),
+    "hierarchical_variance": lambda spec, dists, draws: hierarchical_variance(
+        spec, dists, {1: 3, 2: 3, 3: 3, 4: 3, 5: 4}, mc_draws=draws),
+}
+
+
+@pytest.mark.parametrize("entry", list(MC_ENTRIES))
+def test_generator_mc_draws_are_checked(two_of_three, entry):
+    """mc_draws = -5 gave variance 0.0 with SE 0.0 as if exact, 0 divided
+    by zero and 2.5 raised numpy's TypeError; the SE needs two draws."""
+    run = MC_ENTRIES[entry]
+    dists = [exponential(1.0)] * 3
+    for bad, exc in [(-5, ValueError), (0, ValueError), (1, ValueError),
+                     (2.5, TypeError), (True, TypeError),
+                     (np.float64(100.0), TypeError)]:
+        with pytest.raises(exc, match="mc_draws"):
+            run(two_of_three, dists, bad)
+    assert "generator-mc" in repr(run(two_of_three, dists, np.int64(2)))
+
+
 def test_variance_rows_report_the_moment_route(two_of_three, small_samples):
     """The route of every moment shows in every row of resampling_variance
     and hierarchical_variance and in to_dict(): Monte Carlo when a law has

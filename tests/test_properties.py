@@ -43,9 +43,10 @@ from resamplekit.wave import wave_estimate
 from helpers import (CHAIN_OPS, block_of_arg, coverage_oracle,
                      draw_values_oracle, enumerate_w_oracle,
                      estimate_theta_oracle, evaluate_batch_oracle,
-                     fisher_yates_oracle, grid_values_oracle,
-                     index_vector_chunks, indicator, inner_mc_oracle,
-                     known_g_oracle, leaf_deps_oracle, numeric_pw_oracle,
+                     first_untabulated, fisher_yates_oracle,
+                     grid_values_oracle, index_vector_chunks, indicator,
+                     inner_mc_oracle, known_g_oracle, leaf_deps_oracle,
+                     numeric_pw_oracle,
                      pair_moment_oracle, product_grid, q_oracle,
                      race_probability_oracle,
                      resampling_interval_oracle, shared_pair_moment_oracle,
@@ -676,9 +677,13 @@ def test_array_binomial_layers_match_scalars_and_reject_bad_entries(
 
 @st.composite
 def draw_shapes(draw, max_n=12):
-    """(n, k) with k = 1, k = n and n = 1 drawn often."""
-    n = draw(st.one_of(st.just(1), st.integers(1, max_n)))
-    k = draw(st.one_of(st.just(1), st.just(n), st.integers(0, n)))
+    """(n, k) with k = 1, k = n and n = 1 drawn often, and shapes on both
+    sides of the select route's switch, n = k**2 - 1 and n = k**2."""
+    root = draw(st.integers(2, 6))
+    n = draw(st.one_of(st.just(1), st.integers(1, max_n),
+                       st.sampled_from([root * root - 1, root * root])))
+    k = draw(st.one_of(st.just(1), st.just(n), st.just(min(root, n)),
+                       st.integers(0, n)))
     return n, k
 
 
@@ -693,11 +698,11 @@ def test_draw_routes_agree_on_equal_digits(shape, rows, cells, seed):
     for i, radix in enumerate(radices):
         digits[i] = rng.integers(0, radix, size=rows)
     want = [fisher_yates_oracle(n, k, digits[:, j]) for j in range(rows)]
-    sparse = _streams._fy_sparse(n, digits)
+    select = _streams._fy_select(n, digits)
     # small row chunks in the dense route
     with mock.patch.object(_streams, "_DENSE_CELLS", cells):
         dense = _streams._fy_dense(n, digits)
-    assert sparse.tolist() == want
+    assert select.tolist() == want
     assert dense.tolist() == want
     if math.perm(n, k) <= _streams._TABLE_LIMIT:
         rank = np.zeros(rows, dtype=np.int64)
@@ -711,21 +716,27 @@ def test_draw_routes_agree_on_equal_digits(shape, rows, cells, seed):
 
 @st.composite
 def routed_shapes(draw):
-    """(n, k) on each route of draw_distinct: the outcome table, swaps over
-    the touched positions (32 k**2 <= n) and the dense swap table."""
-    route = draw(st.sampled_from(["table", "sparse", "dense"]))
+    """(n, k) on each route of draw_distinct: the outcome table, compare and
+    select (k**2 <= n) and the dense swap table, with n = k**2 on the
+    select side of the switch and n = k**2 - 1 on the dense side, and
+    single draws past the table (k = 1, n > 2**16)."""
+    route = draw(st.sampled_from(["table", "select", "dense"]))
     if route == "table":
         # perm(n, k) <= 8! < 2**16
         n = draw(st.integers(1, 8))
         k = draw(st.integers(0, n))
-    elif route == "sparse":
-        n = draw(st.integers(300, 5000))
-        k = draw(st.integers(2, math.isqrt(n // 32)))
+    elif route == "select":
+        k = draw(st.integers(1, 20))
+        low = max(k * k, first_untabulated(k))
+        n = draw(st.one_of(st.just(low), st.integers(low, low + 5000)))
+    elif draw(st.booleans()):
+        k = draw(st.integers(5, 20))
+        n = k * k - 1
     else:
         n = draw(st.integers(10, 40))
         k = draw(st.integers(7, n))
     assert (math.perm(n, k) <= _streams._TABLE_LIMIT) == (route == "table")
-    assert route == "table" or (32 * k * k <= n) == (route == "sparse")
+    assert route == "table" or (k * k <= n) == (route == "select")
     return n, k
 
 
@@ -787,7 +798,7 @@ def test_prefix_reader_equals_outcomes(shape, rows, cells, seed, keep):
     assert rng.bit_generator.state == twin.bit_generator.state
     # and builds no swap table past the cell bound
     assert prefix.decoded == bool(_streams._table_size(n, k) or (
-        not _streams._sparse(n, k) and n * rows > cells))
+        not _streams._selects(n, k) and n * rows > cells))
     read_in_order(prefix, want, keep, seed + 1)
     assert [prefix.row(j) for j in range(rows)] == want.tolist()
     some = np.flatnonzero(np.random.default_rng(seed).random(rows) < keep)
@@ -862,7 +873,7 @@ def test_single_draw_is_one_bounded_integer_call(n, rows, seed):
     assert ours.bit_generator.state == plain.bit_generator.state
 
 
-def test_two_of_a_large_shared_block_run_on_the_sparse_route():
+def test_two_of_a_large_shared_block_run_on_the_select_route():
     samples = SampleSet.from_samples([("s", np.arange(3000.0))],
                                      blocks={1: "s", 2: "s"})
     routes = []
@@ -873,10 +884,10 @@ def test_two_of_a_large_shared_block_run_on_the_sparse_route():
             return route(n, digits)
         return call
 
-    with mock.patch.object(_streams, "_fy_sparse", spy(_streams._fy_sparse)), \
+    with mock.patch.object(_streams, "_fy_select", spy(_streams._fy_select)), \
             mock.patch.object(_streams, "_fy_dense", spy(_streams._fy_dense)):
         idx = draw_index_batch(samples, 4096, np.random.default_rng(5))
-    assert routes == [("_fy_sparse", 3000, (2, 4096))]
+    assert routes == [("_fy_select", 3000, (2, 4096))]
     assert idx.shape == (4096, 2)
     assert (idx[:, 0] != idx[:, 1]).all()
     assert ((idx >= 0) & (idx < 3000)).all()
@@ -963,7 +974,7 @@ def test_joined_draws_equal_a_draw_per_block(samples, rows, seed):
 def fixed_layout(name) -> SampleSet:
     """One layout per draw route: singleton and shared blocks on the table
     route, a four-of-eight table, and two- and seven-argument blocks on
-    the sparse and dense Fisher-Yates routes."""
+    the Fisher-Yates routes, select ("sparse": two of 400) and dense."""
     rng = np.random.default_rng(17)
     col = lambda n: np.round(rng.exponential(1.0, n), 3)  # noqa: E731
     if name == "singleton":
@@ -993,8 +1004,8 @@ def test_fixed_layouts_take_every_draw_route():
         for n, k, _, table, _ in itertools.chain.from_iterable(
                 fixed_layout(name).draw_plan):
             routes.add("table" if table is not None
-                       else "sparse" if 32 * k * k <= n else "dense")
-    assert routes == {"table", "sparse", "dense"}
+                       else "select" if k * k <= n else "dense")
+    assert routes == {"table", "select", "dense"}
 
 
 def same_estimate(got: EstimateResult, want: EstimateResult) -> bool:

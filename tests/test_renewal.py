@@ -276,8 +276,13 @@ def test_grid_kit_rejects():
     gk = GridConvolutionKit(exponential(1.0), exponential(1.0), 2, 1)
     with pytest.raises(ValueError):
         gk.mu11(3, 0)
-    for points in (0, 1, -5, math.nan):
+    for points in (0, 1, -5):
         with pytest.raises(ValueError, match="points >= 2"):
+            GridConvolutionKit(exponential(1.0), exponential(2.0), 2, 1,
+                               points=points)
+    # a float is no count, as for m_X (2.5 built a kit)
+    for points in (2.5, math.nan, True, np.float64(64.0)):
+        with pytest.raises(TypeError, match="points"):
             GridConvolutionKit(exponential(1.0), exponential(2.0), 2, 1,
                                points=points)
 
@@ -450,3 +455,8 @@ def test_plugin_baseline_deterministic_and_theta_handling():
     with pytest.raises(ValueError):
         plugin_baseline(lay, normal(2.0, 1.0), normal(2.0, 1.0),
                         r=50, replications=1, seed=5)
+    # bias and MSE were reported against a Theta outside [0, 1]
+    for theta in (2.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="theta must be"):
+            plugin_baseline(lay, exponential(1.0), exponential(1.0),
+                            r=50, replications=4, seed=5, theta=theta)

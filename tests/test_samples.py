@@ -7,6 +7,8 @@ from resamplekit import BudgetExceededError, InfeasibleLayoutError, LayoutError,
 from resamplekit.budget import DEFAULT_BUDGET, enumeration_budget
 from resamplekit.samples import BlockLayout
 
+from helpers import block_of_arg
+
 
 def test_basic_construction():
     s = SampleSet.from_samples([("a", [10.0, 20.0]), ("b", [1.0, 2.0, 3.0])])
@@ -14,7 +16,7 @@ def test_basic_construction():
     assert s.sizes == (2, 3)
     assert s.singleton_blocks
     np.testing.assert_array_equal(s.values_for_arg(1), [10.0, 20.0])
-    assert s.block_of_arg(2).size == 3
+    assert s.blocks[block_of_arg(s.layout, 2)].size == 3
 
 
 def test_enumerate_singleton_vectors():
@@ -37,7 +39,8 @@ def test_shared_block_binding():
     assert s.m == 3
     assert s.sizes == (3, 3, 1)
     assert not s.singleton_blocks
-    assert s.block_of_arg(1) is s.block_of_arg(2)
+    assert block_of_arg(s.layout, 1) == block_of_arg(s.layout, 2) == 0
+    assert block_of_arg(s.layout, 3) == 1
     # within-block indices are distinct: falling factorial 3*2 times 1
     vectors = list(s.enumerate_index_vectors())
     assert len(vectors) == s.admissible_count() == 6
