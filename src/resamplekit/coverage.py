@@ -30,7 +30,7 @@ from ._streams import (Lane, _count, block_count, block_ranges,
                        block_streams, substreams)
 from .budget import check_budget, enumeration_budget
 from .distributions import binom_cdf, binom_sf
-from .resampling import draw_values
+from .resampling import check_arity, draw_values
 from .samples import SampleSet
 from .systems import (GRID_CHUNK, Compare, Input, KOfN, Max, Min, SystemSpec,
                       evaluate_batch, parse_system, render)
@@ -914,6 +914,7 @@ def resampling_interval(func: OrderFunctional, samples: SampleSet,
     Runs k independent experiments of r realizations each on the given
     samples; a is the floor(alpha k)-th smallest estimate.
     """
+    check_arity(func.spec, samples)
     gamma = float(gamma)
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0,1), got {gamma}")

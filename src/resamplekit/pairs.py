@@ -47,8 +47,9 @@ import numpy as np
 from ._streams import Lane, _count, block_streams
 from .budget import check_budget
 from .distributions import KnownDistribution
-from .resampling import chunk_moments, class_moments, grid_values
-from .samples import BlockLayout, SampleSet, ordered_draws
+from .resampling import (check_arity, chunk_moments, class_moments,
+                         grid_values)
+from .samples import BlockLayout, SampleSet, _draw_table
 from .systems import SystemSpec, evaluate_batch, evaluate_grid
 
 __all__ = [
@@ -481,7 +482,9 @@ def _exact_moments(spec, source, layout: BlockLayout, patterns: tuple,
     The injections of a table of patterns are found once per (layout,
     table), after the budget check of :func:`_pair_sums`; those of a single
     pattern (a mixed moment) on every call."""
-    moments, sums, counts = _pair_sums(spec, source, layout, budget)
+    moments, sums, sizes = _pair_sums(spec, source, layout, budget)
+    counts = _pair_counts(layout.block_args, sizes,
+                          isinstance(source, SampleSet))
     cells = (_table_cells(layout, patterns) if len(patterns) > 1
              else [_pattern_cells(pat, layout) for pat in patterns])
     out = []
@@ -536,10 +539,12 @@ def _block_plan(args: tuple[int, ...]):
 
 
 def _pair_sums(spec, source, layout: BlockLayout, budget):
-    """Exhaustive moments, and per joint partial injection sigma (per block,
+    """Exhaustive moments, per joint partial injection sigma (per block,
     which argument of the first draw reappears as which of the second) the
-    sum of phi(v) phi(v') and the count of the pairs that coincide on sigma,
-    all from one tensor T of phi with an axis for each argument, block by
+    sum of phi(v) phi(v') over the pairs that coincide on sigma, and the
+    values on each block's axes (n_b, or s_b under generators), which with
+    the layout fix the pairs' counts (:func:`_pair_counts`).  The sums come
+    from one tensor T of phi with an axis for each argument, block by
     block, and the sums A(tau) of :func:`_at_least_sums` over it.
 
     On data (``source`` a SampleSet) block b's axes have length n_b and T is
@@ -569,13 +574,11 @@ def _pair_sums(spec, source, layout: BlockLayout, budget):
     """
     data = isinstance(source, SampleSet)
     if data:
-        if source.m != spec.m:
-            raise ValueError(
-                f"system takes {spec.m} arguments but samples bind {source.m}")
+        check_arity(spec, source)
         sizes = layout.block_sizes
     else:
         axes = [np.asarray(d.params, dtype=float) for d in source]
-        sizes = [len(axes[args[0] - 1]) for args in layout.block_args]
+        sizes = tuple(len(axes[args[0] - 1]) for args in layout.block_args)
     blocks = list(zip(layout.block_args, sizes))
     cells = injections = held = 1
     for args, n in blocks:
@@ -596,7 +599,7 @@ def _pair_sums(spec, source, layout: BlockLayout, budget):
             chunks = list(grid_values(spec, source, budget))
             tensor = np.concatenate(chunks)
             if cells > len(tensor):  # a block draws twice: scatter into zeros
-                drawn = [np.ravel_multi_index(ordered_draws(n, len(args)).T,
+                drawn = [np.ravel_multi_index(_draw_table(n, len(args)).T,
                                               (n,) * len(args))
                          for args, n in blocks]
                 dense = np.zeros([n ** len(args) for args, n in blocks])
@@ -610,13 +613,6 @@ def _pair_sums(spec, source, layout: BlockLayout, budget):
                 [a - 1 for args, _ in blocks for a in args])
         moments = chunk_moments(chunks)
         sums = _at_least_sums(tensor, layout.block_args, plans)
-    draws = math.perm if data else pow  # ordered draws of k of n values
-    counts = [1]
-    for (args, n), (frags, _, _) in zip(blocks, plans):
-        k = len(args)
-        rest = n - k if data else n  # values for the second draw off sigma
-        counts = [c * draws(n, k) * draws(rest, k - len(frag))
-                  for frag in frags for c in counts]
     if data:
         inner = 1
         for frags, _, steps in plans:
@@ -624,7 +620,23 @@ def _pair_sums(spec, source, layout: BlockLayout, budget):
             for src, dst in steps:
                 sub[:, src, :] -= sub[:, dst, :]
             inner *= len(frags)
-    return moments, sums.tolist(), counts
+    return moments, sums.tolist(), sizes
+
+
+@functools.lru_cache(maxsize=32)
+def _pair_counts(block_args: tuple, sizes: tuple, data: bool) -> tuple:
+    """Per joint partial injection sigma of :func:`_pair_sums` (block 0
+    varying fastest), the number of pairs that coincide exactly on sigma:
+    ordered draws without replacement of n_b positions on data, with
+    replacement of s_b support values under generators."""
+    draws = math.perm if data else pow  # ordered draws of k of n values
+    counts = [1]
+    for args, n in zip(block_args, sizes):
+        k = len(args)
+        rest = n - k if data else n  # values for the second draw off sigma
+        counts = [c * draws(n, k) * draws(rest, k - len(frag))
+                  for frag in _block_plan(args)[0] for c in counts]
+    return tuple(counts)
 
 
 # the maps of one axis's two classes (columns) onto its three states (rows:

@@ -18,7 +18,8 @@ block's (n, k) and, where the draw is tabulated, the values of every
 outcome), grouped into runs of blocks whose codes one draw takes, and
 :func:`resampling.draw_values` writes drawn values straight into an
 argument matrix.  :meth:`SampleSet.values_matrix` gathers index
-rows, for callers that hold them.
+rows, for callers that hold them.  A sample set also keeps one slot for
+repeated seeded estimates, which :func:`resampling._rank_table` fills.
 """
 
 from __future__ import annotations
@@ -185,6 +186,9 @@ class SampleSet:
                     f"block {b.args} draws {b.draw_count} distinct elements from "
                     f"sample {self.names[b.sample_index]!r} of size {b.size}")
         object.__setattr__(self, "blocks", tuple(blocks))
+        # the system of the last seeded estimate and, once built, its rank
+        # table (see resampling._rank_table)
+        object.__setattr__(self, "_seeded", (None, None))
 
     # -- constructors -----------------------------------------------------
 
@@ -263,9 +267,9 @@ class SampleSet:
         """True when every block has exactly one argument."""
         return all(b.draw_count == 1 for b in self.blocks)
 
-    @property
+    @functools.cached_property
     def layout(self) -> BlockLayout:
-        """Data-free view of the block structure."""
+        """Data-free view of the block structure, built on first use."""
         return BlockLayout.of(self)
 
     # -- enumeration ------------------------------------------------------
@@ -349,6 +353,27 @@ def ordered_draws(n: int, k: int) -> np.ndarray:
         parent, value = np.nonzero(free)
         rows = np.column_stack([rows[parent], value])
     return rows
+
+
+# draw tables of more cells than this are built afresh on every call, so
+# that the cache holds at most 8 MB
+_CACHED_DRAW_CELLS = 1 << 16
+
+
+def _draw_table(n: int, k: int) -> np.ndarray:
+    """:func:`ordered_draws` for the grid routes, which only read it: a
+    small table is built once per (n, k), read-only and shared; a large
+    one is built on every call."""
+    if math.perm(n, k) * k > _CACHED_DRAW_CELLS:
+        return ordered_draws(n, k)
+    return _cached_draws(n, k)
+
+
+@functools.lru_cache(maxsize=16)
+def _cached_draws(n: int, k: int) -> np.ndarray:
+    table = ordered_draws(n, k)
+    table.flags.writeable = False
+    return table
 
 
 def _binding_from_map(blocks, names) -> tuple[int, ...]:

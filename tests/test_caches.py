@@ -23,7 +23,9 @@ from resamplekit import (BlockLayout, BudgetExceededError, SampleSet,
                          resampling_variance)
 from resamplekit.coverage import (OrderFunctional, _dp_plan, _hit_plan,
                                   coverage_R)
-from resamplekit.pairs import _pattern_cells, _pattern_table, _table_cells
+from resamplekit.pairs import (_pair_counts, _pattern_cells, _pattern_table,
+                               _table_cells)
+from resamplekit.samples import _cached_draws
 from resamplekit.systems import _parse, _parse_cached, render
 
 from helpers import CHAIN_OPS, systems
@@ -99,6 +101,12 @@ def error_of(call):
     return None
 
 
+def clear_variance_caches():
+    """Empty every cache an exact variance report reads."""
+    for cache in (_pattern_table, _table_cells, _pair_counts, _cached_draws):
+        cache.cache_clear()
+
+
 def sum_system(m: int):
     return parse_system(f"sum({', '.join(f'x{a}' for a in range(1, m + 1))})")
 
@@ -141,8 +149,7 @@ def test_returned_pattern_lists_are_the_callers(layout):
 def test_variance_reports_equal_cold_builds(layout):
     spec, samples = sum_system(layout.m), data_of(layout)
     warm = resampling_variance(spec, samples, 3)
-    _pattern_table.cache_clear()
-    _table_cells.cache_clear()
+    clear_variance_caches()
     assert resampling_variance(spec, samples, 3) == warm
 
 
@@ -284,8 +291,7 @@ def test_pattern_budgets_raise_alike_warm_and_cold(layout, budget):
 @given(block_layouts(max_m=3), st.integers(1, 400))
 def test_variance_budgets_raise_alike_warm_and_cold(layout, budget):
     spec, samples = sum_system(layout.m), data_of(layout)
-    _pattern_table.cache_clear()
-    _table_cells.cache_clear()
+    clear_variance_caches()
     cold = budget_error(lambda: resampling_variance(spec, samples, 2,
                                                     budget=budget))
     resampling_variance(spec, samples, 2)
@@ -356,7 +362,8 @@ def test_caches_that_take_arguments_are_bounded():
     found = dict(cache_wrappers())
     # the scan sees the known caches, bounded and not
     for name in ("pairs._pattern_table", "pairs._table_cells",
-                 "pairs._block_plan",
+                 "pairs._block_plan", "pairs._pair_counts",
+                 "samples._cached_draws",
                  "coverage._dp_plan", "coverage._gauss_rule",
                  "_streams._outcome_table", "systems._parse_cached",
                  "cli._build_parser"):

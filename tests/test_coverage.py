@@ -602,6 +602,10 @@ def test_interval_rejects(min_race, race_samples):
         # floor(alpha k) = 0: interval undefined
         resampling_interval(min_race, race_samples, gamma=0.9, k=5, r=16,
                             seed=1)
+    one = SampleSet.from_samples([("a", [0.9, 0.4, 1.8])])
+    with pytest.raises(ValueError,
+                       match="system takes 3 arguments but samples bind 1"):
+        resampling_interval(min_race, one, gamma=0.8, k=10, r=16, seed=1)
 
 
 def test_interval_empirical_coverage_matches_exact(min_race):

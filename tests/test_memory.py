@@ -70,6 +70,26 @@ def test_estimate_theta_holds_one_realization_array():
     assert peak <= 1.5 * 8 * r
 
 
+def test_rank_table_holds_one_float_per_cell_of_at_most_block():
+    # a grid of BLOCK cells, the largest that gets a table: what the build
+    # keeps is the table, 8 bytes a cell, plus the slot and array headers
+    rng = np.random.default_rng(6)
+    spec = parse_system("kofn(2; x1, x2, x3)")
+    samples = SampleSet.from_samples(
+        [(f"x{i}", rng.random(16)) for i in range(1, 4)])
+    assert samples.admissible_count() == BLOCK
+    estimate_theta(spec, samples, 10, seed=1)  # the slot takes the system
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        estimate_theta(spec, samples, 10, seed=2)  # builds the table
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert samples._seeded[1][0].nbytes == 8 * BLOCK
+    assert kept <= 8 * BLOCK + 2048
+
+
 def test_wave_estimate_keeps_nothing_after_it_returns(tree6):
     # a buffer kept across calls would hold at least one node sample
     spec, samples = tree6

@@ -341,10 +341,10 @@ def test_over_budget_grids_raise_before_building_anything(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("grid work started before the budget check")
 
-    for module, name in ((resampling_module, "ordered_draws"),
+    for module, name in ((resampling_module, "_draw_table"),
                          (resampling_module, "evaluate_grid"),
                          (pairs_module, "grid_values"),
-                         (pairs_module, "ordered_draws"),
+                         (pairs_module, "_draw_table"),
                          (pairs_module, "evaluate_grid")):
         monkeypatch.setattr(module, name, refuse)
     big = np.linspace(0.0, 1.0, 100_000)
@@ -1070,6 +1070,41 @@ def test_resampling_interval_equals_index_row_loop(layout, r):
     got = resampling_interval(func, samples, 0.5, 4, r, seed=11)
     want = resampling_interval_oracle(func, samples, 0.5, 4, r, 11)
     assert got == want
+
+
+# -- the rank table of repeated seeded estimates --------------------------
+
+# r of one realization, a few, one whole block, one row past it, and three
+# blocks
+SEEDED_R = [1, 7, _streams.BLOCK, _streams.BLOCK + 1, 2 * _streams.BLOCK + 5]
+
+
+def fresh_copy(samples: SampleSet) -> SampleSet:
+    """The same samples in a sample set that has run no seeded estimate."""
+    return SampleSet(samples.names, samples.columns, samples.arg_to_sample)
+
+
+def rank_table_of(spec, samples: SampleSet):
+    """``samples`` after one seeded estimate of ``spec``, so that the next
+    one reads the rank table where the grid has one."""
+    estimate_theta(spec, samples, 1, seed=0)
+    return samples
+
+
+@settings(PROPERTY, max_examples=40)
+@given(samples=layouts(max_size=5, max_vectors=_streams.BLOCK),
+       r=st.sampled_from(SEEDED_R), data=st.data())
+def test_rank_table_route_equals_draw_route_byte_for_byte(samples, r, data):
+    text, _ = data.draw(systems(samples.m))
+    spec = parse_system(text)
+    seed = data.draw(st.integers(0, 2**32))
+    cold, used = fresh_copy(samples), rank_table_of(spec, fresh_copy(samples))
+    want = estimate_theta(spec, cold, r, seed=seed, keep_values=True)
+    got = estimate_theta(spec, used, r, seed=seed, keep_values=True)
+    assert cold._seeded[1] is None  # the draw route ran
+    assert used._seeded[1] is not None  # the table route ran
+    assert same_estimate(got, want)
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 @PROPERTY

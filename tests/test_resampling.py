@@ -1,4 +1,5 @@
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,9 +14,11 @@ from resamplekit import (BudgetExceededError, DamageData, DamageTruth,
                          plugin_variance_mc, resample_damage_counts,
                          resampling_variance, triangular,
                          wave_estimate_vector_samples)
+import resamplekit.resampling as resampling_module
+from resamplekit._streams import BLOCK
 from resamplekit.renewal import (NormalConvolutionKit, RenewalLayout,
                                  exceedance_variance, plugin_baseline)
-from resamplekit.systems import evaluate
+from resamplekit.systems import evaluate, evaluate_grid
 
 from helpers import var_se
 
@@ -86,6 +89,79 @@ def test_estimate_requires_seed(two_of_three, small_samples):
         estimate_theta(two_of_three, small_samples, r=10)
     with pytest.raises(ValueError):
         estimate_theta(two_of_three, small_samples, r=0, seed=1)
+
+
+# -- the rank table of repeated seeded estimates --------------------------
+
+def grid_spy():
+    """A spy on the rank table's builds, which call evaluate_grid."""
+    return mock.patch.object(resampling_module, "evaluate_grid",
+                             wraps=evaluate_grid)
+
+
+def test_one_shot_estimates_build_no_rank_table(two_of_three, small_samples):
+    with grid_spy() as spy:
+        estimate_theta(two_of_three, small_samples, r=10, seed=1)
+        spy.assert_not_called()
+    # an exhaustive estimate evaluates the grid but leaves the slot alone
+    estimate_theta(two_of_three, small_samples, r=None)
+    with grid_spy() as spy:
+        estimate_theta(two_of_three, small_samples, r=10, seed=2)
+        spy.assert_called_once()
+
+
+def test_grids_over_block_cells_build_no_rank_table(two_of_three):
+    rng = np.random.default_rng(4)
+    samples = SampleSet.from_samples(
+        [(name, rng.random(50)) for name in "abc"])
+    assert samples.admissible_count() > BLOCK
+    with grid_spy() as spy:
+        for seed in range(3):
+            estimate_theta(two_of_three, samples, r=10, seed=seed)
+        spy.assert_not_called()
+    assert samples._seeded == (None, None)
+
+
+def test_rank_table_is_read_only_and_kept_values_are_their_own(
+        two_of_three, small_samples):
+    first = estimate_theta(two_of_three, small_samples, r=64, seed=7,
+                           keep_values=True)
+    kept = estimate_theta(two_of_three, small_samples, r=64, seed=7,
+                          keep_values=True)
+    held, (table, _) = small_samples._seeded
+    assert held is two_of_three and len(table) == 27
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 2.0
+    assert kept.values.tobytes() == first.values.tobytes()
+    assert not np.shares_memory(kept.values, table)
+    before = table.tobytes()
+    kept.values[:] = -1.0
+    again = estimate_theta(two_of_three, small_samples, r=64, seed=7,
+                           keep_values=True)
+    assert table.tobytes() == before
+    assert again.values.tobytes() == first.values.tobytes()
+
+
+def test_switching_systems_resets_the_slot_and_keeps_every_byte(
+        two_of_three, small_samples):
+    other = parse_system("sum(x1, max(x2, x3))")
+    cold = {spec: SampleSet(small_samples.names, small_samples.columns,
+                            small_samples.arg_to_sample)
+            for spec in (two_of_three, other)}
+    want = {spec: estimate_theta(spec, cold[spec], r=100, seed=9,
+                                 keep_values=True)
+            for spec in cold}
+    for spec in (two_of_three, two_of_three, other, other, two_of_three,
+                 other):
+        got = estimate_theta(spec, small_samples, r=100, seed=9,
+                             keep_values=True)
+        assert small_samples._seeded[0] is spec
+        assert (got.estimate, got.empirical_variance) == (
+            want[spec].estimate, want[spec].empirical_variance)
+        assert got.values.tobytes() == want[spec].values.tobytes()
+    # the switch dropped the table; the slot holds the last system alone
+    assert small_samples._seeded == (other, None)
 
 
 def test_exhaustive_theta_oracle(two_of_three, small_samples):
