@@ -32,10 +32,10 @@ compare and select on the swap targets alone when k**2 <= n (the select
 route, O(k**2) compares a row), and by swaps on a positions-major (n, rows)
 table otherwise; all three give the same outcomes.  A caller that needs
 only the first positions of some rows reads them through
-:func:`distinct_prefix` (or :func:`joined_prefix`, one reader over the
-draws of several generators), which takes the same integers and decodes a
-position's swap digit only for the rows asked for, so the stream and every
-outcome read are those of the whole draw.
+:func:`joined_prefix`, one reader over the draws of one or more
+generators, each taken by :func:`_code_draws`; it decodes a position's
+swap digit only for the rows asked for, so the stream and every outcome
+read are those of the whole draw.
 """
 
 from __future__ import annotations
@@ -430,8 +430,8 @@ def draw_distinct(rng: np.random.Generator, n: int, k: int,
     table otherwise (:func:`_fy_dense`).  The draw is
     :func:`distinct_codes` (everything taken from ``rng``) followed by
     :func:`distinct_outcomes` (the mapping, which reads only the codes);
-    :func:`distinct_prefix` takes the same draws and reads the outcomes
-    one position at a time.
+    :func:`joined_prefix` reads the outcomes of the same draws one
+    position at a time.
     """
     return distinct_outcomes(n, k, distinct_codes(rng, n, k, rows))
 
@@ -487,28 +487,21 @@ def distinct_outcomes(n: int, k: int, codes: np.ndarray) -> np.ndarray:
     return _fisher_yates(n, codes)
 
 
-def distinct_prefix(rng: np.random.Generator, n: int, k: int,
-                    rows: int) -> "DistinctPrefix":
-    """The outcomes of ``draw_distinct(rng, n, k, rows)``, read one position
-    at a time (see :class:`DistinctPrefix`).  Takes from ``rng`` exactly the
-    draws of :func:`distinct_codes`."""
-    return DistinctPrefix(n, k, rows, *_code_draws(rng, n, k, rows))
-
-
 def joined_prefix(n: int, k: int, parts, stride: int) -> "DistinctPrefix":
-    """One :class:`DistinctPrefix` over several draws of one (n, k), their
-    rows joined in order; ``parts`` holds each draw's
+    """One :class:`DistinctPrefix` over one or more draws of one (n, k),
+    their rows joined in order; ``parts`` holds each draw's
     ``_code_draws(rng, n, k, rows)``.  Every outcome of draw g is read
     raised by ``g * stride``: with stride n, an index into row g of a
-    flattened (len(parts), n) array."""
+    flattened (len(parts), n) array.  A single draw is read as drawn."""
     count = parts[0][0]
+    sizes = [len(draws if count else draws[0][1]) for _, draws in parts]
+    if len(parts) == 1:
+        return DistinctPrefix(n, k, sizes[0], *parts[0])
     if count:
         draws = np.concatenate([ranks for _, ranks in parts])
-        sizes = [len(ranks) for _, ranks in parts]
     else:
         draws = [(radices, np.concatenate([runs[j][1] for _, runs in parts]))
                  for j, (radices, _) in enumerate(parts[0][1])]
-        sizes = [len(runs[0][1]) for _, runs in parts]
     shift = np.repeat(np.arange(len(parts)) * stride, sizes)
     return DistinctPrefix(n, k, len(shift), count, draws, shift)
 

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distributions as dists
+from ._streams import _count
 from .budget import BudgetExceededError, enumeration_budget
 from .coverage import OrderFunctional, coverage_R, protocol_table
 from .damage import (DamageData, DamageTruth, damage_variance_mc,
@@ -305,7 +306,8 @@ def _cmd_damage_truth(cfg: RunConfig, out) -> None:
     deg = dists.parse_distribution(cfg.deg)
     truth = DamageTruth(rate=cfg.rate, degradation=deg)
     summ = poisson_truth(truth, cfg.t)
-    i_max = cfg.imax if cfg.imax is not None else 8
+    # checked as hybrid_pmf checks the i_max of damage
+    i_max = _count(cfg.imax, "i_max", least=0) if cfg.imax is not None else 8
     idx = np.arange(i_max + 1)
     report = {
         "subcommand": "damage-truth",

@@ -15,7 +15,7 @@ durations are drawn from H_B without replacement, and the counts are read
 off.  Gaps are >= 0, so epochs never decrease, and an end tau + duration
 <= t needs tau <= t: a realization's counts are fixed once its epoch has
 passed t.  The re-enactment therefore reads the arrival order and the
-durations one position at a time (:func:`_streams.distinct_prefix`) and
+durations one position at a time (:func:`_streams.joined_prefix`) and
 stops reading a realization once its epoch is past t, so its cost grows
 with the arrivals before t rather than with n_A.  The generator gives the
 draws of the whole permutation and duration draw, each epoch and end is
@@ -48,12 +48,13 @@ The replication studies (:func:`damage_variance_mc`,
 its draws, in the order of a one-replication loop: the data, the inner
 seed and the integers of its without-replacement draws.  The rest -- the
 outcome mapping, partial sums, counts, means, the first-pair diagnostics
-and the plug-in fit -- runs over a chunk of replications at once: with
-r <= :data:`BLOCK`, one prefix walk reads the joined draws of a chunk of
-at most BLOCK realization rows (:func:`_streams.joined_prefix` raises each
-replication's indices to its own data row), so each report equals the
-per-replication loop's byte for byte.  The truth integral
-int_0^t (1 - F) is cached per (law, t).
+and the plug-in fit -- runs over a chunk of replications at once.  One
+prefix walk (:func:`_walk`) counts for :func:`resample_damage_counts` and
+the study alike, over up to BLOCK // r datasets joined when r <=
+:data:`BLOCK` (:func:`_streams.joined_prefix` raises each dataset's
+indices to its own data row), and sums each replication's counts, so each
+report equals the per-replication loop's byte for byte.  The truth
+integral int_0^t (1 - F) is cached per (law, t).
 """
 
 from __future__ import annotations
@@ -61,13 +62,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._streams import (BLOCK, DistinctPrefix, Lane, _code_draws, _count,
-                       _table_size, block_count, block_ranges, distinct_prefix,
-                       joined_prefix, substreams)
+                       _table_size, block_count, block_ranges, joined_prefix,
+                       substreams)
 from .distributions import (KnownDistribution, binom_pmf, poisson_pmf,
                             poisson_sf)
 
@@ -181,40 +182,19 @@ def resample_damage_counts(data: DamageData, t: float, r: int,
     not a bool (TypeError), of at least 1 (ValueError).
     """
     r = _count(r, "r")
-    return _damage_counts(data, t, r, seed, substreams(
-        seed, Lane.DAMAGE_RESAMPLE, np.arange(block_count(r))))
-
-
-def _damage_counts(data: DamageData, t: float, r: int, seed: int,
-                   streams) -> CountEstimates:
-    """:func:`resample_damage_counts`, drawing block b of the r realizations
-    from the b-th generator of ``streams``; the caller has checked r."""
     if not t >= 0:
         raise ValueError(f"time t must be non-negative, got {t}")
-    n_a, n_b = data.n_a, data.n_b
     active = np.empty(r, dtype=np.intp)
     terminal = np.empty(r, dtype=np.intp)
-    dur_overlap = 0
-    perm_fixed = 0
-    pairs = 0
-    for (_, start, stop), rng in zip(block_ranges(r), streams):
-        rows = stop - start
-        perm = distinct_prefix(rng, n_a, n_a, rows)
-        which = distinct_prefix(rng, n_b, n_a, rows)
-        arrived, ended = _prefix_counts(data.h_a, data.h_b, t, perm, which)
-        np.subtract(arrived, ended, out=active[start:stop])
-        terminal[start:stop] = ended
-        if rows >= 2:
-            # reuse bookkeeping for the block's first realization pair
-            first, second = perm.row(0), perm.row(1)
-            perm_fixed += sum(a == b for a, b in zip(first, second))
-            dur_overlap += len(set(which.row(0)).intersection(which.row(1)))
-            pairs += 1
-    active_pmf = np.bincount(active, minlength=n_a + 1) / r
-    terminal_pmf = np.bincount(terminal, minlength=n_a + 1) / r
+    _, overlap, fixed, pairs = _walk(
+        data.h_a[None], data.h_b[None], t, r,
+        substreams(seed, Lane.DAMAGE_RESAMPLE, np.arange(block_count(r))),
+        (active, terminal))
+    active_pmf = np.bincount(active, minlength=data.n_a + 1) / r
+    terminal_pmf = np.bincount(terminal, minlength=data.n_a + 1) / r
     diagnostics = {
-        "duration_overlap_mean": dur_overlap / pairs if pairs else float("nan"),
-        "arrival_fixed_points_mean": perm_fixed / pairs if pairs else float("nan"),
+        "duration_overlap_mean": float(overlap[0]),
+        "arrival_fixed_points_mean": float(fixed[0]),
         "pairs_inspected": pairs,
     }
     return CountEstimates(
@@ -223,6 +203,59 @@ def _damage_counts(data: DamageData, t: float, r: int, seed: int,
         terminal_mean=float(terminal.mean()),
         active_pmf=active_pmf, terminal_pmf=terminal_pmf,
         diagnostics=diagnostics)
+
+
+def _walk(h_a: np.ndarray, h_b: np.ndarray, t: float, r: int, streams,
+          counts=None):
+    """Count r realizations of each dataset (one per row of the stacked
+    H_A and H_B) at time t, in chunks of one block of one dataset when
+    r > BLOCK, else of up to BLOCK // r datasets, each read in one prefix
+    walk.  Block b of each dataset in turn takes from the next generator
+    of ``streams`` the draws of its arrival order, then its durations (one
+    rank call for both when both are tabulated with equal outcome counts:
+    the same integers).  Returns per dataset the mean active count and the
+    :func:`_first_pairs` counts averaged over the blocks with a pair (NaN
+    with none), then the number of those blocks; ``counts``, two (r,)
+    arrays for one dataset, receive each realization's active and terminal
+    counts.
+    """
+    sets, n_a = h_a.shape
+    n_b = h_b.shape[1]
+    # two tabulated draws with equal outcome counts take their ranks from
+    # one bounded-integer call, the same numbers as one call each
+    count = _table_size(n_a, n_a)
+    joined = count and count == _table_size(n_b, n_a)
+    step = max(1, BLOCK // r)
+    # per dataset: summed active counts, overlaps and fixed points
+    sums = np.zeros((3, sets), dtype=np.intp)
+    pairs = sum(stop - start > 1 for _, start, stop in block_ranges(r))
+    for lo in range(0, sets, step):
+        hi = min(lo + step, sets)
+        for _, start, stop in block_ranges(r):
+            rows = stop - start
+            perm_parts, which_parts = [], []
+            for rng in itertools.islice(streams, hi - lo):
+                if joined:
+                    ranks = _code_draws(rng, n_a, n_a, 2 * rows)[1]
+                    perm_parts.append((count, ranks[:rows]))
+                    which_parts.append((count, ranks[rows:]))
+                else:
+                    perm_parts.append(_code_draws(rng, n_a, n_a, rows))
+                    which_parts.append(_code_draws(rng, n_b, n_a, rows))
+            perm = joined_prefix(n_a, n_a, perm_parts, n_a)
+            which = joined_prefix(n_b, n_a, which_parts, n_b)
+            # an epoch or end that overflows to inf is past every finite t
+            with np.errstate(over="ignore"):
+                active, ended = _prefix_counts(h_a[lo:hi].reshape(-1),
+                                               h_b[lo:hi].reshape(-1), t,
+                                               perm, which)
+            active -= ended
+            sums[0, lo:hi] += active.reshape(hi - lo, rows).sum(axis=1)
+            if counts is not None:
+                counts[0][start:stop], counts[1][start:stop] = active, ended
+            if rows > 1:
+                sums[1:, lo:hi] += _first_pairs(perm, which, rows)
+    return sums[0] / r, *(sums[1:] / (pairs or math.nan)), pairs
 
 
 def _prefix_counts(h_a: np.ndarray, h_b: np.ndarray, t: float,
@@ -285,14 +318,15 @@ def _prefix_counts(h_a: np.ndarray, h_b: np.ndarray, t: float,
 
 
 def _first_pairs(perm: DistinctPrefix, which: DistinctPrefix, r: int):
-    """Per dataset of ``r`` realizations (rows of ``perm`` and ``which`` in
-    turn), the number of durations its first two realizations share and
-    the number of positions their arrival orders agree on, NaN when
-    r < 2."""
+    """Per dataset of ``r`` >= 2 realizations (rows of ``perm`` and
+    ``which`` in turn), the number of durations its first two realizations
+    share and the number of positions their arrival orders agree on."""
+    if perm.rows == r:
+        # one dataset: its pair decodes faster in Python ints
+        first, second = perm.row(0), perm.row(1)
+        return ([len(set(which.row(0)).intersection(which.row(1)))],
+                [sum(a == b for a, b in zip(first, second))])
     sets = perm.rows // r
-    if r < 2:
-        nan = np.full(sets, np.nan)
-        return nan, nan
     first = np.arange(0, perm.rows, r)
     pairs = np.stack([first, first + 1], axis=1).reshape(-1)
     p = perm.outcomes(pairs).reshape(sets, 2, -1)
@@ -405,10 +439,10 @@ def damage_variance_mc(truth: DamageTruth, n_a: int, n_b: int, t: float,
     E X_t of the generating model.  Replication ``rep`` draws its data from
     the substream ``(seed, DAMAGE_OUTER, rep)`` and then an inner seed, which
     keys its :func:`resample_damage_counts` blocks.  Replications run in
-    batches that derive at most :data:`BLOCK` inner keys at once.  With
-    r <= BLOCK each replication takes only its draws from its generators;
-    its counts are read with those of up to BLOCK // r others in one prefix
-    walk.  ``threads`` is accepted for compatibility and has no effect.
+    batches that derive at most :data:`BLOCK` inner keys at once; its
+    counts are read in the prefix walk of :func:`resample_damage_counts`,
+    with r <= BLOCK together with those of up to BLOCK // r others.
+    ``threads`` is accepted for compatibility and has no effect.
     ``n_a``, ``n_b``, ``r`` and ``replications`` must be integers, not
     bools (TypeError), of at least 1 (2 for ``replications``; ValueError).
     """
@@ -418,16 +452,9 @@ def damage_variance_mc(truth: DamageTruth, n_a: int, n_b: int, t: float,
     if n_a > n_b:
         raise ValueError(f"need n_A <= n_B, got {n_a} > {n_b}")
     summ = poisson_truth(truth, t)
-    estimates = np.empty(replications, dtype=float)
-    overlap = np.empty(replications, dtype=float)
-    fixed = np.empty(replications, dtype=float)
-
+    estimates, overlap, fixed = np.empty((3, replications))
     blocks = block_count(r)
     batch = max(1, BLOCK // blocks)
-    # two tabulated draws with equal outcome counts take their ranks from
-    # one bounded-integer call, the same numbers as one call each
-    count = _table_size(n_a, n_a)
-    joined = count and count == _table_size(n_b, n_a)
     outer = substreams(seed, Lane.DAMAGE_OUTER, np.arange(replications))
     for lo in range(0, replications, batch):
         hi = min(lo + batch, replications)
@@ -437,38 +464,8 @@ def damage_variance_mc(truth: DamageTruth, n_a: int, n_b: int, t: float,
         inner = substreams(np.repeat(inner_seeds, blocks),
                            Lane.DAMAGE_RESAMPLE,
                            np.tile(np.arange(blocks), hi - lo))
-        if blocks > 1:
-            for i, rep in enumerate(range(lo, hi)):
-                est = _damage_counts(DamageData(h_a[i], h_b[i]), t, r,
-                                     inner_seeds[i],
-                                     itertools.islice(inner, blocks))
-                estimates[rep] = est.active_mean
-                overlap[rep] = est.diagnostics["duration_overlap_mean"]
-                fixed[rep] = est.diagnostics["arrival_fixed_points_mean"]
-            continue
-        # chunks of at most BLOCK realization rows
-        step = max(1, BLOCK // r)
-        for start in range(lo, hi, step):
-            stop = min(start + step, hi)
-            perm_parts, which_parts = [], []
-            for rng in itertools.islice(inner, stop - start):
-                if joined:
-                    ranks = _code_draws(rng, n_a, n_a, 2 * r)[1]
-                    perm_parts.append((count, ranks[:r]))
-                    which_parts.append((count, ranks[r:]))
-                else:
-                    perm_parts.append(_code_draws(rng, n_a, n_a, r))
-                    which_parts.append(_code_draws(rng, n_b, n_a, r))
-            perm = joined_prefix(n_a, n_a, perm_parts, n_a)
-            which = joined_prefix(n_b, n_a, which_parts, n_b)
-            sets = slice(start - lo, stop - lo)
-            arrived, ended = _prefix_counts(h_a[sets].reshape(-1),
-                                            h_b[sets].reshape(-1), t, perm,
-                                            which)
-            active = np.subtract(arrived, ended).reshape(-1, r)
-            estimates[start:stop] = active.mean(axis=-1)
-            overlap[start:stop], fixed[start:stop] = _first_pairs(perm,
-                                                                  which, r)
+        estimates[lo:hi], overlap[lo:hi], fixed[lo:hi], _ = _walk(
+            h_a, h_b, t, r, inner)
     mean = float(estimates.mean())
     var = float(estimates.var(ddof=1))
     mse = float(np.mean((estimates - summ.active_mean) ** 2))

@@ -57,7 +57,7 @@ def estimate_known_g(g, samples: SampleSet, r: int, seed: int,
     g : callable
         Maps an argument vector (length m) to E[phi(x, Z)].  With
         ``vectorized=True`` it receives an (n, m) matrix and must return
-        (n,) values.
+        (n,) values; any other shape raises ValueError.
     r : int
         An integer, not a bool (TypeError), of at least 1 (ValueError).
     """
@@ -67,7 +67,12 @@ def estimate_known_g(g, samples: SampleSet, r: int, seed: int,
         # g is the caller's: hand it rows in C order, as it always got them
         X = np.ascontiguousarray(draw_values(samples, stop - start, rng).T)
         if vectorized:
-            values[start:stop] = np.asarray(g(X), dtype=float)
+            out = np.asarray(g(X), dtype=float)
+            if out.shape != (len(X),):
+                raise ValueError(
+                    "a vectorized g must return one value per row: got "
+                    f"shape {out.shape} for {len(X)} rows")
+            values[start:stop] = out
         else:
             values[start:stop] = [float(g(row)) for row in X]
     return EstimateResult.from_values(values, seed, keep_values)

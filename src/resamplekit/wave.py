@@ -42,7 +42,7 @@ from ._streams import Lane, _count, block_streams
 from .budget import check_budget
 from .pairs import (OmegaPair, VarianceReport, _generator_layout,
                     _variance_report)
-from .resampling import EstimateResult
+from .resampling import EstimateResult, check_arity
 from .samples import SampleSet
 from .systems import SystemSpec, _node_values, class_levels
 
@@ -211,9 +211,7 @@ def wave_estimate(spec: SystemSpec, samples: SampleSet, sizes: dict,
         Run seed; node v's picks are keyed by (seed, wave-lane, v, block).
     """
     _require_singleton(samples)
-    if samples.m != spec.m:
-        raise ValueError(
-            f"system takes {spec.m} arguments but samples bind {samples.m}")
+    check_arity(spec, samples)
     root = _cascade(spec, samples, sizes, seed, Lane.WAVE)
     # a kept root must not pin the cascade's slab
     return EstimateResult.from_values(root.copy() if keep_values else root,

@@ -333,6 +333,18 @@ def test_damage_truth_anchor(capsys):
     assert ee["active_pmf"][1] == pytest.approx(0.368, abs=0.001)
 
 
+@pytest.mark.parametrize("argv", [
+    ["damage", "--ha", "ha", "--hb", "hb", "--t", "3.0", "--r", "100",
+     "--seed", "5"],
+    ["damage-truth", "--lambda", "0.5", "--deg", "triangular:0,2,4",
+     "--t", "5.0"]])
+def test_damage_negative_imax_is_refused(files, capsys, argv):
+    argv = [str(files[a]) if a in ("ha", "hb") else a for a in argv]
+    code, env = error_of(capsys, argv + ["--imax", "-1"])
+    assert (code, env["code"]) == (2, "schema-violation")
+    assert env["message"] == "need i_max >= 0, got -1"
+
+
 def test_damage_truth_bad_distribution(capsys):
     code, env = error_of(capsys, [
         "damage-truth", "--lambda", "0.5", "--deg", "warbler:1,2",

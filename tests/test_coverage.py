@@ -31,6 +31,7 @@ from resamplekit.distributions import (empirical, exponential, normal,
                                       parse_distribution, uniform)
 from resamplekit.samples import SampleSet
 from resamplekit.systems import parse_system
+from resamplekit.wave import wave_estimate
 
 from helpers import q_oracle
 
@@ -603,9 +604,14 @@ def test_interval_rejects(min_race, race_samples):
         resampling_interval(min_race, race_samples, gamma=0.9, k=5, r=16,
                             seed=1)
     one = SampleSet.from_samples([("a", [0.9, 0.4, 1.8])])
-    with pytest.raises(ValueError,
-                       match="system takes 3 arguments but samples bind 1"):
-        resampling_interval(min_race, one, gamma=0.8, k=10, r=16, seed=1)
+    # the interval and the cascade share the resampling arity check
+    for call in (lambda: resampling_interval(min_race, one, gamma=0.8, k=10,
+                                             r=16, seed=1),
+                 lambda: wave_estimate(min_race, one, {}, seed=1)):
+        with pytest.raises(ValueError,
+                           match="system takes 3 arguments but samples "
+                                 "bind 1"):
+            call()
 
 
 def test_interval_empirical_coverage_matches_exact(min_race):

@@ -552,6 +552,19 @@ def test_studies_equal_realization_matrices(r, shape, t, seed):
     assert repr(got) == repr(want)
 
 
+def test_walk_sums_overflow_without_a_warning():
+    # an epoch or an end that overflows to inf is past every finite t
+    data = DamageData([1e308, 1e308, 0.5], [1e308, 1.0, 1e308, 2.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = resample_damage_counts(data, 1.5e308, 50, 3)
+    with np.errstate(over="ignore"):
+        want = damage_counts_oracle(data, 1.5e308, 50, 3, fresh_blocks(
+            3, Lane.DAMAGE_RESAMPLE, 50))
+    assert same_counts(got, want)
+    assert 0 < got.active_mean < 3
+
+
 def test_wide_walk_reads_decoded_outcomes():
     """Above _DENSE_CELLS / BLOCK = 1024 arrivals a block's arrival order
     and durations are decoded whole in row chunks, not read position by

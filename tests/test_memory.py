@@ -6,7 +6,8 @@ and one-byte threshold classes, and
 :meth:`EstimateResult.from_values` takes the variance pass in the
 realization buffer.  Kept values are the realizations themselves, in an
 array of their own.  A wide draw without replacement is read off its
-swap targets alone.
+swap targets alone, and a damage study sums each replication's counts as
+its walk reads them.
 """
 
 import tracemalloc
@@ -14,12 +15,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from resamplekit import (EstimateResult, RenewalPair, SampleSet,
-                         estimate_exceedance, estimate_inner_mc,
+from resamplekit import (DamageTruth, EstimateResult, RenewalPair, SampleSet,
+                         damage_variance_mc, estimate_exceedance, estimate_inner_mc,
                          estimate_known_g, estimate_theta, exponential,
                          node_sizes, parse_system, three_branch_conditional,
-                         three_branch_system, wave_estimate)
-from resamplekit._streams import BLOCK, distinct_prefix
+                         three_branch_system, uniform, wave_estimate)
+from resamplekit._streams import BLOCK, _code_draws, joined_prefix
 
 from helpers import peak_bytes
 
@@ -112,13 +113,23 @@ def test_wide_prefix_read_holds_only_swap_targets():
     n, k = 10**6, 4
 
     def read():
-        prefix = distinct_prefix(np.random.default_rng(9), n, k, BLOCK)
+        prefix = joined_prefix(n, k, [_code_draws(np.random.default_rng(9),
+                                                  n, k, BLOCK)], n)
         live = None
         for i in range(k):
             prefix.position(i, live)
             live = np.arange(0, BLOCK, 2) if live is None else live[::2]
 
     assert peak_bytes(read) <= 24 * k * BLOCK
+
+
+def test_damage_study_holds_no_count_per_realization():
+    # at r = BLOCK + 1 each replication takes two chunks, and its counts
+    # are summed as they are read: a (replications, r) count array alone
+    # would be 64 * 4097 * 8 bytes, about 2 MB
+    truth = DamageTruth(rate=0.8, degradation=uniform(0.0, 2.0))
+    assert peak_bytes(lambda: damage_variance_mc(
+        truth, 5, 8, 3.0, r=BLOCK + 1, replications=64, seed=4)) < 1 << 20
 
 
 # -- kept values ----------------------------------------------------------

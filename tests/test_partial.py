@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -97,6 +98,11 @@ def test_known_g_deterministic_and_vectorized(x_samples):
     assert c.estimate != a.estimate
     with pytest.raises(ValueError):
         estimate_known_g(g, x_samples, r=0, seed=5)
+    # a scalar or a length-1 result would broadcast over the block
+    for bad, shape in ((lambda X: 0.5, "()"), (lambda X: X[:1, 0], "(1,)")):
+        with pytest.raises(ValueError, match=re.escape(
+                f"got shape {shape} for 7 rows")):
+            estimate_known_g(bad, x_samples, r=7, seed=5, vectorized=True)
 
 
 def test_inner_mc_estimates_same_target(x_samples):

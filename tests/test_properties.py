@@ -791,7 +791,9 @@ def test_prefix_reader_equals_outcomes(shape, rows, cells, seed, keep):
     n, k = shape
     rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
     with mock.patch.object(_streams, "_DENSE_CELLS", cells):
-        prefix = _streams.distinct_prefix(rng, n, k, rows)
+        # one draw: read as drawn, raised by nothing
+        prefix = _streams.joined_prefix(n, k, [
+            _streams._code_draws(rng, n, k, rows)], n)
     want = _streams.distinct_outcomes(n, k, _streams.distinct_codes(
         twin, n, k, rows))
     # the reader takes exactly the draws of distinct_codes
