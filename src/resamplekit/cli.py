@@ -27,10 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import distributions as dists
-from ._streams import _count
 from .budget import BudgetExceededError, enumeration_budget
 from .coverage import OrderFunctional, coverage_R, protocol_table
-from .damage import (DamageData, DamageTruth, damage_variance_mc,
+from .damage import (DamageData, DamageTruth, _check_i_max, damage_variance_mc,
                      estimator_expectation, hybrid_pmf, plugin_estimate,
                      plugin_expectation, plugin_variance_mc, poisson_truth,
                      resample_damage_counts)
@@ -266,9 +265,10 @@ def _cmd_damage(cfg: RunConfig, out) -> None:
         data = DamageData(_read_values(cfg.ha), _read_values(cfg.hb))
     except ValueError as exc:
         raise CliError("infeasible-layout", EXIT_INFEASIBLE, str(exc)) from None
+    plug = plugin_estimate(data, cfg.t)  # t and i_max before any draw
+    i_max = _check_i_max(cfg.imax if cfg.imax is not None else data.n_a + 5,
+                         data.n_a)
     counts = resample_damage_counts(data, cfg.t, cfg.r, cfg.seed)
-    plug = plugin_estimate(data, cfg.t)
-    i_max = cfg.imax if cfg.imax is not None else data.n_a + 5
     hybrid = hybrid_pmf(counts, plug, i_max)
     diagnostics = dict(counts.diagnostics)
     if not diagnostics["pairs_inspected"]:
@@ -306,8 +306,7 @@ def _cmd_damage_truth(cfg: RunConfig, out) -> None:
     deg = dists.parse_distribution(cfg.deg)
     truth = DamageTruth(rate=cfg.rate, degradation=deg)
     summ = poisson_truth(truth, cfg.t)
-    # checked as hybrid_pmf checks the i_max of damage
-    i_max = _count(cfg.imax, "i_max", least=0) if cfg.imax is not None else 8
+    i_max = _check_i_max(cfg.imax, 0) if cfg.imax is not None else 8
     idx = np.arange(i_max + 1)
     report = {
         "subcommand": "damage-truth",

@@ -6,15 +6,16 @@ only on how the pooled values interleave, and the upper interval
 experiments of r realizations each, alpha = 1 - gamma.
 
 Conditionally on the interleaving (the W vector) the success probability
-q of one realization is a ratio of counting outcomes; one experiment
-undershoots Theta with probability rho = P{Bin(r, q) < Theta r}, and the
-interval covers with conditional probability R_C = P{Bin(k, rho) >=
-floor(alpha k)}.  The unconditional coverage R averages R_C over the
-ordering law P_W: exactly for exponential or other continuous generators,
-by a dynamic program over the counts of labels placed and the hits
-counted so far (the recursion Mann and Whitney, 1947, used to tabulate
-U), or by Monte Carlo over simulated datasets.  ``protocol_table`` lists
-P_W, q, rho and R_C for every W vector.
+q of one realization is a ratio of outcomes counted by
+:func:`systems.count_walk`; one experiment undershoots Theta with
+probability rho = P{Bin(r, q) < Theta r}, and the interval covers with
+conditional probability R_C = P{Bin(k, rho) >= floor(alpha k)}.  The
+unconditional coverage R averages R_C over the ordering law P_W: exactly
+for exponential or other continuous generators, by a dynamic program over
+the counts of labels placed and the hits counted so far (the recursion
+Mann and Whitney, 1947, used to tabulate U), or by Monte Carlo over
+simulated datasets.  ``protocol_table`` lists P_W, q, rho and R_C for
+every W vector.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cache, lru_cache, reduce
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .distributions import binom_cdf, binom_sf
 from .resampling import check_arity, draw_values
 from .samples import SampleSet
 from .systems import (GRID_CHUNK, Compare, Input, KOfN, Max, Min, SystemSpec,
-                      evaluate_batch, parse_system, render)
+                      count_walk, evaluate_batch, parse_system, render)
 
 __all__ = [
     "OrderFunctional", "WVector", "Protocol", "CoverageReport",
@@ -134,8 +135,10 @@ def w_vector(samples, on_ties: str = "error") -> WVector:
     ``samples`` is a SampleSet or a sequence of 1-d arrays.  Ties across
     the pooled values make order functionals ill-defined: ``on_ties``
     is ``"error"`` (default) or ``"break"`` (stable order by sample
-    index, with a warning).
+    index, with a warning); any other value raises ValueError.
     """
+    if on_ties not in ("error", "break"):
+        raise ValueError(f"on_ties must be 'error' or 'break': {on_ties!r}")
     if isinstance(samples, SampleSet):
         columns = samples.columns
     else:
@@ -255,44 +258,9 @@ def _count_hits(spec: SystemSpec, rows: np.ndarray, sizes) -> np.ndarray:
         below[:, v] += below[:, v - 1]
     if (below[:, -1] != np.asarray(sizes)[:, None]).any():
         raise ValueError("every W row needs the label counts of the first")
-    a, b = _side_counts(spec, below, sizes)
+    (a, _), (b, _) = count_walk(spec.table,
+                                dict(enumerate(zip(below, sizes), 1)))
     return np.einsum("ij,ij->j", np.diff(a, axis=0), b[:-1])
-
-
-def _side_counts(spec: SystemSpec, below, sizes):
-    """G of the root comparison's two sides (a, b), ordered so that its
-    hits are the sum of #(a = v) #(b < v) over pooled ranks v.
-
-    ``below[i]`` holds, at each point of any array shape, how many values
-    of sample i+1 lie at or below it; each node's G counts the index
-    combinations of its leaves whose node value lies at or below it
-    (David and Nagaraja, *Order Statistics*, 2003).  Leaves are distinct
-    arguments, so children are independent and their values never tie.
-    """
-    stack = []  # (G, number of index combinations of the node's leaves)
-    for _, node, kids in spec.table:
-        cut = len(stack) - len(kids)
-        args = stack[cut:]
-        total = math.prod(t for _, t in args)
-        if isinstance(node, Input):
-            g, total = below[node.index - 1], sizes[node.index - 1]
-        elif isinstance(node, Compare):
-            a, b = args if node.op == ">" else args[::-1]
-            return a[0], b[0]
-        elif isinstance(node, Max):
-            g = reduce(np.multiply, [c for c, _ in args])
-        elif isinstance(node, Min):
-            g = total - reduce(np.multiply, [t - c for c, t in args])
-        else:
-            # the k-th largest is at most v when fewer than k children are
-            # above v; ways[j] counts combinations with j children above v
-            ways = [1] + [0] * (node.k - 1)
-            for c, t in args:
-                above = t - c
-                ways = [ways[0] * c] + [ways[j] * c + ways[j - 1] * above
-                                        for j in range(1, node.k)]
-            g = sum(ways)
-        stack[cut:] = [(g, total)]
 
 
 def rho(q, theta: float, r: int):
@@ -463,13 +431,18 @@ def _gauss_rule():
 def _panel_edges(generators) -> np.ndarray:
     """Sorted panel edges: every generator's finite support ends, quantiles
     at ``_EDGE_LEVELS`` and triangular mode, with each gap longer than
-    1/_PANELS of their span cut into equal pieces."""
+    1/_PANELS of their span cut into equal pieces.  A span beyond the
+    float range raises ValueError."""
     levels = np.array(_EDGE_LEVELS)
-    cuts = {x for g in generators for x in g.ppf(levels).tolist()
-            if math.isfinite(x)}
+    with np.errstate(over="ignore"):  # a quantile past the float range
+        cuts = {x for g in generators for x in g.ppf(levels).tolist()
+                if math.isfinite(x)}
     cuts.update(g.params[1] for g in generators if g.family == "triangular")
     cuts = sorted(cuts)
     longest = (cuts[-1] - cuts[0]) / _PANELS
+    if not math.isfinite(longest):
+        raise ValueError(f"the quantile span {cuts[0]!r} to {cuts[-1]!r} "
+                         "overflows the float range; use mode='mc'")
     edges = []
     for a, b in zip(cuts, cuts[1:]):
         pieces = math.ceil((b - a) / longest)
@@ -601,9 +574,9 @@ def _hit_plan(func: OrderFunctional, sizes, budget):
 
     c is the count vector of labels placed so far, smallest pooled value
     first, and h the root's hits so far: placing label i at c adds
-    (G_a(c + e_i) - G_a(c)) G_b(c) hits (``_side_counts`` on the count
-    lattice), so a step depends on c only, and (c, h) -> (c + e_i, h +
-    step) maps the states of c one to one into those of c + e_i.  Each c
+    (G_a(c + e_i) - G_a(c)) G_b(c) hits (``systems.count_walk`` on the
+    count lattice), so a step depends on c only, and (c, h) -> (c + e_i, h
+    + step) maps the states of c one to one into those of c + e_i.  Each c
     keeps one row per h from the fewest to the most hits that reach it,
     contiguous within its level.  Returns the hits of the final rows and,
     per level, its row count and per c (c, first row, rows, ((label, first
@@ -632,7 +605,8 @@ def _dp_plan(text: str, sizes: tuple[int, ...]):
     shape = tuple(n + 1 for n in sizes)
     cells = math.prod(shape)
     placed = np.indices(shape).reshape(len(shape), -1)
-    a, b = _side_counts(spec, placed, sizes)
+    (a, _), (b, _) = count_walk(spec.table,
+                                dict(enumerate(zip(placed, sizes), 1)))
     strides = _count_strides(shape)[:, None]
     up = np.arange(cells) + strides
     # hits added by placing each label at each c; -1 once it is used up

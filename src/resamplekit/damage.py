@@ -608,9 +608,7 @@ def hybrid_pmf(counts: CountEstimates, plugin: PluginEstimate,
     ``i_max`` must be an integer (TypeError for a bool or a float) of at
     least n_A (ValueError).
     """
-    i_max = _count(i_max, "i_max", least=0)
-    if i_max < counts.n_a:
-        raise ValueError(f"i_max must cover the resampled range 0..{counts.n_a}")
+    i_max = _check_i_max(i_max, counts.n_a)
     out = np.empty(i_max + 1)
     out[:counts.n_a + 1] = counts.active_pmf
     out[counts.n_a + 1:] = plugin.active_pmf(np.arange(counts.n_a + 1, i_max + 1))
@@ -618,3 +616,11 @@ def hybrid_pmf(counts: CountEstimates, plugin: PluginEstimate,
     if total > 0:
         out /= total
     return out
+
+
+def _check_i_max(i_max, n_a: int) -> int:
+    """``i_max`` as an int, checked as :func:`hybrid_pmf` says."""
+    i_max = _count(i_max, "i_max", least=0)
+    if i_max < n_a:
+        raise ValueError(f"i_max must cover the resampled range 0..{n_a}")
+    return i_max

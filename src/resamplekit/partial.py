@@ -33,7 +33,6 @@ from __future__ import annotations
 import numpy as np
 
 from ._streams import BLOCK, Lane, _count, block_streams
-from .distributions import KnownDistribution
 from .resampling import EstimateResult, draw_values
 from .samples import SampleSet
 from .systems import SystemSpec, evaluate_batch, parse_system

@@ -47,11 +47,10 @@ A threshold system, whose root ``ind`` reads its boundary nodes only
 through their side of the level (:class:`systems.ClassLattice`), needs no
 grid for its moments: :func:`exhaustive_moments` counts, per boundary node,
 the cells of the node's own local grid above the level (a data leaf's grid
-is its column) and sums the system over the 2^B lattice of classes with
-those counts as weights, in Python ints (:func:`class_moments`,
-:meth:`systems.ClassLattice.hits`).  It takes that route when the lattice
-and the local grids have no more cells than the grid, and no block's
-arguments lie under two boundary nodes.
+is its column) and walks those counts up to the root in Python ints, with
+no lattice of classes (:func:`class_moments`, :func:`systems.count_walk`).
+It takes that route when the local grids have no more cells than the
+grid, and no block's arguments lie under two boundary nodes.
 ``estimate_theta(r=None)`` keeps the grid, whose values it returns.
 """
 
@@ -344,7 +343,7 @@ class ExhaustiveMoments:
 def exhaustive_moments(spec: SystemSpec, samples: SampleSet,
                        budget: int | None = None) -> ExhaustiveMoments:
     """Exact mean and second moment over every admissible index vector:
-    on the class lattice where :func:`class_moments` takes it, else over
+    on the class counts where :func:`class_moments` takes it, else over
     the grid.  Both give the same bits, and the budget counts the cells of
     the route taken."""
     check_arity(spec, samples)
@@ -362,12 +361,13 @@ def class_moments(spec: SystemSpec, samples: SampleSet, budget,
     (``pairs`` false) or the position tensor of :func:`pairs._pair_sums`
     (``pairs`` true) is the route.
 
-    The route needs a :class:`ClassRoute`.  Its hit count is
-    sum_b phi(b) prod_v cnt_v(b_v), in Python ints, and mu = mu2 =
-    hits / count: the grid's sum of 0/1 values is that same integer, so
-    the bits are the grid's.  For :func:`exhaustive_moments` it is taken
-    when its cells, 2^B for B boundary nodes plus each node's local grid,
-    are no more than the grid's (``"threshold-class lattice"``).  For the
+    The route needs a :class:`ClassRoute`.  Its hit count
+    sum_b phi(b) prod_v cnt_v(b_v) is one walk in Python ints
+    (:meth:`systems.ClassLattice.hits`, no 2^B cells), and mu = mu2 = hits
+    / count: the grid's sum of 0/1 values is that same integer, so the bits
+    are the grid's.  For :func:`exhaustive_moments` it is taken when the
+    nodes' local grids have no more cells than the grid (``"threshold-class
+    lattice"``).  For the
     pair sums every argument needs a sample of its own and a data leaf as
     its boundary node; the route is taken when the 3^m cells of the class
     tensor of :func:`pairs._class_at_least_sums` are no more than the
@@ -380,7 +380,7 @@ def class_moments(spec: SystemSpec, samples: SampleSet, budget,
         return None
     count = math.prod(route.sizes)
     if not pairs:
-        cells = 2 ** len(route.sizes) + sum(route.sizes)
+        cells = sum(route.sizes)
         if cells > count:
             return None
         what = "threshold-class lattice"

@@ -24,11 +24,14 @@ One value-stack loop over that table evaluates the system:
 :func:`evaluate_batch` feeds it the columns of a row matrix, and
 :func:`evaluate_grid` feeds it leaves that each broadcast along one axis
 of a product grid, so every node is computed over the axes it depends on.
+:func:`count_walk` counts instead: up a ``min``/``max``/``kofn`` tree, the
+index combinations that put each node at or below a point.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
@@ -41,8 +44,8 @@ __all__ = [
     "SystemSyntaxError", "SystemValidationError",
     "Input", "Min", "Max", "Sum", "KOfN", "Threshold", "Compare",
     "SystemSpec", "parse_system", "evaluate", "evaluate_batch",
-    "evaluate_grid", "leaf_dependencies", "class_levels", "ClassLattice",
-    "elementary_apply", "render",
+    "evaluate_grid", "leaf_dependencies", "class_levels", "count_walk",
+    "ClassLattice", "elementary_apply", "render",
 ]
 
 
@@ -410,6 +413,39 @@ def class_levels(table, unbounded=()) -> dict[int, float]:
     return levels
 
 
+def count_walk(entries, leaves):
+    """Count up a ``min``/``max``/``kofn`` tree: per node, G of its
+    ``cells`` index combinations put it at or below a point.  ``entries``
+    are the tree's post-order ``(id, node, kids)``, a ``cmp`` or ``ind``
+    root last; ``leaves[v] = (G, cells)`` gives each node v of another
+    kind, where the walk stops.  Children read disjoint leaves: a max is
+    at or below when all are, a min unless all are above, the k-th largest
+    when fewer than k are above (David and Nagaraja, 2003).  Arrays
+    broadcast; Python ints stay exact.  Returns the root's children's
+    ``(G, cells)``, reversed for ``<``: the side larger when the root is 1
+    first."""
+    stack = []
+    for nid, node, kids in entries[:-1]:
+        if not isinstance(node, (Min, Max, KOfN)):
+            stack.append(leaves[nid])
+            continue
+        cut = len(stack) - len(kids)
+        args, stack[cut:] = stack[cut:], []
+        cells = math.prod([t for _, t in args])
+        if isinstance(node, Max):
+            g = reduce(operator.mul, [c for c, _ in args])
+        elif isinstance(node, Min):
+            g = cells - reduce(operator.mul, [t - c for c, t in args])
+        else:  # ways[j]: the combinations with j children above
+            ways = [1] + [0] * (node.k - 1)
+            for c, t in args:
+                ways = [ways[0] * c] + [ways[j] * c + ways[j - 1] * (t - c)
+                                        for j in range(1, node.k)]
+            g = sum(ways)
+        stack.append((g, cells))
+    return stack if entries[-1][1].op == ">" else stack[::-1]
+
+
 class ClassLattice:
     """The root ``ind``'s system on the classes of its boundary nodes.
 
@@ -418,12 +454,11 @@ class ClassLattice:
     ``boundary`` in ascending id order, are the members that are none of
     these: data leaves, sums, comparisons and inner indicators.  The
     system's value depends on the arguments only through the classes
-    b_v = [v > L] of those nodes, so ``phi``, its 0/1 value on the 2^B
-    lattice of classes (axis j for ``boundary[j]``, index 0 at most L and 1
-    above it), stands for every argument vector with those classes.  It
-    reads the lattice with the class rules of the cascade, and is made on
-    first use.  ``owner[a - 1]`` is the axis of the boundary node above
-    argument a.
+    b_v = [v > L] of those nodes, so :meth:`hits` is one :func:`count_walk`
+    over the region, and ``phi``, its 0/1 value on the 2^B lattice of
+    classes (axis j for ``boundary[j]``, index 0 at most L and 1 above it;
+    made on first use), the same walk on class indicators.
+    ``owner[a - 1]`` is the axis of the boundary node above argument a.
     """
 
     def __init__(self, table, level: float, leaf_deps: Mapping):
@@ -439,35 +474,22 @@ class ClassLattice:
         owner = {a: j for j, v in enumerate(self.boundary)
                  for a in leaf_deps[v]}
         self.owner = tuple(owner[a] for a in sorted(owner))
-        self._table = table
-        self._region = region
+        self._entries = tuple(e for e in table if e[0] in region) + table[-1:]
 
     @cached_property
     def phi(self) -> np.ndarray:
-        axes = len(self.boundary)
-        stack: list[np.ndarray] = []
-        for nid, node, kids in self._table:
-            if nid in self.boundary:
-                shape = [1] * axes
-                shape[self.boundary.index(nid)] = 2
-                stack.append(np.array([False, True]).reshape(shape))
-            elif nid in self._region or nid == self._table[-1][0]:
-                cut = len(stack) - len(kids)
-                stack[cut:] = [_node_values(node, stack[cut:], True, None)]
-        phi = np.broadcast_to(stack[0], (2,) * axes).astype(np.int64)
+        classes = np.indices((2,) * len(self.boundary))  # b_j along axis j
+        phi = self.hits([(1 - b, b) for b in classes])
         phi.flags.writeable = False
         return phi
 
     def hits(self, counts) -> int:
-        """sum_b phi(b) prod_j counts[j][b_j] in Python ints, for
-        ``counts[j]`` the weights (at most L, above L) of axis j: the number
-        of grid cells at which the system is 1, when each class stands for
-        that many cells of its node's grid."""
-        cells = self.phi.ravel().tolist()
-        for below, above in reversed(counts):  # the last axis varies fastest
-            cells = [c0 * below + c1 * above
-                     for c0, c1 in zip(cells[::2], cells[1::2])]
-        return cells[0]
+        """The grid cells at which the system is 1, for ``counts[j]`` the
+        cells (at most L, above L) of axis j's node grid: sum_b phi(b)
+        prod_j counts[j][b_j], exact in Python ints."""
+        ((g, cells),) = count_walk(self._entries, {
+            v: (lo, lo + hi) for v, (lo, hi) in zip(self.boundary, counts)})
+        return cells - g if self._entries[-1][1].op == ">" else g
 
 
 def leaf_dependencies(spec: SystemSpec, node_id: int) -> frozenset:

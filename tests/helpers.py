@@ -33,8 +33,9 @@ from resamplekit.renewal import _PAD_SD, GridConvolutionKit, PluginReport
 from resamplekit.resampling import (EstimateResult, chunk_moments,
                                    draw_index_batch)
 from resamplekit.samples import ordered_draws
-from resamplekit.systems import (GRID_CHUNK, Input, children_of,
-                                 elementary_apply, evaluate, evaluate_batch)
+from resamplekit.systems import (GRID_CHUNK, Input, KOfN, Max, Min,
+                                 _node_values, children_of, elementary_apply,
+                                 evaluate, evaluate_batch)
 
 
 # -- generated system texts -----------------------------------------------
@@ -278,6 +279,38 @@ def class_moment_oracle(spec, samples, level):
             out[OmegaPair(g + 1 for g in range(m) if mask >> g & 1)] = \
                 Fraction(total, pairs)
     return out
+
+
+def lattice_phi_oracle(spec) -> np.ndarray:
+    """phi of ``spec.class_lattice`` by the cascade's class rules: the
+    region's nodes, from the boundary nodes' 0/1 classes (one axis each)
+    up to the root, each read by ``_node_values`` over the 2^B lattice."""
+    lattice = spec.class_lattice
+    axes = len(lattice.boundary)
+    region = {spec.table[-1][2][0]}
+    for nid, node, kids in reversed(spec.table):
+        if nid in region and isinstance(node, (Min, Max, KOfN)):
+            region.update(kids)
+    stack = []
+    for nid, node, kids in spec.table:
+        if nid in lattice.boundary:
+            shape = [1] * axes
+            shape[lattice.boundary.index(nid)] = 2
+            stack.append(np.array([False, True]).reshape(shape))
+        elif nid in region or nid == spec.root_id:
+            cut = len(stack) - len(kids)
+            stack[cut:] = [_node_values(node, stack[cut:], True, None)]
+    return np.broadcast_to(stack[0], (2,) * axes).astype(np.int64)
+
+
+def lattice_hits_oracle(phi, counts) -> int:
+    """sum_b phi(b) prod_j counts[j][b_j] cell by cell over the 2^B
+    lattice, in Python ints, for ``counts[j]`` = (at most L, above L)."""
+    cells = phi.ravel().tolist()
+    for below, above in reversed(counts):  # the last axis varies fastest
+        cells = [c0 * below + c1 * above
+                 for c0, c1 in zip(cells[::2], cells[1::2])]
+    return cells[0]
 
 
 # -- the index-row grid route ----------------------------------------------

@@ -345,6 +345,22 @@ def test_damage_negative_imax_is_refused(files, capsys, argv):
     assert env["message"] == "need i_max >= 0, got -1"
 
 
+@pytest.mark.parametrize("bad", [["--t", "inf"], ["--imax", "-1"],
+                                 ["--imax", "2"]])
+def test_damage_checks_its_arguments_before_resampling(files, capsys,
+                                                       monkeypatch, bad):
+    """An infinite t and an i_max below 0 or below n_A = 4 exit 2 before
+    any realization is drawn."""
+    def refused(*args, **kwargs):
+        raise AssertionError("the realizations were drawn")
+
+    monkeypatch.setattr("resamplekit.cli.resample_damage_counts", refused)
+    argv = ["damage", "--ha", str(files["ha"]), "--hb", str(files["hb"]),
+            "--t", "3.0", "--r", "100", "--seed", "5"]
+    code, env = error_of(capsys, argv + bad)
+    assert (code, env["code"]) == (2, "schema-violation")
+
+
 def test_damage_truth_bad_distribution(capsys):
     code, env = error_of(capsys, [
         "damage-truth", "--lambda", "0.5", "--deg", "warbler:1,2",
@@ -437,6 +453,15 @@ def test_coverage_exact_json(files, capsys):
     assert report["total_probability"] == pytest.approx(1.0, abs=1e-9)
     assert report["coverage"][0] == pytest.approx(0.557429, abs=1e-5)
     assert report["coverage"][1] == pytest.approx(0.714547, abs=1e-5)
+
+
+def test_coverage_exact_refuses_an_overflowing_quantile_span(files, capsys):
+    code, env = error_of(capsys, [
+        "coverage", "--spec", str(files["race"]), "--gen",
+        "normal:0,1e308,exp:3,exp:2", "--sizes", "2,2,2", "--gamma", "0.9",
+        "--theta", "0.25", "--k", "10", "--r", "16"])
+    assert (code, env["code"]) == (2, "schema-violation")
+    assert "overflows" in env["message"] and "mode='mc'" in env["message"]
 
 
 def test_coverage_mc_requires_seed(files, capsys):

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -141,6 +142,9 @@ def test_w_vector_ties():
     with pytest.warns(UserWarning, match="ties"):
         w = w_vector([[1.0, 2.0], [2.0]], on_ties="break")
     assert w.w == (1, 1, 2)   # stable: sample 1's value first
+    for data in ([[1.0, 2.0], [2.0]], [[2.0, 0.5], [1.0]]):
+        with pytest.raises(ValueError, match="on_ties must be"):
+            w_vector(data, on_ties="bogus")
 
 
 # -- conditional success probability ---------------------------------------
@@ -357,6 +361,19 @@ def test_numeric_coverage_of_a_narrow_law_matches_mc(min_race):
                     mode="mc", seed=5, replications=4000)
     for e, m, s in zip(exact.coverage, mc.coverage, mc.se):
         assert abs(e - m) <= 4.0 * s
+
+
+def test_numeric_law_refuses_a_quantile_span_that_overflows(min_race):
+    """Quantiles near -+1.6e308 span more than the float range: exact
+    coverage and the protocol table raise, pointing to mc mode, with no
+    overflow warning on the way."""
+    gens = [parse_distribution(g)
+            for g in ("normal:0,1e308", "exp:3", "exp:2")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (coverage_R, protocol_table):
+            with pytest.raises(ValueError, match="overflows.*mode='mc'"):
+                call(min_race, gens, (2, 2, 2), 0.25, 0.9, 10, 16)
 
 
 # -- unconditional coverage ------------------------------------------------

@@ -45,8 +45,8 @@ from helpers import (CHAIN_OPS, block_of_arg, coverage_oracle,
                      estimate_theta_oracle, evaluate_batch_oracle,
                      first_untabulated, fisher_yates_oracle,
                      grid_values_oracle, index_vector_chunks, indicator,
-                     inner_mc_oracle, known_g_oracle, leaf_deps_oracle,
-                     numeric_pw_oracle,
+                     inner_mc_oracle, known_g_oracle, lattice_hits_oracle,
+                     lattice_phi_oracle, leaf_deps_oracle, numeric_pw_oracle,
                      pair_moment_oracle, product_grid, q_oracle,
                      race_probability_oracle,
                      resampling_interval_oracle, shared_pair_moment_oracle,
@@ -304,6 +304,37 @@ def test_class_lattice_moments_equal_the_oracles(problem):
     oracle = pair_moment_oracle(spec, samples, "omega")
     assert {row.pair: row.moment for row in rep.rows} == {
         pattern: moment for pattern, (moment, _) in oracle.items()}
+
+
+@settings(PROPERTY, max_examples=100)
+@given(data=st.data())
+def test_class_lattice_walk_equals_the_lattice_oracles(data):
+    """On generated threshold systems, inner ``ind`` and ``cmp`` nodes and
+    ``<`` and ``>`` levels among them, phi is the class rules' lattice and
+    hits(counts) the cell-by-cell lattice sum, on counts up to 2^70.  Now
+    and then a min, max or kofn of up to four children takes the system
+    and more leaves, so that wide nodes meet the walk."""
+    m = data.draw(st.integers(1, 6))
+    text, _ = data.draw(systems(m))
+    extra = data.draw(st.integers(0, 3))
+    if extra:
+        kids = ", ".join([text] + [f"x{m + i}" for i in range(1, extra + 1)])
+        op = data.draw(st.sampled_from(["min(", "max(", "kofn("]))
+        if op == "kofn(":
+            op += f"{data.draw(st.integers(1, extra + 1))}; "
+        text = f"{op}{kids})"
+    if not text.startswith("ind("):
+        text = data.draw(indicator(text))
+    spec = parse_system(text)
+    lattice = spec.class_lattice
+    assume(lattice is not None)
+    phi = lattice_phi_oracle(spec)
+    assert lattice.phi.dtype == phi.dtype
+    assert lattice.phi.tolist() == phi.tolist()
+    counts = data.draw(st.lists(
+        st.tuples(st.integers(0, 2 ** 70), st.integers(0, 2 ** 70)),
+        min_size=len(lattice.boundary), max_size=len(lattice.boundary)))
+    assert lattice.hits(counts) == lattice_hits_oracle(phi, counts)
 
 
 @PROPERTY

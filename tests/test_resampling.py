@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -210,17 +211,17 @@ def test_budget_guard():
 
 
 def test_class_lattice_charges_its_reduced_cells(two_of_three):
-    """The 2-of-3 indicator takes its 2^3 lattice and three columns of 300
-    (908 cells) and TREE6 its 2^5 lattice, four columns of 6 and the 6 x 6
-    grid of sum(x5, x6) (92 cells), instead of their value grids; a budget
-    one below raises with those counts.  The pair sums of the 2-of-3 hold
-    M and N on its 3^3 class cells (962 cells in all)."""
+    """The 2-of-3 indicator counts its three columns of 300 (900 cells)
+    and TREE6 its four columns of 6 and the 6 x 6 grid of sum(x5, x6) (60
+    cells), instead of their value grids, and builds no lattice of classes;
+    a budget one below raises with those counts.  The pair sums of the
+    2-of-3 hold M and N on its 3^3 class cells (962 cells in all)."""
     big = SampleSet.from_json({n: list(range(300)) for n in ("a", "b", "c")})
     tree6 = parse_system("ind(min(max(x1, x2), max(x3, x4), sum(x5, x6)) > t)",
                          params={"t": 4.0})
     six = SampleSet.from_samples(
         [(f"x{i}", np.arange(6.0)) for i in range(1, 7)])
-    for spec, samples, cells in ((two_of_three, big, 908), (tree6, six, 92)):
+    for spec, samples, cells in ((two_of_three, big, 900), (tree6, six, 60)):
         assert exhaustive_moments(spec, samples, budget=cells).count \
             == samples.admissible_count()
         with pytest.raises(BudgetExceededError) as err:
@@ -237,11 +238,30 @@ def test_class_lattice_charges_its_reduced_cells(two_of_three):
         300 ** 3 - 2 ** 3 - 3 * 298 * 2 ** 2, 300 ** 3))
 
 
+def test_forty_leaf_k_of_n_takes_its_exact_theta():
+    """A 20-of-40 on 40 samples of 3 values, 2 of them above t: mu counts
+    the 120 values against t, where a lattice of its 40 boundary nodes
+    would have 2^40 cells, and is the correctly rounded ratio."""
+    spec = parse_system(
+        "ind(kofn(20; " + ", ".join(f"x{i}" for i in range(1, 41)) + ") > t)",
+        params={"t": 1.0})
+    s = SampleSet.from_samples(
+        [(f"x{i}", [0.5, 1.5, 2.5]) for i in range(1, 41)])
+    want = Fraction(sum(math.comb(40, j) * 2 ** j for j in range(20, 41)),
+                    3 ** 40)
+    assert exhaustive_theta(spec, s) == float(want) == 0.9904482728169275
+    assert exhaustive_moments(spec, s, budget=120).count == 3 ** 40
+    with pytest.raises(BudgetExceededError) as err:
+        exhaustive_theta(spec, s, budget=119)
+    assert (err.value.needed, err.value.what) == (
+        120, "threshold-class lattice")
+
+
 def test_class_pair_tensor_charges_the_cells_it_builds():
     """A 9-of-16 on 16 samples of 3 values: 3^16 class cells are no more
     than the 3^16 positions, so the pair sums take the class tensor, and
-    its M and N, 2 * 3^16 cells, exceed the default budget.  The lattice
-    of exhaustive_moments (2^16 cells and 48 values) stays within it."""
+    its M and N, 2 * 3^16 cells, exceed the default budget.  The count
+    walk of exhaustive_moments (48 values) stays within it."""
     spec = parse_system(
         "ind(kofn(9; " + ", ".join(f"x{i}" for i in range(1, 17)) + ") > t)",
         params={"t": 1.0})
@@ -257,7 +277,7 @@ def test_class_pair_tensor_charges_the_cells_it_builds():
 def test_class_pair_tensor_larger_than_the_positions_is_not_taken():
     """Five samples of 2 values and five of 3 have 7,776 positions and
     3^10 = 59,049 class cells, so the pair sums keep the position tensor;
-    exhaustive_moments takes the 2^10-cell lattice, and both give mu."""
+    exhaustive_moments counts the 25 values, and both give mu."""
     spec = parse_system(
         "ind(kofn(4; " + ", ".join(f"x{i}" for i in range(1, 11)) + ") > t)",
         params={"t": 1.0})
