@@ -15,7 +15,7 @@ for exponential or other continuous generators, by a dynamic program over
 the counts of labels placed and the hits counted so far (the recursion
 Mann and Whitney, 1947, used to tabulate U), or by Monte Carlo over
 simulated datasets.  ``protocol_table`` lists P_W, q, rho and R_C for
-every W vector.
+every W vector, walking the W prefixes on the same moves.
 """
 
 from __future__ import annotations
@@ -84,17 +84,19 @@ class OrderFunctional:
 @dataclass(frozen=True)
 class WVector:
     """Pooled-order sample labels: w[j] = which sample the j-th smallest
-    pooled value came from (labels 1..m)."""
+    pooled value came from (labels 1..m).  A label that is a bool or no
+    integer raises TypeError."""
 
     w: tuple[int, ...]
 
     def __post_init__(self):
-        labels = sorted(set(self.w))
+        w = tuple(_count(x, "W label") for x in self.w)
+        labels = sorted(set(w))
         if not labels:
             raise ValueError("empty W vector")
         if labels != list(range(1, labels[-1] + 1)):
             raise ValueError(f"labels must be 1..m without gaps, got {labels}")
-        object.__setattr__(self, "w", tuple(int(x) for x in self.w))
+        object.__setattr__(self, "w", w)
 
     @property
     def m(self) -> int:
@@ -111,7 +113,8 @@ class Protocol:
 
     Level l (1 <= l < m) splits the pooled sequence at the positions of
     sample l+1's values: counts[l-1][g] is how many values with labels
-    <= l fall in gap g (there are n_{l+1}+1 gaps).
+    <= l fall in gap g (there are n_{l+1}+1 gaps).  A count that is a bool
+    or no integer raises TypeError, a negative one ValueError.
     """
 
     counts: tuple[tuple[int, ...], ...]
@@ -119,10 +122,8 @@ class Protocol:
     def __post_init__(self):
         object.__setattr__(
             self, "counts",
-            tuple(tuple(int(c) for c in row) for row in self.counts))
-        for row in self.counts:
-            if any(c < 0 for c in row):
-                raise ValueError(f"negative count in protocol row {row}")
+            tuple(tuple(_count(c, "protocol count", 0) for c in row)
+                  for row in self.counts))
 
     @property
     def m(self) -> int:
@@ -343,14 +344,14 @@ def _exponential_rates(generators) -> list[float] | None:
     return rates
 
 
-def _count_strides(shape) -> np.ndarray:
-    """Strides of the C-order flat index into an array of this shape."""
-    return np.array([math.prod(shape[i + 1:]) for i in range(len(shape))])
-
-
 def _race_steps(rates, sizes) -> np.ndarray:
     """step[i, c]: the race step of label i+1 with counts c (a C-order
-    flat index over 0..n_i) still to come; NaN when none are."""
+    flat index over 0..n_i) still to come; NaN when none are.
+
+    Memorylessness reduces the pooled ordering of exponential generators
+    to a race: the next order statistic carries label i with probability
+    c_i l_i / sum c_j l_j, c = remaining counts.
+    """
     shape = [n + 1 for n in sizes]
     counts = np.indices(shape).reshape(len(shape), -1).astype(float)
     rates = np.asarray(rates, dtype=float)
@@ -359,25 +360,6 @@ def _race_steps(rates, sizes) -> np.ndarray:
         den = den + c * rate
     with np.errstate(divide="ignore", invalid="ignore"):
         return counts * rates[:, None] / den
-
-
-def _pw_exponential(rows, rates, sizes):
-    """Exact ordering probability for exponential generators.
-
-    Memorylessness reduces the pooled ordering to a race: the next order
-    statistic carries label i with probability c_i l_i / sum c_j l_j,
-    c = remaining counts.  ``rows`` is a (rows, n) int array of W rows; the
-    probability of each is a running product over the columns of the race
-    step looked up per remaining-count vector.
-    """
-    step = _race_steps(rates, sizes)
-    strides = _count_strides([n + 1 for n in sizes])
-    here = np.full(len(rows), int(np.dot(sizes, strides)))
-    p = np.ones(len(rows))
-    for labels in (rows - 1).T:
-        p *= step[labels, here]
-        here -= strides[labels]
-    return p
 
 
 # The composite Gauss-Legendre rule of the numeric ordering law: panel
@@ -472,42 +454,10 @@ class _NumericOrderingLaw:
         self.half = np.diff(edges) / 2.0
         centers = edges[:-1] + self.half
         self.nodes = np.append(centers + self.half * t[:, None], edges[-1])
-        pdf = {g: g.pdf(self.nodes) for g in distinct}
+        with np.errstate(over="ignore"):  # a narrow law read far out
+            pdf = {g: g.pdf(self.nodes) for g in distinct}
         self.dens = np.stack([pdf[g] for g in generators])
         self.scale = float(math.prod(math.factorial(n) for n in sizes))
-
-    def pw(self, rows):
-        """P_W of each row of a (rows, n) int array of W rows, integrating
-        ``GRID_CHUNK`` node values at a time.
-
-        The running integral after j labels depends on the first j labels
-        only, so it is computed once per run of rows sharing that prefix:
-        ``cur`` holds one integral per distinct prefix and ``node`` maps
-        each row to its prefix.  Rows in lexicographic order share most.
-        The integrals and the gathered rows stay in the same few buffers.
-        """
-        out = np.empty(len(rows))
-        per = min(len(rows), max(1, GRID_CHUNK // len(self.nodes)))
-        cur, f, inc = (np.empty((per, len(self.nodes))) for _ in range(3))
-        for lo in range(0, len(rows), per):
-            block = rows[lo:lo + per]
-            cur[0] = 1.0
-            node = np.zeros(len(block), dtype=np.intp)
-            new_prefix = np.zeros(len(block), dtype=bool)
-            new_prefix[0] = True
-            for labels in block.T:
-                new_prefix[1:] |= labels[1:] != labels[:-1]
-                first = np.flatnonzero(new_prefix)
-                k = len(first)
-                # f = density of the next label times the integral so far
-                np.take(self.dens, labels[first] - 1, axis=0, out=f[:k],
-                        mode="clip")
-                np.take(cur, node[first], axis=0, out=inc[:k], mode="clip")
-                np.multiply(f[:k], inc[:k], out=f[:k])
-                self.running_integral(f[:k], cur[:k])
-                node = np.cumsum(new_prefix) - 1
-            out[lo:lo + per] = self.scale * cur[node, -1]
-        return out
 
     def running_integral(self, f, out):
         """Running integral from the first edge of each row of ``f`` (values
@@ -533,52 +483,57 @@ class _NumericOrderingLaw:
         out[:, -1] = carry[:, -1]
 
 
-def _enumerate_w(sizes, chunk: int):
-    """All distinct label interleavings, lexicographic, as (rows, n) int
-    arrays of at most ``chunk`` rows.  Rows are unranked: at each position
-    the label is the first whose completions, added up over it and the
-    smaller labels, exceed the rank left over.
+def _move_table(spec: SystemSpec, sizes):
+    """Moves on the count lattice: ``(placed, strides, step)``.
+
+    ``placed[i, c]`` is the count of label i+1 placed at c, a C-order flat
+    index over 0..n_i, and placing that label moves c by ``strides[i]``.
+    It adds ``step[i, c]`` = (G_a(c + e_i) - G_a(c)) G_b(c) hits of the
+    root (``systems.count_walk`` on the count lattice), or -1 once the
+    label is used up.
     """
-    sizes = tuple(int(n) for n in sizes)
-    # completions[c + 1]: interleavings of the remaining counts c; the
-    # slots at index 0 (a count of -1) hold 0
-    completions = np.zeros([n + 2 for n in sizes], dtype=np.int64)
-    for c in np.ndindex(*[n + 1 for n in sizes]):
-        completions[tuple(x + 1 for x in c)] = math.factorial(sum(c)) // \
-            math.prod(math.factorial(x) for x in c)
-    flat = completions.ravel()
-    strides = _count_strides(completions.shape)
-    start_at = int(np.dot(np.add(sizes, 1), strides))
-    total = int(flat[start_at])
-    for start in range(0, total, chunk):
-        rank = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        here = np.full(len(rank), start_at)
-        out = np.empty((len(rank), sum(sizes)), np.min_scalar_type(len(sizes)))
-        for j in range(out.shape[1]):
-            label = np.zeros(len(rank), dtype=np.int64)
-            below = np.zeros(len(rank), dtype=np.int64)
-            upto = below
-            for stride in strides[:-1]:
-                upto = upto + flat[here - stride]
-                past = rank >= upto
-                label += past
-                below = np.where(past, upto, below)
-            rank -= below
-            here -= strides[label]
-            out[:, j] = label + 1
-        yield out
+    shape = tuple(n + 1 for n in sizes)
+    cells = math.prod(shape)
+    placed = np.indices(shape).reshape(len(shape), -1)
+    (a, _), (b, _) = count_walk(spec.table,
+                                dict(enumerate(zip(placed, sizes), 1)))
+    strides = np.array([math.prod(shape[i + 1:]) for i in range(len(shape))])
+    up = np.arange(cells) + strides[:, None]
+    step = np.where(placed < np.asarray(sizes)[:, None],
+                    (a[np.minimum(up, cells - 1)] - a) * b, -1)
+    return placed, strides, step
+
+
+def _move_factors(generators, sizes):
+    """The ordering law on the count lattice: ``(factor, law)``.
+
+    Placing label i+1 next at placed counts c (a C-order flat index)
+    multiplies the probability carried there by ``factor[i, c]``: under
+    exponential generators the race step, and ``law`` is None; otherwise
+    the density of label i+1 at the nodes of ``law``, a
+    :class:`_NumericOrderingLaw`, and ``law.running_integral`` of the
+    product is carried on.
+    """
+    rates = _exponential_rates(generators)
+    if rates is not None:
+        # counts placed index the remaining ones backwards: flat(n - c) =
+        # flat(n) - flat(c)
+        return _race_steps(rates, sizes)[:, ::-1], None
+    law = _NumericOrderingLaw(generators, sizes)
+    cells = math.prod(n + 1 for n in sizes)
+    return np.broadcast_to(law.dens[:, None],
+                           (len(sizes), cells, len(law.nodes))), law
 
 
 def _hit_plan(func: OrderFunctional, sizes, budget):
     """Integer plan of the coverage DP over states (c, h), level by level.
 
     c is the count vector of labels placed so far, smallest pooled value
-    first, and h the root's hits so far: placing label i at c adds
-    (G_a(c + e_i) - G_a(c)) G_b(c) hits (``systems.count_walk`` on the
-    count lattice), so a step depends on c only, and (c, h) -> (c + e_i, h
-    + step) maps the states of c one to one into those of c + e_i.  Each c
-    keeps one row per h from the fewest to the most hits that reach it,
-    contiguous within its level.  Returns the hits of the final rows and,
+    first, and h the root's hits so far: placing label i at c adds the
+    hits of ``_move_table``, so a step depends on c only, and (c, h) ->
+    (c + e_i, h + step) maps the states of c one to one into those of
+    c + e_i.  Each c keeps one row per h from the fewest to the most hits
+    that reach it, contiguous within its level.  Returns the hits of the final rows and,
     per level, its row count and per c (c, first row, rows, ((label, first
     target row in the next level), ...)).
 
@@ -601,19 +556,10 @@ def _hit_plan(func: OrderFunctional, sizes, budget):
 def _dp_plan(text: str, sizes: tuple[int, ...]):
     """:func:`_hit_plan`'s plan of the functional ``text`` (read-only hits,
     levels as tuples) and the rows up to each level."""
-    spec = parse_system(text)
-    shape = tuple(n + 1 for n in sizes)
-    cells = math.prod(shape)
-    placed = np.indices(shape).reshape(len(shape), -1)
-    (a, _), (b, _) = count_walk(spec.table,
-                                dict(enumerate(zip(placed, sizes), 1)))
-    strides = _count_strides(shape)[:, None]
-    up = np.arange(cells) + strides
-    # hits added by placing each label at each c; -1 once it is used up
-    step = np.where(placed < np.asarray(sizes)[:, None],
-                    (a[np.minimum(up, cells - 1)] - a) * b, -1)
+    placed, strides, step = _move_table(parse_system(text), sizes)
+    cells = placed.shape[1]
     moves = [[(i, c + stride, d) for i, (stride, d) in
-              enumerate(zip(strides.ravel().tolist(), col)) if d >= 0]
+              enumerate(zip(strides.tolist(), col)) if d >= 0]
              for c, col in enumerate(step.T.tolist())]
     lo, hi = [0] + [math.inf] * (cells - 1), [0] + [-math.inf] * (cells - 1)
     first = [0] * cells
@@ -645,35 +591,66 @@ def _dp_plan(text: str, sizes: tuple[int, ...]):
 def _hit_law(func: OrderFunctional, generators, sizes, budget):
     """Exact law of the root's hit count: (hits, probability) arrays.
 
-    Each state carries the probability of reaching it: under exponential
-    generators a scalar, moved by ``_race_steps``; otherwise the running
-    integral of ``_NumericOrderingLaw`` at its Gauss-Legendre nodes, whose
-    last column holds the whole integral.  That chain is linear in the
-    integral, so the moves into a level add density times integral before
-    one running integral over the level's states.
+    Each state carries the probability of reaching it, moved by
+    ``_move_factors``: under exponential generators a scalar; otherwise the
+    running integral of ``_NumericOrderingLaw`` at its Gauss-Legendre
+    nodes, whose last column holds the whole integral.  That chain is
+    linear in the integral, so the moves into a level add density times
+    integral before one running integral over the level's states.
     """
     hits, levels = _hit_plan(func, sizes, budget)
-    rates = _exponential_rates(generators)
-    law, tail = None, ()
-    if rates is not None:
-        # counts placed index the remaining ones backwards: flat(n - c) =
-        # flat(n) - flat(c)
-        factor = _race_steps(rates, sizes)[:, ::-1].tolist()
-    else:
-        law = _NumericOrderingLaw(generators, sizes)
-        tail = law.nodes.shape
+    factor, law = _move_factors(generators, sizes)
+    tail = factor.shape[2:]
+    if law is None:
+        factor = factor.tolist()  # a list indexes faster in the move loop
     cur = np.ones((1,) + tail)
     for rows, here in levels:
         nxt = np.zeros((rows,) + tail)
         for c, at, width, targets in here:
             block = cur[at:at + width]
             for i, to in targets:
-                nxt[to:to + width] += block * (
-                    factor[i][c] if law is None else law.dens[i])
+                nxt[to:to + width] += block * factor[i][c]
         if law is not None:
             law.running_integral(nxt, nxt)
         cur = nxt
     return hits, cur if law is None else law.scale * cur[:, -1]
+
+
+def _enumerate_w(func: OrderFunctional, generators, sizes):
+    """Every W row, lexicographic, with its hits and P_W: chunks of
+    ``(w, hits, p)``.
+
+    A depth-first walk over W prefixes, level by level, on the moves of
+    the coverage DP: each prefix is extended by every label left, prefix
+    by prefix in label order, adding the hits of ``_move_table`` and
+    moving the probability by ``_move_factors``.  Each level is taken in
+    pieces of at most ``GRID_CHUNK // width`` prefixes, width the values
+    carried per prefix (1, or the numeric law's nodes).
+    """
+    _, strides, step = _move_table(func.spec, sizes)
+    factor, law = _move_factors(generators, sizes)
+    tail = factor.shape[2:]
+    per = max(1, GRID_CHUNK // math.prod(tail))
+    names = np.arange(1, len(sizes) + 1, dtype=np.min_scalar_type(len(sizes)))
+    pieces = [(np.empty((1, 0), names.dtype), np.zeros(1, dtype=np.intp),
+               np.zeros(1, dtype=np.int64), np.ones((1,) + tail))]
+    while pieces:
+        w, c, hits, p = pieces.pop()
+        if w.shape[1] == sum(sizes):
+            yield w, hits, p if law is None else law.scale * p[:, -1]
+            continue
+        parent, label = np.nonzero(step[:, c].T >= 0)
+        c = c[parent]
+        w = np.column_stack([w[parent], names[label]])
+        hits = hits[parent] + step[label, c]
+        p = p[parent]
+        p *= factor[label, c]
+        if law is not None:
+            law.running_integral(p, p)
+        c = c + strides[label]
+        pieces.extend((w[lo:lo + per], c[lo:lo + per], hits[lo:lo + per],
+                       p[lo:lo + per])
+                      for lo in reversed(range(0, len(w), per)))
 
 
 @dataclass(frozen=True)
@@ -845,10 +822,13 @@ def protocol_table(func: OrderFunctional, generators, sizes, theta: float,
     """The exact-mode table: one row per interleaving W, lexicographic,
     with its probability P_W, q, rho and R_C per gamma.
 
-    Enumerates every W (``budget`` bounds their count), so it grows as
-    the multinomial coefficient of the sizes; ``coverage_R`` needs no
-    table.  Summing P_W R_C over the rows gives the exact coverage up to
-    float summation order.  Arguments are checked as by ``coverage_R``.
+    Walks every W prefix on the moves of the coverage DP
+    (``_enumerate_w``), which give each row its hits, so q = hits / prod
+    n_i, and its P_W.  ``budget`` bounds the count of W rows, checked
+    before the walk: the table grows as the multinomial coefficient of
+    the sizes, and ``coverage_R`` needs none.  Summing P_W R_C over the
+    rows gives the exact coverage up to float summation order.  Arguments
+    are checked as by ``coverage_R``.
     """
     sizes, generators, gammas, alphas, k, r = _check_problem(
         func, generators, sizes, theta, gamma, k, r)
@@ -856,14 +836,10 @@ def protocol_table(func: OrderFunctional, generators, sizes, theta: float,
     for n in sizes:
         total_w //= math.factorial(n)
     check_budget(total_w, "ordering enumeration", budget)
-    rates = _exponential_rates(generators)
-    law = None if rates is not None else \
-        _NumericOrderingLaw(generators, sizes)
+    total = math.prod(sizes)
     columns = []
-    for w in _enumerate_w(sizes, GRID_CHUNK):
-        p = _pw_exponential(w, rates, sizes) if rates is not None \
-            else law.pw(w)
-        q = q_given_ordering(func, w)
+    for w, hits, p in _enumerate_w(func, generators, sizes):
+        q = hits / total
         columns.append((w, p, q, *_rho_and_coverage(q, theta, r, k, alphas)))
     return ProtocolTable(*map(np.concatenate, zip(*columns)))
 

@@ -23,8 +23,8 @@ from resamplekit._streams import (_TABLE_LIMIT, BLOCK, Lane, block_ranges,
                                   draw_distinct, substream)
 from resamplekit.coverage import (IntervalResult, ProtocolRow, WVector,
                                   _exponential_rates, _NumericOrderingLaw,
-                                  _pw_exponential, alpha_floor,
-                                  coverage_conditional, q_given_ordering, rho)
+                                  alpha_floor, coverage_conditional,
+                                  q_given_ordering, rho)
 from resamplekit.damage import (CountEstimates, DamageData, DamageMCReport,
                                 PluginMCReport, poisson_truth)
 from resamplekit.pairs import (OmegaPair, _block_targets, alpha_from_indices,
@@ -471,8 +471,8 @@ def race_probability_oracle(w, rates, sizes) -> float:
 
 
 def numeric_pw_oracle(law, w) -> np.ndarray:
-    """``_NumericOrderingLaw.pw`` integrating every row of ``w`` from
-    scratch with Python floats, label by label and panel by panel (node k
+    """P_W of every row of ``w`` under ``law``, a ``_NumericOrderingLaw``,
+    integrated from scratch with Python floats, label by label and panel by panel (node k
     of panel p in column k P + p): each row of ``law.rule`` applied to a
     panel's values is a sum from 0.0 in node order, times half the panel's
     width; a node's integral adds the totals of the panels before it,
@@ -518,9 +518,10 @@ def coverage_oracle(func, generators, sizes, theta, gammas, k, r,
                     mode="exact", seed=None, replications=10_000):
     """``coverage_R`` one W vector at a time, with the scalar layers.
 
-    Exact mode walks ``enumerate_w_oracle`` and calls ``_pw_exponential``
-    or ``law.pw`` on a one-row array, and ``q_given_ordering``, ``rho`` and
-    ``coverage_conditional`` once per tuple, adding up in W order; it
+    Exact mode walks ``enumerate_w_oracle`` and takes P_W from
+    ``race_probability_oracle`` or ``numeric_pw_oracle``, and calls
+    ``q_given_ordering``, ``rho`` and ``coverage_conditional`` once per
+    tuple, adding up in W order; it
     returns ``(coverage, total_probability, table)``.  mc mode draws each
     block from its keyed substream and fills the replications row by row
     through a dict cache; it returns ``(coverage, se)``.
@@ -539,9 +540,8 @@ def coverage_oracle(func, generators, sizes, theta, gammas, k, r,
         total = 0.0
         table = []
         for w in enumerate_w_oracle(sizes):
-            row = np.array([w])
-            p = float(_pw_exponential(row, rates, sizes)[0]
-                      if rates is not None else law.pw(row)[0])
+            p = race_probability_oracle(w, rates, sizes) if rates is not None \
+                else float(numeric_pw_oracle(law, w)[0])
             q, rho_w, rc = r_c(w)
             cov += p * np.asarray(rc)
             total += p

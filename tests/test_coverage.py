@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -26,8 +27,8 @@ from resamplekit.coverage import (
     w_from_protocol,
     w_vector,
 )
-from resamplekit.coverage import (_hit_law, _NumericOrderingLaw, _enumerate_w,
-                                  _pw_exponential)
+import resamplekit.coverage as coverage_module
+from resamplekit.coverage import _hit_law
 from resamplekit.distributions import (empirical, exponential, normal,
                                       parse_distribution, uniform)
 from resamplekit.samples import SampleSet
@@ -128,6 +129,23 @@ def test_protocol_rejects():
         Protocol(((0, -1),))
     with pytest.raises(ValueError):
         w_from_protocol(Protocol(((1, 1), (3, 3))))  # row sum mismatch
+
+
+@pytest.mark.parametrize("make, bad", [
+    (lambda x: WVector((x, 2)), True),
+    (lambda x: WVector((1, x)), 2.7),
+    (lambda x: WVector((1, x)), 2.0),
+    (lambda x: WVector((1, x)), np.float64(2.0)),
+    (lambda x: Protocol(((x, 0),)), 1.5),
+    (lambda x: Protocol(((1, x),)), False),
+    (lambda x: Protocol(((1, x),)), np.bool_(True)),
+])
+def test_w_labels_and_protocol_counts_are_integers(make, bad):
+    with pytest.raises(TypeError,
+                       match=re.escape(f"must be an integer, got {bad!r}")):
+        make(bad)
+    # numpy integers stand for the same labels and counts
+    assert make(np.int64(int(bad))) == make(int(bad))
 
 
 def test_w_vector_from_data():
@@ -286,9 +304,11 @@ def test_coverage_conditional_anchors():
 def test_exponential_race_law_closure_and_mc():
     rates = [3.0, 1.0]
     sizes = (2, 1)
-    ws = np.concatenate(list(_enumerate_w(sizes, 100)))
-    probs = dict(zip(map(tuple, ws.tolist()),
-                     _pw_exponential(ws, rates, sizes)))
+    table = protocol_table(OrderFunctional(parse_system("cmp(x2 < x1)")),
+                           [exponential(x) for x in rates], sizes, 0.25, 0.8,
+                           10, 16)
+    probs = dict(zip(map(tuple, table.w.tolist()),
+                     table.probability.tolist()))
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
     # independent route: simulate the pooled ordering directly
     rng = np.random.default_rng(42)
@@ -304,23 +324,26 @@ def test_exponential_race_law_closure_and_mc():
         assert abs(freq - p) <= 4.0 * se
 
 
-def test_numeric_law_matches_race_on_exponentials():
+def test_numeric_law_matches_race_on_exponentials(min_race, monkeypatch):
+    """The numeric law where the race applies: the W rows and q keep their
+    bytes, P_W agrees to 1e-8."""
     gens = [exponential(3.0), exponential(3.0), exponential(2.0)]
     sizes = (2, 2, 1)
-    law = _NumericOrderingLaw(gens, sizes)
-    rates = [3.0, 3.0, 2.0]
-    ws = np.concatenate(list(_enumerate_w(sizes, 100)))
-    numeric = law.pw(ws)
-    assert numeric == pytest.approx(_pw_exponential(ws, rates, sizes),
-                                    abs=1e-8)
-    assert numeric.sum() == pytest.approx(1.0, abs=1e-8)
+    race = protocol_table(min_race, gens, sizes, 0.25, 0.8, 10, 16)
+    monkeypatch.setattr(coverage_module, "_exponential_rates",
+                        lambda generators: None)
+    numeric = protocol_table(min_race, gens, sizes, 0.25, 0.8, 10, 16)
+    assert numeric.w.tobytes() == race.w.tobytes()
+    assert numeric.q.tobytes() == race.q.tobytes()
+    assert numeric.probability == pytest.approx(race.probability, abs=1e-8)
+    assert numeric.probability.sum() == pytest.approx(1.0, abs=1e-8)
 
 
 def test_numeric_law_uniform_symmetry():
     # identical continuous generators: all interleavings equally likely
-    law = _NumericOrderingLaw([uniform(0.0, 1.0)] * 2, (2, 2))
-    for w in _enumerate_w((2, 2), 100):
-        assert law.pw(w) == pytest.approx([1.0 / 6.0] * 6, abs=1e-8)
+    table = protocol_table(OrderFunctional(parse_system("cmp(x1 < x2)")),
+                           [uniform(0.0, 1.0)] * 2, (2, 2), 0.25, 0.8, 10, 16)
+    assert table.probability == pytest.approx([1.0 / 6.0] * 6, abs=1e-8)
 
 
 @pytest.mark.parametrize("gens", [
@@ -361,6 +384,20 @@ def test_numeric_coverage_of_a_narrow_law_matches_mc(min_race):
                     mode="mc", seed=5, replications=4000)
     for e, m, s in zip(exact.coverage, mc.coverage, mc.se):
         assert abs(e - m) <= 4.0 * s
+
+
+def test_numeric_law_reads_far_densities_without_warning(min_race):
+    """A narrow law's density at the nodes of a very wide one overflows on
+    the way to 0: neither exact route warns, and the coverage is kept."""
+    gens = [parse_distribution(g)
+            for g in ("normal:0,1e307", "exp:3", "exp:2")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = coverage_R(min_race, gens, (2, 2, 2), 0.25, 0.9, 10, 16)
+        table = protocol_table(min_race, gens, (2, 2, 2), 0.25, 0.9, 10, 16)
+    assert rep.coverage[0] == pytest.approx(0.80548, abs=5e-6)
+    assert float(table.probability @ table.coverage[:, 0]) == pytest.approx(
+        rep.coverage[0], abs=1e-13)
 
 
 def test_numeric_law_refuses_a_quantile_span_that_overflows(min_race):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import resamplekit.coverage as coverage_module
 import resamplekit.pairs as pairs_module
 import resamplekit.partial as partial_module
 import resamplekit.resampling as resampling_module
@@ -28,9 +29,9 @@ from resamplekit import (AlphaPair, BlockLayout, BudgetExceededError,
                          triangular, uniform)
 from resamplekit.coverage import (OrderFunctional, WVector,
                                   _NumericOrderingLaw, _enumerate_w,
-                                  _pw_exponential, coverage_conditional,
-                                  coverage_R, protocol_table,
-                                  q_given_ordering, resampling_interval, rho)
+                                  coverage_conditional, coverage_R,
+                                  protocol_table, q_given_ordering,
+                                  resampling_interval, rho)
 from resamplekit.pairs import _matching_of
 from resamplekit.partial import (estimate_inner_mc, estimate_known_g,
                                  wave_estimate_vector_samples)
@@ -546,16 +547,59 @@ def w_vectors(draw, sizes):
     return tuple(draw(st.permutations(labels)))
 
 
-@PROPERTY
-@given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=4),
-       chunk=st.integers(1, 50))
-def test_w_enumeration_matches_recursion(sizes, chunk):
-    while interleavings(sizes) > 2000:
+def small_sizes(sizes, max_w):
+    """``sizes`` with the largest cut down until at most ``max_w``
+    interleavings are left."""
+    while interleavings(sizes) > max_w:
         sizes[sizes.index(max(sizes))] -= 1
-    want = list(enumerate_w_oracle(sizes))
-    parts = list(_enumerate_w(sizes, chunk))
-    assert all(len(part) <= chunk for part in parts)
-    assert [tuple(row) for part in parts for row in part.tolist()] == want
+    return tuple(sizes)
+
+
+def laws_of(law, m):
+    """Exponential (the race) or normal generators for m samples."""
+    if law == "race":
+        return [exponential(rate) for rate in (1.0, 2.0, 3.0, 0.5, 1.5)[:m]]
+    return [normal(mu, 1.0) for mu in (0.0, -0.5, 1.0, 0.5)[:m]]
+
+
+def table_of(func, gens, sizes):
+    return protocol_table(func, gens, sizes, 0.25, (0.5, 0.8), 10, 16)
+
+
+@PROPERTY
+@given(sizes=st.lists(st.integers(1, 3), min_size=2, max_size=4),
+       chunk=st.integers(1, 50), data=st.data())
+def test_w_enumeration_matches_recursion(sizes, chunk, data):
+    """The walk's W rows in pieces of at most ``chunk`` prefixes."""
+    sizes = small_sizes(sizes, 2000)
+    func = data.draw(order_functionals(len(sizes)))
+    with mock.patch.object(coverage_module, "GRID_CHUNK", chunk):
+        parts = list(_enumerate_w(func, laws_of("race", len(sizes)), sizes))
+    assert all(len(w) <= chunk for w, _, _ in parts)
+    w = np.concatenate([w for w, _, _ in parts])
+    assert w.dtype == np.uint8
+    assert [tuple(row) for row in w.tolist()] == \
+        list(enumerate_w_oracle(sizes))
+
+
+@pytest.mark.parametrize("law", ["race", "numeric"])
+@PROPERTY
+@given(sizes=st.lists(st.integers(1, 3), min_size=2, max_size=4),
+       data=st.data())
+def test_walk_split_at_every_level_keeps_every_byte(law, sizes, data):
+    """``GRID_CHUNK`` of 1 cuts every level into single prefixes: each
+    column of the table keeps its bytes and dtype."""
+    sizes = small_sizes(sizes, 500 if law == "race" else 60)
+    func = data.draw(order_functionals(len(sizes)))
+    gens = laws_of(law, len(sizes))
+    want = table_of(func, gens, sizes)
+    with mock.patch.object(coverage_module, "GRID_CHUNK", 1):
+        assert all(len(w) == 1 for w, _, _ in
+                   _enumerate_w(func, gens, sizes))
+        got = table_of(func, gens, sizes)
+    for column in ("w", "probability", "q", "rho", "coverage"):
+        a, b = getattr(got, column), getattr(want, column)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), column
 
 
 @settings(PROPERTY, max_examples=200)
@@ -563,38 +607,45 @@ def test_w_enumeration_matches_recursion(sizes, chunk):
 def test_q_and_race_law_match_scalar_oracles(problem, data):
     """Rank counting against phi on every index combination, on nested
     min/max/kofn nodes of up to four children, either comparison and
-    unequal sizes."""
+    unequal sizes; the table's q against the array route on every row and
+    its race P_W against the race oracle on the drawn rows."""
     func, sizes = problem["func"], problem["sizes"]
     ws = [data.draw(w_vectors(sizes)) for _ in range(4)]
     qs = q_given_ordering(func, np.array(ws))
     rates = [1.0, 2.0, 3.0, 0.5, 1.5][:len(sizes)]
-    ps = _pw_exponential(np.array(ws), rates, sizes)
-    for w, q, p in zip(ws, qs, ps):
+    table = table_of(func, [exponential(x) for x in rates], sizes)
+    assert table.q.tobytes() == q_given_ordering(func, table.w).tobytes()
+    p_of = dict(zip(map(tuple, table.w.tolist()), table.probability.tolist()))
+    for w, q in zip(ws, qs):
         assert q == q_given_ordering(func, WVector(w)) == q_oracle(
             func.spec, w)
-        assert p == race_probability_oracle(w, rates, sizes)
+        assert p_of[w] == race_probability_oracle(w, rates, sizes)
 
 
 @PROPERTY
 @given(sizes=st.lists(st.integers(1, 3), min_size=2, max_size=3),
-       rows=st.integers(1, 120), data=st.data())
-def test_numeric_law_shares_prefixes_bit_for_bit(sizes, rows, data):
-    """Random W rows, unsorted and repeated, against integration from
-    scratch per row."""
+       data=st.data())
+def test_numeric_law_shares_prefixes_bit_for_bit(sizes, data):
+    """The walk integrates each W prefix once for all its rows; every row
+    against integration from scratch per row."""
+    sizes = small_sizes(sizes, 120)
     gens = [normal(data.draw(st.sampled_from([-0.5, 0.0, 1.0])), 1.0)
             for _ in sizes]
+    table = table_of(data.draw(order_functionals(len(sizes))), gens, sizes)
     law = _NumericOrderingLaw(gens, sizes)
-    w = np.array([data.draw(w_vectors(sizes)) for _ in range(rows)])
-    assert law.pw(w).tobytes() == numeric_pw_oracle(law, w).tobytes()
+    assert table.probability.tobytes() == \
+        numeric_pw_oracle(law, table.w).tobytes()
 
 
 @pytest.mark.parametrize("sizes", [(2, 2, 2), (3, 2, 2)])
 def test_numeric_law_equals_per_row_integration_on_every_w(sizes):
     gens = [normal(0.0, 1.0), normal(0.0, 1.0), normal(-0.5, 1.0)]
+    func = OrderFunctional(parse_system("cmp(x3 < min(x1, x2))"))
+    table = table_of(func, gens, sizes)
+    assert len(table) == interleavings(sizes)
     law = _NumericOrderingLaw(gens, sizes)
-    w = np.concatenate(list(_enumerate_w(sizes, 1000)))
-    assert len(w) == interleavings(sizes)
-    assert law.pw(w).tobytes() == numeric_pw_oracle(law, w).tobytes()
+    assert table.probability.tobytes() == \
+        numeric_pw_oracle(law, table.w).tobytes()
 
 
 @st.composite
