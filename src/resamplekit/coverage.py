@@ -21,6 +21,7 @@ every W vector, walking the W prefixes on the same moves.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cache, lru_cache
@@ -457,7 +458,13 @@ class _NumericOrderingLaw:
         with np.errstate(over="ignore"):  # a narrow law read far out
             pdf = {g: g.pdf(self.nodes) for g in distinct}
         self.dens = np.stack([pdf[g] for g in generators])
-        self.scale = float(math.prod(math.factorial(n) for n in sizes))
+        scale = math.prod(math.factorial(n) for n in sizes)
+        if scale > sys.float_info.max:
+            raise ValueError(
+                f"sizes {tuple(sizes)} are too large for the numeric "
+                "ordering law: the product of their factorials passes the "
+                "float range; use mode='mc'")
+        self.scale = float(scale)
 
     def running_integral(self, f, out):
         """Running integral from the first edge of each row of ``f`` (values
@@ -625,32 +632,42 @@ def _enumerate_w(func: OrderFunctional, generators, sizes):
     by prefix in label order, adding the hits of ``_move_table`` and
     moving the probability by ``_move_factors``.  Each level is taken in
     pieces of at most ``GRID_CHUNK // width`` prefixes, width the values
-    carried per prefix (1, or the numeric law's nodes).
+    carried per prefix (1, or the numeric law's nodes).  A piece keeps
+    only its rows' parent rows and labels, linked to its parent piece's,
+    so the labels are read back once per row of a final piece.
     """
     _, strides, step = _move_table(func.spec, sizes)
     factor, law = _move_factors(generators, sizes)
     tail = factor.shape[2:]
     per = max(1, GRID_CHUNK // math.prod(tail))
     names = np.arange(1, len(sizes) + 1, dtype=np.min_scalar_type(len(sizes)))
-    pieces = [(np.empty((1, 0), names.dtype), np.zeros(1, dtype=np.intp),
+    depth = sum(sizes)
+    # a trail is None or (parent piece's trail, parent rows, labels)
+    pieces = [(None, 0, np.zeros(1, dtype=np.intp),
                np.zeros(1, dtype=np.int64), np.ones((1,) + tail))]
     while pieces:
-        w, c, hits, p = pieces.pop()
-        if w.shape[1] == sum(sizes):
+        trail, level, c, hits, p = pieces.pop()
+        if level == depth:
+            w = np.empty((len(c), depth), names.dtype)
+            rows = slice(None)
+            for j in reversed(range(depth)):
+                trail, parent, label = trail
+                w[:, j] = names[label[rows]]
+                rows = parent[rows]
             yield w, hits, p if law is None else law.scale * p[:, -1]
             continue
         parent, label = np.nonzero(step[:, c].T >= 0)
         c = c[parent]
-        w = np.column_stack([w[parent], names[label]])
         hits = hits[parent] + step[label, c]
         p = p[parent]
         p *= factor[label, c]
         if law is not None:
             law.running_integral(p, p)
         c = c + strides[label]
-        pieces.extend((w[lo:lo + per], c[lo:lo + per], hits[lo:lo + per],
+        pieces.extend(((trail, parent[lo:lo + per], label[lo:lo + per]),
+                       level + 1, c[lo:lo + per], hits[lo:lo + per],
                        p[lo:lo + per])
-                      for lo in reversed(range(0, len(w), per)))
+                      for lo in reversed(range(0, len(c), per)))
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from ._streams import BLOCK, Lane, _count, block_streams
 from .resampling import EstimateResult, draw_values
 from .samples import SampleSet
 from .systems import SystemSpec, evaluate_batch, parse_system
-from .wave import _cascade, _require_singleton
+from .wave import _Cascade, _require_singleton
 
 __all__ = [
     "estimate_known_g", "estimate_inner_mc", "wave_estimate_vector_samples",
@@ -140,8 +140,8 @@ def wave_estimate_vector_samples(spec: SystemSpec, samples: SampleSet, z_dists,
     _split_args(spec, samples, z_dists)
     _require_singleton(samples)
     N = _count(N, "N")
-    root = _cascade(spec, samples, sizes, seed, Lane.VECTOR_WAVE, z_dists,
-                    (N,))
+    _, root = _Cascade(spec, samples, sizes, seed, Lane.VECTOR_WAVE, z_dists,
+                       (N,)).run()
     per_element = root.mean(axis=1)
     var = float(np.var(per_element, ddof=1)) if len(per_element) > 1 else 0.0
     return EstimateResult(estimate=float(root.mean()),

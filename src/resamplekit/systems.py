@@ -44,8 +44,8 @@ __all__ = [
     "SystemSyntaxError", "SystemValidationError",
     "Input", "Min", "Max", "Sum", "KOfN", "Threshold", "Compare",
     "SystemSpec", "parse_system", "evaluate", "evaluate_batch",
-    "evaluate_grid", "leaf_dependencies", "class_levels", "count_walk",
-    "ClassLattice", "elementary_apply", "render",
+    "evaluate_grid", "leaf_dependencies", "class_levels", "count_rule",
+    "count_walk", "ClassLattice", "elementary_apply", "render",
 ]
 
 
@@ -413,17 +413,36 @@ def class_levels(table, unbounded=()) -> dict[int, float]:
     return levels
 
 
+def count_rule(node, args) -> tuple:
+    """One ``min``/``max``/``kofn`` node's ``(G, cells)`` from its
+    children's: ``args[i] = (G_i, cells_i)`` says that G_i of child i's
+    cells are at or below a point, and the children read disjoint leaves,
+    so the node's cells are the products of theirs.  A max is at or below
+    when all are, a min unless all are above, the k-th largest when fewer
+    than k are above (David and Nagaraja, 2003).  Arrays broadcast; Python
+    ints stay exact."""
+    cells = math.prod([t for _, t in args])
+    if isinstance(node, Max):
+        g = reduce(operator.mul, [c for c, _ in args])
+    elif isinstance(node, Min):
+        g = cells - reduce(operator.mul, [t - c for c, t in args])
+    else:  # ways[j]: the combinations with j children above
+        ways = [1] + [0] * (node.k - 1)
+        for c, t in args:
+            ways = [ways[0] * c] + [ways[j] * c + ways[j - 1] * (t - c)
+                                    for j in range(1, node.k)]
+        g = sum(ways)
+    return g, cells
+
+
 def count_walk(entries, leaves):
-    """Count up a ``min``/``max``/``kofn`` tree: per node, G of its
-    ``cells`` index combinations put it at or below a point.  ``entries``
-    are the tree's post-order ``(id, node, kids)``, a ``cmp`` or ``ind``
-    root last; ``leaves[v] = (G, cells)`` gives each node v of another
-    kind, where the walk stops.  Children read disjoint leaves: a max is
-    at or below when all are, a min unless all are above, the k-th largest
-    when fewer than k are above (David and Nagaraja, 2003).  Arrays
-    broadcast; Python ints stay exact.  Returns the root's children's
-    ``(G, cells)``, reversed for ``<``: the side larger when the root is 1
-    first."""
+    """Count up a ``min``/``max``/``kofn`` tree by :func:`count_rule`: per
+    node, G of its ``cells`` index combinations put it at or below a
+    point.  ``entries`` are the tree's post-order ``(id, node, kids)``, a
+    ``cmp`` or ``ind`` root last; ``leaves[v] = (G, cells)`` gives each
+    node v of another kind, where the walk stops.  Returns the root's
+    children's ``(G, cells)``, reversed for ``<``: the side larger when the
+    root is 1 first."""
     stack = []
     for nid, node, kids in entries[:-1]:
         if not isinstance(node, (Min, Max, KOfN)):
@@ -431,18 +450,7 @@ def count_walk(entries, leaves):
             continue
         cut = len(stack) - len(kids)
         args, stack[cut:] = stack[cut:], []
-        cells = math.prod([t for _, t in args])
-        if isinstance(node, Max):
-            g = reduce(operator.mul, [c for c, _ in args])
-        elif isinstance(node, Min):
-            g = cells - reduce(operator.mul, [t - c for c, t in args])
-        else:  # ways[j]: the combinations with j children above
-            ways = [1] + [0] * (node.k - 1)
-            for c, t in args:
-                ways = [ways[0] * c] + [ways[j] * c + ways[j - 1] * (t - c)
-                                        for j in range(1, node.k)]
-            g = sum(ways)
-        stack.append((g, cells))
+        stack.append(count_rule(node, args))
     return stack if entries[-1][1].op == ">" else stack[::-1]
 
 

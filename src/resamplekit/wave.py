@@ -21,8 +21,15 @@ of the root mean then assembles exactly like the flat case with r = n_k and
 the pattern weights P^k{omega}.
 
 A node that an ``ind`` reads only through its side of the level (the
-threshold-class map ``SystemSpec.class_levels``) keeps its sample as one
-byte per element, u = [v > L], instead of an 8-byte value.
+threshold-class map ``SystemSpec.class_levels``) is read only through its
+class u = [v > L].  Given its children's samples, the elements of such a
+node are i.i.d., so its sample is known up to order by its count of u = 1,
+Binomial(n_v, q) with q the node's reliability polynomial at its
+children's shares (Barlow & Proschan 1975).  :func:`wave_estimate` draws
+that count, one binomial per node, and builds no element there; an ``ind``
+root's estimate is its count over n_k.  The vector cascade, whose N slots
+repeat the data and so are not independent, keeps the class samples as one
+byte per element, u, instead of an 8-byte value.
 
 Every argument must have its own sample (blocks of size one); the cascade
 draws children independently.  One cascade serves :func:`wave_estimate`
@@ -44,7 +51,8 @@ from .pairs import (OmegaPair, VarianceReport, _generator_layout,
                     _variance_report)
 from .resampling import EstimateResult, check_arity
 from .samples import SampleSet
-from .systems import SystemSpec, _node_values, class_levels
+from .systems import (KOfN, Max, Min, SystemSpec, Threshold, _node_values,
+                      class_levels, count_rule, evaluate_grid)
 
 __all__ = [
     "node_sizes", "default_node_sizes", "wave_estimate", "WavePropagation",
@@ -96,94 +104,204 @@ def default_node_sizes(spec: SystemSpec, samples: SampleSet) -> dict[int, int]:
     return sizes
 
 
-def _cascade(spec: SystemSpec, samples: SampleSet, sizes: dict, seed: int,
-             lane: Lane, z_dists=(), slots: tuple = ()) -> np.ndarray:
-    """Build every internal node's sample bottom-up; return the root's.
+class _Cascade:
+    """One run of the cascade over a spec's table: node sizes, which nodes
+    are enumerated, and the samples and counts built so far.
 
     Arguments 1..m read the data, stored once and broadcast over ``slots``;
     arguments m+1.. are known distributions, drawn fresh as
-    ``(rows,) + slots`` values wherever they are a child.  Node v's draws
-    come from the (seed, lane, v) block streams in child order: a Z sample,
-    or one pick per row from a child's sample.  A run of consecutive non-Z
-    children of one sample size takes its picks from one ``integers`` call,
-    cut into one slice per child: bounded integers carry nothing from one
-    call to the next but the generator state, so these are the numbers of
-    one call per child.  A node whose size is the product of its children's
-    sizes, all of them data or enumerated, takes every child combination
-    once and draws nothing.
+    ``(rows,) + slots`` values wherever they are a child.  A node whose
+    size is the product of its children's sizes, all of them data or
+    enumerated, is enumerated: it takes every child combination once.
 
     A node in the threshold-class map (``spec.class_levels``; with Z
     arguments, which may be infinite, :func:`class_levels` with them
-    unbounded) keeps only its class u = [v > L], one byte per element: a
-    data leaf is compared once, a Z draw per block, a ``min``, ``max`` or
-    ``kofn`` of classes takes all, any or at least k of them, and any other
-    node compares its value.  The ``ind`` above reads u, or not u for ``<``.
+    unbounded) is read only through its class u = [v > L].  With
+    ``counts``, such nodes and every ``ind`` over one of them are kept as
+    their count of class 1 (of ones, for an ``ind`` outside the map), see
+    :meth:`_count`; otherwise as one byte per element: a data leaf is
+    compared once, a Z draw per block, a ``min``, ``max`` or ``kofn`` of
+    classes takes all, any or at least k of them, any other node compares
+    its value, and the ``ind`` above reads u, or not u for ``<``.
 
-    Every sampled node's sample is a slice of one of two slabs, one of
-    floats and one of classes, each of the sum of its nodes' n_v rows in
-    post-order, so a call allocates its full-length memory once; a sampled
-    root (never a class node) comes back as a view of the float slab.
+    Every sampled node that keeps a sample holds a slice of one of two
+    slabs, one of floats and one of classes, each of the sum of its nodes'
+    n_v rows in post-order, so a run allocates its full-length memory once;
+    a sampled root that is not counted comes back as a view of the float
+    slab.
     """
-    m = samples.m
-    levels = (class_levels(spec.table, range(m + 1, spec.m + 1)) if z_dists
-              else spec.class_levels)
-    store: dict[int, np.ndarray] = {}
-    for i in range(1, m + 1):
-        v = samples.values_for_arg(i)
-        if i in levels:
-            v = v > levels[i]
-        store[i] = np.broadcast_to(v.reshape(v.shape + (1,) * len(slots)),
-                                   v.shape + slots)
-    n_of = {i: len(v) for i, v in store.items()}
-    exhaustive = dict.fromkeys(store, True)
-    offsets: dict[int, int] = {}
-    totals = {float: 0, bool: 0}  # rows of each slab
-    for nid, _, kids in spec.table:
-        if kids:
-            n_of[nid] = n_v = _size(sizes, nid)
-            exhaustive[nid] = n_v == math.prod(
-                n_of[c] if exhaustive.get(c) else 0 for c in kids)
-            if not exhaustive[nid]:
-                kind = bool if nid in levels else float
-                offsets[nid], totals[kind] = totals[kind], totals[kind] + n_v
-    slabs = {kind: np.empty((total,) + slots, dtype=kind)
-             for kind, total in totals.items()}
-    for nid, node, kids in spec.table:
-        if not kids:
-            continue
+
+    def __init__(self, spec: SystemSpec, samples: SampleSet, sizes: dict,
+                 seed: int, lane: Lane, z_dists=(), slots: tuple = (),
+                 counts: bool = False):
+        self.spec, self.seed, self.lane = spec, seed, lane
+        self.z_dists, self.slots = z_dists, slots
+        self.m = m = samples.m
+        self.levels = levels = (
+            class_levels(spec.table, range(m + 1, spec.m + 1)) if z_dists
+            else spec.class_levels)
+        self.counted = set()  # nodes kept as counts
+        if counts:
+            self.counted = set(levels) | {
+                nid for nid, node, kids in spec.table
+                if isinstance(node, Threshold) and kids[0] in levels}
+        self.store: dict[int, np.ndarray] = {}
+        self.tally: dict[int, int] = {}
+        for i in range(1, m + 1):
+            v = samples.values_for_arg(i)
+            if i in self.counted:
+                self.tally[i] = int(np.count_nonzero(v > levels[i]))
+                continue
+            if i in levels:
+                v = v > levels[i]
+            self.store[i] = np.broadcast_to(
+                v.reshape(v.shape + (1,) * len(slots)), v.shape + slots)
+        self.n_of = n_of = {i: samples.sizes[i - 1] for i in range(1, m + 1)}
+        self.exhaustive = exhaustive = dict.fromkeys(n_of, True)
+        self.offsets: dict[int, int] = {}
+        totals = {float: 0, bool: 0}  # rows of each slab
+        for nid, _, kids in spec.table:
+            if kids:
+                n_of[nid] = n_v = _size(sizes, nid)
+                exhaustive[nid] = n_v == math.prod(
+                    n_of[c] if exhaustive.get(c) else 0 for c in kids)
+                if not (exhaustive[nid] or nid in self.counted):
+                    kind = bool if nid in levels else float
+                    self.offsets[nid], totals[kind] = \
+                        totals[kind], totals[kind] + n_v
+        self.slabs = {kind: np.empty((total,) + slots, dtype=kind)
+                      for kind, total in totals.items()}
+
+    def run(self, keep_root: bool = False):
+        """Build every internal node bottom-up; return the root's count
+        (None unless counted) and its sample (None for a counted root
+        unless ``keep_root``)."""
+        root = self.spec.root_id
+        for nid, node, kids in self.spec.table:
+            if not kids:
+                continue
+            if nid in self.counted:
+                # an ind outside the map is read as values by its parent
+                read = nid not in self.levels and (nid != root or keep_root)
+                self.tally[nid] = self._count(nid, node, kids, read)
+                continue
+            kind = bool if nid in self.levels else float
+            if self.exhaustive[nid]:
+                ((_, _, values),) = self._blocks(nid, node, kids)
+                self.store[nid] = np.asarray(values, dtype=kind)
+                continue
+            at = self.offsets[nid]
+            out = self.slabs[kind][at:at + self.n_of[nid]]
+            for start, stop, values in self._blocks(nid, node, kids):
+                out[start:stop] = values
+            self.store[nid] = out
+        return self.tally.get(root), self.store.get(root)
+
+    def _blocks(self, nid: int, node, kids):
+        """Node ``nid``'s values, or classes if it has a level, as
+        ``(start, stop, values)``: one piece for an enumerated node, else
+        one per block.  Node v's draws come from the (seed, lane, v) block
+        streams in child order: a Z sample, or one pick per row from a
+        child's sample.  A run of consecutive non-Z children of one sample
+        size takes its picks from one ``integers`` call, cut into one slice
+        per child: bounded integers carry nothing from one call to the next
+        but the generator state, so these are the numbers of one call per
+        child."""
+        store, n_of, m = self.store, self.n_of, self.m
+        level = self.levels.get(nid)
+        classes_in = kids[0] in self.levels
         n_v = n_of[nid]
-        level = levels.get(nid)
-        kind = float if level is None else bool
-        classes_in = kids[0] in levels
-        if exhaustive[nid]:
+        if self.exhaustive[nid]:
             picks = np.unravel_index(np.arange(n_v), [n_of[c] for c in kids])
             cols = [store[c][idx] for c, idx in zip(kids, picks)]
-            store[nid] = np.asarray(
-                _node_values(node, cols, classes_in, level), dtype=kind)
-            continue
+            yield 0, n_v, _node_values(node, cols, classes_in, level)
+            return
         runs: list[tuple[int | None, list[int]]] = []  # (size, kids) or Z
         for c in kids:
-            if m < c <= spec.m:
+            if m < c <= self.spec.m:
                 runs.append((None, [c]))
             elif runs and runs[-1][0] == n_of[c]:
                 runs[-1][1].append(c)
             else:
                 runs.append((n_of[c], [c]))
-        out = slabs[kind][offsets[nid]:offsets[nid] + n_v]
-        for start, stop, rng in block_streams(n_v, seed, lane, nid):
+        for start, stop, rng in block_streams(n_v, self.seed, self.lane, nid):
             rows = stop - start
             cols = []
             for n, run in runs:
                 if n is None:
                     c = run[0]
-                    z = z_dists[c - m - 1].sample(rng, (rows,) + slots)
-                    cols.append(z if c not in levels else z > levels[c])
+                    z = self.z_dists[c - m - 1].sample(rng,
+                                                       (rows,) + self.slots)
+                    cols.append(z if c not in self.levels
+                                else z > self.levels[c])
                 else:
                     cols += _picked(store, run, rng.integers(
                         0, n, size=len(run) * rows), rows)
-            out[start:stop] = _node_values(node, cols, classes_in, level)
-        store[nid] = out
-    return store[spec.root_id]
+            yield start, stop, _node_values(node, cols, classes_in, level)
+
+    def _count(self, nid: int, node, kids, read: bool) -> int:
+        """A counted node's count of class 1, or of ones for an ``ind``
+        outside the map.
+
+        Given its children's samples a sampled node's elements are i.i.d.,
+        so its count is Binomial(n_v, q) for the share q that one element
+        has (Barlow & Proschan 1975), exact as a ratio of integers:
+        - a ``min``, ``max`` or ``kofn`` has :func:`count_rule` on its
+          children's counts;
+        - an ``ind`` has its child's share above the level, or at most it
+          for ``<``;
+        - a ``sum`` or ``cmp`` of data leaves whose grid has at most n_v
+          cells has its grid's share above the level, by
+          :func:`evaluate_grid`.
+        An enumerated node takes the share's numerator, its exact count, and
+        draws nothing.  Any other node draws its elements from its
+        children's samples, as :meth:`_blocks`, and counts their classes.
+
+        The draw is the first of the stream (seed, lane, v, 0); an ``ind``
+        that is ``read`` as values then takes a uniform arrangement of its
+        count from the same stream, as ``store[v]``.  An ``ind`` in the map
+        has the class [1 > L] where it is 1 and [0 > L] where 0.
+        """
+        tally, n_of, levels = self.tally, self.n_of, self.levels
+        n_v = n_of[nid]
+        ones = isinstance(node, Threshold) and kids[0] in levels
+        if isinstance(node, (Min, Max, KOfN)):
+            g, cells = count_rule(node, [(n_of[c] - tally[c], n_of[c])
+                                         for c in kids])
+            share = cells - g, cells
+        elif ones:
+            c, n = tally[kids[0]], n_of[kids[0]]
+            share = c if node.op == ">" else n - c, n
+        else:
+            dims = [n_of[c] for c in kids]
+            if any(c > self.m for c in kids) or math.prod(dims) > n_v:
+                return sum(int(np.count_nonzero(values))
+                           for _, _, values in self._blocks(nid, node, kids))
+            leaves = [None] * self.spec.m
+            for axis, c in enumerate(kids):
+                leaves[c - 1] = (axis, self.store[c])
+            share = sum(int(np.count_nonzero(v > levels[nid])) for v in
+                        evaluate_grid(self.spec, leaves, dims, node=nid)), \
+                math.prod(dims)
+        count = share[0]
+        if read or not self.exhaustive[nid]:
+            for _, _, rng in block_streams(1, self.seed, self.lane, nid):
+                if not self.exhaustive[nid]:
+                    count = int(rng.binomial(n_v, share[0] / share[1]))
+                if read:
+                    self.store[nid] = _arranged(count, n_v, rng)
+        if ones and nid in levels:
+            level = levels[nid]
+            count = count * (1 > level) + (n_v - count) * (0 > level)
+        return count
+
+
+def _arranged(count: int, n: int, rng) -> np.ndarray:
+    """``count`` ones and ``n - count`` zeros in a uniformly random order."""
+    values = np.zeros(n)
+    values[:count] = 1.0
+    rng.shuffle(values)
+    return values
 
 
 def _picked(store: dict, run: list, picks: np.ndarray, rows: int) -> list:
@@ -202,20 +320,33 @@ def wave_estimate(spec: SystemSpec, samples: SampleSet, sizes: dict,
     combination once instead of sampling, so a tree sized to the full
     enumeration counts reproduces the exhaustive mean exactly.
 
+    Inside the threshold-class map the cascade draws counts, not elements
+    (see :class:`_Cascade`).  An ``ind`` root is then its count c of ones
+    out of n: the estimate is c / n and the variance c (n - c) / (n (n - 1)),
+    each rounded once; ``keep_values`` adds a uniform arrangement of the
+    c ones and changes neither.
+
     Parameters
     ----------
     sizes : dict
         Node id -> sample size for every internal node, each a positive
         integer (see :func:`node_sizes`); leaf sizes come from the data.
     seed : int
-        Run seed; node v's picks are keyed by (seed, wave-lane, v, block).
+        Run seed; node v's draws are keyed by (seed, wave-lane, v, block).
     """
     _require_singleton(samples)
     check_arity(spec, samples)
-    root = _cascade(spec, samples, sizes, seed, Lane.WAVE)
-    # a kept root must not pin the cascade's slab
-    return EstimateResult.from_values(root.copy() if keep_values else root,
-                                      seed, keep_values)
+    count, root = _Cascade(spec, samples, sizes, seed, Lane.WAVE,
+                           counts=True).run(keep_values)
+    if count is None:
+        # a kept root must not pin the cascade's slab
+        return EstimateResult.from_values(root.copy() if keep_values
+                                          else root, seed, keep_values)
+    n = _size(sizes, spec.root_id)
+    return EstimateResult(
+        estimate=count / n, realizations=n, seed=seed,
+        empirical_variance=count * (n - count) / (n * (n - 1)) if n > 1
+        else 0.0, values=root if keep_values else None)
 
 
 @dataclass(frozen=True)

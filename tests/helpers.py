@@ -34,8 +34,8 @@ from resamplekit.resampling import (EstimateResult, chunk_moments,
                                    draw_index_batch)
 from resamplekit.samples import ordered_draws
 from resamplekit.systems import (GRID_CHUNK, Input, KOfN, Max, Min,
-                                 _node_values, children_of, elementary_apply,
-                                 evaluate, evaluate_batch)
+                                 Threshold, _node_values, children_of,
+                                 elementary_apply, evaluate, evaluate_batch)
 
 
 # -- generated system texts -----------------------------------------------
@@ -57,22 +57,27 @@ def indicator(draw, body):
 
 @st.composite
 def subtree(draw, leaves, ops=("min", "max", "sum", "kofn", "cmp")):
-    """Expression over the given leaves: one of ``ops`` per inner node, and
-    now and then an ``ind`` around a subtree, so that order operators and
-    sums meet indicators and comparisons among their children."""
+    """Expression over the given leaves: one of ``ops`` per inner node, of
+    two to four children (a ``cmp`` of two, a ``kofn`` with any k from 1
+    to its arity), and now and then an ``ind`` around a subtree, so that
+    order operators and sums meet indicators and comparisons among their
+    children."""
     if len(leaves) == 1:
         text = f"x{leaves[0]}"
     else:
-        cut = draw(st.integers(1, len(leaves) - 1))
-        left = draw(subtree(leaves[:cut], ops))
-        right = draw(subtree(leaves[cut:], ops))
         op = draw(st.sampled_from(list(ops)))
+        arity = 2 if op == "cmp" else draw(st.integers(2, min(4, len(leaves))))
+        cuts = sorted(draw(st.lists(st.integers(1, len(leaves) - 1),
+                                    min_size=arity - 1, max_size=arity - 1,
+                                    unique=True)))
+        kids = [draw(subtree(leaves[a:b], ops))
+                for a, b in zip([0] + cuts, cuts + [len(leaves)])]
         if op == "kofn":
-            text = f"kofn({draw(st.integers(1, 2))}; {left}, {right})"
+            text = f"kofn({draw(st.integers(1, arity))}; {', '.join(kids)})"
         elif op == "cmp":
-            text = f"cmp({left} {draw(st.sampled_from('<>'))} {right})"
+            text = f"cmp({kids[0]} {draw(st.sampled_from('<>'))} {kids[1]})"
         else:
-            text = f"{op}({left}, {right})"
+            text = f"{op}({', '.join(kids)})"
     if draw(st.integers(0, 5)) == 0:
         text = draw(indicator(text))
     return text
@@ -870,32 +875,122 @@ def _node_blocks(seed, lane, nid, n_v):
         yield start, stop, substream(seed, lane, nid, b)
 
 
+def _element_oracle(node, kids, nid, n_v, store, enumerated, seed):
+    """One node's sample in the cascade: every child combination once when
+    ``enumerated``, else one pick of each child per row."""
+    if enumerated:
+        counts = [len(store[c]) for c in kids]
+        combos = itertools.product(*(range(cnt) for cnt in counts))
+        idx = np.array(list(combos)).reshape(n_v, len(kids))
+        cols = [store[c][idx[:, j]] for j, c in enumerate(kids)]
+        return np.asarray(elementary_apply(node, cols), dtype=float)
+    out = np.empty(n_v)
+    for start, stop, rng in _node_blocks(seed, Lane.WAVE, nid, n_v):
+        cols = [store[c][rng.integers(0, len(store[c]), size=stop - start)]
+                for c in kids]
+        out[start:stop] = elementary_apply(node, cols)
+    return out
+
+
+def _enumerated(spec, sizes, m) -> set:
+    """The nodes sized to the product of their children's sizes, all of
+    them leaves or enumerated; leaves count as enumerated."""
+    done = set(range(1, m + 1))
+    for nid, _, kids in spec.table:
+        if kids and all(c in done for c in kids) and int(sizes[nid]) \
+                == math.prod(int(sizes[c]) for c in kids):
+            done.add(nid)
+    return done
+
+
 def wave_oracle(spec, samples, sizes, seed) -> EstimateResult:
     """wave_estimate as a loop over the spec's table: a node sized to the
     product of its children's sizes, all leaves or enumerated, lists every
     child combination; any other node picks one element of each child per
     row."""
     store = {i: samples.values_for_arg(i) for i in range(1, spec.m + 1)}
-    exhaustive = {i: True for i in range(1, spec.m + 1)}
+    sizes = dict(sizes) | {i: len(v) for i, v in store.items()}
+    enumerated = _enumerated(spec, sizes, spec.m)
+    for nid, node, kids in spec.table:
+        if kids:
+            store[nid] = _element_oracle(node, kids, nid, int(sizes[nid]),
+                                         store, nid in enumerated, seed)
+    root = store[spec.root_id]
+    return dataclasses.replace(estimate_result_oracle(root, seed), values=root)
+
+
+def _above_chance(node, shares) -> Fraction:
+    """The chance that a ``min``, ``max`` or ``kofn`` is above its level
+    when child i is above with chance ``shares[i]``, independently: the sum
+    over every subset of children above."""
+    need = {Min: len(shares), Max: 1}.get(type(node), getattr(node, "k", 0))
+    return sum((math.prod(p if up else 1 - p for p, up in zip(shares, ups))
+                for ups in itertools.product((False, True), repeat=len(shares))
+                if sum(ups) >= need), Fraction(0))
+
+
+def wave_count_oracle(spec, samples, sizes, seed) -> EstimateResult:
+    """wave_estimate on counts, as a loop over the spec's table.  A node of
+    the class map, or an ``ind`` over one, is a count: given its children
+    its elements are i.i.d., above the level (or 1) with a chance q, so it
+    is q n_v when enumerated, else one binomial draw of n_v at q off the
+    stream (seed, wave lane, node, 0).  q is an exact fraction: summed over
+    the subsets of children above for ``min``, ``max`` and ``kofn``, the
+    child's share for an ``ind``, the share of grid cells above for a node
+    of data leaves whose grid has at most n_v cells.  Any other node of the
+    map counts its sampled classes.  An ``ind`` outside the map is
+    shuffled into a 0/1 sample off the same stream; every other node is
+    sampled as in :func:`wave_oracle`."""
+    m, levels = spec.m, spec.class_levels
+    store = {i: samples.values_for_arg(i) for i in range(1, m + 1)}
+    sizes = dict(sizes) | {i: len(v) for i, v in store.items()}
+    enumerated = _enumerated(spec, sizes, m)
+    above = {i: int(np.sum(store[i] > levels[i])) for i in store
+             if i in levels}
     for nid, node, kids in spec.table:
         if not kids:
             continue
         n_v = int(sizes[nid])
-        counts = [len(store[c]) for c in kids]
-        if all(exhaustive[c] for c in kids) and n_v == math.prod(counts):
-            combos = itertools.product(*(range(cnt) for cnt in counts))
-            idx = np.array(list(combos)).reshape(n_v, len(kids))
-            cols = [store[c][idx[:, j]] for j, c in enumerate(kids)]
-            store[nid] = np.asarray(elementary_apply(node, cols), dtype=float)
-            exhaustive[nid] = True
+        over_class = isinstance(node, Threshold) and kids[0] in levels
+        if not (nid in levels or over_class):
+            store[nid] = _element_oracle(node, kids, nid, n_v, store,
+                                         nid in enumerated, seed)
             continue
-        exhaustive[nid] = False
-        out = np.empty(n_v)
-        for start, stop, rng in _node_blocks(seed, Lane.WAVE, nid, n_v):
-            cols = [store[c][rng.integers(0, len(store[c]), size=stop - start)]
-                    for c in kids]
-            out[start:stop] = elementary_apply(node, cols)
-        store[nid] = out
+        q = None
+        if isinstance(node, (Min, Max, KOfN)):
+            q = _above_chance(node, [Fraction(above[c], int(sizes[c]))
+                                     for c in kids])
+        elif over_class:
+            q = Fraction(above[kids[0]], int(sizes[kids[0]]))
+            q = q if node.op == ">" else 1 - q
+        elif all(c <= m for c in kids) \
+                and math.prod(len(store[c]) for c in kids) <= n_v:
+            cells = [float(elementary_apply(node, [np.array([x])
+                                                   for x in row])[0])
+                     for row in itertools.product(*(store[c] for c in kids))]
+            q = Fraction(sum(v > levels[nid] for v in cells), len(cells))
+        if q is None:
+            values = _element_oracle(node, kids, nid, n_v, store,
+                                     nid in enumerated, seed)
+            above[nid] = int(np.sum(values > levels[nid]))
+            continue
+        rng = substream(seed, Lane.WAVE, nid, 0)
+        count = int(q * n_v) if nid in enumerated \
+            else int(rng.binomial(n_v, float(q)))
+        if nid in levels:
+            above[nid] = count if not over_class else \
+                count * (1 > levels[nid]) + (n_v - count) * (0 > levels[nid])
+            continue
+        values = np.zeros(n_v)
+        values[:count] = 1.0
+        rng.shuffle(values)
+        store[nid] = values
+        if nid == spec.root_id:
+            return EstimateResult(
+                estimate=count / n_v, realizations=n_v, seed=seed,
+                empirical_variance=float(Fraction(count * (n_v - count),
+                                                  n_v * (n_v - 1)))
+                if n_v > 1 else 0.0, values=values)
     root = store[spec.root_id]
     return dataclasses.replace(estimate_result_oracle(root, seed), values=root)
 

@@ -464,6 +464,18 @@ def test_coverage_exact_refuses_an_overflowing_quantile_span(files, capsys):
     assert "overflows" in env["message"] and "mode='mc'" in env["message"]
 
 
+def test_coverage_exact_refuses_sizes_past_the_float_range(tmp_path,
+                                                           capsys):
+    spec = tmp_path / "pair.txt"
+    spec.write_text("cmp(x2 < x1)")
+    code, env = error_of(capsys, [
+        "coverage", "--spec", str(spec), "--gen", "normal:0,1,normal:0,1",
+        "--sizes", "171,1", "--gamma", "0.9", "--theta", "0.5", "--k", "10",
+        "--r", "16"])
+    assert (code, env["code"]) == (2, "schema-violation")
+    assert "too large" in env["message"] and "mode='mc'" in env["message"]
+
+
 def test_coverage_mc_requires_seed(files, capsys):
     code, env = error_of(capsys, [
         "coverage", "--spec", str(files["race"]), "--gen", "exp:3,exp:3,exp:2",

@@ -28,7 +28,7 @@ from resamplekit.coverage import (
     w_vector,
 )
 import resamplekit.coverage as coverage_module
-from resamplekit.coverage import _hit_law
+from resamplekit.coverage import _hit_law, _NumericOrderingLaw
 from resamplekit.distributions import (empirical, exponential, normal,
                                       parse_distribution, uniform)
 from resamplekit.samples import SampleSet
@@ -411,6 +411,24 @@ def test_numeric_law_refuses_a_quantile_span_that_overflows(min_race):
         for call in (coverage_R, protocol_table):
             with pytest.raises(ValueError, match="overflows.*mode='mc'"):
                 call(min_race, gens, (2, 2, 2), 0.25, 0.9, 10, 16)
+
+
+@pytest.mark.parametrize("sizes", [(171, 1), (168, 10)])
+def test_numeric_law_refuses_sizes_whose_factorials_pass_the_float_range(
+        sizes):
+    """171! and 168! 10! pass 1.8e308: exact coverage (and at (171, 1) the
+    protocol table) raises ValueError, pointing to mc mode, where the scale
+    used to raise a bare OverflowError.  At (170, 1) the scale is finite
+    and the law is built."""
+    race = OrderFunctional(parse_system("cmp(x2 < x1)"))
+    gens = [normal(0.0, 1.0)] * 2
+    calls = (coverage_R, protocol_table) if sizes == (171, 1) \
+        else (coverage_R,)
+    for call in calls:
+        with pytest.raises(ValueError, match="too large.*mode='mc'"):
+            call(race, gens, sizes, 0.5, 0.9, 10, 16)
+    assert _NumericOrderingLaw(gens, (170, 1)).scale \
+        == float(math.factorial(170))
 
 
 # -- unconditional coverage ------------------------------------------------

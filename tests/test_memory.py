@@ -2,7 +2,8 @@
 
 A call allocates each full-length array once: the cascade of
 :func:`wave_estimate` keeps every sampled node in one of two slabs, floats
-and one-byte threshold classes, and
+and one-byte threshold classes, or, inside the class map, only its count,
+and
 :meth:`EstimateResult.from_values` takes the variance pass in the
 realization buffer.  Kept values are the realizations themselves, in an
 array of their own.  A wide draw without replacement is read off its
@@ -25,6 +26,9 @@ from resamplekit._streams import BLOCK, _code_draws, joined_prefix
 from helpers import peak_bytes
 
 TREE6 = "ind(min(max(x1, x2), max(x3, x4), sum(x5, x6)) > t)"
+# TREE6's body under a one-child sum: no ind, so the cascade samples every
+# node's elements
+BODY6 = "sum(min(max(x1, x2), max(x3, x4), sum(x5, x6)))"
 Z_DISTS = [exponential(1.0), exponential(0.5), exponential(2.0)]
 
 
@@ -34,6 +38,11 @@ def tree6():
     samples = SampleSet.from_samples(
         [(f"x{i}", rng.exponential(1.0, 50)) for i in range(1, 7)])
     return parse_system(TREE6, params={"t": 1.0}), samples
+
+
+@pytest.fixture(scope="module")
+def body6(tree6):
+    return parse_system(BODY6), tree6[1]
 
 
 def _sizes(spec, samples, root_n, other_n):
@@ -46,19 +55,28 @@ def _sizes(spec, samples, root_n, other_n):
 
 @pytest.mark.parametrize("root_n, other_n", [(1 << 16, 1 << 16),
                                              (1 << 18, 1 << 12)])
-def test_wave_estimate_holds_one_slab(tree6, root_n, other_n):
-    # the node samples and the variance pass fit in the slabs, 8 bytes a
-    # row for the root and 1 byte a row for the four class nodes under it,
-    # plus the per-block temporaries: the picks, the gathered children and
-    # a node's values, a few 4,096-row float columns.  Float samples of the
-    # class nodes break the bound at 2^16, and a root that outgrows the
-    # rest shows a second root-length array at once
-    spec, samples = tree6
+def test_wave_estimate_holds_one_slab(body6, root_n, other_n):
+    # the node samples and the variance pass fit in the slab, 8 bytes a row
+    # for each node, plus the per-block temporaries: the picks, the
+    # gathered children and a node's values, a few 4,096-row float
+    # columns.  A root that outgrows the rest shows a second root-length
+    # array at once
+    spec, samples = body6
     sizes = _sizes(spec, samples, root_n, other_n)
     slab = sum(sizes[nid] * (1 if nid in spec.class_levels else 8)
                for nid, _, kids in spec.table if kids)
     peak = peak_bytes(lambda: wave_estimate(spec, samples, sizes, seed=3))
     assert peak <= 1.15 * slab + 4 * 8 * BLOCK
+
+
+def test_count_cascade_holds_no_node_sample(tree6):
+    # inside the class map the cascade keeps counts: at 2^18 a node, one
+    # class sample would be 256 KB, and the sum(x5, x6) grid of 2,500
+    # cells is the largest array made
+    spec, samples = tree6
+    sizes = _sizes(spec, samples, 1 << 18, 1 << 18)
+    assert peak_bytes(lambda: wave_estimate(spec, samples, sizes, seed=3)) \
+        <= 4 * 8 * BLOCK
 
 
 def test_estimate_theta_holds_one_realization_array():
@@ -91,9 +109,9 @@ def test_rank_table_holds_one_float_per_cell_of_at_most_block():
     assert kept <= 8 * BLOCK + 2048
 
 
-def test_wave_estimate_keeps_nothing_after_it_returns(tree6):
+def test_wave_estimate_keeps_nothing_after_it_returns(body6):
     # a buffer kept across calls would hold at least one node sample
-    spec, samples = tree6
+    spec, samples = body6
     sizes = _sizes(spec, samples, 1 << 16, 1 << 16)
     wave_estimate(spec, samples, sizes, seed=8)
     tracemalloc.start()
@@ -136,13 +154,14 @@ def test_damage_study_holds_no_count_per_realization():
 
 def _estimators(tree6):
     spec6, samples6 = tree6
+    body6 = parse_system(BODY6)  # wave_estimate samples its root
     x = SampleSet.from_json({"x1": [0.4, 1.3, 0.9], "x2": [1.2, 0.6, 2.0],
                              "x3": [0.2, 0.7, 1.1]})
     branch = three_branch_system(1.0)
     g = three_branch_conditional(1.0, Z_DISTS)
     pair = RenewalPair([3.0, 1.0, 4.0, 2.0], [2.5, 0.5, 3.5, 1.5],
                        m_x=2, m_y=1)
-    sizes = _sizes(spec6, samples6, 5000, 3000)
+    sizes = _sizes(body6, samples6, 5000, 3000)
     return {
         "estimate_theta": lambda keep: estimate_theta(
             spec6, samples6, 5000, seed=1, keep_values=keep),
@@ -153,7 +172,7 @@ def _estimators(tree6):
         "estimate_exceedance": lambda keep: estimate_exceedance(
             pair, 5000, seed=4, keep_values=keep),
         "wave_estimate": lambda keep: wave_estimate(
-            spec6, samples6, sizes, seed=5, keep_values=keep),
+            body6, samples6, sizes, seed=5, keep_values=keep),
     }
 
 

@@ -13,8 +13,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 import resamplekit.coverage as coverage_module
 import resamplekit.pairs as pairs_module
@@ -52,7 +53,8 @@ from helpers import (CHAIN_OPS, block_of_arg, coverage_oracle,
                      race_probability_oracle,
                      resampling_interval_oracle, shared_pair_moment_oracle,
                      support_matching_oracle, support_moments_oracle,
-                     systems, vector_wave_oracle, wave_oracle)
+                     subtree, systems, var_se, vector_wave_oracle,
+                     wave_count_oracle, wave_oracle)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30,
                     database=None)
@@ -1365,8 +1367,12 @@ def enumerated_nodes(spec, data_args, counts, sizes):
 def test_cascade_equals_a_loop_per_estimator(problem, seed, N):
     spec, full, m, z_dists, sizes = problem
     got = wave_estimate(spec, full, sizes, seed, keep_values=True)
-    assert result_bits(got) == result_bits(wave_oracle(spec, full, sizes,
-                                                       seed))
+    # the scalar cascade draws counts inside the threshold-class map
+    oracle = wave_count_oracle if spec.class_levels else wave_oracle
+    assert result_bits(got) == result_bits(oracle(spec, full, sizes, seed))
+    plain = dataclasses.replace(wave_estimate(spec, full, sizes, seed),
+                                values=got.values)
+    assert result_bits(plain) == result_bits(got)
     # the vector cascade binds the first m arguments to data
     samples = SampleSet.from_samples(
         [(f"x{i}", full.values_for_arg(i)) for i in range(1, m + 1)])
@@ -1377,3 +1383,59 @@ def test_cascade_equals_a_loop_per_estimator(problem, seed, N):
         return  # the one documented difference: the oracle samples them
     want = vector_wave_oracle(spec, samples, z_dists, N, sizes, seed)
     assert result_bits(got) == result_bits(want)
+
+
+@st.composite
+def threshold_wave_problems(draw):
+    """An ``ind`` over a tree of ``min``, ``max``, ``kofn`` and ``sum``
+    nodes on three to six data arguments, data on a coarse grid so that
+    classes tie and mix, and node sizes of 2 to 30."""
+    m = draw(st.integers(3, 6))
+    leaves = draw(st.permutations(range(1, m + 1)))
+    spec = parse_system(draw(indicator(draw(subtree(
+        leaves, ("min", "max", "kofn", "sum"))))))
+    values = st.sampled_from([0.5, 1.0, 1.25, 2.0, 3.0])
+    full = SampleSet.from_samples(
+        [(f"x{i}", draw(st.lists(values, min_size=2, max_size=5)))
+         for i in range(1, m + 1)])
+    sizes = {nid: draw(st.integers(2, 30)) for nid, _, kids in spec.table
+             if kids}
+    return spec, full, sizes
+
+
+@settings(PROPERTY, max_examples=300)
+@given(problem=threshold_wave_problems(), seed=st.integers(0, 2**32 - 1))
+def test_count_cascade_equals_the_count_loop_on_threshold_systems(problem,
+                                                                  seed):
+    """Every generated threshold system, wide nodes and all, gives the bits
+    of :func:`wave_count_oracle`, whose rules sum over subsets of
+    children."""
+    spec, full, sizes = problem
+    got = wave_estimate(spec, full, sizes, seed, keep_values=True)
+    assert result_bits(got) \
+        == result_bits(wave_count_oracle(spec, full, sizes, seed))
+
+
+@settings(PROPERTY, max_examples=12)
+@given(problem=threshold_wave_problems())
+@example(problem=(  # a sum of data leaves drawn off its 9-cell grid
+    parse_system("ind(max(min(x1, x2), sum(x3, x4)) > 2.2)"),
+    SampleSet.from_json({"x1": [1.0, 3.0], "x2": [2.5, 0.5, 3.0],
+                         "x3": [0.5, 1.25, 2.0], "x4": [0.5, 1.0, 3.0]}),
+    {5: 4, 6: 12, 7: 5, 8: 6}))
+def test_count_cascade_has_the_element_cascades_law(problem):
+    """Over 400 seeds each, the count cascade's estimates and the element
+    cascade's (the loop of :func:`wave_oracle`) agree in mean and variance
+    within 4 SE, and a two-sample KS test does not tell them apart."""
+    spec, full, sizes = problem
+    assert spec.class_levels
+    seeds = range(400)
+    counts = np.array([wave_estimate(spec, full, sizes, k).estimate
+                       for k in seeds])
+    elements = np.array([wave_oracle(spec, full, sizes, k).estimate
+                         for k in seeds])
+    se = math.hypot(counts.std(ddof=1), elements.std(ddof=1)) / 20.0
+    assert abs(counts.mean() - elements.mean()) <= 4 * se + 1e-12
+    assert abs(counts.var(ddof=1) - elements.var(ddof=1)) \
+        <= 4 * math.hypot(var_se(counts), var_se(elements)) + 1e-12
+    assert stats.ks_2samp(counts, elements).pvalue > 1e-3

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from resamplekit import (SampleSet, default_node_sizes, estimate_theta,
 from resamplekit._streams import BLOCK
 
 from helpers import (pattern_probabilities, trace_wave_patterns, var_se,
-                     vector_wave_oracle, wave_oracle)
+                     vector_wave_oracle, wave_count_oracle, wave_oracle)
 
 
 @pytest.fixture(scope="module")
@@ -237,11 +238,11 @@ def counted_picks(monkeypatch):
 
 
 def test_one_pick_draw_per_run_of_equal_size_siblings(monkeypatch):
-    """TREE6 with x4 and sum(x5, x6) sized apart from their siblings: the
-    max over x3, x4 and the min over the three branches draw twice per
-    block, every other node once."""
-    spec = parse_system(
-        "ind(min(max(x1, x2), max(x3, x4), sum(x5, x6)) > t)", {"t": 1.0})
+    """TREE6's body under a one-child sum (no ``ind``, so no class counts),
+    with x4 and sum(x5, x6) sized apart from their siblings: the max over
+    x3, x4 and the min over the three branches draw twice per block, every
+    other node once."""
+    spec = parse_system("sum(min(max(x1, x2), max(x3, x4), sum(x5, x6)))")
     rng = np.random.default_rng(9)
     samples = SampleSet.from_samples(
         [(f"x{i}", rng.exponential(1.0, 40 if i == 4 else 50))
@@ -274,6 +275,130 @@ def test_z_children_split_the_runs_of_picks(monkeypatch):
     monkeypatch.undo()
     want = vector_wave_oracle(spec, samples, z_dists, 2, sizes, seed=3)
     assert got.values.tobytes() == want.values.tobytes()
+
+
+# -- class counts ---------------------------------------------------------
+
+TREE6 = "ind(min(max(x1, x2), max(x3, x4), sum(x5, x6)) > t)"
+
+
+@pytest.fixture(scope="module")
+def tree6_50():
+    rng = np.random.default_rng(9)
+    samples = SampleSet.from_samples(
+        [(f"x{i}", rng.exponential(1.0, 50)) for i in range(1, 7)])
+    return parse_system(TREE6, {"t": 1.0}), samples
+
+
+class CallLog:
+    """A generator stand-in that logs which of its methods are called."""
+
+    def __init__(self, rng, log, key):
+        self._rng, self._log, self._key = rng, log, key
+
+    def __getattr__(self, name):
+        self._log.append((self._key, name))
+        return getattr(self._rng, name)
+
+
+def logged_streams(monkeypatch):
+    """Patch the cascade's block streams; return the list of
+    ``((node, total), method)`` calls."""
+    log = []
+    real = wave_module.block_streams
+
+    def streams(total, seed, lane, nid):
+        for start, stop, rng in real(total, seed, lane, nid):
+            yield start, stop, CallLog(rng, log, (nid, total))
+
+    monkeypatch.setattr(wave_module, "block_streams", streams)
+    return log
+
+
+def test_a_class_node_is_one_binomial_draw(monkeypatch, tree6_50):
+    """At 2^18 a node, every node of TREE6 takes one binomial draw off
+    its first stream: the maxes and the min on their children's counts,
+    sum(x5, x6) on the share of its 2,500-cell grid, the ind root on the
+    min's; none picks an element.  Sized below its grid, the sum samples
+    its elements, one pick draw, and keeps their count."""
+    spec, samples = tree6_50
+    sizes = node_sizes(spec, samples, dict.fromkeys(range(7, 12), 1 << 18))
+    log = logged_streams(monkeypatch)
+    wave_estimate(spec, samples, sizes, seed=4)
+    assert log == [((nid, 1), "binomial") for nid in range(7, 12)]
+    log.clear()
+    sizes[9] = 2000
+    wave_estimate(spec, samples, sizes, seed=4)
+    assert log == [((nid, 1), "binomial") for nid in (7, 8)] \
+        + [((9, 2000), "integers")] \
+        + [((nid, 1), "binomial") for nid in (10, 11)]
+
+
+def test_enumerated_class_nodes_draw_nothing(monkeypatch, six_tree, six_data):
+    """Sized to the enumeration counts, six_tree's nodes take their exact
+    counts and open no stream; a kept root opens one, for its arrangement."""
+    sizes = node_sizes(six_tree, six_data, {7: 4, 8: 4, 9: 4, 10: 64, 11: 64})
+    log = logged_streams(monkeypatch)
+    wave_estimate(six_tree, six_data, sizes, seed=1)
+    assert log == []
+    got = wave_estimate(six_tree, six_data, sizes, seed=1, keep_values=True)
+    assert log == [((11, 1), "shuffle")]
+    assert got.estimate == exhaustive_theta(six_tree, six_data)
+
+
+@pytest.mark.parametrize("root_n", [1, 2, 7, BLOCK + 1, 1 << 18])
+def test_kept_values_leave_the_count_estimate_bits(tree6_50, root_n):
+    """An ``ind`` root is its count c of ones out of n: the estimate c / n
+    and the variance c (n - c) / (n (n - 1)), each rounded once, with or
+    without the kept values, which are c ones in an array of their own."""
+    spec, samples = tree6_50
+    sizes = node_sizes(spec, samples, {7: 300, 8: 300, 9: 3000, 10: 500,
+                                       11: root_n})
+    for seed in range(5):
+        kept = wave_estimate(spec, samples, sizes, seed, keep_values=True)
+        plain = wave_estimate(spec, samples, sizes, seed)
+        assert plain.values is None
+        for name in ("estimate", "empirical_variance"):
+            assert np.float64(getattr(kept, name)).tobytes() \
+                == np.float64(getattr(plain, name)).tobytes()
+        values = kept.values
+        assert values.flags.owndata and values.base is None
+        assert set(np.unique(values)) <= {0.0, 1.0}
+        c, n = int(values.sum()), root_n
+        assert kept.realizations == n
+        assert kept.estimate == c / n
+        assert kept.empirical_variance == (
+            float(Fraction(c * (n - c), n * (n - 1))) if n > 1 else 0.0)
+
+
+def test_a_grid_node_draws_its_count_as_the_count_loop_does():
+    """sum(x5, x6) on 5 x 5 values, sized 40, draws its count at the share
+    of its 25-cell grid above the level; TREE6 gives the count loop's
+    bits, kept values and all."""
+    spec = parse_system(TREE6, {"t": 1.5})
+    rng = np.random.default_rng(3)
+    samples = SampleSet.from_samples(
+        [(f"x{i}", rng.exponential(1.0, 5)) for i in range(1, 7)])
+    sizes = node_sizes(spec, samples, {7: 30, 8: 30, 9: 40, 10: 50, 11: 60})
+    for seed in range(3):
+        got = wave_estimate(spec, samples, sizes, seed, keep_values=True)
+        want = wave_count_oracle(spec, samples, sizes, seed)
+        assert (got.estimate, got.empirical_variance) \
+            == (want.estimate, want.empirical_variance)
+        assert got.values.tobytes() == want.values.tobytes()
+
+
+def test_an_ind_read_by_a_sum_is_an_arrangement_of_its_count():
+    """An ``ind`` under a ``sum`` is drawn as a count and read as a 0/1
+    sample; the sum then picks from it as from any sample."""
+    spec = parse_system("sum(ind(max(x1, x2) > 1.0), x3)")
+    samples = SampleSet.from_json({"x1": [0.5, 2.0, 0.2], "x2": [0.1, 0.3],
+                                   "x3": [10.0, 20.0]})
+    sizes = node_sizes(spec, samples, {4: 2000, 5: 5000, 6: 3000})
+    got = wave_estimate(spec, samples, sizes, seed=2, keep_values=True)
+    want = wave_count_oracle(spec, samples, sizes, seed=2)
+    assert got.values.tobytes() == want.values.tobytes()
+    assert set(np.unique(got.values)) <= {10.0, 11.0, 20.0, 21.0}
 
 
 # -- propagation ----------------------------------------------------------
