@@ -117,6 +117,15 @@ def _count(value, name: str, least: int = 1) -> int:
     return value
 
 
+def _int64_count(value, name: str, least: int = 1) -> int:
+    """:func:`_count` for a count that numpy holds as an int64: one of
+    2**63 or more raises ValueError, before it reaches numpy."""
+    value = _count(value, name, least)
+    if value >= 2 ** 63:
+        raise ValueError(f"{name} must be below 2**63, got {value}")
+    return value
+
+
 def block_ranges(total: int, block: int = BLOCK):
     """Yield ``(index, start, stop)`` triples covering ``range(total)``."""
     b = 0

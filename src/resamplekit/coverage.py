@@ -28,14 +28,14 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from ._streams import (Lane, _count, block_count, block_ranges,
+from ._streams import (Lane, _int64_count, block_count, block_ranges,
                        block_streams, substreams)
 from .budget import check_budget, enumeration_budget
 from .distributions import binom_cdf, binom_sf
-from .resampling import check_arity, draw_values
+from .resampling import check_arity, realization_values
 from .samples import SampleSet
 from .systems import (GRID_CHUNK, Compare, Input, KOfN, Max, Min, SystemSpec,
-                      count_walk, evaluate_batch, parse_system, render)
+                      count_walk, parse_system, render)
 
 __all__ = [
     "OrderFunctional", "WVector", "Protocol", "CoverageReport",
@@ -91,7 +91,7 @@ class WVector:
     w: tuple[int, ...]
 
     def __post_init__(self):
-        w = tuple(_count(x, "W label") for x in self.w)
+        w = tuple(_int64_count(x, "W label") for x in self.w)
         labels = sorted(set(w))
         if not labels:
             raise ValueError("empty W vector")
@@ -123,7 +123,7 @@ class Protocol:
     def __post_init__(self):
         object.__setattr__(
             self, "counts",
-            tuple(tuple(_count(c, "protocol count", 0) for c in row)
+            tuple(tuple(_int64_count(c, "protocol count", 0) for c in row)
                   for row in self.counts))
 
     @property
@@ -271,14 +271,14 @@ def rho(q, theta: float, r: int):
     The upper summation limit is read strictly: successes up to
     ceil(theta r) - 1 (an epsilon guards float ceilings).  ``q`` may be an
     array; a scalar gives a float.  ``r`` must be an integer (TypeError for
-    a bool or a float) of at least 1, and ``theta`` finite and in [0, 1]
-    (ValueError).
+    a bool or a float) of at least 1 and below 2**63, and ``theta`` finite
+    and in [0, 1] (ValueError).
     """
     qs = np.asarray(q, dtype=float)
     bad = qs[~((qs >= 0.0) & (qs <= 1.0))]
     if bad.size:
         raise ValueError(f"q must be in [0,1], got {bad[0]}")
-    r = _count(r, "r")
+    r = _int64_count(r, "r")
     _check_theta(theta)
     kmax = math.ceil(theta * r - _EPS) - 1
     if kmax < 0:
@@ -302,9 +302,10 @@ def alpha_floor(alpha: float, k: int) -> int:
     """floor(alpha k) = max{xi >= 1 : xi <= alpha k}, epsilon-guarded.
 
     Raises when alpha k < 1: the quantile interval is undefined there, and
-    as :func:`rho` does for r when ``k`` is no integer of at least 1.
+    as :func:`rho` does for r when ``k`` is no integer of at least 1 and
+    below 2**63.
     """
-    k = _count(k, "k")
+    k = _int64_count(k, "k")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
     j = math.floor(alpha * k + _EPS)
@@ -322,7 +323,7 @@ def coverage_conditional(rho_, k: int, alpha):
     (rho per row in a column, one alpha per column); scalars give a float.
     ``k`` is checked as :func:`rho` checks r.
     """
-    k = _count(k, "k")
+    k = _int64_count(k, "k")
     rhos = np.asarray(rho_, dtype=float)
     bad = rhos[~((rhos >= 0.0) & (rhos <= 1.0))]
     if bad.size:
@@ -750,8 +751,8 @@ def _check_problem(func: OrderFunctional, generators, sizes, theta, gamma,
                    k: int, r: int):
     """Validated (sizes, generators, gammas, alphas, k, r) of a coverage
     problem."""
-    sizes = tuple(_count(n, "sample size") for n in sizes)
-    k, r = _count(k, "k"), _count(r, "r")
+    sizes = tuple(_int64_count(n, "sample size") for n in sizes)
+    k, r = _int64_count(k, "k"), _int64_count(r, "r")
     generators = tuple(generators)
     if len(generators) != func.m or len(sizes) != func.m:
         raise ValueError(
@@ -803,7 +804,7 @@ def coverage_R(func: OrderFunctional, generators, sizes, theta: float,
         raise ValueError(f"mode must be 'exact' or 'mc', got {mode!r}")
     if seed is None:
         raise ValueError("mc mode needs a seed")
-    replications = _count(replications, "replications", 2)
+    replications = _int64_count(replications, "replications", 2)
     rc_all = np.empty((replications, len(gammas)))
     labels = np.repeat(np.arange(1, len(sizes) + 1), sizes)
     for start, stop, rng in block_streams(replications, seed,
@@ -886,7 +887,7 @@ def resampling_interval(func: OrderFunctional, samples: SampleSet,
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0,1), got {gamma}")
     j0 = alpha_floor(1.0 - gamma, k)
-    r = _count(r, "r")
+    r = _int64_count(r, "r")
     estimates = np.empty(k)
     blocks = block_count(r)
     # experiment e, block b draws from the substream (seed, lane, e, b)
@@ -894,11 +895,10 @@ def resampling_interval(func: OrderFunctional, samples: SampleSet,
                          np.repeat(np.arange(k), blocks),
                          np.tile(np.arange(blocks), k))
     for e in range(k):
-        values = np.empty(r)
-        for (_, start, stop), rng in zip(block_ranges(r), streams):
-            values[start:stop] = evaluate_batch(
-                func.spec, draw_values(samples, stop - start, rng).T)
-        estimates[e] = values.mean()
+        experiment = ((start, stop, rng) for (_, start, stop), rng
+                      in zip(block_ranges(r), streams))
+        estimates[e] = realization_values(func.spec, samples, r,
+                                          experiment).mean()
     a = float(np.sort(estimates)[j0 - 1])
     return IntervalResult(a=a, interval=(a, 1.0), gamma=gamma, k=k, r=r,
                           estimates=tuple(float(x) for x in estimates))

@@ -31,7 +31,8 @@ data Moebius inversion leaves those that coincide exactly, which every
 pattern family reads (:func:`_pair_sums`).  A threshold system that reads
 each argument of a singleton layout only through its side of the level
 puts that tensor on its 2^m lattice of classes, each class weighted by
-its count of values (:func:`_class_at_least_sums`).
+its count of values (:func:`_class_at_least_sums`), where
+:func:`_class_tensor_counts` takes that route.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 from ._streams import Lane, _count, block_streams
 from .budget import check_budget
 from .distributions import KnownDistribution
-from .resampling import (check_arity, chunk_moments, class_moments,
+from .resampling import (ExhaustiveMoments, check_arity, chunk_moments,
                          grid_values)
 from .samples import BlockLayout, SampleSet, _draw_table
 from .systems import SystemSpec, evaluate_batch, evaluate_grid
@@ -567,10 +568,10 @@ def _pair_sums(spec, source, layout: BlockLayout, budget):
     nodes reads each argument through its class alone.  There T is the
     2^m lattice, each class standing for its count of values, and
     :func:`_class_at_least_sums` gives every A(tau) as an exact integer, so
-    every pair sum and moment keeps the bits of the position tensor.
-    :func:`resampling.class_moments` decides that route (its 3^m class
-    cells no more than the prod n_i positions) and charges the cells it
-    builds.
+    every pair sum and moment keeps the bits of the position tensor
+    (:func:`_class_tensor_counts` decides that route).  mu = mu2 is the
+    lattice's hit count over prod n_i, as in
+    :func:`resampling.exhaustive_moments`.
     """
     data = isinstance(source, SampleSet)
     if data:
@@ -589,9 +590,11 @@ def _pair_sums(spec, source, layout: BlockLayout, budget):
         held *= (n + 1) ** k
     held -= math.prod(n + 1 for args, n in blocks if len(args) == 1)
     plans = [_block_plan(args) for args, _ in blocks]
-    found = class_moments(spec, source, budget, pairs=True) if data else None
-    if found is not None:
-        classes, moments = found
+    classes = _class_tensor_counts(spec, source, budget) if data else None
+    if classes is not None:
+        count = math.prod(below + above for below, above in classes)
+        mu = spec.class_lattice.hits(classes) / count
+        moments = ExhaustiveMoments(mu=mu, mu2=mu, count=count)
         sums = _class_at_least_sums(spec.class_lattice.phi, classes)
     else:
         check_budget(cells + injections + held, "pair-moment tensor", budget)
@@ -621,6 +624,32 @@ def _pair_sums(spec, source, layout: BlockLayout, budget):
                 sub[:, src, :] -= sub[:, dst, :]
             inner *= len(frags)
     return moments, sums.tolist(), sizes
+
+
+def _class_tensor_counts(spec, samples: SampleSet, budget) -> list | None:
+    """Per argument, its values at most and above the level of the class
+    lattice, where :func:`_pair_sums` takes the class tensor; else None.
+
+    The class tensor needs one argument per sample and a lattice whose
+    boundary nodes are all data leaves, and is taken when its 3^m class
+    cells are no more than the prod n_i positions of the position tensor.
+    It charges the 2 * 3^m cells of M and N, the 2^m joint injections and
+    the sum n_i values compared with the level (``"threshold-class pair
+    tensor"``).
+    """
+    lattice = spec.class_lattice
+    # boundary ids up to m are leaves
+    if (lattice is None or not samples.singleton_blocks
+            or lattice.boundary[-1] > spec.m):
+        return None
+    columns = [samples.values_for_arg(v) for v in lattice.boundary]
+    sizes = [len(column) for column in columns]
+    if 3 ** spec.m > math.prod(sizes):
+        return None
+    check_budget(2 * 3 ** spec.m + 2 ** spec.m + sum(sizes),
+                 "threshold-class pair tensor", budget)
+    above = [int(np.count_nonzero(c > lattice.level)) for c in columns]
+    return [(size - a, a) for size, a in zip(sizes, above)]
 
 
 @functools.lru_cache(maxsize=32)

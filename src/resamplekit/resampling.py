@@ -48,7 +48,7 @@ through their side of the level (:class:`systems.ClassLattice`), needs no
 grid for its moments: :func:`exhaustive_moments` counts, per boundary node,
 the cells of the node's own local grid above the level (a data leaf's grid
 is its column) and walks those counts up to the root in Python ints, with
-no lattice of classes (:func:`class_moments`, :func:`systems.count_walk`).
+no lattice of classes (:func:`class_counts`, :func:`systems.count_walk`).
 It takes that route when the local grids have no more cells than the
 grid, and no block's arguments lie under two boundary nodes.
 ``estimate_theta(r=None)`` keeps the grid, whose values it returns.
@@ -65,7 +65,7 @@ from ._streams import (BLOCK, Lane, _count, block_streams, distinct_codes,
                        distinct_outcomes, draw_distinct)
 from .budget import check_budget
 from .samples import SampleSet, _draw_table
-from .systems import ClassLattice, SystemSpec, evaluate_batch, evaluate_grid
+from .systems import SystemSpec, evaluate_batch, evaluate_grid
 
 __all__ = [
     "ResampleIndexVector", "EstimateResult", "draw_resample",
@@ -191,20 +191,19 @@ def draw_values(samples: SampleSet, rows: int,
     return out
 
 
-def realization_values(spec: SystemSpec, samples: SampleSet, r: int, seed: int,
-                       lane: int = Lane.SIMPLE_ESTIMATE) -> np.ndarray:
-    """Values of r independent realizations, keyed by (seed, lane, block).
+def realization_values(spec: SystemSpec, samples: SampleSet, r: int,
+                       blocks) -> np.ndarray:
+    """Values of r independent realizations: ``blocks`` yields ``(start,
+    stop, rng)`` over ``range(r)``, as :func:`_streams.block_streams` does,
+    and realizations start to stop draw from ``rng``.
 
     Each call is a seeded estimate of ``spec`` on ``samples``: from the
     second call in a row with one system the values are read off the
     system's rank table (:func:`_rank_table`) where the grid has one.
     """
-    check_arity(spec, samples)
-    if r < 1:
-        raise ValueError(f"need r >= 1 realizations, got {r}")
     table = _rank_table(spec, samples)
     values = np.empty(r, dtype=float)
-    for start, stop, rng in block_streams(r, seed, lane):
+    for start, stop, rng in blocks:
         if table is None:
             values[start:stop] = evaluate_batch(
                 spec, draw_values(samples, stop - start, rng).T)
@@ -327,7 +326,9 @@ def estimate_theta(spec: SystemSpec, samples: SampleSet, r: int | None,
         r = _count(r, "r")
         if seed is None:
             raise ValueError("a seed is required when sampling (r is not None)")
-        values = realization_values(spec, samples, r, seed)
+        check_arity(spec, samples)
+        values = realization_values(spec, samples, r, block_streams(
+            r, seed, Lane.SIMPLE_ESTIMATE))
     return EstimateResult.from_values(values, seed, keep_values)
 
 
@@ -343,74 +344,36 @@ class ExhaustiveMoments:
 def exhaustive_moments(spec: SystemSpec, samples: SampleSet,
                        budget: int | None = None) -> ExhaustiveMoments:
     """Exact mean and second moment over every admissible index vector:
-    on the class counts where :func:`class_moments` takes it, else over
+    on the class counts where :func:`class_counts` takes them, else over
     the grid.  Both give the same bits, and the budget counts the cells of
-    the route taken."""
+    the route taken.
+
+    On class counts the hit count sum_b phi(b) prod_v cnt_v(b_v) is one
+    walk in Python ints (:meth:`systems.ClassLattice.hits`, no 2^B cells),
+    and mu = mu2 = hits / count: the grid's sum of 0/1 values is that same
+    integer, so the bits are the grid's."""
     check_arity(spec, samples)
-    found = class_moments(spec, samples, budget)
-    if found is not None:
-        return found[1]
-    return chunk_moments(grid_values(spec, samples, budget))
+    counts = class_counts(spec, samples, budget)
+    if counts is None:
+        return chunk_moments(grid_values(spec, samples, budget))
+    count = math.prod(below + above for below, above in counts)
+    mu = spec.class_lattice.hits(counts) / count
+    return ExhaustiveMoments(mu=mu, mu2=mu, count=count)
 
 
-def class_moments(spec: SystemSpec, samples: SampleSet, budget,
-                  pairs: bool = False):
-    """The threshold-class route of exact moments: the class counts of
-    :func:`class_counts` and the :class:`ExhaustiveMoments`, after the
-    budget check of the cells the route builds; None where the value grid
-    (``pairs`` false) or the position tensor of :func:`pairs._pair_sums`
-    (``pairs`` true) is the route.
+def class_counts(spec: SystemSpec, samples: SampleSet, budget) -> list | None:
+    """Per boundary node v of the class lattice, the cells of its local
+    grid at most and above the level, (N_v - c_v, c_v); None where the
+    value grid is the route.
 
-    The route needs a :class:`ClassRoute`.  Its hit count
-    sum_b phi(b) prod_v cnt_v(b_v) is one walk in Python ints
-    (:meth:`systems.ClassLattice.hits`, no 2^B cells), and mu = mu2 = hits
-    / count: the grid's sum of 0/1 values is that same integer, so the bits
-    are the grid's.  For :func:`exhaustive_moments` it is taken when the
-    nodes' local grids have no more cells than the grid (``"threshold-class
-    lattice"``).  For the
-    pair sums every argument needs a sample of its own and a data leaf as
-    its boundary node; the route is taken when the 3^m cells of the class
-    tensor of :func:`pairs._class_at_least_sums` are no more than the
-    position tensor's prod n_i, and counts the 2 * 3^m cells of M and N,
-    the 2^m joint injections and the sum n_i values compared with the
-    level (``"threshold-class pair tensor"``).
+    Node v's local grid is the grid of the blocks whose arguments lie under
+    it: a data leaf's is its column, and any other node is evaluated over
+    it and compared with the level, as the cascade does.  The route needs
+    a class lattice, no block whose arguments lie under two boundary nodes
+    (its draws without replacement couple their classes), and local grids
+    of no more cells in all than the grid, sum_v N_v <= prod_v N_v; it
+    charges those cells (``"threshold-class lattice"``).
     """
-    route = class_route(spec, samples)
-    if route is None:
-        return None
-    count = math.prod(route.sizes)
-    if not pairs:
-        cells = sum(route.sizes)
-        if cells > count:
-            return None
-        what = "threshold-class lattice"
-    elif (samples.singleton_blocks and route.lattice.boundary[-1] <= spec.m
-          and 3 ** spec.m <= count):  # boundary ids up to m are leaves
-        cells = 2 * 3 ** spec.m + 2 ** spec.m + sum(route.sizes)
-        what = "threshold-class pair tensor"
-    else:
-        return None
-    check_budget(cells, what, budget)
-    counts = class_counts(spec, samples, route)
-    mu = route.lattice.hits(counts) / count
-    return counts, ExhaustiveMoments(mu=mu, mu2=mu, count=count)
-
-
-@dataclass(frozen=True)
-class ClassRoute:
-    """The threshold-class lattice of a spec on a sample set: per boundary
-    node, the blocks of its local grid, those whose arguments lie under
-    the node, and the grid's cell count (its admissible draws)."""
-
-    lattice: ClassLattice
-    blocks: tuple
-    sizes: tuple
-
-
-def class_route(spec: SystemSpec, samples: SampleSet) -> ClassRoute | None:
-    """The :class:`ClassRoute` of ``spec`` on ``samples``; None without a
-    class lattice, or when a block's arguments lie under two boundary
-    nodes, whose classes its draws without replacement couple."""
     lattice = spec.class_lattice
     if lattice is None:
         return None
@@ -424,25 +387,18 @@ def class_route(spec: SystemSpec, samples: SampleSet) -> ClassRoute | None:
                 return None
         local[j].append(b)
         sizes[j] *= math.perm(b.size, len(b.args))
-    return ClassRoute(lattice, tuple(local), tuple(sizes))
-
-
-def class_counts(spec: SystemSpec, samples: SampleSet,
-                 route: ClassRoute) -> list:
-    """Per boundary node v of ``route``, the cells of its local grid at
-    most and above the level, (N_v - c_v, c_v).  A data leaf's local grid
-    is its column; any other node is evaluated over the grid of its own
-    blocks and compared with the level, as the cascade does."""
-    level = route.lattice.level
+    cells = sum(sizes)
+    if cells > math.prod(sizes):
+        return None
+    check_budget(cells, "threshold-class lattice", budget)
     counts = []
-    for v, blocks, size in zip(route.lattice.boundary, route.blocks,
-                               route.sizes):
+    for v, blocks, size in zip(lattice.boundary, local, sizes):
         if v <= spec.m:  # a leaf on a sample of its own
             above = np.count_nonzero(samples.columns[blocks[0].sample_index]
-                                     > level)
+                                     > lattice.level)
         else:
             leaves, dims = _grid_leaves(samples, blocks)
-            above = sum(np.count_nonzero(chunk > level) for chunk
+            above = sum(np.count_nonzero(chunk > lattice.level) for chunk
                         in evaluate_grid(spec, leaves, dims, node=v))
         counts.append((size - int(above), int(above)))
     return counts

@@ -68,7 +68,8 @@ def _require_singleton(samples: SampleSet):
 
 
 def _size(sizes: dict, nid: int) -> int:
-    """``sizes[nid]`` as an int: an integer or integral float above 0."""
+    """``sizes[nid]`` as an int: an integer or integral float above 0 and
+    below 2**63, as numpy holds it."""
     if nid not in sizes:
         raise ValueError(f"no size given for node {nid}")
     n = sizes[nid]
@@ -76,6 +77,8 @@ def _size(sizes: dict, nid: int) -> int:
              or isinstance(n, (float, np.floating)) and n.is_integer())
     if isinstance(n, (bool, np.bool_)) or not whole or n < 1:
         raise ValueError(f"node {nid} size must be a positive integer, got {n}")
+    if n >= 2 ** 63:
+        raise ValueError(f"node {nid} size must be below 2**63, got {n}")
     return int(n)
 
 
@@ -116,10 +119,10 @@ class _Cascade:
 
     A node in the threshold-class map (``spec.class_levels``; with Z
     arguments, which may be infinite, :func:`class_levels` with them
-    unbounded) is read only through its class u = [v > L].  With
-    ``counts``, such nodes and every ``ind`` over one of them are kept as
-    their count of class 1 (of ones, for an ``ind`` outside the map), see
-    :meth:`_count`; otherwise as one byte per element: a data leaf is
+    unbounded) is read only through its class u = [v > L].  A run without
+    ``slots`` keeps such nodes and every ``ind`` over one of them as their
+    count of class 1 (of ones, for an ``ind`` outside the map), see
+    :meth:`_count`; a run with slots as one byte per element: a data leaf is
     compared once, a Z draw per block, a ``min``, ``max`` or ``kofn`` of
     classes takes all, any or at least k of them, any other node compares
     its value, and the ``ind`` above reads u, or not u for ``<``.
@@ -132,8 +135,7 @@ class _Cascade:
     """
 
     def __init__(self, spec: SystemSpec, samples: SampleSet, sizes: dict,
-                 seed: int, lane: Lane, z_dists=(), slots: tuple = (),
-                 counts: bool = False):
+                 seed: int, lane: Lane, z_dists=(), slots: tuple = ()):
         self.spec, self.seed, self.lane = spec, seed, lane
         self.z_dists, self.slots = z_dists, slots
         self.m = m = samples.m
@@ -141,7 +143,7 @@ class _Cascade:
             class_levels(spec.table, range(m + 1, spec.m + 1)) if z_dists
             else spec.class_levels)
         self.counted = set()  # nodes kept as counts
-        if counts:
+        if not slots:
             self.counted = set(levels) | {
                 nid for nid, node, kids in spec.table
                 if isinstance(node, Threshold) and kids[0] in levels}
@@ -336,8 +338,8 @@ def wave_estimate(spec: SystemSpec, samples: SampleSet, sizes: dict,
     """
     _require_singleton(samples)
     check_arity(spec, samples)
-    count, root = _Cascade(spec, samples, sizes, seed, Lane.WAVE,
-                           counts=True).run(keep_values)
+    count, root = _Cascade(spec, samples, sizes, seed, Lane.WAVE).run(
+        keep_values)
     if count is None:
         # a kept root must not pin the cascade's slab
         return EstimateResult.from_values(root.copy() if keep_values

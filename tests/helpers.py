@@ -33,9 +33,8 @@ from resamplekit.renewal import _PAD_SD, GridConvolutionKit, PluginReport
 from resamplekit.resampling import (EstimateResult, chunk_moments,
                                    draw_index_batch)
 from resamplekit.samples import ordered_draws
-from resamplekit.systems import (GRID_CHUNK, Input, KOfN, Max, Min,
-                                 Threshold, _node_values, children_of,
-                                 elementary_apply, evaluate, evaluate_batch)
+from resamplekit.systems import (GRID_CHUNK, Input, KOfN, Max, Min, Sum,
+                                 Threshold, children_of)
 
 
 # -- generated system texts -----------------------------------------------
@@ -171,20 +170,68 @@ def trace_wave_patterns(spec, sizes, passes, rng, chunk=100_000):
     return counts
 
 
-def evaluate_batch_oracle(spec, X) -> np.ndarray:
-    """``evaluate_batch`` by recursion over the node objects.
+def apply_oracle(node, cols) -> np.ndarray:
+    """A node's values from its children's value arrays ``cols``, which
+    broadcast, by this file's own arithmetic rather than the library's:
+    - a sum adds its children left to right;
+    - a min, max or kofn takes the k-th largest by sorting (k = 1 for a
+      max, the arity for a min) and, of the children holding that value,
+      the last: numpy's minimum and maximum return their second argument
+      on a tie, which decides the sign of a zero.  They pass a NaN on, so
+      where a child is NaN it takes the first NaN child;
+    - an ``ind`` or ``cmp`` is 1.0 where its left side is above the right
+      for ``>``, at most it for ``<``.
+    """
+    if isinstance(node, Sum):
+        out = cols[0]
+        for col in cols[1:]:
+            out = out + col
+        return out
+    if isinstance(node, (Min, Max, KOfN)):
+        stack = np.stack(np.broadcast_arrays(*cols))
+        k = len(cols) if isinstance(node, Min) else getattr(node, "k", 1)
+        kth = np.sort(stack, axis=0)[len(cols) - k]
+        last = len(cols) - 1 - np.argmax(stack[::-1] == kth, axis=0)
+        nan = np.isnan(stack)
+        pick = np.where(nan.any(axis=0), np.argmax(nan, axis=0), last)
+        return np.take_along_axis(stack, pick[None], axis=0)[0]
+    left, right = (cols[0], node.level) if isinstance(node, Threshold) \
+        else cols
+    above = np.greater(left, right) if node.op == ">" \
+        else np.less_equal(left, right)
+    return above.astype(float)
 
-    Reads neither the post-order table nor the node ids, so it checks the
-    table route independently; recursion limits it to shallow trees.
+
+def class_rule_oracle(node, cols) -> np.ndarray:
+    """A node's class from its children's classes ``cols`` (bool arrays
+    that broadcast): a min has all of them, a max any, a kofn at least k;
+    an ``ind`` keeps its child's class for ``>`` and flips it for ``<``."""
+    if isinstance(node, Threshold):
+        return cols[0] if node.op == ">" else ~cols[0]
+    need = len(cols) if isinstance(node, Min) else getattr(node, "k", 1)
+    return sum(col.astype(int) for col in cols) >= need
+
+
+def evaluate_batch_oracle(spec, X) -> np.ndarray:
+    """``evaluate_batch`` on the rows of ``X`` by a walk over the node
+    objects with :func:`apply_oracle`.
+
+    Reads neither the post-order table, nor the node ids, nor the library's
+    node arithmetic, so it checks all three independently.
     """
     X = np.asarray(X, dtype=float)
-
-    def rec(node):
-        if isinstance(node, Input):
-            return X[:, node.index - 1]
-        return elementary_apply(node, [rec(c) for c in children_of(node)])
-
-    return rec(spec.root)
+    values, todo = {}, [spec.root]
+    while todo:
+        node = todo[-1]
+        kids = children_of(node)
+        waiting = [c for c in kids if id(c) not in values]
+        if waiting:
+            todo += waiting
+            continue
+        todo.pop()
+        values[id(node)] = X[:, node.index - 1] if isinstance(node, Input) \
+            else apply_oracle(node, [values.pop(id(c)) for c in kids])
+    return values[id(spec.root)]
 
 
 def leaf_deps_oracle(spec) -> dict:
@@ -227,7 +274,7 @@ def pair_moment_oracle(spec, samples, family):
     Every ordered pair of admissible index vectors (the tuple generator
     ``enumerate_index_vectors``) is classified into its pattern of the
     given family (``"omega"``, ``"beta"`` or ``"alpha"``) and phi(v) phi(v')
-    is averaged per pattern with the scalar ``evaluate``.  Returns
+    is averaged per pattern, phi by :func:`evaluate_batch_oracle`.  Returns
     ``{pattern: (moment, pair count)}`` for the patterns that occur.
     """
     layout = samples.layout
@@ -237,8 +284,8 @@ def pair_moment_oracle(spec, samples, family):
         "alpha": lambda a, b: alpha_from_indices(a, b, layout),
     }[family]
     vectors = list(samples.enumerate_index_vectors())
-    phi = [evaluate(spec, samples.values_matrix(np.array(v))[0])
-           for v in vectors]
+    phi = evaluate_batch_oracle(
+        spec, samples.values_matrix(np.array(vectors))).tolist()
     acc: dict = {}
     for (v, fv), (w, fw) in itertools.product(zip(vectors, phi), repeat=2):
         pattern = classify(v, w)
@@ -266,8 +313,8 @@ def class_moment_oracle(spec, samples, level):
     phi = {}
     for b in itertools.product((0, 1), repeat=m):
         if all(counts[g][c] for g, c in enumerate(b)):
-            phi[b] = int(evaluate(spec, [sides[g][c][0]
-                                         for g, c in enumerate(b)]))
+            phi[b] = int(evaluate_batch_oracle(
+                spec, [[sides[g][c][0] for g, c in enumerate(b)]])[0])
     out = {}
     for mask in range(2 ** m):
         total = pairs = 0
@@ -289,7 +336,8 @@ def class_moment_oracle(spec, samples, level):
 def lattice_phi_oracle(spec) -> np.ndarray:
     """phi of ``spec.class_lattice`` by the cascade's class rules: the
     region's nodes, from the boundary nodes' 0/1 classes (one axis each)
-    up to the root, each read by ``_node_values`` over the 2^B lattice."""
+    up to the root, each read by :func:`class_rule_oracle` over the 2^B
+    lattice."""
     lattice = spec.class_lattice
     axes = len(lattice.boundary)
     region = {spec.table[-1][2][0]}
@@ -304,7 +352,7 @@ def lattice_phi_oracle(spec) -> np.ndarray:
             stack.append(np.array([False, True]).reshape(shape))
         elif nid in region or nid == spec.root_id:
             cut = len(stack) - len(kids)
-            stack[cut:] = [_node_values(node, stack[cut:], True, None)]
+            stack[cut:] = [class_rule_oracle(node, stack[cut:])]
     return np.broadcast_to(stack[0], (2,) * axes).astype(np.int64)
 
 
@@ -349,9 +397,10 @@ def index_vector_chunks(samples, chunk: int = GRID_CHUNK):
 
 def grid_values_oracle(spec, samples, chunk: int = GRID_CHUNK):
     """``grid_values`` with one index row per grid cell: index chunks
-    gathered by ``values_matrix`` and evaluated by ``evaluate_batch``."""
+    gathered by ``values_matrix`` and evaluated by
+    :func:`evaluate_batch_oracle`."""
     for idx in index_vector_chunks(samples, chunk):
-        yield evaluate_batch(spec, samples.values_matrix(idx))
+        yield evaluate_batch_oracle(spec, samples.values_matrix(idx))
 
 
 def _matched_draw_pairs(n: int, args, kind: str, tgt) -> np.ndarray:
@@ -397,8 +446,8 @@ def shared_pair_moment_oracle(spec, samples, pair,
              for args in layout.block_args]
     s = 0.0
     for rows in product_grid(tables, slots, 2 * m, chunk):
-        va = evaluate_batch(spec, samples.values_matrix(rows[:, :m]))
-        vb = evaluate_batch(spec, samples.values_matrix(rows[:, m:]))
+        va = evaluate_batch_oracle(spec, samples.values_matrix(rows[:, :m]))
+        vb = evaluate_batch_oracle(spec, samples.values_matrix(rows[:, m:]))
         s += float(np.dot(va, vb))
     return s / math.prod(len(t) for t in tables)
 
@@ -415,7 +464,7 @@ def support_grid_oracle(supports, chunk: int = GRID_CHUNK):
 def support_moments_oracle(spec, dists, chunk: int = GRID_CHUNK):
     """(mu, mu2) of one realization under finite-support generators, from
     value rows."""
-    ex = chunk_moments(evaluate_batch(spec, V) for V in
+    ex = chunk_moments(evaluate_batch_oracle(spec, V) for V in
                        support_grid_oracle([d.params for d in dists], chunk))
     return ex.mu, ex.mu2
 
@@ -435,8 +484,8 @@ def support_matching_oracle(spec, dists, matching,
               for v in range(1, m + 1)]
     s = 0.0
     for V in support_grid_oracle(supports, chunk):
-        s += float(np.dot(evaluate_batch(spec, V[:, :m]),
-                          evaluate_batch(spec, V[:, second])))
+        s += float(np.dot(evaluate_batch_oracle(spec, V[:, :m]),
+                          evaluate_batch_oracle(spec, V[:, second])))
     return s / math.prod(len(x) for x in supports)
 
 
@@ -511,12 +560,14 @@ def numeric_pw_oracle(law, w) -> np.ndarray:
 
 
 def q_oracle(spec, w) -> float:
-    """q given the ordering by evaluating phi with the scalar ``evaluate``
-    on every combination of pooled ranks, one per argument."""
+    """q given the ordering by evaluating phi with
+    :func:`evaluate_batch_oracle` on every combination of pooled ranks, one
+    per argument."""
     positions = [[rank + 1.0 for rank, label in enumerate(w) if label == i]
                  for i in range(1, max(w) + 1)]
     combos = list(itertools.product(*positions))
-    return sum(evaluate(spec, c) != 0.0 for c in combos) / len(combos)
+    hits = np.count_nonzero(evaluate_batch_oracle(spec, combos))
+    return int(hits) / len(combos)
 
 
 def coverage_oracle(func, generators, sizes, theta, gammas, k, r,
@@ -808,11 +859,12 @@ def index_row_blocks(samples, r, streams):
 
 
 def estimate_theta_oracle(spec, samples, r, seed) -> EstimateResult:
-    """estimate_theta(r, seed) with index rows and ``evaluate_batch``."""
+    """estimate_theta(r, seed) with index rows and
+    :func:`evaluate_batch_oracle`."""
     values = np.empty(r)
     for start, stop, _, X in index_row_blocks(
             samples, r, fresh_blocks(seed, Lane.SIMPLE_ESTIMATE, r)):
-        values[start:stop] = evaluate_batch(spec, X)
+        values[start:stop] = evaluate_batch_oracle(spec, X)
     return estimate_result_oracle(values, seed)
 
 
@@ -844,7 +896,8 @@ def inner_mc_oracle(spec, samples, z_dists, N, r, seed,
             full[:, :, :m] = X[lo:hi, None, :]
             for z, d in enumerate(z_dists):
                 full[:, :, m + z] = d.sample(rng, (rows, N))
-            vals = evaluate_batch(spec, full.reshape(rows * N, m + nu))
+            vals = evaluate_batch_oracle(spec,
+                                         full.reshape(rows * N, m + nu))
             values[start + lo:start + hi] = vals.reshape(rows, N).mean(axis=1)
     return estimate_result_oracle(values, seed)
 
@@ -859,7 +912,7 @@ def resampling_interval_oracle(func, samples, gamma, k, r,
                    for b, _, _ in block_ranges(r))
         values = np.empty(r)
         for start, stop, _, X in index_row_blocks(samples, r, streams):
-            values[start:stop] = evaluate_batch(func.spec, X)
+            values[start:stop] = evaluate_batch_oracle(func.spec, X)
         estimates[e] = values.mean()
     a = float(np.sort(estimates)[alpha_floor(1.0 - gamma, k) - 1])
     return IntervalResult(a=a, interval=(a, 1.0), gamma=gamma, k=k, r=r,
@@ -883,12 +936,12 @@ def _element_oracle(node, kids, nid, n_v, store, enumerated, seed):
         combos = itertools.product(*(range(cnt) for cnt in counts))
         idx = np.array(list(combos)).reshape(n_v, len(kids))
         cols = [store[c][idx[:, j]] for j, c in enumerate(kids)]
-        return np.asarray(elementary_apply(node, cols), dtype=float)
+        return np.asarray(apply_oracle(node, cols), dtype=float)
     out = np.empty(n_v)
     for start, stop, rng in _node_blocks(seed, Lane.WAVE, nid, n_v):
         cols = [store[c][rng.integers(0, len(store[c]), size=stop - start)]
                 for c in kids]
-        out[start:stop] = elementary_apply(node, cols)
+        out[start:stop] = apply_oracle(node, cols)
     return out
 
 
@@ -965,8 +1018,8 @@ def wave_count_oracle(spec, samples, sizes, seed) -> EstimateResult:
             q = q if node.op == ">" else 1 - q
         elif all(c <= m for c in kids) \
                 and math.prod(len(store[c]) for c in kids) <= n_v:
-            cells = [float(elementary_apply(node, [np.array([x])
-                                                   for x in row])[0])
+            cells = [float(apply_oracle(node, [np.array([x])
+                                               for x in row])[0])
                      for row in itertools.product(*(store[c] for c in kids))]
             q = Fraction(sum(v > levels[nid] for v in cells), len(cells))
         if q is None:
@@ -1023,7 +1076,7 @@ def vector_wave_oracle(spec, samples, z_dists, N, sizes,
                 else:
                     idx = rng.integers(0, len(store[c]), size=rows)
                     cols.append(store[c][idx])
-            out[start:stop] = elementary_apply(node, cols)
+            out[start:stop] = apply_oracle(node, cols)
         store[nid] = out
     root = store[spec.root_id]
     per_element = root.mean(axis=1)

@@ -464,6 +464,30 @@ def test_coverage_exact_refuses_an_overflowing_quantile_span(files, capsys):
     assert "overflows" in env["message"] and "mode='mc'" in env["message"]
 
 
+PAST_INT64 = str(10 ** 30)
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["--sizes", "2,2,2", "--k", PAST_INT64, "--r", "16"], "k"),
+    (["--sizes", "2,2,2", "--k", "10", "--r", PAST_INT64], "r"),
+    (["--sizes", f"2,2,{PAST_INT64}", "--k", "10", "--r", "16", "--mode",
+      "mc", "--seed", "1"], "sample size")])
+def test_coverage_refuses_counts_past_int64(files, capsys, argv, name):
+    code, env = error_of(capsys, [
+        "coverage", "--spec", str(files["race"]), "--gen", "exp:3,exp:3,exp:2",
+        "--gamma", "0.8", "--theta", "0.25"] + argv)
+    assert (code, env["code"]) == (2, "schema-violation")
+    assert env["message"] == f"{name} must be below 2**63, got {PAST_INT64}"
+
+
+def test_renewal_truth_takes_sample_sizes_past_int64(capsys):
+    """The closed form sums in Python ints, so n_X has no int64 bound."""
+    report = invoke_json(capsys, [
+        "renewal-truth", "--x", "exp:1", "--y", "exp:1", "--m", "3",
+        "--k", "1", "--nx", PAST_INT64, "--ny", "6", "--r", "100"])
+    assert report["n_x"] == 10 ** 30
+
+
 def test_coverage_exact_refuses_sizes_past_the_float_range(tmp_path,
                                                            capsys):
     spec = tmp_path / "pair.txt"

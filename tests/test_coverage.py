@@ -6,11 +6,14 @@ import math
 import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import resamplekit.resampling as resampling_module
+from resamplekit._streams import BLOCK, block_count
 from resamplekit.budget import BudgetExceededError
 from resamplekit.coverage import (
     OrderFunctional,
@@ -653,6 +656,48 @@ def test_interval_median_order_statistic(min_race, race_samples):
     res = resampling_interval(min_race, race_samples, gamma=0.5, k=10, r=16,
                               seed=3)
     assert res.a == sorted(res.estimates)[4]   # 5th order statistic
+
+
+@pytest.mark.parametrize("r", [16, BLOCK + 1])
+def test_interval_evaluates_the_system_in_its_first_experiment_only(
+        min_race, race_samples, r):
+    """On a rank grid of 27 cells, at most BLOCK, the first experiment
+    evaluates its draws, block by block; the second builds the rank table,
+    the grid's one evaluation, and every later one reads it."""
+    batch = mock.patch.object(resampling_module, "evaluate_batch",
+                              wraps=resampling_module.evaluate_batch)
+    grid = mock.patch.object(resampling_module, "evaluate_grid",
+                             wraps=resampling_module.evaluate_grid)
+    with batch as batches, grid as grids:
+        res = resampling_interval(min_race, race_samples, gamma=0.8, k=5,
+                                  r=r, seed=3)
+    assert len(res.estimates) == 5
+    assert (batches.call_count, grids.call_count) == (block_count(r), 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda f, s: resampling_interval(f, s, gamma=0.8, k=10, r=10 ** 30,
+                                     seed=1),
+    lambda f, s: resampling_interval(f, s, gamma=0.8, k=10 ** 30, r=16,
+                                     seed=1),
+    lambda f, s: wave_estimate(f.spec, s, {4: 2, 5: 10 ** 30}, seed=1),
+    lambda f, s: wave_estimate(f.spec, s, {4: 1e300, 5: 4}, seed=1),
+    lambda f, s: wave_estimate(
+        parse_system("ind(min(x1, x2, x3) > t)", params={"t": 0.5}), s,
+        {4: 10 ** 30, 5: 2}, seed=1),
+    lambda f, s: WVector((1, 2, 10 ** 30)),
+    lambda f, s: w_from_protocol(Protocol(((10 ** 30, 1),))),
+    lambda f, s: rho(0.5, 0.25, 10 ** 30),
+    lambda f, s: coverage_conditional(0.5, 10 ** 30, 0.2),
+    lambda f, s: coverage_R(f, GENS, (2, 2, 10 ** 30), 0.25, (0.8,), k=10,
+                            r=16, mode="mc", seed=1)],
+    ids=["interval-r", "interval-k", "wave-size", "wave-float-size",
+         "wave-counted-size", "w-label", "protocol-count", "rho-r",
+         "coverage-k", "coverage-size"])
+def test_counts_past_int64_are_refused_before_numpy(min_race, race_samples,
+                                                    call):
+    with pytest.raises(ValueError, match=r"must be below 2\*\*63, got "):
+        call(min_race, race_samples)
 
 
 def test_interval_constant_functional(min_race):

@@ -33,11 +33,11 @@ from resamplekit.coverage import (OrderFunctional, WVector,
                                   coverage_conditional, coverage_R,
                                   protocol_table, q_given_ordering,
                                   resampling_interval, rho)
-from resamplekit.pairs import _matching_of
+from resamplekit.pairs import _class_tensor_counts, _matching_of
 from resamplekit.partial import (estimate_inner_mc, estimate_known_g,
                                  wave_estimate_vector_samples)
 from resamplekit.resampling import (EstimateResult, chunk_moments,
-                                   class_moments, draw_index_batch,
+                                   class_counts, draw_index_batch,
                                    draw_values, grid_values)
 from resamplekit.systems import evaluate_batch, leaf_dependencies, render
 from resamplekit.wave import wave_estimate
@@ -295,12 +295,12 @@ def test_class_lattice_moments_equal_the_oracles(problem):
     and equal the index-row oracles bit for bit."""
     spec, samples = problem
     want = chunk_moments(grid_values_oracle(spec, samples))
-    lattice = class_moments(spec, samples, None) is not None
+    lattice = class_counts(spec, samples, None) is not None
     with refuse_grids(resampling_module, lattice):
         assert exhaustive_moments(spec, samples) == want
     if not samples.singleton_blocks:
         return
-    tensor = class_moments(spec, samples, None, pairs=True) is not None
+    tensor = _class_tensor_counts(spec, samples, None) is not None
     with refuse_grids(pairs_module, tensor):
         rep = resampling_variance(spec, samples, 3)
     assert (rep.mu, rep.mu2) == (want.mu, want.mu2)
